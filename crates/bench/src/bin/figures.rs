@@ -8,12 +8,12 @@
 //!
 //! `fig_layout` measures the PR-4 data-layout ladder: RK-4 step time by
 //! cell ordering (natural, Morton SFC, BFS) × mesh level × executor, seed
-//! per-slot kernels against the precomputed fused-coefficient fast path.
+//! per-slot kernels against the precomputed-coefficient simd tier.
 //!
 //! `fig_simd` measures the PR-9 kernel-tier ladder: RK-4 step time by
-//! backend (scalar, fused, simd) × vertical layers × mesh level on the
-//! SFC ordering, with the per-layer cost and the speedup over running the
-//! fused single-layer model once per layer.
+//! backend (scalar, simd) × vertical layers × mesh level on the SFC
+//! ordering, with the per-layer cost and the speedup over running the
+//! flat simd model once per layer.
 //!
 //! `fig7x` extends Fig. 7 with every policy registered in `mpas-sched`
 //! (HEFT, CPOP, lookahead, dynamic-list, ...) on the Table III meshes.
@@ -38,12 +38,13 @@
 //! values for each experiment.
 
 use mpas_bench::{fmt_secs, print_table, time_per_call};
-use mpas_hybrid::sched::{schedule_substep, Policy};
+use mpas_hybrid::sched::schedule_substep;
 use mpas_hybrid::sim::{time_per_step, time_per_step_multirank};
 use mpas_hybrid::{fig6_ladder, Platform};
 use mpas_msg::CommCostModel;
 use mpas_patterns::dataflow::{table_i, DataflowGraph, MeshCounts, RkPhase};
 use mpas_patterns::reduction::{EdgeCellReduction, LabelMatrix};
+use mpas_sched::{KernelLevel, PatternDriven, Serial};
 use mpas_swe::config::{KernelBackend, ModelConfig};
 use mpas_swe::kernels::{ops, scatter};
 use mpas_swe::testcases::TestCase;
@@ -255,15 +256,15 @@ fn fig5(opts: &Opts) {
     let tc = TestCase::Case5;
     let mut serial = ShallowWaterModel::new(mesh.clone(), cfg, tc, None);
     let steps = serial.steps_for_days(opts.days);
-    let mut hybrid =
-        mpas_hybrid::HybridModel::new(mesh.clone(), cfg, tc, None, 2, 2, &Platform::paper_node());
+    let mut hybrid = mpas_hybrid::ParallelModel::new(mesh.clone(), cfg, tc, None, 2)
+        .with_accelerator(2, &Platform::paper_node());
     serial.run_steps(steps);
     hybrid.run_steps(steps);
 
     let th_serial = serial.total_height();
     let b = tc.topography(&mesh);
     let th_hybrid: Vec<f64> = hybrid
-        .state()
+        .state
         .h
         .iter()
         .zip(&b)
@@ -418,9 +419,9 @@ fn fig7(opts: &Opts) {
     let mut rows = Vec::new();
     for &cells in &[40_962usize, 163_842, 655_362, 2_621_442] {
         let mc = MeshCounts::icosahedral(cells);
-        let t_cpu = time_per_step(&mc, &p, Policy::Serial);
-        let t_kernel = time_per_step(&mc, &p, Policy::KernelLevel);
-        let t_pattern = time_per_step(&mc, &p, Policy::PatternDriven);
+        let t_cpu = time_per_step(&mc, &p, Serial);
+        let t_kernel = time_per_step(&mc, &p, KernelLevel);
+        let t_pattern = time_per_step(&mc, &p, PatternDriven::default());
         rows.push(vec![
             cells.to_string(),
             format!("{t_cpu:.3}"),
@@ -458,8 +459,8 @@ fn fig7(opts: &Opts) {
     // Load-balance detail the paper attributes the gain to.
     let g = DataflowGraph::for_substep(RkPhase::Intermediate);
     let mc = MeshCounts::icosahedral(655_362);
-    let sk = schedule_substep(&g, &mc, &p, Policy::KernelLevel);
-    let sp = schedule_substep(&g, &mc, &p, Policy::PatternDriven);
+    let sk = schedule_substep(&g, &mc, &p, KernelLevel);
+    let sp = schedule_substep(&g, &mc, &p, PatternDriven::default());
     println!(
         "device imbalance (busy-time gap / max): kernel-level {:.0}%, pattern-driven {:.0}%",
         sk.imbalance() * 100.0,
@@ -475,7 +476,7 @@ fn fig7x() {
     let meshes = [40_962usize, 163_842, 655_362, 2_621_442];
     let serial: Vec<f64> = meshes
         .iter()
-        .map(|&cells| time_per_step(&MeshCounts::icosahedral(cells), &p, Policy::Serial))
+        .map(|&cells| time_per_step(&MeshCounts::icosahedral(cells), &p, Serial))
         .collect();
     let g = DataflowGraph::for_substep(RkPhase::Intermediate);
     let mut rows = Vec::new();
@@ -519,10 +520,10 @@ fn fig8() {
     ] {
         let mut rows = Vec::new();
         for &ranks in &[1usize, 2, 4, 8, 16, 32, 64] {
-            let t_cpu = time_per_step_multirank(cells, ranks, &p, Policy::Serial, &comm);
-            let t_pat = time_per_step_multirank(cells, ranks, &p, Policy::PatternDriven, &comm);
-            let t1_cpu = time_per_step_multirank(cells, 1, &p, Policy::Serial, &comm);
-            let t1_pat = time_per_step_multirank(cells, 1, &p, Policy::PatternDriven, &comm);
+            let t_cpu = time_per_step_multirank(cells, ranks, &p, Serial, &comm);
+            let t_pat = time_per_step_multirank(cells, ranks, &p, PatternDriven::default(), &comm);
+            let t1_cpu = time_per_step_multirank(cells, 1, &p, Serial, &comm);
+            let t1_pat = time_per_step_multirank(cells, 1, &p, PatternDriven::default(), &comm);
             rows.push(vec![
                 ranks.to_string(),
                 format!("{t_cpu:.4}"),
@@ -734,10 +735,11 @@ fn trace() {
     let mc = MeshCounts::icosahedral(655_362);
     let p = Platform::paper_node();
     for (policy, name) in [
-        (Policy::Serial, "trace_serial.json"),
-        (Policy::KernelLevel, "trace_kernel_level.json"),
-        (Policy::PatternDriven, "trace_pattern_driven.json"),
+        ("serial", "trace_serial.json"),
+        ("kernel-level", "trace_kernel_level.json"),
+        ("pattern-driven", "trace_pattern_driven.json"),
     ] {
+        let policy = mpas_sched::resolve(policy).expect("registered policy");
         let s = schedule_substep(&g, &mc, &p, policy);
         std::fs::write(out_dir.join(name), mpas_hybrid::to_chrome_trace(&s)).unwrap();
         println!(
@@ -825,8 +827,8 @@ fn fig9() {
     let mut rows = Vec::new();
     for &ranks in &[1usize, 4, 16, 64] {
         let cells = 40_962 * ranks;
-        let t_cpu = time_per_step_multirank(cells, ranks, &p, Policy::Serial, &comm);
-        let t_pat = time_per_step_multirank(cells, ranks, &p, Policy::PatternDriven, &comm);
+        let t_cpu = time_per_step_multirank(cells, ranks, &p, Serial, &comm);
+        let t_pat = time_per_step_multirank(cells, ranks, &p, PatternDriven::default(), &comm);
         rows.push(vec![
             ranks.to_string(),
             format!("{t_cpu:.4}"),
@@ -844,8 +846,8 @@ fn fig9() {
 /// `fig_layout` — the PR-4 locality ladder: full RK-4 step time by cell
 /// ordering (natural, Morton SFC, BFS/Cuthill–McKee), mesh level and
 /// executor. Each row times the seed per-slot kernels and the
-/// precomputed-coefficient fast path ([`mpas_swe::KernelCoeffs`] +
-/// `kernels::fused`); the speedup column is fused-on-this-ordering over
+/// precomputed-coefficient simd tier ([`mpas_swe::KernelCoeffs`] +
+/// `kernels::simd`); the speedup column is simd-on-this-ordering over
 /// seed-on-the-natural-ordering for the same executor — the Fig. 6-style
 /// ladder for data layout rather than kernel form.
 fn fig_layout(opts: &Opts) {
@@ -857,7 +859,7 @@ fn fig_layout(opts: &Opts) {
         kernel_backend: KernelBackend::Scalar,
         ..ModelConfig::default()
     };
-    let fused_cfg = ModelConfig::default();
+    let simd_cfg = ModelConfig::default();
     let threads = std::thread::available_parallelism()
         .map(|n| n.get())
         .unwrap_or(2);
@@ -885,7 +887,7 @@ fn fig_layout(opts: &Opts) {
                     }
                 };
                 let seed_ms = step_ms(seed_cfg);
-                let fused_ms = step_ms(fused_cfg);
+                let simd_ms = step_ms(simd_cfg);
                 if ord == Reordering::None {
                     base_ms[xi] = seed_ms;
                 }
@@ -899,26 +901,26 @@ fn fig_layout(opts: &Opts) {
                         format!("threaded:{threads}")
                     },
                     format!("{seed_ms:.2}"),
-                    format!("{fused_ms:.2}"),
-                    format!("{:.2}x", base_ms[xi] / fused_ms),
+                    format!("{simd_ms:.2}"),
+                    format!("{:.2}x", base_ms[xi] / simd_ms),
                 ]);
             }
         }
     }
     print_table(
         "fig_layout — RK-4 step: ordering x level x executor (speedup vs seed kernels, natural order)",
-        &["level", "cells", "ordering", "executor", "seed ms/step", "fused ms/step", "speedup"],
+        &["level", "cells", "ordering", "executor", "seed ms/step", "simd ms/step", "speedup"],
         &rows,
     );
 }
 
 /// `fig_simd` — the PR-9 kernel-tier ladder: RK-4 step time by backend ×
 /// vertical layers × mesh level, on the SFC ordering the cache-blocked
-/// sweeps tile. Flat (`k = 1`) rows compare all three tiers directly;
-/// layered rows (`k = 4, 7`) time the vertically batched simd model and
-/// report the speedup over running the fused single-layer model once per
-/// layer — the `kernel.simd_speedup_serial` quantity the perf gate
-/// watches (DESIGN.md §14).
+/// sweeps tile. Flat (`k = 1`) rows compare both tiers directly; layered
+/// rows (`k = 4, 7`) time the vertically batched simd model and report the
+/// speedup over running the flat simd model once per layer — the
+/// `kernel.simd_speedup_serial` quantity the perf gate watches
+/// (DESIGN.md §14).
 fn fig_simd(opts: &Opts) {
     use mpas_mesh::Reordering;
     use mpas_swe::layers::LayeredModel;
@@ -935,12 +937,12 @@ fn fig_simd(opts: &Opts) {
             n_layers: k,
             ..ModelConfig::default()
         };
-        let mut fused_ms = f64::NAN;
+        let mut flat_ms = f64::NAN;
         for backend in KernelBackend::ALL {
             let mut m = ShallowWaterModel::new(mesh.clone(), cfg(backend, 1), tc, None);
             let ms = time_per_call(|| m.step(), iters) * 1e3;
-            if backend == KernelBackend::Fused {
-                fused_ms = ms;
+            if backend == KernelBackend::Simd {
+                flat_ms = ms;
             }
             rows.push(vec![
                 level.to_string(),
@@ -962,12 +964,12 @@ fn fig_simd(opts: &Opts) {
                 k.to_string(),
                 format!("{ms:.2}"),
                 format!("{:.2}", ms / k as f64),
-                format!("{:.2}x", fused_ms * k as f64 / ms),
+                format!("{:.2}x", flat_ms * k as f64 / ms),
             ]);
         }
     }
     print_table(
-        "fig_simd — RK-4 step: backend x layers x level on the SFC ordering (speedup vs k fused single-layer runs)",
+        "fig_simd — RK-4 step: backend x layers x level on the SFC ordering (speedup vs k flat simd runs)",
         &["level", "cells", "backend", "k", "ms/step", "ms/step/layer", "speedup"],
         &rows,
     );

@@ -37,12 +37,13 @@
 //!
 //! ## Kernel tiers and vertical layers
 //!
-//! `--backend scalar|fused|simd` picks the kernel tier (DESIGN.md §14).
-//! `--layers K` (K > 1, simd + serial only) runs the vertically batched
-//! K-layer model; the same invocation also times the fused serial
-//! single-layer reference and records the `kernel.simd_speedup_serial`
-//! gauge — (fused per-step × K) / (simd K-layer per-step) — which the
-//! perf gate fails below 2.0×.
+//! `--backend scalar|simd` picks the kernel tier (DESIGN.md §14; default
+//! `simd`, the coefficient-table fast path; `scalar` runs the seed
+//! kernels). `--layers K` (K > 1, simd + serial only) runs the vertically
+//! batched K-layer model; the same invocation also times the flat simd
+//! serial model as the single-layer reference and records the
+//! `kernel.simd_speedup_serial` gauge — (flat per-step × K) / (K-layer
+//! per-step) — which the perf gate fails below 2.0×.
 //!
 //! ## Scenario catalog and validation
 //!
@@ -111,7 +112,7 @@ fn parse_args() -> Args {
         executor: "serial".into(),
         policy: "pattern-driven".into(),
         reorder: Reordering::None,
-        backend: KernelBackend::Fused,
+        backend: KernelBackend::Simd,
         layers: 1,
         ranks: 0,
         frames: 0,
@@ -151,7 +152,7 @@ fn parse_args() -> Args {
             "--backend" => {
                 let v = val();
                 args.backend = KernelBackend::parse(&v)
-                    .unwrap_or_else(|| panic!("unknown backend {v} (scalar, fused or simd)"));
+                    .unwrap_or_else(|| panic!("unknown backend {v} (scalar or simd)"));
             }
             "--layers" => args.layers = val().parse().expect("layers"),
             "--ranks" => args.ranks = val().parse().expect("ranks"),
@@ -183,7 +184,7 @@ fn parse_args() -> Args {
                      [--alpha RAD] [--level N] \
                      [--lloyd N] [--days X] [--executor serial|threaded:N|hybrid:N:M] \
                      [--policy NAME] [--reorder none|sfc|bfs] \
-                     [--backend scalar|fused|simd] [--layers K] \
+                     [--backend scalar|simd] [--layers K] \
                      [--validate] [--adaptive] \
                      [--ranks N] [--frames K] [--out DIR] \
                      [--trace FILE.json] [--metrics FILE.json|FILE.csv] \
@@ -311,46 +312,45 @@ fn run_single(args: &Args, tc: TestCase, rec: &Recorder) -> RunStats {
         println!("wrote {frame} frames to {}", args.out.display());
     }
 
-    // Layered simd runs also time the PR-4 fused serial single-layer model
-    // in the same invocation, so the perf-gate metric compares like
-    // against like on this exact machine and mesh: speedup =
-    // (fused per-step × k) / (simd k-layer per-step), i.e. how much faster
-    // the batched tier advances k layers than k fused runs. The two models
-    // are timed in *interleaved* A/B batches and reduced with per-batch
-    // medians, so slow machine drift (thermal, noisy neighbours) hits both
-    // sides of the ratio and one-off stalls fall out of the median.
+    // Layered simd runs also time the flat (k = 1) simd serial model in
+    // the same invocation, so the perf-gate metric compares like against
+    // like on this exact machine and mesh: speedup = (flat per-step × k) /
+    // (k-layer per-step), i.e. how much faster the batched tier advances
+    // k layers than k flat runs. The two models are timed in *interleaved*
+    // A/B batches and reduced with per-batch medians, so slow machine
+    // drift (thermal, noisy neighbours) hits both sides of the ratio and
+    // one-off stalls fall out of the median.
     if args.backend == KernelBackend::Simd && args.layers > 1 {
-        let fused_cfg = ModelConfig {
-            kernel_backend: KernelBackend::Fused,
+        let flat_cfg = ModelConfig {
             n_layers: 1,
             ..config
         };
-        let mut reference = ShallowWaterModel::new(sim.mesh.clone(), fused_cfg, tc, None);
+        let mut reference = ShallowWaterModel::new(sim.mesh.clone(), flat_cfg, tc, None);
         let mut layered = mpas_swe::layers::LayeredModel::new(sim.mesh.clone(), config, tc, None);
         reference.run_steps(1); // warm both instruction/data paths
         layered.run_steps(1);
         let batch = total_steps.clamp(1, 4);
         const REPS: usize = 5;
-        let mut fused_s = Vec::with_capacity(REPS);
+        let mut flat_s = Vec::with_capacity(REPS);
         let mut simd_s = Vec::with_capacity(REPS);
         for _ in 0..REPS {
             let t = std::time::Instant::now();
             reference.run_steps(batch);
-            fused_s.push(t.elapsed().as_secs_f64() / batch as f64);
+            flat_s.push(t.elapsed().as_secs_f64() / batch as f64);
             let t = std::time::Instant::now();
             layered.run_steps(batch);
             simd_s.push(t.elapsed().as_secs_f64() / batch as f64);
         }
-        let (fused_step_s, _) = median_mad(&fused_s);
+        let (flat_step_s, _) = median_mad(&flat_s);
         let (simd_step_s, _) = median_mad(&simd_s);
-        let speedup = fused_step_s * args.layers as f64 / simd_step_s;
+        let speedup = flat_step_s * args.layers as f64 / simd_step_s;
         rec.set_gauge("kernel.simd_speedup_serial", speedup);
         println!(
-            "simd speedup vs fused serial: {:.2}x ({} layers: fused {:.2} ms/step/layer, \
+            "simd speedup vs flat serial: {:.2}x ({} layers: flat {:.2} ms/step/layer, \
              simd {:.2} ms/step for all layers; medians of {REPS} interleaved batches)",
             speedup,
             args.layers,
-            fused_step_s * 1e3,
+            flat_step_s * 1e3,
             simd_step_s * 1e3
         );
     }
@@ -669,9 +669,9 @@ fn fit_baseline(name: String, rec: &Recorder) -> Baseline {
             });
         }
     }
-    // Layered simd runs measure their fused-serial speedup in-invocation;
+    // Layered simd runs measure their flat-serial speedup in-invocation;
     // gate it from below (fail-severity) so the batched tier can never
-    // silently regress to slower-than-k-fused-runs. The committed floor is
+    // silently regress to slower-than-k-flat-runs. The committed floor is
     // `median − 2.0`, i.e. an absolute 2.0× requirement under Below
     // semantics (`v < median − band` trips).
     if let Some(s) = snap.gauge("kernel.simd_speedup_serial") {

@@ -30,7 +30,7 @@ pub struct JobSpec {
     /// Scheduler-policy registry name (modeled placement; see
     /// [`crate::SimulationBuilder::sched_policy`]).
     pub policy: String,
-    /// Kernel tier to run (scalar, fused, or simd).
+    /// Kernel tier to run (scalar or simd).
     pub backend: KernelBackend,
     /// Vertical layers to carry (k > 1 requires the simd backend and the
     /// serial executor; see [`crate::SimulationBuilder`]).
@@ -48,14 +48,14 @@ pub struct JobSpec {
 }
 
 impl JobSpec {
-    /// A level-agnostic default: case 5, serial, fused, 10 steps.
+    /// A level-agnostic default: case 5, serial, simd, 10 steps.
     pub fn new(test_case: TestCase, steps: usize) -> Self {
         JobSpec {
             test_case,
             steps,
             executor: Executor::Serial,
             policy: "pattern-driven".to_string(),
-            backend: KernelBackend::Fused,
+            backend: KernelBackend::Simd,
             layers: 1,
             dt: None,
             n_tracers: 0,

@@ -1,6 +1,6 @@
 //! The user-facing `Simulation` facade.
 
-use mpas_hybrid::{HybridModel, ParallelModel, Platform, Schedule};
+use mpas_hybrid::{ParallelModel, Platform, Schedule};
 use mpas_mesh::{Mesh, Reordering};
 use mpas_patterns::dataflow::{DataflowGraph, MeshCounts, RkPhase};
 use mpas_sched::SchedulerPolicy;
@@ -215,17 +215,16 @@ impl SimulationBuilder {
             Executor::Hybrid {
                 cpu_threads,
                 acc_threads,
-            } => Engine::Hybrid(
-                HybridModel::new_shared(
+            } => Engine::Threaded(
+                ParallelModel::new_shared(
                     mesh.clone(),
                     self.config,
                     self.test_case,
                     self.dt,
                     cpu_threads,
-                    acc_threads,
-                    &Platform::paper_node(),
                     self.kernel_coeffs,
                 )
+                .with_accelerator(acc_threads, &Platform::paper_node())
                 .with_recorder(self.recorder.clone()),
             ),
         };
@@ -257,8 +256,9 @@ impl SimulationBuilder {
 #[allow(clippy::large_enum_variant)]
 enum Engine {
     Serial(ShallowWaterModel),
+    /// The threaded executor, with or without the accelerator pool of the
+    /// hybrid executor.
     Threaded(ParallelModel),
-    Hybrid(HybridModel),
     /// k-layer serial simd engine; facade views read its cached layer 0.
     Layered(LayeredModel),
 }
@@ -315,7 +315,6 @@ impl Simulation {
         match &mut self.engine {
             Engine::Serial(m) => m.run_steps(n),
             Engine::Threaded(m) => m.run_steps(n),
-            Engine::Hybrid(m) => m.run_steps(n),
             Engine::Layered(m) => m.run_steps(n),
         }
     }
@@ -331,7 +330,6 @@ impl Simulation {
         match &self.engine {
             Engine::Serial(m) => &m.state,
             Engine::Threaded(m) => &m.state,
-            Engine::Hybrid(m) => m.state(),
             Engine::Layered(m) => m.layer0(),
         }
     }
@@ -360,7 +358,6 @@ impl Simulation {
         match &self.engine {
             Engine::Serial(m) => m.dt,
             Engine::Threaded(m) => m.dt,
-            Engine::Hybrid(m) => m.dt(),
             Engine::Layered(m) => m.dt,
         }
     }
@@ -370,7 +367,6 @@ impl Simulation {
         match &self.engine {
             Engine::Serial(m) => m.time,
             Engine::Threaded(m) => m.time,
-            Engine::Hybrid(m) => m.time(),
             Engine::Layered(m) => m.time,
         }
     }
@@ -382,7 +378,6 @@ impl Simulation {
         let diag = match &self.engine {
             Engine::Serial(m) => &m.diag,
             Engine::Threaded(m) => &m.diag,
-            Engine::Hybrid(m) => m.diag(),
             Engine::Layered(m) => m.layer0_diag(),
         };
         let (u, g, dt) = (&self.state().u, self.config.gravity, self.dt());

@@ -7,9 +7,11 @@
 //! through *every* catalog scenario (all six Williamson cases, Galewsky,
 //! and the tracer variant) on all four engines: serial, threaded, hybrid,
 //! and the 4-rank distributed driver — and through every kernel tier
-//! (scalar, fused, simd), since the backend switch must be invisible to
-//! the executors. The FNV digest covers `h`, `u`, and every tracer-mass
-//! field, so a single flipped mantissa bit anywhere fails the matrix.
+//! (scalar, simd), since the backend switch must be invisible to the
+//! executors. The FNV digest covers `h`, `u`, and every tracer-mass field,
+//! so a single flipped mantissa bit anywhere fails the matrix. One extra
+//! row covers the terms the catalog leaves off: del2 and del4 viscosity
+//! and the high-order thickness flux.
 
 use mpas_core::{build_mesh, run_distributed, state_hash, DistributedConfig, Executor, Simulation};
 use mpas_mesh::{Mesh, Reordering};
@@ -37,6 +39,47 @@ fn run_engine(
     state_hash(sim.state())
 }
 
+/// Run `config` on every engine and require the serial digest from each.
+fn assert_engines_agree(
+    mesh: &Arc<Mesh>,
+    config: ModelConfig,
+    tc: mpas_swe::TestCase,
+    dt: f64,
+    tag: &str,
+) {
+    let serial = run_engine(mesh, config, tc, dt, Executor::Serial);
+    let threaded = run_engine(mesh, config, tc, dt, Executor::Threaded { threads: 4 });
+    let hybrid = run_engine(
+        mesh,
+        config,
+        tc,
+        dt,
+        Executor::Hybrid {
+            cpu_threads: 2,
+            acc_threads: 2,
+        },
+    );
+    assert_eq!(serial, threaded, "{tag}: threaded differs from serial");
+    assert_eq!(serial, hybrid, "{tag}: hybrid differs from serial");
+
+    let dist = run_distributed(
+        mesh,
+        DistributedConfig {
+            n_ranks: 4,
+            halo_layers: 3,
+            model: config,
+            test_case: tc,
+            dt,
+            n_steps: STEPS,
+        },
+    );
+    assert_eq!(
+        serial,
+        state_hash(&dist),
+        "{tag}: distributed differs from serial"
+    );
+}
+
 #[test]
 fn every_catalog_case_is_bitwise_identical_across_executors() {
     let mesh = build_mesh(3, 0, Reordering::None);
@@ -48,50 +91,34 @@ fn every_catalog_case_is_bitwise_identical_across_executors() {
                 ..sc.config()
             };
             let tag = format!("{} ({})", sc.name, backend.name());
-            let serial = run_engine(&mesh, config, sc.test_case, dt, Executor::Serial);
-            let threaded = run_engine(
-                &mesh,
-                config,
-                sc.test_case,
-                dt,
-                Executor::Threaded { threads: 4 },
-            );
-            let hybrid = run_engine(
-                &mesh,
-                config,
-                sc.test_case,
-                dt,
-                Executor::Hybrid {
-                    cpu_threads: 2,
-                    acc_threads: 2,
-                },
-            );
-            assert_eq!(serial, threaded, "{tag}: threaded differs from serial");
-            assert_eq!(serial, hybrid, "{tag}: hybrid differs from serial");
-
-            let dist = run_distributed(
-                &mesh,
-                DistributedConfig {
-                    n_ranks: 4,
-                    halo_layers: 3,
-                    model: config,
-                    test_case: sc.test_case,
-                    dt,
-                    n_steps: STEPS,
-                },
-            );
-            assert_eq!(
-                serial,
-                state_hash(&dist),
-                "{tag}: distributed differs from serial"
-            );
+            assert_engines_agree(&mesh, config, sc.test_case, dt, &tag);
         }
+    }
+}
+
+/// The catalog runs inviscid with the low-order thickness flux, so it never
+/// reaches the C1 del2/del4 chain or the D1/D2 blend; this row turns all
+/// three on for the Rossby-Haurwitz wave.
+#[test]
+fn viscous_high_order_case6_is_bitwise_identical_across_executors() {
+    let mesh = build_mesh(3, 0, Reordering::None);
+    let dt = ModelConfig::suggested_dt(&mesh);
+    for backend in KernelBackend::ALL {
+        let config = ModelConfig {
+            kernel_backend: backend,
+            del2_viscosity: 1.0e5,
+            del4_viscosity: 5.0e14,
+            high_order_h_edge: true,
+            ..ModelConfig::default()
+        };
+        let tag = format!("viscous williamson-6 ({})", backend.name());
+        assert_engines_agree(&mesh, config, mpas_swe::TestCase::Case6, dt, &tag);
     }
 }
 
 /// The layered facade: a k-layer simd `Simulation` exposes its layer-0
 /// fields through the same `state()` accessor, and layer 0 must be
-/// bitwise identical to the flat fused serial run — the lane-replay
+/// bitwise identical to the flat serial run — the lane-replay
 /// contract of DESIGN.md §14 surfaced at the service-facing API.
 #[test]
 fn layered_facade_layer0_matches_flat_runs_bitwise() {
@@ -116,7 +143,7 @@ fn layered_facade_layer0_matches_flat_runs_bitwise() {
     assert_eq!(
         state_hash(sim.state()),
         flat,
-        "layer 0 of the layered facade diverged from the flat fused run"
+        "layer 0 of the layered facade diverged from the flat run"
     );
     // The full-state digest folds all k lanes, so it must differ from the
     // single-layer digest (deeper layers carry perturbed thickness).

@@ -16,11 +16,11 @@
 
 use crate::device::{Platform, TransferLink};
 use crate::sched::{
-    pattern_driven_schedule_opts, pattern_driven_schedule_with, schedule_substep, Policy,
-    SchedOptions,
+    pattern_driven_schedule_opts, pattern_driven_schedule_with, schedule_substep, SchedOptions,
 };
 use mpas_patterns::dataflow::{DataflowGraph, MeshCounts, RkPhase};
 use mpas_patterns::pattern::PatternClass;
+use mpas_sched::{KernelLevel, PatternDriven};
 
 /// One sweep sample.
 #[derive(Debug, Clone, Copy)]
@@ -46,7 +46,7 @@ pub fn sweep_split_threshold(
     thresholds: &[f64],
 ) -> Vec<SweepPoint> {
     let g = graph();
-    let kernel = schedule_substep(&g, mc, platform, Policy::KernelLevel).makespan;
+    let kernel = schedule_substep(&g, mc, platform, KernelLevel).makespan;
     thresholds
         .iter()
         .map(|&t| SweepPoint {
@@ -75,8 +75,8 @@ pub fn sweep_device_ratio(mc: &MeshCounts, base: &Platform, ratios: &[f64]) -> V
             p.acc.flops = total_fl * r / (1.0 + r);
             SweepPoint {
                 x: r,
-                pattern_makespan: schedule_substep(&g, mc, &p, Policy::PatternDriven).makespan,
-                kernel_makespan: schedule_substep(&g, mc, &p, Policy::KernelLevel).makespan,
+                pattern_makespan: schedule_substep(&g, mc, &p, PatternDriven::default()).makespan,
+                kernel_makespan: schedule_substep(&g, mc, &p, KernelLevel).makespan,
             }
         })
         .collect()
@@ -99,8 +99,8 @@ pub fn sweep_link_bandwidth(
             };
             SweepPoint {
                 x: bw,
-                pattern_makespan: schedule_substep(&g, mc, &p, Policy::PatternDriven).makespan,
-                kernel_makespan: schedule_substep(&g, mc, &p, Policy::KernelLevel).makespan,
+                pattern_makespan: schedule_substep(&g, mc, &p, PatternDriven::default()).makespan,
+                kernel_makespan: schedule_substep(&g, mc, &p, KernelLevel).makespan,
             }
         })
         .collect()

@@ -383,7 +383,7 @@ pub fn calibrate_on(mesh: Arc<mpas_mesh::Mesh>, reps: usize) -> CalibrationRepor
 
 /// Fit a calibration from the `hybrid.kernel.<label>.seconds` histograms a
 /// telemetry [`Recorder`](mpas_telemetry::Recorder) collected while a
-/// [`ParallelModel`]/[`crate::parallel::HybridModel`] ran — the in-situ
+/// [`ParallelModel`] (threaded or hybrid) ran — the in-situ
 /// alternative to [`calibrate_on`]'s dedicated timing loop.
 ///
 /// The p50 of each histogram is the measured time (robust to warm-up

@@ -20,10 +20,12 @@
 //!   `hybrid.kernel.*` histograms a telemetry
 //!   [`Recorder`](mpas_telemetry::Recorder) collected during a real run
 //!   ([`calibration_from_metrics`]).
-//! * [`parallel`] — real, measured executors: an OpenMP-style fork-join
-//!   team of persistent threads and a two-pool hybrid executor, both verified bit-for-bit against the
-//!   serial kernels (the §V.A validation). Both accept a telemetry
-//!   recorder and emit per-kernel timers keyed by Table-I label.
+//! * [`parallel`] — the real, measured executor: an OpenMP-style
+//!   fork-join team of persistent threads that optionally splits the heavy
+//!   patterns with a second "accelerator" pool (the two-pool hybrid
+//!   executor), verified bit-for-bit against the serial kernels (the §V.A
+//!   validation). It accepts a telemetry recorder and emits per-kernel
+//!   timers keyed by Table-I label.
 //! * [`ladder`] — the Fig. 6 single-device optimization ladder.
 
 pub mod ablation;
@@ -39,7 +41,7 @@ pub mod trace;
 pub use calibrate::{calibrate_host, calibration_from_metrics, CalibrationReport};
 pub use device::{DeviceSpec, Platform, TransferLink};
 pub use ladder::{fig6_ladder, OptStage};
-pub use parallel::{HybridModel, ParallelModel};
-pub use sched::{schedule_substep, Placement, Policy, SchedOptions, Schedule, SchedulerPolicy};
+pub use parallel::ParallelModel;
+pub use sched::{schedule_substep, Placement, SchedOptions, Schedule, SchedulerPolicy};
 pub use sim::{time_per_step, time_per_step_multirank};
 pub use trace::{to_chrome_trace, to_combined_trace};

@@ -5,13 +5,15 @@
 //! region per kernel, regularity-aware loops, no data races by construction
 //! (each chunk owns a disjoint `&mut` window of the output field).
 //!
-//! [`HybridModel`] adds the paper's device split: every heavy pattern's
-//! output range is divided between two thread pools standing in for the
-//! host CPU and the accelerator, joined per pattern — the execution shape
-//! of Fig. 4 (b). On this machine both pools share silicon, so wall-clock
-//! gains are measured on multicore hosts and *modeled* via `crate::sched`
-//! elsewhere; what is verified here is bit-for-bit agreement with the
-//! serial code (the paper's §V.A validation).
+//! [`ParallelModel::with_accelerator`] adds the paper's device split: the
+//! heavy A1, B1 and T1 patterns divide their output range between the host
+//! pool and a second pool standing in for the accelerator, joined per
+//! pattern — the execution shape of Fig. 4 (b). Every other line of the
+//! RK-4 stage loop is shared with the threaded executor. On this machine
+//! both pools share silicon, so wall-clock gains are measured on multicore
+//! hosts and *modeled* via `crate::sched` elsewhere; what is verified here
+//! is bit-for-bit agreement with the serial code (the paper's §V.A
+//! validation).
 
 use crate::device::Platform;
 use crate::pool::{join, Pool};
@@ -47,30 +49,37 @@ where
     pool.for_each([out], chunk, |r, [o]| f(r, o));
 }
 
-/// Split `out` at `mid` and run the two halves concurrently on two pools
-/// (host part on `cpu`, device part on `acc`) — one "adjustable" pattern.
-/// The whole pattern is timed under `hybrid.kernel.<label>.seconds`, and
-/// each half under `hybrid.split.<label>.{cpu,acc}.seconds` so the two
-/// pools' shares can be compared in the metrics snapshot.
-#[allow(clippy::too_many_arguments)]
+/// The accelerator half of the Fig. 4 (b) device split.
+struct AccSplit {
+    pool: Pool,
+    /// Fraction of each split range the accelerator pool computes.
+    fraction: f64,
+}
+
+/// Run one "adjustable" pattern over `out`. With an accelerator, `out`
+/// splits at the platform ratio and the two halves run concurrently (host
+/// part on `cpu`, device part on the accelerator pool), each timed under
+/// `hybrid.split.<label>.{cpu,acc}.seconds` so the pools' shares can be
+/// compared in the metrics snapshot; without one it is a plain [`par_run`].
 fn split_run<F>(
     cpu: &mut Pool,
-    acc: &mut Pool,
+    acc: Option<&mut AccSplit>,
     rec: &Recorder,
     label: &str,
     out: &mut [f64],
-    mid: usize,
     chunk: usize,
     f: F,
 ) where
     F: Fn(Range<usize>, &mut [f64]) + Sync,
 {
-    let _g = kernel_timer(rec, label);
+    let Some(acc) = acc else {
+        return par_run(cpu, out, chunk, f);
+    };
     let half_timer = |side: &str| {
         rec.is_enabled()
             .then(|| rec.time(&format!("hybrid.split.{label}.{side}.seconds")))
     };
-    let mid = mid.min(out.len());
+    let mid = ((1.0 - acc.fraction) * out.len() as f64) as usize;
     let (lo, hi) = out.split_at_mut(mid);
     join(
         || {
@@ -79,13 +88,16 @@ fn split_run<F>(
         },
         || {
             let _t = half_timer("acc");
-            par_run(acc, hi, chunk, |r, c| f(r.start + mid..r.end + mid, c))
+            par_run(&mut acc.pool, hi, chunk, |r, c| {
+                f(r.start + mid..r.end + mid, c)
+            })
         },
     );
 }
 
 /// A threaded shallow-water model numerically identical to
-/// [`mpas_swe::ShallowWaterModel`].
+/// [`mpas_swe::ShallowWaterModel`], optionally splitting its heavy
+/// patterns with an accelerator pool ([`ParallelModel::with_accelerator`]).
 pub struct ParallelModel {
     /// The mesh being integrated.
     pub mesh: Arc<Mesh>,
@@ -103,9 +115,9 @@ pub struct ParallelModel {
     pub f_vertex: Vec<f64>,
     /// Velocity-reconstruction coefficients.
     pub coeffs: ReconstructCoeffs,
-    /// Precomputed fused kernel coefficients (read by the fused and simd
-    /// backends of `config.kernel_backend`). Shared so multi-tenant servers can
-    /// reuse one table across concurrent models on the same mesh/config.
+    /// Precomputed fused kernel coefficients (read by the simd backend of
+    /// `config.kernel_backend`). Shared so multi-tenant servers can reuse
+    /// one table across concurrent models on the same mesh/config.
     pub kcoeffs: Arc<KernelCoeffs>,
     /// Fixed per-stage forcing tendency (Williamson case 4), identical to
     /// the serial model's — computed once at init with the serial kernels.
@@ -114,6 +126,7 @@ pub struct ParallelModel {
     provis: State,
     acc_state: State,
     pool: Pool,
+    acc: Option<AccSplit>,
     chunk: usize,
     /// Model time in seconds.
     pub time: f64,
@@ -173,6 +186,7 @@ impl ParallelModel {
             coeffs,
             kcoeffs,
             pool,
+            acc: None,
             chunk,
             config,
             time: 0.0,
@@ -184,16 +198,31 @@ impl ParallelModel {
         m
     }
 
-    /// Route this model's `hybrid.*` telemetry (per-kernel timers keyed by
-    /// Table-I label, step spans) into `rec`.
-    pub fn with_recorder(mut self, rec: Recorder) -> Self {
-        self.recorder = rec;
+    /// Make this the two-pool hybrid executor: add an accelerator pool of
+    /// `acc_threads` workers that computes the share of every A1, B1 and
+    /// T1 range given by the platform's relative memory bandwidths.
+    ///
+    /// Numerics stay identical to the serial code: splitting only changes
+    /// *which pool* computes each output index, never the arithmetic.
+    pub fn with_accelerator(mut self, acc_threads: usize, platform: &Platform) -> Self {
+        self.acc = Some(AccSplit {
+            pool: Pool::new(acc_threads),
+            fraction: platform.acc.mem_bw / (platform.acc.mem_bw + platform.cpu.mem_bw),
+        });
         self
     }
 
-    /// Route this model's `hybrid.*` telemetry into `rec`.
-    pub fn set_recorder(&mut self, rec: Recorder) {
+    /// Fraction of each split range the accelerator pool computes, or
+    /// `None` for the host-only threaded executor.
+    pub fn acc_fraction(&self) -> Option<f64> {
+        self.acc.as_ref().map(|a| a.fraction)
+    }
+
+    /// Route this model's `hybrid.*` telemetry (per-kernel timers keyed by
+    /// Table-I label, per-pool split timers, step spans) into `rec`.
+    pub fn with_recorder(mut self, rec: Recorder) -> Self {
         self.recorder = rec;
+        self
     }
 
     /// The telemetry sink.
@@ -226,10 +255,9 @@ impl ParallelModel {
         {
             let _g = kernel_timer(&rec, "H2");
             if config.high_order_h_edge {
-                let d1 = d.d2fdx2_cell1.clone();
-                let d2 = d.d2fdx2_cell2.clone();
+                let (d1, d2) = (&d.d2fdx2_cell1, &d.d2fdx2_cell2);
                 par_run(pool, &mut d.h_edge, chunk, |r, o| {
-                    dispatch::h_edge(backend, mesh, kc, config, h, &d1, &d2, o, r)
+                    dispatch::h_edge(backend, mesh, kc, config, h, d1, d2, o, r)
                 });
             } else {
                 par_run(pool, &mut d.h_edge, chunk, |r, o| {
@@ -323,9 +351,15 @@ impl ParallelModel {
         let b = &self.b;
         {
             let _g = kernel_timer(&rec, "A1");
-            par_run(pool, &mut self.tend.tend_h, chunk, |r, o| {
-                dispatch::tend_h(backend, mesh, kc, u, &d.h_edge, o, r)
-            });
+            split_run(
+                pool,
+                self.acc.as_mut(),
+                &rec,
+                "A1",
+                &mut self.tend.tend_h,
+                chunk,
+                |r, o| dispatch::tend_h(backend, mesh, kc, u, &d.h_edge, o, r),
+            );
         }
         if config.advection_only {
             // Williamson TC1 holds the wind fixed: the u-tendency is
@@ -333,22 +367,30 @@ impl ParallelModel {
             self.tend.tend_u.fill(0.0);
         } else {
             let _g = kernel_timer(&rec, "B1");
-            par_run(pool, &mut self.tend.tend_u, chunk, |r, o| {
-                dispatch::tend_u(
-                    backend,
-                    mesh,
-                    kc,
-                    config.gravity,
-                    &d.pv_edge,
-                    u,
-                    &d.h_edge,
-                    &d.ke,
-                    h,
-                    b,
-                    o,
-                    r,
-                )
-            });
+            split_run(
+                pool,
+                self.acc.as_mut(),
+                &rec,
+                "B1",
+                &mut self.tend.tend_u,
+                chunk,
+                |r, o| {
+                    dispatch::tend_u(
+                        backend,
+                        mesh,
+                        kc,
+                        config.gravity,
+                        &d.pv_edge,
+                        u,
+                        &d.h_edge,
+                        &d.ke,
+                        h,
+                        b,
+                        o,
+                        r,
+                    )
+                },
+            );
         }
         if !config.advection_only && config.del2_viscosity != 0.0 {
             let _g = kernel_timer(&rec, "C1");
@@ -400,7 +442,7 @@ impl ParallelModel {
             let h_edge = &d.h_edge;
             for (k, out) in self.tend.tend_tracers.iter_mut().enumerate() {
                 let hq = &tracers[k];
-                par_run(pool, out, chunk, |r, o| {
+                split_run(pool, self.acc.as_mut(), &rec, "T1", out, chunk, |r, o| {
                     dispatch::tend_tracer(backend, mesh, kc, u, h_edge, h, hq, o, r)
                 });
             }
@@ -424,7 +466,8 @@ impl ParallelModel {
         }
     }
 
-    /// One RK-4 step, multithreaded.
+    /// One RK-4 step, multithreaded (and device-split when the model owns
+    /// an accelerator pool).
     pub fn step(&mut self) {
         let rec = self.recorder.clone();
         let _step = if rec.is_enabled() {
@@ -547,268 +590,6 @@ enum Which {
     Provis,
 }
 
-/// Two-pool hybrid executor: every heavy pattern splits its range between a
-/// "CPU" pool and an "accelerator" pool at the platform's throughput ratio.
-pub struct HybridModel {
-    inner: ParallelModel,
-    acc_pool: Pool,
-    /// Fraction of each splittable range handled by the accelerator pool.
-    pub acc_fraction: f64,
-}
-
-impl HybridModel {
-    /// Build with `cpu_threads`/`acc_threads` workers and a split derived
-    /// from the platform's relative bandwidths.
-    pub fn new(
-        mesh: Arc<Mesh>,
-        config: ModelConfig,
-        test_case: TestCase,
-        dt: Option<f64>,
-        cpu_threads: usize,
-        acc_threads: usize,
-        platform: &Platform,
-    ) -> Self {
-        Self::new_shared(
-            mesh,
-            config,
-            test_case,
-            dt,
-            cpu_threads,
-            acc_threads,
-            platform,
-            None,
-        )
-    }
-
-    /// Like [`HybridModel::new`], but reuse an already-built coefficient
-    /// table (it must have been built for this exact mesh and config).
-    #[allow(clippy::too_many_arguments)]
-    pub fn new_shared(
-        mesh: Arc<Mesh>,
-        config: ModelConfig,
-        test_case: TestCase,
-        dt: Option<f64>,
-        cpu_threads: usize,
-        acc_threads: usize,
-        platform: &Platform,
-        shared_coeffs: Option<Arc<KernelCoeffs>>,
-    ) -> Self {
-        let inner =
-            ParallelModel::new_shared(mesh, config, test_case, dt, cpu_threads, shared_coeffs);
-        let acc_pool = Pool::new(acc_threads);
-        let acc_fraction = platform.acc.mem_bw / (platform.acc.mem_bw + platform.cpu.mem_bw);
-        HybridModel {
-            inner,
-            acc_pool,
-            acc_fraction,
-        }
-    }
-
-    /// Route this model's `hybrid.*` telemetry (per-kernel and per-pool
-    /// split timers, step spans) into `rec`.
-    pub fn with_recorder(mut self, rec: Recorder) -> Self {
-        self.inner.set_recorder(rec);
-        self
-    }
-
-    /// Route this model's `hybrid.*` telemetry into `rec`.
-    pub fn set_recorder(&mut self, rec: Recorder) {
-        self.inner.set_recorder(rec);
-    }
-
-    /// The telemetry sink.
-    pub fn recorder(&self) -> &Recorder {
-        self.inner.recorder()
-    }
-
-    /// The prognostic state.
-    pub fn state(&self) -> &State {
-        &self.inner.state
-    }
-
-    /// The current diagnostics (consistent with the state).
-    pub fn diag(&self) -> &Diagnostics {
-        &self.inner.diag
-    }
-
-    /// Time-step size in seconds.
-    pub fn dt(&self) -> f64 {
-        self.inner.dt
-    }
-
-    /// Model time in seconds.
-    pub fn time(&self) -> f64 {
-        self.inner.time
-    }
-
-    /// One RK-4 step with split execution of the dominant patterns.
-    ///
-    /// Numerics are identical to the serial code: splitting only changes
-    /// *which pool* computes each output index, never the arithmetic.
-    pub fn step(&mut self) {
-        // The diagnostics + tendency patterns dominate; exercise the split
-        // machinery on the three biggest edge-space patterns each stage.
-        let m = &mut self.inner;
-        let rec = m.recorder.clone();
-        let _step = if rec.is_enabled() {
-            Some(rec.span_timed("measured", "step", "hybrid.step_seconds"))
-        } else {
-            None
-        };
-        m.acc_state.copy_from(&m.state);
-        m.provis.copy_from(&m.state);
-        // `stage` is the RK stage number, not just an index into RK_SUBSTEP.
-        #[allow(clippy::needless_range_loop)]
-        for stage in 0..4 {
-            let _sub = if rec.is_enabled() {
-                Some(rec.span("measured", &format!("rk.stage{stage}")))
-            } else {
-                None
-            };
-            {
-                let mesh = &m.mesh;
-                let config = &m.config;
-                let kc = &m.kcoeffs;
-                let backend = config.kernel_backend;
-                let (h, u) = (&m.provis.h, &m.provis.u);
-                let d = &m.diag;
-                let b = &m.b;
-                let mid = ((1.0 - self.acc_fraction) * mesh.n_edges() as f64) as usize;
-                if config.advection_only {
-                    // Williamson TC1 holds the wind fixed, exactly like the
-                    // serial composite's early-out.
-                    m.tend.tend_u.fill(0.0);
-                } else {
-                    split_run(
-                        &mut m.pool,
-                        &mut self.acc_pool,
-                        &rec,
-                        "B1",
-                        &mut m.tend.tend_u,
-                        mid,
-                        m.chunk,
-                        |r, o| {
-                            dispatch::tend_u(
-                                backend,
-                                mesh,
-                                kc,
-                                config.gravity,
-                                &d.pv_edge,
-                                u,
-                                &d.h_edge,
-                                &d.ke,
-                                h,
-                                b,
-                                o,
-                                r,
-                            )
-                        },
-                    );
-                }
-                let mid_c = ((1.0 - self.acc_fraction) * mesh.n_cells() as f64) as usize;
-                split_run(
-                    &mut m.pool,
-                    &mut self.acc_pool,
-                    &rec,
-                    "A1",
-                    &mut m.tend.tend_h,
-                    mid_c,
-                    m.chunk,
-                    |r, o| dispatch::tend_h(backend, mesh, kc, u, &d.h_edge, o, r),
-                );
-                if !config.advection_only && config.del2_viscosity != 0.0 {
-                    let _g = kernel_timer(&rec, "C1");
-                    par_run(&mut m.pool, &mut m.tend.tend_u, m.chunk, |r, o| {
-                        dispatch::tend_u_del2(
-                            backend,
-                            mesh,
-                            kc,
-                            config.del2_viscosity,
-                            &d.divergence,
-                            &d.vorticity,
-                            o,
-                            r,
-                        )
-                    });
-                }
-                if !m.provis.tracers.is_empty() {
-                    // Tracer advection is a heavy cell pattern: split it
-                    // across the two pools like A1.
-                    let tracers = &m.provis.tracers;
-                    let h_edge = &d.h_edge;
-                    for (k, out) in m.tend.tend_tracers.iter_mut().enumerate() {
-                        let hq = &tracers[k];
-                        split_run(
-                            &mut m.pool,
-                            &mut self.acc_pool,
-                            &rec,
-                            "T1",
-                            out,
-                            mid_c,
-                            m.chunk,
-                            |r, o| dispatch::tend_tracer(backend, mesh, kc, u, h_edge, h, hq, o, r),
-                        );
-                    }
-                }
-                if let Some(f) = &m.forcing {
-                    let _g = kernel_timer(&rec, "F1");
-                    let (fh, fu_) = (&f.tend_h, &f.tend_u);
-                    par_run(&mut m.pool, &mut m.tend.tend_h, m.chunk, |r, o| {
-                        ops::accumulate(fh, 1.0, o, r)
-                    });
-                    par_run(&mut m.pool, &mut m.tend.tend_u, m.chunk, |r, o| {
-                        ops::accumulate(fu_, 1.0, o, r)
-                    });
-                }
-                {
-                    let _g = kernel_timer(&rec, "X1");
-                    par_run(&mut m.pool, &mut m.tend.tend_u, m.chunk, |r, o| {
-                        ops::enforce_boundary(mesh, o, r)
-                    });
-                }
-            }
-            let dt = m.dt;
-            if stage < 3 {
-                let chunk = m.chunk;
-                {
-                    let base_h = &m.state.h;
-                    let tend_h = &m.tend.tend_h;
-                    par_run(&mut m.pool, &mut m.provis.h, chunk, |r, o| {
-                        ops::axpy(base_h, tend_h, RK_SUBSTEP[stage] * dt, o, r)
-                    });
-                    let base_u = &m.state.u;
-                    let tend_u = &m.tend.tend_u;
-                    par_run(&mut m.pool, &mut m.provis.u, chunk, |r, o| {
-                        ops::axpy(base_u, tend_u, RK_SUBSTEP[stage] * dt, o, r)
-                    });
-                    for (k, out) in m.provis.tracers.iter_mut().enumerate() {
-                        let base = &m.state.tracers[k];
-                        let tt = &m.tend.tend_tracers[k];
-                        par_run(&mut m.pool, out, chunk, |r, o| {
-                            ops::axpy(base, tt, RK_SUBSTEP[stage] * dt, o, r)
-                        });
-                    }
-                }
-                m.solve_diagnostics_on(Which::Provis);
-                m.accumulate(stage);
-            } else {
-                m.accumulate(stage);
-                m.state.copy_from(&m.acc_state);
-                m.solve_diagnostics_on(Which::State);
-                m.reconstruct();
-            }
-        }
-        m.time += m.dt;
-    }
-
-    /// Advance `n` steps.
-    pub fn run_steps(&mut self, n: usize) {
-        for _ in 0..n {
-            self.step();
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -839,29 +620,21 @@ mod tests {
         let tc = TestCase::Case6;
         let cfg = ModelConfig::default();
         let mut serial = mpas_swe::ShallowWaterModel::new(mesh.clone(), cfg, tc, None);
-        let mut hyb = HybridModel::new(mesh, cfg, tc, None, 2, 2, &Platform::paper_node());
+        let mut hyb =
+            ParallelModel::new(mesh, cfg, tc, None, 2).with_accelerator(2, &Platform::paper_node());
         serial.run_steps(4);
         hyb.run_steps(4);
-        assert_eq!(serial.state.max_abs_diff(hyb.state()), 0.0);
+        assert_eq!(serial.state.max_abs_diff(&hyb.state), 0.0);
     }
 
     #[test]
     fn split_fraction_reflects_platform() {
         let p = Platform::paper_node();
-        let hm = HybridModel::new(
-            mesh(),
-            ModelConfig::default(),
-            TestCase::Case5,
-            None,
-            1,
-            1,
-            &p,
-        );
-        assert!(
-            hm.acc_fraction > 0.5,
-            "accelerator should take the majority"
-        );
-        assert!(hm.acc_fraction < 0.8);
+        let threaded = ParallelModel::new(mesh(), ModelConfig::default(), TestCase::Case5, None, 1);
+        assert_eq!(threaded.acc_fraction(), None);
+        let fraction = threaded.with_accelerator(1, &p).acc_fraction().unwrap();
+        assert!(fraction > 0.5, "accelerator should take the majority");
+        assert!(fraction < 0.8);
     }
 
     #[test]

@@ -4,10 +4,10 @@
 //! algorithms live there: the paper's policies in [`mpas_sched::paper`],
 //! the classic list schedulers (HEFT, CPOP, lookahead, dynamic-list) in
 //! [`mpas_sched::list`], all operating on a [`TaskDag`] extracted from the
-//! data-flow diagram. This module is the compatibility layer: the closed
-//! [`Policy`] enum (which now also implements [`SchedulerPolicy`]), the
-//! [`schedule_substep`] entry point, and the ablation helpers keep their
-//! historical signatures.
+//! data-flow diagram. This module keeps the [`schedule_substep`] entry
+//! point (any [`SchedulerPolicy`]: a paper policy type such as
+//! [`mpas_sched::PatternDriven`] or a [`mpas_sched::resolve`] name) and the
+//! ablation helpers.
 //!
 //! Cross-device data dependencies pay for a transfer on the (serialized)
 //! link; variables made on one device become resident on both after the
@@ -19,54 +19,6 @@ use mpas_sched::{DagOptions, RooflineCost, TaskDag};
 
 pub use mpas_sched::schedule::{NodeSchedule, Placement, Schedule};
 pub use mpas_sched::{SchedulerPolicy, DEFAULT_SPLIT_THRESHOLD};
-
-/// The scheduling policy (the paper's closed set).
-///
-/// This enum predates the open [`SchedulerPolicy`] registry and is kept as
-/// a compatibility shim: every variant delegates to the equivalent
-/// `mpas-sched` policy, and the enum itself implements [`SchedulerPolicy`]
-/// so it can be passed wherever a policy is expected. New code should
-/// prefer [`mpas_sched::resolve`] with a policy name.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Policy {
-    /// The original single-core CPU code.
-    Serial,
-    /// All kernels on the full multi-core host.
-    CpuOnly,
-    /// Offload everything to the accelerator (§II.C's first option).
-    AccOnly,
-    /// Whole-kernel hybrid scheduling (Fig. 2).
-    KernelLevel,
-    /// Pattern-instance hybrid scheduling with splits (Fig. 4 (b)).
-    PatternDriven,
-}
-
-impl Policy {
-    /// The equivalent open-registry policy.
-    pub fn as_policy(self) -> Box<dyn SchedulerPolicy> {
-        match self {
-            Policy::Serial => Box::new(mpas_sched::Serial),
-            Policy::CpuOnly => Box::new(mpas_sched::CpuOnly),
-            Policy::AccOnly => Box::new(mpas_sched::AccOnly),
-            Policy::KernelLevel => Box::new(mpas_sched::KernelLevel),
-            Policy::PatternDriven => Box::new(mpas_sched::PatternDriven::default()),
-        }
-    }
-}
-
-impl SchedulerPolicy for Policy {
-    fn name(&self) -> String {
-        self.as_policy().name()
-    }
-
-    fn uses_accelerator(&self) -> bool {
-        self.as_policy().uses_accelerator()
-    }
-
-    fn schedule(&self, dag: &TaskDag, platform: &Platform) -> Schedule {
-        self.as_policy().schedule(dag, platform)
-    }
-}
 
 /// Schedule one substep graph under a policy.
 pub fn schedule_substep(
@@ -148,6 +100,7 @@ pub fn pattern_driven_schedule_opts(
 mod tests {
     use super::*;
     use mpas_patterns::dataflow::RkPhase;
+    use mpas_sched::{CpuOnly, KernelLevel, PatternDriven, Serial};
 
     fn setup() -> (DataflowGraph, MeshCounts, Platform) {
         (
@@ -160,10 +113,10 @@ mod tests {
     #[test]
     fn policies_order_as_the_paper_reports() {
         let (g, mc, p) = setup();
-        let serial = schedule_substep(&g, &mc, &p, Policy::Serial).makespan;
-        let cpu = schedule_substep(&g, &mc, &p, Policy::CpuOnly).makespan;
-        let kernel = schedule_substep(&g, &mc, &p, Policy::KernelLevel).makespan;
-        let pattern = schedule_substep(&g, &mc, &p, Policy::PatternDriven).makespan;
+        let serial = schedule_substep(&g, &mc, &p, Serial).makespan;
+        let cpu = schedule_substep(&g, &mc, &p, CpuOnly).makespan;
+        let kernel = schedule_substep(&g, &mc, &p, KernelLevel).makespan;
+        let pattern = schedule_substep(&g, &mc, &p, PatternDriven::default()).makespan;
         assert!(cpu < serial, "10 cores beat 1 core");
         assert!(kernel < cpu, "hybrid beats CPU-only");
         assert!(pattern < kernel, "pattern-driven beats kernel-level");
@@ -174,9 +127,9 @@ mod tests {
         // Paper Fig. 7 at 655 362 cells: kernel-level ≈ 6x, pattern ≈ 8x
         // vs the single-core CPU code.
         let (g, mc, p) = setup();
-        let serial = schedule_substep(&g, &mc, &p, Policy::Serial).makespan;
-        let kernel = schedule_substep(&g, &mc, &p, Policy::KernelLevel).makespan;
-        let pattern = schedule_substep(&g, &mc, &p, Policy::PatternDriven).makespan;
+        let serial = schedule_substep(&g, &mc, &p, Serial).makespan;
+        let kernel = schedule_substep(&g, &mc, &p, KernelLevel).makespan;
+        let pattern = schedule_substep(&g, &mc, &p, PatternDriven::default()).makespan;
         let s_k = serial / kernel;
         let s_p = serial / pattern;
         assert!((4.0..8.0).contains(&s_k), "kernel-level speedup {s_k}");
@@ -191,8 +144,8 @@ mod tests {
     #[test]
     fn pattern_driven_improves_load_balance() {
         let (g, mc, p) = setup();
-        let kernel = schedule_substep(&g, &mc, &p, Policy::KernelLevel);
-        let pattern = schedule_substep(&g, &mc, &p, Policy::PatternDriven);
+        let kernel = schedule_substep(&g, &mc, &p, KernelLevel);
+        let pattern = schedule_substep(&g, &mc, &p, PatternDriven::default());
         assert!(
             pattern.imbalance() < kernel.imbalance(),
             "pattern {} vs kernel {}",
@@ -204,14 +157,14 @@ mod tests {
     #[test]
     fn schedules_respect_dependencies() {
         let (g, mc, p) = setup();
-        for policy in [Policy::KernelLevel, Policy::PatternDriven] {
-            let s = schedule_substep(&g, &mc, &p, policy);
+        for name in ["kernel-level", "pattern-driven"] {
+            let s = schedule_substep(&g, &mc, &p, mpas_sched::resolve(name).unwrap());
             for (id, ns) in s.nodes.iter().enumerate() {
                 for &pred in &g.preds[id] {
                     assert!(
                         s.nodes[pred].finish <= ns.start + 1e-12,
-                        "{:?}: {} starts before {} finishes",
-                        policy,
+                        "{}: {} starts before {} finishes",
+                        name,
                         ns.name,
                         s.nodes[pred].name
                     );
@@ -223,7 +176,7 @@ mod tests {
     #[test]
     fn split_fractions_are_sane() {
         let (g, mc, p) = setup();
-        let s = schedule_substep(&g, &mc, &p, Policy::PatternDriven);
+        let s = schedule_substep(&g, &mc, &p, PatternDriven::default());
         let mut any_split = false;
         for ns in &s.nodes {
             if let Placement::Split(f) = ns.placement {
@@ -242,28 +195,10 @@ mod tests {
         let p = Platform::paper_node();
         let ratio = |n: usize| {
             let mc = MeshCounts::icosahedral(n);
-            let serial = schedule_substep(&g, &mc, &p, Policy::Serial).makespan;
-            let pat = schedule_substep(&g, &mc, &p, Policy::PatternDriven).makespan;
+            let serial = schedule_substep(&g, &mc, &p, Serial).makespan;
+            let pat = schedule_substep(&g, &mc, &p, PatternDriven::default()).makespan;
             serial / pat
         };
         assert!(ratio(2_621_442) > ratio(40_962));
-    }
-
-    #[test]
-    fn enum_and_registry_policies_agree() {
-        // The compat shim must produce exactly what the registry produces.
-        let (g, mc, p) = setup();
-        for (policy, name) in [
-            (Policy::Serial, "serial"),
-            (Policy::CpuOnly, "cpu-only"),
-            (Policy::AccOnly, "acc-only"),
-            (Policy::KernelLevel, "kernel-level"),
-            (Policy::PatternDriven, "pattern-driven"),
-        ] {
-            let via_enum = schedule_substep(&g, &mc, &p, policy).makespan;
-            let via_name =
-                schedule_substep(&g, &mc, &p, mpas_sched::resolve(name).unwrap()).makespan;
-            assert_eq!(via_enum, via_name, "{name}");
-        }
     }
 }

@@ -8,8 +8,9 @@
 //!
 //! Every entry point is generic over [`SchedulerPolicy`], so the classic
 //! list schedulers (`mpas_sched::resolve("heft")`, …) drop into the same
-//! scaling experiments as the paper's [`Policy`](crate::sched::Policy)
-//! enum — pass either the enum by value or any `&dyn SchedulerPolicy`.
+//! scaling experiments as the paper's policy types
+//! ([`mpas_sched::PatternDriven`], …) — pass a policy by value or any
+//! `&dyn SchedulerPolicy`.
 
 use crate::device::Platform;
 use crate::sched::{schedule_substep, SchedulerPolicy};
@@ -88,7 +89,7 @@ pub fn strong_efficiency(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::sched::Policy;
+    use mpas_sched::{PatternDriven, Serial};
 
     #[test]
     fn paper_fig7_shape_serial_vs_hybrid() {
@@ -97,8 +98,8 @@ mod tests {
         // absolute values come from the Table-II calibration).
         let p = Platform::paper_node();
         let mc = MeshCounts::icosahedral(40_962);
-        let serial = time_per_step(&mc, &p, Policy::Serial);
-        let pattern = time_per_step(&mc, &p, Policy::PatternDriven);
+        let serial = time_per_step(&mc, &p, Serial);
+        let pattern = time_per_step(&mc, &p, PatternDriven::default());
         assert!((0.1..0.6).contains(&serial), "serial {serial}");
         assert!(
             (3.5..11.0).contains(&(serial / pattern)),
@@ -112,12 +113,12 @@ mod tests {
         // Fig. 9: fixed 40 962 cells/process, P = 1 -> 64.
         let p = Platform::paper_node();
         let comm = CommCostModel::fdr_infiniband();
-        let t1 = time_per_step_multirank(40_962, 1, &p, Policy::PatternDriven, &comm);
-        let t64 = time_per_step_multirank(64 * 40_962, 64, &p, Policy::PatternDriven, &comm);
+        let t1 = time_per_step_multirank(40_962, 1, &p, PatternDriven::default(), &comm);
+        let t64 = time_per_step_multirank(64 * 40_962, 64, &p, PatternDriven::default(), &comm);
         assert!(t64 / t1 < 1.15, "weak scaling degraded: {} -> {}", t1, t64);
         // CPU version too.
-        let c1 = time_per_step_multirank(40_962, 1, &p, Policy::Serial, &comm);
-        let c64 = time_per_step_multirank(64 * 40_962, 64, &p, Policy::Serial, &comm);
+        let c1 = time_per_step_multirank(40_962, 1, &p, Serial, &comm);
+        let c64 = time_per_step_multirank(64 * 40_962, 64, &p, Serial, &comm);
         assert!(c64 / c1 < 1.05);
     }
 
@@ -126,7 +127,7 @@ mod tests {
         // Fig. 8 (b): 2 621 442 cells scales well to 64 hybrid processes.
         let p = Platform::paper_node();
         let comm = CommCostModel::fdr_infiniband();
-        let eff = strong_efficiency(2_621_442, 64, &p, Policy::PatternDriven, &comm);
+        let eff = strong_efficiency(2_621_442, 64, &p, PatternDriven::default(), &comm);
         assert!(eff > 0.7, "efficiency {eff}");
     }
 
@@ -136,9 +137,9 @@ mod tests {
         // efficiency at 64 processes while the CPU version keeps more.
         let p = Platform::paper_node();
         let comm = CommCostModel::fdr_infiniband();
-        let hybrid64 = strong_efficiency(655_362, 64, &p, Policy::PatternDriven, &comm);
-        let hybrid8 = strong_efficiency(655_362, 8, &p, Policy::PatternDriven, &comm);
-        let cpu64 = strong_efficiency(655_362, 64, &p, Policy::Serial, &comm);
+        let hybrid64 = strong_efficiency(655_362, 64, &p, PatternDriven::default(), &comm);
+        let hybrid8 = strong_efficiency(655_362, 8, &p, PatternDriven::default(), &comm);
+        let cpu64 = strong_efficiency(655_362, 64, &p, Serial, &comm);
         assert!(hybrid8 > hybrid64, "no saturation: {hybrid8} vs {hybrid64}");
         assert!(
             cpu64 > hybrid64,
@@ -155,8 +156,8 @@ mod tests {
         let comm = CommCostModel::fdr_infiniband();
         for &n in &[655_362usize, 2_621_442] {
             for &ranks in &[1usize, 4, 16, 64] {
-                let cpu = time_per_step_multirank(n, ranks, &p, Policy::Serial, &comm);
-                let hyb = time_per_step_multirank(n, ranks, &p, Policy::PatternDriven, &comm);
+                let cpu = time_per_step_multirank(n, ranks, &p, Serial, &comm);
+                let hyb = time_per_step_multirank(n, ranks, &p, PatternDriven::default(), &comm);
                 assert!(hyb < cpu, "n={n} P={ranks}: {hyb} !< {cpu}");
             }
         }

@@ -59,12 +59,13 @@ pub fn to_combined_trace(schedule: &Schedule, rec: &Recorder) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::sched::{schedule_substep, Policy};
+    use crate::sched::{schedule_substep, SchedulerPolicy};
     use crate::Platform;
     use mpas_patterns::dataflow::{DataflowGraph, MeshCounts, RkPhase};
+    use mpas_sched::{KernelLevel, PatternDriven, Serial};
     use mpas_telemetry::export::validate_json;
 
-    fn sched(policy: Policy) -> Schedule {
+    fn sched(policy: impl SchedulerPolicy) -> Schedule {
         schedule_substep(
             &DataflowGraph::for_substep(RkPhase::Intermediate),
             &MeshCounts::icosahedral(655_362),
@@ -75,7 +76,7 @@ mod tests {
 
     #[test]
     fn trace_is_valid_json_with_all_nodes() {
-        let s = sched(Policy::PatternDriven);
+        let s = sched(PatternDriven::default());
         let json = to_chrome_trace(&s);
         validate_json(&json).expect("trace must be valid JSON");
         assert!(json.starts_with("{\"traceEvents\":["));
@@ -97,14 +98,14 @@ mod tests {
 
     #[test]
     fn serial_trace_uses_only_the_cpu_row() {
-        let json = to_chrome_trace(&sched(Policy::Serial));
+        let json = to_chrome_trace(&sched(Serial));
         assert!(json.contains("\"tid\":\"cpu\""));
         assert!(!json.contains("\"tid\":\"mic\""));
     }
 
     #[test]
     fn events_have_nonnegative_timestamps() {
-        let json = to_chrome_trace(&sched(Policy::KernelLevel));
+        let json = to_chrome_trace(&sched(KernelLevel));
         assert!(!json.contains("\"ts\":-"));
     }
 
@@ -131,7 +132,7 @@ mod tests {
 
     #[test]
     fn combined_trace_has_both_track_groups() {
-        let s = sched(Policy::PatternDriven);
+        let s = sched(PatternDriven::default());
         let rec = Recorder::new();
         {
             let _step = rec.span("measured", "step");

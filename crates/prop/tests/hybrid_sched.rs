@@ -1,10 +1,11 @@
 //! Property tests of the makespan scheduler: structural validity and
 //! sound bounds across random mesh sizes and device parameters.
 
-use mpas_hybrid::sched::{schedule_substep, Placement, Policy};
+use mpas_hybrid::sched::{schedule_substep, Placement};
 use mpas_hybrid::{DeviceSpec, Platform, TransferLink};
 use mpas_patterns::dataflow::{DataflowGraph, MeshCounts, RkPhase};
 use mpas_prop::check;
+use mpas_sched::{resolve, Serial};
 
 fn platform(cpu_bw: f64, acc_bw: f64, link_bw: f64) -> Platform {
     let mut p = Platform::paper_node();
@@ -39,16 +40,16 @@ fn schedules_are_sound() {
         let g = DataflowGraph::for_substep(phase);
         let mc = MeshCounts::icosahedral(n_cells);
         let p = platform(cpu_bw, acc_bw, link_bw);
-        for policy in [Policy::KernelLevel, Policy::PatternDriven] {
-            let s = schedule_substep(&g, &mc, &p, policy);
+        for name in ["kernel-level", "pattern-driven"] {
+            let s = schedule_substep(&g, &mc, &p, resolve(name).unwrap());
             assert!(s.makespan.is_finite() && s.makespan > 0.0);
             for (id, ns) in s.nodes.iter().enumerate() {
                 assert!(ns.finish >= ns.start - 1e-12);
                 for &pred in &g.preds[id] {
                     assert!(
                         s.nodes[pred].finish <= ns.start + 1e-9,
-                        "{:?}: dep violated {} -> {}",
-                        policy,
+                        "{}: dep violated {} -> {}",
+                        name,
                         s.nodes[pred].name,
                         ns.name
                     );
@@ -66,7 +67,7 @@ fn schedules_are_sound() {
             let combine = (p.cpu.mem_bw + p.acc.mem_bw) / p.cpu.mem_bw.max(p.acc.mem_bw);
             assert!(
                 s.makespan > cp / combine * 0.99,
-                "{policy:?}: makespan {} below bound {}",
+                "{name}: makespan {} below bound {}",
                 s.makespan,
                 cp / combine
             );
@@ -96,8 +97,8 @@ fn busy_time_bounded_by_makespan() {
         let g = DataflowGraph::for_substep(RkPhase::Intermediate);
         let mc = MeshCounts::icosahedral(n_cells);
         let p = platform(20e9 * scale, 28e9 * scale, 6e9);
-        for policy in [Policy::KernelLevel, Policy::PatternDriven] {
-            let s = schedule_substep(&g, &mc, &p, policy);
+        for name in ["kernel-level", "pattern-driven"] {
+            let s = schedule_substep(&g, &mc, &p, resolve(name).unwrap());
             assert!(s.cpu_busy <= s.makespan * 1.001);
             assert!(s.acc_busy <= s.makespan * 1.001);
         }
@@ -113,7 +114,7 @@ fn serial_is_sum_of_node_times() {
         let g = DataflowGraph::for_substep(RkPhase::Intermediate);
         let mc = MeshCounts::icosahedral(n_cells);
         let p = Platform::paper_node();
-        let s = schedule_substep(&g, &mc, &p, Policy::Serial);
+        let s = schedule_substep(&g, &mc, &p, Serial);
         let core = DeviceSpec::cpu_single_core();
         let expect: f64 = g.nodes.iter().map(|n| core.node_time(n.work(&mc))).sum();
         assert!((s.makespan - expect).abs() < 1e-12 * expect);

@@ -1,20 +1,22 @@
 //! The kernel-tier equivalence matrix (DESIGN.md §14).
 //!
-//! The simd tier batches vertically: each layer lane replays the fused
-//! tier's arithmetic in the fused tier's order, so there are no reordered
-//! reductions anywhere in the backend — equality is *bitwise*, not
-//! approximate, and these tests assert exactly that:
+//! The simd tier batches vertically: each layer lane replays the flat
+//! coefficient-table arithmetic in the same order, so there are no
+//! reordered reductions anywhere in the backend — equality is *bitwise*,
+//! not approximate, and these tests assert exactly that:
 //!
-//! * flat (`k = 1`) simd runs hash-match fused runs on every catalog
-//!   scenario;
-//! * layer 0 of a `k`-layer run hash-matches the flat fused run for
+//! * flat (`k = 1`) simd runs of every catalog scenario reproduce the
+//!   digests recorded from the retired fused-coefficient tier, on the
+//!   serial, threaded, hybrid and distributed engines;
+//! * layer 0 of a `k`-layer run reproduces the same digests for
 //!   `k ∈ {1, 4, 7}`;
-//! * every deeper layer matches a flat fused run started from that layer's
+//! * every deeper layer matches a flat run started from that layer's
 //!   perturbed initial state;
 //! * cache-block tiling is a pure traversal-order choice: any block size
 //!   produces bits identical to the untiled sweep, and the tiling visits
 //!   every index exactly once (property-tested).
 
+use mpas_core::{run_distributed, state_hash, DistributedConfig, Executor, Simulation};
 use mpas_prop::check;
 use mpas_swe::kernels::simd::block_ranges;
 use mpas_swe::layers::{layer_h_scale, LayeredModel};
@@ -25,78 +27,91 @@ use std::sync::Arc;
 const LEVEL: u32 = 4;
 const STEPS: usize = 3;
 
-fn state_bits(m: &ShallowWaterModel) -> Vec<u64> {
-    m.state
-        .h
-        .iter()
-        .chain(&m.state.u)
-        .chain(m.state.tracers.iter().flatten())
-        .map(|v| v.to_bits())
-        .collect()
-}
+/// `state_hash` of the flat run of every catalog scenario at `LEVEL` after
+/// `STEPS` steps, recorded from the retired fused-coefficient tier (the
+/// catalog order of [`CATALOG`]).
+const FUSED_CATALOG_PINS: [(&str, u64); 8] = [
+    ("williamson-1", 0x79e32f4e16e3c19a),
+    ("williamson-2", 0x2ba253b84c4f807f),
+    ("williamson-3", 0x239b4a895e5ed841),
+    ("williamson-4", 0x344857210064951a),
+    ("williamson-5", 0x504710bf3292655c),
+    ("williamson-6", 0x3a2fcb756fe64767),
+    ("galewsky", 0x0cdfa2eedad5e94a),
+    ("tracer-case5", 0x68dd05ee9c4c7b2b),
+];
 
-fn run_flat(
-    mesh: &Arc<mpas_mesh::Mesh>,
-    config: ModelConfig,
-    tc: mpas_swe::TestCase,
-) -> ShallowWaterModel {
-    let mut m = ShallowWaterModel::new(mesh.clone(), config, tc, None);
-    m.run_steps(STEPS);
-    m
+fn simd_config(sc: &mpas_swe::Scenario) -> ModelConfig {
+    ModelConfig {
+        kernel_backend: KernelBackend::Simd,
+        ..sc.config()
+    }
 }
 
 #[test]
 fn flat_simd_matches_fused_bitwise_on_every_catalog_case() {
     let mesh = Arc::new(mpas_mesh::generate(LEVEL, 0));
-    for sc in &CATALOG {
-        let fused = run_flat(&mesh, sc.config(), sc.test_case);
-        let simd = run_flat(
-            &mesh,
-            ModelConfig {
-                kernel_backend: KernelBackend::Simd,
-                ..sc.config()
+    let dt = ModelConfig::suggested_dt(&mesh);
+    for (sc, &(name, pin)) in CATALOG.iter().zip(&FUSED_CATALOG_PINS) {
+        assert_eq!(sc.name, name, "catalog order changed");
+        let config = simd_config(sc);
+        let mut serial = ShallowWaterModel::new(mesh.clone(), config, sc.test_case, None);
+        serial.run_steps(STEPS);
+        assert_eq!(state_hash(&serial.state), pin, "{name}: serial");
+        for executor in [
+            Executor::Threaded { threads: 2 },
+            Executor::Hybrid {
+                cpu_threads: 1,
+                acc_threads: 1,
             },
-            sc.test_case,
+        ] {
+            let mut sim = Simulation::builder()
+                .mesh(mesh.clone())
+                .test_case(sc.test_case)
+                .config(config)
+                .executor(executor)
+                .dt(dt)
+                .build();
+            sim.run_steps(STEPS);
+            assert_eq!(state_hash(sim.state()), pin, "{name}: {executor:?}");
+        }
+        let dist = run_distributed(
+            &mesh,
+            DistributedConfig {
+                n_ranks: 2,
+                halo_layers: 3,
+                model: config,
+                test_case: sc.test_case,
+                dt,
+                n_steps: STEPS,
+            },
         );
-        assert_eq!(
-            state_bits(&fused),
-            state_bits(&simd),
-            "{}: flat simd diverged from fused",
-            sc.name
-        );
+        assert_eq!(state_hash(&dist), pin, "{name}: distributed");
     }
 }
 
 #[test]
 fn layered_runs_match_fused_bitwise_per_layer_across_k() {
     let mesh = Arc::new(mpas_mesh::generate(LEVEL, 0));
-    for sc in &CATALOG {
+    for (sc, &(name, pin)) in CATALOG.iter().zip(&FUSED_CATALOG_PINS) {
         // k = 7 on one representative scenario keeps the matrix fast; every
         // scenario still runs k ∈ {1, 4}.
-        let ks: &[usize] = if sc.name == "williamson-5" {
+        let ks: &[usize] = if name == "williamson-5" {
             &[1, 4, 7]
         } else {
             &[1, 4]
         };
-        let fused = run_flat(&mesh, sc.config(), sc.test_case);
         for &k in ks {
             let cfg = ModelConfig {
-                kernel_backend: KernelBackend::Simd,
                 n_layers: k,
-                ..sc.config()
+                ..simd_config(sc)
             };
             let mut layered = LayeredModel::new(mesh.clone(), cfg, sc.test_case, None);
             layered.run_steps(STEPS);
-            let l0 = layered.extract_layer(0);
             assert_eq!(
-                state_bits(&fused),
-                l0.h.iter()
-                    .chain(&l0.u)
-                    .chain(l0.tracers.iter().flatten())
-                    .map(|v| v.to_bits())
-                    .collect::<Vec<_>>(),
-                "{} k={k}: layer 0 diverged from the flat fused run",
-                sc.name
+                state_hash(&layered.extract_layer(0)),
+                pin,
+                "{name} k={k}: layer 0 diverged from the pinned flat run"
             );
         }
     }
@@ -133,16 +148,10 @@ fn deeper_layers_match_flat_fused_runs_from_their_scaled_states() {
         }
         flat.refresh_diagnostics();
         flat.run_steps(STEPS);
-        let got = layered.extract_layer(l);
         assert_eq!(
-            state_bits(&flat),
-            got.h
-                .iter()
-                .chain(&got.u)
-                .chain(got.tracers.iter().flatten())
-                .map(|v| v.to_bits())
-                .collect::<Vec<_>>(),
-            "layer {l} diverged from its flat fused twin"
+            state_hash(&flat.state),
+            state_hash(&layered.extract_layer(l)),
+            "layer {l} diverged from its flat twin"
         );
     }
 }

@@ -12,7 +12,7 @@
 //!   concentration extrema appear.
 //!
 //! Both hold on random mesh levels and Lloyd relaxations, for every kernel
-//! backend (scalar, fused, simd), and for any tracer count.
+//! backend (scalar, simd), and for any tracer count.
 
 use mpas_prop::check;
 use mpas_swe::{KernelBackend, ModelConfig, ShallowWaterModel, TestCase};

@@ -9,7 +9,7 @@ use mpas_telemetry::export::{parse_json, JsonValue};
 use mpas_telemetry::json_escape;
 
 /// A validated job submission. Every field has a default, so `{}` is a
-/// legal body (one day of case 5 on a level-4 mesh, serial, fused).
+/// legal body (ten steps of case 5 on a level-4 mesh, serial, simd).
 #[derive(Debug, Clone)]
 pub struct JobRequest {
     /// Scenario label: a Williamson digit (`"1"`..`"6"`) or a catalog name
@@ -29,9 +29,7 @@ pub struct JobRequest {
     pub policy: String,
     /// Mesh numbering.
     pub reorder: Reordering,
-    /// Kernel tier (`scalar`, `fused` or `simd`). The legacy boolean
-    /// `"fused"` body field still parses: `false` maps to scalar, `true`
-    /// to fused, and an explicit `"backend"` wins over it.
+    /// Kernel tier (`scalar` or `simd`).
     pub backend: KernelBackend,
     /// Vertical layers (k > 1 requires `backend: simd` + serial executor).
     pub layers: usize,
@@ -57,7 +55,7 @@ impl Default for JobRequest {
             executor: "serial".to_string(),
             policy: "pattern-driven".to_string(),
             reorder: Reordering::None,
-            backend: KernelBackend::Fused,
+            backend: KernelBackend::Simd,
             layers: 1,
             progress_every: 1,
             flight_capacity: None,
@@ -113,28 +111,10 @@ impl JobRequest {
                 Reordering::parse(&name)
                     .ok_or_else(|| format!("unknown reorder {name} (none, sfc or bfs)"))?
             },
-            backend: match v.get("backend") {
-                Some(b) => {
-                    let name = b
-                        .as_str()
-                        .ok_or_else(|| "backend must be a string".to_string())?;
-                    KernelBackend::parse(name)
-                        .ok_or_else(|| format!("unknown backend {name} (scalar, fused or simd)"))?
-                }
-                // Back-compat: the boolean `fused` field selects between
-                // the two pre-simd tiers when no `backend` is given.
-                None => match v.get("fused") {
-                    None => d.backend,
-                    Some(b) => {
-                        if b.as_bool()
-                            .ok_or_else(|| "fused must be a boolean".to_string())?
-                        {
-                            KernelBackend::Fused
-                        } else {
-                            KernelBackend::Scalar
-                        }
-                    }
-                },
+            backend: {
+                let name = get_str(&v, "backend", d.backend.name())?;
+                KernelBackend::parse(&name)
+                    .ok_or_else(|| format!("unknown backend {name} (scalar or simd)"))?
             },
             layers: get_u32(&v, "layers", d.layers as u32)? as usize,
             progress_every: get_u32(&v, "progress_every", d.progress_every as u32)? as usize,
@@ -243,7 +223,7 @@ mod tests {
         assert_eq!(req.case, "5");
         assert_eq!(req.level, 4);
         assert_eq!(req.steps, 10);
-        assert_eq!(req.backend, KernelBackend::Fused);
+        assert_eq!(req.backend, KernelBackend::Simd);
         assert_eq!(req.layers, 1);
     }
 
@@ -261,13 +241,11 @@ mod tests {
     }
 
     #[test]
-    fn legacy_fused_bool_still_selects_the_backend() {
+    fn retired_fused_backend_is_rejected_and_its_field_ignored() {
+        let err = JobRequest::parse("{\"backend\": \"fused\"}").unwrap_err();
+        assert!(err.contains("scalar") && err.contains("simd"), "{err}");
+        // The legacy boolean is an unknown key now, ignored like any other.
         let req = JobRequest::parse("{\"fused\": false}").unwrap();
-        assert_eq!(req.backend, KernelBackend::Scalar);
-        let req = JobRequest::parse("{\"fused\": true}").unwrap();
-        assert_eq!(req.backend, KernelBackend::Fused);
-        // An explicit backend wins over the legacy boolean.
-        let req = JobRequest::parse("{\"fused\": false, \"backend\": \"simd\"}").unwrap();
         assert_eq!(req.backend, KernelBackend::Simd);
     }
 
@@ -280,7 +258,7 @@ mod tests {
         assert_eq!(spec.backend, KernelBackend::Simd);
         assert_eq!(spec.layers, 4);
         // Layered constraints are rejected at submission time.
-        assert!(JobRequest::parse("{\"layers\": 4}").is_err());
+        assert!(JobRequest::parse("{\"backend\": \"scalar\", \"layers\": 4}").is_err());
         assert!(JobRequest::parse(
             "{\"backend\": \"simd\", \"layers\": 4, \"executor\": \"threaded:2\"}"
         )
@@ -342,7 +320,6 @@ mod tests {
         assert!(JobRequest::parse("{\"policy\": \"fifo\"}").is_err());
         assert!(JobRequest::parse("{\"steps\": 0}").is_err());
         assert!(JobRequest::parse("{\"level\": 9}").is_err());
-        assert!(JobRequest::parse("{\"fused\": \"yes\"}").is_err());
         assert!(JobRequest::parse("{\"backend\": 1}").is_err());
         assert!(JobRequest::parse("not json").is_err());
         assert!(JobRequest::parse("[1,2]").is_err());

@@ -644,8 +644,8 @@ fn execute_job(inner: &Arc<Inner>, job: QueuedJob) {
     let key = request.mesh_key();
     let mesh = inner.cache.mesh(key);
     let spec = request.spec();
-    // The scalar tier gathers from the mesh directly; the fused and simd
-    // tiers both read the shared coefficient table.
+    // The scalar tier gathers from the mesh directly; the simd tier reads
+    // the shared coefficient table.
     let coeffs = if spec.backend != mpas_swe::KernelBackend::Scalar {
         Some(inner.cache.kernel_coeffs(key, &mesh, &spec.config()))
     } else {

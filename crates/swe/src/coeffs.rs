@@ -7,8 +7,8 @@
 //! slot!), and edge reciprocals `1/dc_e`, `1/dv_e` behind every gradient in
 //! B1/C1/G. [`KernelCoeffs`] computes each factor once per
 //! `(Mesh, ModelConfig)` and stores it in flat arrays aligned with the CSR
-//! slot order, so the fused kernels in [`crate::kernels::fused`] stream one
-//! contiguous coefficient array instead of gathering two or three mesh
+//! slot order, so the simd-tier kernels in [`crate::kernels::simd`] stream
+//! one contiguous coefficient array instead of gathering two or three mesh
 //! arrays through an indirection (and never search).
 //!
 //! Rounding contract (how DESIGN.md §9's ≤1e-12 drift budget is met):

@@ -4,31 +4,26 @@
 ///
 /// * [`Scalar`](KernelBackend::Scalar) — the seed kernels in
 ///   [`crate::kernels::ops`], gathering geometric factors from the mesh on
-///   every call. The PR-4 baseline.
-/// * [`Fused`](KernelBackend::Fused) — the precomputed-coefficient fast
-///   path ([`crate::coeffs::KernelCoeffs`] + [`crate::kernels::fused`]).
-/// * [`Simd`](KernelBackend::Simd) — the vertical-batching SIMD tier
-///   ([`crate::kernels::simd`]): the fused arithmetic replayed per layer
-///   lane, with AVX2 inner loops under runtime feature detection and an
-///   auto-vectorizable scalar-batch fallback. With `n_layers == 1` it
-///   reproduces the fused path bit-for-bit; with `k` layers one gathered
-///   stencil index amortizes across `k` lanes.
+///   every call: the test oracle and the Fig. 6 baseline.
+/// * [`Simd`](KernelBackend::Simd) — the coefficient-table tier
+///   ([`crate::coeffs::KernelCoeffs`] + [`crate::kernels::simd`]) with
+///   vertical batching: AVX2 inner loops under runtime feature detection
+///   and an auto-vectorizable scalar-batch fallback. With `n_layers == 1`
+///   it is the flat fast path; with `k` layers one gathered stencil index
+///   amortizes across `k` lanes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum KernelBackend {
     /// Seed kernels (`kernels::ops`), no precomputation.
     Scalar,
-    /// Precomputed-coefficient kernels (`kernels::fused`).
-    Fused,
-    /// Vertical-batching SIMD kernels (`kernels::simd`).
+    /// Precomputed-coefficient, vertically batched kernels (`kernels::simd`).
     Simd,
 }
 
 impl KernelBackend {
-    /// Lowercase CLI/JSON spelling (`scalar`, `fused`, `simd`).
+    /// Lowercase CLI/JSON spelling (`scalar`, `simd`).
     pub fn name(&self) -> &'static str {
         match self {
             KernelBackend::Scalar => "scalar",
-            KernelBackend::Fused => "fused",
             KernelBackend::Simd => "simd",
         }
     }
@@ -37,18 +32,13 @@ impl KernelBackend {
     pub fn parse(s: &str) -> Option<KernelBackend> {
         match s {
             "scalar" => Some(KernelBackend::Scalar),
-            "fused" => Some(KernelBackend::Fused),
             "simd" => Some(KernelBackend::Simd),
             _ => None,
         }
     }
 
     /// All backends, in tier order (for equivalence matrices).
-    pub const ALL: [KernelBackend; 3] = [
-        KernelBackend::Scalar,
-        KernelBackend::Fused,
-        KernelBackend::Simd,
-    ];
+    pub const ALL: [KernelBackend; 2] = [KernelBackend::Scalar, KernelBackend::Simd];
 }
 
 /// Options mirroring the MPAS `sw` core namelist entries that matter here.
@@ -74,9 +64,9 @@ pub struct ModelConfig {
     /// tendency and the PV diagnostic chain are skipped.
     pub advection_only: bool,
     /// Which kernel tier runs in every executor. `Scalar` reproduces the
-    /// seed kernels exactly — the baseline the PR-4 benchmarks compare
-    /// against; `Fused` is the PR-4 fast path and the default; `Simd` is
-    /// the vertical-batching tier (required when `n_layers > 1`).
+    /// seed kernels exactly — the oracle and the Fig. 6 baseline; `Simd`,
+    /// the default, is the coefficient-table fast path (required when
+    /// `n_layers > 1`).
     pub kernel_backend: KernelBackend,
     /// Number of passive tracer-mass fields advected alongside `h`
     /// (pattern T1). Zero — the default — skips the tracer kernels
@@ -98,7 +88,7 @@ impl Default for ModelConfig {
             del4_viscosity: 0.0,
             high_order_h_edge: false,
             advection_only: false,
-            kernel_backend: KernelBackend::Fused,
+            kernel_backend: KernelBackend::Simd,
             n_tracers: 0,
             n_layers: 1,
         }
@@ -125,7 +115,7 @@ mod tests {
         assert_eq!(c.del2_viscosity, 0.0);
         assert!(!c.high_order_h_edge);
         assert!((c.gravity - 9.80616).abs() < 1e-9);
-        assert_eq!(c.kernel_backend, KernelBackend::Fused);
+        assert_eq!(c.kernel_backend, KernelBackend::Simd);
         assert_eq!(c.n_layers, 1);
     }
 
@@ -135,6 +125,7 @@ mod tests {
             assert_eq!(KernelBackend::parse(b.name()), Some(b));
         }
         assert_eq!(KernelBackend::parse("avx512"), None);
+        assert_eq!(KernelBackend::parse("fused"), None);
     }
 
     #[test]

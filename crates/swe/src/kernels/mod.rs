@@ -6,22 +6,20 @@
 //! the full-range serial composition used by the reference model and by
 //! correctness tests.
 //!
-//! [`scatter`] holds the original edge-order (irregular-reduction) forms of
-//! the class-A/C reductions — the Fig. 6 "Baseline"/naive-OpenMP story.
-//! [`fused`] holds the precomputed-coefficient fast path driven by
-//! [`crate::coeffs::KernelCoeffs`]; the `*_fused` drivers below compose it
-//! into the same Algorithm 1 call sequence. [`simd`] is the third tier
-//! (DESIGN.md §14): the fused arithmetic replayed per vertical-layer lane
-//! with explicit SIMD inner loops — at one layer it is bit-identical to
-//! the fused tier, which is how [`dispatch`] can offer it to every
-//! executor behind [`crate::config::KernelBackend`].
+//! Two kernel tiers sit behind [`crate::config::KernelBackend`]
+//! (DESIGN.md §14). [`ops`] holds the seed per-slot forms: the test
+//! oracle and, with [`scatter`]'s original edge-order (irregular-reduction)
+//! forms of the class-A/C reductions, the Fig. 6 "Baseline"/naive-OpenMP
+//! story. [`simd`] is the fast tier: it reads the precomputed
+//! [`crate::coeffs::KernelCoeffs`] tables and replays that arithmetic per
+//! vertical-layer lane with explicit SIMD inner loops; at one layer it is
+//! the flat fast path every executor runs.
 //!
 //! The `*_backend` drivers select a whole kernel sequence by backend; the
 //! [`dispatch`] module selects per kernel and per range (what the
 //! threaded/hybrid executors slice across workers).
 
 pub mod dispatch;
-pub mod fused;
 pub mod ops;
 pub mod scatter;
 pub mod simd;
@@ -104,72 +102,6 @@ pub fn compute_solve_diagnostics(
     );
 }
 
-/// [`compute_solve_diagnostics`] on the fused-coefficient fast path: the
-/// same kernel sequence with every fusible op reading `kc` (H1 and E have
-/// nothing to fuse and run the seed forms).
-#[allow(clippy::too_many_arguments)]
-pub fn compute_solve_diagnostics_fused(
-    mesh: &Mesh,
-    config: &ModelConfig,
-    kc: &KernelCoeffs,
-    h: &[f64],
-    u: &[f64],
-    f_vertex: &[f64],
-    dt: f64,
-    diag: &mut Diagnostics,
-) {
-    let (nc, ne, nv) = (mesh.n_cells(), mesh.n_edges(), mesh.n_vertices());
-    if config.high_order_h_edge {
-        fused::d2fdx2(
-            mesh,
-            kc,
-            h,
-            &mut diag.d2fdx2_cell1,
-            &mut diag.d2fdx2_cell2,
-            0..ne,
-        );
-    }
-    fused::h_edge(
-        mesh,
-        kc,
-        config,
-        h,
-        &diag.d2fdx2_cell1,
-        &diag.d2fdx2_cell2,
-        &mut diag.h_edge,
-        0..ne,
-    );
-    if config.advection_only {
-        return;
-    }
-    fused::vorticity(mesh, kc, u, &mut diag.vorticity, 0..nv);
-    fused::ke(mesh, kc, u, &mut diag.ke, 0..nc);
-    fused::divergence(mesh, kc, u, &mut diag.divergence, 0..nc);
-    ops::tangential_velocity(mesh, u, &mut diag.v, 0..ne);
-    fused::vorticity_cell(mesh, kc, &diag.vorticity, &mut diag.vorticity_cell, 0..nc);
-    ops::pv_vertex(
-        mesh,
-        h,
-        &diag.vorticity,
-        f_vertex,
-        &mut diag.pv_vertex,
-        0..nv,
-    );
-    fused::pv_cell(mesh, kc, &diag.pv_vertex, &mut diag.pv_cell, 0..nc);
-    fused::pv_edge(
-        mesh,
-        kc,
-        config.apvm_factor,
-        dt,
-        &diag.pv_vertex,
-        &diag.pv_cell,
-        u,
-        &diag.v,
-        &mut diag.pv_edge,
-        0..ne,
-    );
-}
-
 /// `compute_tend`: thickness and momentum tendencies from the current
 /// provisional state and its diagnostics.
 pub fn compute_tend(
@@ -230,68 +162,6 @@ pub fn compute_tend(
     }
 }
 
-/// [`compute_tend`] on the fused-coefficient fast path.
-#[allow(clippy::too_many_arguments)]
-pub fn compute_tend_fused(
-    mesh: &Mesh,
-    config: &ModelConfig,
-    kc: &KernelCoeffs,
-    h: &[f64],
-    u: &[f64],
-    b: &[f64],
-    diag: &Diagnostics,
-    tend: &mut Tendencies,
-) {
-    let (nc, ne) = (mesh.n_cells(), mesh.n_edges());
-    fused::tend_h(mesh, kc, u, &diag.h_edge, &mut tend.tend_h, 0..nc);
-    if config.advection_only {
-        tend.tend_u.fill(0.0);
-        return;
-    }
-    fused::tend_u(
-        mesh,
-        kc,
-        config.gravity,
-        &diag.pv_edge,
-        u,
-        &diag.h_edge,
-        &diag.ke,
-        h,
-        b,
-        &mut tend.tend_u,
-        0..ne,
-    );
-    if config.del2_viscosity != 0.0 {
-        fused::tend_u_del2(
-            mesh,
-            kc,
-            config.del2_viscosity,
-            &diag.divergence,
-            &diag.vorticity,
-            &mut tend.tend_u,
-            0..ne,
-        );
-    }
-    if config.del4_viscosity != 0.0 {
-        let nv = mesh.n_vertices();
-        let mut lap = vec![0.0; ne];
-        fused::lap_u(mesh, kc, &diag.divergence, &diag.vorticity, &mut lap, 0..ne);
-        let mut div_lap = vec![0.0; nc];
-        fused::divergence(mesh, kc, &lap, &mut div_lap, 0..nc);
-        let mut vort_lap = vec![0.0; nv];
-        fused::vorticity(mesh, kc, &lap, &mut vort_lap, 0..nv);
-        fused::tend_u_del4(
-            mesh,
-            kc,
-            config.del4_viscosity,
-            &div_lap,
-            &vort_lap,
-            &mut tend.tend_u,
-            0..ne,
-        );
-    }
-}
-
 /// `compute_tend_tracers`: flux-form advection tendency (pattern T1) for
 /// every tracer-mass field, from the same-stage `(h, u)` and its `h_edge`.
 pub fn compute_tend_tracers(
@@ -308,25 +178,8 @@ pub fn compute_tend_tracers(
     }
 }
 
-/// [`compute_tend_tracers`] on the fused-coefficient fast path.
-pub fn compute_tend_tracers_fused(
-    mesh: &Mesh,
-    kc: &KernelCoeffs,
-    h: &[f64],
-    u: &[f64],
-    diag: &Diagnostics,
-    tracers: &[Vec<f64>],
-    tend: &mut Tendencies,
-) {
-    let nc = mesh.n_cells();
-    for (hq, out) in tracers.iter().zip(tend.tend_tracers.iter_mut()) {
-        fused::tend_tracer(mesh, kc, u, &diag.h_edge, h, hq, out, 0..nc);
-    }
-}
-
 /// [`compute_solve_diagnostics`] on the configured backend: the scalar
-/// seed path, the fused-coefficient path, or the simd tier at one layer
-/// (bit-identical to fused — DESIGN.md §14).
+/// seed path or the simd tier at one layer (DESIGN.md §14).
 #[allow(clippy::too_many_arguments)]
 pub fn compute_solve_diagnostics_backend(
     backend: KernelBackend,
@@ -341,9 +194,6 @@ pub fn compute_solve_diagnostics_backend(
 ) {
     match backend {
         KernelBackend::Scalar => compute_solve_diagnostics(mesh, config, h, u, f_vertex, dt, diag),
-        KernelBackend::Fused => {
-            compute_solve_diagnostics_fused(mesh, config, kc, h, u, f_vertex, dt, diag)
-        }
         KernelBackend::Simd => {
             let (nc, ne, nv) = (mesh.n_cells(), mesh.n_edges(), mesh.n_vertices());
             if config.high_order_h_edge {
@@ -426,7 +276,6 @@ pub fn compute_tend_backend(
 ) {
     match backend {
         KernelBackend::Scalar => compute_tend(mesh, config, h, u, b, diag, tend),
-        KernelBackend::Fused => compute_tend_fused(mesh, config, kc, h, u, b, diag, tend),
         KernelBackend::Simd => {
             let (nc, ne) = (mesh.n_cells(), mesh.n_edges());
             simd::tend_h(mesh, kc, 1, u, &diag.h_edge, &mut tend.tend_h, 0..nc);
@@ -505,7 +354,6 @@ pub fn compute_tend_tracers_backend(
 ) {
     match backend {
         KernelBackend::Scalar => compute_tend_tracers(mesh, h, u, diag, tracers, tend),
-        KernelBackend::Fused => compute_tend_tracers_fused(mesh, kc, h, u, diag, tracers, tend),
         KernelBackend::Simd => {
             let nc = mesh.n_cells();
             for (hq, out) in tracers.iter().zip(tend.tend_tracers.iter_mut()) {

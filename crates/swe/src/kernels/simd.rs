@@ -1,22 +1,27 @@
 //! Vertical-batching SIMD forms of the Table-I operators (DESIGN.md §14).
 //!
-//! Each function mirrors its namesake in [`super::fused`] but operates on
-//! **layered** fields: `k` independent vertical layers interleaved as
-//! contiguous lanes per entity, `field[entity * k + lane]`. One gathered
-//! stencil index (`edges_on_cell[slot]`, `cells_on_edge[e]`, ...) is then
-//! amortized across all `k` lanes, and the lane loop is a unit-stride
-//! inner loop a vector unit can chew through.
+//! Each function computes its namesake in [`super::ops`] from the
+//! precomputed [`KernelCoeffs`] tables — one contiguous coefficient stream
+//! in place of two or three `mesh.*[e]` gathers, no per-slot `position()`
+//! search in the kite-area interpolations, no divisions inside edge loops
+//! — and operates on **layered** fields: `k` independent vertical layers
+//! interleaved as contiguous lanes per entity, `field[entity * k + lane]`.
+//! One gathered stencil index (`edges_on_cell[slot]`, `cells_on_edge[e]`,
+//! ...) is then amortized across all `k` lanes, and the lane loop is a
+//! unit-stride inner loop a vector unit can chew through.
 //!
-//! **Bitwise contract.** Every lane evaluates *exactly* the fused-tier
-//! expression for that layer: same association, same operation sequence,
-//! and only `mul/add/sub/div/xor`-class vector instructions (never FMA,
-//! which contracts two roundings into one and would change results). A
-//! `k = 1` layered field *is* a flat field, so the simd tier at one layer
-//! is bit-identical to the fused tier — the equivalence suite asserts
-//! equality, not a tolerance band. Reductions keep the fused slot order
-//! per lane, so nothing here reorders arithmetic; the documented
-//! 1-ulp/1e-13 band of DESIGN.md §9 is inherited unchanged from the
-//! fused coefficients themselves.
+//! **Bitwise contract.** Every lane evaluates *exactly* the single-layer
+//! coefficient-table expression for that layer: same association, same
+//! operation sequence, and only `mul/add/sub/div/xor`-class vector
+//! instructions (never FMA, which contracts two roundings into one and
+//! would change results). A `k = 1` layered field *is* a flat field, so
+//! the tier at one layer is the flat fast path every executor runs, and
+//! lane `l` of a `k`-layer run is bit-identical to a flat run over that
+//! layer's fields. The flat bits are pinned by digest tests to the
+//! fused-coefficient tier this one replaced. Reductions keep the seed
+//! slot order per lane, so nothing here reorders a sum; the documented
+//! 1-ulp/1e-13 band against [`super::ops`] (DESIGN.md §9) comes from the
+//! coefficient folding alone.
 //!
 //! **Two implementations per kernel, selected at runtime:**
 //!
@@ -370,9 +375,10 @@ pub fn enforce_boundary(mesh: &Mesh, k: usize, tend_u: &mut [f64], edges: Range<
 }
 
 // ---------------------------------------------------------------------
-// Per-lane scalar forms. Each is exactly the fused-tier expression with
-// `e` → `e*k + l` on layered fields; both implementations' lane tails
-// call these, so AVX2 chunks, batch chunks and tails cannot diverge.
+// Per-lane scalar forms. Each is exactly the flat coefficient-table
+// expression with `e` → `e*k + l` on layered fields; both implementations'
+// lane tails call these, so AVX2 chunks, batch chunks and tails cannot
+// diverge.
 // ---------------------------------------------------------------------
 
 #[inline(always)]
@@ -1845,7 +1851,14 @@ mod avx2 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::kernels::fused;
+    use crate::kernels::ops;
+    use mpas_telemetry::digest::Fnv1a;
+
+    fn digest(x: &[f64]) -> u64 {
+        let mut d = Fnv1a::new();
+        d.write_f64_slice(x);
+        d.finish()
+    }
 
     fn setup(k: usize) -> (Mesh, KernelCoeffs, Vec<f64>, Vec<f64>) {
         let mesh = mpas_mesh::generate(3, 0);
@@ -1867,21 +1880,80 @@ mod tests {
     #[test]
     fn k1_matches_fused_bitwise() {
         // At one layer the layered arrays ARE flat arrays, so the simd
-        // tier must reproduce the fused tier bit for bit in both modes.
+        // tier must reproduce the retired fused tier bit for bit in both
+        // modes: the digests below were recorded from that tier's A1 and
+        // A2 kernels on this exact input.
+        const FUSED_TEND_H: u64 = 0xdfdd30bc68500b3b;
+        const FUSED_KE: u64 = 0xcab49ebce3db69d7;
         let (mesh, kc, u, he) = setup(1);
         let nc = mesh.n_cells();
-        let mut want = vec![0.0; nc];
-        fused::tend_h(&mesh, &kc, &u, &he, &mut want, 0..nc);
         for mode in [SimdMode::Batch, SimdMode::Avx2] {
             let mut got = vec![0.0; nc];
             tend_h_with(mode, &mesh, &kc, 1, &u, &he, &mut got, 0..nc);
-            assert_eq!(want, got, "mode {:?}", mode);
+            assert_eq!(digest(&got), FUSED_TEND_H, "tend_h mode {mode:?}");
+            let mut got_ke = vec![0.0; nc];
+            ke_with(mode, &mesh, &kc, 1, &u, &mut got_ke, 0..nc);
+            assert_eq!(digest(&got_ke), FUSED_KE, "ke mode {mode:?}");
         }
-        let mut want_ke = vec![0.0; nc];
-        fused::ke(&mesh, &kc, &u, &mut want_ke, 0..nc);
-        let mut got_ke = vec![0.0; nc];
-        ke(&mesh, &kc, 1, &u, &mut got_ke, 0..nc);
-        assert_eq!(want_ke, got_ke);
+    }
+
+    #[test]
+    fn exact_fusions_are_bit_identical() {
+        // C2, A3 and F fold only sign flips and hoisted gathers into their
+        // coefficients, so at one layer they agree with the seed ops bit
+        // for bit.
+        let (mesh, kc, u, _) = setup(1);
+        let (nv, nc) = (mesh.n_vertices(), mesh.n_cells());
+        let mut seed_v = vec![0.0; nv];
+        let mut simd_v = vec![0.0; nv];
+        ops::vorticity(&mesh, &u, &mut seed_v, 0..nv);
+        vorticity(&mesh, &kc, 1, &u, &mut simd_v, 0..nv);
+        assert_eq!(seed_v, simd_v);
+
+        let mut seed_c = vec![0.0; nc];
+        let mut simd_c = vec![0.0; nc];
+        ops::vorticity_cell(&mesh, &seed_v, &mut seed_c, 0..nc);
+        kite_average(&mesh, &kc, 1, &seed_v, &mut simd_c, 0..nc);
+        assert_eq!(seed_c, simd_c);
+
+        ops::pv_cell(&mesh, &seed_v, &mut seed_c, 0..nc);
+        kite_average(&mesh, &kc, 1, &seed_v, &mut simd_c, 0..nc);
+        assert_eq!(seed_c, simd_c);
+    }
+
+    #[test]
+    fn reassociated_fusions_stay_within_drift_budget() {
+        let (mesh, kc, u, h_edge) = setup(1);
+        let nc = mesh.n_cells();
+        let mut seed = vec![0.0; nc];
+        let mut simd = vec![0.0; nc];
+        ops::tend_h(&mesh, &u, &h_edge, &mut seed, 0..nc);
+        tend_h(&mesh, &kc, 1, &u, &h_edge, &mut simd, 0..nc);
+        for i in 0..nc {
+            let scale = seed[i].abs().max(1e-30);
+            assert!(
+                ((seed[i] - simd[i]) / scale).abs() < 1e-12,
+                "cell {i}: {} vs {}",
+                seed[i],
+                simd[i]
+            );
+        }
+    }
+
+    #[test]
+    fn fused_range_splitting_is_exact() {
+        // The range convention survives the coefficient folding: two
+        // chunks equal the full range bit for bit.
+        let (mesh, kc, u, _) = setup(1);
+        let nc = mesh.n_cells();
+        let mut full = vec![0.0; nc];
+        ke(&mesh, &kc, 1, &u, &mut full, 0..nc);
+        let mut split = vec![0.0; nc];
+        let mid = nc / 2;
+        let (lo, hi) = split.split_at_mut(mid);
+        ke(&mesh, &kc, 1, &u, lo, 0..mid);
+        ke(&mesh, &kc, 1, &u, hi, mid..nc);
+        assert_eq!(full, split);
     }
 
     #[test]
@@ -1908,7 +1980,8 @@ mod tests {
     #[test]
     fn per_lane_matches_fused_per_layer() {
         // Extract one lane of a k=4 layered run; it must equal a flat
-        // fused run over that layer's fields bitwise.
+        // (k = 1) run over that layer's fields bitwise — the k = 1 bits
+        // being the fused tier's, pinned by `k1_matches_fused_bitwise`.
         let k = 4;
         let (mesh, kc, u, he) = setup(k);
         let nc = mesh.n_cells();
@@ -1918,7 +1991,7 @@ mod tests {
             let ul: Vec<f64> = (0..mesh.n_edges()).map(|e| u[e * k + l]).collect();
             let hel: Vec<f64> = (0..mesh.n_edges()).map(|e| he[e * k + l]).collect();
             let mut flat = vec![0.0; nc];
-            fused::tend_h(&mesh, &kc, &ul, &hel, &mut flat, 0..nc);
+            tend_h(&mesh, &kc, 1, &ul, &hel, &mut flat, 0..nc);
             for i in 0..nc {
                 assert_eq!(layered[i * k + l], flat[i], "lane {l} cell {i}");
             }

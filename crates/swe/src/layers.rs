@@ -12,10 +12,10 @@
 //! unperturbed test case (validation applies to it unchanged); layer
 //! `l > 0` starts from the same state with `h` and the tracer masses
 //! scaled by [`layer_h_scale`], so the lanes decorrelate without changing
-//! any per-lane arithmetic. Because every simd kernel evaluates the fused
-//! expression per lane, **layer 0 of a `k`-layer run is bitwise identical
-//! to a single-layer fused run**, and layer `l` is bitwise identical to a
-//! flat run started from the scaled state — properties the equivalence
+//! any per-lane arithmetic. Because every simd kernel evaluates the flat
+//! coefficient-table expression per lane, **layer 0 of a `k`-layer run is
+//! bitwise identical to a single-layer run**, and layer `l` is bitwise
+//! identical to a flat run started from the scaled state — properties the equivalence
 //! suite asserts with `==`, not tolerances.
 //!
 //! [`LayeredModel`] mirrors the RK-4 driver of [`crate::rk4`] stage for
@@ -948,8 +948,9 @@ mod tests {
 
     #[test]
     fn layer0_matches_single_layer_fused_run_bitwise() {
-        // The central §14 claim: every lane replays the fused arithmetic,
-        // so layer 0 of a k-layer run IS the single-layer fused run.
+        // The central §14 claim: every lane replays the flat arithmetic,
+        // so layer 0 of a k-layer run IS the single-layer run, whose bits
+        // are the retired fused tier's (pinned in `kernels::dispatch`).
         let mesh = Arc::new(mpas_mesh::generate(3, 0));
         for tc in [TestCase::Case5, TestCase::Case4] {
             let mut flat = ShallowWaterModel::new(
@@ -967,14 +968,14 @@ mod tests {
             assert_eq!(
                 layered.layer0().max_abs_diff(&flat.state),
                 0.0,
-                "{tc:?}: layer 0 diverged from the fused run"
+                "{tc:?}: layer 0 diverged from the flat run"
             );
         }
     }
 
     #[test]
     fn deeper_layers_match_flat_runs_from_scaled_states() {
-        // Layer l>0 is bitwise a flat fused run started from the scaled
+        // Layer l>0 is bitwise a flat run started from the scaled
         // initial state (same broadcast forcing, same dt).
         let mesh = Arc::new(mpas_mesh::generate(3, 0));
         let k = 3;

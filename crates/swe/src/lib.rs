@@ -19,7 +19,7 @@
 //!   thickness-advection order).
 //! * [`coeffs`] — precomputed fused kernel coefficients: the per-slot
 //!   geometric factors every substep would otherwise re-derive, laid out
-//!   flat in CSR order for the [`kernels::fused`] fast path.
+//!   flat in CSR order for the [`kernels::simd`] fast path.
 //! * [`kernels`] — the six kernels of Algorithm 1 as free functions over
 //!   explicit output ranges, one per Table-I pattern instance, so executors
 //!   can slice them across devices. Includes the original scatter

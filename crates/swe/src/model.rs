@@ -15,7 +15,7 @@ use std::sync::Arc;
 
 /// The fixed forcing that holds a test case's background state in discrete
 /// equilibrium: `F = −N(background)` where `N` is the model's own tendency
-/// operator (same kernels, same fused/seed path, same `dt` for the APVM
+/// operator (same kernels, same simd/seed path, same `dt` for the APVM
 /// term). With `F` added to every stage, the unperturbed background is a
 /// bitwise fixed point — each stage tendency is `a + (−a) = 0.0` exactly —
 /// so only the superposed anomaly evolves. Distributed ranks call this on
@@ -65,8 +65,8 @@ pub struct ShallowWaterModel {
     pub f_vertex: Vec<f64>,
     /// Velocity-reconstruction coefficients.
     pub coeffs: ReconstructCoeffs,
-    /// Precomputed fused kernel coefficients (used by the fused and simd
-    /// backends of `config.kernel_backend`). Shared so multi-tenant
+    /// Precomputed fused kernel coefficients (read by the simd backend of
+    /// `config.kernel_backend`). Shared so multi-tenant
     /// servers can reuse one table across concurrent models on the same
     /// mesh/config.
     pub kernel_coeffs: Arc<KernelCoeffs>,

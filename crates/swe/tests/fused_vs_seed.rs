@@ -1,32 +1,33 @@
-//! PR-4 coverage: every fused Table-I op against its seed counterpart,
-//! per-range.
+//! Every coefficient-fused Table-I op of the simd tier at one layer
+//! against its seed counterpart, per-range.
 //!
 //! Two properties per op, on a level-4 mesh with synthetic smooth fields:
 //!
-//! 1. **Numerics** — the fused form agrees with the seed op over the full
-//!    range within the documented rounding contract: bit-identical for the
-//!    exact fusions (C2 vorticity, A3 vorticity_cell, F pv_cell, H2
+//! 1. **Numerics** — the `k = 1` simd form agrees with the seed op over the
+//!    full range within the documented rounding contract: bit-identical
+//!    for the exact fusions (C2 vorticity, A3 vorticity_cell, F pv_cell, H2
 //!    high-order h_edge), ≤ 1e-12 relative for the 1-ulp reassociations
 //!    (A1, A2, B1, B2, C1 family, D1/D2, G).
 //! 2. **Range splitting** — computing the same output as two disjoint
 //!    chunks split at an arbitrary `mid` (both the even `n/2` split and the
-//!    uneven `HybridModel`-style offset split) is bit-identical to the full
-//!    range. This is the property the two-pool executor relies on.
+//!    uneven offset split of the hybrid executor's device split) is
+//!    bit-identical to the full range. This is the property the two-pool
+//!    executor relies on.
 
 use mpas_swe::coeffs::KernelCoeffs;
 use mpas_swe::config::ModelConfig;
-use mpas_swe::kernels::{fused, ops};
+use mpas_swe::kernels::{ops, simd};
 use std::ops::Range;
 
 const REL_TOL: f64 = 1e-12;
 
-fn rel_close(seed: &[f64], fused: &[f64], tag: &str) {
-    assert_eq!(seed.len(), fused.len());
-    for (k, (a, b)) in seed.iter().zip(fused).enumerate() {
+fn rel_close(seed: &[f64], simd: &[f64], tag: &str) {
+    assert_eq!(seed.len(), simd.len());
+    for (k, (a, b)) in seed.iter().zip(simd).enumerate() {
         let scale = a.abs().max(1e-30);
         assert!(
             ((a - b) / scale).abs() < REL_TOL,
-            "{tag}[{k}]: seed {a} vs fused {b}"
+            "{tag}[{k}]: seed {a} vs simd {b}"
         );
     }
 }
@@ -101,7 +102,7 @@ fn cell_reductions_match_seed_per_range() {
     let full = check_split(
         nc,
         &zero,
-        |out, r| fused::tend_h(mesh, kc, &fx.u, &fx.h_edge, out, r),
+        |out, r| simd::tend_h(mesh, kc, 1, &fx.u, &fx.h_edge, out, r),
         "A1",
     );
     rel_close(&seed, &full, "A1 tend_h");
@@ -111,14 +112,19 @@ fn cell_reductions_match_seed_per_range() {
     let full = check_split(
         nc,
         &zero,
-        |out, r| fused::divergence(mesh, kc, &fx.u, out, r),
+        |out, r| simd::divergence(mesh, kc, 1, &fx.u, out, r),
         "B2",
     );
     rel_close(&seed, &full, "B2 divergence");
 
     // A2 ke
     ops::ke(mesh, &fx.u, &mut seed, 0..nc);
-    let full = check_split(nc, &zero, |out, r| fused::ke(mesh, kc, &fx.u, out, r), "A2");
+    let full = check_split(
+        nc,
+        &zero,
+        |out, r| simd::ke(mesh, kc, 1, &fx.u, out, r),
+        "A2",
+    );
     rel_close(&seed, &full, "A2 ke");
 }
 
@@ -134,7 +140,7 @@ fn vertex_and_kite_ops_are_bit_identical_per_range() {
     let full_v = check_split(
         nv,
         &vec![0.0; nv],
-        |out, r| fused::vorticity(mesh, kc, &fx.u, out, r),
+        |out, r| simd::vorticity(mesh, kc, 1, &fx.u, out, r),
         "C2",
     );
     assert_eq!(seed_v, full_v, "C2 vorticity must be bit-identical");
@@ -146,7 +152,7 @@ fn vertex_and_kite_ops_are_bit_identical_per_range() {
     let full = check_split(
         nc,
         &zero,
-        |out, r| fused::vorticity_cell(mesh, kc, &seed_v, out, r),
+        |out, r| simd::kite_average(mesh, kc, 1, &seed_v, out, r),
         "A3",
     );
     assert_eq!(seed, full, "A3 vorticity_cell must be bit-identical");
@@ -155,7 +161,7 @@ fn vertex_and_kite_ops_are_bit_identical_per_range() {
     let full = check_split(
         nc,
         &zero,
-        |out, r| fused::pv_cell(mesh, kc, &seed_v, out, r),
+        |out, r| simd::kite_average(mesh, kc, 1, &seed_v, out, r),
         "F",
     );
     assert_eq!(seed, full, "F pv_cell must be bit-identical");
@@ -198,9 +204,10 @@ fn edge_ops_match_seed_per_range() {
         ne,
         &zero,
         |out, r| {
-            fused::pv_edge(
+            simd::pv_edge(
                 mesh,
                 kc,
+                1,
                 cfg.apvm_factor,
                 dt,
                 &pv_vertex,
@@ -233,9 +240,10 @@ fn edge_ops_match_seed_per_range() {
         ne,
         &zero,
         |out, r| {
-            fused::tend_u(
+            simd::tend_u(
                 mesh,
                 kc,
+                1,
                 cfg.gravity,
                 &pv_e,
                 &fx.u,
@@ -258,7 +266,7 @@ fn edge_ops_match_seed_per_range() {
     let full = check_split(
         ne,
         &base,
-        |out, r| fused::tend_u_del2(mesh, kc, cfg.del2_viscosity, &div, &vort, out, r),
+        |out, r| simd::tend_u_del2(mesh, kc, 1, cfg.del2_viscosity, &div, &vort, out, r),
         "C1 del2",
     );
     rel_close(&seed, &full, "C1 tend_u_del2");
@@ -268,7 +276,7 @@ fn edge_ops_match_seed_per_range() {
     let full = check_split(
         ne,
         &zero,
-        |out, r| fused::lap_u(mesh, kc, &div, &vort, out, r),
+        |out, r| simd::lap_u(mesh, kc, 1, &div, &vort, out, r),
         "C1 lap",
     );
     rel_close(&seed, &full, "C1 lap_u");
@@ -278,7 +286,7 @@ fn edge_ops_match_seed_per_range() {
     let full = check_split(
         ne,
         &base,
-        |out, r| fused::tend_u_del4(mesh, kc, cfg.del4_viscosity, &div, &vort, out, r),
+        |out, r| simd::tend_u_del4(mesh, kc, 1, cfg.del4_viscosity, &div, &vort, out, r),
         "C1 del4",
     );
     rel_close(&seed, &full, "C1 tend_u_del4");
@@ -297,7 +305,7 @@ fn thickness_blend_ops_match_seed_per_range() {
     ops::d2fdx2(mesh, &fx.h, &mut seed1, &mut seed2, 0..ne);
     let mut full1 = vec![0.0; ne];
     let mut full2 = vec![0.0; ne];
-    fused::d2fdx2(mesh, kc, &fx.h, &mut full1, &mut full2, 0..ne);
+    simd::d2fdx2(mesh, kc, 1, &fx.h, &mut full1, &mut full2, 0..ne);
     rel_close(&seed1, &full1, "D1 d2fdx2_cell1");
     rel_close(&seed2, &full2, "D2 d2fdx2_cell2");
     for mid in [ne / 2, ne / 3, 5 * ne / 8] {
@@ -306,8 +314,8 @@ fn thickness_blend_ops_match_seed_per_range() {
         {
             let (lo1, hi1) = s1.split_at_mut(mid);
             let (lo2, hi2) = s2.split_at_mut(mid);
-            fused::d2fdx2(mesh, kc, &fx.h, lo1, lo2, 0..mid);
-            fused::d2fdx2(mesh, kc, &fx.h, hi1, hi2, mid..ne);
+            simd::d2fdx2(mesh, kc, 1, &fx.h, lo1, lo2, 0..mid);
+            simd::d2fdx2(mesh, kc, 1, &fx.h, hi1, hi2, mid..ne);
         }
         assert_eq!(full1, s1, "D1: split at {mid}");
         assert_eq!(full2, s2, "D2: split at {mid}");
@@ -320,7 +328,7 @@ fn thickness_blend_ops_match_seed_per_range() {
     let full = check_split(
         ne,
         &zero,
-        |out, r| fused::h_edge(mesh, kc, cfg, &fx.h, &seed1, &seed2, out, r),
+        |out, r| simd::h_edge(mesh, kc, cfg, 1, &fx.h, &seed1, &seed2, out, r),
         "H2",
     );
     assert_eq!(seed, full, "H2 high-order h_edge must be bit-identical");
@@ -333,6 +341,16 @@ fn thickness_blend_ops_match_seed_per_range() {
     let lo_kc = KernelCoeffs::build(mesh, &lo_cfg);
     ops::h_edge(mesh, &lo_cfg, &fx.h, &seed1, &seed2, &mut seed, 0..ne);
     let mut lo = vec![0.0; ne];
-    fused::h_edge(mesh, &lo_kc, &lo_cfg, &fx.h, &seed1, &seed2, &mut lo, 0..ne);
+    simd::h_edge(
+        mesh,
+        &lo_kc,
+        &lo_cfg,
+        1,
+        &fx.h,
+        &seed1,
+        &seed2,
+        &mut lo,
+        0..ne,
+    );
     assert_eq!(seed, lo, "H2 low-order h_edge must be bit-identical");
 }

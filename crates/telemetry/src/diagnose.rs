@@ -641,7 +641,7 @@ mod tests {
         let store = HistoryStore::open(&tmp("keys")).unwrap();
         record(&store, 2.6, 0.05);
         let mut other = manifest();
-        other.backend = "fused".to_string();
+        other.backend = "scalar".to_string();
         let mut metrics: BTreeMap<String, (MetricKind, Vec<f64>)> = BTreeMap::new();
         metrics.insert(
             names::KERNEL_SIMD_SPEEDUP_SERIAL.to_string(),
@@ -650,7 +650,7 @@ mod tests {
         store.record(&other, &metrics).unwrap();
         let cur = record(&store, 2.6, 0.05);
         let report = diagnose(&store, &cur.run_id, &DiagnoseConfig::default()).unwrap();
-        // Only the matching run is a baseline; the fused run is ignored.
+        // Only the matching run is a baseline; the scalar run is ignored.
         assert_eq!(report.baseline_runs, vec!["r000001"]);
         assert!(!report.failed());
     }

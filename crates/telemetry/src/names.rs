@@ -81,7 +81,7 @@ pub const SERVER_LIVE_SECONDS: &str = "server.live.request_seconds";
 pub const SERVE_LIVE_P95_MS: &str = "serve.live_p95_ms";
 
 /// Gauge: per-layer throughput gain of the vertical-batching SIMD tier
-/// over the fused serial path — `(fused seconds/step · k) / (simd
+/// over its flat (k = 1) serial model — `(flat seconds/step · k) / (simd
 /// seconds/step at k layers)`, both measured in the same `swe_run`
 /// invocation. The committed perf gate fails below 2.0× at level 6, k=4
 /// (DESIGN.md §14).

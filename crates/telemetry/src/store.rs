@@ -148,7 +148,7 @@ pub struct RunManifest {
     pub level: u32,
     /// Lloyd relaxation sweeps.
     pub lloyd: u32,
-    /// Kernel tier (`scalar`/`fused`/`simd`, or `serve` for load runs).
+    /// Kernel tier (`scalar`/`simd`, or `serve` for load runs).
     pub backend: String,
     /// Vertical layers.
     pub layers: usize,
@@ -1122,7 +1122,7 @@ mod tests {
         g.git = "other".to_string();
         assert_eq!(g.digest(), m.digest());
         let mut b = m.clone();
-        b.backend = "fused".to_string();
+        b.backend = "scalar".to_string();
         assert_ne!(b.digest(), m.digest());
     }
 
@@ -1216,7 +1216,7 @@ mod tests {
         metrics.insert("m".to_string(), hist(&[1.0]));
         store.record(&manifest(1), &metrics).unwrap();
         let mut other = manifest(1);
-        other.backend = "fused".to_string();
+        other.backend = "scalar".to_string();
         store.record(&other, &metrics).unwrap();
         store.record(&manifest(1), &metrics).unwrap();
 

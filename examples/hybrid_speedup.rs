@@ -7,9 +7,10 @@
 //! cargo run --release --example hybrid_speedup -- [n_cells]
 //! ```
 
-use mpas_repro::hybrid::sched::{schedule_substep, Placement, Policy};
+use mpas_repro::hybrid::sched::{schedule_substep, Placement};
 use mpas_repro::hybrid::Platform;
 use mpas_repro::patterns::dataflow::{DataflowGraph, MeshCounts, RkPhase};
+use mpas_repro::sched::{KernelLevel, PatternDriven, Serial};
 
 fn main() {
     let n_cells: usize = std::env::args()
@@ -20,9 +21,9 @@ fn main() {
     let platform = Platform::paper_node();
     let graph = DataflowGraph::for_substep(RkPhase::Intermediate);
 
-    let serial = schedule_substep(&graph, &mc, &platform, Policy::Serial);
-    let kernel = schedule_substep(&graph, &mc, &platform, Policy::KernelLevel);
-    let pattern = schedule_substep(&graph, &mc, &platform, Policy::PatternDriven);
+    let serial = schedule_substep(&graph, &mc, &platform, Serial);
+    let kernel = schedule_substep(&graph, &mc, &platform, KernelLevel);
+    let pattern = schedule_substep(&graph, &mc, &platform, PatternDriven::default());
 
     println!("mesh: {n_cells} cells; one intermediate RK substep\n");
     println!("pattern-driven placements:");

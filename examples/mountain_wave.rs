@@ -8,7 +8,7 @@
 //! cargo run --release --example mountain_wave -- [days] [level]
 //! ```
 
-use mpas_repro::hybrid::{HybridModel, Platform};
+use mpas_repro::hybrid::{ParallelModel, Platform};
 use mpas_repro::swe::{ModelConfig, ShallowWaterModel, TestCase};
 use std::sync::Arc;
 
@@ -23,7 +23,8 @@ fn main() {
     let tc = TestCase::Case5;
 
     let mut serial = ShallowWaterModel::new(mesh.clone(), cfg, tc, None);
-    let mut hybrid = HybridModel::new(mesh.clone(), cfg, tc, None, 2, 2, &Platform::paper_node());
+    let mut hybrid = ParallelModel::new(mesh.clone(), cfg, tc, None, 2)
+        .with_accelerator(2, &Platform::paper_node());
     let steps = serial.steps_for_days(days);
     println!(
         "running {steps} steps (dt = {:.0} s, {} cells) twice...",
@@ -39,7 +40,7 @@ fn main() {
     let th = serial.total_height();
     let b = tc.topography(&mesh);
     let th_hybrid: Vec<f64> = hybrid
-        .state()
+        .state
         .h
         .iter()
         .zip(&b)

@@ -6,7 +6,7 @@
 //! exact equality is achievable and asserted.)
 
 use mpas_repro::core::{run_distributed, DistributedConfig};
-use mpas_repro::hybrid::{HybridModel, ParallelModel, Platform};
+use mpas_repro::hybrid::{ParallelModel, Platform};
 use mpas_repro::swe::{ModelConfig, ShallowWaterModel, TestCase};
 use std::sync::Arc;
 
@@ -27,15 +27,8 @@ fn fig5_all_executors_agree_on_every_test_case() {
     for tc in all_test_cases() {
         let mut serial = ShallowWaterModel::new(mesh.clone(), cfg, tc, Some(dt));
         let mut threaded = ParallelModel::new(mesh.clone(), cfg, tc, Some(dt), 3);
-        let mut hybrid = HybridModel::new(
-            mesh.clone(),
-            cfg,
-            tc,
-            Some(dt),
-            2,
-            2,
-            &Platform::paper_node(),
-        );
+        let mut hybrid = ParallelModel::new(mesh.clone(), cfg, tc, Some(dt), 2)
+            .with_accelerator(2, &Platform::paper_node());
         serial.run_steps(3);
         threaded.run_steps(3);
         hybrid.run_steps(3);
@@ -56,7 +49,7 @@ fn fig5_all_executors_agree_on_every_test_case() {
             "{tc:?}: threaded diverged"
         );
         assert_eq!(
-            serial.state.max_abs_diff(hybrid.state()),
+            serial.state.max_abs_diff(&hybrid.state),
             0.0,
             "{tc:?}: hybrid diverged"
         );

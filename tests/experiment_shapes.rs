@@ -2,11 +2,12 @@
 //! paper's *shape*: who wins, by roughly what factor, and where the
 //! crossovers fall. EXPERIMENTS.md records the concrete numbers.
 
-use mpas_repro::hybrid::sched::{schedule_substep, Policy};
+use mpas_repro::hybrid::sched::schedule_substep;
 use mpas_repro::hybrid::sim::{time_per_step, time_per_step_multirank};
 use mpas_repro::hybrid::{fig6_ladder, OptStage, Platform};
 use mpas_repro::msg::CommCostModel;
 use mpas_repro::patterns::dataflow::{DataflowGraph, MeshCounts, RkPhase};
+use mpas_repro::sched::{KernelLevel, PatternDriven, Serial};
 
 const TABLE3_CELLS: [usize; 4] = [40_962, 163_842, 655_362, 2_621_442];
 
@@ -17,9 +18,9 @@ fn fig7_speedup_bands_and_growth() {
     let mut last_pattern = 0.0;
     for &cells in &TABLE3_CELLS {
         let mc = MeshCounts::icosahedral(cells);
-        let serial = time_per_step(&mc, &p, Policy::Serial);
-        let kernel = time_per_step(&mc, &p, Policy::KernelLevel);
-        let pattern = time_per_step(&mc, &p, Policy::PatternDriven);
+        let serial = time_per_step(&mc, &p, Serial);
+        let kernel = time_per_step(&mc, &p, KernelLevel);
+        let pattern = time_per_step(&mc, &p, PatternDriven::default());
         let s_k = serial / kernel;
         let s_p = serial / pattern;
         // Paper bands: kernel-level 4.59..6.05, pattern 5.63..8.35 — allow
@@ -35,8 +36,8 @@ fn fig7_speedup_bands_and_growth() {
     // The headline: ≥ 30% pattern-driven advantage at the largest mesh
     // (paper: 38%).
     let mc = MeshCounts::icosahedral(2_621_442);
-    let kernel = time_per_step(&mc, &p, Policy::KernelLevel);
-    let pattern = time_per_step(&mc, &p, Policy::PatternDriven);
+    let kernel = time_per_step(&mc, &p, KernelLevel);
+    let pattern = time_per_step(&mc, &p, PatternDriven::default());
     assert!(kernel / pattern > 1.3, "advantage {}", kernel / pattern);
 }
 
@@ -49,19 +50,19 @@ fn fig7_absolute_times_near_paper() {
     let small = MeshCounts::icosahedral(40_962);
     let large = MeshCounts::icosahedral(2_621_442);
     assert!(
-        near(time_per_step(&small, &p, Policy::Serial), 0.271),
+        near(time_per_step(&small, &p, Serial), 0.271),
         "serial small: {}",
-        time_per_step(&small, &p, Policy::Serial)
+        time_per_step(&small, &p, Serial)
     );
     assert!(
-        near(time_per_step(&large, &p, Policy::Serial), 17.528),
+        near(time_per_step(&large, &p, Serial), 17.528),
         "serial large: {}",
-        time_per_step(&large, &p, Policy::Serial)
+        time_per_step(&large, &p, Serial)
     );
     assert!(
-        near(time_per_step(&large, &p, Policy::PatternDriven), 2.102),
+        near(time_per_step(&large, &p, PatternDriven::default()), 2.102),
         "pattern large: {}",
-        time_per_step(&large, &p, Policy::PatternDriven)
+        time_per_step(&large, &p, PatternDriven::default())
     );
 }
 
@@ -80,8 +81,8 @@ fn fig8_strong_scaling_crossover() {
     let p = Platform::paper_node();
     let comm = CommCostModel::fdr_infiniband();
     let eff = |cells: usize, ranks: usize| {
-        let t1 = time_per_step_multirank(cells, 1, &p, Policy::PatternDriven, &comm);
-        let tp = time_per_step_multirank(cells, ranks, &p, Policy::PatternDriven, &comm);
+        let t1 = time_per_step_multirank(cells, 1, &p, PatternDriven::default(), &comm);
+        let tp = time_per_step_multirank(cells, ranks, &p, PatternDriven::default(), &comm);
         t1 / (tp * ranks as f64)
     };
     let small64 = eff(655_362, 64);
@@ -98,11 +99,12 @@ fn fig8_strong_scaling_crossover() {
 fn fig9_weak_scaling_flat_for_both_versions() {
     let p = Platform::paper_node();
     let comm = CommCostModel::fdr_infiniband();
-    for policy in [Policy::Serial, Policy::PatternDriven] {
-        let t1 = time_per_step_multirank(40_962, 1, &p, policy, &comm);
+    for name in ["serial", "pattern-driven"] {
+        let policy = mpas_repro::sched::resolve(name).unwrap();
+        let t1 = time_per_step_multirank(40_962, 1, &p, &policy, &comm);
         for &ranks in &[4usize, 16, 64] {
-            let tp = time_per_step_multirank(40_962 * ranks, ranks, &p, policy, &comm);
-            assert!(tp / t1 < 1.12, "{policy:?} at P={ranks}: {tp} vs {t1}");
+            let tp = time_per_step_multirank(40_962 * ranks, ranks, &p, &policy, &comm);
+            assert!(tp / t1 < 1.12, "{name} at P={ranks}: {tp} vs {t1}");
         }
     }
 }
@@ -123,7 +125,7 @@ fn fig7x_policy_table_covers_registry_and_heft_beats_kernel_level() {
             assert!(t > 0.0 && t.is_finite(), "{spec} on {cells}: {t}");
         }
         let heft = time_per_step(&mc, &p, resolve("heft").unwrap());
-        let kernel = time_per_step(&mc, &p, Policy::KernelLevel);
+        let kernel = time_per_step(&mc, &p, KernelLevel);
         assert!(
             heft <= kernel,
             "{cells}: heft {heft} worse than kernel-level {kernel}"
@@ -138,7 +140,7 @@ fn final_substep_graph_schedules_consistently_too() {
     let g = DataflowGraph::for_substep(RkPhase::Final);
     let mc = MeshCounts::icosahedral(655_362);
     let p = Platform::paper_node();
-    let serial = schedule_substep(&g, &mc, &p, Policy::Serial).makespan;
-    let pattern = schedule_substep(&g, &mc, &p, Policy::PatternDriven).makespan;
+    let serial = schedule_substep(&g, &mc, &p, Serial).makespan;
+    let pattern = schedule_substep(&g, &mc, &p, PatternDriven::default()).makespan;
     assert!(serial / pattern > 5.0);
 }
