@@ -41,11 +41,22 @@ fn kernel_timer(rec: &Recorder, label: &str) -> Option<SpanGuard> {
     }
 }
 
-/// Run a range-convention op over `out` in parallel chunks on a pool.
-fn par_run<F>(pool: &mut Pool, out: &mut [f64], chunk: usize, f: F)
+/// Chunk length for a loop over `len` outputs on `pool`: four chunks per
+/// thread, at least 512 outputs, and a multiple of 4 so the four-edge
+/// blocks of the simd kernels never straddle two chunks.
+fn chunk_len(pool: &Pool, len: usize) -> usize {
+    len.div_ceil(4 * pool.threads())
+        .max(512)
+        .next_multiple_of(4)
+}
+
+/// Run a range-convention op over `out` in parallel chunks on a pool,
+/// chunked by [`chunk_len`] of `out`'s own length.
+fn par_run<F>(pool: &mut Pool, out: &mut [f64], f: F)
 where
     F: Fn(Range<usize>, &mut [f64]) + Sync,
 {
+    let chunk = chunk_len(pool, out.len());
     pool.for_each([out], chunk, |r, [o]| f(r, o));
 }
 
@@ -61,36 +72,34 @@ struct AccSplit {
 /// part on `cpu`, device part on the accelerator pool), each timed under
 /// `hybrid.split.<label>.{cpu,acc}.seconds` so the pools' shares can be
 /// compared in the metrics snapshot; without one it is a plain [`par_run`].
+/// The split point is a multiple of 4, like every chunk boundary.
 fn split_run<F>(
     cpu: &mut Pool,
     acc: Option<&mut AccSplit>,
     rec: &Recorder,
     label: &str,
     out: &mut [f64],
-    chunk: usize,
     f: F,
 ) where
     F: Fn(Range<usize>, &mut [f64]) + Sync,
 {
     let Some(acc) = acc else {
-        return par_run(cpu, out, chunk, f);
+        return par_run(cpu, out, f);
     };
     let half_timer = |side: &str| {
         rec.is_enabled()
             .then(|| rec.time(&format!("hybrid.split.{label}.{side}.seconds")))
     };
-    let mid = ((1.0 - acc.fraction) * out.len() as f64) as usize;
+    let mid = ((1.0 - acc.fraction) * out.len() as f64) as usize / 4 * 4;
     let (lo, hi) = out.split_at_mut(mid);
     join(
         || {
             let _t = half_timer("cpu");
-            par_run(cpu, lo, chunk, &f)
+            par_run(cpu, lo, &f)
         },
         || {
             let _t = half_timer("acc");
-            par_run(&mut acc.pool, hi, chunk, |r, c| {
-                f(r.start + mid..r.end + mid, c)
-            })
+            par_run(&mut acc.pool, hi, |r, c| f(r.start + mid..r.end + mid, c))
         },
     );
 }
@@ -127,7 +136,6 @@ pub struct ParallelModel {
     acc_state: State,
     pool: Pool,
     acc: Option<AccSplit>,
-    chunk: usize,
     /// Model time in seconds.
     pub time: f64,
     /// Time-step size in seconds.
@@ -172,7 +180,6 @@ impl ParallelModel {
                 &mesh, &config, &kcoeffs, &test_case, &b, &f_vertex, dt,
             )
         });
-        let chunk = (mesh.n_edges() / (4 * n_threads).max(1)).max(512);
         let mut m = ParallelModel {
             forcing,
             tend: Tendencies::zeros_with_tracers(&mesh, config.n_tracers),
@@ -187,7 +194,6 @@ impl ParallelModel {
             kcoeffs,
             pool,
             acc: None,
-            chunk,
             config,
             time: 0.0,
             dt,
@@ -240,30 +246,25 @@ impl ParallelModel {
         let kc = &self.kcoeffs;
         let backend = config.kernel_backend;
         let dt = self.dt;
-        let chunk = self.chunk;
         let pool = &mut self.pool;
         let rec = self.recorder.clone();
         let d = &mut self.diag;
         if config.high_order_h_edge {
             // d2fdx2 writes two arrays: chunk both with the same geometry.
             let _g = kernel_timer(&rec, "D1D2");
+            let chunk = chunk_len(pool, d.d2fdx2_cell1.len());
             let outs = [&mut d.d2fdx2_cell1[..], &mut d.d2fdx2_cell2[..]];
             pool.for_each(outs, chunk, |r, [c1, c2]| {
                 dispatch::d2fdx2(backend, mesh, kc, h, c1, c2, r)
             });
         }
         {
+            // The low-order blend never reads the (zero) D1/D2 fields.
             let _g = kernel_timer(&rec, "H2");
-            if config.high_order_h_edge {
-                let (d1, d2) = (&d.d2fdx2_cell1, &d.d2fdx2_cell2);
-                par_run(pool, &mut d.h_edge, chunk, |r, o| {
-                    dispatch::h_edge(backend, mesh, kc, config, h, d1, d2, o, r)
-                });
-            } else {
-                par_run(pool, &mut d.h_edge, chunk, |r, o| {
-                    ops::h_edge(mesh, config, h, &[], &[], o, r)
-                });
-            }
+            let (d1, d2) = (&d.d2fdx2_cell1, &d.d2fdx2_cell2);
+            par_run(pool, &mut d.h_edge, |r, o| {
+                dispatch::h_edge(backend, mesh, kc, config, h, d1, d2, o, r)
+            });
         }
         if config.advection_only {
             // Williamson TC1: only the thickness flux is needed (the PV
@@ -273,46 +274,46 @@ impl ParallelModel {
         }
         {
             let _g = kernel_timer(&rec, "C2");
-            par_run(pool, &mut d.vorticity, chunk, |r, o| {
+            par_run(pool, &mut d.vorticity, |r, o| {
                 dispatch::vorticity(backend, mesh, kc, u, o, r)
             });
         }
         {
             let _g = kernel_timer(&rec, "A2");
-            par_run(pool, &mut d.ke, chunk, |r, o| {
+            par_run(pool, &mut d.ke, |r, o| {
                 dispatch::ke(backend, mesh, kc, u, o, r)
             });
         }
         {
             let _g = kernel_timer(&rec, "B2");
-            par_run(pool, &mut d.divergence, chunk, |r, o| {
+            par_run(pool, &mut d.divergence, |r, o| {
                 dispatch::divergence(backend, mesh, kc, u, o, r)
             });
         }
         {
             let _g = kernel_timer(&rec, "H1");
-            par_run(pool, &mut d.v, chunk, |r, o| {
-                ops::tangential_velocity(mesh, u, o, r)
+            par_run(pool, &mut d.v, |r, o| {
+                dispatch::tangential_velocity_kc(backend, mesh, kc, u, o, r)
             });
         }
         let vort = &d.vorticity;
         {
             let _g = kernel_timer(&rec, "A3");
-            par_run(pool, &mut d.vorticity_cell, chunk, |r, o| {
+            par_run(pool, &mut d.vorticity_cell, |r, o| {
                 dispatch::vorticity_cell(backend, mesh, kc, vort, o, r)
             });
         }
         let f_vertex = &self.f_vertex;
         {
             let _g = kernel_timer(&rec, "E");
-            par_run(pool, &mut d.pv_vertex, chunk, |r, o| {
-                ops::pv_vertex(mesh, h, vort, f_vertex, o, r)
+            par_run(pool, &mut d.pv_vertex, |r, o| {
+                dispatch::pv_vertex(backend, mesh, h, vort, f_vertex, o, r)
             });
         }
         let pvv = &d.pv_vertex;
         {
             let _g = kernel_timer(&rec, "F");
-            par_run(pool, &mut d.pv_cell, chunk, |r, o| {
+            par_run(pool, &mut d.pv_cell, |r, o| {
                 dispatch::pv_cell(backend, mesh, kc, pvv, o, r)
             });
         }
@@ -320,7 +321,7 @@ impl ParallelModel {
         let v = &d.v;
         {
             let _g = kernel_timer(&rec, "G");
-            par_run(pool, &mut d.pv_edge, chunk, |r, o| {
+            par_run(pool, &mut d.pv_edge, |r, o| {
                 dispatch::pv_edge(
                     backend,
                     mesh,
@@ -343,7 +344,6 @@ impl ParallelModel {
         let config = &self.config;
         let kc = &self.kcoeffs;
         let backend = config.kernel_backend;
-        let chunk = self.chunk;
         let pool = &mut self.pool;
         let rec = self.recorder.clone();
         let (h, u) = (&self.provis.h, &self.provis.u);
@@ -357,7 +357,6 @@ impl ParallelModel {
                 &rec,
                 "A1",
                 &mut self.tend.tend_h,
-                chunk,
                 |r, o| dispatch::tend_h(backend, mesh, kc, u, &d.h_edge, o, r),
             );
         }
@@ -373,7 +372,6 @@ impl ParallelModel {
                 &rec,
                 "B1",
                 &mut self.tend.tend_u,
-                chunk,
                 |r, o| {
                     dispatch::tend_u(
                         backend,
@@ -394,7 +392,7 @@ impl ParallelModel {
         }
         if !config.advection_only && config.del2_viscosity != 0.0 {
             let _g = kernel_timer(&rec, "C1");
-            par_run(pool, &mut self.tend.tend_u, chunk, |r, o| {
+            par_run(pool, &mut self.tend.tend_u, |r, o| {
                 dispatch::tend_u_del2(
                     backend,
                     mesh,
@@ -412,18 +410,18 @@ impl ParallelModel {
             let _g = kernel_timer(&rec, "del4");
             let (ne, nc, nv) = (mesh.n_edges(), mesh.n_cells(), mesh.n_vertices());
             let mut lap = vec![0.0; ne];
-            par_run(pool, &mut lap, chunk, |r, o| {
+            par_run(pool, &mut lap, |r, o| {
                 dispatch::lap_u(backend, mesh, kc, &d.divergence, &d.vorticity, o, r)
             });
             let mut div_lap = vec![0.0; nc];
-            par_run(pool, &mut div_lap, chunk, |r, o| {
+            par_run(pool, &mut div_lap, |r, o| {
                 dispatch::divergence(backend, mesh, kc, &lap, o, r)
             });
             let mut vort_lap = vec![0.0; nv];
-            par_run(pool, &mut vort_lap, chunk, |r, o| {
+            par_run(pool, &mut vort_lap, |r, o| {
                 dispatch::vorticity(backend, mesh, kc, &lap, o, r)
             });
-            par_run(pool, &mut self.tend.tend_u, chunk, |r, o| {
+            par_run(pool, &mut self.tend.tend_u, |r, o| {
                 dispatch::tend_u_del4(
                     backend,
                     mesh,
@@ -442,7 +440,7 @@ impl ParallelModel {
             let h_edge = &d.h_edge;
             for (k, out) in self.tend.tend_tracers.iter_mut().enumerate() {
                 let hq = &tracers[k];
-                split_run(pool, self.acc.as_mut(), &rec, "T1", out, chunk, |r, o| {
+                split_run(pool, self.acc.as_mut(), &rec, "T1", out, |r, o| {
                     dispatch::tend_tracer(backend, mesh, kc, u, h_edge, h, hq, o, r)
                 });
             }
@@ -451,16 +449,16 @@ impl ParallelModel {
             // Pattern F1: exact +1.0-weighted accumulate, same as serial.
             let _g = kernel_timer(&rec, "F1");
             let (fh, fu_) = (&f.tend_h, &f.tend_u);
-            par_run(pool, &mut self.tend.tend_h, chunk, |r, o| {
+            par_run(pool, &mut self.tend.tend_h, |r, o| {
                 ops::accumulate(fh, 1.0, o, r)
             });
-            par_run(pool, &mut self.tend.tend_u, chunk, |r, o| {
+            par_run(pool, &mut self.tend.tend_u, |r, o| {
                 ops::accumulate(fu_, 1.0, o, r)
             });
         }
         {
             let _g = kernel_timer(&rec, "X1");
-            par_run(pool, &mut self.tend.tend_u, chunk, |r, o| {
+            par_run(pool, &mut self.tend.tend_u, |r, o| {
                 ops::enforce_boundary(mesh, o, r)
             });
         }
@@ -487,28 +485,27 @@ impl ParallelModel {
             };
             self.compute_tend_on();
             let dt = self.dt;
-            let chunk = self.chunk;
             if stage < 3 {
                 {
                     let pool = &mut self.pool;
                     let base_h = &self.state.h;
                     let tend_h = &self.tend.tend_h;
                     let _g = kernel_timer(&rec, "X2");
-                    par_run(pool, &mut self.provis.h, chunk, |r, o| {
+                    par_run(pool, &mut self.provis.h, |r, o| {
                         ops::axpy(base_h, tend_h, RK_SUBSTEP[stage] * dt, o, r)
                     });
                     drop(_g);
                     let base_u = &self.state.u;
                     let tend_u = &self.tend.tend_u;
                     let _g = kernel_timer(&rec, "X3");
-                    par_run(pool, &mut self.provis.u, chunk, |r, o| {
+                    par_run(pool, &mut self.provis.u, |r, o| {
                         ops::axpy(base_u, tend_u, RK_SUBSTEP[stage] * dt, o, r)
                     });
                     drop(_g);
                     for (k, out) in self.provis.tracers.iter_mut().enumerate() {
                         let base = &self.state.tracers[k];
                         let tt = &self.tend.tend_tracers[k];
-                        par_run(pool, out, chunk, |r, o| {
+                        par_run(pool, out, |r, o| {
                             ops::axpy(base, tt, RK_SUBSTEP[stage] * dt, o, r)
                         });
                     }
@@ -526,26 +523,26 @@ impl ParallelModel {
     }
 
     fn accumulate(&mut self, stage: usize) {
-        let (chunk, dt) = (self.chunk, self.dt);
+        let dt = self.dt;
         let pool = &mut self.pool;
         let rec = self.recorder.clone();
         let tend_h = &self.tend.tend_h;
         {
             let _g = kernel_timer(&rec, "X4");
-            par_run(pool, &mut self.acc_state.h, chunk, |r, o| {
+            par_run(pool, &mut self.acc_state.h, |r, o| {
                 ops::accumulate(tend_h, RK_WEIGHTS[stage] * dt, o, r)
             });
         }
         let tend_u = &self.tend.tend_u;
         {
             let _g = kernel_timer(&rec, "X5");
-            par_run(pool, &mut self.acc_state.u, chunk, |r, o| {
+            par_run(pool, &mut self.acc_state.u, |r, o| {
                 ops::accumulate(tend_u, RK_WEIGHTS[stage] * dt, o, r)
             });
         }
         for (k, out) in self.acc_state.tracers.iter_mut().enumerate() {
             let tt = &self.tend.tend_tracers[k];
-            par_run(pool, out, chunk, |r, o| {
+            par_run(pool, out, |r, o| {
                 ops::accumulate(tt, RK_WEIGHTS[stage] * dt, o, r)
             });
         }
@@ -555,12 +552,12 @@ impl ParallelModel {
         let mesh = &self.mesh;
         let coeffs = &self.coeffs;
         let u = &self.state.u;
-        let chunk = self.chunk;
         let pool = &mut self.pool;
         let rec = self.recorder.clone();
         let r = &mut self.recon;
         {
             let _g = kernel_timer(&rec, "A4");
+            let chunk = chunk_len(pool, r.ux.len());
             let outs = [&mut r.ux[..], &mut r.uy[..], &mut r.uz[..]];
             pool.for_each(outs, chunk, |s, [cx, cy, cz]| {
                 ops::reconstruct_xyz(mesh, coeffs, u, cx, cy, cz, s)
@@ -569,6 +566,7 @@ impl ParallelModel {
         let (ux, uy, uz) = (&r.ux, &r.uy, &r.uz);
         {
             let _g = kernel_timer(&rec, "X6");
+            let chunk = chunk_len(pool, r.zonal.len());
             let outs = [&mut r.zonal[..], &mut r.meridional[..]];
             pool.for_each(outs, chunk, |s, [cz, cm]| {
                 ops::zonal_meridional(mesh, ux, uy, uz, cz, cm, s)
@@ -635,6 +633,20 @@ mod tests {
         let fraction = threaded.with_accelerator(1, &p).acc_fraction().unwrap();
         assert!(fraction > 0.5, "accelerator should take the majority");
         assert!(fraction < 0.8);
+    }
+
+    #[test]
+    fn chunks_follow_each_output_and_keep_four_edge_blocks_whole() {
+        // Level 6 on two threads: cells, vertices and edges each split
+        // into 4·threads chunks (the cells no longer into 15 360 / 15 360
+        // / 10 242 by the edge count), every boundary a multiple of 4.
+        let pool = Pool::new(2);
+        for len in [40_962, 81_920, 122_880] {
+            let chunk = chunk_len(&pool, len);
+            assert_eq!(chunk % 4, 0, "len {len}");
+            assert_eq!(len.div_ceil(chunk), 8, "len {len}");
+        }
+        assert_eq!(chunk_len(&pool, 100), 512);
     }
 
     #[test]

@@ -68,6 +68,11 @@ impl Pool {
         Pool { shared, workers }
     }
 
+    /// Team size: the workers plus the calling thread.
+    pub(crate) fn threads(&self) -> usize {
+        self.workers.len() + 1
+    }
+
     /// Call `f(range, windows)` once for every `chunk`-long window of the
     /// equal-length outputs `outs` (the last window may be shorter), where
     /// `windows` are the outputs' sub-slices over `range`.

@@ -11,10 +11,16 @@
 //! one contiguous coefficient array instead of gathering two or three mesh
 //! arrays through an indirection (and never search).
 //!
+//! The TRiSK stencil of H1 and B1 is the one table not in CSR order: a
+//! private `TriskTable` pads `edges_on_edge` and `½·weights_on_edge` to
+//! blocks of four edges, so the AVX2 sweeps at one layer process four
+//! edges per vector (DESIGN.md §14). H1 reads it as `½w + ½w`, which is
+//! exactly `weights_on_edge`; the one-edge lane forms read the mesh CSR.
+//!
 //! Rounding contract (how DESIGN.md §9's ≤1e-12 drift budget is met):
 //!
 //! * **Exact fusions** — multiplying by a `±1` sign (`flux_div`,
-//!   `vort_sign_dc`) and halving a weight (`half_weights`) are exact in
+//!   `vort_sign_dc`) and halving a weight (the TRiSK table) are exact in
 //!   IEEE-754, and `kite_cell` merely hoists a value the seed kernels
 //!   already gather. Kernels that fuse only these (C2, A3, F) stay
 //!   **bit-identical** to the seed path.
@@ -56,9 +62,6 @@ pub struct KernelCoeffs {
     pub inv_dc: Vec<f64>,
     /// Per edge: `1 / dv_edge` (tangential-gradient factor of C1/G).
     pub inv_dv: Vec<f64>,
-    /// Per TRiSK slot: `½ · weights_on_edge` — folds the PV-average half
-    /// of B1 into the quadrature weight.
-    pub half_weights: Vec<f64>,
     /// Per cell slot: `½ · edge_sign_on_cell · dv_edge` — the T1 tracer
     /// flux weight with the edge-average half folded in (an exact halving
     /// of `flux_div`, so the fusion stays in the exact class). Empty
@@ -70,6 +73,83 @@ pub struct KernelCoeffs {
     /// Per edge: `dc_edge² / 12` — the H2 high-order blend factor. Empty
     /// unless `high_order_h_edge` is set.
     pub dc2_12: Vec<f64>,
+    /// The padded TRiSK stencil of the four-edge H1/B1 sweeps.
+    trisk: TriskTable,
+}
+
+/// The TRiSK stencil padded to blocks of four edges: block `q` covers
+/// edges `4q..4q + 4` as `slots` rows of four lanes, and row `s`, lane `j`
+/// holds slot `s` of edge `4q + j` in seed (CSR) order — a neighbour id
+/// and `½ · weights_on_edge`. Rows past an edge's stencil are padding:
+/// they hold the edge's own id, so a gather stays in bounds and `id == e`
+/// masks the slot, and a zero weight. A final partial block is left out;
+/// its edges run the one-edge lane forms.
+///
+/// The fields stay private because the AVX2 sweeps rely on them: every
+/// id is below `n_edges` (the gathers stay in bounds), a real slot never
+/// holds its own edge (the padding mask), and `½w + ½w == w` (H1's bits).
+#[derive(Debug, Clone)]
+pub(crate) struct TriskTable {
+    n_edges: usize,
+    slots: usize,
+    ids: Vec<i32>,
+    half_w: Vec<f64>,
+}
+
+impl TriskTable {
+    /// Pad `mesh`'s TRiSK stencil in one pass, pushing rows in table
+    /// order.
+    fn build(mesh: &Mesh) -> Self {
+        let ne = mesh.n_edges();
+        assert!(i32::try_from(ne).is_ok(), "{ne} edges overflow an i32 id");
+        let slots = (0..ne).map(|e| mesh.eoe_range(e).len()).max().unwrap_or(0);
+        let len = ne / 4 * slots * 4;
+        let mut ids = Vec::with_capacity(len);
+        let mut half_w = Vec::with_capacity(len);
+        for q in 0..ne / 4 {
+            for s in 0..slots {
+                for e in 4 * q..4 * q + 4 {
+                    let stencil = mesh.eoe_range(e);
+                    if s < stencil.len() {
+                        let slot = stencil.start + s;
+                        let id = mesh.edges_on_edge[slot] as usize;
+                        assert!(id < ne, "edge {e} lists edge {id} of {ne}");
+                        assert!(id != e, "edge {e} lists itself");
+                        let w = mesh.weights_on_edge[slot];
+                        assert!(0.5 * w + 0.5 * w == w, "edge {e}: halving {w} is inexact");
+                        ids.push(id as i32);
+                        half_w.push(0.5 * w);
+                    } else {
+                        ids.push(e as i32);
+                        half_w.push(0.0);
+                    }
+                }
+            }
+        }
+        TriskTable {
+            n_edges: ne,
+            slots,
+            ids,
+            half_w,
+        }
+    }
+
+    /// Edges of the mesh the table was built for.
+    pub(crate) fn n_edges(&self) -> usize {
+        self.n_edges
+    }
+
+    /// Rows per block: the widest stencil of the mesh.
+    pub(crate) fn slots(&self) -> usize {
+        self.slots
+    }
+
+    /// Neighbour ids and half weights of block `q`, each `slots × 4`
+    /// lane-minor. Panics past the last full block.
+    pub(crate) fn block(&self, q: usize) -> (&[i32], &[f64]) {
+        let rows = q * self.slots * 4..(q + 1) * self.slots * 4;
+        (&self.ids[rows.clone()], &self.half_w[rows])
+    }
 }
 
 impl KernelCoeffs {
@@ -114,7 +194,6 @@ impl KernelCoeffs {
 
         let inv_dc: Vec<f64> = mesh.dc_edge.iter().map(|&d| 1.0 / d).collect();
         let inv_dv: Vec<f64> = mesh.dv_edge.iter().map(|&d| 1.0 / d).collect();
-        let half_weights: Vec<f64> = mesh.weights_on_edge.iter().map(|&w| 0.5 * w).collect();
 
         let (grad_ratio, dc2_12) = if config.high_order_h_edge {
             let mut gr = vec![0.0; n_slots];
@@ -138,10 +217,15 @@ impl KernelCoeffs {
             vort_sign_dc,
             inv_dc,
             inv_dv,
-            half_weights,
             grad_ratio,
             dc2_12,
+            trisk: TriskTable::build(mesh),
         }
+    }
+
+    /// The padded TRiSK stencil of the four-edge H1/B1 sweeps.
+    pub(crate) fn trisk(&self) -> &TriskTable {
+        &self.trisk
     }
 }
 
@@ -176,6 +260,35 @@ mod tests {
             assert_eq!(kc.inv_dv[e], 1.0 / mesh.dv_edge[e]);
             assert_eq!(kc.dc2_12[e], mesh.dc_edge[e] * mesh.dc_edge[e] / 12.0);
         }
+    }
+
+    #[test]
+    fn trisk_table_pads_the_seed_stencil() {
+        // Real slots are ½·weights_on_edge in seed (CSR) order, padded
+        // slots hold the edge's own id, and no edge lists itself.
+        let (mesh, kc) = setup();
+        let t = kc.trisk();
+        assert_eq!(t.n_edges(), mesh.n_edges());
+        assert_eq!(t.slots(), 10, "hexagon-hexagon edges have 10 slots");
+        let mut padded = 0;
+        for e in 0..mesh.n_edges() / 4 * 4 {
+            let (ids, hw) = t.block(e / 4);
+            let stencil = mesh.eoe_range(e);
+            for s in 0..t.slots() {
+                let (id, w) = (ids[4 * s + e % 4] as usize, hw[4 * s + e % 4]);
+                if s < stencil.len() {
+                    let slot = stencil.start + s;
+                    assert_eq!(id, mesh.edges_on_edge[slot] as usize, "edge {e} slot {s}");
+                    assert_eq!(w, 0.5 * mesh.weights_on_edge[slot], "edge {e} slot {s}");
+                    assert_eq!(w + w, mesh.weights_on_edge[slot], "edge {e} slot {s}");
+                    assert_ne!(id, e, "edge {e} lists itself");
+                } else {
+                    assert_eq!((id, w), (e, 0.0), "edge {e} padded slot {s}");
+                    padded += 1;
+                }
+            }
+        }
+        assert!(padded > 0, "the pentagons' edges pad their blocks");
     }
 
     #[test]

@@ -9,10 +9,12 @@
 //! cross-executor equivalence holds per backend without re-proving
 //! anything per executor.
 //!
-//! Kernels with no coefficients to precompute (H1 tangential velocity,
-//! E vertex PV) share one arithmetic across both backends; they are
-//! dispatched here anyway so a backend sweep exercises every kernel's simd
-//! entry point.
+//! H1 reads coefficients: on the simd backend
+//! [`tangential_velocity_kc`] runs four edges per AVX2 vector over the
+//! padded TRiSK table of [`KernelCoeffs`], bit for bit the seed sum. E
+//! (vertex PV) has no coefficients to precompute and shares one arithmetic
+//! across both backends; it is dispatched here anyway so a backend sweep
+//! exercises every kernel's simd entry point.
 
 use super::{ops, simd};
 use crate::coeffs::KernelCoeffs;
@@ -313,19 +315,36 @@ pub fn h_edge(
     }
 }
 
-/// H1 — tangential velocity (no coefficients to precompute; both
-/// backends replay the seed arithmetic).
-pub fn tangential_velocity(
+/// H1 — tangential velocity on the configured backend. The simd tier
+/// reads the padded TRiSK table of `kc` (four edges per vector on AVX2)
+/// and replays the seed sum bit for bit; this is the form the executors
+/// run.
+pub fn tangential_velocity_kc(
     backend: KernelBackend,
     mesh: &Mesh,
+    kc: &KernelCoeffs,
     u: &[f64],
     out: &mut [f64],
     edges: Range<usize>,
 ) {
     match backend {
         KernelBackend::Scalar => ops::tangential_velocity(mesh, u, out, edges),
-        KernelBackend::Simd => simd::tangential_velocity(mesh, 1, u, out, edges),
+        KernelBackend::Simd => simd::tangential_velocity(mesh, kc, 1, u, out, edges),
     }
+}
+
+/// H1 for a caller that holds no [`KernelCoeffs`]: the seed form on both
+/// backends, the bits of [`tangential_velocity_kc`] without its table.
+/// Kept with this signature because the benchmark's per-kernel probe
+/// (`perfbench/`) calls it.
+pub fn tangential_velocity(
+    _backend: KernelBackend,
+    mesh: &Mesh,
+    u: &[f64],
+    out: &mut [f64],
+    edges: Range<usize>,
+) {
+    ops::tangential_velocity(mesh, u, out, edges)
 }
 
 #[cfg(test)]
@@ -401,7 +420,7 @@ mod tests {
         let mut div = vec![0.0; nc];
         divergence(backend, &mesh, &kc, &u, &mut div, 0..nc);
         let mut v = vec![0.0; ne];
-        tangential_velocity(backend, &mesh, &u, &mut v, 0..ne);
+        tangential_velocity_kc(backend, &mesh, &kc, &u, &mut v, 0..ne);
         let mut vc = vec![0.0; nc];
         vorticity_cell(backend, &mesh, &kc, &vort, &mut vc, 0..nc);
         let mut pvv = vec![0.0; nv];
@@ -485,8 +504,9 @@ mod tests {
 
     #[test]
     fn unfused_kernels_identical_across_all_backends() {
-        // H1/E have no coefficients to precompute: both backends replay
-        // the seed arithmetic and must agree exactly.
+        // H1 (through the padded TRiSK table on simd) and E (no
+        // coefficients) replay the seed arithmetic on both backends and
+        // must agree exactly.
         let mesh = mpas_mesh::generate(3, 0);
         let config = ModelConfig::default();
         let kc = KernelCoeffs::build(&mesh, &config);
@@ -500,7 +520,10 @@ mod tests {
         let mut outs: Vec<Vec<f64>> = Vec::new();
         for backend in KernelBackend::ALL {
             let mut tv = vec![0.0; ne];
-            tangential_velocity(backend, &mesh, &u, &mut tv, 0..ne);
+            tangential_velocity_kc(backend, &mesh, &kc, &u, &mut tv, 0..ne);
+            let mut seed_tv = vec![0.0; ne];
+            tangential_velocity(backend, &mesh, &u, &mut seed_tv, 0..ne);
+            assert_eq!(tv, seed_tv, "{backend:?}: H1 with and without the table");
             let mut pv = vec![0.0; nv];
             pv_vertex(backend, &mesh, &h, &vort, &f_vertex, &mut pv, 0..nv);
             tv.extend(pv);

@@ -10,6 +10,22 @@
 //! ...) is then amortized across all `k` lanes, and the lane loop is a
 //! unit-stride inner loop a vector unit can chew through.
 //!
+//! **Compile-time lane counts.** Every kernel body is written once over a
+//! lane count `K` and instantiated for `K = 1` and `K = 4` when the
+//! observed `k` is one of those, and for the runtime `k` otherwise
+//! (`K = 0`). At `K = 1` the lane loops, their index multiplies and the
+//! 4-lane vector chunks fold away, leaving the flat scalar loop every
+//! single-layer executor runs.
+//!
+//! **Four edges per vector at one layer.** With no layers to batch, the
+//! AVX2 forms of B1 (`tend_u`), H1 (`tangential_velocity`), the H1+G sweep
+//! (`tangential_pv_edge`) and G (`pv_edge`) vectorize *across edges*
+//! instead: each aligned block of four edges is one `__m256d`, and H1 and
+//! B1 read the TRiSK stencil from the padded table of [`KernelCoeffs`]
+//! (four lanes × the widest stencil, padded rows masked out). The edges
+//! of a range before its first and after its last multiple of 4 run the
+//! `K = 1` body.
+//!
 //! **Bitwise contract.** Every lane evaluates *exactly* the single-layer
 //! coefficient-table expression for that layer: same association, same
 //! operation sequence, and only `mul/add/sub/div/xor`-class vector
@@ -19,17 +35,20 @@
 //! lane `l` of a `k`-layer run is bit-identical to a flat run over that
 //! layer's fields. The flat bits are pinned by digest tests to the
 //! fused-coefficient tier this one replaced. Reductions keep the seed
-//! slot order per lane, so nothing here reorders a sum; the documented
-//! 1-ulp/1e-13 band against [`super::ops`] (DESIGN.md §9) comes from the
-//! coefficient folding alone.
+//! slot order per lane — in the four-edge sweeps a lane is one edge
+//! summing its own slots in CSR order, and a padded slot adds `+0.0` to a
+//! sum that starts at `+0.0` and so can never be `-0.0` — so nothing here
+//! reorders a sum; the documented 1-ulp/1e-13 band against [`super::ops`]
+//! (DESIGN.md §9) comes from the coefficient folding alone.
 //!
 //! **Two implementations per kernel, selected at runtime:**
 //!
 //! * an AVX2 path (`std::arch` x86_64 intrinsics behind
 //!   `#[target_feature]`, 4-lane `_mm256` chunks plus a scalar lane
-//!   tail), taken when [`avx2_available`] and not overridden;
-//! * a scalar-batch fallback (plain lane loops over fixed 4-lane chunks,
-//!   auto-vectorizable, builds on stable Rust and every architecture).
+//!   tail, or four edges per vector at one layer), taken when
+//!   [`avx2_available`] and not overridden;
+//! * a scalar-batch fallback (plain lane loops, auto-vectorizable, builds
+//!   on stable Rust and every architecture).
 //!
 //! Setting the environment variable `MPAS_SIMD_FORCE_SCALAR` (to anything
 //! but `0`) pins every dispatch to the scalar-batch path — CI runs the
@@ -117,15 +136,28 @@ pub fn default_cell_block(k: usize, streams: usize) -> usize {
     (L2_BYTES / (8 * k.max(1) * streams.max(1))).clamp(64, 1 << 20)
 }
 
+/// The lane count a body instantiated for `K` runs with: `K` itself, or
+/// the runtime `k` for the `K = 0` instantiation.
+#[inline(always)]
+fn lane_count<const K: usize>(k: usize) -> usize {
+    debug_assert!(K == 0 || K == k, "a {K}-lane body called with k = {k}");
+    if K == 0 {
+        k
+    } else {
+        K
+    }
+}
+
 // ---------------------------------------------------------------------
 // Dispatchers: one public pair per kernel. `<op>` picks the active mode;
 // `<op>_with` pins a mode explicitly (the equivalence tests compare the
 // two paths directly through it). A pinned `Avx2` silently falls back to
-// `Batch` when the CPU lacks AVX2, keeping the API safe.
+// `Batch` when the CPU lacks AVX2, keeping the API safe. Both pick the
+// `K = 1`, `K = 4` or runtime-`k` instantiation from the `[k]` argument.
 // ---------------------------------------------------------------------
 
 macro_rules! dispatch {
-    ($(#[$doc:meta])* $name:ident, $with:ident ($($arg:ident : $ty:ty),* $(,)?)) => {
+    ($(#[$doc:meta])* $name:ident, $with:ident [$k:ident] ($($arg:ident : $ty:ty),* $(,)?)) => {
         $(#[$doc])*
         #[allow(clippy::too_many_arguments)]
         pub fn $name($($arg: $ty),*) {
@@ -140,18 +172,28 @@ macro_rules! dispatch {
             #[cfg(target_arch = "x86_64")]
             if mode == SimdMode::Avx2 && avx2_available() {
                 // SAFETY: AVX2 presence was just verified at runtime.
-                unsafe { avx2::$name($($arg),*) };
+                unsafe {
+                    match $k {
+                        1 => avx2::$name::<1>($($arg),*),
+                        4 => avx2::$name::<4>($($arg),*),
+                        _ => avx2::$name::<0>($($arg),*),
+                    }
+                }
                 return;
             }
             let _ = mode;
-            batch::$name($($arg),*)
+            match $k {
+                1 => batch::$name::<1>($($arg),*),
+                4 => batch::$name::<4>($($arg),*),
+                _ => batch::$name::<0>($($arg),*),
+            }
         }
     };
 }
 
 dispatch! {
     /// A1 — layered thickness tendency (fused `s·dv` weights).
-    tend_h, tend_h_with(
+    tend_h, tend_h_with [k] (
         mesh: &Mesh, kc: &KernelCoeffs, k: usize,
         u: &[f64], h_edge: &[f64], out: &mut [f64], cells: Range<usize>,
     )
@@ -159,7 +201,7 @@ dispatch! {
 
 dispatch! {
     /// T1 — layered tracer-mass tendency (fused `½·s·dv` weights).
-    tend_tracer, tend_tracer_with(
+    tend_tracer, tend_tracer_with [k] (
         mesh: &Mesh, kc: &KernelCoeffs, k: usize,
         u: &[f64], h_edge: &[f64], h: &[f64], hq: &[f64],
         out: &mut [f64], cells: Range<usize>,
@@ -168,7 +210,7 @@ dispatch! {
 
 dispatch! {
     /// B2 — layered velocity divergence (fused `s·dv` weights).
-    divergence, divergence_with(
+    divergence, divergence_with [k] (
         mesh: &Mesh, kc: &KernelCoeffs, k: usize,
         u: &[f64], out: &mut [f64], cells: Range<usize>,
     )
@@ -176,7 +218,7 @@ dispatch! {
 
 dispatch! {
     /// A2 — layered kinetic energy (fused `¼·dc·dv` weights).
-    ke, ke_with(
+    ke, ke_with [k] (
         mesh: &Mesh, kc: &KernelCoeffs, k: usize,
         u: &[f64], out: &mut [f64], cells: Range<usize>,
     )
@@ -187,7 +229,7 @@ dispatch! {
     /// the kinetic-energy and the divergence accumulator; each sum keeps
     /// its standalone term order, so both outputs are bitwise-equal to
     /// the separate sweeps while the edge velocities are read once.
-    ke_divergence, ke_divergence_with(
+    ke_divergence, ke_divergence_with [k] (
         mesh: &Mesh, kc: &KernelCoeffs, k: usize,
         u: &[f64], ke_out: &mut [f64], div_out: &mut [f64], cells: Range<usize>,
     )
@@ -195,7 +237,7 @@ dispatch! {
 
 dispatch! {
     /// C2 — layered vertex vorticity (fused `s·dc` circulation lengths).
-    vorticity, vorticity_with(
+    vorticity, vorticity_with [k] (
         mesh: &Mesh, kc: &KernelCoeffs, k: usize,
         u: &[f64], out: &mut [f64], vertices: Range<usize>,
     )
@@ -205,7 +247,7 @@ dispatch! {
     /// C2+E fused — the vertex sweep computes circulation vorticity and
     /// immediately forms `(f + ζ)/h_v` from the value still in register,
     /// skipping the standalone E kernel's reload of the vorticity array.
-    vorticity_pv, vorticity_pv_with(
+    vorticity_pv, vorticity_pv_with [k] (
         mesh: &Mesh, kc: &KernelCoeffs, k: usize,
         u: &[f64], h: &[f64], f_vertex: &[f64],
         vort_out: &mut [f64], pv_out: &mut [f64], vertices: Range<usize>,
@@ -215,7 +257,7 @@ dispatch! {
 dispatch! {
     /// A3/F — layered kite-area average of a vertex field onto cells
     /// (`vorticity_cell` and `pv_cell` share this exact stencil).
-    kite_average, kite_average_with(
+    kite_average, kite_average_with [k] (
         mesh: &Mesh, kc: &KernelCoeffs, k: usize,
         vertex_field: &[f64], out: &mut [f64], cells: Range<usize>,
     )
@@ -224,7 +266,7 @@ dispatch! {
 dispatch! {
     /// E — layered vertex potential vorticity (`(f + ζ)/h_v`; never
     /// fused, so the lanes replay the seed arithmetic).
-    pv_vertex, pv_vertex_with(
+    pv_vertex, pv_vertex_with [k] (
         mesh: &Mesh, k: usize,
         h: &[f64], vorticity: &[f64], f_vertex: &[f64],
         out: &mut [f64], vertices: Range<usize>,
@@ -232,8 +274,9 @@ dispatch! {
 }
 
 dispatch! {
-    /// G — layered edge PV with APVM upwinding (fused reciprocals).
-    pv_edge, pv_edge_with(
+    /// G — layered edge PV with APVM upwinding (fused reciprocals; four
+    /// edges per vector at one layer on AVX2).
+    pv_edge, pv_edge_with [k] (
         mesh: &Mesh, kc: &KernelCoeffs, k: usize,
         apvm_factor: f64, dt: f64,
         pv_vertex: &[f64], pv_cell: &[f64], u: &[f64], v: &[f64],
@@ -243,8 +286,9 @@ dispatch! {
 
 dispatch! {
     /// B1 — layered momentum tendency (fused `½·w` and `1/dc`); `b` is
-    /// the single-layer bottom topography, broadcast across lanes.
-    tend_u, tend_u_with(
+    /// the single-layer bottom topography, broadcast across lanes. Four
+    /// edges per vector at one layer on AVX2, over the padded TRiSK table.
+    tend_u, tend_u_with [k] (
         mesh: &Mesh, kc: &KernelCoeffs, k: usize,
         gravity: f64, pv_edge: &[f64], u: &[f64], h_edge: &[f64],
         ke: &[f64], h: &[f64], b: &[f64],
@@ -254,7 +298,7 @@ dispatch! {
 
 dispatch! {
     /// C1 — layered del2 dissipation (read-modify-write on `out`).
-    tend_u_del2, tend_u_del2_with(
+    tend_u_del2, tend_u_del2_with [k] (
         mesh: &Mesh, kc: &KernelCoeffs, k: usize,
         nu: f64, divergence: &[f64], vorticity: &[f64],
         out: &mut [f64], edges: Range<usize>,
@@ -263,7 +307,7 @@ dispatch! {
 
 dispatch! {
     /// C1 (chained) — layered inner vector Laplacian.
-    lap_u, lap_u_with(
+    lap_u, lap_u_with [k] (
         mesh: &Mesh, kc: &KernelCoeffs, k: usize,
         divergence: &[f64], vorticity: &[f64],
         out: &mut [f64], edges: Range<usize>,
@@ -272,7 +316,7 @@ dispatch! {
 
 dispatch! {
     /// C1 (chained) — layered outer del4 stage (read-modify-write).
-    tend_u_del4, tend_u_del4_with(
+    tend_u_del4, tend_u_del4_with [k] (
         mesh: &Mesh, kc: &KernelCoeffs, k: usize,
         nu4: f64, div_lap: &[f64], vort_lap: &[f64],
         out: &mut [f64], edges: Range<usize>,
@@ -281,7 +325,7 @@ dispatch! {
 
 dispatch! {
     /// D1/D2 — layered second-derivative blend terms (fused `dv/dc`).
-    d2fdx2, d2fdx2_with(
+    d2fdx2, d2fdx2_with [k] (
         mesh: &Mesh, kc: &KernelCoeffs, k: usize,
         h: &[f64], out1: &mut [f64], out2: &mut [f64], edges: Range<usize>,
     )
@@ -290,7 +334,7 @@ dispatch! {
 dispatch! {
     /// H2 — layered thickness at edges (high-order blend via `dc²/12`
     /// when configured, plain mid-edge average otherwise).
-    h_edge, h_edge_with(
+    h_edge, h_edge_with [k] (
         mesh: &Mesh, kc: &KernelCoeffs, config: &ModelConfig, k: usize,
         h: &[f64], d2fdx2_cell1: &[f64], d2fdx2_cell2: &[f64],
         out: &mut [f64], edges: Range<usize>,
@@ -298,10 +342,11 @@ dispatch! {
 }
 
 dispatch! {
-    /// H1 — layered tangential velocity (TRiSK reconstruction; never
-    /// fused, so the lanes replay the seed arithmetic).
-    tangential_velocity, tangential_velocity_with(
-        mesh: &Mesh, k: usize,
+    /// H1 — layered tangential velocity (TRiSK reconstruction; the lanes
+    /// replay the seed arithmetic, and at one layer on AVX2 four edges per
+    /// vector read the padded TRiSK table as `½w + ½w`, exactly `w`).
+    tangential_velocity, tangential_velocity_with [k] (
+        mesh: &Mesh, kc: &KernelCoeffs, k: usize,
         u: &[f64], out: &mut [f64], edges: Range<usize>,
     )
 }
@@ -310,8 +355,9 @@ dispatch! {
     /// H1+G fused — the edge sweep reconstructs the tangential velocity
     /// and feeds it straight into the APVM upwinding term, storing both
     /// fields in one pass over the edges. `pv_vertex` and `pv_cell` must
-    /// already be complete (the sweep reads vertex/cell neighbours).
-    tangential_pv_edge, tangential_pv_edge_with(
+    /// already be complete (the sweep reads vertex/cell neighbours). Four
+    /// edges per vector at one layer on AVX2, like its two halves.
+    tangential_pv_edge, tangential_pv_edge_with [k] (
         mesh: &Mesh, kc: &KernelCoeffs, k: usize,
         apvm_factor: f64, dt: f64,
         pv_vertex: &[f64], pv_cell: &[f64], u: &[f64],
@@ -376,9 +422,9 @@ pub fn enforce_boundary(mesh: &Mesh, k: usize, tend_u: &mut [f64], edges: Range<
 
 // ---------------------------------------------------------------------
 // Per-lane scalar forms. Each is exactly the flat coefficient-table
-// expression with `e` → `e*k + l` on layered fields; both implementations'
-// lane tails call these, so AVX2 chunks, batch chunks and tails cannot
-// diverge.
+// expression with `e` → `e*k + l` on layered fields; the batch bodies,
+// the AVX2 lane tails and the one-edge ends of the four-edge sweeps all
+// call these, so no two paths can diverge.
 // ---------------------------------------------------------------------
 
 #[inline(always)]
@@ -605,7 +651,8 @@ fn tend_u_lane(
     let mut q = 0.0;
     for slot in mesh.eoe_range(e) {
         let eoe = mesh.edges_on_edge[slot] as usize;
-        q += kc.half_weights[slot]
+        q += 0.5
+            * mesh.weights_on_edge[slot]
             * u[eoe * k + l]
             * he[eoe * k + l]
             * (pv_e[e * k + l] + pv_e[eoe * k + l]);
@@ -662,32 +709,14 @@ fn tangential_velocity_lane(mesh: &Mesh, k: usize, e: usize, l: usize, u: &[f64]
 }
 
 // ---------------------------------------------------------------------
-// Scalar-batch implementations: fixed 4-lane chunks (auto-vectorizable)
-// plus a per-lane tail through the shared lane forms.
+// Scalar-batch implementations: a plain loop over each entity's `K`
+// lanes through the shared lane forms.
 // ---------------------------------------------------------------------
 
 mod batch {
     use super::*;
 
-    /// Run `lane(l)` for every lane of one entity: 4-lane chunks the
-    /// optimizer can vectorize, then the tail lanes.
-    #[inline(always)]
-    fn lanes(k: usize, mut lane: impl FnMut(usize)) {
-        let mut l = 0;
-        while l + 4 <= k {
-            lane(l);
-            lane(l + 1);
-            lane(l + 2);
-            lane(l + 3);
-            l += 4;
-        }
-        while l < k {
-            lane(l);
-            l += 1;
-        }
-    }
-
-    pub(super) fn tend_h(
+    pub(super) fn tend_h<const K: usize>(
         mesh: &Mesh,
         kc: &KernelCoeffs,
         k: usize,
@@ -696,17 +725,18 @@ mod batch {
         out: &mut [f64],
         cells: Range<usize>,
     ) {
+        let k = lane_count::<K>(k);
         let off = cells.start;
         for i in cells {
             let ob = (i - off) * k;
-            lanes(k, |l| {
-                out[ob + l] = tend_h_lane(mesh, kc, k, i, l, u, h_edge)
-            });
+            for l in 0..k {
+                out[ob + l] = tend_h_lane(mesh, kc, k, i, l, u, h_edge);
+            }
         }
     }
 
     #[allow(clippy::too_many_arguments)]
-    pub(super) fn tend_tracer(
+    pub(super) fn tend_tracer<const K: usize>(
         mesh: &Mesh,
         kc: &KernelCoeffs,
         k: usize,
@@ -717,16 +747,17 @@ mod batch {
         out: &mut [f64],
         cells: Range<usize>,
     ) {
+        let k = lane_count::<K>(k);
         let off = cells.start;
         for i in cells {
             let ob = (i - off) * k;
-            lanes(k, |l| {
-                out[ob + l] = tend_tracer_lane(mesh, kc, k, i, l, u, h_edge, h, hq)
-            });
+            for l in 0..k {
+                out[ob + l] = tend_tracer_lane(mesh, kc, k, i, l, u, h_edge, h, hq);
+            }
         }
     }
 
-    pub(super) fn divergence(
+    pub(super) fn divergence<const K: usize>(
         mesh: &Mesh,
         kc: &KernelCoeffs,
         k: usize,
@@ -734,14 +765,17 @@ mod batch {
         out: &mut [f64],
         cells: Range<usize>,
     ) {
+        let k = lane_count::<K>(k);
         let off = cells.start;
         for i in cells {
             let ob = (i - off) * k;
-            lanes(k, |l| out[ob + l] = divergence_lane(mesh, kc, k, i, l, u));
+            for l in 0..k {
+                out[ob + l] = divergence_lane(mesh, kc, k, i, l, u);
+            }
         }
     }
 
-    pub(super) fn ke(
+    pub(super) fn ke<const K: usize>(
         mesh: &Mesh,
         kc: &KernelCoeffs,
         k: usize,
@@ -749,14 +783,17 @@ mod batch {
         out: &mut [f64],
         cells: Range<usize>,
     ) {
+        let k = lane_count::<K>(k);
         let off = cells.start;
         for i in cells {
             let ob = (i - off) * k;
-            lanes(k, |l| out[ob + l] = ke_lane(mesh, kc, k, i, l, u));
+            for l in 0..k {
+                out[ob + l] = ke_lane(mesh, kc, k, i, l, u);
+            }
         }
     }
 
-    pub(super) fn ke_divergence(
+    pub(super) fn ke_divergence<const K: usize>(
         mesh: &Mesh,
         kc: &KernelCoeffs,
         k: usize,
@@ -765,18 +802,19 @@ mod batch {
         div_out: &mut [f64],
         cells: Range<usize>,
     ) {
+        let k = lane_count::<K>(k);
         let off = cells.start;
         for i in cells {
             let ob = (i - off) * k;
-            lanes(k, |l| {
+            for l in 0..k {
                 let (ke, div) = ke_divergence_lane(mesh, kc, k, i, l, u);
                 ke_out[ob + l] = ke;
                 div_out[ob + l] = div;
-            });
+            }
         }
     }
 
-    pub(super) fn vorticity(
+    pub(super) fn vorticity<const K: usize>(
         mesh: &Mesh,
         kc: &KernelCoeffs,
         k: usize,
@@ -784,15 +822,18 @@ mod batch {
         out: &mut [f64],
         vertices: Range<usize>,
     ) {
+        let k = lane_count::<K>(k);
         let off = vertices.start;
         for v in vertices {
             let ob = (v - off) * k;
-            lanes(k, |l| out[ob + l] = vorticity_lane(mesh, kc, k, v, l, u));
+            for l in 0..k {
+                out[ob + l] = vorticity_lane(mesh, kc, k, v, l, u);
+            }
         }
     }
 
     #[allow(clippy::too_many_arguments)]
-    pub(super) fn vorticity_pv(
+    pub(super) fn vorticity_pv<const K: usize>(
         mesh: &Mesh,
         kc: &KernelCoeffs,
         k: usize,
@@ -803,18 +844,19 @@ mod batch {
         pv_out: &mut [f64],
         vertices: Range<usize>,
     ) {
+        let k = lane_count::<K>(k);
         let off = vertices.start;
         for v in vertices {
             let ob = (v - off) * k;
-            lanes(k, |l| {
+            for l in 0..k {
                 let z = vorticity_lane(mesh, kc, k, v, l, u);
                 vort_out[ob + l] = z;
                 pv_out[ob + l] = pv_from_vort_lane(mesh, k, v, l, h, f_vertex, z);
-            });
+            }
         }
     }
 
-    pub(super) fn kite_average(
+    pub(super) fn kite_average<const K: usize>(
         mesh: &Mesh,
         kc: &KernelCoeffs,
         k: usize,
@@ -822,16 +864,17 @@ mod batch {
         out: &mut [f64],
         cells: Range<usize>,
     ) {
+        let k = lane_count::<K>(k);
         let off = cells.start;
         for i in cells {
             let ob = (i - off) * k;
-            lanes(k, |l| {
-                out[ob + l] = kite_average_lane(mesh, kc, k, i, l, vertex_field)
-            });
+            for l in 0..k {
+                out[ob + l] = kite_average_lane(mesh, kc, k, i, l, vertex_field);
+            }
         }
     }
 
-    pub(super) fn pv_vertex(
+    pub(super) fn pv_vertex<const K: usize>(
         mesh: &Mesh,
         k: usize,
         h: &[f64],
@@ -840,17 +883,18 @@ mod batch {
         out: &mut [f64],
         vertices: Range<usize>,
     ) {
+        let k = lane_count::<K>(k);
         let off = vertices.start;
         for v in vertices {
             let ob = (v - off) * k;
-            lanes(k, |l| {
-                out[ob + l] = pv_vertex_lane(mesh, k, v, l, h, vorticity, f_vertex)
-            });
+            for l in 0..k {
+                out[ob + l] = pv_vertex_lane(mesh, k, v, l, h, vorticity, f_vertex);
+            }
         }
     }
 
     #[allow(clippy::too_many_arguments)]
-    pub(super) fn pv_edge(
+    pub(super) fn pv_edge<const K: usize>(
         mesh: &Mesh,
         kc: &KernelCoeffs,
         k: usize,
@@ -863,18 +907,19 @@ mod batch {
         out: &mut [f64],
         edges: Range<usize>,
     ) {
+        let k = lane_count::<K>(k);
         let off = edges.start;
         for e in edges {
             let ob = (e - off) * k;
-            lanes(k, |l| {
+            for l in 0..k {
                 out[ob + l] =
-                    pv_edge_lane(mesh, kc, k, e, l, apvm_factor, dt, pv_vertex, pv_cell, u, v)
-            });
+                    pv_edge_lane(mesh, kc, k, e, l, apvm_factor, dt, pv_vertex, pv_cell, u, v);
+            }
         }
     }
 
     #[allow(clippy::too_many_arguments)]
-    pub(super) fn tend_u(
+    pub(super) fn tend_u<const K: usize>(
         mesh: &Mesh,
         kc: &KernelCoeffs,
         k: usize,
@@ -888,17 +933,18 @@ mod batch {
         out: &mut [f64],
         edges: Range<usize>,
     ) {
+        let k = lane_count::<K>(k);
         let off = edges.start;
         for e in edges {
             let ob = (e - off) * k;
-            lanes(k, |l| {
-                out[ob + l] = tend_u_lane(mesh, kc, k, e, l, gravity, pv_edge, u, h_edge, ke, h, b)
-            });
+            for l in 0..k {
+                out[ob + l] = tend_u_lane(mesh, kc, k, e, l, gravity, pv_edge, u, h_edge, ke, h, b);
+            }
         }
     }
 
     #[allow(clippy::too_many_arguments)]
-    pub(super) fn tend_u_del2(
+    pub(super) fn tend_u_del2<const K: usize>(
         mesh: &Mesh,
         kc: &KernelCoeffs,
         k: usize,
@@ -908,16 +954,17 @@ mod batch {
         out: &mut [f64],
         edges: Range<usize>,
     ) {
+        let k = lane_count::<K>(k);
         let off = edges.start;
         for e in edges {
             let ob = (e - off) * k;
-            lanes(k, |l| {
-                out[ob + l] += nu * del_core_lane(mesh, kc, k, e, l, divergence, vorticity)
-            });
+            for l in 0..k {
+                out[ob + l] += nu * del_core_lane(mesh, kc, k, e, l, divergence, vorticity);
+            }
         }
     }
 
-    pub(super) fn lap_u(
+    pub(super) fn lap_u<const K: usize>(
         mesh: &Mesh,
         kc: &KernelCoeffs,
         k: usize,
@@ -926,17 +973,18 @@ mod batch {
         out: &mut [f64],
         edges: Range<usize>,
     ) {
+        let k = lane_count::<K>(k);
         let off = edges.start;
         for e in edges {
             let ob = (e - off) * k;
-            lanes(k, |l| {
-                out[ob + l] = del_core_lane(mesh, kc, k, e, l, divergence, vorticity)
-            });
+            for l in 0..k {
+                out[ob + l] = del_core_lane(mesh, kc, k, e, l, divergence, vorticity);
+            }
         }
     }
 
     #[allow(clippy::too_many_arguments)]
-    pub(super) fn tend_u_del4(
+    pub(super) fn tend_u_del4<const K: usize>(
         mesh: &Mesh,
         kc: &KernelCoeffs,
         k: usize,
@@ -946,16 +994,17 @@ mod batch {
         out: &mut [f64],
         edges: Range<usize>,
     ) {
+        let k = lane_count::<K>(k);
         let off = edges.start;
         for e in edges {
             let ob = (e - off) * k;
-            lanes(k, |l| {
-                out[ob + l] -= nu4 * del_core_lane(mesh, kc, k, e, l, div_lap, vort_lap)
-            });
+            for l in 0..k {
+                out[ob + l] -= nu4 * del_core_lane(mesh, kc, k, e, l, div_lap, vort_lap);
+            }
         }
     }
 
-    pub(super) fn d2fdx2(
+    pub(super) fn d2fdx2<const K: usize>(
         mesh: &Mesh,
         kc: &KernelCoeffs,
         k: usize,
@@ -964,21 +1013,22 @@ mod batch {
         out2: &mut [f64],
         edges: Range<usize>,
     ) {
+        let k = lane_count::<K>(k);
         let off = edges.start;
         for e in edges {
             let [c1, c2] = mesh.cells_on_edge[e];
             let ob = (e - off) * k;
-            lanes(k, |l| {
+            for l in 0..k {
                 out1[ob + l] = d2fdx2_cell_lane(mesh, kc, k, c1 as usize, l, h);
-            });
-            lanes(k, |l| {
+            }
+            for l in 0..k {
                 out2[ob + l] = d2fdx2_cell_lane(mesh, kc, k, c2 as usize, l, h);
-            });
+            }
         }
     }
 
     #[allow(clippy::too_many_arguments)]
-    pub(super) fn h_edge(
+    pub(super) fn h_edge<const K: usize>(
         mesh: &Mesh,
         kc: &KernelCoeffs,
         config: &ModelConfig,
@@ -989,6 +1039,7 @@ mod batch {
         out: &mut [f64],
         edges: Range<usize>,
     ) {
+        let k = lane_count::<K>(k);
         let off = edges.start;
         if config.high_order_h_edge {
             for e in edges {
@@ -996,39 +1047,45 @@ mod batch {
                 let (c1, c2) = (c1 as usize, c2 as usize);
                 let ob = (e - off) * k;
                 let eb = e * k;
-                lanes(k, |l| {
+                for l in 0..k {
                     out[ob + l] = 0.5 * (h[c1 * k + l] + h[c2 * k + l])
                         - kc.dc2_12[e] * 0.5 * (d2fdx2_cell1[eb + l] + d2fdx2_cell2[eb + l]);
-                });
+                }
             }
         } else {
             for e in edges {
                 let [c1, c2] = mesh.cells_on_edge[e];
                 let (c1, c2) = (c1 as usize, c2 as usize);
                 let ob = (e - off) * k;
-                lanes(k, |l| out[ob + l] = 0.5 * (h[c1 * k + l] + h[c2 * k + l]));
+                for l in 0..k {
+                    out[ob + l] = 0.5 * (h[c1 * k + l] + h[c2 * k + l]);
+                }
             }
         }
     }
 
-    pub(super) fn tangential_velocity(
+    /// The lane forms read the mesh CSR; only the AVX2 four-edge sweep
+    /// reads the padded table of `_kc`.
+    pub(super) fn tangential_velocity<const K: usize>(
         mesh: &Mesh,
+        _kc: &KernelCoeffs,
         k: usize,
         u: &[f64],
         out: &mut [f64],
         edges: Range<usize>,
     ) {
+        let k = lane_count::<K>(k);
         let off = edges.start;
         for e in edges {
             let ob = (e - off) * k;
-            lanes(k, |l| {
-                out[ob + l] = tangential_velocity_lane(mesh, k, e, l, u)
-            });
+            for l in 0..k {
+                out[ob + l] = tangential_velocity_lane(mesh, k, e, l, u);
+            }
         }
     }
 
     #[allow(clippy::too_many_arguments)]
-    pub(super) fn tangential_pv_edge(
+    pub(super) fn tangential_pv_edge<const K: usize>(
         mesh: &Mesh,
         kc: &KernelCoeffs,
         k: usize,
@@ -1041,10 +1098,11 @@ mod batch {
         pv_edge_out: &mut [f64],
         edges: Range<usize>,
     ) {
+        let k = lane_count::<K>(k);
         let off = edges.start;
         for e in edges {
             let ob = (e - off) * k;
-            lanes(k, |l| {
+            for l in 0..k {
                 let tv = tangential_velocity_lane(mesh, k, e, l, u);
                 v_out[ob + l] = tv;
                 pv_edge_out[ob + l] = pv_edge_from_v_lane(
@@ -1060,15 +1118,16 @@ mod batch {
                     u,
                     tv,
                 );
-            });
+            }
         }
     }
 }
 
 // ---------------------------------------------------------------------
 // AVX2 implementations: 4-lane `_mm256` chunks, scalar lane tails via
-// the shared lane forms. No FMA anywhere — `mul`/`add`/`sub`/`div` only,
-// so every lane rounds exactly like the scalar expression.
+// the shared lane forms, and four-edge blocks at `K = 1`. No FMA
+// anywhere — `mul`/`add`/`sub`/`div` only, so every lane rounds exactly
+// like the scalar expression.
 // ---------------------------------------------------------------------
 
 #[cfg(target_arch = "x86_64")]
@@ -1083,20 +1142,237 @@ mod avx2 {
         _mm256_xor_pd(x, _mm256_set1_pd(-0.0))
     }
 
+    /// A `__m256d` at any address. Loads and stores through it are one
+    /// unaligned `vmovupd` in every build, where `_mm256_loadu_pd` and
+    /// `_mm256_storeu_pd` measured twice as slow in the lane loops of
+    /// debug-assertion builds (their unaligned copy carries precondition
+    /// checks there), which is what the test suite runs.
+    #[repr(C, packed)]
+    struct Unaligned(__m256d);
+
+    /// `s[idx..idx + 4]` as a vector.
+    ///
+    /// # Safety
+    ///
+    /// `idx + 4 <= s.len()` (checked in debug builds only).
     #[inline(always)]
     unsafe fn ld(s: &[f64], idx: usize) -> __m256d {
         debug_assert!(idx + 4 <= s.len());
-        _mm256_loadu_pd(s.as_ptr().add(idx))
+        (*s.as_ptr().wrapping_add(idx).cast::<Unaligned>()).0
     }
 
+    /// Store `v` to `s[idx..idx + 4]`.
+    ///
+    /// # Safety
+    ///
+    /// As for [`ld`].
     #[inline(always)]
     unsafe fn st(s: &mut [f64], idx: usize, v: __m256d) {
         debug_assert!(idx + 4 <= s.len());
-        _mm256_storeu_pd(s.as_mut_ptr().add(idx), v)
+        *s.as_mut_ptr().wrapping_add(idx).cast::<Unaligned>() = Unaligned(v);
+    }
+
+    // -----------------------------------------------------------------
+    // Four edges per vector (`K = 1`): lane `j` of a vector is edge
+    // `e0 + j` of an aligned block, and sums its own stencil in seed
+    // order. Contiguous loads and stores go through bounds-checked
+    // slices; only the TRiSK gathers rely on the table's invariants.
+    // -----------------------------------------------------------------
+
+    /// The aligned four-edge blocks of `edges` the `K = 1` sweeps cover
+    /// (empty for other lane counts, or when no full block fits): from
+    /// the first multiple of 4 at or after the start to the last at or
+    /// before the end, within the table's full blocks.
+    #[inline(always)]
+    fn quads<const K: usize>(kc: &KernelCoeffs, edges: &Range<usize>) -> Range<usize> {
+        let lo = edges.start.next_multiple_of(4);
+        let hi = edges.end.min(kc.trisk().n_edges()) / 4 * 4;
+        if K != 1 || lo >= hi {
+            edges.end..edges.end
+        } else {
+            lo..hi
+        }
+    }
+
+    /// The edges of `edges` before and after `quads`: the one-edge ends.
+    #[inline(always)]
+    fn ends(edges: &Range<usize>, quads: &Range<usize>) -> [Range<usize>; 2] {
+        [edges.start..quads.start, quads.end..edges.end]
+    }
+
+    // The helpers below are `unsafe` only for the intrinsics: callers
+    // must run with AVX2 available (as every `avx2` body does). Only
+    // `gather` and the `*_quad` sums that call it ask for more.
+
+    /// `s[i..i + 4]` as a vector, bounds-checked in every build.
+    #[inline(always)]
+    unsafe fn ld4(s: &[f64], i: usize) -> __m256d {
+        ld(&s[i..i + 4], 0)
+    }
+
+    /// Store `v` to `s[i..i + 4]`, bounds-checked in every build.
+    #[inline(always)]
+    unsafe fn st4(s: &mut [f64], i: usize, v: __m256d) {
+        st(&mut s[i..i + 4], 0, v)
+    }
+
+    /// `f` at end `end` of the four endpoint pairs `pairs` (`cells_on_edge`
+    /// or `vertices_on_edge` of a block), one bounds-checked load a lane.
+    #[inline(always)]
+    unsafe fn pick(f: &[f64], pairs: &[[u32; 2]], end: usize) -> __m256d {
+        _mm256_setr_pd(
+            f[pairs[0][end] as usize],
+            f[pairs[1][end] as usize],
+            f[pairs[2][end] as usize],
+            f[pairs[3][end] as usize],
+        )
+    }
+
+    /// `f[id]` for the four lanes of `ids` in one hardware gather.
+    ///
+    /// # Safety
+    ///
+    /// Every lane of `ids` must be a valid index into `f`.
+    #[inline(always)]
+    unsafe fn gather(f: &[f64], ids: __m128i) -> __m256d {
+        _mm256_i32gather_pd::<8>(f.as_ptr(), ids)
+    }
+
+    /// Check, before the first gather of a four-edge sweep, that every
+    /// field the TRiSK ids index holds all of the table's edges.
+    #[inline(always)]
+    fn assert_gatherable(kc: &KernelCoeffs, fields: &[&[f64]]) {
+        let ne = kc.trisk().n_edges();
+        for f in fields {
+            assert!(f.len() >= ne, "edge field of {} < {ne} values", f.len());
+        }
+    }
+
+    /// Row `s` of TRiSK block `(ids, hw)` for the lanes `own` (each lane's
+    /// edge id): the four neighbour ids, their half weights, and the mask
+    /// of padded lanes (`id == own`), all-ones where the slot is padding.
+    #[inline(always)]
+    unsafe fn trisk_row(
+        ids: &[i32],
+        hw: &[f64],
+        s: usize,
+        own: __m128i,
+    ) -> (__m128i, __m256d, __m256d) {
+        let id = _mm_loadu_si128(ids[4 * s..4 * s + 4].as_ptr().cast());
+        let pad = _mm256_castsi256_pd(_mm256_cvtepi32_epi64(_mm_cmpeq_epi32(id, own)));
+        (id, ld4(hw, 4 * s), pad)
+    }
+
+    /// The edge ids `e0..e0 + 4` as `i32` lanes.
+    #[inline(always)]
+    unsafe fn own_ids(e0: usize) -> __m128i {
+        _mm_add_epi32(_mm_set1_epi32(e0 as i32), _mm_setr_epi32(0, 1, 2, 3))
+    }
+
+    /// H1 at edges `e0..e0 + 4` (`e0` a multiple of 4 in the table's
+    /// full blocks, see `quads`; panics past them): `Σ (½w + ½w)·u[id]`
+    /// over each lane's slots. `½w + ½w` is exactly `weights_on_edge`, so
+    /// every lane is [`tangential_velocity_lane`] at `k = 1`.
+    ///
+    /// # Safety
+    ///
+    /// AVX2 must be available, and `u` must pass [`assert_gatherable`].
+    #[inline(always)]
+    unsafe fn tangential_quad(kc: &KernelCoeffs, e0: usize, u: &[f64]) -> __m256d {
+        let t = kc.trisk();
+        let (ids, hw) = t.block(e0 / 4);
+        let own = own_ids(e0);
+        let mut acc = _mm256_setzero_pd();
+        for s in 0..t.slots() {
+            let (id, w, pad) = trisk_row(ids, hw, s, own);
+            let term = _mm256_mul_pd(_mm256_add_pd(w, w), gather(u, id));
+            acc = _mm256_add_pd(acc, _mm256_andnot_pd(pad, term));
+        }
+        acc
+    }
+
+    /// G at edges `e0..e0 + 4` from their tangential velocities `tv`:
+    /// [`pv_edge_from_v_lane`] at `k = 1`, lane by lane.
+    #[inline(always)]
+    #[allow(clippy::too_many_arguments)]
+    unsafe fn pv_edge_quad(
+        mesh: &Mesh,
+        kc: &KernelCoeffs,
+        e0: usize,
+        adt: __m256d,
+        pv_vertex: &[f64],
+        pv_cell: &[f64],
+        u: &[f64],
+        tv: __m256d,
+    ) -> __m256d {
+        let ve = &mesh.vertices_on_edge[e0..e0 + 4];
+        let ce = &mesh.cells_on_edge[e0..e0 + 4];
+        let (p1, p2) = (pick(pv_vertex, ve, 0), pick(pv_vertex, ve, 1));
+        let base = _mm256_mul_pd(_mm256_set1_pd(0.5), _mm256_add_pd(p1, p2));
+        let grad_t = _mm256_mul_pd(_mm256_sub_pd(p2, p1), ld4(&kc.inv_dv, e0));
+        let grad_n = _mm256_mul_pd(
+            _mm256_sub_pd(pick(pv_cell, ce, 1), pick(pv_cell, ce, 0)),
+            ld4(&kc.inv_dc, e0),
+        );
+        let upwind = _mm256_add_pd(_mm256_mul_pd(ld4(u, e0), grad_n), _mm256_mul_pd(tv, grad_t));
+        _mm256_sub_pd(base, _mm256_mul_pd(adt, upwind))
+    }
+
+    /// B1 at edges `e0..e0 + 4` (like [`tangential_quad`]):
+    /// [`tend_u_lane`] at `k = 1`, lane by lane, the PV flux summed over
+    /// the padded TRiSK rows.
+    ///
+    /// # Safety
+    ///
+    /// AVX2 must be available, and `u`, `h_edge` and `pv_edge` must pass
+    /// [`assert_gatherable`].
+    #[inline(always)]
+    #[allow(clippy::too_many_arguments)]
+    unsafe fn tend_u_quad(
+        mesh: &Mesh,
+        kc: &KernelCoeffs,
+        e0: usize,
+        g: __m256d,
+        pv_edge: &[f64],
+        u: &[f64],
+        h_edge: &[f64],
+        ke: &[f64],
+        h: &[f64],
+        b: &[f64],
+    ) -> __m256d {
+        let t = kc.trisk();
+        let (ids, hw) = t.block(e0 / 4);
+        let own = own_ids(e0);
+        let pe = ld4(pv_edge, e0);
+        let mut q = _mm256_setzero_pd();
+        for s in 0..t.slots() {
+            let (id, w, pad) = trisk_row(ids, hw, s, own);
+            let term = _mm256_mul_pd(
+                _mm256_mul_pd(_mm256_mul_pd(w, gather(u, id)), gather(h_edge, id)),
+                _mm256_add_pd(pe, gather(pv_edge, id)),
+            );
+            q = _mm256_add_pd(q, _mm256_andnot_pd(pad, term));
+        }
+        let ce = &mesh.cells_on_edge[e0..e0 + 4];
+        let hb = _mm256_sub_pd(
+            _mm256_sub_pd(
+                _mm256_add_pd(pick(h, ce, 1), pick(b, ce, 1)),
+                pick(h, ce, 0),
+            ),
+            pick(b, ce, 0),
+        );
+        let grad = _mm256_mul_pd(
+            _mm256_add_pd(
+                _mm256_sub_pd(pick(ke, ce, 1), pick(ke, ce, 0)),
+                _mm256_mul_pd(g, hb),
+            ),
+            ld4(&kc.inv_dc, e0),
+        );
+        _mm256_sub_pd(q, grad)
     }
 
     #[target_feature(enable = "avx2")]
-    pub(super) unsafe fn tend_h(
+    pub(super) unsafe fn tend_h<const K: usize>(
         mesh: &Mesh,
         kc: &KernelCoeffs,
         k: usize,
@@ -1105,6 +1381,7 @@ mod avx2 {
         out: &mut [f64],
         cells: Range<usize>,
     ) {
+        let k = lane_count::<K>(k);
         let off = cells.start;
         for i in cells {
             let ob = (i - off) * k;
@@ -1131,7 +1408,7 @@ mod avx2 {
 
     #[target_feature(enable = "avx2")]
     #[allow(clippy::too_many_arguments)]
-    pub(super) unsafe fn tend_tracer(
+    pub(super) unsafe fn tend_tracer<const K: usize>(
         mesh: &Mesh,
         kc: &KernelCoeffs,
         k: usize,
@@ -1142,6 +1419,7 @@ mod avx2 {
         out: &mut [f64],
         cells: Range<usize>,
     ) {
+        let k = lane_count::<K>(k);
         let off = cells.start;
         for i in cells {
             let ob = (i - off) * k;
@@ -1175,7 +1453,7 @@ mod avx2 {
     }
 
     #[target_feature(enable = "avx2")]
-    pub(super) unsafe fn divergence(
+    pub(super) unsafe fn divergence<const K: usize>(
         mesh: &Mesh,
         kc: &KernelCoeffs,
         k: usize,
@@ -1183,6 +1461,7 @@ mod avx2 {
         out: &mut [f64],
         cells: Range<usize>,
     ) {
+        let k = lane_count::<K>(k);
         let off = cells.start;
         for i in cells {
             let ob = (i - off) * k;
@@ -1206,7 +1485,7 @@ mod avx2 {
     }
 
     #[target_feature(enable = "avx2")]
-    pub(super) unsafe fn ke(
+    pub(super) unsafe fn ke<const K: usize>(
         mesh: &Mesh,
         kc: &KernelCoeffs,
         k: usize,
@@ -1214,6 +1493,7 @@ mod avx2 {
         out: &mut [f64],
         cells: Range<usize>,
     ) {
+        let k = lane_count::<K>(k);
         let off = cells.start;
         for i in cells {
             let ob = (i - off) * k;
@@ -1238,7 +1518,7 @@ mod avx2 {
     }
 
     #[target_feature(enable = "avx2")]
-    pub(super) unsafe fn ke_divergence(
+    pub(super) unsafe fn ke_divergence<const K: usize>(
         mesh: &Mesh,
         kc: &KernelCoeffs,
         k: usize,
@@ -1247,6 +1527,7 @@ mod avx2 {
         div_out: &mut [f64],
         cells: Range<usize>,
     ) {
+        let k = lane_count::<K>(k);
         let off = cells.start;
         for i in cells {
             let ob = (i - off) * k;
@@ -1277,7 +1558,7 @@ mod avx2 {
     }
 
     #[target_feature(enable = "avx2")]
-    pub(super) unsafe fn vorticity(
+    pub(super) unsafe fn vorticity<const K: usize>(
         mesh: &Mesh,
         kc: &KernelCoeffs,
         k: usize,
@@ -1285,6 +1566,7 @@ mod avx2 {
         out: &mut [f64],
         vertices: Range<usize>,
     ) {
+        let k = lane_count::<K>(k);
         let off = vertices.start;
         for v in vertices {
             let ob = (v - off) * k;
@@ -1309,7 +1591,7 @@ mod avx2 {
 
     #[target_feature(enable = "avx2")]
     #[allow(clippy::too_many_arguments)]
-    pub(super) unsafe fn vorticity_pv(
+    pub(super) unsafe fn vorticity_pv<const K: usize>(
         mesh: &Mesh,
         kc: &KernelCoeffs,
         k: usize,
@@ -1320,6 +1602,7 @@ mod avx2 {
         pv_out: &mut [f64],
         vertices: Range<usize>,
     ) {
+        let k = lane_count::<K>(k);
         let off = vertices.start;
         for v in vertices {
             let ob = (v - off) * k;
@@ -1353,7 +1636,7 @@ mod avx2 {
     }
 
     #[target_feature(enable = "avx2")]
-    pub(super) unsafe fn kite_average(
+    pub(super) unsafe fn kite_average<const K: usize>(
         mesh: &Mesh,
         kc: &KernelCoeffs,
         k: usize,
@@ -1361,6 +1644,7 @@ mod avx2 {
         out: &mut [f64],
         cells: Range<usize>,
     ) {
+        let k = lane_count::<K>(k);
         let off = cells.start;
         for i in cells {
             let ob = (i - off) * k;
@@ -1384,7 +1668,7 @@ mod avx2 {
     }
 
     #[target_feature(enable = "avx2")]
-    pub(super) unsafe fn pv_vertex(
+    pub(super) unsafe fn pv_vertex<const K: usize>(
         mesh: &Mesh,
         k: usize,
         h: &[f64],
@@ -1393,6 +1677,7 @@ mod avx2 {
         out: &mut [f64],
         vertices: Range<usize>,
     ) {
+        let k = lane_count::<K>(k);
         let off = vertices.start;
         for v in vertices {
             let ob = (v - off) * k;
@@ -1420,7 +1705,7 @@ mod avx2 {
 
     #[target_feature(enable = "avx2")]
     #[allow(clippy::too_many_arguments)]
-    pub(super) unsafe fn pv_edge(
+    pub(super) unsafe fn pv_edge<const K: usize>(
         mesh: &Mesh,
         kc: &KernelCoeffs,
         k: usize,
@@ -1433,10 +1718,12 @@ mod avx2 {
         out: &mut [f64],
         edges: Range<usize>,
     ) {
+        let k = lane_count::<K>(k);
         let off = edges.start;
         let half = _mm256_set1_pd(0.5);
         let adt = _mm256_set1_pd(apvm_factor * dt);
-        for e in edges {
+        let quads = quads::<K>(kc, &edges);
+        for e in ends(&edges, &quads).into_iter().flatten() {
             let [v1, v2] = mesh.vertices_on_edge[e];
             let [c1, c2] = mesh.cells_on_edge[e];
             let (v1b, v2b) = (v1 as usize * k, v2 as usize * k);
@@ -1467,11 +1754,15 @@ mod avx2 {
                 l += 1;
             }
         }
+        for e0 in quads.step_by(4) {
+            let pe = pv_edge_quad(mesh, kc, e0, adt, pv_vertex, pv_cell, u, ld4(v, e0));
+            st4(out, e0 - off, pe);
+        }
     }
 
     #[target_feature(enable = "avx2")]
     #[allow(clippy::too_many_arguments)]
-    pub(super) unsafe fn tend_u(
+    pub(super) unsafe fn tend_u<const K: usize>(
         mesh: &Mesh,
         kc: &KernelCoeffs,
         k: usize,
@@ -1485,9 +1776,11 @@ mod avx2 {
         out: &mut [f64],
         edges: Range<usize>,
     ) {
+        let k = lane_count::<K>(k);
         let off = edges.start;
         let g = _mm256_set1_pd(gravity);
-        for e in edges {
+        let quads = quads::<K>(kc, &edges);
+        for e in ends(&edges, &quads).into_iter().flatten() {
             let [c1, c2] = mesh.cells_on_edge[e];
             let (c1, c2) = (c1 as usize, c2 as usize);
             let ob = (e - off) * k;
@@ -1500,7 +1793,7 @@ mod avx2 {
                 let mut q = _mm256_setzero_pd();
                 for slot in mesh.eoe_range(e) {
                     let eoe = mesh.edges_on_edge[slot] as usize;
-                    let w = _mm256_set1_pd(kc.half_weights[slot]);
+                    let w = _mm256_set1_pd(0.5 * mesh.weights_on_edge[slot]);
                     let t = _mm256_mul_pd(
                         _mm256_mul_pd(
                             _mm256_mul_pd(w, ld(u, eoe * k + l)),
@@ -1531,6 +1824,15 @@ mod avx2 {
                 l += 1;
             }
         }
+        if !quads.is_empty() {
+            assert_gatherable(kc, &[u, h_edge, pv_edge]);
+        }
+        for e0 in quads.step_by(4) {
+            // SAFETY: AVX2 is enabled here and the gathered fields were
+            // checked above; `e0` walks the table's full blocks (`quads`).
+            let t = tend_u_quad(mesh, kc, e0, g, pv_edge, u, h_edge, ke, h, b);
+            st4(out, e0 - off, t);
+        }
     }
 
     /// Vector `d − z` core of the C1 family at lanes `l..l+4` of edge `e`.
@@ -1559,7 +1861,7 @@ mod avx2 {
 
     #[target_feature(enable = "avx2")]
     #[allow(clippy::too_many_arguments)]
-    pub(super) unsafe fn tend_u_del2(
+    pub(super) unsafe fn tend_u_del2<const K: usize>(
         mesh: &Mesh,
         kc: &KernelCoeffs,
         k: usize,
@@ -1569,6 +1871,7 @@ mod avx2 {
         out: &mut [f64],
         edges: Range<usize>,
     ) {
+        let k = lane_count::<K>(k);
         let off = edges.start;
         let nuv = _mm256_set1_pd(nu);
         for e in edges {
@@ -1588,7 +1891,7 @@ mod avx2 {
     }
 
     #[target_feature(enable = "avx2")]
-    pub(super) unsafe fn lap_u(
+    pub(super) unsafe fn lap_u<const K: usize>(
         mesh: &Mesh,
         kc: &KernelCoeffs,
         k: usize,
@@ -1597,6 +1900,7 @@ mod avx2 {
         out: &mut [f64],
         edges: Range<usize>,
     ) {
+        let k = lane_count::<K>(k);
         let off = edges.start;
         for e in edges {
             let ob = (e - off) * k;
@@ -1615,7 +1919,7 @@ mod avx2 {
 
     #[target_feature(enable = "avx2")]
     #[allow(clippy::too_many_arguments)]
-    pub(super) unsafe fn tend_u_del4(
+    pub(super) unsafe fn tend_u_del4<const K: usize>(
         mesh: &Mesh,
         kc: &KernelCoeffs,
         k: usize,
@@ -1625,6 +1929,7 @@ mod avx2 {
         out: &mut [f64],
         edges: Range<usize>,
     ) {
+        let k = lane_count::<K>(k);
         let off = edges.start;
         let nuv = _mm256_set1_pd(nu4);
         for e in edges {
@@ -1644,7 +1949,7 @@ mod avx2 {
     }
 
     #[target_feature(enable = "avx2")]
-    pub(super) unsafe fn d2fdx2(
+    pub(super) unsafe fn d2fdx2<const K: usize>(
         mesh: &Mesh,
         kc: &KernelCoeffs,
         k: usize,
@@ -1653,6 +1958,7 @@ mod avx2 {
         out2: &mut [f64],
         edges: Range<usize>,
     ) {
+        let k = lane_count::<K>(k);
         #[inline(always)]
         unsafe fn lap(
             mesh: &Mesh,
@@ -1691,7 +1997,7 @@ mod avx2 {
 
     #[target_feature(enable = "avx2")]
     #[allow(clippy::too_many_arguments)]
-    pub(super) unsafe fn h_edge(
+    pub(super) unsafe fn h_edge<const K: usize>(
         mesh: &Mesh,
         kc: &KernelCoeffs,
         config: &ModelConfig,
@@ -1702,6 +2008,7 @@ mod avx2 {
         out: &mut [f64],
         edges: Range<usize>,
     ) {
+        let k = lane_count::<K>(k);
         let off = edges.start;
         let half = _mm256_set1_pd(0.5);
         if config.high_order_h_edge {
@@ -1744,15 +2051,18 @@ mod avx2 {
     }
 
     #[target_feature(enable = "avx2")]
-    pub(super) unsafe fn tangential_velocity(
+    pub(super) unsafe fn tangential_velocity<const K: usize>(
         mesh: &Mesh,
+        kc: &KernelCoeffs,
         k: usize,
         u: &[f64],
         out: &mut [f64],
         edges: Range<usize>,
     ) {
+        let k = lane_count::<K>(k);
         let off = edges.start;
-        for e in edges {
+        let quads = quads::<K>(kc, &edges);
+        for e in ends(&edges, &quads).into_iter().flatten() {
             let ob = (e - off) * k;
             let mut l = 0;
             while l + 4 <= k {
@@ -1770,11 +2080,19 @@ mod avx2 {
                 l += 1;
             }
         }
+        if !quads.is_empty() {
+            assert_gatherable(kc, &[u]);
+        }
+        for e0 in quads.step_by(4) {
+            // SAFETY: AVX2 is enabled here and `u` was checked above; `e0`
+            // walks the table's full blocks (`quads`).
+            st4(out, e0 - off, tangential_quad(kc, e0, u));
+        }
     }
 
     #[target_feature(enable = "avx2")]
     #[allow(clippy::too_many_arguments)]
-    pub(super) unsafe fn tangential_pv_edge(
+    pub(super) unsafe fn tangential_pv_edge<const K: usize>(
         mesh: &Mesh,
         kc: &KernelCoeffs,
         k: usize,
@@ -1787,10 +2105,12 @@ mod avx2 {
         pv_edge_out: &mut [f64],
         edges: Range<usize>,
     ) {
+        let k = lane_count::<K>(k);
         let off = edges.start;
         let half = _mm256_set1_pd(0.5);
         let adt = _mm256_set1_pd(apvm_factor * dt);
-        for e in edges {
+        let quads = quads::<K>(kc, &edges);
+        for e in ends(&edges, &quads).into_iter().flatten() {
             let [v1, v2] = mesh.vertices_on_edge[e];
             let [c1, c2] = mesh.cells_on_edge[e];
             let (v1b, v2b) = (v1 as usize * k, v2 as usize * k);
@@ -1844,6 +2164,17 @@ mod avx2 {
                 );
                 l += 1;
             }
+        }
+        if !quads.is_empty() {
+            assert_gatherable(kc, &[u]);
+        }
+        for e0 in quads.step_by(4) {
+            // SAFETY: AVX2 is enabled here and `u` was checked above; `e0`
+            // walks the table's full blocks (`quads`).
+            let tv = tangential_quad(kc, e0, u);
+            st4(v_out, e0 - off, tv);
+            let pe = pv_edge_quad(mesh, kc, e0, adt, pv_vertex, pv_cell, u, tv);
+            st4(pv_edge_out, e0 - off, pe);
         }
     }
 }
@@ -1971,8 +2302,8 @@ mod tests {
             assert_eq!(a, b, "tend_h k={k}");
             let mut ta = vec![0.0; ne * k];
             let mut tb = vec![0.0; ne * k];
-            tangential_velocity_with(SimdMode::Batch, &mesh, k, &u, &mut ta, 0..ne);
-            tangential_velocity_with(SimdMode::Avx2, &mesh, k, &u, &mut tb, 0..ne);
+            tangential_velocity_with(SimdMode::Batch, &mesh, &kc, k, &u, &mut ta, 0..ne);
+            tangential_velocity_with(SimdMode::Avx2, &mesh, &kc, k, &u, &mut tb, 0..ne);
             assert_eq!(ta, tb, "tangential k={k}");
         }
     }
@@ -2021,7 +2352,7 @@ mod tests {
             let mut want_pvc = vec![0.0; nc * k];
             kite_average(&mesh, &kc, k, &want_pv, &mut want_pvc, 0..nc);
             let mut want_v = vec![0.0; ne * k];
-            tangential_velocity(&mesh, k, &u, &mut want_v, 0..ne);
+            tangential_velocity(&mesh, &kc, k, &u, &mut want_v, 0..ne);
             let mut want_pve = vec![0.0; ne * k];
             pv_edge(
                 &mesh,
@@ -2079,6 +2410,82 @@ mod tests {
                 );
                 assert_eq!(want_v, got_v, "tangential k={k} {mode:?}");
                 assert_eq!(want_pve, got_pve, "pv_edge k={k} {mode:?}");
+            }
+        }
+    }
+
+    #[test]
+    fn four_edge_blocks_match_batch_on_every_alignment() {
+        // At one layer the AVX2 forms of B1, H1, H1+G and G run aligned
+        // blocks of four edges and the K = 1 body at both ends. Every start
+        // in 0..8 and length in 0..=13, and the full range, must store the
+        // batch bits; the level-3 mesh's pentagon-adjacent edges have fewer
+        // slots than the widest stencil, so the full range masks padding.
+        let (mesh, kc, u, he) = setup(1);
+        let (nc, ne, nv) = (mesh.n_cells(), mesh.n_edges(), mesh.n_vertices());
+        let slots = |e: usize| mesh.eoe_range(e).len();
+        assert!((0..ne).any(|e| slots(e) < kc.trisk().slots()));
+        let field =
+            |n: usize, f: f64| -> Vec<f64> { (0..n).map(|x| (x as f64 * f).sin()).collect() };
+        let (pv_e, ke, b) = (field(ne, 0.13), field(nc, 0.41), field(nc, 0.07));
+        let (pv_v, pv_c) = (field(nv, 0.19), field(nc, 0.23));
+        let h: Vec<f64> = field(nc, 0.31).iter().map(|x| 1000.0 + x).collect();
+        let run = |mode: SimdMode, r: Range<usize>| -> [Vec<f64>; 5] {
+            let n = r.len();
+            let mut tu = vec![0.0; n];
+            tend_u_with(
+                mode,
+                &mesh,
+                &kc,
+                1,
+                9.8,
+                &pv_e,
+                &u,
+                &he,
+                &ke,
+                &h,
+                &b,
+                &mut tu,
+                r.clone(),
+            );
+            let mut tv = vec![0.0; n];
+            tangential_velocity_with(mode, &mesh, &kc, 1, &u, &mut tv, r.clone());
+            let mut pe = vec![0.0; n];
+            pv_edge_with(
+                mode,
+                &mesh,
+                &kc,
+                1,
+                0.5,
+                100.0,
+                &pv_v,
+                &pv_c,
+                &u,
+                &pv_e,
+                &mut pe,
+                r.clone(),
+            );
+            let (mut fv, mut fpe) = (vec![0.0; n], vec![0.0; n]);
+            tangential_pv_edge_with(
+                mode, &mesh, &kc, 1, 0.5, 100.0, &pv_v, &pv_c, &u, &mut fv, &mut fpe, r,
+            );
+            [tu, tv, pe, fv, fpe]
+        };
+        let names = [
+            "tend_u",
+            "tangential_velocity",
+            "pv_edge",
+            "fused v",
+            "fused pv_edge",
+        ];
+        let full = run(SimdMode::Batch, 0..ne);
+        let ranges = (0..8).flat_map(|s| (0..=13).map(move |n| s..s + n));
+        for r in ranges.chain(std::iter::once(0..ne)) {
+            let want = run(SimdMode::Batch, r.clone());
+            let got = run(SimdMode::Avx2, r.clone());
+            for ((name, w), (g, f)) in names.iter().zip(&want).zip(got.iter().zip(&full)) {
+                assert_eq!(w, g, "{name} on {r:?}");
+                assert_eq!(w[..], f[r.clone()], "{name} on {r:?} vs the full range");
             }
         }
     }
