@@ -2,9 +2,12 @@
 //!
 //! ```text
 //! figures <experiment> [options]
-//!   table1 | table2 | table3 | fig4 | fig4x | fig5 | fig6 | fig7 | fig7x
-//!   | fig8 | fig9 | ablations | trace | profile | convergence
-//!   | partitioners | fig_layout | fig_blame | fig_simd | all
+//!   table1 | table2 | table3 | fig4 | fig4x | fig5 | fig6 | fig7 | fig8
+//!   | fig9 | trace | profile | convergence | partitioners | fig_layout
+//!   | fig_blame | fig_simd | all
+//!
+//! Every name is checked before any experiment runs: an unknown one exits
+//! with status 2 and lists the valid names.
 //!
 //! `fig_layout` measures the PR-4 data-layout ladder: RK-4 step time by
 //! cell ordering (natural, Morton SFC, BFS) × mesh level × executor, seed
@@ -14,9 +17,6 @@
 //! backend (scalar, simd) × vertical layers × mesh level on the SFC
 //! ordering, with the per-layer cost and the speedup over running the
 //! flat simd model once per layer.
-//!
-//! `fig7x` extends Fig. 7 with every policy registered in `mpas-sched`
-//! (HEFT, CPOP, lookahead, dynamic-list, ...) on the Table III meshes.
 //!
 //! `fig4x` runs the real threaded executor under the telemetry recorder
 //! and prints the measured per-pattern times next to the roofline model's
@@ -77,43 +77,61 @@ fn main() {
     if which.is_empty() {
         which.push("all".to_string());
     }
-    for w in which {
-        match w.as_str() {
-            "table1" => table1(),
-            "table2" => table2(),
-            "table3" => table3(&opts),
-            "fig4" => fig4(),
-            "fig4x" => fig4x(&opts),
-            "fig5" => fig5(&opts),
-            "fig6" => fig6(&opts),
-            "fig7" => fig7(&opts),
-            "fig7x" => fig7x(),
-            "fig8" => fig8(),
-            "fig9" => fig9(),
-            "ablations" => ablations(),
-            "trace" => trace(),
-            "profile" => profile(),
-            "convergence" => convergence(),
-            "partitioners" => partitioners(&opts),
-            "fig_layout" => fig_layout(&opts),
-            "fig_blame" => fig_blame(&opts),
-            "fig_simd" => fig_simd(&opts),
-            "all" => {
-                table1();
-                table2();
-                table3(&opts);
-                fig4();
-                fig5(&opts);
-                fig6(&opts);
-                fig7(&opts);
-                fig7x();
-                fig8();
-                fig9();
-                ablations();
+    // Resolve every name before running any experiment.
+    let mut runs = Vec::new();
+    for w in &which {
+        match EXPERIMENTS.iter().find(|(name, _)| name == w) {
+            Some(&(_, run)) => runs.push(run),
+            None => {
+                let valid: Vec<&str> = EXPERIMENTS.iter().map(|(name, _)| *name).collect();
+                eprintln!(
+                    "figures: unknown experiment {w}; valid: {}",
+                    valid.join(", ")
+                );
+                std::process::exit(2);
             }
-            other => eprintln!("unknown experiment: {other}"),
         }
     }
+    for run in runs {
+        run(&opts);
+    }
+}
+
+/// An experiment's command-line name and what it runs.
+type Experiment = (&'static str, fn(&Opts));
+
+/// Every experiment by name; `all` runs the paper's tables and figures.
+const EXPERIMENTS: [Experiment; 18] = [
+    ("table1", |_| table1()),
+    ("table2", |_| table2()),
+    ("table3", table3),
+    ("fig4", |_| fig4()),
+    ("fig4x", fig4x),
+    ("fig5", fig5),
+    ("fig6", fig6),
+    ("fig7", fig7),
+    ("fig8", |_| fig8()),
+    ("fig9", |_| fig9()),
+    ("trace", |_| trace()),
+    ("profile", |_| profile()),
+    ("convergence", |_| convergence()),
+    ("partitioners", partitioners),
+    ("fig_layout", fig_layout),
+    ("fig_blame", fig_blame),
+    ("fig_simd", fig_simd),
+    ("all", all),
+];
+
+fn all(opts: &Opts) {
+    table1();
+    table2();
+    table3(opts);
+    fig4();
+    fig5(opts);
+    fig6(opts);
+    fig7(opts);
+    fig8();
+    fig9();
 }
 
 /// Table I: pattern instances and their input/output variables.
@@ -421,7 +439,7 @@ fn fig7(opts: &Opts) {
         let mc = MeshCounts::icosahedral(cells);
         let t_cpu = time_per_step(&mc, &p, Serial);
         let t_kernel = time_per_step(&mc, &p, KernelLevel);
-        let t_pattern = time_per_step(&mc, &p, PatternDriven::default());
+        let t_pattern = time_per_step(&mc, &p, PatternDriven);
         rows.push(vec![
             cells.to_string(),
             format!("{t_cpu:.3}"),
@@ -460,53 +478,11 @@ fn fig7(opts: &Opts) {
     let g = DataflowGraph::for_substep(RkPhase::Intermediate);
     let mc = MeshCounts::icosahedral(655_362);
     let sk = schedule_substep(&g, &mc, &p, KernelLevel);
-    let sp = schedule_substep(&g, &mc, &p, PatternDriven::default());
+    let sp = schedule_substep(&g, &mc, &p, PatternDriven);
     println!(
         "device imbalance (busy-time gap / max): kernel-level {:.0}%, pattern-driven {:.0}%",
         sk.imbalance() * 100.0,
         sp.imbalance() * 100.0
-    );
-}
-
-/// Fig. 7x (extension): every policy in the `mpas-sched` registry across
-/// the Table III meshes — modeled time/step with speedup vs the serial
-/// reference, plus the intermediate-substep device imbalance at 30 km.
-fn fig7x() {
-    let p = Platform::paper_node();
-    let meshes = [40_962usize, 163_842, 655_362, 2_621_442];
-    let serial: Vec<f64> = meshes
-        .iter()
-        .map(|&cells| time_per_step(&MeshCounts::icosahedral(cells), &p, Serial))
-        .collect();
-    let g = DataflowGraph::for_substep(RkPhase::Intermediate);
-    let mut rows = Vec::new();
-    for spec in mpas_sched::registered_names() {
-        let policy = mpas_sched::resolve(spec).expect("registered policy");
-        let mut row = vec![policy.name()];
-        for (k, &cells) in meshes.iter().enumerate() {
-            let t = time_per_step(&MeshCounts::icosahedral(cells), &p, &policy);
-            row.push(format!("{t:.3} ({:.2}x)", serial[k] / t));
-        }
-        let s = schedule_substep(&g, &MeshCounts::icosahedral(655_362), &p, &policy);
-        row.push(format!("{:.0}%", s.imbalance() * 100.0));
-        rows.push(row);
-    }
-    print_table(
-        "Fig. 7x — time/step (s, modeled) and speedup vs serial, all registered policies",
-        &[
-            "policy",
-            "40,962",
-            "163,842",
-            "655,362",
-            "2,621,442",
-            "imb@30km",
-        ],
-        &rows,
-    );
-    println!(
-        "policy-name grammar: name[key=val,...] — see `mpas_sched::resolve`; \
-         list schedulers (heft, cpop, lookahead, dynamic-list) price work on \
-         the same Table-II roofline as the paper's policies"
     );
 }
 
@@ -521,9 +497,9 @@ fn fig8() {
         let mut rows = Vec::new();
         for &ranks in &[1usize, 2, 4, 8, 16, 32, 64] {
             let t_cpu = time_per_step_multirank(cells, ranks, &p, Serial, &comm);
-            let t_pat = time_per_step_multirank(cells, ranks, &p, PatternDriven::default(), &comm);
+            let t_pat = time_per_step_multirank(cells, ranks, &p, PatternDriven, &comm);
             let t1_cpu = time_per_step_multirank(cells, 1, &p, Serial, &comm);
-            let t1_pat = time_per_step_multirank(cells, 1, &p, PatternDriven::default(), &comm);
+            let t1_pat = time_per_step_multirank(cells, 1, &p, PatternDriven, &comm);
             rows.push(vec![
                 ranks.to_string(),
                 format!("{t_cpu:.4}"),
@@ -751,75 +727,6 @@ fn trace() {
     println!("wrote target/figures/trace_*.json");
 }
 
-/// Ablations beyond the paper: sensitivity of the pattern-driven design to
-/// the split threshold, device ratio, link bandwidth, and loop fusion.
-fn ablations() {
-    use mpas_hybrid::ablation::*;
-    let mc = MeshCounts::icosahedral(655_362);
-    let p = Platform::paper_node();
-
-    let pts = sweep_split_threshold(&mc, &p, &[0.01, 0.02, 0.05, 0.08, 0.15, 0.3, 1.1]);
-    print_table(
-        "Ablation — adjustability (split) threshold, 655,362 cells",
-        &["threshold", "pattern ms", "kernel ms", "advantage"],
-        &pts.iter()
-            .map(|s| {
-                vec![
-                    format!("{:.2}", s.x),
-                    format!("{:.2}", s.pattern_makespan * 1e3),
-                    format!("{:.2}", s.kernel_makespan * 1e3),
-                    format!(
-                        "{:.0}%",
-                        (s.kernel_makespan / s.pattern_makespan - 1.0) * 100.0
-                    ),
-                ]
-            })
-            .collect::<Vec<_>>(),
-    );
-
-    let pts = sweep_device_ratio(&mc, &p, &[0.25, 0.5, 1.0, 1.4, 2.0, 4.0, 8.0]);
-    print_table(
-        "Ablation — accelerator:host throughput ratio (fixed node total)",
-        &["acc/cpu", "pattern ms", "kernel ms", "advantage"],
-        &pts.iter()
-            .map(|s| {
-                vec![
-                    format!("{:.2}", s.x),
-                    format!("{:.2}", s.pattern_makespan * 1e3),
-                    format!("{:.2}", s.kernel_makespan * 1e3),
-                    format!(
-                        "{:.0}%",
-                        (s.kernel_makespan / s.pattern_makespan - 1.0) * 100.0
-                    ),
-                ]
-            })
-            .collect::<Vec<_>>(),
-    );
-
-    let pts = sweep_link_bandwidth(&mc, &p, &[0.5e9, 2e9, 6e9, 24e9]);
-    print_table(
-        "Ablation — PCIe link bandwidth",
-        &["GB/s", "pattern ms", "kernel ms"],
-        &pts.iter()
-            .map(|s| {
-                vec![
-                    format!("{:.1}", s.x / 1e9),
-                    format!("{:.2}", s.pattern_makespan * 1e3),
-                    format!("{:.2}", s.kernel_makespan * 1e3),
-                ]
-            })
-            .collect::<Vec<_>>(),
-    );
-
-    let small = MeshCounts::icosahedral(40_962);
-    let (unfused, fused, saved) = fused_local_single_device(&small, &p.acc);
-    println!(
-        "\nAblation — loop fusion of point-local patterns (40,962 cells, device-only):\n  {saved} regions fused, substep {:.3} ms -> {:.3} ms",
-        unfused * 1e3,
-        fused * 1e3
-    );
-}
-
 /// Fig. 9: weak scaling at 40,962 cells per process.
 fn fig9() {
     let p = Platform::paper_node();
@@ -828,7 +735,7 @@ fn fig9() {
     for &ranks in &[1usize, 4, 16, 64] {
         let cells = 40_962 * ranks;
         let t_cpu = time_per_step_multirank(cells, ranks, &p, Serial, &comm);
-        let t_pat = time_per_step_multirank(cells, ranks, &p, PatternDriven::default(), &comm);
+        let t_pat = time_per_step_multirank(cells, ranks, &p, PatternDriven, &comm);
         rows.push(vec![
             ranks.to_string(),
             format!("{t_cpu:.4}"),

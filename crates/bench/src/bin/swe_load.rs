@@ -43,7 +43,6 @@ struct Args {
     steps: usize,
     case: String,
     executor: String,
-    policy: String,
     bench_json: Option<PathBuf>,
     gate: Option<PathBuf>,
     gate_strict: bool,
@@ -63,7 +62,6 @@ fn parse_args() -> Args {
         steps: 2,
         case: "5".to_string(),
         executor: "serial".to_string(),
-        policy: "pattern-driven".to_string(),
         bench_json: None,
         gate: None,
         gate_strict: false,
@@ -84,7 +82,6 @@ fn parse_args() -> Args {
             "--steps" => args.steps = val().parse().expect("steps"),
             "--case" => args.case = val(),
             "--executor" => args.executor = val(),
-            "--policy" => args.policy = val(),
             "--bench-json" => args.bench_json = Some(PathBuf::from(val())),
             "--gate" => args.gate = Some(PathBuf::from(val())),
             "--gate-strict" => args.gate_strict = true,
@@ -97,7 +94,7 @@ fn parse_args() -> Args {
                 eprintln!(
                     "usage: swe-load --addr HOST:PORT [--clients N] [--jobs M] \
                      [--level L] [--steps S] [--case 2|5|6] [--executor SPEC] \
-                     [--policy NAME] [--bench-json FILE] [--gate BASELINE.json] \
+                     [--bench-json FILE] [--gate BASELINE.json] \
                      [--gate-strict] [--history-dir DIR] [--shutdown] \
                      [--stream-out FILE] [--stream-lines N] [--flight-out FILE]"
                 );
@@ -234,8 +231,8 @@ fn main() {
         .expect("resolved address");
     let body = format!(
         "{{\"case\": \"{}\", \"level\": {}, \"steps\": {}, \"executor\": \"{}\", \
-         \"policy\": \"{}\", \"progress_every\": 1}}",
-        args.case, args.level, args.steps, args.executor, args.policy
+         \"progress_every\": 1}}",
+        args.case, args.level, args.steps, args.executor
     );
 
     println!(
@@ -396,7 +393,9 @@ fn main() {
             0,
             "serve",
             1,
-            &args.policy,
+            // Jobs run no modeled scheduler; the paper's default policy
+            // name keeps stored run identities unchanged.
+            "pattern-driven",
             &args.executor,
             args.clients,
             args.steps,

@@ -27,9 +27,6 @@ pub struct JobSpec {
     pub steps: usize,
     /// Execution engine.
     pub executor: Executor,
-    /// Scheduler-policy registry name (modeled placement; see
-    /// [`crate::SimulationBuilder::sched_policy`]).
-    pub policy: String,
     /// Kernel tier to run (scalar or simd).
     pub backend: KernelBackend,
     /// Vertical layers to carry (k > 1 requires the simd backend and the
@@ -54,7 +51,6 @@ impl JobSpec {
             test_case,
             steps,
             executor: Executor::Serial,
-            policy: "pattern-driven".to_string(),
             backend: KernelBackend::Simd,
             layers: 1,
             dt: None,
@@ -118,7 +114,7 @@ pub enum JobError {
         /// Steps completed before cancellation was observed.
         steps_done: usize,
     },
-    /// The spec could not be run (bad policy name, zero steps, ...).
+    /// The spec could not be run (zero steps).
     Invalid(String),
 }
 
@@ -166,7 +162,6 @@ pub fn run_job(
     if spec.steps == 0 {
         return Err(JobError::Invalid("steps must be >= 1".to_string()));
     }
-    mpas_sched::resolve(&spec.policy).map_err(JobError::Invalid)?;
     if cancel.load(Ordering::Relaxed) {
         return Err(JobError::Cancelled { steps_done: 0 });
     }
@@ -177,7 +172,6 @@ pub fn run_job(
         .test_case(spec.test_case)
         .executor(spec.executor)
         .config(spec.config())
-        .sched_policy(&spec.policy)
         .recorder(rec.clone());
     if let Some(dt) = spec.dt {
         builder = builder.dt(dt);
@@ -306,18 +300,7 @@ mod tests {
     fn invalid_specs_are_rejected_up_front() {
         let mesh = setup::build_mesh(1, 0, Reordering::None);
         let cancel = AtomicBool::new(false);
-        let err = run_job(
-            &spec(0),
-            mesh.clone(),
-            None,
-            &Recorder::noop(),
-            &cancel,
-            |_| {},
-        );
-        assert!(matches!(err, Err(JobError::Invalid(_))));
-        let mut s = spec(1);
-        s.policy = "fifo".to_string();
-        let err = run_job(&s, mesh, None, &Recorder::noop(), &cancel, |_| {});
+        let err = run_job(&spec(0), mesh, None, &Recorder::noop(), &cancel, |_| {});
         assert!(matches!(err, Err(JobError::Invalid(_))));
     }
 

@@ -129,9 +129,9 @@ impl SimulationBuilder {
     }
 
     /// Scheduling policy for the modeled makespans
-    /// ([`Simulation::modeled_time_per_step`]), by registry name — any of
-    /// [`mpas_sched::registered_names`], e.g. `"heft"` or
-    /// `"lookahead[depth=3]"`. Default: `"pattern-driven"` (the paper's).
+    /// ([`Simulation::modeled_time_per_step`]), by registry name — one of
+    /// [`mpas_sched::registered_names`], e.g. `"kernel-level"`. Default:
+    /// `"pattern-driven"` (the paper's).
     pub fn sched_policy(mut self, spec: &str) -> Self {
         self.sched_policy = spec.to_string();
         self
@@ -553,7 +553,7 @@ mod tests {
         let default = Simulation::builder().mesh(mesh.clone()).build();
         assert_eq!(default.sched_policy().name(), "pattern-driven");
         let serial = mk("serial").modeled_time_per_step(&platform);
-        for spec in ["heft", "cpop", "lookahead[depth=2]", "pattern-driven"] {
+        for spec in ["cpu-only", "acc-only", "kernel-level", "pattern-driven"] {
             let sim = mk(spec);
             assert_eq!(sim.sched_policy().name(), spec);
             let t = sim.modeled_time_per_step(&platform);

@@ -25,7 +25,7 @@
 
 use crate::parallel::ParallelModel;
 use mpas_patterns::dataflow::{table_i, DataflowGraph, MeshCounts, RkPhase};
-use mpas_sched::{CalibratedCost, DagOptions, DeviceSpec, Platform, SchedulerPolicy, TaskDag};
+use mpas_sched::{CalibratedCost, DeviceSpec, Platform, SchedulerPolicy, TaskDag};
 use mpas_swe::config::ModelConfig;
 use mpas_swe::kernels::ops;
 use mpas_swe::rk4::{RK_SUBSTEP, RK_WEIGHTS};
@@ -107,8 +107,7 @@ impl CalibrationReport {
         let cost = self.cost_model();
         let substep = |phase: RkPhase| {
             let graph = DataflowGraph::for_substep(phase);
-            let dag =
-                TaskDag::from_dataflow_with(&graph, mc, platform, &cost, DagOptions::default());
+            let dag = TaskDag::from_dataflow_with(&graph, mc, platform, &cost);
             policy.schedule(&dag, platform).makespan
         };
         3.0 * substep(RkPhase::Intermediate) + substep(RkPhase::Final)
@@ -425,7 +424,7 @@ pub fn calibration_from_metrics(snapshot: &MetricsSnapshot, mc: &MeshCounts) -> 
 mod tests {
     use super::*;
     use mpas_patterns::dataflow::{DataflowGraph, RkPhase};
-    use mpas_sched::{DagOptions, Platform, SchedulerPolicy, TaskDag};
+    use mpas_sched::{Platform, SchedulerPolicy, TaskDag};
 
     #[test]
     fn calibration_covers_every_table_i_pattern() {
@@ -458,7 +457,7 @@ mod tests {
         let mc = MeshCounts::icosahedral(40_962);
         let graph = DataflowGraph::for_substep(RkPhase::Intermediate);
         let platform = Platform::paper_node();
-        let dag = TaskDag::from_dataflow_with(&graph, &mc, &platform, &cost, DagOptions::default());
+        let dag = TaskDag::from_dataflow_with(&graph, &mc, &platform, &cost);
         for spec in mpas_sched::registered_names() {
             let policy = mpas_sched::resolve(spec).unwrap();
             let s = policy.schedule(&dag, &platform);
@@ -513,13 +512,13 @@ mod tests {
         let report = calibrate_host(3, 1);
         let mc = MeshCounts::icosahedral(40_962);
         let platform = Platform::paper_node();
-        let policy = mpas_sched::resolve("heft").unwrap();
+        let policy = mpas_sched::resolve("pattern-driven").unwrap();
         let step = report.modeled_time_per_step(&mc, &platform, policy.as_ref());
         assert!(step > 0.0 && step.is_finite());
         // One intermediate substep alone must be cheaper than the step.
         let cost = report.cost_model();
         let graph = DataflowGraph::for_substep(RkPhase::Intermediate);
-        let dag = TaskDag::from_dataflow_with(&graph, &mc, &platform, &cost, DagOptions::default());
+        let dag = TaskDag::from_dataflow_with(&graph, &mc, &platform, &cost);
         let one = policy.schedule(&dag, &platform).makespan;
         assert!(step > 3.0 * one - 1e-12, "three intermediates plus a final");
     }

@@ -9,10 +9,9 @@
 //!   simulated (DESIGN.md §1 documents the substitution); the scheduling
 //!   code is real.
 //! * [`sched`] + [`sim`] — makespan scheduling of the data-flow diagram
-//!   under the paper's three policies (serial reference, kernel-level
-//!   hybrid of Fig. 2, pattern-driven hybrid of Fig. 4 (b) with adjustable
-//!   splits) and any registered `mpas_sched::SchedulerPolicy` (HEFT, CPOP,
-//!   lookahead, dynamic-list), plus the multi-process scaling model
+//!   under the paper's policies from `mpas-sched` (serial reference,
+//!   kernel-level hybrid of Fig. 2, pattern-driven hybrid of Fig. 4 (b)
+//!   with adjustable splits), plus the multi-process scaling model
 //!   (Figs. 7–9).
 //! * [`calibrate`] — measurement-driven cost calibration: times the real
 //!   host executors per Table-I pattern and fits per-pattern coefficients
@@ -28,7 +27,6 @@
 //!   timers keyed by Table-I label.
 //! * [`ladder`] — the Fig. 6 single-device optimization ladder.
 
-pub mod ablation;
 pub mod calibrate;
 pub mod device;
 pub mod ladder;
@@ -42,6 +40,6 @@ pub use calibrate::{calibrate_host, calibration_from_metrics, CalibrationReport}
 pub use device::{DeviceSpec, Platform, TransferLink};
 pub use ladder::{fig6_ladder, OptStage};
 pub use parallel::ParallelModel;
-pub use sched::{schedule_substep, Placement, SchedOptions, Schedule, SchedulerPolicy};
+pub use sched::{schedule_substep, Placement, Schedule, SchedulerPolicy};
 pub use sim::{time_per_step, time_per_step_multirank};
 pub use trace::{to_chrome_trace, to_combined_trace};

@@ -6,11 +6,10 @@
 //! (Figs. 8–9). The underlying schedules come from [`crate::sched`]; the
 //! communication model from [`mpas_msg::CommCostModel`].
 //!
-//! Every entry point is generic over [`SchedulerPolicy`], so the classic
-//! list schedulers (`mpas_sched::resolve("heft")`, …) drop into the same
-//! scaling experiments as the paper's policy types
-//! ([`mpas_sched::PatternDriven`], …) — pass a policy by value or any
-//! `&dyn SchedulerPolicy`.
+//! Every entry point is generic over [`SchedulerPolicy`]: pass a paper
+//! policy type ([`mpas_sched::PatternDriven`], …) by value, or a
+//! registry policy (`mpas_sched::resolve("pattern-driven")`) by
+//! reference.
 
 use crate::device::Platform;
 use crate::sched::{schedule_substep, SchedulerPolicy};
@@ -99,7 +98,7 @@ mod tests {
         let p = Platform::paper_node();
         let mc = MeshCounts::icosahedral(40_962);
         let serial = time_per_step(&mc, &p, Serial);
-        let pattern = time_per_step(&mc, &p, PatternDriven::default());
+        let pattern = time_per_step(&mc, &p, PatternDriven);
         assert!((0.1..0.6).contains(&serial), "serial {serial}");
         assert!(
             (3.5..11.0).contains(&(serial / pattern)),
@@ -113,8 +112,8 @@ mod tests {
         // Fig. 9: fixed 40 962 cells/process, P = 1 -> 64.
         let p = Platform::paper_node();
         let comm = CommCostModel::fdr_infiniband();
-        let t1 = time_per_step_multirank(40_962, 1, &p, PatternDriven::default(), &comm);
-        let t64 = time_per_step_multirank(64 * 40_962, 64, &p, PatternDriven::default(), &comm);
+        let t1 = time_per_step_multirank(40_962, 1, &p, PatternDriven, &comm);
+        let t64 = time_per_step_multirank(64 * 40_962, 64, &p, PatternDriven, &comm);
         assert!(t64 / t1 < 1.15, "weak scaling degraded: {} -> {}", t1, t64);
         // CPU version too.
         let c1 = time_per_step_multirank(40_962, 1, &p, Serial, &comm);
@@ -127,7 +126,7 @@ mod tests {
         // Fig. 8 (b): 2 621 442 cells scales well to 64 hybrid processes.
         let p = Platform::paper_node();
         let comm = CommCostModel::fdr_infiniband();
-        let eff = strong_efficiency(2_621_442, 64, &p, PatternDriven::default(), &comm);
+        let eff = strong_efficiency(2_621_442, 64, &p, PatternDriven, &comm);
         assert!(eff > 0.7, "efficiency {eff}");
     }
 
@@ -137,8 +136,8 @@ mod tests {
         // efficiency at 64 processes while the CPU version keeps more.
         let p = Platform::paper_node();
         let comm = CommCostModel::fdr_infiniband();
-        let hybrid64 = strong_efficiency(655_362, 64, &p, PatternDriven::default(), &comm);
-        let hybrid8 = strong_efficiency(655_362, 8, &p, PatternDriven::default(), &comm);
+        let hybrid64 = strong_efficiency(655_362, 64, &p, PatternDriven, &comm);
+        let hybrid8 = strong_efficiency(655_362, 8, &p, PatternDriven, &comm);
         let cpu64 = strong_efficiency(655_362, 64, &p, Serial, &comm);
         assert!(hybrid8 > hybrid64, "no saturation: {hybrid8} vs {hybrid64}");
         assert!(
@@ -157,7 +156,7 @@ mod tests {
         for &n in &[655_362usize, 2_621_442] {
             for &ranks in &[1usize, 4, 16, 64] {
                 let cpu = time_per_step_multirank(n, ranks, &p, Serial, &comm);
-                let hyb = time_per_step_multirank(n, ranks, &p, PatternDriven::default(), &comm);
+                let hyb = time_per_step_multirank(n, ranks, &p, PatternDriven, &comm);
                 assert!(hyb < cpu, "n={n} P={ranks}: {hyb} !< {cpu}");
             }
         }
@@ -186,17 +185,18 @@ mod tests {
     }
 
     #[test]
-    fn list_schedulers_drop_into_the_scaling_model() {
+    fn registry_policies_drop_into_the_scaling_model() {
         // The generic signature accepts registry policies by reference.
         let p = Platform::paper_node();
         let comm = CommCostModel::fdr_infiniband();
         let mc = MeshCounts::icosahedral(40_962);
-        let heft = mpas_sched::resolve("heft").unwrap();
-        let t = time_per_step(&mc, &p, &heft);
+        let pattern = mpas_sched::resolve("pattern-driven").unwrap();
+        let t = time_per_step(&mc, &p, &pattern);
         assert!(t > 0.0 && t.is_finite());
-        let tm = time_per_step_multirank(655_362, 8, &p, &heft, &comm);
+        let tm = time_per_step_multirank(655_362, 8, &p, &pattern, &comm);
         assert!(tm > 0.0 && tm.is_finite());
-        // HEFT schedules on both devices, so it pays the PCIe halo tax.
-        assert!(heft.uses_accelerator());
+        // Pattern-driven schedules on both devices, so it pays the PCIe
+        // halo tax.
+        assert!(pattern.uses_accelerator());
     }
 }

@@ -76,7 +76,7 @@ mod tests {
 
     #[test]
     fn trace_is_valid_json_with_all_nodes() {
-        let s = sched(PatternDriven::default());
+        let s = sched(PatternDriven);
         let json = to_chrome_trace(&s);
         validate_json(&json).expect("trace must be valid JSON");
         assert!(json.starts_with("{\"traceEvents\":["));
@@ -132,7 +132,7 @@ mod tests {
 
     #[test]
     fn combined_trace_has_both_track_groups() {
-        let s = sched(PatternDriven::default());
+        let s = sched(PatternDriven);
         let rec = Recorder::new();
         {
             let _step = rec.span("measured", "step");

@@ -19,14 +19,12 @@
 //!   reduction, the regularity-aware gather (cell-order) refactoring, and
 //!   the branch-free label-matrix form used for SIMD.
 
-pub mod codegen;
 pub mod dataflow;
 pub mod export;
 pub mod pattern;
 pub mod profile;
 pub mod reduction;
 
-pub use codegen::{generate_gather_fn, generate_stencil_module};
 pub use dataflow::{DataflowGraph, Kernel, NodeId, PatternInstance, RkPhase};
 pub use export::{concurrency_report, to_dot};
 pub use pattern::{MeshLocation, PatternClass, Variable};

@@ -1,11 +1,13 @@
 //! Property tests of the makespan scheduler: structural validity and
-//! sound bounds across random mesh sizes and device parameters.
+//! sound bounds across random mesh sizes and device parameters, and the
+//! pattern-driven policy's dominance over the kernel-level static map it
+//! refines (Fig. 4 (b) vs Fig. 2).
 
 use mpas_hybrid::sched::{schedule_substep, Placement};
 use mpas_hybrid::{DeviceSpec, Platform, TransferLink};
 use mpas_patterns::dataflow::{DataflowGraph, MeshCounts, RkPhase};
-use mpas_prop::check;
-use mpas_sched::{resolve, Serial};
+use mpas_prop::{check, Rng};
+use mpas_sched::{resolve, Serial, TaskDag};
 
 fn platform(cpu_bw: f64, acc_bw: f64, link_bw: f64) -> Platform {
     let mut p = Platform::paper_node();
@@ -118,5 +120,51 @@ fn serial_is_sum_of_node_times() {
         let core = DeviceSpec::cpu_single_core();
         let expect: f64 = g.nodes.iter().map(|n| core.node_time(n.work(&mc))).sum();
         assert!((s.makespan - expect).abs() < 1e-12 * expect);
+    });
+}
+
+/// Randomized mesh counts: cell count spans the paper's Table III range
+/// and beyond, with the edge/vertex ratios perturbed off the exact
+/// icosahedral 3:2 to model partition remainders.
+fn mesh_counts(rng: &mut Rng) -> MeshCounts {
+    let c = rng.range(5_000usize..3_000_000) as f64;
+    MeshCounts {
+        n_cells: c,
+        n_edges: rng.range(2.8..3.2) * c,
+        n_vertices: rng.range(1.8..2.2) * c,
+    }
+}
+
+fn substep(rng: &mut Rng) -> DataflowGraph {
+    DataflowGraph::for_substep(rng.pick(&[RkPhase::Final, RkPhase::Intermediate]))
+}
+
+const DOMINANCE_CASES: usize = 48;
+
+/// The pattern-driven refinement never loses to the kernel-level
+/// static map, on any mesh size.
+#[test]
+fn pattern_driven_dominates_kernel_level() {
+    check(DOMINANCE_CASES, |rng| {
+        let mc = mesh_counts(rng);
+        let g = substep(rng);
+        let p = Platform::paper_node();
+        let dag = TaskDag::from_dataflow(&g, &mc, &p);
+        let kernel = resolve("kernel-level").unwrap().schedule(&dag, &p);
+        let pattern = resolve("pattern-driven").unwrap().schedule(&dag, &p);
+        assert!(
+            pattern.makespan <= kernel.makespan * (1.0 + 1e-12),
+            "pattern {} > kernel {}",
+            pattern.makespan,
+            kernel.makespan
+        );
+        // Both also respect dependencies.
+        for s in [&kernel, &pattern] {
+            for (id, ns) in s.nodes.iter().enumerate() {
+                for &pred in &dag.preds[id] {
+                    assert!(s.nodes[pred].finish <= ns.start + 1e-9);
+                }
+            }
+        }
     });
 }

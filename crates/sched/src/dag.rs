@@ -18,7 +18,7 @@ pub const DEV_CPU: usize = 0;
 pub const DEV_ACC: usize = 1;
 
 /// Share of substep bytes above which a node is "adjustable" (splittable).
-pub const DEFAULT_SPLIT_THRESHOLD: f64 = 0.08;
+pub const SPLIT_THRESHOLD: f64 = 0.08;
 
 /// Maps a pattern instance to an execution time on a device.
 ///
@@ -62,21 +62,6 @@ impl CostModel for CalibratedCost {
     fn node_cost(&self, node: &PatternInstance, mc: &MeshCounts, dev: &DeviceSpec) -> f64 {
         let c = self.coeffs.get(node.name).copied().unwrap_or(1.0);
         c * dev.node_time(node.work(mc))
-    }
-}
-
-/// Options applied while extracting a [`TaskDag`].
-#[derive(Debug, Clone, Copy)]
-pub struct DagOptions {
-    /// Fraction of substep bytes above which a non-local pattern may split.
-    pub split_threshold: f64,
-}
-
-impl Default for DagOptions {
-    fn default() -> Self {
-        DagOptions {
-            split_threshold: DEFAULT_SPLIT_THRESHOLD,
-        }
     }
 }
 
@@ -130,19 +115,17 @@ pub fn variable_bytes(v: Variable, mc: &MeshCounts) -> f64 {
 }
 
 impl TaskDag {
-    /// Extract the scheduling view with the roofline cost model and the
-    /// default split threshold.
+    /// Extract the scheduling view with the roofline cost model.
     pub fn from_dataflow(graph: &DataflowGraph, mc: &MeshCounts, platform: &Platform) -> Self {
-        Self::from_dataflow_with(graph, mc, platform, &RooflineCost, DagOptions::default())
+        Self::from_dataflow_with(graph, mc, platform, &RooflineCost)
     }
 
-    /// Extract the scheduling view under an explicit cost model and options.
+    /// Extract the scheduling view under an explicit cost model.
     pub fn from_dataflow_with(
         graph: &DataflowGraph,
         mc: &MeshCounts,
         platform: &Platform,
         cost: &dyn CostModel,
-        opts: DagOptions,
     ) -> Self {
         let serial_core = DeviceSpec::cpu_single_core();
         let total_bytes: f64 = graph.nodes.iter().map(|n| n.work(mc).bytes).sum();
@@ -166,7 +149,7 @@ impl TaskDag {
                     serial_cost: cost.node_cost(n, mc, &serial_core),
                     out_bytes: n.outputs.iter().map(|&v| variable_bytes(v, mc)).sum(),
                     work_bytes,
-                    splittable: work_bytes / total_bytes > opts.split_threshold
+                    splittable: work_bytes / total_bytes > SPLIT_THRESHOLD
                         && n.class != PatternClass::Local,
                     inputs: n.inputs.clone(),
                     outputs: n.outputs.clone(),
@@ -190,63 +173,12 @@ impl TaskDag {
     pub fn is_empty(&self) -> bool {
         self.nodes.is_empty()
     }
-
-    /// Mean (over the two devices) execution cost of each node — the `w̄`
-    /// of the HEFT/CPOP literature.
-    pub fn mean_costs(&self) -> Vec<f64> {
-        self.nodes
-            .iter()
-            .map(|n| (n.cost[0] + n.cost[1]) / 2.0)
-            .collect()
-    }
-
-    /// Mean communication cost charged to edge `producer → consumer`: the
-    /// producer's output transfer halved (two devices — same-device
-    /// placement, which costs nothing, happens half the time).
-    pub fn mean_edge_comm(&self, producer: usize, platform: &Platform) -> f64 {
-        0.5 * platform.link.time(self.nodes[producer].out_bytes)
-    }
-
-    /// Upward ranks: `rank_u(i) = w̄_i + max_{j ∈ succ(i)} (c̄_ij + rank_u(j))`.
-    /// Scheduling in decreasing `rank_u` order is a topological order.
-    pub fn upward_ranks(&self, platform: &Platform) -> Vec<f64> {
-        let w = self.mean_costs();
-        let mut rank = vec![0.0f64; self.len()];
-        for i in (0..self.len()).rev() {
-            let tail = self.succs[i]
-                .iter()
-                .map(|&j| self.mean_edge_comm(i, platform) + rank[j])
-                .fold(0.0f64, f64::max);
-            rank[i] = w[i] + tail;
-        }
-        rank
-    }
-
-    /// Downward ranks: `rank_d(i) = max_{p ∈ pred(i)} (rank_d(p) + w̄_p + c̄_pi)`.
-    pub fn downward_ranks(&self, platform: &Platform) -> Vec<f64> {
-        let w = self.mean_costs();
-        let mut rank = vec![0.0f64; self.len()];
-        for i in 0..self.len() {
-            rank[i] = self.preds[i]
-                .iter()
-                .map(|&p| rank[p] + w[p] + self.mean_edge_comm(p, platform))
-                .fold(0.0f64, f64::max);
-        }
-        rank
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use mpas_patterns::dataflow::RkPhase;
-
-    fn dag() -> (TaskDag, Platform) {
-        let p = Platform::paper_node();
-        let g = DataflowGraph::for_substep(RkPhase::Intermediate);
-        let mc = MeshCounts::icosahedral(655_362);
-        (TaskDag::from_dataflow(&g, &mc, &p), p)
-    }
 
     #[test]
     fn costs_match_the_roofline_model() {
@@ -266,7 +198,10 @@ mod tests {
 
     #[test]
     fn splittability_follows_threshold_and_class() {
-        let (dag, _) = dag();
+        let p = Platform::paper_node();
+        let g = DataflowGraph::for_substep(RkPhase::Intermediate);
+        let mc = MeshCounts::icosahedral(655_362);
+        let dag = TaskDag::from_dataflow(&g, &mc, &p);
         let b1 = dag.nodes.iter().find(|n| n.name == "B1").unwrap();
         assert!(b1.splittable, "the heaviest pattern must be adjustable");
         for n in &dag.nodes {
@@ -274,41 +209,16 @@ mod tests {
                 assert!(!n.splittable, "{} is local", n.name);
             }
         }
-        // Threshold above every share disables splitting entirely.
-        let p = Platform::paper_node();
-        let g = DataflowGraph::for_substep(RkPhase::Intermediate);
-        let mc = MeshCounts::icosahedral(655_362);
-        let none = TaskDag::from_dataflow_with(
-            &g,
-            &mc,
-            &p,
-            &RooflineCost,
-            DagOptions {
-                split_threshold: 1.1,
-            },
-        );
-        assert!(none.nodes.iter().all(|n| !n.splittable));
-    }
-
-    #[test]
-    fn upward_ranks_decrease_along_edges() {
-        let (dag, p) = dag();
-        let r = dag.upward_ranks(&p);
-        for i in 0..dag.len() {
-            for &j in &dag.succs[i] {
-                assert!(r[i] > r[j], "rank must strictly decrease along edges");
-            }
-        }
-    }
-
-    #[test]
-    fn downward_ranks_increase_along_edges() {
-        let (dag, p) = dag();
-        let r = dag.downward_ranks(&p);
-        for i in 0..dag.len() {
-            for &j in &dag.succs[i] {
-                assert!(r[j] > r[i]);
-            }
+        // Exactly the non-local nodes above the threshold share split.
+        let total: f64 = dag.nodes.iter().map(|n| n.work_bytes).sum();
+        for n in &dag.nodes {
+            let share = n.work_bytes / total;
+            assert_eq!(
+                n.splittable,
+                share > SPLIT_THRESHOLD && n.class != PatternClass::Local,
+                "{} at share {share}",
+                n.name
+            );
         }
     }
 
@@ -321,7 +231,7 @@ mod tests {
         coeffs.insert("B1".to_string(), 2.0);
         let cal = CalibratedCost::new(coeffs);
         let plain = TaskDag::from_dataflow(&g, &mc, &p);
-        let scaled = TaskDag::from_dataflow_with(&g, &mc, &p, &cal, DagOptions::default());
+        let scaled = TaskDag::from_dataflow_with(&g, &mc, &p, &cal);
         for (a, b) in plain.nodes.iter().zip(&scaled.nodes) {
             if a.name == "B1" {
                 assert!((b.cost[0] / a.cost[0] - 2.0).abs() < 1e-12);

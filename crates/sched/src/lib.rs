@@ -1,41 +1,22 @@
-//! # mpas-sched — pluggable DAG scheduling policies for the hybrid node
+//! # mpas-sched — the paper's scheduling policies on the modeled node
 //!
-//! This crate turns the paper's closed set of scheduling strategies into an
-//! open subsystem: the Table-I pattern instances of one RK substep are
-//! extracted into a [`TaskDag`] (per-device costs, output bytes,
-//! splittability), and any [`SchedulerPolicy`] maps that DAG onto the
-//! two-device [`Platform`] producing a [`Schedule`] with makespan, per-node
-//! placements, and busy times. The paper's own policies (serial,
-//! kernel-level offload of Fig. 2, pattern-driven EFT-with-splits of
-//! Fig. 4 (b)) live in [`paper`]; the classic heterogeneous list schedulers
-//! (HEFT, CPOP, depth-bounded lookahead, parameterized dynamic-list) live
-//! in [`list`]. All policies share one device/transfer/residency model, so
-//! their makespans are directly comparable.
+//! The Table-I pattern instances of one RK substep are extracted into a
+//! [`TaskDag`] (per-device costs, output bytes, splittability), and a
+//! [`SchedulerPolicy`] maps that DAG onto the two-device [`Platform`] of
+//! the paper's Table II, producing a [`Schedule`] with makespan, per-node
+//! placements, and busy times. The five policies in [`paper`] are the
+//! paper's own: the single-core serial code, the two whole-device
+//! strawmen of §II.C, the kernel-level offload of Fig. 2, and the
+//! pattern-driven EFT-with-splits of Fig. 4 (b). They share one
+//! device/transfer/residency model, so their makespans are directly
+//! comparable. The model reproduces Table II and the paper's modeled
+//! figures; it is not a measurement of this host.
 //!
-//! ## Policy-name grammar
+//! ## Policy names
 //!
-//! Policies are resolved from strings by [`resolve`]:
-//!
-//! ```text
-//! spec   := name | name "[" param ("," param)* "]"
-//! param  := key "=" value
-//! ```
-//!
-//! Registered names and their parameters:
-//!
-//! | name | parameters |
-//! |------|------------|
-//! | `serial` | — |
-//! | `cpu-only` | — |
-//! | `acc-only` | — |
-//! | `kernel-level` | — |
-//! | `pattern-driven` | `overlap=true\|false` (default `false`) |
-//! | `heft` | — |
-//! | `cpop` | — |
-//! | `lookahead` | `depth=N` (default `2`, N ≥ 1) |
-//! | `dynamic-list` | `task=comp\|rank\|bytes\|order` (default `rank`), `resource=eft\|fastest\|balanced` (default `eft`) |
-//!
-//! Examples: `lookahead[depth=4]`, `dynamic-list[task=comp,resource=eft]`.
+//! [`resolve`] maps a bare name to a policy: `serial`, `cpu-only`,
+//! `acc-only`, `kernel-level` or `pattern-driven`
+//! ([`registered_names`]).
 //!
 //! ## Cost calibration
 //!
@@ -46,7 +27,6 @@
 //! pure paper constants with measurements from the machine at hand.
 
 pub mod dag;
-pub mod list;
 pub mod paper;
 pub mod platform;
 pub mod policy;
@@ -54,12 +34,10 @@ pub mod schedule;
 pub mod telemetry;
 
 pub use dag::{
-    CalibratedCost, CostModel, DagOptions, RooflineCost, TaskDag, TaskNode,
-    DEFAULT_SPLIT_THRESHOLD, DEV_ACC, DEV_CPU,
+    CalibratedCost, CostModel, RooflineCost, TaskDag, TaskNode, DEV_ACC, DEV_CPU, SPLIT_THRESHOLD,
 };
-pub use list::{Cpop, DynamicList, Heft, Lookahead, ResourceCriterion, TaskCriterion};
 pub use paper::{AccOnly, CpuOnly, KernelLevel, PatternDriven, Serial};
 pub use platform::{DeviceSpec, Platform, TransferLink};
-pub use policy::{registered, registered_names, resolve, SchedulerPolicy};
-pub use schedule::{Candidate, ListState, NodeSchedule, Placement, Residency, Schedule};
+pub use policy::{registered_names, resolve, SchedulerPolicy};
+pub use schedule::{NodeSchedule, Placement, Residency, Schedule};
 pub use telemetry::record_schedule;

@@ -9,9 +9,8 @@
 //! * [`PatternDriven`] (Fig. 4 (b)) — per-instance earliest-finish-time
 //!   with adjustable splits that equalize device finish times.
 //!
-//! The algorithms are numerically identical to the original closed-enum
-//! implementation in `mpas_hybrid::sched`; its tests still run against
-//! these code paths through the compatibility shim.
+//! The tests of `mpas_hybrid::sched` check these policies against the
+//! shape of the paper's Fig. 7.
 
 use crate::dag::{TaskDag, DEV_ACC, DEV_CPU};
 use crate::platform::Platform;
@@ -225,14 +224,12 @@ impl SchedulerPolicy for KernelLevel {
 }
 
 /// Pattern-instance hybrid scheduling with adjustable splits (Fig. 4 (b)).
+///
+/// A host↔device transfer delays its consumer's start additively: this
+/// blocking accounting is what the Table-II/Fig.-7 calibration was
+/// fitted against.
 #[derive(Debug, Clone, Copy, Default)]
-pub struct PatternDriven {
-    /// Overlap host↔device transfers with unrelated device work (the
-    /// paper's "overlapped data moving"); when false, a transfer delays
-    /// its consumer's start additively. Blocking is the default: it is
-    /// what the Table-II/Fig.-7 calibration was fitted against.
-    pub overlap_transfers: bool,
-}
+pub struct PatternDriven;
 
 impl SchedulerPolicy for PatternDriven {
     fn name(&self) -> String {
@@ -288,11 +285,6 @@ impl SchedulerPolicy for PatternDriven {
                 };
                 est[dev_idx] = if xfer_bytes == 0.0 {
                     ready.max(avail[dev_idx])
-                } else if self.overlap_transfers {
-                    // The transfer starts as soon as the data and the link
-                    // are free, hiding under the device's other work.
-                    let xfer_done = ready.max(link_avail) + xfer[dev_idx];
-                    ready.max(avail[dev_idx]).max(xfer_done)
                 } else {
                     ready.max(avail[dev_idx]).max(link_avail) + xfer[dev_idx]
                 };

@@ -1,11 +1,8 @@
-//! The [`SchedulerPolicy`] trait and the string-keyed policy registry.
-//!
-//! Policy names follow a `name[key=value,...]` grammar (see the crate-level
-//! docs); [`resolve`] parses a name into a boxed policy and [`registered`]
-//! enumerates the canonical set used by the comparison experiments.
+//! The [`SchedulerPolicy`] trait and the name registry of the paper's
+//! policies: [`resolve`] maps a bare name to a boxed policy and
+//! [`registered_names`] lists the five names it knows.
 
 use crate::dag::TaskDag;
-use crate::list::{Cpop, DynamicList, Heft, Lookahead, ResourceCriterion, TaskCriterion};
 use crate::paper::{AccOnly, CpuOnly, KernelLevel, PatternDriven, Serial};
 use crate::platform::Platform;
 use crate::schedule::Schedule;
@@ -16,9 +13,7 @@ use crate::schedule::Schedule;
 /// dependency edges (no node starts before its predecessors finish and any
 /// required staging transfer completes).
 pub trait SchedulerPolicy {
-    /// Canonical registry name, including parameters (e.g.
-    /// `"lookahead[depth=2]"`). Resolving this name yields an equivalent
-    /// policy.
+    /// Registry name; resolving it yields an equivalent policy.
     fn name(&self) -> String;
 
     /// Whether the policy places work on the accelerator. Multi-rank halo
@@ -59,135 +54,15 @@ impl<T: SchedulerPolicy + ?Sized> SchedulerPolicy for Box<T> {
     }
 }
 
-/// A parsed policy spec: the base name plus its `k=v` parameter pairs.
-type ParsedSpec<'a> = (&'a str, Vec<(&'a str, &'a str)>);
-
-/// Split `"name[k=v,...]"` into the base name and its key/value pairs.
-fn parse_name(spec: &str) -> Result<ParsedSpec<'_>, String> {
-    let spec = spec.trim();
-    let Some(open) = spec.find('[') else {
-        return Ok((spec, Vec::new()));
-    };
-    let base = &spec[..open];
-    let rest = &spec[open + 1..];
-    let Some(inner) = rest.strip_suffix(']') else {
-        return Err(format!("unterminated '[' in policy name {spec:?}"));
-    };
-    let mut params = Vec::new();
-    for kv in inner.split(',').filter(|s| !s.trim().is_empty()) {
-        let (k, v) = kv
-            .split_once('=')
-            .ok_or_else(|| format!("expected key=value, got {kv:?} in {spec:?}"))?;
-        params.push((k.trim(), v.trim()));
-    }
-    Ok((base, params))
-}
-
-fn no_params(base: &str, params: &[(&str, &str)]) -> Result<(), String> {
-    if params.is_empty() {
-        Ok(())
-    } else {
-        Err(format!("policy {base:?} takes no parameters"))
-    }
-}
-
-/// Resolve a policy name (see the crate-level grammar) into a policy.
-///
-/// Unknown names, unknown parameter keys, and malformed values are errors
-/// listing what was expected.
-pub fn resolve(spec: &str) -> Result<Box<dyn SchedulerPolicy>, String> {
-    let (base, params) = parse_name(spec)?;
-    match base {
-        "serial" => {
-            no_params(base, &params)?;
-            Ok(Box::new(Serial))
-        }
-        "cpu-only" => {
-            no_params(base, &params)?;
-            Ok(Box::new(CpuOnly))
-        }
-        "acc-only" => {
-            no_params(base, &params)?;
-            Ok(Box::new(AccOnly))
-        }
-        "kernel-level" => {
-            no_params(base, &params)?;
-            Ok(Box::new(KernelLevel))
-        }
-        "pattern-driven" => {
-            let mut policy = PatternDriven::default();
-            for (k, v) in params {
-                match k {
-                    "overlap" => {
-                        policy.overlap_transfers = v
-                            .parse::<bool>()
-                            .map_err(|_| format!("overlap must be true/false, got {v:?}"))?;
-                    }
-                    _ => return Err(format!("unknown pattern-driven parameter {k:?}")),
-                }
-            }
-            Ok(Box::new(policy))
-        }
-        "heft" => {
-            no_params(base, &params)?;
-            Ok(Box::new(Heft))
-        }
-        "cpop" => {
-            no_params(base, &params)?;
-            Ok(Box::new(Cpop))
-        }
-        "lookahead" => {
-            let mut policy = Lookahead::default();
-            for (k, v) in params {
-                match k {
-                    "depth" => {
-                        let d = v
-                            .parse::<usize>()
-                            .map_err(|_| format!("depth must be an integer, got {v:?}"))?;
-                        if d == 0 {
-                            return Err("lookahead depth must be ≥ 1".into());
-                        }
-                        policy.depth = d;
-                    }
-                    _ => return Err(format!("unknown lookahead parameter {k:?}")),
-                }
-            }
-            Ok(Box::new(policy))
-        }
-        "dynamic-list" => {
-            let mut policy = DynamicList::default();
-            for (k, v) in params {
-                match k {
-                    "task" => {
-                        policy.task = match v {
-                            "comp" => TaskCriterion::Comp,
-                            "rank" => TaskCriterion::Rank,
-                            "bytes" => TaskCriterion::Bytes,
-                            "order" => TaskCriterion::Order,
-                            _ => {
-                                return Err(format!(
-                                    "task must be comp|rank|bytes|order, got {v:?}"
-                                ))
-                            }
-                        };
-                    }
-                    "resource" => {
-                        policy.resource = match v {
-                            "eft" => ResourceCriterion::Eft,
-                            "fastest" => ResourceCriterion::Fastest,
-                            "balanced" => ResourceCriterion::Balanced,
-                            _ => {
-                                return Err(format!(
-                                    "resource must be eft|fastest|balanced, got {v:?}"
-                                ))
-                            }
-                        };
-                    }
-                    _ => return Err(format!("unknown dynamic-list parameter {k:?}")),
-                }
-            }
-            Ok(Box::new(policy))
-        }
+/// Resolve a policy name into a policy. Surrounding whitespace is
+/// ignored; an unknown name is an error listing the registered ones.
+pub fn resolve(name: &str) -> Result<Box<dyn SchedulerPolicy>, String> {
+    match name.trim() {
+        "serial" => Ok(Box::new(Serial)),
+        "cpu-only" => Ok(Box::new(CpuOnly)),
+        "acc-only" => Ok(Box::new(AccOnly)),
+        "kernel-level" => Ok(Box::new(KernelLevel)),
+        "pattern-driven" => Ok(Box::new(PatternDriven)),
         other => Err(format!(
             "unknown policy {other:?}; registered: {}",
             registered_names().join(", ")
@@ -195,8 +70,7 @@ pub fn resolve(spec: &str) -> Result<Box<dyn SchedulerPolicy>, String> {
     }
 }
 
-/// Canonical policy names covering every registered family (parameterized
-/// families appear with their default parameters spelled out).
+/// The paper's policy names, in the order the figures list them.
 pub fn registered_names() -> Vec<&'static str> {
     vec![
         "serial",
@@ -204,19 +78,7 @@ pub fn registered_names() -> Vec<&'static str> {
         "acc-only",
         "kernel-level",
         "pattern-driven",
-        "heft",
-        "cpop",
-        "lookahead[depth=2]",
-        "dynamic-list[task=rank,resource=eft]",
     ]
-}
-
-/// One instance of every registered policy family, with defaults.
-pub fn registered() -> Vec<Box<dyn SchedulerPolicy>> {
-    registered_names()
-        .into_iter()
-        .map(|n| resolve(n).expect("registered names resolve"))
-        .collect()
 }
 
 #[cfg(test)]
@@ -232,34 +94,13 @@ mod tests {
     }
 
     #[test]
-    fn parameterized_names_parse() {
-        assert_eq!(
-            resolve("lookahead[depth=4]").unwrap().name(),
-            "lookahead[depth=4]"
-        );
-        assert_eq!(
-            resolve("dynamic-list[task=comp,resource=fastest]")
-                .unwrap()
-                .name(),
-            "dynamic-list[task=comp,resource=fastest]"
-        );
-        assert_eq!(resolve(" lookahead ").unwrap().name(), "lookahead[depth=2]");
-        assert_eq!(
-            resolve("pattern-driven[overlap=true]").unwrap().name(),
-            "pattern-driven"
-        );
-    }
-
-    #[test]
     fn bad_names_error_helpfully() {
         let err = |spec: &str| resolve(spec).err().expect("should be rejected");
         assert!(err("peft").contains("registered"));
-        assert!(err("lookahead[depth=x]").contains("integer"));
-        assert!(resolve("lookahead[depth=0]").is_err());
-        assert!(err("lookahead[deep=2]").contains("unknown"));
-        assert!(err("heft[depth=2]").contains("no parameters"));
-        assert!(resolve("dynamic-list[task=zzz]").is_err());
-        assert!(err("lookahead[depth=2").contains("unterminated"));
+        assert!(err("fifo").contains("pattern-driven"));
+        // Names take no parameters.
+        assert!(err("pattern-driven[overlap=true]").contains("unknown policy"));
+        assert_eq!(resolve(" serial ").unwrap().name(), "serial");
     }
 
     #[test]
@@ -267,6 +108,6 @@ mod tests {
         assert!(!resolve("serial").unwrap().uses_accelerator());
         assert!(!resolve("cpu-only").unwrap().uses_accelerator());
         assert!(resolve("kernel-level").unwrap().uses_accelerator());
-        assert!(resolve("heft").unwrap().uses_accelerator());
+        assert!(resolve("pattern-driven").unwrap().uses_accelerator());
     }
 }

@@ -1,8 +1,6 @@
-//! Schedule results and the shared scheduling state (device timelines,
-//! serialized transfer link, variable residency) used by every policy.
+//! Schedule results and the variable-residency state shared by the
+//! policies that use both devices.
 
-use crate::dag::{TaskDag, DEV_ACC, DEV_CPU};
-use crate::platform::Platform;
 use mpas_patterns::pattern::Variable;
 use std::collections::HashMap;
 
@@ -103,169 +101,6 @@ impl Residency {
     /// Mark `v` resident on both devices (after a transfer).
     pub fn mark_everywhere(&mut self, v: Variable) {
         self.map.insert(v, (true, true));
-    }
-}
-
-/// Mutable state shared by the list schedulers: per-device busy intervals
-/// (supporting insertion-based EFT), the serialized transfer link, variable
-/// residency, and the per-node results.
-#[derive(Debug, Clone)]
-pub struct ListState<'a> {
-    dag: &'a TaskDag,
-    platform: &'a Platform,
-    /// Sorted, disjoint busy intervals per device.
-    slots: [Vec<(f64, f64)>; 2],
-    link_avail: f64,
-    res: Residency,
-    node_finish: Vec<f64>,
-    placed: Vec<Option<NodeSchedule>>,
-    busy: [f64; 2],
-}
-
-/// One placement candidate evaluated by [`ListState::eft`].
-#[derive(Debug, Clone, Copy)]
-pub struct Candidate {
-    /// Candidate device index ([`DEV_CPU`] or [`DEV_ACC`]).
-    pub dev: usize,
-    /// Start of execution on the device.
-    pub start: f64,
-    /// End of execution.
-    pub finish: f64,
-    /// Bytes transferred to stage missing inputs (0 when resident).
-    pub xfer_bytes: f64,
-    /// Completion time of the staging transfer (start of link occupancy
-    /// release); equals data readiness when `xfer_bytes > 0`.
-    pub xfer_done: f64,
-}
-
-impl<'a> ListState<'a> {
-    /// Fresh state over a DAG and platform.
-    pub fn new(dag: &'a TaskDag, platform: &'a Platform) -> Self {
-        ListState {
-            dag,
-            platform,
-            slots: [Vec::new(), Vec::new()],
-            link_avail: 0.0,
-            res: Residency::fresh(),
-            node_finish: vec![0.0; dag.len()],
-            placed: vec![None; dag.len()],
-            busy: [0.0; 2],
-        }
-    }
-
-    /// Dependency-ready time of `id` (max predecessor finish).
-    pub fn ready_time(&self, id: usize) -> f64 {
-        self.dag.preds[id]
-            .iter()
-            .map(|&p| self.node_finish[p])
-            .fold(0.0f64, f64::max)
-    }
-
-    /// Earliest gap of length `dur` on `dev` starting no earlier than
-    /// `ready` (insertion-based scheduling).
-    fn earliest_fit(&self, dev: usize, ready: f64, dur: f64) -> f64 {
-        let mut t = ready;
-        for &(s, e) in &self.slots[dev] {
-            if t + dur <= s + 1e-18 {
-                break;
-            }
-            if e > t {
-                t = e;
-            }
-        }
-        t
-    }
-
-    fn occupy(&mut self, dev: usize, start: f64, end: f64) {
-        let idx = self.slots[dev]
-            .iter()
-            .position(|&(s, _)| s >= start)
-            .unwrap_or(self.slots[dev].len());
-        self.slots[dev].insert(idx, (start, end));
-        self.busy[dev] += end - start;
-    }
-
-    /// Evaluate the earliest finish of `id` on `dev`, accounting for a
-    /// blocking staging transfer of any inputs not resident there.
-    pub fn eft(&self, id: usize, dev: usize) -> Candidate {
-        let ready = self.ready_time(id);
-        let node = &self.dag.nodes[id];
-        let xfer_bytes: f64 = node
-            .inputs
-            .iter()
-            .filter(|&&v| !self.res.present(v, dev == DEV_ACC))
-            .map(|&v| self.dag.var_bytes[&v])
-            .sum();
-        let (data_ready, xfer_done) = if xfer_bytes > 0.0 {
-            let done = ready.max(self.link_avail) + self.platform.link.time(xfer_bytes);
-            (done, done)
-        } else {
-            (ready, ready)
-        };
-        let dur = node.cost[dev];
-        let start = self.earliest_fit(dev, data_ready, dur);
-        Candidate {
-            dev,
-            start,
-            finish: start + dur,
-            xfer_bytes,
-            xfer_done,
-        }
-    }
-
-    /// Commit a candidate placement for `id`.
-    pub fn commit(&mut self, id: usize, c: Candidate) {
-        if c.xfer_bytes > 0.0 {
-            self.link_avail = c.xfer_done;
-            // Transferred inputs become resident on both devices.
-            let inputs = self.dag.nodes[id].inputs.clone();
-            for v in inputs {
-                if !self.res.present(v, c.dev == DEV_ACC) {
-                    self.res.mark_everywhere(v);
-                }
-            }
-        }
-        self.occupy(c.dev, c.start, c.finish);
-        let placement = if c.dev == DEV_CPU {
-            Placement::Cpu
-        } else {
-            Placement::Acc
-        };
-        for &v in &self.dag.nodes[id].outputs {
-            self.res.write(v, placement);
-        }
-        self.node_finish[id] = c.finish;
-        self.placed[id] = Some(NodeSchedule {
-            name: self.dag.nodes[id].name,
-            placement,
-            start: c.start,
-            finish: c.finish,
-        });
-    }
-
-    /// Current busy time of a device.
-    pub fn busy(&self, dev: usize) -> f64 {
-        self.busy[dev]
-    }
-
-    /// Makespan over everything committed so far.
-    pub fn makespan(&self) -> f64 {
-        self.node_finish.iter().copied().fold(0.0f64, f64::max)
-    }
-
-    /// Finalize into a [`Schedule`] (every node must be committed).
-    pub fn into_schedule(self) -> Schedule {
-        let makespan = self.makespan();
-        Schedule {
-            makespan,
-            nodes: self
-                .placed
-                .into_iter()
-                .map(|n| n.expect("every node must be scheduled"))
-                .collect(),
-            cpu_busy: self.busy[DEV_CPU],
-            acc_busy: self.busy[DEV_ACC],
-        }
     }
 }
 

@@ -78,7 +78,7 @@ mod tests {
     #[test]
     fn records_one_event_per_node_plus_gauges() {
         let rec = Recorder::new();
-        record_schedule(&rec, "heft", &toy_schedule());
+        record_schedule(&rec, "pattern-driven", &toy_schedule());
         let events = rec.events();
         assert_eq!(events.len(), 2);
         assert_eq!(events[0].name, "sched.decision");
@@ -97,7 +97,7 @@ mod tests {
     #[test]
     fn noop_recorder_records_nothing() {
         let rec = Recorder::noop();
-        record_schedule(&rec, "heft", &toy_schedule());
+        record_schedule(&rec, "pattern-driven", &toy_schedule());
         assert!(rec.events().is_empty());
         assert!(rec.snapshot().counters.is_empty());
     }

@@ -1,31 +1,22 @@
-//! Bounded worker pool with scheduler-driven placement.
+//! Bounded worker pool over one shared FIFO.
 //!
-//! Each worker owns a FIFO queue; a submitted job is placed on the worker
-//! with the smallest *modeled* backlog, where a job's cost is the
-//! `mpas-sched` policy's modeled seconds-per-step on the Table-II node
-//! (`mpas_hybrid::time_per_step` on analytic mesh counts — no mesh build
-//! needed at admission time) times its step count. Placement is therefore
-//! earliest-finish-time over the pool, priced by the same roofline model
-//! the rest of the stack uses, not round-robin.
-//!
-//! The total number of *queued* jobs is capped; `submit` refuses beyond
+//! Submitted jobs wait in a single queue and every idle worker takes the
+//! oldest one, so a long job never holds back a job another worker could
+//! start. The number of *queued* jobs is capped; `submit` refuses beyond
 //! the cap so the HTTP layer can answer 429 instead of buffering without
 //! bound. `drain()` stops intake, lets every queued job finish, and joins
 //! the workers — the graceful-shutdown path.
 
-use mpas_hybrid::Platform;
 use mpas_patterns::dataflow::MeshCounts;
 use mpas_telemetry::{names, Recorder};
 use std::collections::VecDeque;
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 
-/// A unit of queued work: the registered job id plus its modeled cost.
+/// A unit of queued work: the registered job id and when it was queued.
 pub struct QueuedJob {
     /// Registry id.
     pub id: u64,
-    /// Modeled seconds of compute (see [`modeled_job_cost`]).
-    pub cost_s: f64,
     /// Submission stamp on the recorder's clock ([`Recorder::now_s`]);
     /// the worker records the queued→pickup delta against
     /// [`names::SERVER_QUEUE_WAIT_SECONDS`] so queue pressure shows up in
@@ -45,23 +36,8 @@ pub fn mesh_counts_for_level(level: u32) -> MeshCounts {
     }
 }
 
-/// Modeled seconds a job occupies a worker: the policy's modeled
-/// time-per-step on this level's counts, times the step count. Falls back
-/// to a count-proportional estimate if the policy name fails to resolve
-/// (submission validation makes that unreachable in practice).
-pub fn modeled_job_cost(level: u32, steps: usize, policy: &str) -> f64 {
-    let mc = mesh_counts_for_level(level);
-    let per_step = mpas_sched::resolve(policy)
-        .map(|p| mpas_hybrid::time_per_step(&mc, &Platform::paper_node(), p))
-        .unwrap_or(mc.n_edges * 1e-8);
-    per_step * steps as f64
-}
-
 struct PoolState {
-    queues: Vec<VecDeque<QueuedJob>>,
-    /// Modeled seconds of work queued or running per worker.
-    backlog: Vec<f64>,
-    queued: usize,
+    queue: VecDeque<QueuedJob>,
     draining: bool,
 }
 
@@ -71,7 +47,7 @@ struct Shared {
     rec: Recorder,
 }
 
-/// The dispatcher: owns the queues and the worker threads.
+/// The dispatcher: owns the queue and the worker threads.
 pub struct Dispatcher {
     shared: Arc<Shared>,
     workers: Mutex<Vec<JoinHandle<()>>>,
@@ -89,28 +65,25 @@ pub enum SubmitError {
 
 impl Dispatcher {
     /// Start `n_workers` workers, admitting at most `capacity` queued jobs.
-    /// Each worker runs `work(worker_index, job)` for every job placed on
-    /// it, inside a `rank{w}`-tracked span so the PR 5 blame engine can
-    /// ingest server traces unchanged.
+    /// Each worker runs `work(worker_index, job)` for every job it takes,
+    /// inside a `rank{w}`-tracked span so the trace-analysis blame engine
+    /// ingests server traces unchanged.
     pub fn start(
         n_workers: usize,
         capacity: usize,
         rec: Recorder,
         work: impl Fn(usize, QueuedJob) + Send + Sync + 'static,
     ) -> Self {
-        let n_workers = n_workers.max(1);
         let shared = Arc::new(Shared {
             state: Mutex::new(PoolState {
-                queues: (0..n_workers).map(|_| VecDeque::new()).collect(),
-                backlog: vec![0.0; n_workers],
-                queued: 0,
+                queue: VecDeque::new(),
                 draining: false,
             }),
             work_ready: Condvar::new(),
             rec,
         });
         let work = Arc::new(work);
-        let workers = (0..n_workers)
+        let workers = (0..n_workers.max(1))
             .map(|w| {
                 let shared = shared.clone();
                 let work = work.clone();
@@ -127,35 +100,29 @@ impl Dispatcher {
         }
     }
 
-    /// Place a job on the least-loaded worker (by modeled backlog).
-    /// Returns the worker index, or why the job was refused.
-    pub fn submit(&self, job: QueuedJob) -> Result<usize, SubmitError> {
+    /// Queue a job for the next idle worker, or say why it was refused.
+    pub fn submit(&self, job: QueuedJob) -> Result<(), SubmitError> {
         let mut st = self.shared.state.lock().expect("pool poisoned");
         if st.draining {
             return Err(SubmitError::Draining);
         }
-        if st.queued >= self.capacity {
+        if st.queue.len() >= self.capacity {
             self.shared.rec.add(names::SERVER_JOBS_REJECTED, 1);
             return Err(SubmitError::Full);
         }
-        let w = (0..st.backlog.len())
-            .min_by(|&a, &b| st.backlog[a].total_cmp(&st.backlog[b]))
-            .expect("at least one worker");
-        st.backlog[w] += job.cost_s;
-        st.queues[w].push_back(job);
-        st.queued += 1;
+        st.queue.push_back(job);
         self.shared.rec.add(names::SERVER_JOBS_SUBMITTED, 1);
         self.shared
             .rec
-            .set_gauge(names::SERVER_QUEUE_DEPTH, st.queued as f64);
+            .set_gauge(names::SERVER_QUEUE_DEPTH, st.queue.len() as f64);
         drop(st);
-        self.shared.work_ready.notify_all();
-        Ok(w)
+        self.shared.work_ready.notify_one();
+        Ok(())
     }
 
-    /// Jobs currently queued (not yet picked up by a worker).
+    /// Jobs currently queued (not yet taken by a worker).
     pub fn queued(&self) -> usize {
-        self.shared.state.lock().expect("pool poisoned").queued
+        self.shared.state.lock().expect("pool poisoned").queue.len()
     }
 
     /// Stop intake, run every queued job to completion, join the workers.
@@ -184,11 +151,10 @@ fn worker_loop(w: usize, shared: &Shared, work: &(impl Fn(usize, QueuedJob) + ?S
         let job = {
             let mut st = shared.state.lock().expect("pool poisoned");
             loop {
-                if let Some(job) = st.queues[w].pop_front() {
-                    st.queued -= 1;
+                if let Some(job) = st.queue.pop_front() {
                     shared
                         .rec
-                        .set_gauge(names::SERVER_QUEUE_DEPTH, st.queued as f64);
+                        .set_gauge(names::SERVER_QUEUE_DEPTH, st.queue.len() as f64);
                     break Some(job);
                 }
                 if st.draining {
@@ -198,17 +164,12 @@ fn worker_loop(w: usize, shared: &Shared, work: &(impl Fn(usize, QueuedJob) + ?S
             }
         };
         let Some(job) = job else { return };
-        let cost = job.cost_s;
         shared.rec.record(
             names::SERVER_QUEUE_WAIT_SECONDS,
             (shared.rec.now_s() - job.submitted_s).max(0.0),
         );
-        {
-            let _span = shared.rec.span(&track, &format!("server.job{}", job.id));
-            work(w, job);
-        }
-        let mut st = shared.state.lock().expect("pool poisoned");
-        st.backlog[w] = (st.backlog[w] - cost).max(0.0);
+        let _span = shared.rec.span(&track, &format!("server.job{}", job.id));
+        work(w, job);
     }
 }
 
@@ -217,38 +178,11 @@ mod tests {
     use super::*;
     use std::sync::atomic::{AtomicUsize, Ordering};
 
-    fn qj(id: u64, cost_s: f64) -> QueuedJob {
+    fn qj(id: u64) -> QueuedJob {
         QueuedJob {
             id,
-            cost_s,
             submitted_s: 0.0,
         }
-    }
-
-    #[test]
-    fn placement_spreads_equal_jobs_across_workers() {
-        let d = Dispatcher::start(3, 16, Recorder::noop(), |_, _| {
-            std::thread::sleep(std::time::Duration::from_millis(5));
-        });
-        let mut placed = Vec::new();
-        for id in 0..3 {
-            placed.push(d.submit(qj(id, 1.0)).unwrap());
-        }
-        placed.sort_unstable();
-        assert_eq!(placed, vec![0, 1, 2]);
-        d.drain();
-    }
-
-    #[test]
-    fn cheap_jobs_pack_behind_the_light_worker() {
-        // Worker 0 gets a heavy job; subsequent light jobs must avoid it.
-        let d = Dispatcher::start(2, 16, Recorder::noop(), |_, _| {
-            std::thread::sleep(std::time::Duration::from_millis(10));
-        });
-        assert_eq!(d.submit(qj(0, 100.0)).unwrap(), 0);
-        assert_eq!(d.submit(qj(1, 1.0)).unwrap(), 1);
-        assert_eq!(d.submit(qj(2, 1.0)).unwrap(), 1);
-        d.drain();
     }
 
     #[test]
@@ -267,29 +201,19 @@ mod tests {
         });
         // First job is picked up by the worker (blocked on the gate), two
         // more fill the queue; the fourth must be refused.
-        d.submit(qj(0, 1.0)).unwrap();
+        d.submit(qj(0)).unwrap();
         while d.queued() > 0 {
             std::thread::yield_now();
         }
         for id in 1..3 {
-            d.submit(qj(id, 1.0)).unwrap();
+            d.submit(qj(id)).unwrap();
         }
-        assert_eq!(d.submit(qj(3, 1.0)).unwrap_err(), SubmitError::Full);
+        assert_eq!(d.submit(qj(3)).unwrap_err(), SubmitError::Full);
         *gate.0.lock().unwrap() = true;
         gate.1.notify_all();
         d.drain();
         assert_eq!(done.load(Ordering::SeqCst), 3);
-        assert_eq!(d.submit(qj(4, 1.0)).unwrap_err(), SubmitError::Draining);
-    }
-
-    #[test]
-    fn modeled_cost_scales_with_level_and_steps() {
-        let small = modeled_job_cost(3, 10, "pattern-driven");
-        let big = modeled_job_cost(5, 10, "pattern-driven");
-        let longer = modeled_job_cost(3, 20, "pattern-driven");
-        assert!(small > 0.0);
-        assert!(big > 4.0 * small, "level-5 job must model >= 16x the work");
-        assert!((longer / small - 2.0).abs() < 1e-12);
+        assert_eq!(d.submit(qj(4)).unwrap_err(), SubmitError::Draining);
     }
 
     #[test]

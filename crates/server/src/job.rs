@@ -25,8 +25,6 @@ pub struct JobRequest {
     pub steps: usize,
     /// Executor spec (`serial`, `threaded:N`, `hybrid:N:M`).
     pub executor: String,
-    /// Scheduler-policy registry name.
-    pub policy: String,
     /// Mesh numbering.
     pub reorder: Reordering,
     /// Kernel tier (`scalar` or `simd`).
@@ -53,7 +51,6 @@ impl Default for JobRequest {
             lloyd: 0,
             steps: 10,
             executor: "serial".to_string(),
-            policy: "pattern-driven".to_string(),
             reorder: Reordering::None,
             backend: KernelBackend::Simd,
             layers: 1,
@@ -105,7 +102,6 @@ impl JobRequest {
             lloyd: get_u32(&v, "lloyd", d.lloyd)?,
             steps: get_u32(&v, "steps", d.steps as u32)? as usize,
             executor: get_str(&v, "executor", &d.executor)?,
-            policy: get_str(&v, "policy", &d.policy)?,
             reorder: {
                 let name = get_str(&v, "reorder", "none")?;
                 Reordering::parse(&name)
@@ -131,7 +127,6 @@ impl JobRequest {
         // Fail fast at submission time, not on a worker.
         mpas_core::parse_case(&req.case, req.alpha)?;
         mpas_core::parse_executor(&req.executor)?;
-        let _policy = mpas_sched::resolve(&req.policy)?;
         if req.steps == 0 {
             return Err("steps must be >= 1".to_string());
         }
@@ -173,7 +168,6 @@ impl JobRequest {
             self.steps,
         );
         spec.executor = self.executor();
-        spec.policy = self.policy.clone();
         spec.backend = self.backend;
         spec.layers = self.layers;
         spec.progress_every = self.progress_every;
@@ -195,8 +189,8 @@ impl JobRequest {
             .unwrap_or_default();
         format!(
             "{{\"case\": \"{}\", \"alpha\": {}, \"level\": {}, \"lloyd\": {}, \
-             \"steps\": {}, \"executor\": \"{}\", \"policy\": \"{}\", \
-             \"reorder\": \"{}\", \"backend\": \"{}\", \"layers\": {}, \
+             \"steps\": {}, \"executor\": \"{}\", \"reorder\": \"{}\", \
+             \"backend\": \"{}\", \"layers\": {}, \
              \"progress_every\": {}{flight}}}",
             json_escape(&self.case),
             self.alpha,
@@ -204,7 +198,6 @@ impl JobRequest {
             self.lloyd,
             self.steps,
             json_escape(&self.executor),
-            json_escape(&self.policy),
             self.reorder.name(),
             self.backend.name(),
             self.layers,
@@ -230,7 +223,7 @@ mod tests {
     #[test]
     fn full_body_round_trips_through_to_json() {
         let body = "{\"case\": \"6\", \"level\": 3, \"steps\": 7, \
-                    \"executor\": \"threaded:2\", \"policy\": \"heft\", \
+                    \"executor\": \"threaded:2\", \
                     \"reorder\": \"sfc\", \"backend\": \"scalar\", \"progress_every\": 2}";
         let req = JobRequest::parse(body).unwrap();
         assert_eq!(req.level, 3);
@@ -247,6 +240,14 @@ mod tests {
         // The legacy boolean is an unknown key now, ignored like any other.
         let req = JobRequest::parse("{\"fused\": false}").unwrap();
         assert_eq!(req.backend, KernelBackend::Simd);
+    }
+
+    #[test]
+    fn retired_policy_key_is_ignored() {
+        // Jobs run no modeled scheduler, so `policy` is an unknown key.
+        let req = JobRequest::parse("{\"policy\": \"fifo\", \"steps\": 3}").unwrap();
+        assert_eq!(req.steps, 3);
+        assert!(!req.to_json().contains("policy"));
     }
 
     #[test]
@@ -317,7 +318,6 @@ mod tests {
     fn invalid_fields_are_rejected_at_submission() {
         assert!(JobRequest::parse("{\"case\": \"7\"}").is_err());
         assert!(JobRequest::parse("{\"executor\": \"cuda\"}").is_err());
-        assert!(JobRequest::parse("{\"policy\": \"fifo\"}").is_err());
         assert!(JobRequest::parse("{\"steps\": 0}").is_err());
         assert!(JobRequest::parse("{\"level\": 9}").is_err());
         assert!(JobRequest::parse("{\"backend\": 1}").is_err());

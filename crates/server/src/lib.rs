@@ -2,15 +2,13 @@
 //! `mpas-server` — a multi-tenant ensemble simulation service.
 //!
 //! Long-running job server over the whole reproduction stack: tenants POST
-//! simulation jobs (case, mesh level, steps, executor, scheduling policy)
-//! to an HTTP/1.1+JSON API and poll for status and results. The expensive
-//! immutable artifacts — meshes and fused-coefficient tables — are built
-//! once per key in a shared [`cache::ArtifactCache`] and handed to every
+//! simulation jobs (case, mesh level, steps, executor, kernel tier) to an
+//! HTTP/1.1+JSON API and poll for status and results. The expensive
+//! immutable artifacts — meshes and coefficient tables — are built once
+//! per key in a shared [`cache::ArtifactCache`] and handed to every
 //! concurrent tenant as `Arc`s, so an N-member ensemble on one grid pays
-//! one mesh build. Placement onto the bounded worker pool is
-//! scheduler-driven: each job is priced by the configured `mpas-sched`
-//! policy's modeled time-per-step and placed on the worker with the
-//! smallest modeled backlog ([`dispatch`]).
+//! one mesh build. Jobs wait in one bounded FIFO that every idle worker
+//! pulls from ([`dispatch`]).
 //!
 //! Everything is hand-rolled on `std::net` — the repo's no-new-heavy-deps
 //! rule extends to serving. JSON in/out goes through `mpas-telemetry`'s
@@ -45,7 +43,7 @@ pub mod registry;
 pub mod server;
 
 pub use cache::{config_digest, ArtifactCache, CoeffsKey, MeshKey};
-pub use dispatch::{mesh_counts_for_level, modeled_job_cost, Dispatcher, QueuedJob, SubmitError};
+pub use dispatch::{mesh_counts_for_level, Dispatcher, QueuedJob, SubmitError};
 pub use job::JobRequest;
 pub use registry::{JobEntry, JobState, Registry};
 pub use server::{Server, ServerConfig, ServerHandle};

@@ -24,7 +24,7 @@ use std::time::Instant;
 /// Where a job is in its lifecycle.
 #[derive(Debug, Clone)]
 pub enum JobState {
-    /// Accepted, waiting in a worker queue.
+    /// Accepted, waiting in the queue.
     Queued,
     /// A worker is executing it; `step`/`total` track progress.
     Running {
@@ -40,7 +40,7 @@ pub enum JobState {
         /// Steps completed before the flag was observed.
         steps_done: usize,
     },
-    /// Rejected by the runner (bad policy name etc.).
+    /// Refused at submission (full queue) or rejected by the runner.
     Failed(String),
 }
 
@@ -75,8 +75,8 @@ pub struct JobEntry {
     pub cancel: Arc<AtomicBool>,
     /// Submission instant (queueing delay + TTFS measurements hang off it).
     pub submitted: Instant,
-    /// Worker index the dispatcher placed the job on.
-    pub worker: usize,
+    /// Index of the worker that took the job; `None` while it waits.
+    pub worker: Option<usize>,
     /// Server-side milliseconds from submission to the end of the first
     /// step (the SLO'd time-to-first-step); `None` until the first
     /// progress report.
@@ -106,8 +106,8 @@ impl Registry {
         Self::default()
     }
 
-    /// Register a freshly accepted job as queued on `worker`; returns its id.
-    pub fn insert(&self, request: JobRequest, worker: usize) -> (u64, Arc<AtomicBool>) {
+    /// Register a freshly accepted job as queued; returns its id.
+    pub fn insert(&self, request: JobRequest) -> (u64, Arc<AtomicBool>) {
         let id = self.next_id.fetch_add(1, Ordering::Relaxed) + 1;
         let cancel = Arc::new(AtomicBool::new(false));
         let entry = JobEntry {
@@ -115,7 +115,7 @@ impl Registry {
             state: JobState::Queued,
             cancel: cancel.clone(),
             submitted: Instant::now(),
-            worker,
+            worker: None,
             ttfs_ms: None,
             scope: format!("job{id}"),
             history_run: None,
@@ -198,8 +198,8 @@ mod tests {
     #[test]
     fn ids_are_unique_and_monotonic() {
         let reg = Registry::new();
-        let (a, _) = reg.insert(request(), 0);
-        let (b, _) = reg.insert(request(), 1);
+        let (a, _) = reg.insert(request());
+        let (b, _) = reg.insert(request());
         assert!(b > a);
         assert_eq!(reg.len(), 2);
         assert_eq!(reg.active(), 2);
@@ -208,7 +208,7 @@ mod tests {
     #[test]
     fn terminal_states_are_sticky() {
         let reg = Registry::new();
-        let (id, _) = reg.insert(request(), 0);
+        let (id, _) = reg.insert(request());
         reg.set_state(id, JobState::Cancelled { steps_done: 0 });
         reg.set_state(id, JobState::Running { step: 1, total: 2 });
         assert_eq!(reg.with(id, |e| e.state.label()), Some("cancelled"));
@@ -218,7 +218,7 @@ mod tests {
     #[test]
     fn cancel_sets_the_shared_flag() {
         let reg = Registry::new();
-        let (id, flag) = reg.insert(request(), 0);
+        let (id, flag) = reg.insert(request());
         assert_eq!(reg.cancel(id), Some("queued"));
         assert!(flag.load(Ordering::Relaxed));
         assert_eq!(reg.cancel(9999), None);
@@ -227,7 +227,7 @@ mod tests {
     #[test]
     fn ttfs_is_recorded_once() {
         let reg = Registry::new();
-        let (id, _) = reg.insert(request(), 0);
+        let (id, _) = reg.insert(request());
         reg.note_first_step(id);
         let first = reg.with(id, |e| e.ttfs_ms).flatten().unwrap();
         std::thread::sleep(std::time::Duration::from_millis(2));

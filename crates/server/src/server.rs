@@ -2,7 +2,7 @@
 //! and the graceful-drain shutdown protocol.
 
 use crate::cache::ArtifactCache;
-use crate::dispatch::{modeled_job_cost, Dispatcher, QueuedJob, SubmitError};
+use crate::dispatch::{Dispatcher, QueuedJob, SubmitError};
 use crate::http::{error_body, read_request, write_response, write_stream_head, Request};
 use crate::job::JobRequest;
 use crate::registry::{JobState, Registry};
@@ -26,7 +26,7 @@ pub struct ServerConfig {
     pub addr: String,
     /// Worker threads executing jobs.
     pub workers: usize,
-    /// Maximum jobs waiting in queues before submissions get 429.
+    /// Maximum jobs waiting in the queue before submissions get 429.
     pub queue_capacity: usize,
     /// Telemetry history directory. When set, every completed job's
     /// scoped metrics are flushed into a [`HistoryStore`] there and the
@@ -103,7 +103,7 @@ impl Server {
             config.workers,
             config.queue_capacity,
             rec.clone(),
-            move |_w, job| execute_job(&worker_inner, job),
+            move |w, job| execute_job(&worker_inner, w, job),
         ));
 
         let accept_inner = inner.clone();
@@ -317,25 +317,14 @@ fn submit_job(body: &str, inner: &Arc<Inner>, dispatcher: &Arc<Dispatcher>) -> (
         Ok(r) => r,
         Err(e) => return (400, error_body(&e)),
     };
-    let cost_s = modeled_job_cost(request.level, request.steps, &request.policy);
-    // Reserve the id first so the queue entry can carry it; placement
-    // fills the worker index in afterwards.
-    let (id, _cancel) = inner.registry.insert(request, usize::MAX);
+    // Reserve the id first so the queue entry can carry it; the worker
+    // that takes the job fills its index in.
+    let (id, _cancel) = inner.registry.insert(request);
     match dispatcher.submit(QueuedJob {
         id,
-        cost_s,
         submitted_s: inner.rec.now_s(),
     }) {
-        Ok(worker) => {
-            inner.registry.with(id, |e| e.worker = worker);
-            (
-                202,
-                format!(
-                    "{{\"id\": {id}, \"status\": \"queued\", \"worker\": {worker}, \
-                     \"modeled_cost_s\": {cost_s:e}}}\n"
-                ),
-            )
-        }
+        Ok(()) => (202, format!("{{\"id\": {id}, \"status\": \"queued\"}}\n")),
         Err(refusal) => {
             // Withdraw the registration: the job never entered a queue.
             inner
@@ -359,11 +348,15 @@ fn job_status(id: u64, inner: &Arc<Inner>) -> (u16, String) {
             .ttfs_ms
             .map(|t| format!(", \"ttfs_ms\": {t:.3}"))
             .unwrap_or_default();
+        // A job names a worker only once one has taken it.
+        let worker = e
+            .worker
+            .map(|w| format!(", \"worker\": {w}"))
+            .unwrap_or_default();
         format!(
-            "{{\"id\": {id}, \"status\": \"{}\", \"worker\": {}{progress}{ttfs}, \
+            "{{\"id\": {id}, \"status\": \"{}\"{worker}{progress}{ttfs}, \
              \"request\": {}}}\n",
             e.state.label(),
-            e.worker,
             e.request.to_json(),
         )
     });
@@ -621,11 +614,12 @@ fn cancel_job(id: u64, inner: &Arc<Inner>) -> (u16, String) {
     }
 }
 
-/// Worker-side job execution: resolve shared artifacts through the cache,
-/// run, and advance the registry state machine.
-fn execute_job(inner: &Arc<Inner>, job: QueuedJob) {
+/// Worker-side job execution on worker `w`: resolve shared artifacts
+/// through the cache, run, and advance the registry state machine.
+fn execute_job(inner: &Arc<Inner>, w: usize, job: QueuedJob) {
     let id = job.id;
     let Some((request, cancel, scope)) = inner.registry.with(id, |e| {
+        e.worker = Some(w);
         (e.request.clone(), e.cancel.clone(), e.scope.clone())
     }) else {
         return;
@@ -711,7 +705,9 @@ fn flush_history(inner: &Arc<Inner>, id: u64, request: &JobRequest, scope: &str)
         request.lloyd,
         request.backend.name(),
         request.layers,
-        &request.policy,
+        // Jobs run no modeled scheduler; the paper's default policy name
+        // keeps stored run identities unchanged.
+        "pattern-driven",
         &request.executor,
         0,
         request.steps,

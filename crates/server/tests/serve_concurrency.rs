@@ -118,6 +118,53 @@ fn concurrent_identical_jobs_share_one_mesh_and_agree_bitwise() {
     assert_eq!(server.registry().len(), TENANTS);
 }
 
+fn status_of(addr: SocketAddr, id: f64) -> String {
+    let (_, doc) = http(addr, "GET", &format!("/jobs/{id}"), "");
+    doc.get("status")
+        .and_then(|s| s.as_str())
+        .unwrap()
+        .to_string()
+}
+
+#[test]
+fn idle_worker_takes_the_next_job_while_another_runs() {
+    let mut server = Server::start(
+        ServerConfig {
+            workers: 2,
+            queue_capacity: 8,
+            ..Default::default()
+        },
+        Recorder::new(),
+    )
+    .expect("start server");
+    let addr = server.addr();
+    let submit = |body: &str| {
+        let (status, doc) = http(addr, "POST", "/jobs", body);
+        assert_eq!(status, 202);
+        doc.get("id").and_then(|v| v.as_f64()).expect("job id")
+    };
+
+    // Warm the level-4 mesh so no job below pays for its build.
+    let warm = submit("{\"level\": 4, \"steps\": 1}");
+    assert_eq!(
+        wait_terminal(addr, warm, Duration::from_secs(60)),
+        "completed"
+    );
+
+    // A is 64 layers of the same level and steps as B and C: one busy
+    // worker, and the other must take B and then C.
+    let a = submit("{\"level\": 4, \"steps\": 20, \"layers\": 64, \"progress_every\": 1}");
+    let _b = submit("{\"level\": 4, \"steps\": 20}");
+    let c = submit("{\"level\": 4, \"steps\": 20}");
+    assert_eq!(wait_terminal(addr, c, Duration::from_secs(60)), "completed");
+    assert_eq!(status_of(addr, a), "running", "C waited behind A");
+
+    let (status, _) = http(addr, "POST", &format!("/jobs/{a}/cancel"), "");
+    assert_eq!(status, 200);
+    assert_eq!(wait_terminal(addr, a, Duration::from_secs(60)), "cancelled");
+    server.shutdown();
+}
+
 #[test]
 fn full_queue_answers_429_and_drain_completes_accepted_jobs() {
     let rec = Recorder::new();
@@ -154,7 +201,14 @@ fn full_queue_answers_429_and_drain_completes_accepted_jobs() {
     for _ in 0..2 {
         let (status, doc) = http(addr, "POST", "/jobs", quick);
         assert_eq!(status, 202);
+        assert!(doc.get("worker").is_none(), "no worker has the job yet");
         queued_ids.push(doc.get("id").and_then(|v| v.as_f64()).unwrap());
+    }
+    // A queued job names no worker until one takes it.
+    for &id in &queued_ids {
+        let (_, d) = http(addr, "GET", &format!("/jobs/{id}"), "");
+        assert_eq!(d.get("status").and_then(|s| s.as_str()), Some("queued"));
+        assert!(d.get("worker").is_none(), "queued job {id} names a worker");
     }
 
     // Queue is at capacity: the next submission bounces with 429.
@@ -164,6 +218,11 @@ fn full_queue_answers_429_and_drain_completes_accepted_jobs() {
     let snap = rec.snapshot();
     assert_eq!(snap.gauge(names::SERVER_QUEUE_DEPTH), Some(2.0));
     assert_eq!(snap.counter(names::SERVER_JOBS_REJECTED), Some(1));
+    // The refused job keeps the next id, reads `failed`, names no worker.
+    let refused = queued_ids[1] + 1.0;
+    let (_, d) = http(addr, "GET", &format!("/jobs/{refused}"), "");
+    assert_eq!(d.get("status").and_then(|s| s.as_str()), Some("failed"));
+    assert!(d.get("worker").is_none());
 
     // Cancel the slow job; the queued quick jobs then run and complete.
     let (status, _) = http(addr, "POST", &format!("/jobs/{slow_id}/cancel"), "");
@@ -177,6 +236,9 @@ fn full_queue_answers_429_and_drain_completes_accepted_jobs() {
             wait_terminal(addr, id, Duration::from_secs(60)),
             "completed"
         );
+        let (_, d) = http(addr, "GET", &format!("/jobs/{id}"), "");
+        let worker = d.get("worker").and_then(|w| w.as_f64()).expect("worker");
+        assert!(worker < 1.0, "job {id} ran on worker {worker} of 1");
     }
 
     // Shutdown endpoint flips the drain flag; the handle drains cleanly.

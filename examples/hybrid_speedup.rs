@@ -23,7 +23,7 @@ fn main() {
 
     let serial = schedule_substep(&graph, &mc, &platform, Serial);
     let kernel = schedule_substep(&graph, &mc, &platform, KernelLevel);
-    let pattern = schedule_substep(&graph, &mc, &platform, PatternDriven::default());
+    let pattern = schedule_substep(&graph, &mc, &platform, PatternDriven);
 
     println!("mesh: {n_cells} cells; one intermediate RK substep\n");
     println!("pattern-driven placements:");

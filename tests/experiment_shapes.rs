@@ -20,7 +20,7 @@ fn fig7_speedup_bands_and_growth() {
         let mc = MeshCounts::icosahedral(cells);
         let serial = time_per_step(&mc, &p, Serial);
         let kernel = time_per_step(&mc, &p, KernelLevel);
-        let pattern = time_per_step(&mc, &p, PatternDriven::default());
+        let pattern = time_per_step(&mc, &p, PatternDriven);
         let s_k = serial / kernel;
         let s_p = serial / pattern;
         // Paper bands: kernel-level 4.59..6.05, pattern 5.63..8.35 — allow
@@ -37,7 +37,7 @@ fn fig7_speedup_bands_and_growth() {
     // (paper: 38%).
     let mc = MeshCounts::icosahedral(2_621_442);
     let kernel = time_per_step(&mc, &p, KernelLevel);
-    let pattern = time_per_step(&mc, &p, PatternDriven::default());
+    let pattern = time_per_step(&mc, &p, PatternDriven);
     assert!(kernel / pattern > 1.3, "advantage {}", kernel / pattern);
 }
 
@@ -60,9 +60,9 @@ fn fig7_absolute_times_near_paper() {
         time_per_step(&large, &p, Serial)
     );
     assert!(
-        near(time_per_step(&large, &p, PatternDriven::default()), 2.102),
+        near(time_per_step(&large, &p, PatternDriven), 2.102),
         "pattern large: {}",
-        time_per_step(&large, &p, PatternDriven::default())
+        time_per_step(&large, &p, PatternDriven)
     );
 }
 
@@ -81,8 +81,8 @@ fn fig8_strong_scaling_crossover() {
     let p = Platform::paper_node();
     let comm = CommCostModel::fdr_infiniband();
     let eff = |cells: usize, ranks: usize| {
-        let t1 = time_per_step_multirank(cells, 1, &p, PatternDriven::default(), &comm);
-        let tp = time_per_step_multirank(cells, ranks, &p, PatternDriven::default(), &comm);
+        let t1 = time_per_step_multirank(cells, 1, &p, PatternDriven, &comm);
+        let tp = time_per_step_multirank(cells, ranks, &p, PatternDriven, &comm);
         t1 / (tp * ranks as f64)
     };
     let small64 = eff(655_362, 64);
@@ -110,27 +110,69 @@ fn fig9_weak_scaling_flat_for_both_versions() {
 }
 
 #[test]
-fn fig7x_policy_table_covers_registry_and_heft_beats_kernel_level() {
-    // The `figures -- fig7x` acceptance: every registered policy schedules
-    // every Table III mesh, and HEFT's makespan is never worse than the
-    // kernel-level static map on any of them.
+fn registered_policies_schedule_every_table_iii_mesh() {
+    // The registry holds the paper's five policies, and each schedules
+    // every Table III mesh.
     use mpas_repro::sched::{registered_names, resolve};
     let p = Platform::paper_node();
     let names = registered_names();
-    assert!(names.len() >= 6, "registry too small: {names:?}");
+    assert!(names.len() == 5, "registry is not the paper's: {names:?}");
     for &cells in &TABLE3_CELLS {
         let mc = MeshCounts::icosahedral(cells);
         for spec in &names {
             let t = time_per_step(&mc, &p, resolve(spec).unwrap());
             assert!(t > 0.0 && t.is_finite(), "{spec} on {cells}: {t}");
         }
-        let heft = time_per_step(&mc, &p, resolve("heft").unwrap());
-        let kernel = time_per_step(&mc, &p, KernelLevel);
-        assert!(
-            heft <= kernel,
-            "{cells}: heft {heft} worse than kernel-level {kernel}"
-        );
     }
+}
+
+#[test]
+fn modeled_paper_figures_are_pinned() {
+    // One digest over the bits of every modeled number Figs. 6-9 print:
+    // the Fig. 6 ladder, Fig. 7's time/step and imbalances, and the
+    // multi-rank times/step of Figs. 8 and 9.
+    use mpas_repro::telemetry::digest::Fnv1a;
+    let p = Platform::paper_node();
+    let comm = CommCostModel::fdr_infiniband();
+    let mut d = Fnv1a::new();
+    for (_, speedup) in fig6_ladder(&MeshCounts::icosahedral(163_842)) {
+        d.write_u64(speedup.to_bits());
+    }
+    for &cells in &TABLE3_CELLS {
+        let mc = MeshCounts::icosahedral(cells);
+        d.write_u64(time_per_step(&mc, &p, Serial).to_bits());
+        d.write_u64(time_per_step(&mc, &p, KernelLevel).to_bits());
+        d.write_u64(time_per_step(&mc, &p, PatternDriven).to_bits());
+    }
+    let g = DataflowGraph::for_substep(RkPhase::Intermediate);
+    let mc = MeshCounts::icosahedral(655_362);
+    d.write_u64(
+        schedule_substep(&g, &mc, &p, KernelLevel)
+            .imbalance()
+            .to_bits(),
+    );
+    d.write_u64(
+        schedule_substep(&g, &mc, &p, PatternDriven)
+            .imbalance()
+            .to_bits(),
+    );
+    let mut multirank = |cells: usize, ranks: usize| {
+        d.write_u64(time_per_step_multirank(cells, ranks, &p, Serial, &comm).to_bits());
+        d.write_u64(time_per_step_multirank(cells, ranks, &p, PatternDriven, &comm).to_bits());
+    };
+    for cells in [655_362usize, 2_621_442] {
+        for ranks in [1usize, 2, 4, 8, 16, 32, 64] {
+            multirank(cells, ranks);
+        }
+    }
+    for ranks in [1usize, 4, 16, 64] {
+        multirank(40_962 * ranks, ranks);
+    }
+    assert_eq!(
+        d.finish(),
+        0x6c28_a4b1_160b_ff6e,
+        "a modeled figure changed"
+    );
 }
 
 #[test]
@@ -141,6 +183,6 @@ fn final_substep_graph_schedules_consistently_too() {
     let mc = MeshCounts::icosahedral(655_362);
     let p = Platform::paper_node();
     let serial = schedule_substep(&g, &mc, &p, Serial).makespan;
-    let pattern = schedule_substep(&g, &mc, &p, PatternDriven::default()).makespan;
+    let pattern = schedule_substep(&g, &mc, &p, PatternDriven).makespan;
     assert!(serial / pattern > 5.0);
 }
