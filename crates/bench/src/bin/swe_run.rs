@@ -524,9 +524,7 @@ fn run_dist(args: &Args, tc: TestCase, rec: &Recorder) -> RunStats {
 
     let mass_drift = (mass(&final_state.h) - mass0) / mass0;
     let time = total_steps as f64 * dt;
-    let reference: Vec<f64> = (0..mesh.n_cells())
-        .map(|i| tc.reference_thickness_at(mesh.x_cell[i], time))
-        .collect();
+    let reference = tc.reference_thickness(&mesh, time);
     let norms = ErrorNorms::compute(&final_state.h, &reference, &mesh.area_cell);
     let tracer_drift = (!tracer_mass0.is_empty()).then(|| {
         final_state
@@ -905,7 +903,11 @@ fn main() {
     };
     let blame = trace.blame();
     let cp = trace.critical_path();
-    record_blame(&rec, &blame, Some(&cp));
+    // Blame and critical path attribute rank time: a run without ranks
+    // has none to attribute, so its metrics carry no `analysis.*` gauges.
+    if args.ranks >= 2 {
+        record_blame(&rec, &blame, Some(&cp));
+    }
     let alerts = check_invariants(&rec, &default_invariants());
 
     if args.report {

@@ -10,7 +10,9 @@
 
 use mpas_bench::time_per_call;
 use mpas_core::{Executor, Simulation};
+use mpas_swe::TestCase;
 use mpas_telemetry::Recorder;
+use std::hint::black_box;
 
 /// Upper bound on telemetry hook invocations per RK-4 step: 4 stages x
 /// (~16 kernel timers + 1 stage span) + step span + facade gauges/counter.
@@ -251,6 +253,35 @@ fn history_flush_stays_off_the_hot_path() {
     assert!(rows.iter().any(|r| r.metric == "bench.counter"));
     assert!(rows.iter().any(|r| r.metric == "bench.hist"));
     std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn per_step_gauge_values_are_within_5_percent_of_a_step() {
+    // The guards above price the recorder's primitives. With a live
+    // recorder (every server job) `Simulation::run_steps` also computes
+    // the values of its per-step gauges — mass drift, the h error norms
+    // and the Courant number — after every step; price those against the
+    // step they follow, both by the same min-of-reps harness.
+    let mut sim = Simulation::builder()
+        .mesh_level(4)
+        .test_case(TestCase::Case5)
+        .build();
+    let reps = 5;
+    let gauges_seconds = min_time_per_call(
+        || {
+            black_box(sim.mass_drift());
+            black_box(sim.h_error_norms());
+            black_box(sim.max_courant());
+        },
+        20,
+        reps,
+    );
+    let step_seconds = min_time_per_call(|| sim.run_steps(1), 4, reps);
+    assert!(
+        gauges_seconds <= 0.05 * step_seconds,
+        "per-step gauge values cost {gauges_seconds:.3e}s, over 5% of a measured \
+         level-4 Williamson-5 step ({step_seconds:.3e}s)"
+    );
 }
 
 #[test]

@@ -12,10 +12,10 @@
 use mpas_mesh::{extract_local_mesh, Mesh, MeshPartition};
 use mpas_msg::comm::{run_ranks, RankCtx};
 use mpas_msg::halo::{FieldKind, HaloExchanger};
+use mpas_patterns::dataflow::RkPhase;
 use mpas_swe::coeffs::KernelCoeffs;
 use mpas_swe::config::ModelConfig;
 use mpas_swe::kernels;
-use mpas_swe::reconstruct::ReconstructCoeffs;
 use mpas_swe::rk4::{RK_SUBSTEP, RK_WEIGHTS};
 use mpas_swe::state::{Diagnostics, Reconstruction, State, Tendencies};
 use mpas_swe::testcases::TestCase;
@@ -102,7 +102,6 @@ fn rank_main(
     let mut state = tc.initial_state_with_tracers(mesh, mcfg.n_tracers);
     let b = tc.topography(mesh);
     let f_vertex = tc.coriolis_vertex(mesh);
-    let coeffs = ReconstructCoeffs::build(mesh);
     let kc = KernelCoeffs::build(mesh, mcfg);
     let backend = mcfg.kernel_backend;
     // Case-4 forcing, computed from the rank's own local mesh: the
@@ -115,9 +114,9 @@ fn rank_main(
     // Same branch the single-address-space executors take: per-entity the
     // local coefficients equal the global ones, so owned outputs stay
     // bit-for-bit identical to the serial run on either path.
-    let solve_diag = |h: &[f64], u: &[f64], diag: &mut Diagnostics| {
-        kernels::compute_solve_diagnostics_backend(
-            backend, mesh, mcfg, &kc, h, u, &f_vertex, dt, diag,
+    let solve_diag = |h: &[f64], u: &[f64], phase: RkPhase, diag: &mut Diagnostics| {
+        kernels::compute_substep_diagnostics(
+            backend, mesh, mcfg, &kc, h, u, &f_vertex, dt, phase, diag,
         );
     };
     let mut diag = Diagnostics::zeros(mesh);
@@ -130,7 +129,7 @@ fn rank_main(
     let n_owned_cells = lm.n_owned_cells;
     let n_owned_edges = lm.n_owned_edges;
 
-    solve_diag(&state.h, &state.u, &mut diag);
+    solve_diag(&state.h, &state.u, RkPhase::Final, &mut diag);
 
     for step in 0..cfg.n_steps {
         // Rank-tagged per-step window: the unit the trace analyzer
@@ -185,7 +184,7 @@ fn rank_main(
                 for tr in provis.tracers.iter_mut() {
                     hx.exchange(ctx, FieldKind::Cell, &mut tr[..ncl]);
                 }
-                solve_diag(&provis.h, &provis.u, &mut diag);
+                solve_diag(&provis.h, &provis.u, RkPhase::Intermediate, &mut diag);
                 accumulate_owned(
                     &tend,
                     RK_WEIGHTS[stage] * dt,
@@ -211,8 +210,8 @@ fn rank_main(
                 for tr in state.tracers.iter_mut() {
                     hx.exchange(ctx, FieldKind::Cell, &mut tr[..ncl]);
                 }
-                solve_diag(&state.h, &state.u, &mut diag);
-                kernels::mpas_reconstruct(mesh, &coeffs, &state.u, &mut recon);
+                solve_diag(&state.h, &state.u, RkPhase::Final, &mut diag);
+                kernels::mpas_reconstruct(mesh, &kc, &state.u, &mut recon);
             }
         }
         if rec.is_enabled() {

@@ -11,7 +11,7 @@ use mpas_swe::state::State;
 use mpas_swe::testcases::TestCase;
 use mpas_swe::{KernelBackend, LayeredModel, ShallowWaterModel};
 use mpas_telemetry::Recorder;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 /// Which execution engine advances the model.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -181,6 +181,7 @@ impl SimulationBuilder {
                 config: self.config,
                 initial_mass: 0.0,
                 initial_tracer_mass: Vec::new(),
+                h_reference: OnceLock::new(),
                 policy,
                 recorder: self.recorder,
             };
@@ -241,6 +242,7 @@ impl SimulationBuilder {
             config: self.config,
             initial_mass: 0.0,
             initial_tracer_mass: Vec::new(),
+            h_reference: OnceLock::new(),
             policy,
             recorder: self.recorder,
         };
@@ -274,6 +276,9 @@ pub struct Simulation {
     pub config: ModelConfig,
     initial_mass: f64,
     initial_tracer_mass: Vec<f64>,
+    /// The reference thickness of a case whose reference does not move,
+    /// sampled on the first [`Simulation::h_error_norms`] call.
+    h_reference: OnceLock<Vec<f64>>,
     policy: Box<dyn SchedulerPolicy>,
     recorder: Recorder,
 }
@@ -429,16 +434,18 @@ impl Simulation {
     /// the current model time (the analytic field for steady cases and the
     /// rigidly advected bell of case 1; the initial field otherwise) —
     /// the same quantity [`mpas_swe::ShallowWaterModel::h_error_norms`]
-    /// reports, so facade and serial-model norms agree bitwise.
+    /// reports, so facade and serial-model norms agree bitwise. A reference
+    /// that does not move is sampled once per run, not once per call.
     pub fn h_error_norms(&self) -> ErrorNorms {
-        let time = self.time();
-        let reference: Vec<f64> = (0..self.mesh.n_cells())
-            .map(|i| {
-                self.test_case
-                    .reference_thickness_at(self.mesh.x_cell[i], time)
-            })
-            .collect();
-        ErrorNorms::compute(&self.state().h, &reference, &self.mesh.area_cell)
+        let (tc, h) = (&self.test_case, &self.state().h);
+        if tc.reference_moves() {
+            let reference = tc.reference_thickness(&self.mesh, self.time());
+            return ErrorNorms::compute(h, &reference, &self.mesh.area_cell);
+        }
+        let reference = self
+            .h_reference
+            .get_or_init(|| tc.reference_thickness(&self.mesh, 0.0));
+        ErrorNorms::compute(h, reference, &self.mesh.area_cell)
     }
 
     /// The configured scheduling policy.
@@ -589,6 +596,9 @@ mod tests {
         // Kernel timers from the threaded engine: 4 RK stages x 3 steps.
         let b1 = snap.histogram("hybrid.kernel.B1.seconds").expect("B1");
         assert_eq!(b1.count, 12);
+        // No kernel reads A3's output: it runs in the final substep only.
+        let a3 = snap.histogram("hybrid.kernel.A3.seconds").expect("A3");
+        assert_eq!(a3.count, 3);
         // One decision event per scheduled DAG node.
         let decisions = rec
             .events()
@@ -603,6 +613,29 @@ mod tests {
             .build();
         plain.run_steps(3);
         assert_eq!(sim.state().max_abs_diff(plain.state()), 0.0);
+    }
+
+    #[test]
+    fn h_error_norms_sample_a_fixed_reference_once() {
+        // Every catalog case: the norms equal a fresh sample of the
+        // reference at the current time; only a moving reference
+        // (Williamson 1) is sampled again.
+        let mesh = Arc::new(mpas_mesh::generate(2, 0));
+        for sc in &mpas_swe::validation::CATALOG {
+            let mut sim = Simulation::builder()
+                .mesh(mesh.clone())
+                .test_case(sc.test_case)
+                .config(sc.config())
+                .build();
+            for _ in 0..2 {
+                sim.run_steps(1);
+                let reference = sc.test_case.reference_thickness(&mesh, sim.time());
+                let want = ErrorNorms::compute(&sim.state().h, &reference, &mesh.area_cell);
+                assert_eq!(sim.h_error_norms(), want, "{}", sc.name);
+            }
+            let cached = sim.h_reference.get().is_some();
+            assert_eq!(cached, !sc.test_case.reference_moves(), "{}", sc.name);
+        }
     }
 
     #[test]

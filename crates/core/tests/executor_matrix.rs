@@ -11,12 +11,18 @@
 //! executors. The FNV digest covers `h`, `u`, and every tracer-mass field,
 //! so a single flipped mantissa bit anywhere fails the matrix. One extra
 //! row covers the terms the catalog leaves off: del2 and del4 viscosity
-//! and the high-order thickness flux.
+//! and the high-order thickness flux. A last row checks what a step leaves
+//! besides the state: each engine's diagnostics and reconstruction.
 
 use mpas_core::{build_mesh, run_distributed, state_hash, DistributedConfig, Executor, Simulation};
+use mpas_hybrid::{ParallelModel, Platform};
 use mpas_mesh::{Mesh, Reordering};
+use mpas_swe::kernels;
 use mpas_swe::validation::CATALOG;
-use mpas_swe::{KernelBackend, ModelConfig};
+use mpas_swe::{
+    Diagnostics, KernelBackend, KernelCoeffs, ModelConfig, Reconstruction, ShallowWaterModel,
+    State, TestCase,
+};
 use std::sync::Arc;
 
 const STEPS: usize = 5;
@@ -24,7 +30,7 @@ const STEPS: usize = 5;
 fn run_engine(
     mesh: &Arc<Mesh>,
     config: ModelConfig,
-    tc: mpas_swe::TestCase,
+    tc: TestCase,
     dt: f64,
     executor: Executor,
 ) -> u64 {
@@ -40,13 +46,7 @@ fn run_engine(
 }
 
 /// Run `config` on every engine and require the serial digest from each.
-fn assert_engines_agree(
-    mesh: &Arc<Mesh>,
-    config: ModelConfig,
-    tc: mpas_swe::TestCase,
-    dt: f64,
-    tag: &str,
-) {
+fn assert_engines_agree(mesh: &Arc<Mesh>, config: ModelConfig, tc: TestCase, dt: f64, tag: &str) {
     let serial = run_engine(mesh, config, tc, dt, Executor::Serial);
     let threaded = run_engine(mesh, config, tc, dt, Executor::Threaded { threads: 4 });
     let hybrid = run_engine(
@@ -112,7 +112,7 @@ fn viscous_high_order_case6_is_bitwise_identical_across_executors() {
             ..ModelConfig::default()
         };
         let tag = format!("viscous williamson-6 ({})", backend.name());
-        assert_engines_agree(&mesh, config, mpas_swe::TestCase::Case6, dt, &tag);
+        assert_engines_agree(&mesh, config, TestCase::Case6, dt, &tag);
     }
 }
 
@@ -124,7 +124,7 @@ fn viscous_high_order_case6_is_bitwise_identical_across_executors() {
 fn layered_facade_layer0_matches_flat_runs_bitwise() {
     let mesh = build_mesh(3, 0, Reordering::None);
     let dt = ModelConfig::suggested_dt(&mesh);
-    let tc = mpas_swe::TestCase::Case5;
+    let tc = TestCase::Case5;
     let flat = run_engine(&mesh, ModelConfig::default(), tc, dt, Executor::Serial);
 
     let mut sim = Simulation::builder()
@@ -148,4 +148,87 @@ fn layered_facade_layer0_matches_flat_runs_bitwise() {
     // The full-state digest folds all k lanes, so it must differ from the
     // single-layer digest (deeper layers carry perturbed thickness).
     assert_ne!(sim.state_digest(), flat);
+}
+
+fn assert_same_bits(tag: &str, field: &str, got: &[f64], want: &[f64]) {
+    assert_eq!(got.len(), want.len(), "{tag}: {field} length");
+    if let Some(i) = (0..got.len()).find(|&i| got[i].to_bits() != want[i].to_bits()) {
+        panic!("{tag}: {field}[{i}] = {:e}, want {:e}", got[i], want[i]);
+    }
+}
+
+/// Each step computes only what its data flow reads (A3 in the final
+/// substep only, X6 from the frames in `KernelCoeffs`), yet every engine
+/// ends a step with diagnostics — `vorticity_cell` included — and a
+/// reconstruction bit for bit equal to a full refresh on its final state.
+#[test]
+fn end_of_step_diagnostics_and_reconstruction_match_a_full_refresh() {
+    let mesh = build_mesh(3, 0, Reordering::None);
+    let dt = ModelConfig::suggested_dt(&mesh);
+    for tc in [TestCase::Case5, TestCase::Case6] {
+        for backend in KernelBackend::ALL {
+            let config = ModelConfig {
+                kernel_backend: backend,
+                ..ModelConfig::default()
+            };
+            let kc = Arc::new(KernelCoeffs::build(&mesh, &config));
+            let shared = || Some(kc.clone());
+            let mut serial =
+                ShallowWaterModel::new_shared(mesh.clone(), config, tc, Some(dt), shared());
+            let mut threaded =
+                ParallelModel::new_shared(mesh.clone(), config, tc, Some(dt), 4, shared());
+            let mut hybrid =
+                ParallelModel::new_shared(mesh.clone(), config, tc, Some(dt), 2, shared())
+                    .with_accelerator(2, &Platform::paper_node());
+            serial.run_steps(3);
+            threaded.run_steps(3);
+            hybrid.run_steps(3);
+            let engines: [(&str, &State, &Diagnostics, &Reconstruction); 3] = [
+                ("serial", &serial.state, &serial.diag, &serial.recon),
+                ("threaded", &threaded.state, &threaded.diag, &threaded.recon),
+                ("hybrid", &hybrid.state, &hybrid.diag, &hybrid.recon),
+            ];
+            for (engine, state, diag, recon) in engines {
+                let tag = format!("{} ({}) {engine}", tc.name(), backend.name());
+                let mut d = Diagnostics::zeros(&mesh);
+                kernels::compute_solve_diagnostics_backend(
+                    backend,
+                    &mesh,
+                    &config,
+                    &kc,
+                    &state.h,
+                    &state.u,
+                    &serial.f_vertex,
+                    dt,
+                    &mut d,
+                );
+                for (field, got, want) in [
+                    ("h_edge", &diag.h_edge, &d.h_edge),
+                    ("ke", &diag.ke, &d.ke),
+                    ("vorticity", &diag.vorticity, &d.vorticity),
+                    ("vorticity_cell", &diag.vorticity_cell, &d.vorticity_cell),
+                    ("divergence", &diag.divergence, &d.divergence),
+                    ("pv_vertex", &diag.pv_vertex, &d.pv_vertex),
+                    ("pv_cell", &diag.pv_cell, &d.pv_cell),
+                    ("pv_edge", &diag.pv_edge, &d.pv_edge),
+                    ("v", &diag.v, &d.v),
+                    ("d2fdx2_cell1", &diag.d2fdx2_cell1, &d.d2fdx2_cell1),
+                    ("d2fdx2_cell2", &diag.d2fdx2_cell2, &d.d2fdx2_cell2),
+                ] {
+                    assert_same_bits(&tag, field, got, want);
+                }
+                let mut r = Reconstruction::zeros(&mesh);
+                kernels::mpas_reconstruct(&mesh, &kc, &state.u, &mut r);
+                for (field, got, want) in [
+                    ("ux", &recon.ux, &r.ux),
+                    ("uy", &recon.uy, &r.uy),
+                    ("uz", &recon.uz, &r.uz),
+                    ("zonal", &recon.zonal, &r.zonal),
+                    ("meridional", &recon.meridional, &r.meridional),
+                ] {
+                    assert_same_bits(&tag, field, got, want);
+                }
+            }
+        }
+    }
 }

@@ -328,7 +328,7 @@ pub fn calibrate_on(mesh: Arc<mpas_mesh::Mesh>, reps: usize) -> CalibrationRepor
     let t = time_best(reps, || {
         ops::reconstruct_xyz(
             &mesh,
-            &m.coeffs,
+            &m.kcoeffs,
             &m.state.u,
             &mut m.recon.ux,
             &mut m.recon.uy,
@@ -340,7 +340,7 @@ pub fn calibrate_on(mesh: Arc<mpas_mesh::Mesh>, reps: usize) -> CalibrationRepor
 
     let t = time_best(reps, || {
         ops::zonal_meridional(
-            &mesh,
+            &m.kcoeffs,
             &m.recon.ux,
             &m.recon.uy,
             &m.recon.uz,

@@ -18,10 +18,10 @@
 use crate::device::Platform;
 use crate::pool::{join, Pool};
 use mpas_mesh::Mesh;
+use mpas_patterns::dataflow::RkPhase;
 use mpas_swe::coeffs::KernelCoeffs;
 use mpas_swe::config::ModelConfig;
-use mpas_swe::kernels::{dispatch, ops};
-use mpas_swe::reconstruct::ReconstructCoeffs;
+use mpas_swe::kernels::{dispatch, ops, runs_vorticity_cell};
 use mpas_swe::rk4::{RK_SUBSTEP, RK_WEIGHTS};
 use mpas_swe::state::{Diagnostics, Reconstruction, State};
 use mpas_swe::testcases::TestCase;
@@ -122,11 +122,10 @@ pub struct ParallelModel {
     pub b: Vec<f64>,
     /// Coriolis parameter at vertices.
     pub f_vertex: Vec<f64>,
-    /// Velocity-reconstruction coefficients.
-    pub coeffs: ReconstructCoeffs,
-    /// Precomputed fused kernel coefficients (read by the simd backend of
-    /// `config.kernel_backend`). Shared so multi-tenant servers can reuse
-    /// one table across concurrent models on the same mesh/config.
+    /// Precomputed kernel coefficients: the simd backend's tables and the
+    /// velocity-reconstruction tables every backend reads. Shared so
+    /// multi-tenant servers can reuse one table across concurrent models
+    /// on the same mesh/config.
     pub kcoeffs: Arc<KernelCoeffs>,
     /// Fixed per-stage forcing tendency (Williamson case 4), identical to
     /// the serial model's — computed once at init with the serial kernels.
@@ -171,7 +170,6 @@ impl ParallelModel {
         let state = test_case.initial_state_with_tracers(&mesh, config.n_tracers);
         let b = test_case.topography(&mesh);
         let f_vertex = test_case.coriolis_vertex(&mesh);
-        let coeffs = ReconstructCoeffs::build(&mesh);
         let kcoeffs =
             shared_coeffs.unwrap_or_else(|| Arc::new(KernelCoeffs::build(&mesh, &config)));
         let dt = dt.unwrap_or_else(|| ModelConfig::suggested_dt(&mesh));
@@ -190,7 +188,6 @@ impl ParallelModel {
             state,
             b,
             f_vertex,
-            coeffs,
             kcoeffs,
             pool,
             acc: None,
@@ -200,7 +197,7 @@ impl ParallelModel {
             mesh,
             recorder: Recorder::noop(),
         };
-        m.solve_diagnostics_on(Which::State);
+        m.solve_diagnostics_on(Which::State, RkPhase::Final);
         m
     }
 
@@ -236,7 +233,9 @@ impl ParallelModel {
         &self.recorder
     }
 
-    fn solve_diagnostics_on(&mut self, which: Which) {
+    /// The diagnostics of one RK substep of `phase` on the state or the
+    /// provisional state (an intermediate substep skips A3).
+    fn solve_diagnostics_on(&mut self, which: Which, phase: RkPhase) {
         let (h, u): (&[f64], &[f64]) = match which {
             Which::State => (&self.state.h, &self.state.u),
             Which::Provis => (&self.provis.h, &self.provis.u),
@@ -297,7 +296,7 @@ impl ParallelModel {
             });
         }
         let vort = &d.vorticity;
-        {
+        if runs_vorticity_cell(phase) {
             let _g = kernel_timer(&rec, "A3");
             par_run(pool, &mut d.vorticity_cell, |r, o| {
                 dispatch::vorticity_cell(backend, mesh, kc, vort, o, r)
@@ -510,12 +509,14 @@ impl ParallelModel {
                         });
                     }
                 }
-                self.solve_diagnostics_on(Which::Provis);
+                self.solve_diagnostics_on(Which::Provis, RkPhase::Intermediate);
                 self.accumulate(stage);
             } else {
                 self.accumulate(stage);
-                self.state.copy_from(&self.acc_state);
-                self.solve_diagnostics_on(Which::State);
+                // The accumulator holds the new state: swap it in (the
+                // next step refills it from `state`).
+                std::mem::swap(&mut self.state, &mut self.acc_state);
+                self.solve_diagnostics_on(Which::State, RkPhase::Final);
                 self.reconstruct();
             }
         }
@@ -550,7 +551,7 @@ impl ParallelModel {
 
     fn reconstruct(&mut self) {
         let mesh = &self.mesh;
-        let coeffs = &self.coeffs;
+        let kc = &self.kcoeffs;
         let u = &self.state.u;
         let pool = &mut self.pool;
         let rec = self.recorder.clone();
@@ -560,7 +561,7 @@ impl ParallelModel {
             let chunk = chunk_len(pool, r.ux.len());
             let outs = [&mut r.ux[..], &mut r.uy[..], &mut r.uz[..]];
             pool.for_each(outs, chunk, |s, [cx, cy, cz]| {
-                ops::reconstruct_xyz(mesh, coeffs, u, cx, cy, cz, s)
+                ops::reconstruct_xyz(mesh, kc, u, cx, cy, cz, s)
             });
         }
         let (ux, uy, uz) = (&r.ux, &r.uy, &r.uz);
@@ -569,7 +570,7 @@ impl ParallelModel {
             let chunk = chunk_len(pool, r.zonal.len());
             let outs = [&mut r.zonal[..], &mut r.meridional[..]];
             pool.for_each(outs, chunk, |s, [cz, cm]| {
-                ops::zonal_meridional(mesh, ux, uy, uz, cz, cm, s)
+                ops::zonal_meridional(kc, ux, uy, uz, cz, cm, s)
             });
         }
     }

@@ -438,6 +438,17 @@ mod tests {
     }
 
     #[test]
+    fn no_instance_reads_cell_vorticity_or_zonal_meridional_velocity() {
+        // A3's and X6's outputs leave the data flow: the executors run A3
+        // only in the final substep and X6 once a step on that fact.
+        for p in &table_i() {
+            for v in [VorticityCell, URecZonal, URecMeridional] {
+                assert!(!p.inputs.contains(&v), "{} reads {v:?}", p.name);
+            }
+        }
+    }
+
+    #[test]
     fn names_are_unique() {
         let t = table_i();
         let mut seen = std::collections::HashSet::new();

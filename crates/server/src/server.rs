@@ -12,7 +12,7 @@ use mpas_telemetry::diagnose::{diagnose, DiagnoseConfig};
 use mpas_telemetry::store::{Agg, HistoryStore, MetricQuery, RunFilter, RunManifest};
 use mpas_telemetry::{flight, names, Recorder};
 use std::io::{self, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::{Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
@@ -77,7 +77,6 @@ impl Server {
     pub fn start(config: ServerConfig, rec: Recorder) -> io::Result<Server> {
         let listener = TcpListener::bind(&config.addr)?;
         let addr = listener.local_addr()?;
-        listener.set_nonblocking(true)?;
 
         // Live windows over the serving-path metrics: queue pressure and
         // live-endpoint latency over the last 30 s, queryable via
@@ -131,10 +130,23 @@ impl Server {
     /// No accepted job is lost or run twice. Idempotent.
     pub fn shutdown(&mut self) {
         self.inner.draining.store(true, Ordering::SeqCst);
-        self.dispatcher.drain();
         if let Some(h) = self.accept_thread.take() {
-            h.join().expect("accept loop panicked");
+            // The accept loop blocks in `accept()`: one loopback
+            // connection wakes it to see the drain flag and return. A
+            // refused one means a connection made after `POST /shutdown`
+            // already ended the loop and closed the listener.
+            let mut wake = self.addr;
+            if wake.ip().is_unspecified() {
+                wake.set_ip(match wake {
+                    SocketAddr::V4(_) => Ipv4Addr::LOCALHOST.into(),
+                    SocketAddr::V6(_) => Ipv6Addr::LOCALHOST.into(),
+                });
+            }
+            if TcpStream::connect(wake).is_ok() {
+                h.join().expect("accept loop panicked");
+            }
         }
+        self.dispatcher.drain();
     }
 
     /// Whether a drain has been requested (locally or via `POST
@@ -160,12 +172,18 @@ impl Server {
     }
 }
 
+/// Accept connections until a drain is requested, each on its own
+/// handler thread. `accept()` blocks, so a request waits for no poll
+/// interval; [`Server::shutdown`] wakes the loop with a loopback
+/// connection, and a connection that arrives once the drain flag is set
+/// is closed unanswered.
 fn accept_loop(listener: TcpListener, inner: &Arc<Inner>, dispatcher: &Arc<Dispatcher>) {
     loop {
+        let accepted = listener.accept();
         if inner.draining.load(Ordering::SeqCst) {
             return;
         }
-        match listener.accept() {
+        match accepted {
             Ok((stream, _)) => {
                 let inner = inner.clone();
                 let dispatcher = dispatcher.clone();
@@ -179,9 +197,8 @@ fn accept_loop(listener: TcpListener, inner: &Arc<Inner>, dispatcher: &Arc<Dispa
                         handle_connection(stream, &inner, &dispatcher);
                     });
             }
-            Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                std::thread::sleep(Duration::from_millis(2));
-            }
+            // Back off on a real accept error (e.g. out of descriptors)
+            // instead of spinning on it.
             Err(_) => std::thread::sleep(Duration::from_millis(2)),
         }
     }

@@ -248,7 +248,12 @@ impl crate::model::ShallowWaterModel {
         self.state = state;
         self.time = time;
         self.refresh_diagnostics();
-        crate::kernels::mpas_reconstruct(&self.mesh, &self.coeffs, &self.state.u, &mut self.recon);
+        crate::kernels::mpas_reconstruct(
+            &self.mesh,
+            &self.kernel_coeffs,
+            &self.state.u,
+            &mut self.recon,
+        );
         Ok(())
     }
 }

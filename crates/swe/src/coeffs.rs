@@ -11,6 +11,11 @@
 //! one contiguous coefficient array instead of gathering two or three mesh
 //! arrays through an indirection (and never search).
 //!
+//! `mpas_reconstruct` reads two more mesh-only tables from here (built
+//! in `reconstruct.rs`): A4's least-squares weight per cell slot and
+//! X6's east/north frame per cell (48 B a cell), so neither a model nor
+//! a server job builds its own, and X6 is two dot products a cell.
+//!
 //! The TRiSK stencil of H1 and B1 is the one table not in CSR order: a
 //! private `TriskTable` pads `edges_on_edge` and `½·weights_on_edge` to
 //! blocks of four edges, so the AVX2 sweeps at one layer process four
@@ -35,6 +40,8 @@
 //!   exactly while a per-cell `1/area` factor would not.
 
 use crate::config::ModelConfig;
+use crate::reconstruct;
+use mpas_geom::Vec3;
 use mpas_mesh::Mesh;
 
 /// Fused per-slot/per-edge coefficient tables for the Table-I kernels.
@@ -73,6 +80,12 @@ pub struct KernelCoeffs {
     /// Per edge: `dc_edge² / 12` — the H2 high-order blend factor. Empty
     /// unless `high_order_h_edge` is set.
     pub dc2_12: Vec<f64>,
+    /// Per cell slot: the A4 least-squares weight `M⁻¹ n̂_e` of the
+    /// edge-to-cell velocity reconstruction (zero on phantom cells).
+    pub recon_weights: Vec<Vec3>,
+    /// Per cell: the local `[east, north]` unit vectors X6 projects the
+    /// reconstructed velocity onto.
+    pub frames: Vec<[Vec3; 2]>,
     /// The padded TRiSK stencil of the four-edge H1/B1 sweeps.
     trisk: TriskTable,
 }
@@ -219,6 +232,12 @@ impl KernelCoeffs {
             inv_dv,
             grad_ratio,
             dc2_12,
+            recon_weights: reconstruct::least_squares_weights(mesh),
+            frames: mesh
+                .x_cell
+                .iter()
+                .map(|&p| reconstruct::cell_frame(p))
+                .collect(),
             trisk: TriskTable::build(mesh),
         }
     }

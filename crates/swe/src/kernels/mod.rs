@@ -26,9 +26,17 @@ pub mod simd;
 
 use crate::coeffs::KernelCoeffs;
 use crate::config::{KernelBackend, ModelConfig};
-use crate::reconstruct::ReconstructCoeffs;
 use crate::state::{Diagnostics, Reconstruction, State, Tendencies};
 use mpas_mesh::Mesh;
+use mpas_patterns::dataflow::RkPhase;
+
+/// Whether an RK substep of `phase` runs A3 (`vorticity_cell`). No
+/// Table-I instance reads A3's output, so the three intermediate substeps
+/// skip it; the final substep, whose diagnostics describe the new time
+/// level, and every full refresh fill it (DESIGN.md §14).
+pub fn runs_vorticity_cell(phase: RkPhase) -> bool {
+    phase == RkPhase::Final
+}
 
 /// `compute_solve_diagnostics`: refresh every diagnostic field from the
 /// prognostic pair `(h, u)`. `dt` enters only through the APVM upwinding of
@@ -40,6 +48,21 @@ pub fn compute_solve_diagnostics(
     u: &[f64],
     f_vertex: &[f64],
     dt: f64,
+    diag: &mut Diagnostics,
+) {
+    seed_diagnostics(mesh, config, h, u, f_vertex, dt, RkPhase::Final, diag);
+}
+
+/// The seed diagnostic sequence of one RK substep of `phase`.
+#[allow(clippy::too_many_arguments)]
+fn seed_diagnostics(
+    mesh: &Mesh,
+    config: &ModelConfig,
+    h: &[f64],
+    u: &[f64],
+    f_vertex: &[f64],
+    dt: f64,
+    phase: RkPhase,
     diag: &mut Diagnostics,
 ) {
     let (nc, ne, nv) = (mesh.n_cells(), mesh.n_edges(), mesh.n_vertices());
@@ -79,7 +102,9 @@ pub fn compute_solve_diagnostics(
     ops::ke(mesh, u, &mut diag.ke, 0..nc);
     ops::divergence(mesh, u, &mut diag.divergence, 0..nc);
     ops::tangential_velocity(mesh, u, &mut diag.v, 0..ne);
-    ops::vorticity_cell(mesh, &diag.vorticity, &mut diag.vorticity_cell, 0..nc);
+    if runs_vorticity_cell(phase) {
+        ops::vorticity_cell(mesh, &diag.vorticity, &mut diag.vorticity_cell, 0..nc);
+    }
     ops::pv_vertex(
         mesh,
         h,
@@ -179,7 +204,8 @@ pub fn compute_tend_tracers(
 }
 
 /// [`compute_solve_diagnostics`] on the configured backend: the scalar
-/// seed path or the simd tier at one layer (DESIGN.md §14).
+/// seed path or the simd tier at one layer (DESIGN.md §14). Fills every
+/// field, as a final substep does.
 #[allow(clippy::too_many_arguments)]
 pub fn compute_solve_diagnostics_backend(
     backend: KernelBackend,
@@ -192,8 +218,39 @@ pub fn compute_solve_diagnostics_backend(
     dt: f64,
     diag: &mut Diagnostics,
 ) {
+    compute_substep_diagnostics(
+        backend,
+        mesh,
+        config,
+        kc,
+        h,
+        u,
+        f_vertex,
+        dt,
+        RkPhase::Final,
+        diag,
+    );
+}
+
+/// The diagnostics one RK substep of `phase` computes: every field except
+/// that an intermediate substep leaves `vorticity_cell` as it was
+/// ([`runs_vorticity_cell`]). Each field it does write carries the bits of
+/// [`compute_solve_diagnostics_backend`].
+#[allow(clippy::too_many_arguments)]
+pub fn compute_substep_diagnostics(
+    backend: KernelBackend,
+    mesh: &Mesh,
+    config: &ModelConfig,
+    kc: &KernelCoeffs,
+    h: &[f64],
+    u: &[f64],
+    f_vertex: &[f64],
+    dt: f64,
+    phase: RkPhase,
+    diag: &mut Diagnostics,
+) {
     match backend {
-        KernelBackend::Scalar => compute_solve_diagnostics(mesh, config, h, u, f_vertex, dt, diag),
+        KernelBackend::Scalar => seed_diagnostics(mesh, config, h, u, f_vertex, dt, phase, diag),
         KernelBackend::Simd => {
             let (nc, ne, nv) = (mesh.n_cells(), mesh.n_edges(), mesh.n_vertices());
             if config.high_order_h_edge {
@@ -235,14 +292,16 @@ pub fn compute_solve_diagnostics_backend(
                 0..nv,
             );
             simd::ke_divergence(mesh, kc, 1, u, &mut diag.ke, &mut diag.divergence, 0..nc);
-            simd::kite_average(
-                mesh,
-                kc,
-                1,
-                &diag.vorticity,
-                &mut diag.vorticity_cell,
-                0..nc,
-            );
+            if runs_vorticity_cell(phase) {
+                simd::kite_average(
+                    mesh,
+                    kc,
+                    1,
+                    &diag.vorticity,
+                    &mut diag.vorticity_cell,
+                    0..nc,
+                );
+            }
             simd::kite_average(mesh, kc, 1, &diag.pv_vertex, &mut diag.pv_cell, 0..nc);
             simd::tangential_pv_edge(
                 mesh,
@@ -377,36 +436,34 @@ pub fn enforce_boundary_edge(mesh: &Mesh, tend: &mut Tendencies) {
     ops::enforce_boundary(mesh, &mut tend.tend_u, 0..mesh.n_edges());
 }
 
-/// `compute_next_substep_state`: `provis = base + coef * tend`.
-pub fn compute_next_substep_state(
+/// `compute_next_substep_state` and `accumulative_update` of an
+/// intermediate substep in one pass over the tendencies (X2+X4, X3+X5):
+/// `provis = base + coef·tend` and `acc += weight·tend`. Each output keeps
+/// its standalone expression, so the fusion halves the tendency reads and
+/// keeps the bits.
+#[allow(clippy::too_many_arguments)]
+pub fn advance_substep(
     mesh: &Mesh,
     base: &State,
     tend: &Tendencies,
     coef: f64,
+    weight: f64,
     provis: &mut State,
+    acc: &mut State,
 ) {
-    ops::axpy(
-        &base.h,
-        &tend.tend_h,
-        coef,
-        &mut provis.h,
-        0..mesh.n_cells(),
-    );
-    ops::axpy(
-        &base.u,
-        &tend.tend_u,
-        coef,
-        &mut provis.u,
-        0..mesh.n_edges(),
-    );
-    let nc = mesh.n_cells();
-    for ((b, t), p) in base
+    let (nc, ne) = (mesh.n_cells(), mesh.n_edges());
+    let (b, t) = (&base.h, &tend.tend_h);
+    simd::axpy_accumulate(1, b, t, coef, weight, &mut provis.h, &mut acc.h, 0..nc);
+    let (b, t) = (&base.u, &tend.tend_u);
+    simd::axpy_accumulate(1, b, t, coef, weight, &mut provis.u, &mut acc.u, 0..ne);
+    for (((b, t), p), a) in base
         .tracers
         .iter()
         .zip(&tend.tend_tracers)
         .zip(provis.tracers.iter_mut())
+        .zip(acc.tracers.iter_mut())
     {
-        ops::axpy(b, t, coef, p, 0..nc);
+        simd::axpy_accumulate(1, b, t, coef, weight, p, a, 0..nc);
     }
 }
 
@@ -420,18 +477,13 @@ pub fn accumulative_update(mesh: &Mesh, tend: &Tendencies, weight: f64, acc: &mu
     }
 }
 
-/// `mpas_reconstruct`: cell-center velocity vectors and their
-/// zonal/meridional decomposition.
-pub fn mpas_reconstruct(
-    mesh: &Mesh,
-    coeffs: &ReconstructCoeffs,
-    u: &[f64],
-    recon: &mut Reconstruction,
-) {
+/// `mpas_reconstruct`: cell-center velocity vectors (A4) and their
+/// zonal/meridional decomposition (X6), from the tables in `kc`.
+pub fn mpas_reconstruct(mesh: &Mesh, kc: &KernelCoeffs, u: &[f64], recon: &mut Reconstruction) {
     let nc = mesh.n_cells();
     ops::reconstruct_xyz(
         mesh,
-        coeffs,
+        kc,
         u,
         &mut recon.ux,
         &mut recon.uy,
@@ -439,7 +491,7 @@ pub fn mpas_reconstruct(
         0..nc,
     );
     ops::zonal_meridional(
-        mesh,
+        kc,
         &recon.ux,
         &recon.uy,
         &recon.uz,

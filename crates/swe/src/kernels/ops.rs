@@ -8,9 +8,9 @@
 //! `&mut` chunks of one field to any number of threads or simulated
 //! devices with no aliasing.
 
+use crate::coeffs::KernelCoeffs;
 use crate::config::ModelConfig;
-use crate::reconstruct::ReconstructCoeffs;
-use mpas_geom::to_zonal_meridional;
+use crate::reconstruct::zonal_meridional_in;
 use mpas_mesh::Mesh;
 use std::ops::Range;
 
@@ -365,11 +365,12 @@ pub fn pv_edge(
     }
 }
 
-/// A4 — least-squares velocity reconstruction at cell centers.
+/// A4 — least-squares velocity reconstruction at cell centers, with the
+/// weights of [`KernelCoeffs::recon_weights`].
 #[allow(clippy::too_many_arguments)]
 pub fn reconstruct_xyz(
     mesh: &Mesh,
-    coeffs: &ReconstructCoeffs,
+    kc: &KernelCoeffs,
     u: &[f64],
     ux: &mut [f64],
     uy: &mut [f64],
@@ -380,7 +381,7 @@ pub fn reconstruct_xyz(
     for i in cells {
         let mut v = mpas_geom::Vec3::ZERO;
         for slot in mesh.cell_range(i) {
-            v += coeffs.coeffs[slot] * u[mesh.edges_on_cell[slot] as usize];
+            v += kc.recon_weights[slot] * u[mesh.edges_on_cell[slot] as usize];
         }
         ux[i - off] = v.x;
         uy[i - off] = v.y;
@@ -389,9 +390,10 @@ pub fn reconstruct_xyz(
 }
 
 /// X6 — rotate the Cartesian reconstruction into zonal/meridional
-/// components.
+/// components: two dot products a cell with the precomputed
+/// [`KernelCoeffs::frames`], bit for bit [`mpas_geom::to_zonal_meridional`].
 pub fn zonal_meridional(
-    mesh: &Mesh,
+    kc: &KernelCoeffs,
     ux: &[f64],
     uy: &[f64],
     uz: &[f64],
@@ -402,7 +404,7 @@ pub fn zonal_meridional(
     let off = cells.start;
     for i in cells {
         let v = mpas_geom::Vec3::new(ux[i], uy[i], uz[i]);
-        let (z, m) = to_zonal_meridional(mesh.x_cell[i], v);
+        let (z, m) = zonal_meridional_in(&kc.frames[i], v);
         zonal[i - off] = z;
         meridional[i - off] = m;
     }

@@ -29,13 +29,14 @@
 
 use crate::coeffs::KernelCoeffs;
 use crate::config::ModelConfig;
-use crate::kernels::simd;
+use crate::kernels::{runs_vorticity_cell, simd};
 use crate::model::compute_equilibrium_forcing;
 use crate::norms::ErrorNorms;
 use crate::rk4::{RK_SUBSTEP, RK_WEIGHTS};
 use crate::state::{Diagnostics, State};
 use crate::testcases::TestCase;
 use mpas_mesh::Mesh;
+use mpas_patterns::dataflow::RkPhase;
 use mpas_telemetry::digest::Fnv1a;
 use mpas_telemetry::Recorder;
 use std::sync::Arc;
@@ -314,6 +315,7 @@ impl LayeredModel {
             &state.u,
             &f_vertex,
             dt,
+            RkPhase::Final,
             &mut diag,
             &Recorder::noop(),
         );
@@ -510,6 +512,7 @@ impl LayeredModel {
                     &self.ws.provis.u,
                     &self.f_vertex,
                     dt,
+                    RkPhase::Intermediate,
                     &mut self.diag,
                     &self.recorder,
                 );
@@ -535,6 +538,7 @@ impl LayeredModel {
                     &self.state.u,
                     &self.f_vertex,
                     dt,
+                    RkPhase::Final,
                     &mut self.diag,
                     &self.recorder,
                 );
@@ -556,6 +560,7 @@ impl LayeredModel {
             &self.state.u,
             &self.f_vertex,
             self.dt,
+            RkPhase::Final,
             &mut self.diag,
             &Recorder::noop(),
         );
@@ -603,12 +608,7 @@ impl LayeredModel {
     /// Layer-0 thickness error norms against the test case's analytic
     /// solution at the current model time.
     pub fn h_error_norms(&self) -> ErrorNorms {
-        let reference: Vec<f64> = (0..self.mesh.n_cells())
-            .map(|i| {
-                self.test_case
-                    .reference_thickness_at(self.mesh.x_cell[i], self.time)
-            })
-            .collect();
+        let reference = self.test_case.reference_thickness(&self.mesh, self.time);
         ErrorNorms::compute(&self.layer0.h, &reference, &self.mesh.area_cell)
     }
 
@@ -640,6 +640,7 @@ fn solve_diagnostics_layered(
     u: &[f64],
     f_vertex: &[f64],
     dt: f64,
+    phase: RkPhase,
     diag: &mut LayeredDiagnostics,
     rec: &Recorder,
 ) {
@@ -707,7 +708,7 @@ fn solve_diagnostics_layered(
             simd::ke_divergence(mesh, kc, k, u, &mut ke[s..e], &mut div[s..e], r);
         }
     }
-    {
+    if runs_vorticity_cell(phase) {
         let _t = rec.time("swe.simd.kernel.vorticity_cell.seconds");
         for r in simd::block_ranges(nc, block) {
             let (s, e) = (r.start * k, r.end * k);
@@ -1045,6 +1046,7 @@ mod tests {
             &m.state.u.clone(),
             &m.f_vertex.clone(),
             m.dt,
+            RkPhase::Final,
             &mut m.diag,
             &Recorder::noop(),
         );

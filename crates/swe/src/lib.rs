@@ -17,9 +17,11 @@
 //! * [`state`] — prognostic/diagnostic field containers.
 //! * [`config`] — numerical options (APVM upwinding, del2 dissipation,
 //!   thickness-advection order).
-//! * [`coeffs`] — precomputed fused kernel coefficients: the per-slot
+//! * [`coeffs`] — precomputed kernel coefficients: the per-slot
 //!   geometric factors every substep would otherwise re-derive, laid out
-//!   flat in CSR order for the [`kernels::simd`] fast path.
+//!   flat in CSR order for the [`kernels::simd`] fast path, and the
+//!   velocity-reconstruction weights and east/north frames of
+//!   `mpas_reconstruct`.
 //! * [`kernels`] — the six kernels of Algorithm 1 as free functions over
 //!   explicit output ranges, one per Table-I pattern instance, so executors
 //!   can slice them across devices. Includes the original scatter
@@ -34,7 +36,6 @@
 //! * [`norms`] — the standard normalized l1/l2/l∞ error norms.
 //! * [`validation`] — the named scenario catalog with committed reference
 //!   norms (the `swe_run --validate` harness).
-//! * [`reconstruct`] — least-squares edge→cell velocity reconstruction.
 
 pub mod checkpoint;
 pub mod coeffs;
@@ -43,7 +44,7 @@ pub mod kernels;
 pub mod layers;
 pub mod model;
 pub mod norms;
-pub mod reconstruct;
+mod reconstruct;
 pub mod rk4;
 pub mod state;
 pub mod testcases;
@@ -56,7 +57,6 @@ pub use config::{KernelBackend, ModelConfig};
 pub use layers::{layer_h_scale, LayeredModel, LayeredState};
 pub use model::ShallowWaterModel;
 pub use norms::ErrorNorms;
-pub use reconstruct::ReconstructCoeffs;
 pub use rk4::Rk4Workspace;
 pub use state::{Diagnostics, Reconstruction, State, Tendencies};
 pub use testcases::TestCase;

@@ -5,7 +5,6 @@ use crate::coeffs::KernelCoeffs;
 use crate::config::ModelConfig;
 use crate::kernels;
 use crate::norms::ErrorNorms;
-use crate::reconstruct::ReconstructCoeffs;
 use crate::rk4::{rk4_step, Rk4Workspace};
 use crate::state::{Diagnostics, Reconstruction, State, Tendencies};
 use crate::testcases::TestCase;
@@ -63,12 +62,10 @@ pub struct ShallowWaterModel {
     pub b: Vec<f64>,
     /// Coriolis parameter at vertices.
     pub f_vertex: Vec<f64>,
-    /// Velocity-reconstruction coefficients.
-    pub coeffs: ReconstructCoeffs,
-    /// Precomputed fused kernel coefficients (read by the simd backend of
-    /// `config.kernel_backend`). Shared so multi-tenant
-    /// servers can reuse one table across concurrent models on the same
-    /// mesh/config.
+    /// Precomputed kernel coefficients: the simd backend's tables and the
+    /// velocity-reconstruction tables every backend reads. Shared so
+    /// multi-tenant servers can reuse one table across concurrent models
+    /// on the same mesh/config.
     pub kernel_coeffs: Arc<KernelCoeffs>,
     /// Fixed forcing tendency for forced cases (Williamson 4): the
     /// discrete negation of the background jet's tendency, computed once
@@ -103,7 +100,6 @@ impl ShallowWaterModel {
         let state = test_case.initial_state_with_tracers(&mesh, config.n_tracers);
         let b = test_case.topography(&mesh);
         let f_vertex = test_case.coriolis_vertex(&mesh);
-        let coeffs = ReconstructCoeffs::build(&mesh);
         let kernel_coeffs =
             shared_coeffs.unwrap_or_else(|| Arc::new(KernelCoeffs::build(&mesh, &config)));
         let dt = dt.unwrap_or_else(|| ModelConfig::suggested_dt(&mesh));
@@ -120,7 +116,7 @@ impl ShallowWaterModel {
             &mut diag,
         );
         let mut recon = Reconstruction::zeros(&mesh);
-        kernels::mpas_reconstruct(&mesh, &coeffs, &state.u, &mut recon);
+        kernels::mpas_reconstruct(&mesh, &kernel_coeffs, &state.u, &mut recon);
         let ws = Rk4Workspace::new(&mesh);
         let forcing = if test_case.needs_forcing() {
             Some(compute_equilibrium_forcing(
@@ -143,7 +139,6 @@ impl ShallowWaterModel {
             recon,
             b,
             f_vertex,
-            coeffs,
             kernel_coeffs,
             config,
             test_case,
@@ -173,7 +168,6 @@ impl ShallowWaterModel {
         rk4_step(
             &self.mesh,
             &self.config,
-            &self.coeffs,
             &self.kernel_coeffs,
             &self.f_vertex,
             &self.b,
@@ -304,12 +298,7 @@ impl ShallowWaterModel {
     /// the current model time (steady cases compare to the initial field;
     /// Case 1 to the rigidly advected bell).
     pub fn h_error_norms(&self) -> ErrorNorms {
-        let reference: Vec<f64> = (0..self.mesh.n_cells())
-            .map(|i| {
-                self.test_case
-                    .reference_thickness_at(self.mesh.x_cell[i], self.time)
-            })
-            .collect();
+        let reference = self.test_case.reference_thickness(&self.mesh, self.time);
         ErrorNorms::compute(&self.state.h, &reference, &self.mesh.area_cell)
     }
 

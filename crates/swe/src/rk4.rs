@@ -1,17 +1,26 @@
 //! The RK-4 time-stepping driver (the paper's Algorithm 1).
 //!
 //! Classical fourth-order Runge–Kutta in the MPAS formulation: provisional
-//! states at `dt/2, dt/2, dt` and quadrature weights `1/6, 1/3, 1/3, 1/6`,
-//! with the kernel call sequence exactly as Algorithm 1 lists it (including
-//! the branch at the fourth substep where the accumulation precedes the
-//! diagnostics and the velocity reconstruction runs).
+//! states at `dt/2, dt/2, dt` and quadrature weights `1/6, 1/3, 1/3, 1/6`.
+//! Each stage computes what the data flow of its substep reads (DESIGN.md
+//! §14), in Algorithm 1's order with three departures that keep every bit:
+//!
+//! * the intermediate substeps skip A3 (`vorticity_cell`), which no
+//!   Table-I instance reads; the final substep fills it, so the
+//!   diagnostics on exit are complete;
+//! * an intermediate substep writes the next provisional state and the RK
+//!   accumulation in one pass over the tendencies (X2+X4, X3+X5);
+//! * the final substep swaps the accumulated state in instead of copying
+//!   it, then runs the diagnostics on the new state and the velocity
+//!   reconstruction (A4, X6), as Algorithm 1's branch at the fourth
+//!   substep has them.
 
 use crate::coeffs::KernelCoeffs;
 use crate::config::ModelConfig;
 use crate::kernels;
-use crate::reconstruct::ReconstructCoeffs;
 use crate::state::{Diagnostics, Reconstruction, State, Tendencies};
 use mpas_mesh::Mesh;
+use mpas_patterns::dataflow::RkPhase;
 
 /// RK substep coefficients: provisional-state factors (×dt).
 pub const RK_SUBSTEP: [f64; 3] = [0.5, 0.5, 1.0];
@@ -54,7 +63,6 @@ impl Rk4Workspace {
 pub fn rk4_step(
     mesh: &Mesh,
     config: &ModelConfig,
-    coeffs: &ReconstructCoeffs,
     kcoeffs: &KernelCoeffs,
     f_vertex: &[f64],
     b: &[f64],
@@ -71,9 +79,9 @@ pub fn rk4_step(
     ws.acc.copy_from(state);
     ws.provis.copy_from(state);
     let backend = config.kernel_backend;
-    let solve_diag = |h: &[f64], u: &[f64], diag: &mut Diagnostics| {
-        kernels::compute_solve_diagnostics_backend(
-            backend, mesh, config, kcoeffs, h, u, f_vertex, dt, diag,
+    let solve_diag = |h: &[f64], u: &[f64], phase: RkPhase, diag: &mut Diagnostics| {
+        kernels::compute_substep_diagnostics(
+            backend, mesh, config, kcoeffs, h, u, f_vertex, dt, phase, diag,
         );
     };
 
@@ -108,20 +116,23 @@ pub fn rk4_step(
         kernels::enforce_boundary_edge(mesh, &mut ws.tend);
 
         if stage < 3 {
-            kernels::compute_next_substep_state(
+            kernels::advance_substep(
                 mesh,
                 state,
                 &ws.tend,
                 RK_SUBSTEP[stage] * dt,
+                RK_WEIGHTS[stage] * dt,
                 &mut ws.provis,
+                &mut ws.acc,
             );
-            solve_diag(&ws.provis.h, &ws.provis.u, diag);
-            kernels::accumulative_update(mesh, &ws.tend, RK_WEIGHTS[stage] * dt, &mut ws.acc);
+            solve_diag(&ws.provis.h, &ws.provis.u, RkPhase::Intermediate, diag);
         } else {
             kernels::accumulative_update(mesh, &ws.tend, RK_WEIGHTS[stage] * dt, &mut ws.acc);
-            state.copy_from(&ws.acc);
-            solve_diag(&state.h, &state.u, diag);
-            kernels::mpas_reconstruct(mesh, coeffs, &state.u, recon);
+            // The accumulator holds the new state: swap it in (the next
+            // step refills `acc` from `state`).
+            std::mem::swap(state, &mut ws.acc);
+            solve_diag(&state.h, &state.u, RkPhase::Final, diag);
+            kernels::mpas_reconstruct(mesh, kcoeffs, &state.u, recon);
         }
     }
 }

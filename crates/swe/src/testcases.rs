@@ -307,6 +307,22 @@ impl TestCase {
         }
     }
 
+    /// True when [`TestCase::reference_thickness_at`] depends on time:
+    /// only Case 1's bell moves. Every other case compares against a
+    /// fixed field, which a run can sample once.
+    pub fn reference_moves(&self) -> bool {
+        matches!(self, TestCase::Case1 { .. })
+    }
+
+    /// The reference thickness at every cell of `mesh` at time `t`
+    /// seconds — what the `h` error norms compare against.
+    pub fn reference_thickness(&self, mesh: &Mesh, t: f64) -> Vec<f64> {
+        mesh.x_cell
+            .iter()
+            .map(|&p| self.reference_thickness_at(p, t))
+            .collect()
+    }
+
     /// Case-4 background jet thickness (no anomaly): the state the fixed
     /// forcing holds in discrete equilibrium. Falls back to the initial
     /// thickness for unforced cases.
