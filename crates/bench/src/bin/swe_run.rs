@@ -56,10 +56,16 @@
 //! `validate.<case>.l2`/`.linf` gauges for the regression gate, and exits
 //! 2 on a violation. `--adaptive` switches the serial path to
 //! CFL-monitored adaptive time stepping.
+//!
+//! ## Set-up phases
+//!
+//! Every path prints how long its mesh set-up took (generation, Lloyd
+//! sweeps and renumbering, one `mpas_core::build_mesh` call), and a
+//! recorded run stores it as the gauge `core.setup.mesh_seconds`.
 
 use mpas_bench::render::{sample_lonlat, write_ppm};
 use mpas_core::{DistributedConfig, Simulation};
-use mpas_mesh::Reordering;
+use mpas_mesh::{Mesh, Reordering};
 use mpas_patterns::dataflow::{DataflowGraph, MeshCounts, RkPhase};
 use mpas_swe::{ErrorNorms, KernelBackend, ModelConfig, ShallowWaterModel, TestCase};
 use mpas_telemetry::analysis::{
@@ -68,8 +74,9 @@ use mpas_telemetry::analysis::{
 };
 use mpas_telemetry::gate::{median_mad, Baseline, BaselineEntry, Direction, Severity};
 use mpas_telemetry::store::{HistoryStore, Retention, RunManifest};
-use mpas_telemetry::Recorder;
+use mpas_telemetry::{names, Recorder};
 use std::path::PathBuf;
+use std::sync::Arc;
 
 struct Args {
     case: String,
@@ -226,6 +233,23 @@ struct RunStats {
     modeled_tasks: Vec<ModeledTask>,
 }
 
+/// Generate, relax and renumber the run's mesh, print how long that took
+/// and record it as [`names::CORE_SETUP_MESH_SECONDS`].
+fn setup_mesh(args: &Args, rec: &Recorder) -> Arc<Mesh> {
+    let t = std::time::Instant::now();
+    let mesh = mpas_core::build_mesh(args.level, args.lloyd, args.reorder);
+    let secs = t.elapsed().as_secs_f64();
+    rec.set_gauge(names::CORE_SETUP_MESH_SECONDS, secs);
+    println!(
+        "mesh set-up {:.3} s: {} cells, {} Lloyd sweep(s), reorder {}",
+        secs,
+        mesh.n_cells(),
+        args.lloyd,
+        args.reorder.name()
+    );
+    mesh
+}
+
 /// Single-address-space path: the `Simulation` facade with the configured
 /// executor, frames, and modeled-trace support.
 fn run_single(args: &Args, tc: TestCase, rec: &Recorder) -> RunStats {
@@ -236,12 +260,12 @@ fn run_single(args: &Args, tc: TestCase, rec: &Recorder) -> RunStats {
     };
     mpas_core::apply_case_config(&args.case, &mut config);
     let mut sim = Simulation::builder()
-        .mesh_level(args.level)
-        .lloyd_iters(args.lloyd)
+        .mesh(setup_mesh(args, rec))
+        // `setup_mesh` has renumbered it already.
+        .reorder(Reordering::None)
         .test_case(tc)
         .executor(mpas_core::parse_executor(&args.executor).unwrap_or_else(|e| panic!("{e}")))
         .config(config)
-        .reorder(args.reorder)
         .sched_policy(&args.policy)
         .recorder(rec.clone())
         .build();
@@ -387,7 +411,7 @@ fn run_single(args: &Args, tc: TestCase, rec: &Recorder) -> RunStats {
 fn run_adaptive(args: &Args, tc: TestCase, rec: &Recorder) -> RunStats {
     const CFL_TARGET: f64 = 0.35;
     const CFL_BAND: f64 = 0.25;
-    let mesh = mpas_core::build_mesh(args.level, args.lloyd, args.reorder);
+    let mesh = setup_mesh(args, rec);
     let mut config = ModelConfig {
         kernel_backend: args.backend,
         ..Default::default()
@@ -475,7 +499,7 @@ fn run_adaptive(args: &Args, tc: TestCase, rec: &Recorder) -> RunStats {
 /// kernel chain on RCB partitions, rank-tagged trace instrumentation, and
 /// a calibrated per-rank serial model as the comparison point.
 fn run_dist(args: &Args, tc: TestCase, rec: &Recorder) -> RunStats {
-    let mesh = mpas_core::build_mesh(args.level, args.lloyd, args.reorder);
+    let mesh = setup_mesh(args, rec);
     let dt = ModelConfig::suggested_dt(&mesh);
     let total_steps = ((args.days * 86_400.0) / dt).ceil().max(1.0) as usize;
     println!(

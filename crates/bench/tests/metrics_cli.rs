@@ -1,7 +1,9 @@
 //! `swe_run --metrics` records the `analysis.*` gauges (per-rank blame and
-//! the critical path) only for a run that has ranks to attribute.
+//! the critical path) only for a run that has ranks to attribute, and the
+//! mesh set-up time on every path.
 
 use mpas_telemetry::export::{parse_json, JsonValue};
+use mpas_telemetry::names::CORE_SETUP_MESH_SECONDS;
 use std::path::PathBuf;
 use std::process::Command;
 
@@ -35,6 +37,10 @@ fn metric_names(file: &str, extra: &[&str]) -> Vec<String> {
 fn serial_metrics_carry_no_analysis_gauges() {
     let names = metric_names("serial.json", &[]);
     assert!(names.iter().any(|k| k == "core.sim.h_err_l2"), "{names:?}");
+    assert!(
+        names.iter().any(|k| k == CORE_SETUP_MESH_SECONDS),
+        "{names:?}"
+    );
     let analysis: Vec<_> = names
         .iter()
         .filter(|k| k.starts_with("analysis."))
@@ -47,6 +53,10 @@ fn two_rank_metrics_keep_the_blame_gauges() {
     let names = metric_names("ranks.json", &["--ranks", "2"]);
     assert!(
         names.iter().any(|k| k == "analysis.blame.max_wait_frac"),
+        "{names:?}"
+    );
+    assert!(
+        names.iter().any(|k| k == CORE_SETUP_MESH_SECONDS),
         "{names:?}"
     );
 }

@@ -9,12 +9,13 @@
 //! examples exercise them on genuinely multiresolution meshes.
 //!
 //! Topology is kept fixed across sweeps (valid for modest density
-//! contrasts and iteration counts; the builder re-derives all geometry
-//! each sweep so the result is a fully consistent [`Mesh`]).
+//! contrasts and iteration counts). The sweeps run on the triangulation
+//! like the uniform ones ([`crate::lloyd`]), only toward the ρ-weighted
+//! centroid, and the full [`Mesh`] is built once, after the last sweep.
 
 use crate::icosahedron::IcosaGrid;
+use crate::lloyd::{mesh_corners, relax, relaxed_mesh};
 use crate::mesh::Mesh;
-use crate::voronoi::build_mesh;
 use mpas_geom::{spherical_triangle_area, Vec3};
 
 /// One density-weighted Lloyd sweep: move every generator to the ρ-weighted
@@ -25,46 +26,36 @@ pub fn lloyd_step_weighted(
     mesh: &Mesh,
     density: impl Fn(Vec3) -> f64,
 ) -> f64 {
-    let mut max_move: f64 = 0.0;
-    let mut ring: Vec<Vec3> = Vec::with_capacity(8);
-    for i in 0..mesh.n_cells() {
-        ring.clear();
-        ring.extend(
-            mesh.vertices_of_cell(i)
-                .iter()
-                .map(|&v| mesh.x_vertex[v as usize]),
-        );
-        let anchor: Vec3 = ring.iter().copied().sum::<Vec3>().normalized();
-        let mut acc = Vec3::ZERO;
-        let mut mass = 0.0;
-        for k in 0..ring.len() {
-            let j = (k + 1) % ring.len();
-            let area = spherical_triangle_area(anchor, ring[k], ring[j]);
-            // Flat-triangle centroid (normalized only at the end), matching
-            // the unweighted Lloyd step exactly when density == 1.
-            let centroid = (anchor + ring[k] + ring[j]) / 3.0;
-            let w = area * density(centroid.normalized());
-            acc += centroid * w;
-            mass += w;
-        }
-        debug_assert!(mass > 0.0, "density must be positive");
-        let new = (acc / mass).normalized();
-        max_move = max_move.max(mpas_geom::arc_length(grid.points[i], new));
-        grid.points[i] = new;
+    relax(
+        &mut grid.points,
+        |i, ring| ring.extend(mesh_corners(mesh, i)),
+        |ring| weighted_centroid(ring, &density),
+    )
+}
+
+/// The ρ-weighted centroid of the spherical polygon `ring` (CCW corners).
+fn weighted_centroid(ring: &[Vec3], density: &impl Fn(Vec3) -> f64) -> Vec3 {
+    let anchor: Vec3 = ring.iter().copied().sum::<Vec3>().normalized();
+    let mut acc = Vec3::ZERO;
+    let mut mass = 0.0;
+    for k in 0..ring.len() {
+        let j = (k + 1) % ring.len();
+        let area = spherical_triangle_area(anchor, ring[k], ring[j]);
+        // Flat-triangle centroid (normalized only at the end), matching
+        // the unweighted Lloyd step exactly when density == 1.
+        let centroid = (anchor + ring[k] + ring[j]) / 3.0;
+        let w = area * density(centroid.normalized());
+        acc += centroid * w;
+        mass += w;
     }
-    max_move
+    debug_assert!(mass > 0.0, "density must be positive");
+    (acc / mass).normalized()
 }
 
 /// Generate a variable-resolution mesh: subdivide to `level`, then apply
 /// `iters` density-weighted Lloyd sweeps.
 pub fn generate_variable(level: u32, iters: u32, density: impl Fn(Vec3) -> f64 + Copy) -> Mesh {
-    let mut grid = IcosaGrid::subdivide(level);
-    let mut mesh = build_mesh(&grid);
-    for _ in 0..iters {
-        lloyd_step_weighted(&mut grid, &mesh, density);
-        mesh = build_mesh(&grid);
-    }
-    mesh
+    relaxed_mesh(level, iters, |ring| weighted_centroid(ring, &density))
 }
 
 /// A smooth bump density: `1 + (amplitude-1) * exp(-(d/width)^2)` where `d`
@@ -80,6 +71,7 @@ pub fn bump_density(center: Vec3, width: f64, amplitude: f64) -> impl Fn(Vec3) -
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::voronoi::build_mesh;
 
     #[test]
     fn uniform_density_reduces_to_plain_lloyd() {

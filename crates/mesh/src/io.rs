@@ -154,14 +154,24 @@ fn write_mesh(mesh: &Mesh, mut w: impl Write) -> io::Result<()> {
 }
 
 /// FNV-1a digest of the file image of `mesh`: equal digests mean equal
-/// meshes, bit for bit.
+/// meshes, bit for bit. The image is hashed as it is written, never held.
 #[cfg(test)]
 pub(crate) fn mesh_digest(mesh: &Mesh) -> u64 {
-    let mut bytes = Vec::new();
-    write_mesh(mesh, &mut bytes).expect("writing to memory cannot fail");
-    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
-        (h ^ b as u64).wrapping_mul(0x0000_0100_0000_01b3)
-    })
+    struct Fnv1a(u64);
+    impl Write for Fnv1a {
+        fn write(&mut self, bytes: &[u8]) -> io::Result<usize> {
+            self.0 = bytes.iter().fold(self.0, |h, &b| {
+                (h ^ b as u64).wrapping_mul(0x0000_0100_0000_01b3)
+            });
+            Ok(bytes.len())
+        }
+        fn flush(&mut self) -> io::Result<()> {
+            Ok(())
+        }
+    }
+    let mut hash = Fnv1a(0xcbf2_9ce4_8422_2325);
+    write_mesh(mesh, &mut hash).expect("hashing cannot fail");
+    hash.0
 }
 
 /// Read a mesh written by [`save_mesh`].

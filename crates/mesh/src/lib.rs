@@ -10,7 +10,8 @@
 //!   exactly `10*4^n + 2` cells, matching the paper's Table III inventory
 //!   (levels 6..=9 give 40 962 / 163 842 / 655 362 / 2 621 442 cells).
 //! * [`lloyd`] — topology-preserving Lloyd relaxation nudging generators
-//!   toward cell centroids (the *centroidal* property of an SCVT).
+//!   toward cell centroids (the *centroidal* property of an SCVT). Sweeps
+//!   run on the triangulation; the full mesh is built once, afterwards.
 //! * [`voronoi`] — the Voronoi dual and the complete MPAS horizontal-mesh
 //!   connectivity/geometry spec ([`Mesh`]), including the TRiSK
 //!   `weightsOnEdge` operator needed by the C-grid shallow-water scheme.
@@ -48,15 +49,13 @@ pub use voronoi::build_mesh;
 /// subdivision level, optionally with `lloyd_iters` relaxation sweeps, and
 /// build the full MPAS connectivity.
 ///
+/// The sweeps run on the triangulation and the mesh is built once, after
+/// the last one ([`lloyd`]); the result is the mesh that alternating
+/// [`build_mesh`] and [`lloyd::lloyd_step`] produces, bit for bit.
+///
 /// This is the one-call entry point used by examples and benches.
 pub fn generate(level: u32, lloyd_iters: u32) -> Mesh {
-    let mut grid = IcosaGrid::subdivide(level);
-    let mut mesh = build_mesh(&grid);
-    for _ in 0..lloyd_iters {
-        lloyd::lloyd_step(&mut grid, &mesh);
-        mesh = build_mesh(&grid);
-    }
-    mesh
+    lloyd::relaxed_mesh(level, lloyd_iters, mpas_geom::spherical_polygon_centroid)
 }
 
 /// Mesh construction is pinned bit for bit: every array of every mesh,
@@ -105,6 +104,77 @@ mod bitwise_tests {
                 mesh_digest(&lloyd.reordered(&Reordering::Bfs.permutation(&lloyd))),
             ];
             assert_eq!(got, recorded, "level {level}");
+        }
+    }
+
+    #[test]
+    fn repeated_sweeps_keep_their_bits() {
+        // Per level 0..=5: two Lloyd sweeps; three.
+        #[rustfmt::skip]
+        const RECORDED: [[u64; 2]; 6] = [
+            [0x92017cc88e8979d6, 0xac947c9e57730cb8],
+            [0x6f0a25ee4addf4eb, 0xd8d0e39ab316545b],
+            [0x1307c07d9bc265ae, 0x6cdd3e051bbb6afa],
+            [0x263d11db0f46ba21, 0x6f592dd689ede686],
+            [0x204bd7cc95007a95, 0x6257c85aca5172b5],
+            [0xfdf73b79d4f7cd0e, 0x2d60ecca1ce3d679],
+        ];
+        for (level, recorded) in (0u32..).zip(RECORDED) {
+            let got = [2, 3].map(|sweeps| mesh_digest(&generate(level, sweeps)));
+            assert_eq!(got, recorded, "level {level}");
+        }
+    }
+
+    #[test]
+    fn density_weighted_sweeps_keep_their_bits() {
+        // The `variable_resolution` example's bump over the TC5 mountain.
+        let center = mpas_geom::LonLat::new(1.5 * std::f64::consts::PI, std::f64::consts::PI / 6.0)
+            .to_unit_vector();
+        let mesh = generate_variable(4, 3, bump_density(center, 0.5, 6.0));
+        assert_eq!(mesh_digest(&mesh), 0x543b17a2bf6d9ad1);
+    }
+
+    #[test]
+    fn level7_forecast_mesh_keeps_its_bits() {
+        // The level-7 mesh of the `l7-short` benchmark workload: one Lloyd
+        // sweep, SFC order.
+        let lloyd = generate(7, 1);
+        let mesh = lloyd.reordered(&Reordering::Sfc.permutation(&lloyd));
+        assert_eq!(mesh_digest(&mesh), 0x501758e9fdad5282);
+    }
+
+    #[test]
+    fn grid_sweeps_move_generators_like_mesh_sweeps() {
+        use crate::icosahedron::TriEdges;
+        use crate::voronoi::Rings;
+        let bits = |p: &mpas_geom::Vec3| [p.x, p.y, p.z].map(f64::to_bits);
+        for level in 2..=4 {
+            let mut grid = IcosaGrid::subdivide(level);
+            let mut reference = grid.clone();
+            let edges = TriEdges::of(grid.n_points(), &grid.triangles);
+            let mut rings = Rings::default();
+            for n in 1..=3 {
+                let moved = lloyd::sweep(
+                    &mut grid,
+                    &edges,
+                    &mut rings,
+                    mpas_geom::spherical_polygon_centroid,
+                );
+                let mesh = build_mesh(&reference);
+                let expected = lloyd::lloyd_step(&mut reference, &mesh);
+                assert_eq!(
+                    moved.to_bits(),
+                    expected.to_bits(),
+                    "level {level} sweep {n}"
+                );
+                assert!(
+                    grid.points
+                        .iter()
+                        .map(bits)
+                        .eq(reference.points.iter().map(bits)),
+                    "level {level} sweep {n}: a generator moved elsewhere"
+                );
+            }
         }
     }
 

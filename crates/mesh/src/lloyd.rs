@@ -5,29 +5,91 @@
 //! are already very close to centroidal; a few sweeps of this smoother push
 //! them closer without changing the connectivity (valid because the motion
 //! per sweep is a small fraction of the cell size).
+//!
+//! A sweep reads only the Voronoi corners and each cell's CCW ring of
+//! them, so `relaxed_mesh` (behind [`crate::generate`] and
+//! [`crate::generate_variable`]) sweeps on the triangulation itself: per
+//! sweep it recomputes the circumcenters and rings (`voronoi::Rings`, the
+//! ring routine the mesh build starts from) and moves the generators, and
+//! it builds the full [`Mesh`] once, after the last sweep. The triangles
+//! never move, so their edge numbering (`TriEdges`) is computed once for
+//! all sweeps and the build. [`lloyd_step`] sweeps a built mesh instead;
+//! both run one loop (`relax`), so they move every generator to the same
+//! bits.
 
-use crate::icosahedron::IcosaGrid;
+use crate::icosahedron::{IcosaGrid, TriEdges};
 use crate::mesh::Mesh;
-use mpas_geom::{spherical_polygon_centroid, Vec3};
+use crate::voronoi::{build_dual, Rings};
+use mpas_geom::{arc_length, spherical_polygon_centroid, Vec3, EARTH_RADIUS};
 
 /// One Lloyd sweep: move every generator to the spherical centroid of its
 /// current Voronoi cell. Returns the maximum generator displacement
 /// (radians); a vanishing displacement means the mesh is centroidal.
 pub fn lloyd_step(grid: &mut IcosaGrid, mesh: &Mesh) -> f64 {
+    relax(
+        &mut grid.points,
+        |i, ring| ring.extend(mesh_corners(mesh, i)),
+        spherical_polygon_centroid,
+    )
+}
+
+/// Cell `i`'s Voronoi corners in CCW order, read from a built mesh.
+pub(crate) fn mesh_corners(mesh: &Mesh, i: usize) -> impl Iterator<Item = Vec3> + '_ {
+    mesh.vertices_of_cell(i)
+        .iter()
+        .map(|&v| mesh.x_vertex[v as usize])
+}
+
+/// The loop of every Lloyd sweep: move each generator to `centroid` of its
+/// Voronoi cell, whose CCW corners `corners(i, ring)` appends to `ring`.
+/// Returns the maximum displacement in radians.
+pub(crate) fn relax(
+    points: &mut [Vec3],
+    corners: impl Fn(usize, &mut Vec<Vec3>),
+    centroid: impl Fn(&[Vec3]) -> Vec3,
+) -> f64 {
     let mut max_move: f64 = 0.0;
     let mut ring: Vec<Vec3> = Vec::with_capacity(8);
-    for i in 0..mesh.n_cells() {
+    for (i, p) in points.iter_mut().enumerate() {
         ring.clear();
-        ring.extend(
-            mesh.vertices_of_cell(i)
-                .iter()
-                .map(|&v| mesh.x_vertex[v as usize]),
-        );
-        let centroid = spherical_polygon_centroid(&ring);
-        max_move = max_move.max(mpas_geom::arc_length(grid.points[i], centroid));
-        grid.points[i] = centroid;
+        corners(i, &mut ring);
+        let new = centroid(&ring);
+        max_move = max_move.max(arc_length(*p, new));
+        *p = new;
     }
     max_move
+}
+
+/// One Lloyd sweep on the triangulation: recompute `grid`'s corners and
+/// rings into `rings`, then move every generator to `centroid` of its
+/// ring. `edges` must number `grid.triangles`. Returns the maximum
+/// displacement in radians.
+pub(crate) fn sweep(
+    grid: &mut IcosaGrid,
+    edges: &TriEdges,
+    rings: &mut Rings,
+    centroid: impl Fn(&[Vec3]) -> Vec3,
+) -> f64 {
+    rings.update(&grid.points, &grid.triangles, edges);
+    let rings = &*rings;
+    relax(
+        &mut grid.points,
+        |i, ring| ring.extend(rings.corners(edges, i)),
+        centroid,
+    )
+}
+
+/// Subdivide to `level`, take `sweeps` Lloyd sweeps toward `centroid` on
+/// the triangulation, then build the mesh once. The build takes over the
+/// edge buckets and the ring buffers, which every sweep reused.
+pub(crate) fn relaxed_mesh(level: u32, sweeps: u32, centroid: impl Fn(&[Vec3]) -> Vec3) -> Mesh {
+    let mut grid = IcosaGrid::subdivide(level);
+    let edges = TriEdges::of(grid.n_points(), &grid.triangles);
+    let mut rings = Rings::default();
+    for _ in 0..sweeps {
+        sweep(&mut grid, &edges, &mut rings, &centroid);
+    }
+    build_dual(&grid, edges, rings, EARTH_RADIUS)
 }
 
 /// How far the mesh is from centroidal: the maximum arc distance between a
@@ -37,14 +99,10 @@ pub fn centroidal_defect(mesh: &Mesh) -> f64 {
     let mut ring: Vec<Vec3> = Vec::with_capacity(8);
     for i in 0..mesh.n_cells() {
         ring.clear();
-        ring.extend(
-            mesh.vertices_of_cell(i)
-                .iter()
-                .map(|&v| mesh.x_vertex[v as usize]),
-        );
+        ring.extend(mesh_corners(mesh, i));
         let centroid = spherical_polygon_centroid(&ring);
         let cell_radius = (mesh.area_cell[i] / std::f64::consts::PI).sqrt() / mesh.sphere_radius;
-        let defect = mpas_geom::arc_length(mesh.x_cell[i], centroid) / cell_radius;
+        let defect = arc_length(mesh.x_cell[i], centroid) / cell_radius;
         worst = worst.max(defect);
     }
     worst

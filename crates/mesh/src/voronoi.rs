@@ -1,6 +1,10 @@
 //! Voronoi-dual construction: from generator points + Delaunay triangles to
 //! the full MPAS mesh spec, including the TRiSK `weightsOnEdge` operator.
 //!
+//! The build starts from `Rings`: the corners and each cell's CCW ring
+//! of them, which is all a Lloyd sweep reads, so the sweeps of
+//! [`crate::lloyd`] run that stage alone and the build runs it once more.
+//!
 //! On the sphere, both circumcenters of the two triangles sharing a Delaunay
 //! edge lie in the perpendicular-bisector plane of that edge's chord, so the
 //! Voronoi arc crosses the Delaunay arc exactly at its midpoint and at a
@@ -42,23 +46,102 @@ pub fn build_mesh(grid: &IcosaGrid) -> Mesh {
 
 /// As [`build_mesh`], with an explicit sphere radius in meters.
 pub fn build_mesh_with_radius(grid: &IcosaGrid, sphere_radius: f64) -> Mesh {
+    let edges = TriEdges::of(grid.points.len(), &grid.triangles);
+    build_dual(grid, edges, Rings::default(), sphere_radius)
+}
+
+/// The part of the Voronoi dual that a Lloyd sweep reads: every corner
+/// (the circumcenter of a triangle) and every cell's CCW ring of corners.
+/// Generators move between sweeps and triangles do not, so one `Rings` is
+/// recomputed in place for each sweep, and [`build_dual`] starts from the
+/// same routine and takes its buffers over as mesh arrays.
+#[derive(Debug, Default)]
+pub(crate) struct Rings {
+    /// Per triangle, its circumcenter: the mesh's `x_vertex`.
+    x_vertex: Vec<Vec3>,
+    /// Per edge, the arc midpoint of its ends: the mesh's `x_edge`.
+    x_edge: Vec<Vec3>,
+    /// Per cell, over the offsets `TriEdges::start`, the slots `3t + k` of
+    /// the corner pairs that leave it, in CCW order. Ring slot `k` leaves
+    /// along the cell's edge `k`, and its triangle `t` is the corner
+    /// between edges `k` and `k + 1`.
+    slots: Vec<u32>,
+}
+
+impl Rings {
+    /// Recompute every corner and ring of `points` over `triangles`, whose
+    /// edges `edges` numbers.
+    pub(crate) fn update(&mut self, points: &[Vec3], triangles: &[[u32; 3]], edges: &TriEdges) {
+        self.x_vertex.clear();
+        self.x_vertex.extend(triangles.iter().map(|&[a, b, c]| {
+            spherical_circumcenter(points[a as usize], points[b as usize], points[c as usize])
+        }));
+        self.x_edge.clear();
+        self.x_edge.extend(
+            edges
+                .ends
+                .iter()
+                .map(|&[a, b]| arc_midpoint(points[a as usize], points[b as usize])),
+        );
+
+        // Sort each cell's leaving pairs CCW by the azimuth of their edge's
+        // midpoint in a local tangent frame, each azimuth computed once.
+        self.slots.resize(edges.leaving.len(), 0);
+        let mut ring: Vec<(f64, u32)> = Vec::with_capacity(8);
+        for (i, &c) in points.iter().enumerate() {
+            // Any vector not parallel to c seeds the tangent frame.
+            let seed = if c.x.abs() < 0.9 { Vec3::X } else { Vec3::Y };
+            let u = seed.cross(c).normalized();
+            let w = c.cross(u); // (u, w, c) right-handed => CCW from outside
+            let range = edges.start[i] as usize..edges.start[i + 1] as usize;
+            ring.clear();
+            ring.extend(edges.leaving[range.clone()].iter().map(|&s| {
+                let d = self.x_edge[edges.of_triangle[s as usize / 3][s as usize % 3] as usize];
+                (d.dot(w).atan2(d.dot(u)), s)
+            }));
+            ring.sort_by(|a, b| a.0.partial_cmp(&b.0).unwrap());
+            for (dst, &(_, s)) in self.slots[range].iter_mut().zip(&ring) {
+                *dst = s;
+            }
+        }
+    }
+
+    /// Cell `i`'s corners in CCW order, from the last [`Rings::update`].
+    pub(crate) fn corners<'a>(
+        &'a self,
+        edges: &TriEdges,
+        i: usize,
+    ) -> impl Iterator<Item = Vec3> + 'a {
+        let range = edges.start[i] as usize..edges.start[i + 1] as usize;
+        self.slots[range]
+            .iter()
+            .map(|&s| self.x_vertex[s as usize / 3])
+    }
+}
+
+/// Build the full mesh of `grid` on a sphere of `sphere_radius` meters,
+/// from its edge numbering `edges` and ring buffers `rings` (recomputed
+/// here for the current points). Both are consumed: their buckets and
+/// buffers become mesh arrays, so the build frees no large scratch array
+/// before it allocates the rest (DESIGN.md §16).
+pub(crate) fn build_dual(
+    grid: &IcosaGrid,
+    edges: TriEdges,
+    mut rings: Rings,
+    sphere_radius: f64,
+) -> Mesh {
     let n_cells = grid.points.len();
     let n_vertices = grid.triangles.len();
 
-    // ---- vertices: circumcenters of Delaunay triangles ---------------------
-    let x_vertex: Vec<Vec3> = grid
-        .triangles
-        .iter()
-        .map(|&[a, b, c]| {
-            spherical_circumcenter(
-                grid.points[a as usize],
-                grid.points[b as usize],
-                grid.points[c as usize],
-            )
-        })
-        .collect();
+    // ---- vertices (triangle circumcenters), edge midpoints, CCW rings -------
+    rings.update(&grid.points, &grid.triangles, &edges);
+    let Rings {
+        x_vertex,
+        x_edge,
+        slots,
+    } = rings;
 
-    // ---- enumerate edges: one per Delaunay edge -----------------------------
+    // ---- edges: one per Delaunay edge -----------------------------------------
     // Normal direction convention: from the lower to the higher cell id —
     // deterministic and cheap. `edges_on_vertex[v][k]` is the edge of the
     // triangle's corner pair (k, k+1); adjacent triangles per edge are in
@@ -69,12 +152,11 @@ pub fn build_mesh_with_radius(grid: &IcosaGrid, sphere_radius: f64) -> Mesh {
         triangles: tris_on_edge,
         start: cell_offsets,
         leaving,
-    } = TriEdges::of(n_cells, &grid.triangles);
+    } = edges;
     let n_edges = cells_on_edge.len();
     assert_eq!(n_cells + n_vertices - 2, n_edges, "Euler formula");
 
-    // ---- edge midpoints, frames, and vertex ordering ------------------------
-    let mut x_edge = Vec::with_capacity(n_edges);
+    // ---- edge frames and vertex ordering --------------------------------------
     let mut normal_edge = Vec::with_capacity(n_edges);
     let mut tangent_edge = Vec::with_capacity(n_edges);
     let mut vertices_on_edge: Vec<[VertexId; 2]> = Vec::with_capacity(n_edges);
@@ -82,7 +164,7 @@ pub fn build_mesh_with_radius(grid: &IcosaGrid, sphere_radius: f64) -> Mesh {
     for e in 0..n_edges {
         let [c1, c2] = cells_on_edge[e];
         let (p1, p2) = (grid.points[c1 as usize], grid.points[c2 as usize]);
-        let m = arc_midpoint(p1, p2);
+        let m = x_edge[e];
         // Normal: great-circle direction from c1 to c2 at the midpoint.
         let n = (p2 - p1 - m * m.dot(p2 - p1)).normalized();
         let t = m.cross(n); // r̂ × n̂, unit by construction
@@ -93,7 +175,6 @@ pub fn build_mesh_with_radius(grid: &IcosaGrid, sphere_radius: f64) -> Mesh {
         } else {
             [tb, ta]
         };
-        x_edge.push(m);
         normal_edge.push(n);
         tangent_edge.push(t);
         vertices_on_edge.push(pair);
@@ -119,64 +200,40 @@ pub fn build_mesh_with_radius(grid: &IcosaGrid, sphere_radius: f64) -> Mesh {
 
     // ---- cell-centric connectivity (CCW ordering) ----------------------------
     // Each edge of a cell leaves it as exactly one triangle corner pair, so
-    // the pairs leaving each cell, mapped to their edges, are its edges.
+    // the ring slots, mapped to their edges, are the cell's edges in CCW
+    // order, and their triangles are the corners between consecutive edges.
     let total_slots = cell_offsets[n_cells] as usize;
     let mut edges_on_cell = leaving;
-    for s in edges_on_cell.iter_mut() {
-        *s = edges_on_vertex[*s as usize / 3][*s as usize % 3];
+    for (e, &s) in edges_on_cell.iter_mut().zip(&slots) {
+        *e = edges_on_vertex[s as usize / 3][s as usize % 3];
+    }
+    let mut vertices_on_cell = slots;
+    for v in vertices_on_cell.iter_mut() {
+        *v /= 3;
     }
 
-    // Sort each cell's edges CCW by azimuth in a local tangent frame, each
-    // azimuth computed once.
-    let mut ring: Vec<(f64, EdgeId)> = Vec::with_capacity(8);
-    for i in 0..n_cells {
-        let c = grid.points[i];
-        // Any vector not parallel to c seeds the tangent frame.
-        let seed = if c.x.abs() < 0.9 { Vec3::X } else { Vec3::Y };
-        let u = seed.cross(c).normalized();
-        let w = c.cross(u); // (u, w, c) right-handed => CCW from outside
-        let range = cell_offsets[i] as usize..cell_offsets[i + 1] as usize;
-        let slice = &mut edges_on_cell[range];
-        ring.clear();
-        ring.extend(slice.iter().map(|&e| {
-            let d = x_edge[e as usize];
-            (d.dot(w).atan2(d.dot(u)), e)
-        }));
-        ring.sort_by(|a, b| a.0.partial_cmp(&b.0).unwrap());
-        for (dst, &(_, e)) in slice.iter_mut().zip(&ring) {
-            *dst = e;
-        }
-    }
-
-    // Derived per-slot arrays: neighbor cell, outward sign, between-vertex.
+    // Derived per-slot arrays: neighbor cell, outward sign.
     let mut cells_on_cell = vec![0 as CellId; total_slots];
     let mut edge_sign_on_cell = vec![0i8; total_slots];
-    let mut vertices_on_cell = vec![0 as VertexId; total_slots];
     for i in 0..n_cells {
         let range = cell_offsets[i] as usize..cell_offsets[i + 1] as usize;
-        let n = range.len();
-        for k in 0..n {
-            let slot = range.start + k;
+        for slot in range.clone() {
             let e = edges_on_cell[slot] as usize;
             let [c1, c2] = cells_on_edge[e];
             let (neigh, sign) = if c1 as usize == i { (c2, 1) } else { (c1, -1) };
             cells_on_cell[slot] = neigh;
             edge_sign_on_cell[slot] = sign;
-            // Vertex between edge k and edge k+1: shared vertex id.
-            let next = if k + 1 == n { 0 } else { k + 1 };
-            let e_next = edges_on_cell[range.start + next] as usize;
-            let [a1, a2] = vertices_on_edge[e];
-            let [b1, b2] = vertices_on_edge[e_next];
-            let shared = if a1 == b1 || a1 == b2 {
-                a1
+            // The vertex between edge k and edge k+1 borders both.
+            let next = if slot + 1 == range.end {
+                range.start
             } else {
-                debug_assert!(
-                    a2 == b1 || a2 == b2,
-                    "edges {e} and {e_next} share no vertex"
-                );
-                a2
+                slot + 1
             };
-            vertices_on_cell[slot] = shared;
+            debug_assert!(
+                edges_on_vertex[vertices_on_cell[slot] as usize].contains(&edges_on_cell[next]),
+                "cell {i}: edges {e} and {} share no vertex",
+                edges_on_cell[next]
+            );
         }
     }
 

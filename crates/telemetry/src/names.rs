@@ -26,6 +26,11 @@ pub const SERVER_CACHE_COEFFS_MISS: &str = "server.cache.coeffs.miss";
 /// (cold-start cost of a mesh cache miss).
 pub const MESH_BUILD_MS: &str = "server.cache.mesh.build_ms";
 
+/// Gauge: wall-clock seconds `swe_run` spent on its mesh set-up
+/// (generation, Lloyd sweeps and renumbering in one
+/// `mpas_core::build_mesh` call), on every execution path.
+pub const CORE_SETUP_MESH_SECONDS: &str = "core.setup.mesh_seconds";
+
 /// Gauge: wall-clock milliseconds the last fused-coefficient build took
 /// (cold-start cost of a coefficient cache miss).
 pub const COEFFS_BUILD_MS: &str = "server.cache.coeffs.build_ms";
