@@ -13,6 +13,15 @@ use mpas_core::{Executor, Simulation};
 use mpas_swe::TestCase;
 use mpas_telemetry::Recorder;
 use std::hint::black_box;
+use std::sync::{Mutex, MutexGuard, PoisonError};
+
+/// Run this binary's tests one at a time. They time primitives and steps
+/// on the wall clock, and a test stepping a model beside them on a small
+/// host inflates the primitive timings of the others.
+fn one_at_a_time() -> MutexGuard<'static, ()> {
+    static ONE_AT_A_TIME: Mutex<()> = Mutex::new(());
+    ONE_AT_A_TIME.lock().unwrap_or_else(PoisonError::into_inner)
+}
 
 /// Upper bound on telemetry hook invocations per RK-4 step: 4 stages x
 /// (~16 kernel timers + 1 stage span) + step span + facade gauges/counter.
@@ -39,6 +48,7 @@ fn min_time_per_call(mut f: impl FnMut(), iters: usize, reps: usize) -> f64 {
 
 #[test]
 fn noop_recorder_overhead_is_within_5_percent_of_a_step() {
+    let _turn = one_at_a_time();
     let rec = Recorder::noop();
 
     // The hooks the hot path executes: the enabled check (taken on every
@@ -94,6 +104,7 @@ fn noop_recorder_overhead_is_within_5_percent_of_a_step() {
 
 #[test]
 fn live_recorder_with_flight_and_window_is_within_5_percent_of_a_step() {
+    let _turn = one_at_a_time();
     // PR 8 makes the flight ring always-on for any live recorder, and the
     // server keeps rolling windows registered for the whole run — so the
     // ≤5%/step budget must hold for the *enabled* hot path too: every
@@ -168,6 +179,7 @@ fn live_recorder_with_flight_and_window_is_within_5_percent_of_a_step() {
 
 #[test]
 fn history_flush_stays_off_the_hot_path() {
+    let _turn = one_at_a_time();
     // The history store attaches to a recorder only at flush time: a
     // post-run `record_recorder` snapshot read. The hot-path primitives
     // of a recorder that is about to be (and then has been) flushed must
@@ -257,6 +269,7 @@ fn history_flush_stays_off_the_hot_path() {
 
 #[test]
 fn per_step_gauge_values_are_within_5_percent_of_a_step() {
+    let _turn = one_at_a_time();
     // The guards above price the recorder's primitives. With a live
     // recorder (every server job) `Simulation::run_steps` also computes
     // the values of its per-step gauges — mass drift, the h error norms
@@ -286,6 +299,7 @@ fn per_step_gauge_values_are_within_5_percent_of_a_step() {
 
 #[test]
 fn noop_recorder_stores_nothing() {
+    let _turn = one_at_a_time();
     let rec = Recorder::noop();
     {
         let _g = rec.span_timed("measured", "step", "hybrid.step_seconds");

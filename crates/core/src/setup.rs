@@ -60,7 +60,9 @@ pub fn parse_executor(spec: &str) -> Result<Executor, String> {
 }
 
 /// Renumber `mesh` if a reordering is requested ([`Reordering::None`] is
-/// free: the input `Arc` is returned untouched).
+/// free: the input `Arc` is returned untouched). This builds a second mesh
+/// while the first is alive; it is for meshes built elsewhere (a density
+/// mesh handed to the builder). [`build_mesh`] needs no copy.
 pub fn apply_reorder(mesh: Arc<Mesh>, reorder: Reordering) -> Arc<Mesh> {
     if reorder == Reordering::None {
         return mesh;
@@ -70,11 +72,12 @@ pub fn apply_reorder(mesh: Arc<Mesh>, reorder: Reordering) -> Arc<Mesh> {
 }
 
 /// Generate a level-`level` icosahedral mesh with `lloyd` relaxation
-/// sweeps, renumbered per `reorder`. This is the canonical mesh
+/// sweeps, numbered per `reorder` and assembled once, in that numbering
+/// ([`mpas_mesh::generate_ordered`]). This is the canonical mesh
 /// constructor behind [`crate::SimulationBuilder::build`] and the server's
 /// shared-mesh cache.
 pub fn build_mesh(level: u32, lloyd: u32, reorder: Reordering) -> Arc<Mesh> {
-    apply_reorder(Arc::new(mpas_mesh::generate(level, lloyd)), reorder)
+    Arc::new(mpas_mesh::generate_ordered(level, lloyd, reorder))
 }
 
 #[cfg(test)]

@@ -16,6 +16,7 @@
 use crate::icosahedron::IcosaGrid;
 use crate::lloyd::{mesh_corners, relax, relaxed_mesh};
 use crate::mesh::Mesh;
+use crate::reorder::Reordering;
 use mpas_geom::{spherical_triangle_area, Vec3};
 
 /// One density-weighted Lloyd sweep: move every generator to the ρ-weighted
@@ -55,7 +56,9 @@ fn weighted_centroid(ring: &[Vec3], density: &impl Fn(Vec3) -> f64) -> Vec3 {
 /// Generate a variable-resolution mesh: subdivide to `level`, then apply
 /// `iters` density-weighted Lloyd sweeps.
 pub fn generate_variable(level: u32, iters: u32, density: impl Fn(Vec3) -> f64 + Copy) -> Mesh {
-    relaxed_mesh(level, iters, |ring| weighted_centroid(ring, &density))
+    relaxed_mesh(level, iters, Reordering::None, |ring| {
+        weighted_centroid(ring, &density)
+    })
 }
 
 /// A smooth bump density: `1 + (amplitude-1) * exp(-(d/width)^2)` where `d`

@@ -167,7 +167,9 @@ impl IcosaGrid {
 pub(crate) struct TriEdges {
     /// Per triangle, the edge of each corner pair `(a, b)`, `(b, c)`, `(c, a)`.
     pub of_triangle: Vec<[u32; 3]>,
-    /// Per edge, its two ends, lower id first.
+    /// Per edge, its two ends, lower id first. That holds in construction
+    /// ids only: a generated mesh renumbered before assembly keeps each
+    /// pair's order, so its normal still runs from the end that was lower.
     pub ends: Vec<[u32; 2]>,
     /// Per edge, the triangle that names it first, then the other one.
     pub triangles: Vec<[u32; 2]>,

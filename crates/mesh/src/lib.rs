@@ -11,10 +11,13 @@
 //!   (levels 6..=9 give 40 962 / 163 842 / 655 362 / 2 621 442 cells).
 //! * [`lloyd`] — topology-preserving Lloyd relaxation nudging generators
 //!   toward cell centroids (the *centroidal* property of an SCVT). Sweeps
-//!   run on the triangulation; the full mesh is built once, afterwards.
+//!   run on the triangulation; the full mesh is built once, afterwards, in
+//!   its final numbering ([`generate_ordered`]).
 //! * [`voronoi`] — the Voronoi dual and the complete MPAS horizontal-mesh
 //!   connectivity/geometry spec ([`Mesh`]), including the TRiSK
 //!   `weightsOnEdge` operator needed by the C-grid shallow-water scheme.
+//! * [`reorder`] — SFC and breadth-first renumberings for gather locality,
+//!   derived from a triangulation before assembly or from a built mesh.
 //! * [`partition`] — recursive-coordinate-bisection domain decomposition
 //!   with multi-layer halos, the substrate for the message-passing runtime.
 //!
@@ -47,15 +50,32 @@ pub use voronoi::build_mesh;
 
 /// Generate a quasi-uniform spherical mesh at the given icosahedral
 /// subdivision level, optionally with `lloyd_iters` relaxation sweeps, and
-/// build the full MPAS connectivity.
+/// build the full MPAS connectivity, in construction order.
 ///
 /// The sweeps run on the triangulation and the mesh is built once, after
 /// the last one ([`lloyd`]); the result is the mesh that alternating
 /// [`build_mesh`] and [`lloyd::lloyd_step`] produces, bit for bit.
 ///
-/// This is the one-call entry point used by examples and benches.
+/// This is the one-call entry point used by examples and benches; it is
+/// `generate_ordered(level, lloyd_iters, Reordering::None)`.
 pub fn generate(level: u32, lloyd_iters: u32) -> Mesh {
-    lloyd::relaxed_mesh(level, lloyd_iters, mpas_geom::spherical_polygon_centroid)
+    generate_ordered(level, lloyd_iters, Reordering::None)
+}
+
+/// [`generate`], numbered per `reorder`: the mesh that
+/// `generate(level, lloyd_iters)` renumbered by [`Mesh::reordered`] under
+/// `reorder.permutation(..)` would be, bit for bit, without building it
+/// twice. After the last sweep the permutation is derived from the
+/// triangulation and the triangulation is renumbered, then the mesh is
+/// assembled once, in its final numbering. [`Reordering::None`] does no
+/// permutation work.
+pub fn generate_ordered(level: u32, lloyd_iters: u32, reorder: Reordering) -> Mesh {
+    lloyd::relaxed_mesh(
+        level,
+        lloyd_iters,
+        reorder,
+        mpas_geom::spherical_polygon_centroid,
+    )
 }
 
 /// Mesh construction is pinned bit for bit: every array of every mesh,
@@ -82,44 +102,111 @@ mod bitwise_tests {
         })
     }
 
+    /// Per level 0..=5: no Lloyd; one Lloyd sweep; that in SFC order; in
+    /// BFS order.
+    #[rustfmt::skip]
+    const RECORDED: [[u64; 4]; 6] = [
+        [0x69e4387907426a94, 0x685478cdc14410c0, 0x67e3d76b29138c20, 0xd678eba795938994],
+        [0xe363e19c4182a17e, 0xea6b13094787443f, 0x2cc7f1ec756ea4bc, 0x8ad06e5728725b9a],
+        [0xc63a58db3575d9b0, 0x6ab623cf261fc1bd, 0x18e49507d309ffbd, 0xe1b793ae7cf0102c],
+        [0xf8b480970a5561c0, 0x2af062c480509630, 0x1a926657e703dd25, 0xbd2a754eb082eb00],
+        [0x6798f41c3d0bc96f, 0x355c7a773d37f6c7, 0xcc24eadf0429dce8, 0xa5f23158c51785bb],
+        [0x87bdc43fbd3c1cef, 0x673f1dd6b2968122, 0xd2b385ce8f9e3b9d, 0x66d67f32126be916],
+    ];
+
+    /// Per level 0..=6: no Lloyd in SFC order; in BFS order. Recorded
+    /// through `Mesh::reordered` before `generate_ordered` existed.
+    #[rustfmt::skip]
+    const UNRELAXED_RECORDED: [[u64; 2]; 7] = [
+        [0xce1138b14889f3fc, 0xc578b36be86a6480],
+        [0x70bafc10db66d19d, 0x11d6a6e67c96f479],
+        [0xe2da4014098b3728, 0x14c2328d58455d51],
+        [0x0f617999d3d862e1, 0xff1073a157346780],
+        [0xbd1a64b1ca15f6a4, 0xcdec37675dbed091],
+        [0x1ba8acdcc433f2b4, 0xc0290585af9d82d1],
+        [0xfbcce51e4f98f502, 0x38d2a0e15085736a],
+    ];
+
+    /// Per level 0..=5: two Lloyd sweeps; three.
+    #[rustfmt::skip]
+    const REPEATED: [[u64; 2]; 6] = [
+        [0x92017cc88e8979d6, 0xac947c9e57730cb8],
+        [0x6f0a25ee4addf4eb, 0xd8d0e39ab316545b],
+        [0x1307c07d9bc265ae, 0x6cdd3e051bbb6afa],
+        [0x263d11db0f46ba21, 0x6f592dd689ede686],
+        [0x204bd7cc95007a95, 0x6257c85aca5172b5],
+        [0xfdf73b79d4f7cd0e, 0x2d60ecca1ce3d679],
+    ];
+
+    /// Level 4 after two sweeps, in SFC order (recorded with
+    /// `UNRELAXED_RECORDED`).
+    const LEVEL4_TWO_SWEEPS_SFC: u64 = 0x3c834d6072ccbb36;
+
+    /// The level-7 mesh of the `l7-short` benchmark workload: one Lloyd
+    /// sweep, SFC order.
+    const LEVEL7_FORECAST: u64 = 0x501758e9fdad5282;
+
+    const ORDERINGS: [Reordering; 2] = [Reordering::Sfc, Reordering::Bfs];
+
+    /// `mesh` renumbered by `reorder` the way a mesh built elsewhere is.
+    fn reordered(mesh: &Mesh, reorder: Reordering) -> Mesh {
+        mesh.reordered(&reorder.permutation(mesh))
+    }
+
     #[test]
     fn meshes_and_renumberings_keep_their_bits() {
-        // Per level 0..=5: no Lloyd; one Lloyd sweep; that in SFC order; in
-        // BFS order.
-        #[rustfmt::skip]
-        const RECORDED: [[u64; 4]; 6] = [
-            [0x69e4387907426a94, 0x685478cdc14410c0, 0x67e3d76b29138c20, 0xd678eba795938994],
-            [0xe363e19c4182a17e, 0xea6b13094787443f, 0x2cc7f1ec756ea4bc, 0x8ad06e5728725b9a],
-            [0xc63a58db3575d9b0, 0x6ab623cf261fc1bd, 0x18e49507d309ffbd, 0xe1b793ae7cf0102c],
-            [0xf8b480970a5561c0, 0x2af062c480509630, 0x1a926657e703dd25, 0xbd2a754eb082eb00],
-            [0x6798f41c3d0bc96f, 0x355c7a773d37f6c7, 0xcc24eadf0429dce8, 0xa5f23158c51785bb],
-            [0x87bdc43fbd3c1cef, 0x673f1dd6b2968122, 0xd2b385ce8f9e3b9d, 0x66d67f32126be916],
-        ];
         for (level, recorded) in (0u32..).zip(RECORDED) {
             let lloyd = generate(level, 1);
             let got = [
                 mesh_digest(&generate(level, 0)),
                 mesh_digest(&lloyd),
-                mesh_digest(&lloyd.reordered(&Reordering::Sfc.permutation(&lloyd))),
-                mesh_digest(&lloyd.reordered(&Reordering::Bfs.permutation(&lloyd))),
+                mesh_digest(&reordered(&lloyd, Reordering::Sfc)),
+                mesh_digest(&reordered(&lloyd, Reordering::Bfs)),
             ];
             assert_eq!(got, recorded, "level {level}");
         }
     }
 
     #[test]
-    fn repeated_sweeps_keep_their_bits() {
-        // Per level 0..=5: two Lloyd sweeps; three.
-        #[rustfmt::skip]
-        const RECORDED: [[u64; 2]; 6] = [
-            [0x92017cc88e8979d6, 0xac947c9e57730cb8],
-            [0x6f0a25ee4addf4eb, 0xd8d0e39ab316545b],
-            [0x1307c07d9bc265ae, 0x6cdd3e051bbb6afa],
-            [0x263d11db0f46ba21, 0x6f592dd689ede686],
-            [0x204bd7cc95007a95, 0x6257c85aca5172b5],
-            [0xfdf73b79d4f7cd0e, 0x2d60ecca1ce3d679],
-        ];
+    fn unrelaxed_renumberings_keep_their_bits() {
+        for (level, recorded) in (0u32..).zip(UNRELAXED_RECORDED) {
+            let mesh = generate(level, 0);
+            let got = ORDERINGS.map(|ord| mesh_digest(&reordered(&mesh, ord)));
+            assert_eq!(got, recorded, "level {level}");
+        }
+        let mesh = generate(4, 2);
+        assert_eq!(
+            mesh_digest(&reordered(&mesh, Reordering::Sfc)),
+            LEVEL4_TWO_SWEEPS_SFC
+        );
+    }
+
+    #[test]
+    fn ordered_generation_reproduces_every_recorded_mesh() {
+        let ordered = |level, sweeps, ord| mesh_digest(&generate_ordered(level, sweeps, ord));
         for (level, recorded) in (0u32..).zip(RECORDED) {
+            let got = [
+                ordered(level, 0, Reordering::None),
+                ordered(level, 1, Reordering::None),
+                ordered(level, 1, Reordering::Sfc),
+                ordered(level, 1, Reordering::Bfs),
+            ];
+            assert_eq!(got, recorded, "level {level}");
+        }
+        for (level, recorded) in (0u32..).zip(UNRELAXED_RECORDED) {
+            let got = ORDERINGS.map(|ord| ordered(level, 0, ord));
+            assert_eq!(got, recorded, "level {level}");
+        }
+        for (level, recorded) in (0u32..).zip(REPEATED) {
+            let got = [2, 3].map(|sweeps| ordered(level, sweeps, Reordering::None));
+            assert_eq!(got, recorded, "level {level}");
+        }
+        assert_eq!(ordered(4, 2, Reordering::Sfc), LEVEL4_TWO_SWEEPS_SFC);
+    }
+
+    #[test]
+    fn repeated_sweeps_keep_their_bits() {
+        for (level, recorded) in (0u32..).zip(REPEATED) {
             let got = [2, 3].map(|sweeps| mesh_digest(&generate(level, sweeps)));
             assert_eq!(got, recorded, "level {level}");
         }
@@ -136,11 +223,18 @@ mod bitwise_tests {
 
     #[test]
     fn level7_forecast_mesh_keeps_its_bits() {
-        // The level-7 mesh of the `l7-short` benchmark workload: one Lloyd
-        // sweep, SFC order.
+        // Through both paths: renumbering the built mesh, and assembling
+        // it in its final numbering.
         let lloyd = generate(7, 1);
-        let mesh = lloyd.reordered(&Reordering::Sfc.permutation(&lloyd));
-        assert_eq!(mesh_digest(&mesh), 0x501758e9fdad5282);
+        assert_eq!(
+            mesh_digest(&reordered(&lloyd, Reordering::Sfc)),
+            LEVEL7_FORECAST
+        );
+        drop(lloyd);
+        assert_eq!(
+            mesh_digest(&generate_ordered(7, 1, Reordering::Sfc)),
+            LEVEL7_FORECAST
+        );
     }
 
     #[test]
@@ -180,8 +274,7 @@ mod bitwise_tests {
 
     #[test]
     fn partitions_and_local_meshes_keep_their_bits() {
-        let lloyd = generate(4, 1);
-        let mesh = lloyd.reordered(&Reordering::Sfc.permutation(&lloyd));
+        let mesh = reordered(&generate(4, 1), Reordering::Sfc);
         let rcb = rcb_partition(&mesh, 7);
         let sfc = sfc_partition(&mesh, 5);
         let part = MeshPartition::build(&mesh, 3, 3);

@@ -7,19 +7,21 @@
 //! per sweep is a small fraction of the cell size).
 //!
 //! A sweep reads only the Voronoi corners and each cell's CCW ring of
-//! them, so `relaxed_mesh` (behind [`crate::generate`] and
+//! them, so `relaxed_mesh` (behind [`crate::generate_ordered`] and
 //! [`crate::generate_variable`]) sweeps on the triangulation itself: per
 //! sweep it recomputes the circumcenters and rings (`voronoi::Rings`, the
-//! ring routine the mesh build starts from) and moves the generators, and
-//! it builds the full [`Mesh`] once, after the last sweep. The triangles
-//! never move, so their edge numbering (`TriEdges`) is computed once for
-//! all sweeps and the build. [`lloyd_step`] sweeps a built mesh instead;
-//! both run one loop (`relax`), so they move every generator to the same
-//! bits.
+//! ring routine the mesh build starts from) and moves the generators.
+//! After the last sweep it updates the rings once more, renumbers the
+//! triangulation if an ordering is asked for, and assembles the full
+//! [`Mesh`] once, in its final numbering. The triangles never move, so
+//! their edge numbering (`TriEdges`) is computed once for all sweeps and
+//! the build. [`lloyd_step`] sweeps a built mesh instead; both run one
+//! loop (`relax`), so they move every generator to the same bits.
 
 use crate::icosahedron::{IcosaGrid, TriEdges};
 use crate::mesh::Mesh;
-use crate::voronoi::{build_dual, Rings};
+use crate::reorder::Reordering;
+use crate::voronoi::{assemble, Rings, Triangulation};
 use mpas_geom::{arc_length, spherical_polygon_centroid, Vec3, EARTH_RADIUS};
 
 /// One Lloyd sweep: move every generator to the spherical centroid of its
@@ -80,16 +82,23 @@ pub(crate) fn sweep(
 }
 
 /// Subdivide to `level`, take `sweeps` Lloyd sweeps toward `centroid` on
-/// the triangulation, then build the mesh once. The build takes over the
-/// edge buckets and the ring buffers, which every sweep reused.
-pub(crate) fn relaxed_mesh(level: u32, sweeps: u32, centroid: impl Fn(&[Vec3]) -> Vec3) -> Mesh {
+/// the triangulation, renumber it per `reorder`, then build the mesh once.
+/// The build takes over the generators, the edge buckets and the ring
+/// buffers, which every sweep reused.
+pub(crate) fn relaxed_mesh(
+    level: u32,
+    sweeps: u32,
+    reorder: Reordering,
+    centroid: impl Fn(&[Vec3]) -> Vec3,
+) -> Mesh {
     let mut grid = IcosaGrid::subdivide(level);
     let edges = TriEdges::of(grid.n_points(), &grid.triangles);
     let mut rings = Rings::default();
     for _ in 0..sweeps {
         sweep(&mut grid, &edges, &mut rings, &centroid);
     }
-    build_dual(&grid, edges, rings, EARTH_RADIUS)
+    let dual = Triangulation::ringed(grid.points, grid.triangles, edges, rings);
+    assemble(dual.reordered(reorder), EARTH_RADIUS)
 }
 
 /// How far the mesh is from centroidal: the maximum arc distance between a

@@ -20,8 +20,16 @@
 //! edge-centric loops (`tend_u`, `pv_edge`) gather cell/vertex values from
 //! a compact moving window.
 //!
+//! The orderings read a [`CellRows`] view: each cell's CCW edges and
+//! vertices, and every edge's two cells. A built [`Mesh`] provides it, and
+//! so does a triangulation before its mesh is assembled, so
+//! [`crate::generate_ordered`] derives the same permutation from the
+//! triangulation, renumbers that and assembles the mesh once, in its final
+//! numbering.
+//!
 //! [`Mesh::reordered`] rewrites every connectivity, sign and geometry
-//! array under a permutation. Renumbering never swaps the slot order
+//! array of a mesh built elsewhere (a density mesh, a mesh read from a
+//! file) under a permutation. Renumbering never swaps the slot order
 //! inside a row, so the documented orientation conventions (CCW
 //! `edges_on_cell`, normals pointing `c1 → c2`, sign arrays) survive
 //! verbatim — `Mesh::validate` passes on the reordered mesh and every
@@ -29,6 +37,7 @@
 
 use crate::mesh::Mesh;
 use crate::sfc::morton_order;
+use mpas_geom::Vec3;
 
 /// Which cell ordering a [`MeshPermutation`] is derived from.
 ///
@@ -56,10 +65,17 @@ impl Reordering {
 
     /// The permutation this ordering induces on `mesh`.
     pub fn permutation(self, mesh: &Mesh) -> MeshPermutation {
+        self.permutation_of(mesh.cell_rows())
+            .unwrap_or_else(|| MeshPermutation::identity(mesh))
+    }
+
+    /// The permutation this ordering induces on `rows`, or `None` for
+    /// [`Reordering::None`], which keeps construction order.
+    pub(crate) fn permutation_of(self, rows: CellRows) -> Option<MeshPermutation> {
         match self {
-            Reordering::None => MeshPermutation::identity(mesh),
-            Reordering::Sfc => MeshPermutation::sfc(mesh),
-            Reordering::Bfs => MeshPermutation::bfs(mesh),
+            Reordering::None => None,
+            Reordering::Sfc => Some(MeshPermutation::sfc_of(rows)),
+            Reordering::Bfs => Some(MeshPermutation::bfs_of(rows)),
         }
     }
 
@@ -70,6 +86,49 @@ impl Reordering {
             Reordering::Sfc => "sfc",
             Reordering::Bfs => "bfs",
         }
+    }
+}
+
+/// What a renumbering reads of a mesh: the cell centers, each cell's CSR
+/// row of edges and of vertices in CCW slot order, and every edge's two
+/// cells. [`Mesh`] provides it and so does `voronoi::Triangulation`, so a
+/// built mesh and a triangulation are numbered by the same rules.
+#[derive(Clone, Copy)]
+pub(crate) struct CellRows<'a> {
+    /// Cell centers, where the Morton keys are taken.
+    pub x_cell: &'a [Vec3],
+    /// CSR offsets: cell `i` owns slots `cell_offsets[i]..cell_offsets[i + 1]`.
+    pub cell_offsets: &'a [u32],
+    /// Per slot, the cell's edges, counterclockwise.
+    pub edges_on_cell: &'a [u32],
+    /// Per slot, the vertex between edges `k` and `k + 1`.
+    pub vertices_on_cell: &'a [u32],
+    /// Per edge, its two cells.
+    pub cells_on_edge: &'a [[u32; 2]],
+    /// Number of vertices.
+    pub n_vertices: usize,
+}
+
+impl CellRows<'_> {
+    fn n_cells(&self) -> usize {
+        self.x_cell.len()
+    }
+
+    fn row(&self, i: usize) -> std::ops::Range<usize> {
+        self.cell_offsets[i] as usize..self.cell_offsets[i + 1] as usize
+    }
+
+    /// Cell `i`'s neighbors: the far end of each of its edges, in slot
+    /// order (a mesh's `cells_of_cell(i)`).
+    fn neighbors(&self, i: usize) -> impl Iterator<Item = u32> + '_ {
+        self.edges_on_cell[self.row(i)].iter().map(move |&e| {
+            let [c1, c2] = self.cells_on_edge[e as usize];
+            if c1 as usize == i {
+                c2
+            } else {
+                c1
+            }
+        })
     }
 }
 
@@ -122,7 +181,11 @@ impl MeshPermutation {
     /// Morton/space-filling-curve cell order (ties broken by old id, so
     /// the result is deterministic), edges and vertices by first touch.
     pub fn sfc(mesh: &Mesh) -> Self {
-        Self::from_cell_order(mesh, &morton_order(&mesh.x_cell))
+        Self::sfc_of(mesh.cell_rows())
+    }
+
+    pub(crate) fn sfc_of(rows: CellRows) -> Self {
+        Self::first_touch(rows, &morton_order(rows.x_cell))
     }
 
     /// Cuthill–McKee breadth-first cell order, edges and vertices by first
@@ -130,8 +193,12 @@ impl MeshPermutation {
     /// within a BFS front, neighbors are visited in ascending degree, then
     /// ascending old id — the classic bandwidth-reducing heuristic.
     pub fn bfs(mesh: &Mesh) -> Self {
-        let nc = mesh.n_cells();
-        let degree = |i: usize| mesh.cell_range(i).len();
+        Self::bfs_of(mesh.cell_rows())
+    }
+
+    pub(crate) fn bfs_of(rows: CellRows) -> Self {
+        let nc = rows.n_cells();
+        let degree = |i: usize| rows.row(i).len();
         let mut order: Vec<u32> = Vec::with_capacity(nc);
         let mut seen = vec![false; nc];
         // The sphere's adjacency graph is connected, but stay robust for
@@ -147,12 +214,8 @@ impl MeshPermutation {
             while head < order.len() {
                 let i = order[head] as usize;
                 head += 1;
-                let mut nbrs: Vec<u32> = mesh
-                    .cells_of_cell(i)
-                    .iter()
-                    .copied()
-                    .filter(|&n| !seen[n as usize])
-                    .collect();
+                // Sorted by (degree, id), so the slot order does not matter.
+                let mut nbrs: Vec<u32> = rows.neighbors(i).filter(|&n| !seen[n as usize]).collect();
                 nbrs.sort_by_key(|&n| (degree(n as usize), n));
                 for n in nbrs {
                     // A neighbor may have been enqueued by an earlier cell
@@ -164,7 +227,7 @@ impl MeshPermutation {
                 }
             }
         }
-        Self::from_cell_order(mesh, &order)
+        Self::first_touch(rows, &order)
     }
 
     /// Build the full permutation from an explicit cell order
@@ -172,33 +235,37 @@ impl MeshPermutation {
     /// the reordered cells first mention them (CSR slot order within each
     /// cell).
     pub fn from_cell_order(mesh: &Mesh, order: &[u32]) -> Self {
-        assert_eq!(order.len(), mesh.n_cells(), "cell order length mismatch");
+        Self::first_touch(mesh.cell_rows(), order)
+    }
+
+    /// The first-touch rule behind every ordering: cells in `order`, then
+    /// each edge and vertex at the first slot of the first cell that
+    /// names it.
+    fn first_touch(rows: CellRows, order: &[u32]) -> Self {
+        let (nc, ne, nv) = (rows.n_cells(), rows.cells_on_edge.len(), rows.n_vertices);
+        assert_eq!(order.len(), nc, "cell order length mismatch");
         let cell_old = order.to_vec();
         let cell_new = invert(&cell_old);
-        let mut edge_new = vec![u32::MAX; mesh.n_edges()];
-        let mut vertex_new = vec![u32::MAX; mesh.n_vertices()];
+        let mut edge_new = vec![u32::MAX; ne];
+        let mut vertex_new = vec![u32::MAX; nv];
         let (mut next_e, mut next_v) = (0u32, 0u32);
         for &old_cell in &cell_old {
-            let range = mesh.cell_range(old_cell as usize);
-            for &e in &mesh.edges_on_cell[range.clone()] {
+            let range = rows.row(old_cell as usize);
+            for &e in &rows.edges_on_cell[range.clone()] {
                 if edge_new[e as usize] == u32::MAX {
                     edge_new[e as usize] = next_e;
                     next_e += 1;
                 }
             }
-            for &v in &mesh.vertices_on_cell[range] {
+            for &v in &rows.vertices_on_cell[range] {
                 if vertex_new[v as usize] == u32::MAX {
                     vertex_new[v as usize] = next_v;
                     next_v += 1;
                 }
             }
         }
-        assert_eq!(next_e as usize, mesh.n_edges(), "edges not all touched");
-        assert_eq!(
-            next_v as usize,
-            mesh.n_vertices(),
-            "vertices not all touched"
-        );
+        assert_eq!(next_e as usize, ne, "edges not all touched");
+        assert_eq!(next_v as usize, nv, "vertices not all touched");
         let edge_old = invert(&edge_new);
         let vertex_old = invert(&vertex_new);
         MeshPermutation {
@@ -269,93 +336,89 @@ impl MeshPermutation {
 /// inverts (`out[old] = f[new_of_old]` is exactly the inverse gather
 /// because the maps are mutually inverse bijections).
 fn gather<T: Copy>(f: &[T], idx: &[u32]) -> Vec<T> {
+    gather_map(f, idx, |x| x)
+}
+
+/// `out[i] = map(f[idx[i]])`: a per-entity array gathered into a new
+/// order with the ids it holds renamed by `map`.
+pub(crate) fn gather_map<T: Copy, U>(f: &[T], idx: &[u32], map: impl Fn(T) -> U) -> Vec<U> {
     assert_eq!(f.len(), idx.len(), "field length mismatch");
-    idx.iter().map(|&j| f[j as usize]).collect()
+    idx.iter().map(|&j| map(f[j as usize])).collect()
+}
+
+/// The offsets of a CSR relation over `offsets` once its rows are taken
+/// in `order` (`order[new] = old`).
+pub(crate) fn csr_offsets(offsets: &[u32], order: &[u32]) -> Vec<u32> {
+    let mut out = Vec::with_capacity(order.len() + 1);
+    out.push(0u32);
+    for &old in order {
+        let deg = offsets[old as usize + 1] - offsets[old as usize];
+        out.push(out.last().unwrap() + deg);
+    }
+    out
+}
+
+/// The rows of `slots` (CSR over `offsets`) taken in `order`, each entry
+/// renamed by `map` and each row in its own slot order.
+pub(crate) fn csr_rows<T: Copy>(
+    offsets: &[u32],
+    slots: &[T],
+    order: &[u32],
+    map: impl Fn(T) -> T,
+) -> Vec<T> {
+    let mut out = Vec::with_capacity(slots.len());
+    for &old in order {
+        let row = offsets[old as usize] as usize..offsets[old as usize + 1] as usize;
+        out.extend(slots[row].iter().map(|&x| map(x)));
+    }
+    out
 }
 
 impl Mesh {
+    /// The rows a renumbering reads.
+    pub(crate) fn cell_rows(&self) -> CellRows<'_> {
+        CellRows {
+            x_cell: &self.x_cell,
+            cell_offsets: &self.cell_offsets,
+            edges_on_cell: &self.edges_on_cell,
+            vertices_on_cell: &self.vertices_on_cell,
+            cells_on_edge: &self.cells_on_edge,
+            n_vertices: self.n_vertices(),
+        }
+    }
+
     /// The same mesh under a renumbering: every id array mapped through
     /// `perm`, every per-entity array gathered into the new order, slot
     /// order inside each row untouched (so CCW ordering, `c1 → c2` normal
     /// orientation and both sign arrays keep their documented meaning).
+    ///
+    /// A generated mesh needs no second copy: [`crate::generate_ordered`]
+    /// assembles it in its final numbering. This is for meshes built
+    /// elsewhere.
     pub fn reordered(&self, perm: &MeshPermutation) -> Mesh {
         perm.validate(self);
         let pc = |c: u32| perm.cell_new[c as usize];
         let pe = |e: u32| perm.edge_new[e as usize];
         let pv = |v: u32| perm.vertex_new[v as usize];
-
-        // Cell CSR: rebuild offsets from the new cell order, then copy each
-        // old row in slot order with ids mapped.
-        let nc = self.n_cells();
-        let mut cell_offsets = Vec::with_capacity(nc + 1);
-        cell_offsets.push(0u32);
-        for &old in &perm.cell_old {
-            let deg = self.cell_range(old as usize).len() as u32;
-            cell_offsets.push(cell_offsets.last().unwrap() + deg);
-        }
-        let nslots = *cell_offsets.last().unwrap() as usize;
-        let mut edges_on_cell = Vec::with_capacity(nslots);
-        let mut vertices_on_cell = Vec::with_capacity(nslots);
-        let mut cells_on_cell = Vec::with_capacity(nslots);
-        let mut edge_sign_on_cell = Vec::with_capacity(nslots);
-        for &old in &perm.cell_old {
-            let r = self.cell_range(old as usize);
-            edges_on_cell.extend(self.edges_on_cell[r.clone()].iter().map(|&e| pe(e)));
-            vertices_on_cell.extend(self.vertices_on_cell[r.clone()].iter().map(|&v| pv(v)));
-            cells_on_cell.extend(self.cells_on_cell[r.clone()].iter().map(|&c| pc(c)));
-            edge_sign_on_cell.extend_from_slice(&self.edge_sign_on_cell[r]);
-        }
-
-        // Edge CSR (TRiSK neighborhoods), same recipe.
-        let ne = self.n_edges();
-        let mut eoe_offsets = Vec::with_capacity(ne + 1);
-        eoe_offsets.push(0u32);
-        for &old in &perm.edge_old {
-            let deg = self.eoe_range(old as usize).len() as u32;
-            eoe_offsets.push(eoe_offsets.last().unwrap() + deg);
-        }
-        let eslots = *eoe_offsets.last().unwrap() as usize;
-        let mut edges_on_edge = Vec::with_capacity(eslots);
-        let mut weights_on_edge = Vec::with_capacity(eslots);
-        for &old in &perm.edge_old {
-            let r = self.eoe_range(old as usize);
-            edges_on_edge.extend(self.edges_on_edge[r.clone()].iter().map(|&e| pe(e)));
-            weights_on_edge.extend_from_slice(&self.weights_on_edge[r]);
-        }
-
+        let (cells, edges, vertices) =
+            (&perm.cell_old[..], &perm.edge_old[..], &perm.vertex_old[..]);
         Mesh {
             sphere_radius: self.sphere_radius,
             x_cell: perm.permute_cell_field(&self.x_cell),
             x_edge: perm.permute_edge_field(&self.x_edge),
             x_vertex: perm.permute_vertex_field(&self.x_vertex),
-            cells_on_edge: perm
-                .permute_edge_field(&self.cells_on_edge)
-                .iter()
-                .map(|&[a, b]| [pc(a), pc(b)])
-                .collect(),
-            vertices_on_edge: perm
-                .permute_edge_field(&self.vertices_on_edge)
-                .iter()
-                .map(|&[a, b]| [pv(a), pv(b)])
-                .collect(),
-            cells_on_vertex: perm
-                .permute_vertex_field(&self.cells_on_vertex)
-                .iter()
-                .map(|&[a, b, c]| [pc(a), pc(b), pc(c)])
-                .collect(),
-            edges_on_vertex: perm
-                .permute_vertex_field(&self.edges_on_vertex)
-                .iter()
-                .map(|&[a, b, c]| [pe(a), pe(b), pe(c)])
-                .collect(),
-            cell_offsets,
-            edges_on_cell,
-            vertices_on_cell,
-            cells_on_cell,
-            edge_sign_on_cell,
-            eoe_offsets,
-            edges_on_edge,
-            weights_on_edge,
+            cells_on_edge: gather_map(&self.cells_on_edge, edges, |c| c.map(pc)),
+            vertices_on_edge: gather_map(&self.vertices_on_edge, edges, |v| v.map(pv)),
+            cells_on_vertex: gather_map(&self.cells_on_vertex, vertices, |c| c.map(pc)),
+            edges_on_vertex: gather_map(&self.edges_on_vertex, vertices, |e| e.map(pe)),
+            cell_offsets: csr_offsets(&self.cell_offsets, cells),
+            edges_on_cell: csr_rows(&self.cell_offsets, &self.edges_on_cell, cells, pe),
+            vertices_on_cell: csr_rows(&self.cell_offsets, &self.vertices_on_cell, cells, pv),
+            cells_on_cell: csr_rows(&self.cell_offsets, &self.cells_on_cell, cells, pc),
+            edge_sign_on_cell: csr_rows(&self.cell_offsets, &self.edge_sign_on_cell, cells, |s| s),
+            eoe_offsets: csr_offsets(&self.eoe_offsets, edges),
+            edges_on_edge: csr_rows(&self.eoe_offsets, &self.edges_on_edge, edges, pe),
+            weights_on_edge: csr_rows(&self.eoe_offsets, &self.weights_on_edge, edges, |w| w),
             dc_edge: perm.permute_edge_field(&self.dc_edge),
             dv_edge: perm.permute_edge_field(&self.dv_edge),
             area_cell: perm.permute_cell_field(&self.area_cell),

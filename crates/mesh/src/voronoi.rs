@@ -1,9 +1,14 @@
 //! Voronoi-dual construction: from generator points + Delaunay triangles to
 //! the full MPAS mesh spec, including the TRiSK `weightsOnEdge` operator.
 //!
-//! The build starts from `Rings`: the corners and each cell's CCW ring
-//! of them, which is all a Lloyd sweep reads, so the sweeps of
-//! [`crate::lloyd`] run that stage alone and the build runs it once more.
+//! The build runs in two steps. The ring update starts from `Rings`: the
+//! corners and each cell's CCW ring of them, which is all a Lloyd sweep
+//! reads, so the sweeps of [`crate::lloyd`] run that stage alone and the
+//! build runs it once more; it yields a [`Triangulation`], each cell's
+//! rows read off its ring. The assembly ([`assemble`]) computes the rest
+//! of the mesh from that. Between the two a generated mesh is renumbered
+//! ([`Triangulation::renumbered`]), so it is assembled once, in its final
+//! numbering.
 //!
 //! On the sphere, both circumcenters of the two triangles sharing a Delaunay
 //! edge lie in the perpendicular-bisector plane of that edge's chord, so the
@@ -33,6 +38,7 @@
 
 use crate::icosahedron::{IcosaGrid, TriEdges};
 use crate::mesh::{CellId, EdgeId, Mesh, VertexId};
+use crate::reorder::{csr_offsets, csr_rows, gather_map, CellRows, MeshPermutation, Reordering};
 use mpas_geom::{
     arc_length, arc_midpoint, spherical_circumcenter, spherical_polygon_area,
     spherical_triangle_area, Vec3, EARTH_RADIUS,
@@ -47,14 +53,21 @@ pub fn build_mesh(grid: &IcosaGrid) -> Mesh {
 /// As [`build_mesh`], with an explicit sphere radius in meters.
 pub fn build_mesh_with_radius(grid: &IcosaGrid, sphere_radius: f64) -> Mesh {
     let edges = TriEdges::of(grid.points.len(), &grid.triangles);
-    build_dual(grid, edges, Rings::default(), sphere_radius)
+    let dual = Triangulation::ringed(
+        grid.points.clone(),
+        grid.triangles.clone(),
+        edges,
+        Rings::default(),
+    );
+    assemble(dual, sphere_radius)
 }
 
 /// The part of the Voronoi dual that a Lloyd sweep reads: every corner
 /// (the circumcenter of a triangle) and every cell's CCW ring of corners.
 /// Generators move between sweeps and triangles do not, so one `Rings` is
-/// recomputed in place for each sweep, and [`build_dual`] starts from the
-/// same routine and takes its buffers over as mesh arrays.
+/// recomputed in place for each sweep, and the build starts from the
+/// same routine ([`Triangulation::ringed`]) and takes its buffers over as
+/// mesh arrays.
 #[derive(Debug, Default)]
 pub(crate) struct Rings {
     /// Per triangle, its circumcenter: the mesh's `x_vertex`.
@@ -119,40 +132,157 @@ impl Rings {
     }
 }
 
-/// Build the full mesh of `grid` on a sphere of `sphere_radius` meters,
-/// from its edge numbering `edges` and ring buffers `rings` (recomputed
-/// here for the current points). Both are consumed: their buckets and
-/// buffers become mesh arrays, so the build frees no large scratch array
-/// before it allocates the rest (DESIGN.md §16).
-pub(crate) fn build_dual(
-    grid: &IcosaGrid,
-    edges: TriEdges,
-    mut rings: Rings,
-    sphere_radius: f64,
-) -> Mesh {
-    let n_cells = grid.points.len();
-    let n_vertices = grid.triangles.len();
+/// A triangulation read as the skeleton of its Voronoi dual: everything
+/// [`assemble`] reads, each array named after the mesh array it becomes.
+/// Renaming its ids consistently ([`Triangulation::renumbered`]) renames
+/// the assembled mesh the same way, bit for bit, because the assembly
+/// computes each entity from its coordinates and its ordered incidence.
+pub(crate) struct Triangulation {
+    /// The generators.
+    x_cell: Vec<Vec3>,
+    /// The triangles, each with its corners in their CCW rotation.
+    cells_on_vertex: Vec<[CellId; 3]>,
+    /// Per triangle, the edge of each corner pair `(k, k + 1)`.
+    edges_on_vertex: Vec<[EdgeId; 3]>,
+    /// Per edge, its ends in the order [`TriEdges`] gave them: the lower
+    /// construction id first. The normal runs from the first.
+    cells_on_edge: Vec<[CellId; 2]>,
+    /// Per edge, the triangle that names it first, then the other one.
+    triangles_on_edge: Vec<[VertexId; 2]>,
+    /// CSR offsets over cells.
+    cell_offsets: Vec<u32>,
+    /// Per cell, the edges of its ring slots: its edges, CCW.
+    edges_on_cell: Vec<EdgeId>,
+    /// Per cell, the triangles of its ring slots: slot `k`'s lies between
+    /// edges `k` and `k + 1`.
+    vertices_on_cell: Vec<VertexId>,
+    /// Per triangle, its circumcenter.
+    x_vertex: Vec<Vec3>,
+    /// Per edge, the arc midpoint of its ends.
+    x_edge: Vec<Vec3>,
+}
 
-    // ---- vertices (triangle circumcenters), edge midpoints, CCW rings -------
-    rings.update(&grid.points, &grid.triangles, &edges);
-    let Rings {
+impl Triangulation {
+    /// The ring update: recompute `rings` on `points` over `triangles`,
+    /// whose edges `edges` numbers, and read each cell's rows off its
+    /// ring. Both are consumed: their buckets and buffers become mesh
+    /// arrays, so the build frees no large scratch array before it
+    /// allocates the rest (DESIGN.md §16).
+    pub(crate) fn ringed(
+        points: Vec<Vec3>,
+        triangles: Vec<[u32; 3]>,
+        edges: TriEdges,
+        mut rings: Rings,
+    ) -> Self {
+        rings.update(&points, &triangles, &edges);
+        let Rings {
+            x_vertex,
+            x_edge,
+            slots,
+        } = rings;
+        let TriEdges {
+            of_triangle: edges_on_vertex,
+            ends: cells_on_edge,
+            triangles: triangles_on_edge,
+            start: cell_offsets,
+            leaving,
+        } = edges;
+        // Each edge of a cell leaves it as exactly one triangle corner
+        // pair, so the ring slots, mapped to their edges, are the cell's
+        // edges in CCW order, and their triangles are the corners between
+        // consecutive edges.
+        let mut edges_on_cell = leaving;
+        for (e, &s) in edges_on_cell.iter_mut().zip(&slots) {
+            *e = edges_on_vertex[s as usize / 3][s as usize % 3];
+        }
+        let mut vertices_on_cell = slots;
+        for v in vertices_on_cell.iter_mut() {
+            *v /= 3;
+        }
+        Triangulation {
+            x_cell: points,
+            cells_on_vertex: triangles,
+            edges_on_vertex,
+            cells_on_edge,
+            triangles_on_edge,
+            cell_offsets,
+            edges_on_cell,
+            vertices_on_cell,
+            x_vertex,
+            x_edge,
+        }
+    }
+
+    /// The rows a renumbering reads.
+    pub(crate) fn cell_rows(&self) -> CellRows<'_> {
+        CellRows {
+            x_cell: &self.x_cell,
+            cell_offsets: &self.cell_offsets,
+            edges_on_cell: &self.edges_on_cell,
+            vertices_on_cell: &self.vertices_on_cell,
+            cells_on_edge: &self.cells_on_edge,
+            n_vertices: self.cells_on_vertex.len(),
+        }
+    }
+
+    /// Renumbered per `reorder`, with the permutation derived from this
+    /// triangulation's rows; [`Reordering::None`] returns it untouched.
+    pub(crate) fn reordered(self, reorder: Reordering) -> Self {
+        match reorder.permutation_of(self.cell_rows()) {
+            Some(perm) => self.renumbered(&perm),
+            None => self,
+        }
+    }
+
+    /// Every id renamed through `perm` and every per-entity array gathered
+    /// into the new order. What carries orientation is kept, not
+    /// recomputed: each edge's ends and its two triangles keep their order,
+    /// each triangle its corner rotation, and each cell row its CCW slot
+    /// order.
+    pub(crate) fn renumbered(self, perm: &MeshPermutation) -> Self {
+        let pc = |c: u32| perm.cell_new[c as usize];
+        let pe = |e: u32| perm.edge_new[e as usize];
+        let pv = |v: u32| perm.vertex_new[v as usize];
+        let (cells, edges, vertices) =
+            (&perm.cell_old[..], &perm.edge_old[..], &perm.vertex_old[..]);
+        Triangulation {
+            x_cell: perm.permute_cell_field(&self.x_cell),
+            cells_on_vertex: gather_map(&self.cells_on_vertex, vertices, |c| c.map(pc)),
+            edges_on_vertex: gather_map(&self.edges_on_vertex, vertices, |e| e.map(pe)),
+            cells_on_edge: gather_map(&self.cells_on_edge, edges, |c| c.map(pc)),
+            triangles_on_edge: gather_map(&self.triangles_on_edge, edges, |t| t.map(pv)),
+            cell_offsets: csr_offsets(&self.cell_offsets, cells),
+            edges_on_cell: csr_rows(&self.cell_offsets, &self.edges_on_cell, cells, pe),
+            vertices_on_cell: csr_rows(&self.cell_offsets, &self.vertices_on_cell, cells, pv),
+            x_vertex: perm.permute_vertex_field(&self.x_vertex),
+            x_edge: perm.permute_edge_field(&self.x_edge),
+        }
+    }
+}
+
+/// The assembly: the full mesh of `dual` on a sphere of `sphere_radius`
+/// meters. The triangulation's arrays become mesh arrays.
+pub(crate) fn assemble(dual: Triangulation, sphere_radius: f64) -> Mesh {
+    let Triangulation {
+        x_cell,
+        cells_on_vertex,
+        edges_on_vertex,
+        cells_on_edge,
+        triangles_on_edge: tris_on_edge,
+        cell_offsets,
+        edges_on_cell,
+        vertices_on_cell,
         x_vertex,
         x_edge,
-        slots,
-    } = rings;
+    } = dual;
+    let n_cells = x_cell.len();
+    let n_vertices = cells_on_vertex.len();
 
     // ---- edges: one per Delaunay edge -----------------------------------------
-    // Normal direction convention: from the lower to the higher cell id —
-    // deterministic and cheap. `edges_on_vertex[v][k]` is the edge of the
-    // triangle's corner pair (k, k+1); adjacent triangles per edge are in
-    // discovery order.
-    let TriEdges {
-        of_triangle: edges_on_vertex,
-        ends: cells_on_edge,
-        triangles: tris_on_edge,
-        start: cell_offsets,
-        leaving,
-    } = edges;
+    // Normal direction convention: from the lower to the higher cell id in
+    // construction order, which a renumbering keeps — deterministic and
+    // cheap. `edges_on_vertex[v][k]` is the edge of the triangle's corner
+    // pair (k, k+1); adjacent triangles per edge are in discovery order.
     let n_edges = cells_on_edge.len();
     assert_eq!(n_cells + n_vertices - 2, n_edges, "Euler formula");
 
@@ -163,7 +293,7 @@ pub(crate) fn build_dual(
 
     for e in 0..n_edges {
         let [c1, c2] = cells_on_edge[e];
-        let (p1, p2) = (grid.points[c1 as usize], grid.points[c2 as usize]);
+        let (p1, p2) = (x_cell[c1 as usize], x_cell[c2 as usize]);
         let m = x_edge[e];
         // Normal: great-circle direction from c1 to c2 at the midpoint.
         let n = (p2 - p1 - m * m.dot(p2 - p1)).normalized();
@@ -182,7 +312,6 @@ pub(crate) fn build_dual(
 
     // ---- vertex-centric connectivity ----------------------------------------
     // cells_on_vertex: triangle corners, already CCW from the generator.
-    let cells_on_vertex: Vec<[CellId; 3]> = grid.triangles.clone();
     // +1 when +n̂ (c1->c2) runs CCW around v, i.e. from slot k to k+1.
     let edge_sign_on_vertex: Vec<[i8; 3]> = cells_on_vertex
         .iter()
@@ -199,19 +328,7 @@ pub(crate) fn build_dual(
         .collect();
 
     // ---- cell-centric connectivity (CCW ordering) ----------------------------
-    // Each edge of a cell leaves it as exactly one triangle corner pair, so
-    // the ring slots, mapped to their edges, are the cell's edges in CCW
-    // order, and their triangles are the corners between consecutive edges.
     let total_slots = cell_offsets[n_cells] as usize;
-    let mut edges_on_cell = leaving;
-    for (e, &s) in edges_on_cell.iter_mut().zip(&slots) {
-        *e = edges_on_vertex[s as usize / 3][s as usize % 3];
-    }
-    let mut vertices_on_cell = slots;
-    for v in vertices_on_cell.iter_mut() {
-        *v /= 3;
-    }
-
     // Derived per-slot arrays: neighbor cell, outward sign.
     let mut cells_on_cell = vec![0 as CellId; total_slots];
     let mut edge_sign_on_cell = vec![0i8; total_slots];
@@ -241,7 +358,7 @@ pub(crate) fn build_dual(
     let r2 = sphere_radius * sphere_radius;
     let dc_edge: Vec<f64> = cells_on_edge
         .iter()
-        .map(|&[a, b]| arc_length(grid.points[a as usize], grid.points[b as usize]) * sphere_radius)
+        .map(|&[a, b]| arc_length(x_cell[a as usize], x_cell[b as usize]) * sphere_radius)
         .collect();
     let dv_edge: Vec<f64> = vertices_on_edge
         .iter()
@@ -250,11 +367,7 @@ pub(crate) fn build_dual(
     let area_triangle: Vec<f64> = cells_on_vertex
         .iter()
         .map(|&[a, b, c]| {
-            spherical_triangle_area(
-                grid.points[a as usize],
-                grid.points[b as usize],
-                grid.points[c as usize],
-            ) * r2
+            spherical_triangle_area(x_cell[a as usize], x_cell[b as usize], x_cell[c as usize]) * r2
         })
         .collect();
     let mut area_cell = vec![0.0f64; n_cells];
@@ -284,7 +397,7 @@ pub(crate) fn build_dual(
             let e_a = edges_on_vertex[v][k] as usize; // joins cells k, k+1
             let e_b = edges_on_vertex[v][(k + 2) % 3] as usize; // joins k+2, k
             let (ma, mb) = (x_edge[e_a], x_edge[e_b]);
-            let c = grid.points[cell];
+            let c = x_cell[cell];
             kite_areas_on_vertex[v][k] =
                 (spherical_triangle_area(c, ma, xv) + spherical_triangle_area(c, xv, mb)) * r2;
         }
@@ -347,7 +460,7 @@ pub(crate) fn build_dual(
 
     Mesh {
         sphere_radius,
-        x_cell: grid.points.clone(),
+        x_cell,
         x_edge,
         x_vertex,
         cells_on_edge,
