@@ -19,6 +19,7 @@ use mpas_swe::kernels;
 use mpas_swe::rk4::{RK_SUBSTEP, RK_WEIGHTS};
 use mpas_swe::state::{Diagnostics, Reconstruction, State, Tendencies};
 use mpas_swe::testcases::TestCase;
+use mpas_swe::InitialFields;
 use mpas_telemetry::analysis::STEP_SPAN;
 use mpas_telemetry::Recorder;
 
@@ -96,21 +97,22 @@ fn rank_main(
 ) -> (Vec<f64>, Vec<f64>, Vec<Vec<f64>>) {
     let mesh = &lm.mesh;
     let mcfg = &cfg.model;
-    let tc = cfg.test_case;
     let dt = cfg.dt;
 
-    let mut state = tc.initial_state_with_tracers(mesh, mcfg.n_tracers);
-    let b = tc.topography(mesh);
-    let f_vertex = tc.coriolis_vertex(mesh);
     let kc = KernelCoeffs::build(mesh, mcfg);
     let backend = mcfg.kernel_backend;
-    // Case-4 forcing, computed from the rank's own local mesh: the
-    // background state is sampled analytically (exact on halos too) and
-    // three halo layers make every owned tendency entry equal the serial
-    // one, so the owned forcing entries are bitwise the serial forcing.
-    let forcing = tc.needs_forcing().then(|| {
-        mpas_swe::model::compute_equilibrium_forcing(mesh, mcfg, &kc, &tc, &b, &f_vertex, dt)
-    });
+    // Each rank samples its own local mesh, and owns what it samples. The
+    // case-4 forcing comes out of the same sampler: the background state
+    // is sampled analytically (exact on halos too) and three halo layers
+    // make every owned tendency entry equal the serial one, so the owned
+    // forcing entries are bitwise the serial forcing.
+    let InitialFields {
+        mut state,
+        b,
+        f_vertex,
+        forcing,
+        ..
+    } = InitialFields::sample(mesh, mcfg, cfg.test_case, &kc, Some(dt));
     // Same branch the single-address-space executors take: per-entity the
     // local coefficients equal the global ones, so owned outputs stay
     // bit-for-bit identical to the serial run on either path.

@@ -6,11 +6,12 @@
 //! measurement, and a digest of the final state so identical jobs can be
 //! checked for bitwise-identical results without shipping whole fields.
 //! [`run_job`] packages exactly that on top of the builder, reusing a
-//! pre-built shared mesh and (optionally) a shared coefficient table.
+//! pre-built shared mesh and (optionally) a shared coefficient table and
+//! shared initial fields.
 
 use crate::simulation::{Executor, Simulation};
 use mpas_mesh::Mesh;
-use mpas_swe::{KernelBackend, KernelCoeffs, ModelConfig, State, TestCase};
+use mpas_swe::{InitialFields, KernelBackend, KernelCoeffs, ModelConfig, State, TestCase};
 use mpas_telemetry::digest::Fnv1a;
 use mpas_telemetry::Recorder;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -94,6 +95,10 @@ pub struct JobResult {
     pub dt: f64,
     /// Wall-clock seconds from model build to last step.
     pub run_secs: f64,
+    /// Wall-clock seconds before the first step: the model build, plus
+    /// the artifact lookups of a caller that adds them (the server adds
+    /// its cache lookups, where a cache miss builds).
+    pub build_secs: f64,
     /// Wall-clock seconds from entry to the end of the first step — the
     /// serving-latency quantity (TTFS) the SLO gate watches.
     pub ttfs_secs: f64,
@@ -148,13 +153,15 @@ pub fn state_hash(state: &State) -> u64 {
 }
 
 /// Run `spec` on a pre-built `mesh`, optionally reusing a shared
-/// coefficient table (which must have been built for this mesh and
-/// `spec.config()`). The cancel flag is polled every progress chunk;
-/// `progress` fires after each chunk with the running mass drift.
+/// coefficient table and shared initial fields (built and sampled for this
+/// mesh, `spec.config()`, `spec.test_case` and `spec.dt`). The cancel flag
+/// is polled every progress chunk; `progress` fires after each chunk with
+/// the running mass drift.
 pub fn run_job(
     spec: &JobSpec,
     mesh: Arc<Mesh>,
     shared_coeffs: Option<Arc<KernelCoeffs>>,
+    shared_init: Option<Arc<InitialFields>>,
     rec: &Recorder,
     cancel: &AtomicBool,
     mut progress: impl FnMut(JobProgress),
@@ -179,7 +186,11 @@ pub fn run_job(
     if let Some(kc) = shared_coeffs {
         builder = builder.kernel_coeffs(kc);
     }
+    if let Some(init) = shared_init {
+        builder = builder.initial_fields(init);
+    }
     let mut sim = builder.build();
+    let build_secs = t0.elapsed().as_secs_f64();
 
     // First step alone: its latency is the TTFS the serving SLO watches
     // (model build + one step = what a tenant waits before any output).
@@ -214,6 +225,7 @@ pub fn run_job(
         steps_done: done,
         dt: sim.dt(),
         run_secs: t0.elapsed().as_secs_f64(),
+        build_secs,
         ttfs_secs,
         mass_drift: sim.mass_drift(),
         h_err_l2: sim.h_error_norms().l2,
@@ -239,6 +251,7 @@ mod tests {
             &spec(4),
             mesh.clone(),
             None,
+            None,
             &Recorder::noop(),
             &cancel,
             |_| {},
@@ -252,6 +265,7 @@ mod tests {
         assert_eq!(out.state_hash, state_hash(sim.state()));
         assert_eq!(out.steps_done, 4);
         assert!(out.ttfs_secs > 0.0 && out.ttfs_secs <= out.run_secs);
+        assert!(out.build_secs > 0.0 && out.build_secs <= out.ttfs_secs);
     }
 
     #[test]
@@ -259,19 +273,28 @@ mod tests {
         let mesh = setup::build_mesh(3, 0, Reordering::None);
         let s = spec(3);
         let kc = Arc::new(KernelCoeffs::build(&mesh, &s.config()));
+        let init = Arc::new(InitialFields::sample(
+            &mesh,
+            &s.config(),
+            s.test_case,
+            &kc,
+            s.dt,
+        ));
         let cancel = AtomicBool::new(false);
         let a = run_job(
             &s,
             mesh.clone(),
             Some(kc),
+            Some(init),
             &Recorder::noop(),
             &cancel,
             |_| {},
         )
         .unwrap();
-        let b = run_job(&s, mesh, None, &Recorder::noop(), &cancel, |_| {}).unwrap();
+        let b = run_job(&s, mesh, None, None, &Recorder::noop(), &cancel, |_| {}).unwrap();
         assert_eq!(a.state_hash, b.state_hash);
         assert_eq!(a.mass_drift, b.mass_drift);
+        assert_eq!(a.h_err_l2.to_bits(), b.h_err_l2.to_bits());
     }
 
     #[test]
@@ -281,15 +304,21 @@ mod tests {
         s.progress_every = 2;
         let cancel = AtomicBool::new(false);
         let mut seen = Vec::new();
-        run_job(&s, mesh.clone(), None, &Recorder::noop(), &cancel, |p| {
-            seen.push(p.step)
-        })
+        run_job(
+            &s,
+            mesh.clone(),
+            None,
+            None,
+            &Recorder::noop(),
+            &cancel,
+            |p| seen.push(p.step),
+        )
         .unwrap();
         // First step runs alone (TTFS), then 2-step chunks: 1, 3, 5, 6.
         assert_eq!(seen, vec![1, 3, 5, 6]);
 
         // Cancel as soon as the first progress report lands.
-        let err = run_job(&s, mesh, None, &Recorder::noop(), &cancel, |_| {
+        let err = run_job(&s, mesh, None, None, &Recorder::noop(), &cancel, |_| {
             cancel.store(true, Ordering::Relaxed)
         })
         .unwrap_err();
@@ -300,7 +329,15 @@ mod tests {
     fn invalid_specs_are_rejected_up_front() {
         let mesh = setup::build_mesh(1, 0, Reordering::None);
         let cancel = AtomicBool::new(false);
-        let err = run_job(&spec(0), mesh, None, &Recorder::noop(), &cancel, |_| {});
+        let err = run_job(
+            &spec(0),
+            mesh,
+            None,
+            None,
+            &Recorder::noop(),
+            &cancel,
+            |_| {},
+        );
         assert!(matches!(err, Err(JobError::Invalid(_))));
     }
 

@@ -9,9 +9,9 @@ use mpas_swe::config::ModelConfig;
 use mpas_swe::norms::ErrorNorms;
 use mpas_swe::state::State;
 use mpas_swe::testcases::TestCase;
-use mpas_swe::{KernelBackend, LayeredModel, ShallowWaterModel};
+use mpas_swe::{InitialFields, KernelBackend, LayeredModel, ShallowWaterModel};
 use mpas_telemetry::Recorder;
-use std::sync::{Arc, OnceLock};
+use std::sync::Arc;
 
 /// Which execution engine advances the model.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -38,6 +38,7 @@ pub struct SimulationBuilder {
     lloyd_iters: u32,
     mesh: Option<Arc<Mesh>>,
     kernel_coeffs: Option<Arc<KernelCoeffs>>,
+    initial_fields: Option<Arc<InitialFields>>,
     test_case: TestCase,
     config: ModelConfig,
     dt: Option<f64>,
@@ -54,6 +55,7 @@ impl Default for SimulationBuilder {
             lloyd_iters: 0,
             mesh: None,
             kernel_coeffs: None,
+            initial_fields: None,
             test_case: TestCase::Case5,
             config: ModelConfig::default(),
             dt: None,
@@ -91,6 +93,16 @@ impl SimulationBuilder {
     /// concurrent simulations on the same cached mesh.
     pub fn kernel_coeffs(mut self, coeffs: Arc<KernelCoeffs>) -> Self {
         self.kernel_coeffs = Some(coeffs);
+        self
+    }
+
+    /// Start from already-sampled initial fields instead of sampling them.
+    /// They must have been sampled on the final mesh with the configured
+    /// [`ModelConfig`], test case and dt (the build checks the case, the
+    /// dt when one is set, and the sizes); the multi-tenant server uses
+    /// this to share one sample across every job of the same key.
+    pub fn initial_fields(mut self, init: Arc<InitialFields>) -> Self {
+        self.initial_fields = Some(init);
         self
     }
 
@@ -151,7 +163,30 @@ impl SimulationBuilder {
             Some(m) => crate::setup::apply_reorder(m, self.reorder),
             None => crate::setup::build_mesh(self.mesh_level, self.lloyd_iters, self.reorder),
         };
-        if self.config.n_layers > 1 {
+        let kc = self
+            .kernel_coeffs
+            .unwrap_or_else(|| Arc::new(KernelCoeffs::build(&mesh, &self.config)));
+        let init = match self.initial_fields {
+            Some(init) => {
+                assert_eq!(
+                    init.test_case, self.test_case,
+                    "initial fields of another case"
+                );
+                if let Some(dt) = self.dt {
+                    assert_eq!(init.dt, dt, "initial fields sampled for another dt");
+                }
+                init
+            }
+            None => Arc::new(InitialFields::sample(
+                &mesh,
+                &self.config,
+                self.test_case,
+                &kc,
+                self.dt,
+            )),
+        };
+        let rec = self.recorder.clone();
+        let engine = if self.config.n_layers > 1 {
             assert_eq!(
                 self.config.kernel_backend,
                 KernelBackend::Simd,
@@ -162,79 +197,31 @@ impl SimulationBuilder {
                 Executor::Serial,
                 "n_layers > 1 requires the serial executor"
             );
-            let engine = Engine::Layered(
-                LayeredModel::new_shared(
-                    mesh.clone(),
-                    self.config,
-                    self.test_case,
-                    self.dt,
-                    self.kernel_coeffs,
-                )
-                .with_recorder(self.recorder.clone()),
-            );
-            let policy = mpas_sched::resolve(&self.sched_policy)
-                .unwrap_or_else(|e| panic!("invalid sched_policy {:?}: {e}", self.sched_policy));
-            let mut sim = Simulation {
-                mesh,
-                engine,
-                test_case: self.test_case,
-                config: self.config,
-                initial_mass: 0.0,
-                initial_tracer_mass: Vec::new(),
-                h_reference: OnceLock::new(),
-                policy,
-                recorder: self.recorder,
-            };
-            sim.initial_mass = sim.total_mass();
-            sim.initial_tracer_mass = (0..sim.config.n_tracers)
-                .map(|k| sim.total_tracer(k))
-                .collect();
-            return sim;
-        }
-        let engine = match self.executor {
-            Executor::Serial => Engine::Serial(
-                ShallowWaterModel::new_shared(
-                    mesh.clone(),
-                    self.config,
-                    self.test_case,
-                    self.dt,
-                    self.kernel_coeffs,
-                )
-                .with_recorder(self.recorder.clone()),
-            ),
-            Executor::Threaded { threads } => Engine::Threaded(
-                ParallelModel::new_shared(
-                    mesh.clone(),
-                    self.config,
-                    self.test_case,
-                    self.dt,
-                    threads,
-                    self.kernel_coeffs,
-                )
-                .with_recorder(self.recorder.clone()),
-            ),
-            Executor::Hybrid {
-                cpu_threads,
-                acc_threads,
-            } => Engine::Threaded(
-                ParallelModel::new_shared(
-                    mesh.clone(),
-                    self.config,
-                    self.test_case,
-                    self.dt,
+            Engine::Layered(
+                LayeredModel::from_initial(mesh.clone(), self.config, init, kc).with_recorder(rec),
+            )
+        } else {
+            match self.executor {
+                Executor::Serial => Engine::Serial(
+                    ShallowWaterModel::from_initial(mesh.clone(), self.config, init, kc)
+                        .with_recorder(rec),
+                ),
+                Executor::Threaded { threads } => Engine::Threaded(
+                    ParallelModel::from_initial(mesh.clone(), self.config, init, kc, threads)
+                        .with_recorder(rec),
+                ),
+                Executor::Hybrid {
                     cpu_threads,
-                    self.kernel_coeffs,
-                )
-                .with_accelerator(acc_threads, &Platform::paper_node())
-                .with_recorder(self.recorder.clone()),
-            ),
+                    acc_threads,
+                } => Engine::Threaded(
+                    ParallelModel::from_initial(mesh.clone(), self.config, init, kc, cpu_threads)
+                        .with_accelerator(acc_threads, &Platform::paper_node())
+                        .with_recorder(rec),
+                ),
+            }
         };
         let policy = mpas_sched::resolve(&self.sched_policy)
             .unwrap_or_else(|e| panic!("invalid sched_policy {:?}: {e}", self.sched_policy));
-        let initial_mass = match &engine {
-            Engine::Serial(m) => Some(m.total_mass()),
-            _ => None,
-        };
         let mut sim = Simulation {
             mesh,
             engine,
@@ -242,11 +229,10 @@ impl SimulationBuilder {
             config: self.config,
             initial_mass: 0.0,
             initial_tracer_mass: Vec::new(),
-            h_reference: OnceLock::new(),
             policy,
             recorder: self.recorder,
         };
-        sim.initial_mass = initial_mass.unwrap_or_else(|| sim.total_mass());
+        sim.initial_mass = sim.total_mass();
         sim.initial_tracer_mass = (0..sim.config.n_tracers)
             .map(|k| sim.total_tracer(k))
             .collect();
@@ -276,9 +262,6 @@ pub struct Simulation {
     pub config: ModelConfig,
     initial_mass: f64,
     initial_tracer_mass: Vec<f64>,
-    /// The reference thickness of a case whose reference does not move,
-    /// sampled on the first [`Simulation::h_error_norms`] call.
-    h_reference: OnceLock<Vec<f64>>,
     policy: Box<dyn SchedulerPolicy>,
     recorder: Recorder,
 }
@@ -327,6 +310,16 @@ impl Simulation {
     /// The telemetry sink configured at build time.
     pub fn recorder(&self) -> &Recorder {
         &self.recorder
+    }
+
+    /// The fields the run started from (shared with the caller when the
+    /// builder was handed them).
+    pub(crate) fn initial_fields(&self) -> &Arc<InitialFields> {
+        match &self.engine {
+            Engine::Serial(m) => &m.init,
+            Engine::Threaded(m) => &m.init,
+            Engine::Layered(m) => &m.init,
+        }
     }
 
     /// The prognostic state (layer 0 for layered runs — the validated
@@ -431,21 +424,14 @@ impl Simulation {
     }
 
     /// Thickness error norms against the test case's reference solution at
-    /// the current model time (the analytic field for steady cases and the
-    /// rigidly advected bell of case 1; the initial field otherwise) —
-    /// the same quantity [`mpas_swe::ShallowWaterModel::h_error_norms`]
-    /// reports, so facade and serial-model norms agree bitwise. A reference
-    /// that does not move is sampled once per run, not once per call.
+    /// the current model time: the initial field the run started from for
+    /// every case whose reference does not move, the rigidly advected bell
+    /// of case 1 otherwise ([`InitialFields::h_error_norms`]) — the same
+    /// quantity [`mpas_swe::ShallowWaterModel::h_error_norms`] reports, so
+    /// facade and serial-model norms agree bitwise.
     pub fn h_error_norms(&self) -> ErrorNorms {
-        let (tc, h) = (&self.test_case, &self.state().h);
-        if tc.reference_moves() {
-            let reference = tc.reference_thickness(&self.mesh, self.time());
-            return ErrorNorms::compute(h, &reference, &self.mesh.area_cell);
-        }
-        let reference = self
-            .h_reference
-            .get_or_init(|| tc.reference_thickness(&self.mesh, 0.0));
-        ErrorNorms::compute(h, reference, &self.mesh.area_cell)
+        self.initial_fields()
+            .h_error_norms(&self.mesh, &self.state().h, self.time())
     }
 
     /// The configured scheduling policy.
@@ -481,13 +467,10 @@ impl Simulation {
 
     /// Total height field `h + b` (the paper's Fig. 5 quantity).
     pub fn total_height(&self) -> Vec<f64> {
-        let b: Vec<f64> = (0..self.mesh.n_cells())
-            .map(|i| self.test_case.topography_at(self.mesh.x_cell[i]))
-            .collect();
         self.state()
             .h
             .iter()
-            .zip(&b)
+            .zip(&self.initial_fields().b)
             .map(|(&h, &b)| h + b)
             .collect()
     }
@@ -622,19 +605,36 @@ mod tests {
         // (Williamson 1) is sampled again.
         let mesh = Arc::new(mpas_mesh::generate(2, 0));
         for sc in &mpas_swe::validation::CATALOG {
+            let (config, tc) = (sc.config(), sc.test_case);
+            let kc = KernelCoeffs::build(&mesh, &config);
+            let init = Arc::new(InitialFields::sample(&mesh, &config, tc, &kc, None));
             let mut sim = Simulation::builder()
                 .mesh(mesh.clone())
-                .test_case(sc.test_case)
-                .config(sc.config())
+                .test_case(tc)
+                .config(config)
+                .initial_fields(init.clone())
                 .build();
+            // Nothing is resampled: the run holds the very fields it was
+            // handed, and a fixed reference is their initial thickness.
+            assert!(Arc::ptr_eq(sim.initial_fields(), &init), "{}", sc.name);
             for _ in 0..2 {
                 sim.run_steps(1);
-                let reference = sc.test_case.reference_thickness(&mesh, sim.time());
+                let reference = tc.reference_thickness(&mesh, sim.time());
                 let want = ErrorNorms::compute(&sim.state().h, &reference, &mesh.area_cell);
                 assert_eq!(sim.h_error_norms(), want, "{}", sc.name);
             }
-            let cached = sim.h_reference.get().is_some();
-            assert_eq!(cached, !sc.test_case.reference_moves(), "{}", sc.name);
+            let cached = sim.initial_fields().h_reference();
+            assert_eq!(cached.is_some(), !tc.reference_moves(), "{}", sc.name);
+            if let Some(reference) = cached {
+                assert!(std::ptr::eq(reference, &init.state.h[..]), "{}", sc.name);
+            }
+            // The builder's own sample is the same field, bit for bit.
+            let own = Simulation::builder()
+                .mesh(mesh.clone())
+                .test_case(tc)
+                .config(config)
+                .build();
+            assert_eq!(own.initial_fields().state, init.state, "{}", sc.name);
         }
     }
 

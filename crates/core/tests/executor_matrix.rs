@@ -20,8 +20,8 @@ use mpas_mesh::{Mesh, Reordering};
 use mpas_swe::kernels;
 use mpas_swe::validation::CATALOG;
 use mpas_swe::{
-    Diagnostics, KernelBackend, KernelCoeffs, ModelConfig, Reconstruction, ShallowWaterModel,
-    State, TestCase,
+    Diagnostics, InitialFields, KernelBackend, KernelCoeffs, ModelConfig, Reconstruction,
+    ShallowWaterModel, State, TestCase,
 };
 use std::sync::Arc;
 
@@ -172,13 +172,13 @@ fn end_of_step_diagnostics_and_reconstruction_match_a_full_refresh() {
                 ..ModelConfig::default()
             };
             let kc = Arc::new(KernelCoeffs::build(&mesh, &config));
-            let shared = || Some(kc.clone());
+            let init = Arc::new(InitialFields::sample(&mesh, &config, tc, &kc, Some(dt)));
             let mut serial =
-                ShallowWaterModel::new_shared(mesh.clone(), config, tc, Some(dt), shared());
+                ShallowWaterModel::from_initial(mesh.clone(), config, init.clone(), kc.clone());
             let mut threaded =
-                ParallelModel::new_shared(mesh.clone(), config, tc, Some(dt), 4, shared());
+                ParallelModel::from_initial(mesh.clone(), config, init.clone(), kc.clone(), 4);
             let mut hybrid =
-                ParallelModel::new_shared(mesh.clone(), config, tc, Some(dt), 2, shared())
+                ParallelModel::from_initial(mesh.clone(), config, init.clone(), kc.clone(), 2)
                     .with_accelerator(2, &Platform::paper_node());
             serial.run_steps(3);
             threaded.run_steps(3);
@@ -198,7 +198,7 @@ fn end_of_step_diagnostics_and_reconstruction_match_a_full_refresh() {
                     &kc,
                     &state.h,
                     &state.u,
-                    &serial.f_vertex,
+                    &init.f_vertex,
                     dt,
                     &mut d,
                 );

@@ -37,9 +37,15 @@ impl LonLat {
 
 /// Convert a (not necessarily unit) Cartesian position to lon/lat.
 pub fn to_lonlat(p: Vec3) -> LonLat {
+    LonLat::new(p.y.atan2(p.x), latitude(p))
+}
+
+/// The latitude of [`to_lonlat`] alone, for callers that never read the
+/// longitude (same operations, same bits, no `atan2`).
+pub fn latitude(p: Vec3) -> f64 {
     let r = p.norm();
     debug_assert!(r > 0.0);
-    LonLat::new(p.y.atan2(p.x), (p.z / r).clamp(-1.0, 1.0).asin())
+    (p.z / r).clamp(-1.0, 1.0).asin()
 }
 
 /// Local eastward unit vector at `p` (tangent to the latitude circle).

@@ -220,7 +220,7 @@ pub fn calibrate_on(mesh: Arc<mpas_mesh::Mesh>, reps: usize) -> CalibrationRepor
             &mesh,
             &m.state.h,
             &m.diag.vorticity,
-            &m.f_vertex,
+            &m.init.f_vertex,
             &mut m.diag.pv_vertex,
             0..nv,
         )
@@ -262,7 +262,7 @@ pub fn calibrate_on(mesh: Arc<mpas_mesh::Mesh>, reps: usize) -> CalibrationRepor
             &m.diag.h_edge,
             &m.diag.ke,
             &m.state.h,
-            &m.b,
+            &m.init.b,
             &mut tend_u,
             0..ne,
         )

@@ -25,7 +25,7 @@ use mpas_swe::kernels::{dispatch, ops, runs_vorticity_cell};
 use mpas_swe::rk4::{RK_SUBSTEP, RK_WEIGHTS};
 use mpas_swe::state::{Diagnostics, Reconstruction, State};
 use mpas_swe::testcases::TestCase;
-use mpas_swe::Tendencies;
+use mpas_swe::{InitialFields, Tendencies};
 use mpas_telemetry::{Recorder, SpanGuard};
 use std::ops::Range;
 use std::sync::Arc;
@@ -118,18 +118,15 @@ pub struct ParallelModel {
     pub diag: Diagnostics,
     /// Reconstructed cell-center velocities.
     pub recon: Reconstruction,
-    /// Bottom topography at cells.
-    pub b: Vec<f64>,
-    /// Coriolis parameter at vertices.
-    pub f_vertex: Vec<f64>,
+    /// The fields this run started from: the topography, the Coriolis
+    /// field and the fixed forcing of forced cases (Williamson 4, computed
+    /// once with the serial kernels) are read from here, never copied.
+    pub init: Arc<InitialFields>,
     /// Precomputed kernel coefficients: the simd backend's tables and the
     /// velocity-reconstruction tables every backend reads. Shared so
     /// multi-tenant servers can reuse one table across concurrent models
     /// on the same mesh/config.
     pub kcoeffs: Arc<KernelCoeffs>,
-    /// Fixed per-stage forcing tendency (Williamson case 4), identical to
-    /// the serial model's — computed once at init with the serial kernels.
-    pub forcing: Option<Tendencies>,
     tend: Tendencies,
     provis: State,
     acc_state: State,
@@ -152,48 +149,36 @@ impl ParallelModel {
         dt: Option<f64>,
         n_threads: usize,
     ) -> Self {
-        Self::new_shared(mesh, config, test_case, dt, n_threads, None)
+        let kc = Arc::new(KernelCoeffs::build(&mesh, &config));
+        let init = Arc::new(InitialFields::sample(&mesh, &config, test_case, &kc, dt));
+        Self::from_initial(mesh, config, init, kc, n_threads)
     }
 
-    /// Like [`ParallelModel::new`], but reuse an already-built coefficient
-    /// table (it must have been built for this exact mesh and config).
-    /// `None` builds a fresh table.
-    pub fn new_shared(
+    /// Like [`ParallelModel::new`], but start from already-sampled fields
+    /// and an already-built coefficient table (both for this exact mesh
+    /// and config). Only the state is copied out.
+    pub fn from_initial(
         mesh: Arc<Mesh>,
         config: ModelConfig,
-        test_case: TestCase,
-        dt: Option<f64>,
+        init: Arc<InitialFields>,
+        kcoeffs: Arc<KernelCoeffs>,
         n_threads: usize,
-        shared_coeffs: Option<Arc<KernelCoeffs>>,
     ) -> Self {
-        let pool = Pool::new(n_threads);
-        let state = test_case.initial_state_with_tracers(&mesh, config.n_tracers);
-        let b = test_case.topography(&mesh);
-        let f_vertex = test_case.coriolis_vertex(&mesh);
-        let kcoeffs =
-            shared_coeffs.unwrap_or_else(|| Arc::new(KernelCoeffs::build(&mesh, &config)));
-        let dt = dt.unwrap_or_else(|| ModelConfig::suggested_dt(&mesh));
-        let forcing = test_case.needs_forcing().then(|| {
-            mpas_swe::model::compute_equilibrium_forcing(
-                &mesh, &config, &kcoeffs, &test_case, &b, &f_vertex, dt,
-            )
-        });
+        init.check_fits(&mesh, &config);
         let mut m = ParallelModel {
-            forcing,
             tend: Tendencies::zeros_with_tracers(&mesh, config.n_tracers),
             provis: State::zeros_with_tracers(&mesh, config.n_tracers),
             acc_state: State::zeros_with_tracers(&mesh, config.n_tracers),
             diag: Diagnostics::zeros(&mesh),
             recon: Reconstruction::zeros(&mesh),
-            state,
-            b,
-            f_vertex,
+            state: init.state.clone(),
+            dt: init.dt,
+            init,
             kcoeffs,
-            pool,
+            pool: Pool::new(n_threads),
             acc: None,
             config,
             time: 0.0,
-            dt,
             mesh,
             recorder: Recorder::noop(),
         };
@@ -302,7 +287,7 @@ impl ParallelModel {
                 dispatch::vorticity_cell(backend, mesh, kc, vort, o, r)
             });
         }
-        let f_vertex = &self.f_vertex;
+        let f_vertex = &self.init.f_vertex;
         {
             let _g = kernel_timer(&rec, "E");
             par_run(pool, &mut d.pv_vertex, |r, o| {
@@ -347,7 +332,7 @@ impl ParallelModel {
         let rec = self.recorder.clone();
         let (h, u) = (&self.provis.h, &self.provis.u);
         let d = &self.diag;
-        let b = &self.b;
+        let b = &self.init.b;
         {
             let _g = kernel_timer(&rec, "A1");
             split_run(
@@ -444,7 +429,7 @@ impl ParallelModel {
                 });
             }
         }
-        if let Some(f) = &self.forcing {
+        if let Some(f) = &self.init.forcing {
             // Pattern F1: exact +1.0-weighted accumulate, same as serial.
             let _g = kernel_timer(&rec, "F1");
             let (fh, fu_) = (&f.tend_h, &f.tend_u);

@@ -1,6 +1,8 @@
 //! Keyed build-once caches for the expensive immutable artifacts tenants
-//! share: meshes (keyed by level/lloyd/reorder) and fused-coefficient
-//! tables (keyed by mesh key + a digest of the numerical config).
+//! share: meshes (keyed by level/lloyd/reorder), fused-coefficient tables
+//! (keyed by mesh key + a digest of the numerical config) and the initial
+//! fields a job starts from (keyed by mesh key, case, config digest and
+//! the resolved dt).
 //!
 //! Concurrency contract: the first request for a key builds while holding
 //! only that key's slot lock, so concurrent first requests for the *same*
@@ -9,8 +11,9 @@
 //! count actual constructions — the concurrency test pins the mesh miss
 //! counter to exactly 1 for N identical tenants.
 
+use mpas_core::JobSpec;
 use mpas_mesh::{Mesh, Reordering};
-use mpas_swe::{KernelBackend, KernelCoeffs, ModelConfig};
+use mpas_swe::{InitialFields, KernelBackend, KernelCoeffs, ModelConfig, TestCase};
 use mpas_telemetry::digest::Fnv1a;
 use mpas_telemetry::{names, Recorder};
 use std::collections::HashMap;
@@ -36,6 +39,50 @@ pub struct CoeffsKey {
     pub mesh: MeshKey,
     /// FNV-1a digest of every [`ModelConfig`] field (see [`config_digest`]).
     pub config: u64,
+}
+
+/// Identity of shared initial fields: the mesh they were sampled on, the
+/// scenario, the numerical options (tracer count, the forcing's kernels)
+/// and the resolved time step (the forcing's APVM term reads it).
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub struct InitKey {
+    /// The mesh the fields were sampled on.
+    pub mesh: MeshKey,
+    /// The scenario's label ([`TestCase::name`]).
+    pub case: &'static str,
+    /// Bit pattern of Williamson 1/2's flow-axis tilt (0 for other cases).
+    pub alpha: u64,
+    /// FNV-1a digest of every [`ModelConfig`] field (see [`config_digest`]).
+    pub config: u64,
+    /// Bit pattern of the resolved time step, seconds.
+    pub dt: u64,
+}
+
+impl InitKey {
+    /// The key of `test_case` on `mesh` under `config` at step `dt`.
+    pub fn new(mesh: MeshKey, config: &ModelConfig, test_case: TestCase, dt: f64) -> Self {
+        let alpha = match test_case {
+            TestCase::Case1 { alpha } | TestCase::Case2 { alpha } => alpha.to_bits(),
+            _ => 0,
+        };
+        InitKey {
+            mesh,
+            case: test_case.name(),
+            alpha,
+            config: config_digest(config),
+            dt: dt.to_bits(),
+        }
+    }
+}
+
+/// The shared artifacts one job runs on.
+pub struct JobArtifacts {
+    /// The mesh.
+    pub mesh: Arc<Mesh>,
+    /// The coefficient table for the mesh and the job's config.
+    pub coeffs: Arc<KernelCoeffs>,
+    /// The fields the job starts from.
+    pub init: Arc<InitialFields>,
 }
 
 /// FNV-1a over the bit patterns of every `ModelConfig` field, so any
@@ -69,6 +116,7 @@ type Slot<T> = Arc<Mutex<Option<Arc<T>>>>;
 pub struct ArtifactCache {
     meshes: Mutex<HashMap<MeshKey, Slot<Mesh>>>,
     coeffs: Mutex<HashMap<CoeffsKey, Slot<KernelCoeffs>>>,
+    inits: Mutex<HashMap<InitKey, Slot<InitialFields>>>,
     rec: Recorder,
 }
 
@@ -78,6 +126,7 @@ impl ArtifactCache {
         ArtifactCache {
             meshes: Mutex::new(HashMap::new()),
             coeffs: Mutex::new(HashMap::new()),
+            inits: Mutex::new(HashMap::new()),
             rec,
         }
     }
@@ -154,6 +203,40 @@ impl ArtifactCache {
             || KernelCoeffs::build(mesh, config),
         )
     }
+
+    /// The shared initial fields of `test_case` on `mesh` under `config`
+    /// at step `dt` (`None` resolves to the mesh's stable default before
+    /// the lookup), sampling them on first use with `kc`, the table built
+    /// for `mesh` and `config`. `key` must be the key `mesh` was obtained
+    /// with.
+    pub fn initial_fields(
+        &self,
+        key: MeshKey,
+        mesh: &Arc<Mesh>,
+        config: &ModelConfig,
+        test_case: TestCase,
+        kc: &KernelCoeffs,
+        dt: Option<f64>,
+    ) -> Arc<InitialFields> {
+        let dt = dt.unwrap_or_else(|| ModelConfig::suggested_dt(mesh));
+        self.get_or_build(
+            &self.inits,
+            InitKey::new(key, config, test_case, dt),
+            names::SERVER_CACHE_INIT_MISS,
+            names::INIT_BUILD_MS,
+            || InitialFields::sample(mesh, config, test_case, kc, Some(dt)),
+        )
+    }
+
+    /// Every shared artifact `spec` runs with on the mesh of `key`,
+    /// building (or sampling) whatever is missing.
+    pub fn job_artifacts(&self, key: MeshKey, spec: &JobSpec) -> JobArtifacts {
+        let mesh = self.mesh(key);
+        let config = spec.config();
+        let coeffs = self.kernel_coeffs(key, &mesh, &config);
+        let init = self.initial_fields(key, &mesh, &config, spec.test_case, &coeffs, spec.dt);
+        JobArtifacts { mesh, coeffs, init }
+    }
 }
 
 #[cfg(test)]
@@ -220,6 +303,72 @@ mod tests {
         assert_eq!(
             rec.snapshot().counter(names::SERVER_CACHE_COEFFS_MISS),
             Some(2)
+        );
+    }
+
+    #[test]
+    fn concurrent_first_init_requests_sample_exactly_once() {
+        let rec = Recorder::new();
+        let cache = Arc::new(ArtifactCache::new(rec.clone()));
+        let mk = key(3);
+        let mesh = cache.mesh(mk);
+        let config = ModelConfig::default();
+        let kc = cache.kernel_coeffs(mk, &mesh, &config);
+        let handles: Vec<_> = (0..8)
+            .map(|_| {
+                let (cache, mesh, kc) = (cache.clone(), mesh.clone(), kc.clone());
+                std::thread::spawn(move || {
+                    cache.initial_fields(mk, &mesh, &config, TestCase::Case4, &kc, None)
+                })
+            })
+            .collect();
+        let inits: Vec<_> = handles.into_iter().map(|h| h.join().unwrap()).collect();
+        for init in &inits[1..] {
+            assert!(Arc::ptr_eq(&inits[0], init));
+        }
+        let snap = rec.snapshot();
+        assert_eq!(snap.counter(names::SERVER_CACHE_INIT_MISS), Some(1));
+        assert!(snap.gauge(names::INIT_BUILD_MS).unwrap() > 0.0);
+    }
+
+    #[test]
+    fn init_key_separates_cases_configs_and_dt() {
+        let rec = Recorder::new();
+        let cache = ArtifactCache::new(rec.clone());
+        let mk = key(2);
+        let mesh = cache.mesh(mk);
+        let base = ModelConfig::default();
+        let tracers = ModelConfig {
+            n_tracers: 2,
+            ..Default::default()
+        };
+        let kc = cache.kernel_coeffs(mk, &mesh, &base);
+        let kc_tracers = cache.kernel_coeffs(mk, &mesh, &tracers);
+        let dt = ModelConfig::suggested_dt(&mesh);
+        let get = |config: &ModelConfig, kc: &KernelCoeffs, tc: TestCase, dt: Option<f64>| {
+            cache.initial_fields(mk, &mesh, config, tc, kc, dt)
+        };
+        let a = get(&base, &kc, TestCase::Case5, None);
+        // The default dt is resolved before the lookup.
+        assert!(Arc::ptr_eq(&a, &get(&base, &kc, TestCase::Case5, Some(dt))));
+        let others = [
+            get(&base, &kc, TestCase::Case6, None),
+            get(&base, &kc, TestCase::Case2 { alpha: 0.0 }, None),
+            get(&base, &kc, TestCase::Case2 { alpha: 0.3 }, None),
+            get(&tracers, &kc_tracers, TestCase::Case5, None),
+            get(&base, &kc, TestCase::Case5, Some(0.5 * dt)),
+        ];
+        for (i, x) in others.iter().enumerate() {
+            assert!(!Arc::ptr_eq(&a, x), "entry {i} shares the base entry");
+            for y in &others[i + 1..] {
+                assert!(!Arc::ptr_eq(x, y));
+            }
+        }
+        assert_eq!(others[3].state.n_tracers(), 2);
+        assert_eq!(others[4].dt, 0.5 * dt);
+        assert_eq!(
+            rec.snapshot().counter(names::SERVER_CACHE_INIT_MISS),
+            Some(1 + others.len() as u64)
         );
     }
 

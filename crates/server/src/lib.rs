@@ -4,11 +4,23 @@
 //! Long-running job server over the whole reproduction stack: tenants POST
 //! simulation jobs (case, mesh level, steps, executor, kernel tier) to an
 //! HTTP/1.1+JSON API and poll for status and results. The expensive
-//! immutable artifacts — meshes and coefficient tables — are built once
-//! per key in a shared [`cache::ArtifactCache`] and handed to every
-//! concurrent tenant as `Arc`s, so an N-member ensemble on one grid pays
-//! one mesh build. Jobs wait in one bounded FIFO that every idle worker
-//! pulls from ([`dispatch`]).
+//! immutable artifacts are built once per key in a shared
+//! [`cache::ArtifactCache`] and handed to every concurrent tenant as
+//! `Arc`s, so an N-member ensemble on one grid pays one mesh build:
+//!
+//! * meshes, keyed by [`MeshKey`] (level, lloyd, reorder), counted as
+//!   `server.cache.mesh.{miss,build_ms}`;
+//! * coefficient tables, keyed by [`CoeffsKey`] (mesh key +
+//!   [`config_digest`]), counted as `server.cache.coeffs.{miss,build_ms}`;
+//! * the initial fields a job starts from ([`mpas_swe::InitialFields`]),
+//!   keyed by [`InitKey`] (mesh key, case + alpha bits, config digest, dt
+//!   bits), counted as `server.cache.init.{miss,build_ms}`.
+//!
+//! Every lookup that finds its artifact counts as `server.cache.hit`.
+//! Entries live as long as the server. A completed job's result reports
+//! `run_secs` (model build to last step), `build_secs` (cache lookups plus
+//! model build, before the first step) and `ttfs_ms`. Jobs wait in one
+//! bounded FIFO that every idle worker pulls from ([`dispatch`]).
 //!
 //! Everything is hand-rolled on `std::net` — the repo's no-new-heavy-deps
 //! rule extends to serving. JSON in/out goes through `mpas-telemetry`'s
@@ -42,7 +54,7 @@ pub mod job;
 pub mod registry;
 pub mod server;
 
-pub use cache::{config_digest, ArtifactCache, CoeffsKey, MeshKey};
+pub use cache::{config_digest, ArtifactCache, CoeffsKey, InitKey, JobArtifacts, MeshKey};
 pub use dispatch::{mesh_counts_for_level, Dispatcher, QueuedJob, SubmitError};
 pub use job::JobRequest;
 pub use registry::{JobEntry, JobState, Registry};

@@ -16,7 +16,7 @@ use std::net::{Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 /// Service configuration.
 #[derive(Debug, Clone)]
@@ -392,12 +392,13 @@ fn job_result(id: u64, inner: &Arc<Inner>) -> (u16, String) {
             format!(
                 "{{\"id\": {id}, \"status\": \"completed\", \"n_cells\": {}, \
                  \"steps\": {}, \"dt\": {:e}, \"run_secs\": {:e}, \
-                 \"ttfs_ms\": {:.3}, \"mass_drift\": {:e}, \"h_err_l2\": {:e}, \
-                 \"state_hash\": \"{:016x}\"}}\n",
+                 \"build_secs\": {:e}, \"ttfs_ms\": {:.3}, \"mass_drift\": {:e}, \
+                 \"h_err_l2\": {:e}, \"state_hash\": \"{:016x}\"}}\n",
                 r.n_cells,
                 r.steps_done,
                 r.dt,
                 r.run_secs,
+                r.build_secs,
                 ttfs_ms.unwrap_or(r.ttfs_secs * 1e3),
                 r.mass_drift,
                 r.h_err_l2,
@@ -652,16 +653,13 @@ fn execute_job(inner: &Arc<Inner>, w: usize, job: QueuedJob) {
         .registry
         .set_state(id, JobState::Running { step: 0, total });
 
-    let key = request.mesh_key();
-    let mesh = inner.cache.mesh(key);
+    // The job's shared artifacts: its mesh, coefficient table and initial
+    // fields. A miss builds here, so the lookup is part of the job's build
+    // phase (`build_secs`).
     let spec = request.spec();
-    // The scalar tier gathers from the mesh directly; the simd tier reads
-    // the shared coefficient table.
-    let coeffs = if spec.backend != mpas_swe::KernelBackend::Scalar {
-        Some(inner.cache.kernel_coeffs(key, &mesh, &spec.config()))
-    } else {
-        None
-    };
+    let lookup = Instant::now();
+    let art = inner.cache.job_artifacts(request.mesh_key(), &spec);
+    let lookup_secs = lookup.elapsed().as_secs_f64();
 
     // Run the simulation under a scoped view of the shared recorder:
     // every metric, span track, and flight event it emits lands in the
@@ -678,18 +676,27 @@ fn execute_job(inner: &Arc<Inner>, w: usize, job: QueuedJob) {
     }
 
     let registry = &inner.registry;
-    let outcome = mpas_core::run_job(&spec, mesh, coeffs, &jrec, &cancel, |p: JobProgress| {
-        registry.note_first_step(id);
-        registry.set_state(
-            id,
-            JobState::Running {
-                step: p.step,
-                total: p.total,
-            },
-        );
-    });
+    let outcome = mpas_core::run_job(
+        &spec,
+        art.mesh,
+        Some(art.coeffs),
+        Some(art.init),
+        &jrec,
+        &cancel,
+        |p: JobProgress| {
+            registry.note_first_step(id);
+            registry.set_state(
+                id,
+                JobState::Running {
+                    step: p.step,
+                    total: p.total,
+                },
+            );
+        },
+    );
     match outcome {
-        Ok(result) => {
+        Ok(mut result) => {
+            result.build_secs += lookup_secs;
             inner.rec.add(names::SERVER_JOBS_COMPLETED, 1);
             inner.registry.set_state(id, JobState::Completed(result));
             flush_history(inner, id, &request, &scope);

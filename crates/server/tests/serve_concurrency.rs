@@ -89,6 +89,7 @@ fn concurrent_identical_jobs_share_one_mesh_and_agree_bitwise() {
             .expect("state hash")
             .to_string();
         assert!(doc.get("ttfs_ms").and_then(|v| v.as_f64()).unwrap() > 0.0);
+        assert!(doc.get("build_secs").and_then(|v| v.as_f64()).unwrap() > 0.0);
         hashes.push(hash);
     }
     // Bitwise-identical results across every tenant.
@@ -97,16 +98,19 @@ fn concurrent_identical_jobs_share_one_mesh_and_agree_bitwise() {
         "tenant results diverged: {hashes:?}"
     );
 
-    // The shared mesh (and coefficient table) must have been built once.
+    // The shared mesh, coefficient table and initial fields must have been
+    // built once; every other lookup of the three is a hit.
     let snap = rec.snapshot();
     assert_eq!(snap.counter(names::SERVER_CACHE_MESH_MISS), Some(1));
     assert_eq!(snap.counter(names::SERVER_CACHE_COEFFS_MISS), Some(1));
+    assert_eq!(snap.counter(names::SERVER_CACHE_INIT_MISS), Some(1));
     assert_eq!(
         snap.counter(names::SERVER_CACHE_HIT),
-        Some(2 * TENANTS as u64 - 2)
+        Some(3 * TENANTS as u64 - 3)
     );
     assert!(snap.gauge(names::MESH_BUILD_MS).unwrap() > 0.0);
     assert!(snap.gauge(names::COEFFS_BUILD_MS).unwrap() > 0.0);
+    assert!(snap.gauge(names::INIT_BUILD_MS).unwrap() > 0.0);
     assert_eq!(
         snap.counter(names::SERVER_JOBS_COMPLETED),
         Some(TENANTS as u64)

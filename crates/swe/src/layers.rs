@@ -29,8 +29,8 @@
 
 use crate::coeffs::KernelCoeffs;
 use crate::config::ModelConfig;
+use crate::initial::InitialFields;
 use crate::kernels::{runs_vorticity_cell, simd};
-use crate::model::compute_equilibrium_forcing;
 use crate::norms::ErrorNorms;
 use crate::rk4::{RK_SUBSTEP, RK_WEIGHTS};
 use crate::state::{Diagnostics, State};
@@ -252,16 +252,14 @@ pub struct LayeredModel {
     pub mesh: Arc<Mesh>,
     /// Numerical options (`config.n_layers` is this model's `k`).
     pub config: ModelConfig,
-    /// The Williamson scenario layer 0 was initialized from.
-    pub test_case: TestCase,
+    /// The fields layer 0 started from: the scenario, the topography and
+    /// the Coriolis field (single-layer, broadcast across lanes) are read
+    /// from here.
+    pub init: Arc<InitialFields>,
     /// Layered prognostic state.
     pub state: LayeredState,
     /// Layered diagnostics (consistent with `state`).
     pub diag: LayeredDiagnostics,
-    /// Bottom topography at cells (single-layer, broadcast across lanes).
-    pub b: Vec<f64>,
-    /// Coriolis parameter at vertices (single-layer).
-    pub f_vertex: Vec<f64>,
     /// Fused kernel coefficients the simd lanes read.
     pub kernel_coeffs: Arc<KernelCoeffs>,
     /// Fixed forcing for forced cases, broadcast across lanes.
@@ -282,27 +280,26 @@ impl LayeredModel {
     /// Initialize a `config.n_layers`-layer model from a test case.
     /// `dt = None` picks the mesh-dependent stable default.
     pub fn new(mesh: Arc<Mesh>, config: ModelConfig, test_case: TestCase, dt: Option<f64>) -> Self {
-        Self::new_shared(mesh, config, test_case, dt, None)
+        let kc = Arc::new(KernelCoeffs::build(&mesh, &config));
+        let init = Arc::new(InitialFields::sample(&mesh, &config, test_case, &kc, dt));
+        Self::from_initial(mesh, config, init, kc)
     }
 
-    /// Like [`LayeredModel::new`], but reuse an already-built coefficient
-    /// table (must match this exact mesh and config).
-    pub fn new_shared(
+    /// Start from already-sampled fields and an already-built coefficient
+    /// table (both for this exact mesh and config): the state and the
+    /// forcing are broadcast across the `k` lanes, the rest is read
+    /// through the shared `Arc`s.
+    pub fn from_initial(
         mesh: Arc<Mesh>,
         config: ModelConfig,
-        test_case: TestCase,
-        dt: Option<f64>,
-        shared_coeffs: Option<Arc<KernelCoeffs>>,
+        init: Arc<InitialFields>,
+        kernel_coeffs: Arc<KernelCoeffs>,
     ) -> Self {
         let k = config.n_layers;
         assert!(k >= 1, "n_layers must be at least 1");
-        let flat = test_case.initial_state_with_tracers(&mesh, config.n_tracers);
-        let state = LayeredState::broadcast(&mesh, &flat, k);
-        let b = test_case.topography(&mesh);
-        let f_vertex = test_case.coriolis_vertex(&mesh);
-        let kernel_coeffs =
-            shared_coeffs.unwrap_or_else(|| Arc::new(KernelCoeffs::build(&mesh, &config)));
-        let dt = dt.unwrap_or_else(|| ModelConfig::suggested_dt(&mesh));
+        init.check_fits(&mesh, &config);
+        let state = LayeredState::broadcast(&mesh, &init.state, k);
+        let dt = init.dt;
         let cell_block = simd::default_cell_block(k, 4);
         let mut diag = LayeredDiagnostics::zeros(&mesh, k);
         solve_diagnostics_layered(
@@ -313,22 +310,13 @@ impl LayeredModel {
             cell_block,
             &state.h,
             &state.u,
-            &f_vertex,
+            &init.f_vertex,
             dt,
             RkPhase::Final,
             &mut diag,
             &Recorder::noop(),
         );
-        let forcing = if test_case.needs_forcing() {
-            let flat_f = compute_equilibrium_forcing(
-                &mesh,
-                &config,
-                &kernel_coeffs,
-                &test_case,
-                &b,
-                &f_vertex,
-                dt,
-            );
+        let forcing = init.forcing.as_ref().map(|flat_f| {
             let mut lf = LayeredTendencies::zeros(&mesh, k, 0);
             for i in 0..mesh.n_cells() {
                 for l in 0..k {
@@ -340,10 +328,8 @@ impl LayeredModel {
                     lf.tend_u[e * k + l] = flat_f.tend_u[e];
                 }
             }
-            Some(lf)
-        } else {
-            None
-        };
+            lf
+        });
         let ws = LayeredWorkspace {
             provis: state.clone(),
             tend: LayeredTendencies::zeros(&mesh, k, state.n_tracers()),
@@ -354,8 +340,7 @@ impl LayeredModel {
             layer0_diag: Diagnostics::zeros(&mesh),
             state,
             diag,
-            b,
-            f_vertex,
+            init,
             kernel_coeffs,
             forcing,
             ws,
@@ -364,7 +349,6 @@ impl LayeredModel {
             cell_block,
             recorder: Recorder::noop(),
             config,
-            test_case,
             mesh,
         };
         m.refresh_layer0();
@@ -452,7 +436,7 @@ impl LayeredModel {
                 block,
                 &self.ws.provis.h,
                 &self.ws.provis.u,
-                &self.b,
+                &self.init.b,
                 &self.diag,
                 &mut self.ws.tend,
                 &self.recorder,
@@ -510,7 +494,7 @@ impl LayeredModel {
                     block,
                     &self.ws.provis.h,
                     &self.ws.provis.u,
-                    &self.f_vertex,
+                    &self.init.f_vertex,
                     dt,
                     RkPhase::Intermediate,
                     &mut self.diag,
@@ -536,7 +520,7 @@ impl LayeredModel {
                     block,
                     &self.state.h,
                     &self.state.u,
-                    &self.f_vertex,
+                    &self.init.f_vertex,
                     dt,
                     RkPhase::Final,
                     &mut self.diag,
@@ -558,7 +542,7 @@ impl LayeredModel {
             self.cell_block,
             &self.state.h,
             &self.state.u,
-            &self.f_vertex,
+            &self.init.f_vertex,
             self.dt,
             RkPhase::Final,
             &mut self.diag,
@@ -605,11 +589,11 @@ impl LayeredModel {
             .sum()
     }
 
-    /// Layer-0 thickness error norms against the test case's analytic
-    /// solution at the current model time.
+    /// Layer-0 thickness error norms against the test case's reference at
+    /// the current model time ([`InitialFields::h_error_norms`]).
     pub fn h_error_norms(&self) -> ErrorNorms {
-        let reference = self.test_case.reference_thickness(&self.mesh, self.time);
-        ErrorNorms::compute(&self.layer0.h, &reference, &self.mesh.area_cell)
+        self.init
+            .h_error_norms(&self.mesh, &self.layer0.h, self.time)
     }
 
     /// Layer-0 maximum Courant number over edges.
@@ -1044,7 +1028,7 @@ mod tests {
             m.cell_block(),
             &m.state.h.clone(),
             &m.state.u.clone(),
-            &m.f_vertex.clone(),
+            &m.init.f_vertex.clone(),
             m.dt,
             RkPhase::Final,
             &mut m.diag,

@@ -26,6 +26,9 @@
 //!   explicit output ranges, one per Table-I pattern instance, so executors
 //!   can slice them across devices. Includes the original scatter
 //!   (edge-order) forms used as the Fig. 6 baseline.
+//! * [`initial`] — [`InitialFields`], the one sampler of the fields a run
+//!   starts from (state, topography, Coriolis, `dt`, case-4 forcing),
+//!   shared read-only by every engine.
 //! * [`rk4`] — the RK-4 driver (Algorithm 1).
 //! * [`layers`] — the k-layer SoA state generalization and the serial
 //!   SIMD driver with cache-blocked sweeps (DESIGN.md §14).
@@ -40,6 +43,7 @@
 pub mod checkpoint;
 pub mod coeffs;
 pub mod config;
+pub mod initial;
 pub mod kernels;
 pub mod layers;
 pub mod model;
@@ -54,6 +58,7 @@ pub mod validation;
 pub use checkpoint::{load_state, save_state};
 pub use coeffs::KernelCoeffs;
 pub use config::{KernelBackend, ModelConfig};
+pub use initial::InitialFields;
 pub use layers::{layer_h_scale, LayeredModel, LayeredState};
 pub use model::ShallowWaterModel;
 pub use norms::ErrorNorms;

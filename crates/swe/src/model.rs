@@ -3,46 +3,15 @@
 
 use crate::coeffs::KernelCoeffs;
 use crate::config::ModelConfig;
+use crate::initial::{compute_equilibrium_forcing, InitialFields};
 use crate::kernels;
 use crate::norms::ErrorNorms;
 use crate::rk4::{rk4_step, Rk4Workspace};
-use crate::state::{Diagnostics, Reconstruction, State, Tendencies};
+use crate::state::{Diagnostics, Reconstruction, State};
 use crate::testcases::TestCase;
 use mpas_mesh::Mesh;
 use mpas_telemetry::Recorder;
 use std::sync::Arc;
-
-/// The fixed forcing that holds a test case's background state in discrete
-/// equilibrium: `F = −N(background)` where `N` is the model's own tendency
-/// operator (same kernels, same simd/seed path, same `dt` for the APVM
-/// term). With `F` added to every stage, the unperturbed background is a
-/// bitwise fixed point — each stage tendency is `a + (−a) = 0.0` exactly —
-/// so only the superposed anomaly evolves. Distributed ranks call this on
-/// their local mesh: the analytic background samples identically at the
-/// same points and the halo covers the stencil chain, so owned forcing
-/// entries match the global computation bit for bit.
-pub fn compute_equilibrium_forcing(
-    mesh: &Mesh,
-    config: &ModelConfig,
-    kc: &KernelCoeffs,
-    test_case: &TestCase,
-    b: &[f64],
-    f_vertex: &[f64],
-    dt: f64,
-) -> Tendencies {
-    let bg = test_case.background_state(mesh);
-    let mut diag = Diagnostics::zeros(mesh);
-    let mut tend = Tendencies::zeros(mesh);
-    let backend = config.kernel_backend;
-    kernels::compute_solve_diagnostics_backend(
-        backend, mesh, config, kc, &bg.h, &bg.u, f_vertex, dt, &mut diag,
-    );
-    kernels::compute_tend_backend(backend, mesh, config, kc, &bg.h, &bg.u, b, &diag, &mut tend);
-    for x in tend.tend_h.iter_mut().chain(tend.tend_u.iter_mut()) {
-        *x = -*x;
-    }
-    tend
-}
 
 /// A complete shallow-water simulation on one mesh.
 pub struct ShallowWaterModel {
@@ -50,27 +19,22 @@ pub struct ShallowWaterModel {
     pub mesh: Arc<Mesh>,
     /// Numerical options.
     pub config: ModelConfig,
-    /// The Williamson scenario this run was initialized from.
-    pub test_case: TestCase,
+    /// The fields this run started from: the scenario, the topography,
+    /// the Coriolis field and the fixed forcing of forced cases
+    /// (Williamson 4) are read from here, never copied. Shared so a
+    /// multi-tenant server samples them once per key.
+    pub init: Arc<InitialFields>,
     /// Prognostic state.
     pub state: State,
     /// Current diagnostics (consistent with `state`).
     pub diag: Diagnostics,
     /// Reconstructed cell-center velocities.
     pub recon: Reconstruction,
-    /// Bottom topography at cells.
-    pub b: Vec<f64>,
-    /// Coriolis parameter at vertices.
-    pub f_vertex: Vec<f64>,
     /// Precomputed kernel coefficients: the simd backend's tables and the
     /// velocity-reconstruction tables every backend reads. Shared so
     /// multi-tenant servers can reuse one table across concurrent models
     /// on the same mesh/config.
     pub kernel_coeffs: Arc<KernelCoeffs>,
-    /// Fixed forcing tendency for forced cases (Williamson 4): the
-    /// discrete negation of the background jet's tendency, computed once
-    /// at init so the unperturbed jet is a bitwise equilibrium.
-    pub forcing: Option<Tendencies>,
     ws: Rk4Workspace,
     /// Model time in seconds.
     pub time: f64,
@@ -84,25 +48,23 @@ impl ShallowWaterModel {
     /// Initialize a model from a test case. `dt = None` picks the
     /// mesh-dependent stable default.
     pub fn new(mesh: Arc<Mesh>, config: ModelConfig, test_case: TestCase, dt: Option<f64>) -> Self {
-        Self::new_shared(mesh, config, test_case, dt, None)
+        let kc = Arc::new(KernelCoeffs::build(&mesh, &config));
+        let init = Arc::new(InitialFields::sample(&mesh, &config, test_case, &kc, dt));
+        Self::from_initial(mesh, config, init, kc)
     }
 
-    /// Like [`ShallowWaterModel::new`], but reuse an already-built
-    /// coefficient table (it must have been built for this exact mesh and
-    /// config). `None` builds a fresh table.
-    pub fn new_shared(
+    /// Start from already-sampled fields and an already-built coefficient
+    /// table, both for this exact mesh and config. Only the state is
+    /// copied out; everything else is read through the shared `Arc`s.
+    pub fn from_initial(
         mesh: Arc<Mesh>,
         config: ModelConfig,
-        test_case: TestCase,
-        dt: Option<f64>,
-        shared_coeffs: Option<Arc<KernelCoeffs>>,
+        init: Arc<InitialFields>,
+        kernel_coeffs: Arc<KernelCoeffs>,
     ) -> Self {
-        let state = test_case.initial_state_with_tracers(&mesh, config.n_tracers);
-        let b = test_case.topography(&mesh);
-        let f_vertex = test_case.coriolis_vertex(&mesh);
-        let kernel_coeffs =
-            shared_coeffs.unwrap_or_else(|| Arc::new(KernelCoeffs::build(&mesh, &config)));
-        let dt = dt.unwrap_or_else(|| ModelConfig::suggested_dt(&mesh));
+        init.check_fits(&mesh, &config);
+        let state = init.state.clone();
+        let dt = init.dt;
         let mut diag = Diagnostics::zeros(&mesh);
         kernels::compute_solve_diagnostics_backend(
             config.kernel_backend,
@@ -111,37 +73,20 @@ impl ShallowWaterModel {
             &kernel_coeffs,
             &state.h,
             &state.u,
-            &f_vertex,
+            &init.f_vertex,
             dt,
             &mut diag,
         );
         let mut recon = Reconstruction::zeros(&mesh);
         kernels::mpas_reconstruct(&mesh, &kernel_coeffs, &state.u, &mut recon);
-        let ws = Rk4Workspace::new(&mesh);
-        let forcing = if test_case.needs_forcing() {
-            Some(compute_equilibrium_forcing(
-                &mesh,
-                &config,
-                &kernel_coeffs,
-                &test_case,
-                &b,
-                &f_vertex,
-                dt,
-            ))
-        } else {
-            None
-        };
         ShallowWaterModel {
-            ws,
-            forcing,
+            ws: Rk4Workspace::new(&mesh),
+            init,
             state,
             diag,
             recon,
-            b,
-            f_vertex,
             kernel_coeffs,
             config,
-            test_case,
             time: 0.0,
             dt,
             mesh,
@@ -169,9 +114,9 @@ impl ShallowWaterModel {
             &self.mesh,
             &self.config,
             &self.kernel_coeffs,
-            &self.f_vertex,
-            &self.b,
-            self.forcing.as_ref(),
+            &self.init.f_vertex,
+            &self.init.b,
+            self.init.forcing.as_ref(),
             self.dt,
             &mut self.state,
             &mut self.diag,
@@ -190,23 +135,28 @@ impl ShallowWaterModel {
 
     /// Change the step size mid-run. The diagnostics (and any forcing) are
     /// refreshed because the APVM upwinding inside `pv_edge` — and hence
-    /// the equilibrium forcing derived from it — depends on `dt`.
+    /// the equilibrium forcing derived from it — depends on `dt`. A forced
+    /// run takes its own copy of the shared fields before the forcing is
+    /// replaced.
     pub fn set_dt(&mut self, dt: f64) {
         if dt == self.dt {
             return;
         }
         self.dt = dt;
         self.refresh_diagnostics();
-        if self.forcing.is_some() {
-            self.forcing = Some(compute_equilibrium_forcing(
+        if self.init.forcing.is_some() {
+            let forcing = compute_equilibrium_forcing(
                 &self.mesh,
                 &self.config,
                 &self.kernel_coeffs,
-                &self.test_case,
-                &self.b,
-                &self.f_vertex,
+                &self.init.test_case,
+                &self.init.b,
+                &self.init.f_vertex,
                 dt,
-            ));
+            );
+            let init = Arc::make_mut(&mut self.init);
+            init.forcing = Some(forcing);
+            init.dt = dt;
         }
     }
 
@@ -220,7 +170,7 @@ impl ShallowWaterModel {
             &self.kernel_coeffs,
             &self.state.h,
             &self.state.u,
-            &self.f_vertex,
+            &self.init.f_vertex,
             self.dt,
             &mut self.diag,
         );
@@ -272,7 +222,7 @@ impl ShallowWaterModel {
         (0..self.mesh.n_cells())
             .map(|i| {
                 let h = self.state.h[i];
-                let b = self.b[i];
+                let b = self.init.b[i];
                 (h * self.diag.ke[i] + 0.5 * g * ((h + b).powi(2) - b * b)) * self.mesh.area_cell[i]
             })
             .sum()
@@ -294,12 +244,12 @@ impl ShallowWaterModel {
             .sum()
     }
 
-    /// Thickness error norms against the test case's analytic solution at
-    /// the current model time (steady cases compare to the initial field;
-    /// Case 1 to the rigidly advected bell).
+    /// Thickness error norms against the test case's reference at the
+    /// current model time: the initial field the run started from, or
+    /// Case 1's rigidly advected bell ([`InitialFields::h_error_norms`]).
     pub fn h_error_norms(&self) -> ErrorNorms {
-        let reference = self.test_case.reference_thickness(&self.mesh, self.time);
-        ErrorNorms::compute(&self.state.h, &reference, &self.mesh.area_cell)
+        self.init
+            .h_error_norms(&self.mesh, &self.state.h, self.time)
     }
 
     /// Maximum Courant number over edges, using the external gravity-wave
@@ -320,7 +270,7 @@ impl ShallowWaterModel {
         self.state
             .h
             .iter()
-            .zip(&self.b)
+            .zip(&self.init.b)
             .map(|(&h, &b)| h + b)
             .collect()
     }
@@ -406,7 +356,7 @@ mod tests {
         let mesh = Arc::new(mpas_mesh::generate(3, 0));
         let mut m =
             ShallowWaterModel::new(mesh.clone(), ModelConfig::default(), TestCase::Case4, None);
-        assert!(m.forcing.is_some());
+        assert!(m.init.forcing.is_some());
         // Replace the perturbed initial state with the bare background:
         // under the equilibrium forcing it must not move at all.
         m.state = TestCase::Case4.background_state(&mesh);
@@ -487,6 +437,34 @@ mod tests {
         let pv_before = m.diag.pv_edge.clone();
         m.set_dt(m.dt * 2.0);
         assert!(m.diag.pv_edge != pv_before, "pv_edge stale after dt change");
+    }
+
+    #[test]
+    fn set_dt_on_a_forced_case_copies_the_shared_fields() {
+        let mesh = Arc::new(mpas_mesh::generate(3, 0));
+        let config = ModelConfig::default();
+        let kc = Arc::new(KernelCoeffs::build(&mesh, &config));
+        let init = Arc::new(InitialFields::sample(
+            &mesh,
+            &config,
+            TestCase::Case4,
+            &kc,
+            None,
+        ));
+        let forcing = init.forcing.as_ref().map(|f| f.tend_u.clone());
+        let mut switched =
+            ShallowWaterModel::from_initial(mesh.clone(), config, init.clone(), kc.clone());
+        let dt = 0.5 * init.dt;
+        switched.set_dt(dt);
+        // The shared fields keep their dt and forcing; the switched model
+        // steps exactly like one started at the new dt.
+        assert!(!Arc::ptr_eq(&switched.init, &init));
+        assert_eq!(init.dt, 2.0 * dt);
+        assert_eq!(init.forcing.as_ref().map(|f| f.tend_u.clone()), forcing);
+        let mut fresh = ShallowWaterModel::new(mesh, config, TestCase::Case4, Some(dt));
+        switched.run_steps(2);
+        fresh.run_steps(2);
+        assert_eq!(switched.state.max_abs_diff(&fresh.state), 0.0);
     }
 
     #[test]

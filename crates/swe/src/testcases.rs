@@ -23,7 +23,8 @@
 
 use crate::state::State;
 use mpas_geom::{
-    east_at, north_at, to_lonlat, LonLat, Vec3, EARTH_RADIUS, GRAVITY, OMEGA, SECONDS_PER_DAY,
+    east_at, latitude, north_at, to_lonlat, LonLat, Vec3, EARTH_RADIUS, GRAVITY, OMEGA,
+    SECONDS_PER_DAY,
 };
 use mpas_mesh::Mesh;
 
@@ -116,6 +117,29 @@ fn balance_thickness(u: impl Fn(f64) -> f64, h_start: f64, lat_start: f64, lat: 
     h_start - simpson(integrand, lat_start, lat, 512) / GRAVITY
 }
 
+/// Case-5 conical mountain at a point's lon/lat (radius pi/9, 2000 m
+/// peak at (3pi/2, pi/6)).
+fn case5_mountain(ll: LonLat) -> f64 {
+    let b0 = 2000.0;
+    let big_r = std::f64::consts::PI / 9.0;
+    let lon_c = 1.5 * std::f64::consts::PI;
+    let lat_c = std::f64::consts::PI / 6.0;
+    let mut dlon = (ll.lon - lon_c).abs();
+    if dlon > std::f64::consts::PI {
+        dlon = 2.0 * std::f64::consts::PI - dlon;
+    }
+    let r = big_r.min((dlon.powi(2) + (ll.lat - lat_c).powi(2)).sqrt());
+    b0 * (1.0 - r / big_r)
+}
+
+/// Case-4 background jet thickness at latitude `lat`.
+fn case4_jet(lat: f64) -> f64 {
+    let u0 = 20.0;
+    let gh0 = GRAVITY * 5400.0;
+    let s = lat.sin();
+    (gh0 - (EARTH_RADIUS * OMEGA * u0 + 0.5 * u0 * u0) * s * s) / GRAVITY
+}
+
 impl TestCase {
     /// Short identifier used in reports.
     pub fn name(&self) -> &'static str {
@@ -144,22 +168,22 @@ impl TestCase {
     /// Analytic velocity vector (tangent to the sphere) at a unit-sphere
     /// point, at t = 0.
     pub fn velocity_at(&self, p: Vec3) -> Vec3 {
-        let ll = to_lonlat(p);
-        let (lon, lat) = (ll.lon, ll.lat);
         match *self {
             TestCase::Case1 { alpha } | TestCase::Case2 { alpha } => {
+                let LonLat { lon, lat } = to_lonlat(p);
                 let u0 = 2.0 * std::f64::consts::PI * EARTH_RADIUS / (12.0 * SECONDS_PER_DAY);
                 let uz = u0 * (lat.cos() * alpha.cos() + lon.cos() * lat.sin() * alpha.sin());
                 let vm = -u0 * lon.sin() * alpha.sin();
                 east_at(p) * uz + north_at(p) * vm
             }
-            TestCase::Case3 => east_at(p) * case3_u(lat),
+            TestCase::Case3 => east_at(p) * case3_u(latitude(p)),
             TestCase::Case4 | TestCase::Case5 => {
                 let u0 = 20.0;
-                east_at(p) * (u0 * lat.cos())
+                east_at(p) * (u0 * latitude(p).cos())
             }
-            TestCase::Galewsky => east_at(p) * galewsky_u(lat),
+            TestCase::Galewsky => east_at(p) * galewsky_u(latitude(p)),
             TestCase::Case6 => {
+                let LonLat { lon, lat } = to_lonlat(p);
                 let (omega, k, r) = (7.848e-6, 7.848e-6, 4.0);
                 let a = EARTH_RADIUS;
                 let c = lat.cos();
@@ -174,19 +198,15 @@ impl TestCase {
     /// Bottom topography at a unit-sphere point.
     pub fn topography_at(&self, p: Vec3) -> f64 {
         match self {
-            TestCase::Case5 => {
-                let ll = to_lonlat(p);
-                let b0 = 2000.0;
-                let big_r = std::f64::consts::PI / 9.0;
-                let lon_c = 1.5 * std::f64::consts::PI;
-                let lat_c = std::f64::consts::PI / 6.0;
-                let mut dlon = (ll.lon - lon_c).abs();
-                if dlon > std::f64::consts::PI {
-                    dlon = 2.0 * std::f64::consts::PI - dlon;
-                }
-                let r = big_r.min((dlon.powi(2) + (ll.lat - lat_c).powi(2)).sqrt());
-                b0 * (1.0 - r / big_r)
-            }
+            TestCase::Case5 => case5_mountain(to_lonlat(p)),
+            _ => 0.0,
+        }
+    }
+
+    /// [`TestCase::topography_at`] at a point whose lon/lat is `ll`.
+    fn topography_ll(&self, ll: LonLat) -> f64 {
+        match self {
+            TestCase::Case5 => case5_mountain(ll),
             _ => 0.0,
         }
     }
@@ -194,8 +214,21 @@ impl TestCase {
     /// Analytic fluid thickness `h` (total height minus topography) at a
     /// unit-sphere point, at t = 0.
     pub fn thickness_at(&self, p: Vec3) -> f64 {
+        self.thickness_and_topography(p).0
+    }
+
+    /// `(thickness_at(p), topography_at(p))`, converting `p` to lon/lat
+    /// once for both (case 5's thickness subtracts its topography).
+    fn thickness_and_topography(&self, p: Vec3) -> (f64, f64) {
         let ll = to_lonlat(p);
-        let (lon, lat) = (ll.lon, ll.lat);
+        let b = self.topography_ll(ll);
+        (self.thickness_ll(p, ll, b), b)
+    }
+
+    /// [`TestCase::thickness_at`] at `p`, given its lon/lat `ll` and its
+    /// topography `b`.
+    fn thickness_ll(&self, p: Vec3, ll: LonLat, b: f64) -> f64 {
+        let LonLat { lon, lat } = ll;
         match *self {
             TestCase::Case1 { .. } => {
                 // 1000 m background plus a 1000 m cosine bell of radius a/3
@@ -230,14 +263,14 @@ impl TestCase {
                 let center = LonLat::new(0.0, std::f64::consts::FRAC_PI_4).to_unit_vector();
                 let r = mpas_geom::arc_length(p.normalized(), center) * EARTH_RADIUS;
                 let r0 = EARTH_RADIUS / 10.0;
-                self.background_thickness_at(p) - 120.0 * (-(r / r0).powi(2)).exp()
+                case4_jet(lat) - 120.0 * (-(r / r0).powi(2)).exp()
             }
             TestCase::Case5 => {
                 let u0 = 20.0;
                 let gh0 = GRAVITY * 5960.0;
                 let s = lat.sin();
                 let gh = gh0 - (EARTH_RADIUS * OMEGA * u0 + 0.5 * u0 * u0) * s * s;
-                gh / GRAVITY - self.topography_at(p)
+                gh / GRAVITY - b
             }
             TestCase::Galewsky => {
                 // Balanced jet height plus the instability-seeding bump:
@@ -281,13 +314,13 @@ impl TestCase {
 
     /// Coriolis parameter at a unit-sphere point (tilted for Case 2).
     pub fn coriolis_at(&self, p: Vec3) -> f64 {
-        let ll = to_lonlat(p);
         match *self {
             TestCase::Case1 { alpha } | TestCase::Case2 { alpha } => {
+                let ll = to_lonlat(p);
                 2.0 * OMEGA
                     * (ll.lat.sin() * alpha.cos() - ll.lat.cos() * ll.lon.cos() * alpha.sin())
             }
-            _ => 2.0 * OMEGA * ll.lat.sin(),
+            _ => 2.0 * OMEGA * latitude(p).sin(),
         }
     }
 
@@ -328,13 +361,7 @@ impl TestCase {
     /// thickness for unforced cases.
     pub fn background_thickness_at(&self, p: Vec3) -> f64 {
         match self {
-            TestCase::Case4 => {
-                let ll = to_lonlat(p);
-                let u0 = 20.0;
-                let gh0 = GRAVITY * 5400.0;
-                let s = ll.lat.sin();
-                (gh0 - (EARTH_RADIUS * OMEGA * u0 + 0.5 * u0 * u0) * s * s) / GRAVITY
-            }
+            TestCase::Case4 => case4_jet(latitude(p)),
             _ => self.thickness_at(p),
         }
     }
@@ -358,7 +385,7 @@ impl TestCase {
                     0.0
                 }
             }
-            _ => 0.5 * (1.0 + to_lonlat(p).lat.sin()),
+            _ => 0.5 * (1.0 + latitude(p).sin()),
         }
     }
 
@@ -370,9 +397,19 @@ impl TestCase {
     /// Sample the initial prognostic state with `n_tracers` tracer-mass
     /// fields (`h·q` with `q` from [`TestCase::tracer_at`]).
     pub fn initial_state_with_tracers(&self, mesh: &Mesh, n_tracers: usize) -> State {
-        let h: Vec<f64> = (0..mesh.n_cells())
-            .map(|i| self.thickness_at(mesh.x_cell[i]))
-            .collect();
+        self.sample(mesh, n_tracers).0
+    }
+
+    /// The initial state (with `n_tracers` tracer-mass fields) and the
+    /// topography in one pass over the cells: each cell's lon/lat is
+    /// computed once and feeds both `h` and `b`, bit for bit what
+    /// [`TestCase::thickness_at`] and [`TestCase::topography_at`] return.
+    pub(crate) fn sample(&self, mesh: &Mesh, n_tracers: usize) -> (State, Vec<f64>) {
+        let (h, b): (Vec<f64>, Vec<f64>) = mesh
+            .x_cell
+            .iter()
+            .map(|&p| self.thickness_and_topography(p))
+            .unzip();
         let u = (0..mesh.n_edges())
             .map(|e| self.velocity_at(mesh.x_edge[e]).dot(mesh.normal_edge[e]))
             .collect();
@@ -383,7 +420,7 @@ impl TestCase {
                     .collect()
             })
             .collect();
-        State { h, u, tracers }
+        (State { h, u, tracers }, b)
     }
 
     /// The background (forcing-equilibrium) state sampled on a mesh:

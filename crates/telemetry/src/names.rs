@@ -22,6 +22,9 @@ pub const SERVER_CACHE_MESH_MISS: &str = "server.cache.mesh.miss";
 /// Counter: cache misses that built a shared coefficient table.
 pub const SERVER_CACHE_COEFFS_MISS: &str = "server.cache.coeffs.miss";
 
+/// Counter: cache misses that sampled a job's shared initial fields.
+pub const SERVER_CACHE_INIT_MISS: &str = "server.cache.init.miss";
+
 /// Gauge: wall-clock milliseconds the last shared-mesh build took
 /// (cold-start cost of a mesh cache miss).
 pub const MESH_BUILD_MS: &str = "server.cache.mesh.build_ms";
@@ -34,6 +37,10 @@ pub const CORE_SETUP_MESH_SECONDS: &str = "core.setup.mesh_seconds";
 /// Gauge: wall-clock milliseconds the last fused-coefficient build took
 /// (cold-start cost of a coefficient cache miss).
 pub const COEFFS_BUILD_MS: &str = "server.cache.coeffs.build_ms";
+
+/// Gauge: wall-clock milliseconds the last initial-field sample took
+/// (cold-start cost of an initial-fields cache miss).
+pub const INIT_BUILD_MS: &str = "server.cache.init.build_ms";
 
 /// Gauge: jobs currently waiting in worker queues (backpressure signal;
 /// submissions beyond the configured capacity are rejected with 429).

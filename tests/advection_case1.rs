@@ -35,7 +35,7 @@ fn bell_advects_with_bounded_error_over_a_quarter_revolution() {
     // The bell peak must have moved: the initial field is now a bad
     // reference.
     let initial_ref: Vec<f64> = (0..m.mesh.n_cells())
-        .map(|i| m.test_case.thickness_at(m.mesh.x_cell[i]))
+        .map(|i| m.init.test_case.thickness_at(m.mesh.x_cell[i]))
         .collect();
     let against_initial =
         mpas_repro::swe::ErrorNorms::compute(&m.state.h, &initial_ref, &m.mesh.area_cell);
