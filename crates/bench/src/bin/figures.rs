@@ -274,20 +274,16 @@ fn fig5(opts: &Opts) {
     let tc = TestCase::Case5;
     let mut serial = ShallowWaterModel::new(mesh.clone(), cfg, tc, None);
     let steps = serial.steps_for_days(opts.days);
-    let mut hybrid = mpas_hybrid::ParallelModel::new(mesh.clone(), cfg, tc, None, 2)
-        .with_accelerator(2, &Platform::paper_node());
+    let executor = mpas_core::Executor::Hybrid {
+        cpu_threads: 2,
+        acc_threads: 2,
+    };
+    let mut hybrid = ShallowWaterModel::new_on(mesh.clone(), cfg, tc, None, executor.exec());
     serial.run_steps(steps);
     hybrid.run_steps(steps);
 
     let th_serial = serial.total_height();
-    let b = tc.topography(&mesh);
-    let th_hybrid: Vec<f64> = hybrid
-        .state
-        .h
-        .iter()
-        .zip(&b)
-        .map(|(&h, &b)| h + b)
-        .collect();
+    let th_hybrid = hybrid.total_height();
     let stats = |x: &[f64]| {
         let min = x.iter().cloned().fold(f64::MAX, f64::min);
         let max = x.iter().cloned().fold(f64::MIN, f64::max);
@@ -637,7 +633,7 @@ fn convergence() {
 
 /// Fig. 4 extension: measured-vs-modeled per-pattern report. Runs the real
 /// threaded executor under a telemetry recorder, fits per-pattern measured
-/// times from the collected `hybrid.kernel.*` histograms, and prints them
+/// times from the collected `swe.kernel.*` histograms, and prints them
 /// against the roofline predictions; also writes a combined Chrome trace
 /// with the modeled schedule (track group 1) and the measured spans (track
 /// group 2) side by side.
@@ -758,7 +754,6 @@ fn fig9() {
 /// seed-on-the-natural-ordering for the same executor — the Fig. 6-style
 /// ladder for data layout rather than kernel form.
 fn fig_layout(opts: &Opts) {
-    use mpas_hybrid::ParallelModel;
     use mpas_mesh::Reordering;
 
     let tc = TestCase::Case5;
@@ -785,13 +780,13 @@ fn fig_layout(opts: &Opts) {
             };
             for (xi, serial) in [(0usize, true), (1, false)] {
                 let step_ms = |cfg: ModelConfig| -> f64 {
-                    if serial {
-                        let mut m = ShallowWaterModel::new(mesh.clone(), cfg, tc, None);
-                        time_per_call(|| m.step(), iters) * 1e3
+                    let exec = if serial {
+                        mpas_swe::Exec::serial()
                     } else {
-                        let mut m = ParallelModel::new(mesh.clone(), cfg, tc, None, threads);
-                        time_per_call(|| m.step(), iters) * 1e3
-                    }
+                        mpas_swe::Exec::threaded(threads)
+                    };
+                    let mut m = ShallowWaterModel::new_on(mesh.clone(), cfg, tc, None, exec);
+                    time_per_call(|| m.step(), iters) * 1e3
                 };
                 let seed_ms = step_ms(seed_cfg);
                 let simd_ms = step_ms(simd_cfg);
@@ -830,7 +825,6 @@ fn fig_layout(opts: &Opts) {
 /// (DESIGN.md §14).
 fn fig_simd(opts: &Opts) {
     use mpas_mesh::Reordering;
-    use mpas_swe::layers::LayeredModel;
 
     let tc = TestCase::Case5;
     let levels = [opts.level.saturating_sub(1).max(3), opts.level];
@@ -862,7 +856,7 @@ fn fig_simd(opts: &Opts) {
             ]);
         }
         for k in [4usize, 7] {
-            let mut m = LayeredModel::new(mesh.clone(), cfg(KernelBackend::Simd, k), tc, None);
+            let mut m = ShallowWaterModel::new(mesh.clone(), cfg(KernelBackend::Simd, k), tc, None);
             let ms = time_per_call(|| m.step(), iters) * 1e3;
             rows.push(vec![
                 level.to_string(),

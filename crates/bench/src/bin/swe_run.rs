@@ -54,8 +54,8 @@
 //! horizon, judges the measured error norms (and tracer-mass drift)
 //! against the reference bands in `mpas_swe::validation::SPECS`, records
 //! `validate.<case>.l2`/`.linf` gauges for the regression gate, and exits
-//! 2 on a violation. `--adaptive` switches the serial path to
-//! CFL-monitored adaptive time stepping.
+//! 2 on a violation. `--adaptive` switches the single-address-space path
+//! (on any `--executor`) to CFL-monitored adaptive time stepping.
 //!
 //! ## Set-up phases
 //!
@@ -350,7 +350,7 @@ fn run_single(args: &Args, tc: TestCase, rec: &Recorder) -> RunStats {
             ..config
         };
         let mut reference = ShallowWaterModel::new(sim.mesh.clone(), flat_cfg, tc, None);
-        let mut layered = mpas_swe::layers::LayeredModel::new(sim.mesh.clone(), config, tc, None);
+        let mut layered = ShallowWaterModel::new(sim.mesh.clone(), config, tc, None);
         reference.run_steps(1); // warm both instruction/data paths
         layered.run_steps(1);
         let batch = total_steps.clamp(1, 4);
@@ -405,8 +405,8 @@ fn run_single(args: &Args, tc: TestCase, rec: &Recorder) -> RunStats {
     }
 }
 
-/// Adaptive-dt path: the serial reference model with CFL-monitored step
-/// retuning. The run is judged by simulated time (`--days`), not a fixed
+/// Adaptive-dt path: the model on the named executor with CFL-monitored
+/// step retuning. The run is judged by simulated time (`--days`), not a fixed
 /// step count, since `dt` floats inside the Courant band.
 fn run_adaptive(args: &Args, tc: TestCase, rec: &Recorder) -> RunStats {
     const CFL_TARGET: f64 = 0.35;
@@ -417,7 +417,9 @@ fn run_adaptive(args: &Args, tc: TestCase, rec: &Recorder) -> RunStats {
         ..Default::default()
     };
     mpas_core::apply_case_config(&args.case, &mut config);
-    let mut model = ShallowWaterModel::new(mesh, config, tc, None);
+    let executor = mpas_core::parse_executor(&args.executor).unwrap_or_else(|e| panic!("{e}"));
+    let mut model = ShallowWaterModel::new_on(mesh, config, tc, None, executor.exec())
+        .with_recorder(rec.clone());
     let tracer_mass0: Vec<f64> = (0..config.n_tracers)
         .map(|k| model.total_tracer(k))
         .collect();
@@ -425,12 +427,13 @@ fn run_adaptive(args: &Args, tc: TestCase, rec: &Recorder) -> RunStats {
     let horizon = args.days * 86_400.0;
     println!(
         "{}: {} cells, adaptive dt from {:.0} s (CFL target {CFL_TARGET} ±{:.0}%), \
-         {} days, serial, reorder {}, backend {}",
+         {} days, executor {}, reorder {}, backend {}",
         tc.name(),
         model.mesh.n_cells(),
         model.dt,
         CFL_BAND * 100.0,
         args.days,
+        args.executor,
         args.reorder.name(),
         args.backend.name()
     );

@@ -1,8 +1,8 @@
 //! Satellite guard: disabled telemetry must cost nothing measurable.
 //!
 //! The instrumented executors hit a telemetry hook a bounded number of
-//! times per RK-4 step (`kernel_timer` per pattern per stage, step/stage
-//! spans, per-step gauges — comfortably under `CALLS_PER_STEP` below).
+//! times per RK-4 step (a timer per sweep per stage, step/stage spans,
+//! per-step gauges — comfortably under `CALLS_PER_STEP` below).
 //! Rather than an A/B wall-clock comparison of two whole builds (noisy on
 //! shared CI), this microbenchmarks the no-op recorder's primitives with
 //! the same harness the paper figures use and asserts that a whole step's
@@ -24,13 +24,15 @@ fn one_at_a_time() -> MutexGuard<'static, ()> {
 }
 
 /// Upper bound on telemetry hook invocations per RK-4 step: 4 stages x
-/// (~16 kernel timers + 1 stage span) + step span + facade gauges/counter.
-const CALLS_PER_STEP: f64 = 150.0;
+/// (~11 sweep timers + 1 stage span) + step spans + facade
+/// gauges/counter, about 54 on the threaded executor, with a 2x cushion.
+const CALLS_PER_STEP: f64 = 112.0;
 
-/// Of that bound, at most this many are timed guards — 4 stages x ~16
-/// kernel timers plus the stage/step spans; the remainder are plain
+/// Of that bound, at most this many are timed guards — the 43 sweep timers
+/// of a step (A3, A4 and X6 in the last stage only) plus the stage and
+/// step spans, 49 on the threaded executor; the remainder are plain
 /// counter/gauge/histogram writes.
-const TIMED_PER_STEP: f64 = 70.0;
+const TIMED_PER_STEP: f64 = 52.0;
 
 /// Writes per step that feed a registered rolling window. The server
 /// registers windows on `core.sim.step_seconds`, queue wait and live
@@ -146,9 +148,9 @@ fn live_recorder_with_flight_and_window_is_within_5_percent_of_a_step() {
         iters,
         reps,
     );
-    // Cost the step's hook mix by class (the same 150-hook bound the
+    // Cost the step's hook mix by class (the same 112-hook bound the
     // no-op test charges) instead of charging every hook at guard price:
-    // ~70 timed guards, ≤10 windowed writes, the rest plain writes.
+    // ~52 timed guards, ≤10 windowed writes, the rest plain writes.
     let light = t_counter.max(t_hist);
     let overhead_per_step = TIMED_PER_STEP * t_guard
         + WINDOWED_PER_STEP * t_windowed
@@ -302,7 +304,7 @@ fn noop_recorder_stores_nothing() {
     let _turn = one_at_a_time();
     let rec = Recorder::noop();
     {
-        let _g = rec.span_timed("measured", "step", "hybrid.step_seconds");
+        let _g = rec.span_timed("measured", "swe.step", "swe.step_seconds");
         rec.add("c", 1);
         rec.set_gauge("g", 1.0);
         rec.record("h", 1.0);

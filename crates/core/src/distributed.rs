@@ -1,27 +1,26 @@
 //! Multi-rank distributed execution of the shallow-water model.
 //!
 //! Each rank owns a partition of the mesh (RCB, three halo layers), runs
-//! the full RK-4 kernel sequence on its [`mpas_mesh::LocalMesh`], and
-//! exchanges the prognostic halo once per substep — the communication
+//! the one model ([`ShallowWaterModel`]) on its [`mpas_mesh::LocalMesh`],
+//! updating its owned entities, and exchanges the prognostic halo once per
+//! substep through the stage program's substep hook — the communication
 //! structure of the paper's Fig. 2/Fig. 4 flowcharts. Because every owned
 //! output is computed with exactly the serial loop structure, the gathered
 //! global result is **bit-for-bit identical** to the single-rank run
 //! (asserted by the integration tests), which is a stronger property than
 //! the paper's "consistent within machine precision".
 
-use mpas_mesh::{extract_local_mesh, Mesh, MeshPartition};
+use mpas_mesh::{extract_local_mesh, Mesh, MeshPartition, RankLocal};
 use mpas_msg::comm::{run_ranks, RankCtx};
 use mpas_msg::halo::{FieldKind, HaloExchanger};
-use mpas_patterns::dataflow::RkPhase;
 use mpas_swe::coeffs::KernelCoeffs;
 use mpas_swe::config::ModelConfig;
-use mpas_swe::kernels;
-use mpas_swe::rk4::{RK_SUBSTEP, RK_WEIGHTS};
-use mpas_swe::state::{Diagnostics, Reconstruction, State, Tendencies};
+use mpas_swe::state::State;
 use mpas_swe::testcases::TestCase;
-use mpas_swe::InitialFields;
+use mpas_swe::{InitialFields, ShallowWaterModel};
 use mpas_telemetry::analysis::STEP_SPAN;
 use mpas_telemetry::Recorder;
+use std::sync::Arc;
 
 /// Parameters of a distributed run.
 #[derive(Debug, Clone, Copy)]
@@ -56,82 +55,64 @@ pub fn run_distributed_recorded(mesh: &Mesh, cfg: DistributedConfig, rec: &Recor
         "TRiSK stencils need at least 3 halo layers"
     );
     let part = MeshPartition::build(mesh, cfg.n_ranks, cfg.halo_layers);
-    let locals: Vec<_> = part
+    // Each local mesh moves into the `Arc` its rank's model shares.
+    let locals: Vec<(Arc<Mesh>, &RankLocal)> = part
         .ranks
         .iter()
-        .map(|rl| (extract_local_mesh(mesh, rl), rl.clone()))
+        .map(|rl| (Arc::new(extract_local_mesh(mesh, rl).mesh), rl))
         .collect();
 
     let results = run_ranks(cfg.n_ranks, |mut ctx| {
         ctx.set_recorder(rec.clone());
-        let (lm, rl) = &locals[ctx.rank];
-        rank_main(&mut ctx, lm, rl.clone(), &cfg, rec)
+        let (local_mesh, rl) = &locals[ctx.rank];
+        rank_main(&mut ctx, local_mesh, rl, &cfg, rec)
     });
 
-    // Assemble the global state from each rank's owned entries.
+    // Assemble the global state from each rank's owned entries (the
+    // prefixes of its cell and edge lists).
     let mut h = vec![0.0; mesh.n_cells()];
     let mut u = vec![0.0; mesh.n_edges()];
     let mut tracers = vec![vec![0.0; mesh.n_cells()]; cfg.model.n_tracers];
-    for (rank, (lh, lu, ltr)) in results.into_iter().enumerate() {
-        let lm = &locals[rank].0;
-        for (l, &g) in lm.cell_l2g[..lm.n_owned_cells].iter().enumerate() {
-            h[g as usize] = lh[l];
-            for (k, lt) in ltr.iter().enumerate() {
-                tracers[k][g as usize] = lt[l];
+    for ((_, rl), (lh, lu, ltr)) in locals.iter().zip(results) {
+        for (&g, &x) in rl.cells.iter().zip(&lh) {
+            h[g as usize] = x;
+        }
+        for (tr, lt) in tracers.iter_mut().zip(&ltr) {
+            for (&g, &x) in rl.cells.iter().zip(lt) {
+                tr[g as usize] = x;
             }
         }
-        for (l, &g) in lm.edge_l2g[..lm.n_owned_edges].iter().enumerate() {
-            u[g as usize] = lu[l];
+        for (&g, &x) in rl.edges.iter().zip(&lu) {
+            u[g as usize] = x;
         }
     }
     State { h, u, tracers }
 }
 
-/// One rank's full time loop. Returns its owned (h, u, tracer) slices.
+/// One rank's full time loop: the one model on the local mesh, the halo
+/// exchanged at the end of every substep. Returns its owned (h, u,
+/// tracer) slices.
 fn rank_main(
     ctx: &mut RankCtx,
-    lm: &mpas_mesh::LocalMesh,
-    rl: mpas_mesh::RankLocal,
+    mesh: &Arc<Mesh>,
+    rl: &RankLocal,
     cfg: &DistributedConfig,
     rec: &Recorder,
 ) -> (Vec<f64>, Vec<f64>, Vec<Vec<f64>>) {
-    let mesh = &lm.mesh;
-    let mcfg = &cfg.model;
-    let dt = cfg.dt;
-
-    let kc = KernelCoeffs::build(mesh, mcfg);
-    let backend = mcfg.kernel_backend;
-    // Each rank samples its own local mesh, and owns what it samples. The
-    // case-4 forcing comes out of the same sampler: the background state
-    // is sampled analytically (exact on halos too) and three halo layers
-    // make every owned tendency entry equal the serial one, so the owned
-    // forcing entries are bitwise the serial forcing.
-    let InitialFields {
-        mut state,
-        b,
-        f_vertex,
-        forcing,
-        ..
-    } = InitialFields::sample(mesh, mcfg, cfg.test_case, &kc, Some(dt));
-    // Same branch the single-address-space executors take: per-entity the
-    // local coefficients equal the global ones, so owned outputs stay
-    // bit-for-bit identical to the serial run on either path.
-    let solve_diag = |h: &[f64], u: &[f64], phase: RkPhase, diag: &mut Diagnostics| {
-        kernels::compute_substep_diagnostics(
-            backend, mesh, mcfg, &kc, h, u, &f_vertex, dt, phase, diag,
-        );
-    };
-    let mut diag = Diagnostics::zeros(mesh);
-    let mut tend = Tendencies::zeros_with_tracers(mesh, mcfg.n_tracers);
-    let mut provis = State::zeros_with_tracers(mesh, mcfg.n_tracers);
-    let mut acc = State::zeros_with_tracers(mesh, mcfg.n_tracers);
-    let mut recon = Reconstruction::zeros(mesh);
-    let mut hx = HaloExchanger::new(rl).with_recorder(rec.clone());
-
-    let n_owned_cells = lm.n_owned_cells;
-    let n_owned_edges = lm.n_owned_edges;
-
-    solve_diag(&state.h, &state.u, RkPhase::Final, &mut diag);
+    let (nc, ne) = (rl.n_owned_cells, rl.n_owned_edges);
+    // Each rank samples its own local mesh. The case-4 forcing comes out
+    // of the same sampler: the background state is sampled analytically
+    // (exact on halos too) and three halo layers make every owned
+    // tendency entry equal the serial one, so the owned forcing entries
+    // are bitwise the serial forcing. Per entity the local coefficients
+    // equal the global ones, so owned outputs stay bit-for-bit identical
+    // to the serial run on either backend.
+    let kc = Arc::new(KernelCoeffs::build(mesh, &cfg.model));
+    let init = InitialFields::sample(mesh, &cfg.model, cfg.test_case, &kc, Some(cfg.dt));
+    let mut model =
+        ShallowWaterModel::from_initial(mesh.clone(), cfg.model, Arc::new(init), kc).owning(nc, ne);
+    let mut hx = HaloExchanger::new(rl.clone()).with_recorder(rec.clone());
+    let ncl = hx.local().n_cells();
 
     for step in 0..cfg.n_steps {
         // Rank-tagged per-step window: the unit the trace analyzer
@@ -149,73 +130,13 @@ fn rank_main(
                 ],
             );
         }
-        acc.copy_from(&state);
-        provis.copy_from(&state);
-        for stage in 0..4 {
-            kernels::compute_tend_backend(
-                backend, mesh, mcfg, &kc, &provis.h, &provis.u, &b, &diag, &mut tend,
-            );
-            if !provis.tracers.is_empty() {
-                kernels::compute_tend_tracers_backend(
-                    backend,
-                    mesh,
-                    &kc,
-                    &provis.h,
-                    &provis.u,
-                    &diag,
-                    &provis.tracers,
-                    &mut tend,
-                );
+        // Owned entries come from the update; halos from their owners.
+        model.step_with(|s| {
+            hx.exchange_state(ctx, &mut s.h[..ncl], &mut s.u);
+            for tr in s.tracers.iter_mut() {
+                hx.exchange(ctx, FieldKind::Cell, &mut tr[..ncl]);
             }
-            if let Some(f) = &forcing {
-                kernels::apply_forcing(mesh, f, &mut tend);
-            }
-            kernels::enforce_boundary_edge(mesh, &mut tend);
-            if stage < 3 {
-                // Owned region only; halos come from the owners.
-                update_owned(
-                    &state,
-                    &tend,
-                    RK_SUBSTEP[stage] * dt,
-                    &mut provis,
-                    n_owned_cells,
-                    n_owned_edges,
-                );
-                let ncl = hx.local().n_cells();
-                hx.exchange_state(ctx, &mut provis.h[..ncl], &mut provis.u);
-                for tr in provis.tracers.iter_mut() {
-                    hx.exchange(ctx, FieldKind::Cell, &mut tr[..ncl]);
-                }
-                solve_diag(&provis.h, &provis.u, RkPhase::Intermediate, &mut diag);
-                accumulate_owned(
-                    &tend,
-                    RK_WEIGHTS[stage] * dt,
-                    &mut acc,
-                    n_owned_cells,
-                    n_owned_edges,
-                );
-            } else {
-                accumulate_owned(
-                    &tend,
-                    RK_WEIGHTS[stage] * dt,
-                    &mut acc,
-                    n_owned_cells,
-                    n_owned_edges,
-                );
-                state.h[..n_owned_cells].copy_from_slice(&acc.h[..n_owned_cells]);
-                state.u[..n_owned_edges].copy_from_slice(&acc.u[..n_owned_edges]);
-                for (tr, atr) in state.tracers.iter_mut().zip(&acc.tracers) {
-                    tr[..n_owned_cells].copy_from_slice(&atr[..n_owned_cells]);
-                }
-                let ncl = hx.local().n_cells();
-                hx.exchange_state(ctx, &mut state.h[..ncl], &mut state.u);
-                for tr in state.tracers.iter_mut() {
-                    hx.exchange(ctx, FieldKind::Cell, &mut tr[..ncl]);
-                }
-                solve_diag(&state.h, &state.u, RkPhase::Final, &mut diag);
-                kernels::mpas_reconstruct(mesh, &kc, &state.u, &mut recon);
-            }
-        }
+        });
         if rec.is_enabled() {
             rec.event(
                 "core.step",
@@ -228,14 +149,11 @@ fn rank_main(
         }
     }
 
+    let s = &model.state;
     (
-        state.h[..n_owned_cells].to_vec(),
-        state.u[..n_owned_edges].to_vec(),
-        state
-            .tracers
-            .iter()
-            .map(|tr| tr[..n_owned_cells].to_vec())
-            .collect(),
+        s.h[..nc].to_vec(),
+        s.u[..ne].to_vec(),
+        s.tracers.iter().map(|tr| tr[..nc].to_vec()).collect(),
     )
 }
 
@@ -272,34 +190,6 @@ pub fn halo_probe(mesh: &Mesh, n_ranks: usize, rec: &Recorder) -> u64 {
             * mpas_hybrid::sim::halo_bytes_per_substep(mesh.n_cells() as f64 / n_ranks as f64),
     );
     exact
-}
-
-fn update_owned(base: &State, tend: &Tendencies, coef: f64, out: &mut State, nc: usize, ne: usize) {
-    for i in 0..nc {
-        out.h[i] = base.h[i] + coef * tend.tend_h[i];
-    }
-    for e in 0..ne {
-        out.u[e] = base.u[e] + coef * tend.tend_u[e];
-    }
-    for (k, tr) in out.tracers.iter_mut().enumerate() {
-        for (i, t) in tr.iter_mut().enumerate().take(nc) {
-            *t = base.tracers[k][i] + coef * tend.tend_tracers[k][i];
-        }
-    }
-}
-
-fn accumulate_owned(tend: &Tendencies, weight: f64, acc: &mut State, nc: usize, ne: usize) {
-    for i in 0..nc {
-        acc.h[i] += weight * tend.tend_h[i];
-    }
-    for e in 0..ne {
-        acc.u[e] += weight * tend.tend_u[e];
-    }
-    for (k, tr) in acc.tracers.iter_mut().enumerate() {
-        for (i, t) in tr.iter_mut().enumerate().take(nc) {
-            *t += weight * tend.tend_tracers[k][i];
-        }
-    }
 }
 
 #[cfg(test)]

@@ -139,9 +139,8 @@ impl std::fmt::Display for JobError {
 /// across executors by construction — the repo's executors agree bitwise —
 /// so equal hashes across tenants is the cheap proxy for "identical
 /// results". Built on the shared [`Fnv1a`] digest, the same primitive
-/// the server's cache keys and the layered
-/// [`mpas_swe::LayeredState::state_hash`] (which folds in all `k` layers)
-/// use.
+/// the server's cache keys use. A `k`-lane state hashes every lane of
+/// every field ([`Simulation::state_digest`]).
 pub fn state_hash(state: &State) -> u64 {
     let mut d = Fnv1a::new();
     d.write_f64_slice(&state.h);

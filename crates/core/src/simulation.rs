@@ -1,6 +1,6 @@
 //! The user-facing `Simulation` facade.
 
-use mpas_hybrid::{ParallelModel, Platform, Schedule};
+use mpas_hybrid::{Platform, Schedule};
 use mpas_mesh::{Mesh, Reordering};
 use mpas_patterns::dataflow::{DataflowGraph, MeshCounts, RkPhase};
 use mpas_sched::SchedulerPolicy;
@@ -9,7 +9,7 @@ use mpas_swe::config::ModelConfig;
 use mpas_swe::norms::ErrorNorms;
 use mpas_swe::state::State;
 use mpas_swe::testcases::TestCase;
-use mpas_swe::{InitialFields, KernelBackend, LayeredModel, ShallowWaterModel};
+use mpas_swe::{Exec, InitialFields, ShallowWaterModel};
 use mpas_telemetry::Recorder;
 use std::sync::Arc;
 
@@ -30,6 +30,32 @@ pub enum Executor {
         /// Workers in the simulated-accelerator pool.
         acc_threads: usize,
     },
+}
+
+impl Executor {
+    /// The executor a model runs on for this choice. The hybrid executor's
+    /// accelerator pool takes the share of each split range that the
+    /// paper node's relative memory bandwidths give it.
+    pub fn exec(self) -> Exec {
+        match self {
+            Executor::Serial => Exec::serial(),
+            Executor::Threaded { threads } => Exec::threaded(threads),
+            Executor::Hybrid {
+                cpu_threads,
+                acc_threads,
+            } => Exec::hybrid(
+                cpu_threads,
+                acc_threads,
+                acc_fraction(&Platform::paper_node()),
+            ),
+        }
+    }
+}
+
+/// The accelerator's share of a split range on `platform`: its part of
+/// the two devices' memory bandwidth.
+fn acc_fraction(platform: &Platform) -> f64 {
+    platform.acc.mem_bw / (platform.acc.mem_bw + platform.cpu.mem_bw)
 }
 
 /// Builder for [`Simulation`].
@@ -185,46 +211,19 @@ impl SimulationBuilder {
                 self.dt,
             )),
         };
-        let rec = self.recorder.clone();
-        let engine = if self.config.n_layers > 1 {
-            assert_eq!(
-                self.config.kernel_backend,
-                KernelBackend::Simd,
-                "n_layers > 1 requires the simd kernel backend"
-            );
-            assert_eq!(
-                self.executor,
-                Executor::Serial,
-                "n_layers > 1 requires the serial executor"
-            );
-            Engine::Layered(
-                LayeredModel::from_initial(mesh.clone(), self.config, init, kc).with_recorder(rec),
-            )
-        } else {
-            match self.executor {
-                Executor::Serial => Engine::Serial(
-                    ShallowWaterModel::from_initial(mesh.clone(), self.config, init, kc)
-                        .with_recorder(rec),
-                ),
-                Executor::Threaded { threads } => Engine::Threaded(
-                    ParallelModel::from_initial(mesh.clone(), self.config, init, kc, threads)
-                        .with_recorder(rec),
-                ),
-                Executor::Hybrid {
-                    cpu_threads,
-                    acc_threads,
-                } => Engine::Threaded(
-                    ParallelModel::from_initial(mesh.clone(), self.config, init, kc, cpu_threads)
-                        .with_accelerator(acc_threads, &Platform::paper_node())
-                        .with_recorder(rec),
-                ),
-            }
-        };
+        let model = ShallowWaterModel::from_initial_on(
+            mesh.clone(),
+            self.config,
+            init,
+            kc,
+            self.executor.exec(),
+        )
+        .with_recorder(self.recorder.clone());
         let policy = mpas_sched::resolve(&self.sched_policy)
             .unwrap_or_else(|e| panic!("invalid sched_policy {:?}: {e}", self.sched_policy));
         let mut sim = Simulation {
             mesh,
-            engine,
+            model,
             test_case: self.test_case,
             config: self.config,
             initial_mass: 0.0,
@@ -240,22 +239,11 @@ impl SimulationBuilder {
     }
 }
 
-// One engine lives per simulation, so the variant-size spread is noise.
-#[allow(clippy::large_enum_variant)]
-enum Engine {
-    Serial(ShallowWaterModel),
-    /// The threaded executor, with or without the accelerator pool of the
-    /// hybrid executor.
-    Threaded(ParallelModel),
-    /// k-layer serial simd engine; facade views read its cached layer 0.
-    Layered(LayeredModel),
-}
-
 /// A configured shallow-water simulation.
 pub struct Simulation {
     /// The mesh being integrated.
     pub mesh: Arc<Mesh>,
-    engine: Engine,
+    model: ShallowWaterModel,
     /// The configured scenario.
     pub test_case: TestCase,
     /// The numerical options the engine was built with.
@@ -277,14 +265,14 @@ impl Simulation {
     /// plus `core.sim.mass_drift` / `core.sim.h_err_l2` gauges.
     pub fn run_steps(&mut self, n: usize) {
         if !self.recorder.is_enabled() {
-            return self.step_engine(n);
+            return self.model.run_steps(n);
         }
         for _ in 0..n {
             {
                 let _span =
                     self.recorder
                         .span_timed("measured", "core.step", "core.sim.step_seconds");
-                self.step_engine(1);
+                self.model.step();
             }
             self.recorder.add("core.sim.steps", 1);
             self.recorder
@@ -299,100 +287,49 @@ impl Simulation {
         }
     }
 
-    fn step_engine(&mut self, n: usize) {
-        match &mut self.engine {
-            Engine::Serial(m) => m.run_steps(n),
-            Engine::Threaded(m) => m.run_steps(n),
-            Engine::Layered(m) => m.run_steps(n),
-        }
-    }
-
     /// The telemetry sink configured at build time.
     pub fn recorder(&self) -> &Recorder {
         &self.recorder
     }
 
-    /// The fields the run started from (shared with the caller when the
-    /// builder was handed them).
-    pub(crate) fn initial_fields(&self) -> &Arc<InitialFields> {
-        match &self.engine {
-            Engine::Serial(m) => &m.init,
-            Engine::Threaded(m) => &m.init,
-            Engine::Layered(m) => &m.init,
-        }
-    }
-
     /// The prognostic state (layer 0 for layered runs — the validated
     /// lane; use [`Simulation::state_digest`] to cover every layer).
     pub fn state(&self) -> &State {
-        match &self.engine {
-            Engine::Serial(m) => &m.state,
-            Engine::Threaded(m) => &m.state,
-            Engine::Layered(m) => m.layer0(),
-        }
+        self.model.layer0()
     }
 
-    /// FNV-1a digest of the full prognostic state: all `k` layers of every
-    /// field for layered runs, the flat fields otherwise. Single-layer
-    /// layered digests equal [`crate::runner::state_hash`] of the flat
-    /// state bit for bit (k = 1 lane-interleaving is the identity).
+    /// FNV-1a digest of the full prognostic state: every lane of every
+    /// field ([`crate::runner::state_hash`] of the `k`-lane state; at one
+    /// layer the plain state's digest).
     pub fn state_digest(&self) -> u64 {
-        match &self.engine {
-            Engine::Layered(m) => m.state_hash(),
-            _ => crate::runner::state_hash(self.state()),
-        }
+        crate::runner::state_hash(&self.model.state)
     }
 
-    /// Number of vertical layers carried (1 for the flat engines).
+    /// Number of vertical layers carried.
     pub fn n_layers(&self) -> usize {
-        match &self.engine {
-            Engine::Layered(m) => m.n_layers(),
-            _ => 1,
-        }
+        self.model.n_layers()
     }
 
     /// Time step in seconds.
     pub fn dt(&self) -> f64 {
-        match &self.engine {
-            Engine::Serial(m) => m.dt,
-            Engine::Threaded(m) => m.dt,
-            Engine::Layered(m) => m.dt,
-        }
+        self.model.dt
     }
 
     /// Model time in seconds.
     pub fn time(&self) -> f64 {
-        match &self.engine {
-            Engine::Serial(m) => m.time,
-            Engine::Threaded(m) => m.time,
-            Engine::Layered(m) => m.time,
-        }
+        self.model.time
     }
 
     /// Maximum Courant number over edges at the current state, using the
     /// external gravity-wave speed `|u| + sqrt(g h_edge)` — the stability
     /// quantity the CFL invariant monitors.
     pub fn max_courant(&self) -> f64 {
-        let diag = match &self.engine {
-            Engine::Serial(m) => &m.diag,
-            Engine::Threaded(m) => &m.diag,
-            Engine::Layered(m) => m.layer0_diag(),
-        };
-        let (u, g, dt) = (&self.state().u, self.config.gravity, self.dt());
-        (0..self.mesh.n_edges())
-            .map(|e| {
-                let c = u[e].abs() + (g * diag.h_edge[e].max(0.0)).sqrt();
-                c * dt / self.mesh.dc_edge[e]
-            })
-            .fold(0.0f64, f64::max)
+        self.model.max_courant()
     }
 
     /// Total mass of tracer `k` (`∫ h·q dA`, conserved to rounding).
     pub fn total_tracer(&self, k: usize) -> f64 {
-        let tr = &self.state().tracers[k];
-        (0..self.mesh.n_cells())
-            .map(|i| tr[i] * self.mesh.area_cell[i])
-            .sum()
+        self.model.total_tracer(k)
     }
 
     /// Largest relative tracer-mass drift since initialization across the
@@ -412,10 +349,7 @@ impl Simulation {
 
     /// Total fluid mass (exactly conserved).
     pub fn total_mass(&self) -> f64 {
-        let h = &self.state().h;
-        (0..self.mesh.n_cells())
-            .map(|i| h[i] * self.mesh.area_cell[i])
-            .sum()
+        self.model.total_mass()
     }
 
     /// Relative mass drift since initialization.
@@ -427,11 +361,9 @@ impl Simulation {
     /// the current model time: the initial field the run started from for
     /// every case whose reference does not move, the rigidly advected bell
     /// of case 1 otherwise ([`InitialFields::h_error_norms`]) — the same
-    /// quantity [`mpas_swe::ShallowWaterModel::h_error_norms`] reports, so
-    /// facade and serial-model norms agree bitwise.
+    /// quantity [`mpas_swe::ShallowWaterModel::h_error_norms`] reports.
     pub fn h_error_norms(&self) -> ErrorNorms {
-        self.initial_fields()
-            .h_error_norms(&self.mesh, &self.state().h, self.time())
+        self.model.h_error_norms()
     }
 
     /// The configured scheduling policy.
@@ -467,12 +399,7 @@ impl Simulation {
 
     /// Total height field `h + b` (the paper's Fig. 5 quantity).
     pub fn total_height(&self) -> Vec<f64> {
-        self.state()
-            .h
-            .iter()
-            .zip(&self.initial_fields().b)
-            .map(|(&h, &b)| h + b)
-            .collect()
+        self.model.total_height()
     }
 }
 
@@ -561,6 +488,22 @@ mod tests {
     }
 
     #[test]
+    fn split_fraction_reflects_platform() {
+        assert_eq!(
+            Executor::Threaded { threads: 1 }.exec().acc_fraction(),
+            None
+        );
+        let hybrid = Executor::Hybrid {
+            cpu_threads: 1,
+            acc_threads: 1,
+        };
+        let fraction = hybrid.exec().acc_fraction().unwrap();
+        assert_eq!(fraction, acc_fraction(&Platform::paper_node()));
+        assert!(fraction > 0.5, "accelerator should take the majority");
+        assert!(fraction < 0.8);
+    }
+
+    #[test]
     fn recorder_collects_per_step_metrics_and_decisions() {
         let rec = Recorder::new();
         let mut sim = Simulation::builder()
@@ -576,12 +519,14 @@ mod tests {
         assert_eq!(h.count, 3);
         assert!(snap.gauge("core.sim.mass_drift").unwrap().abs() < 1e-12);
         assert!(snap.gauge("sched.makespan_seconds").unwrap() > 0.0);
-        // Kernel timers from the threaded engine: 4 RK stages x 3 steps.
-        let b1 = snap.histogram("hybrid.kernel.B1.seconds").expect("B1");
+        // Sweep timers from the pool executor: 4 RK stages x 3 steps.
+        let b1 = snap.histogram("swe.kernel.B1.seconds").expect("B1");
         assert_eq!(b1.count, 12);
         // No kernel reads A3's output: it runs in the final substep only.
-        let a3 = snap.histogram("hybrid.kernel.A3.seconds").expect("A3");
+        let a3 = snap.histogram("swe.kernel.A3.seconds").expect("A3");
         assert_eq!(a3.count, 3);
+        let step = snap.histogram("swe.step_seconds").expect("step timer");
+        assert_eq!(step.count, 3);
         // One decision event per scheduled DAG node.
         let decisions = rec
             .events()
@@ -616,14 +561,14 @@ mod tests {
                 .build();
             // Nothing is resampled: the run holds the very fields it was
             // handed, and a fixed reference is their initial thickness.
-            assert!(Arc::ptr_eq(sim.initial_fields(), &init), "{}", sc.name);
+            assert!(Arc::ptr_eq(&sim.model.init, &init), "{}", sc.name);
             for _ in 0..2 {
                 sim.run_steps(1);
                 let reference = tc.reference_thickness(&mesh, sim.time());
                 let want = ErrorNorms::compute(&sim.state().h, &reference, &mesh.area_cell);
                 assert_eq!(sim.h_error_norms(), want, "{}", sc.name);
             }
-            let cached = sim.initial_fields().h_reference();
+            let cached = sim.model.init.h_reference();
             assert_eq!(cached.is_some(), !tc.reference_moves(), "{}", sc.name);
             if let Some(reference) = cached {
                 assert!(std::ptr::eq(reference, &init.state.h[..]), "{}", sc.name);
@@ -634,7 +579,7 @@ mod tests {
                 .test_case(tc)
                 .config(config)
                 .build();
-            assert_eq!(own.initial_fields().state, init.state, "{}", sc.name);
+            assert_eq!(own.model.init.state, init.state, "{}", sc.name);
         }
     }
 

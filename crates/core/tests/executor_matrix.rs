@@ -15,13 +15,12 @@
 //! besides the state: each engine's diagnostics and reconstruction.
 
 use mpas_core::{build_mesh, run_distributed, state_hash, DistributedConfig, Executor, Simulation};
-use mpas_hybrid::{ParallelModel, Platform};
 use mpas_mesh::{Mesh, Reordering};
-use mpas_swe::kernels;
+use mpas_swe::kernels::{self, ops};
 use mpas_swe::validation::CATALOG;
 use mpas_swe::{
     Diagnostics, InitialFields, KernelBackend, KernelCoeffs, ModelConfig, Reconstruction,
-    ShallowWaterModel, State, TestCase,
+    ShallowWaterModel, TestCase,
 };
 use std::sync::Arc;
 
@@ -173,22 +172,33 @@ fn end_of_step_diagnostics_and_reconstruction_match_a_full_refresh() {
             };
             let kc = Arc::new(KernelCoeffs::build(&mesh, &config));
             let init = Arc::new(InitialFields::sample(&mesh, &config, tc, &kc, Some(dt)));
-            let mut serial =
-                ShallowWaterModel::from_initial(mesh.clone(), config, init.clone(), kc.clone());
-            let mut threaded =
-                ParallelModel::from_initial(mesh.clone(), config, init.clone(), kc.clone(), 4);
-            let mut hybrid =
-                ParallelModel::from_initial(mesh.clone(), config, init.clone(), kc.clone(), 2)
-                    .with_accelerator(2, &Platform::paper_node());
-            serial.run_steps(3);
-            threaded.run_steps(3);
-            hybrid.run_steps(3);
-            let engines: [(&str, &State, &Diagnostics, &Reconstruction); 3] = [
-                ("serial", &serial.state, &serial.diag, &serial.recon),
-                ("threaded", &threaded.state, &threaded.diag, &threaded.recon),
-                ("hybrid", &hybrid.state, &hybrid.diag, &hybrid.recon),
+            let engines = [
+                ("serial", Executor::Serial),
+                ("threaded", Executor::Threaded { threads: 4 }),
+                (
+                    "hybrid",
+                    Executor::Hybrid {
+                        cpu_threads: 2,
+                        acc_threads: 2,
+                    },
+                ),
             ];
-            for (engine, state, diag, recon) in engines {
+            for (engine, executor) in engines {
+                let (shared_init, shared_kc) = (init.clone(), kc.clone());
+                let exec = executor.exec();
+                let mut model = ShallowWaterModel::from_initial_on(
+                    mesh.clone(),
+                    config,
+                    shared_init,
+                    shared_kc,
+                    exec,
+                );
+                model.run_steps(3);
+                let (state, diag) = (&model.state, &model.diag);
+                let recon = model
+                    .recon
+                    .as_ref()
+                    .expect("a single-layer model reconstructs");
                 let tag = format!("{} ({}) {engine}", tc.name(), backend.name());
                 let mut d = Diagnostics::zeros(&mesh);
                 kernels::compute_solve_diagnostics_backend(
@@ -217,8 +227,10 @@ fn end_of_step_diagnostics_and_reconstruction_match_a_full_refresh() {
                 ] {
                     assert_same_bits(&tag, field, got, want);
                 }
-                let mut r = Reconstruction::zeros(&mesh);
-                kernels::mpas_reconstruct(&mesh, &kc, &state.u, &mut r);
+                let (nc, mut r) = (mesh.n_cells(), Reconstruction::zeros(&mesh));
+                ops::reconstruct_xyz(&mesh, &kc, &state.u, &mut r.ux, &mut r.uy, &mut r.uz, 0..nc);
+                let (rx, ry, rz) = (&r.ux, &r.uy, &r.uz);
+                ops::zonal_meridional(&kc, rx, ry, rz, &mut r.zonal, &mut r.meridional, 0..nc);
                 for (field, got, want) in [
                     ("ux", &recon.ux, &r.ux),
                     ("uy", &recon.uy, &r.uy),

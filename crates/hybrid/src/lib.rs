@@ -16,22 +16,18 @@
 //! * [`calibrate`] — measurement-driven cost calibration: times the real
 //!   host executors per Table-I pattern and fits per-pattern coefficients
 //!   back into the scheduling cost model; alternatively fits them from the
-//!   `hybrid.kernel.*` histograms a telemetry
-//!   [`Recorder`](mpas_telemetry::Recorder) collected during a real run
-//!   ([`calibration_from_metrics`]).
-//! * [`parallel`] — the real, measured executor: an OpenMP-style
-//!   fork-join team of persistent threads that optionally splits the heavy
-//!   patterns with a second "accelerator" pool (the two-pool hybrid
-//!   executor), verified bit-for-bit against the serial kernels (the §V.A
-//!   validation). It accepts a telemetry recorder and emits per-kernel
-//!   timers keyed by Table-I label.
+//!   `swe.kernel.*` histograms a telemetry
+//!   [`Recorder`](mpas_telemetry::Recorder) collected during a real run on
+//!   the pool executor ([`calibration_from_metrics`]).
 //! * [`ladder`] — the Fig. 6 single-device optimization ladder.
+//!
+//! The real, measured executors — the serial one, and the fork-join pool
+//! that optionally splits the heavy patterns with a second "accelerator"
+//! pool — run the one stage program of `mpas_swe::stage`.
 
 pub mod calibrate;
 pub mod device;
 pub mod ladder;
-pub mod parallel;
-mod pool;
 pub mod sched;
 pub mod sim;
 pub mod trace;
@@ -39,7 +35,6 @@ pub mod trace;
 pub use calibrate::{calibrate_host, calibration_from_metrics, CalibrationReport};
 pub use device::{DeviceSpec, Platform, TransferLink};
 pub use ladder::{fig6_ladder, OptStage};
-pub use parallel::ParallelModel;
 pub use sched::{schedule_substep, Placement, Schedule, SchedulerPolicy};
 pub use sim::{time_per_step, time_per_step_multirank};
 pub use trace::{to_chrome_trace, to_combined_trace};

@@ -135,8 +135,8 @@ mod tests {
         let s = sched(PatternDriven);
         let rec = Recorder::new();
         {
-            let _step = rec.span("measured", "step");
-            let _k = rec.span_timed("measured", "B1", "hybrid.kernel.B1.seconds");
+            let _step = rec.span("measured", "swe.step");
+            let _k = rec.span_timed("measured", "B1", "swe.kernel.B1.seconds");
         }
         rec.event("sched.decision", &[("task", "B1".to_string())]);
         let json = to_combined_trace(&s, &rec);

@@ -74,7 +74,11 @@ fn tend_u_splits_exactly() {
             .map(|v| 2.0 * mpas_geom::OMEGA * m.x_vertex[v].z)
             .collect();
         let mut d = Diagnostics::zeros(m);
-        mpas_swe::kernels::compute_solve_diagnostics(m, &config, &h, &u, &f_v, 60.0, &mut d);
+        let kc = mpas_swe::KernelCoeffs::build(m, &config);
+        let scalar = mpas_swe::KernelBackend::Scalar;
+        mpas_swe::kernels::compute_solve_diagnostics_backend(
+            scalar, m, &config, &kc, &h, &u, &f_v, 60.0, &mut d,
+        );
         let ne = m.n_edges();
         let mid = ((ne as f64 * frac) as usize).clamp(1, ne - 1);
         let g = config.gravity;

@@ -18,7 +18,6 @@
 //! * `MPASSTA1` (read-only, pre-tracer) — same layout without the tracer
 //!   count/payload; loads as a zero-tracer state.
 
-use crate::layers::LayeredState;
 use crate::state::State;
 use std::io::{self, BufReader, BufWriter, Read, Write};
 use std::path::Path;
@@ -101,17 +100,18 @@ pub fn load_state(path: impl AsRef<Path>) -> io::Result<(State, f64)> {
     Ok((State { h, u, tracers }, time))
 }
 
-/// Write a layered snapshot (`MPASSTA3`). The lane-interleaved payloads
+/// Write a `k`-lane snapshot (`MPASSTA3`). The lane-interleaved payloads
 /// are written verbatim, so the round trip is bitwise for every layer.
 pub fn save_layered_state(
-    state: &LayeredState,
+    state: &State,
+    k: usize,
     time: f64,
     path: impl AsRef<Path>,
 ) -> io::Result<()> {
     let mut w = BufWriter::new(std::fs::File::create(path)?);
     w.write_all(MAGIC_V3)?;
     w.write_all(&time.to_le_bytes())?;
-    w.write_all(&(state.n_layers as u64).to_le_bytes())?;
+    w.write_all(&(k as u64).to_le_bytes())?;
     w.write_all(&(state.h.len() as u64).to_le_bytes())?;
     w.write_all(&(state.u.len() as u64).to_le_bytes())?;
     w.write_all(&(state.tracers.len() as u64).to_le_bytes())?;
@@ -124,8 +124,8 @@ pub fn save_layered_state(
 }
 
 /// Read a layered snapshot written by [`save_layered_state`]. Returns
-/// `(state, time)`.
-pub fn load_layered_state(path: impl AsRef<Path>) -> io::Result<(LayeredState, f64)> {
+/// `(state, k, time)`.
+pub fn load_layered_state(path: impl AsRef<Path>) -> io::Result<(State, usize, f64)> {
     let mut r = BufReader::new(std::fs::File::open(path)?);
     let mut magic = [0u8; 8];
     r.read_exact(&mut magic)?;
@@ -160,39 +160,39 @@ pub fn load_layered_state(path: impl AsRef<Path>) -> io::Result<(LayeredState, f
     for _ in 0..nt {
         tracers.push(read_f64s(&mut r, nh)?);
     }
-    Ok((
-        LayeredState {
-            n_layers,
-            h,
-            u,
-            tracers,
-        },
-        time,
-    ))
+    Ok((State { h, u, tracers }, n_layers, time))
 }
 
-impl crate::layers::LayeredModel {
-    /// Write the layered state and model time to a checkpoint file.
+impl crate::model::ShallowWaterModel {
+    /// Write the current state and model time to a checkpoint file:
+    /// `MPASSTA2` for a single-layer run, `MPASSTA3` with every lane
+    /// otherwise.
     pub fn save_checkpoint(&self, path: impl AsRef<Path>) -> io::Result<()> {
-        save_layered_state(&self.state, self.time, path)
+        match self.n_layers() {
+            1 => save_state(&self.state, self.time, path),
+            k => save_layered_state(&self.state, k, self.time, path),
+        }
     }
 
-    /// Restore the layered state and time from an `MPASSTA3` checkpoint.
-    /// Layer count, mesh sizes and tracer count are all verified; the
-    /// layered diagnostics and the cached layer-0 view are rebuilt so the
-    /// next step proceeds exactly as if the run had never stopped.
+    /// Restore state and time from a checkpoint of this model's format
+    /// (mesh/test case must match the one the checkpoint was written with;
+    /// layer count, sizes and tracer count are verified). Diagnostics are
+    /// recomputed so the next step proceeds exactly as if the run had never
+    /// stopped.
     pub fn load_checkpoint(&mut self, path: impl AsRef<Path>) -> io::Result<()> {
-        let (state, time) = load_layered_state(path)?;
         let k = self.n_layers();
-        if state.n_layers != k {
-            return Err(io::Error::new(
-                io::ErrorKind::InvalidData,
-                format!(
-                    "checkpoint carries {} layer(s), model expects {k}",
-                    state.n_layers
-                ),
-            ));
-        }
+        let (state, time) = if k == 1 {
+            load_state(path)?
+        } else {
+            let (state, n_layers, time) = load_layered_state(path)?;
+            if n_layers != k {
+                return Err(io::Error::new(
+                    io::ErrorKind::InvalidData,
+                    format!("checkpoint carries {n_layers} layer(s), model expects {k}"),
+                ));
+            }
+            (state, time)
+        };
         if state.h.len() != self.mesh.n_cells() * k || state.u.len() != self.mesh.n_edges() * k {
             return Err(io::Error::new(
                 io::ErrorKind::InvalidData,
@@ -211,49 +211,7 @@ impl crate::layers::LayeredModel {
         }
         self.state = state;
         self.time = time;
-        self.refresh_after_restore();
-        Ok(())
-    }
-}
-
-impl crate::model::ShallowWaterModel {
-    /// Write the current state and model time to a checkpoint file.
-    pub fn save_checkpoint(&self, path: impl AsRef<Path>) -> io::Result<()> {
-        save_state(&self.state, self.time, path)
-    }
-
-    /// Restore state and time from a checkpoint (mesh/test case must match
-    /// the one the checkpoint was written with; sizes are verified, and the
-    /// tracer count must match the model's configuration). Diagnostics are
-    /// recomputed so the next step proceeds exactly as if the run had never
-    /// stopped.
-    pub fn load_checkpoint(&mut self, path: impl AsRef<Path>) -> io::Result<()> {
-        let (state, time) = load_state(path)?;
-        if state.h.len() != self.mesh.n_cells() || state.u.len() != self.mesh.n_edges() {
-            return Err(io::Error::new(
-                io::ErrorKind::InvalidData,
-                "checkpoint size does not match the mesh",
-            ));
-        }
-        if state.n_tracers() != self.config.n_tracers {
-            return Err(io::Error::new(
-                io::ErrorKind::InvalidData,
-                format!(
-                    "checkpoint carries {} tracer(s), model expects {}",
-                    state.n_tracers(),
-                    self.config.n_tracers
-                ),
-            ));
-        }
-        self.state = state;
-        self.time = time;
         self.refresh_diagnostics();
-        crate::kernels::mpas_reconstruct(
-            &self.mesh,
-            &self.kernel_coeffs,
-            &self.state.u,
-            &mut self.recon,
-        );
         Ok(())
     }
 }
@@ -363,19 +321,18 @@ mod tests {
 
     #[test]
     fn layered_restart_is_bitwise_exact_including_tracers() {
-        use crate::layers::LayeredModel;
         let mesh = Arc::new(mpas_mesh::generate(3, 0));
         let cfg = layered_cfg(3, 2);
         let tc = TestCase::Case5;
         let path = std::env::temp_dir().join("mpas_layered_restart.bin");
 
-        let mut straight = LayeredModel::new(mesh.clone(), cfg, tc, None);
+        let mut straight = ShallowWaterModel::new(mesh.clone(), cfg, tc, None);
         straight.run_steps(6);
 
-        let mut resumed = LayeredModel::new(mesh.clone(), cfg, tc, None);
+        let mut resumed = ShallowWaterModel::new(mesh.clone(), cfg, tc, None);
         resumed.run_steps(3);
         resumed.save_checkpoint(&path).unwrap();
-        let mut fresh = LayeredModel::new(mesh, cfg, tc, None);
+        let mut fresh = ShallowWaterModel::new(mesh, cfg, tc, None);
         fresh.run_steps(1);
         fresh.load_checkpoint(&path).unwrap();
         std::fs::remove_file(&path).ok();
@@ -385,19 +342,18 @@ mod tests {
         // round-trip bit for bit (compare the layered hash AND the raw
         // payloads so a hash collision can't mask a diff).
         assert_eq!(straight.state, fresh.state);
-        assert_eq!(straight.state.state_hash(), fresh.state.state_hash());
+        assert_eq!(straight.layer0(), fresh.layer0());
         assert_eq!(straight.time, fresh.time);
     }
 
     #[test]
     fn layered_checkpoint_layer_count_mismatch_is_rejected() {
-        use crate::layers::LayeredModel;
         let mesh = Arc::new(mpas_mesh::generate(2, 0));
         let tc = TestCase::Case5;
         let path = std::env::temp_dir().join("mpas_layered_kmismatch.bin");
-        let m = LayeredModel::new(mesh.clone(), layered_cfg(4, 0), tc, None);
+        let m = ShallowWaterModel::new(mesh.clone(), layered_cfg(4, 0), tc, None);
         m.save_checkpoint(&path).unwrap();
-        let mut other = LayeredModel::new(mesh, layered_cfg(2, 0), tc, None);
+        let mut other = ShallowWaterModel::new(mesh, layered_cfg(2, 0), tc, None);
         let err = other.load_checkpoint(&path).unwrap_err();
         std::fs::remove_file(&path).ok();
         assert_eq!(err.kind(), io::ErrorKind::InvalidData);
@@ -414,7 +370,7 @@ mod tests {
         std::fs::remove_file(&flat_path).ok();
 
         let layered_path = std::env::temp_dir().join("mpas_layered_for_flat.bin");
-        let lm = crate::layers::LayeredModel::new(mesh, layered_cfg(2, 0), tc, None);
+        let lm = ShallowWaterModel::new(mesh, layered_cfg(2, 0), tc, None);
         lm.save_checkpoint(&layered_path).unwrap();
         assert!(load_state(&layered_path).is_err());
         std::fs::remove_file(&layered_path).ok();

@@ -74,8 +74,9 @@ pub struct ModelConfig {
     pub n_tracers: usize,
     /// Number of vertical layers batched per entity (DESIGN.md §14).
     /// 1 — the default — is the classic single-layer model; `k > 1`
-    /// requires the `Simd` backend and runs `k` independent shallow-water
-    /// instances whose fields interleave as contiguous lanes per entity.
+    /// requires the `Simd` backend and the serial executor, and runs `k`
+    /// independent shallow-water instances whose fields interleave as
+    /// contiguous lanes per entity.
     pub n_layers: usize,
 }
 

@@ -4,20 +4,20 @@
 //! the initial thickness, velocity and tracer masses, the topography `b`,
 //! the Coriolis parameter at vertices and, for the forced case 4, the
 //! equilibrium forcing. [`InitialFields::sample`] is the one sampler.
-//! Every engine starts from its result and copies out only the state it
-//! mutates: the serial and threaded models clone the state, the layered
-//! model broadcasts it across its lanes, and each distributed rank
-//! samples its own local mesh. The fields depend only on the mesh, the
+//! Every model starts from its result and copies out only the state it
+//! mutates (broadcast across its lanes), and each distributed rank samples
+//! its own local mesh. The fields depend only on the mesh, the
 //! config, the case and `dt`, so a job server can sample them once per
 //! key and hand every job the same `Arc` (`mpas-server`'s artifact cache).
 
 use crate::coeffs::KernelCoeffs;
 use crate::config::ModelConfig;
-use crate::kernels;
 use crate::norms::ErrorNorms;
+use crate::stage::{self, Exec, Inputs};
 use crate::state::{Diagnostics, State, Tendencies};
 use crate::testcases::TestCase;
 use mpas_mesh::Mesh;
+use mpas_patterns::dataflow::RkPhase;
 
 /// The fixed forcing that holds a test case's background state in discrete
 /// equilibrium: `F = −N(background)` where `N` is the model's own tendency
@@ -38,13 +38,21 @@ pub fn compute_equilibrium_forcing(
     dt: f64,
 ) -> Tendencies {
     let bg = test_case.background_state(mesh);
+    let p = Inputs {
+        mesh,
+        config,
+        kc,
+        k: 1,
+        dt,
+        f_vertex,
+        b,
+        forcing: None,
+    };
+    let x = &mut Exec::serial();
     let mut diag = Diagnostics::zeros(mesh);
+    stage::diagnostics(x, &p, &bg.h, &bg.u, RkPhase::Final, &mut diag);
     let mut tend = Tendencies::zeros(mesh);
-    let backend = config.kernel_backend;
-    kernels::compute_solve_diagnostics_backend(
-        backend, mesh, config, kc, &bg.h, &bg.u, f_vertex, dt, &mut diag,
-    );
-    kernels::compute_tend_backend(backend, mesh, config, kc, &bg.h, &bg.u, b, &diag, &mut tend);
+    stage::tendencies(x, &p, &bg, &diag, &mut tend);
     for x in tend.tend_h.iter_mut().chain(tend.tend_u.iter_mut()) {
         *x = -*x;
     }

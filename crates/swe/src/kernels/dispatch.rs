@@ -1,13 +1,10 @@
-//! Per-kernel backend selection for the range-sliced executors.
-//!
-//! The threaded and hybrid executors carve each Table-I pattern into
-//! disjoint output ranges; every worker then needs "this kernel, on this
-//! range, on the configured backend". Each function here is that one
-//! decision: [`KernelBackend::Scalar`] runs the seed form in
-//! [`super::ops`] and [`KernelBackend::Simd`] the coefficient-table tier
-//! in [`super::simd`] at `k = 1` (DESIGN.md §14). Both are range-exact, so
-//! cross-executor equivalence holds per backend without re-proving
-//! anything per executor.
+//! Per-kernel backend selection at one layer: "this kernel, on this
+//! range, on this backend", one Table-I instance at a time (the benchmark's
+//! per-kernel probe calls these). [`KernelBackend::Scalar`] runs the seed
+//! form in [`super::ops`] and [`KernelBackend::Simd`] the coefficient-table
+//! tier in [`super::simd`] at `k = 1` (DESIGN.md §14); the stage program
+//! makes the same choice per sweep at `k` lanes. Both tiers are
+//! range-exact, so any executor's cut of a range keeps the bits.
 //!
 //! H1 reads coefficients: on the simd backend
 //! [`tangential_velocity_kc`] runs four edges per AVX2 vector over the
@@ -317,8 +314,8 @@ pub fn h_edge(
 
 /// H1 — tangential velocity on the configured backend. The simd tier
 /// reads the padded TRiSK table of `kc` (four edges per vector on AVX2)
-/// and replays the seed sum bit for bit; this is the form the executors
-/// run.
+/// and replays the seed sum bit for bit, as the stage program's H1+G
+/// sweep does.
 pub fn tangential_velocity_kc(
     backend: KernelBackend,
     mesh: &Mesh,

@@ -1,10 +1,9 @@
 //! The six kernels of Algorithm 1.
 //!
-//! Each Table-I pattern instance is a free function in [`ops`] taking an
-//! explicit output **range**, so the hybrid executors can slice one pattern
-//! across devices (the paper's "adjustable part"). The functions here drive
-//! the full-range serial composition used by the reference model and by
-//! correctness tests.
+//! Each Table-I pattern instance is a free function over an explicit
+//! output **range**, so an executor can slice one pattern across workers
+//! and devices (the paper's "adjustable part"); [`crate::stage`] composes
+//! them into the RK-4 step.
 //!
 //! Two kernel tiers sit behind [`crate::config::KernelBackend`]
 //! (DESIGN.md §14). [`ops`] holds the seed per-slot forms: the test
@@ -13,11 +12,7 @@
 //! story. [`simd`] is the fast tier: it reads the precomputed
 //! [`crate::coeffs::KernelCoeffs`] tables and replays that arithmetic per
 //! vertical-layer lane with explicit SIMD inner loops; at one layer it is
-//! the flat fast path every executor runs.
-//!
-//! The `*_backend` drivers select a whole kernel sequence by backend; the
-//! [`dispatch`] module selects per kernel and per range (what the
-//! threaded/hybrid executors slice across workers).
+//! the flat fast path. [`dispatch`] selects one kernel's tier at one layer.
 
 pub mod dispatch;
 pub mod ops;
@@ -26,186 +21,15 @@ pub mod simd;
 
 use crate::coeffs::KernelCoeffs;
 use crate::config::{KernelBackend, ModelConfig};
-use crate::state::{Diagnostics, Reconstruction, State, Tendencies};
+use crate::stage::{self, Exec, Inputs};
+use crate::state::Diagnostics;
 use mpas_mesh::Mesh;
 use mpas_patterns::dataflow::RkPhase;
 
-/// Whether an RK substep of `phase` runs A3 (`vorticity_cell`). No
-/// Table-I instance reads A3's output, so the three intermediate substeps
-/// skip it; the final substep, whose diagnostics describe the new time
-/// level, and every full refresh fill it (DESIGN.md §14).
-pub fn runs_vorticity_cell(phase: RkPhase) -> bool {
-    phase == RkPhase::Final
-}
-
-/// `compute_solve_diagnostics`: refresh every diagnostic field from the
-/// prognostic pair `(h, u)`. `dt` enters only through the APVM upwinding of
+/// `compute_solve_diagnostics` on `backend`: every diagnostic field of one
+/// layer's `(h, u)`, as the stage program's full refresh computes it on the
+/// serial executor. `dt` enters only through the APVM upwinding of
 /// `pv_edge`.
-pub fn compute_solve_diagnostics(
-    mesh: &Mesh,
-    config: &ModelConfig,
-    h: &[f64],
-    u: &[f64],
-    f_vertex: &[f64],
-    dt: f64,
-    diag: &mut Diagnostics,
-) {
-    seed_diagnostics(mesh, config, h, u, f_vertex, dt, RkPhase::Final, diag);
-}
-
-/// The seed diagnostic sequence of one RK substep of `phase`.
-#[allow(clippy::too_many_arguments)]
-fn seed_diagnostics(
-    mesh: &Mesh,
-    config: &ModelConfig,
-    h: &[f64],
-    u: &[f64],
-    f_vertex: &[f64],
-    dt: f64,
-    phase: RkPhase,
-    diag: &mut Diagnostics,
-) {
-    let (nc, ne, nv) = (mesh.n_cells(), mesh.n_edges(), mesh.n_vertices());
-    if config.high_order_h_edge {
-        ops::d2fdx2(
-            mesh,
-            h,
-            &mut diag.d2fdx2_cell1,
-            &mut diag.d2fdx2_cell2,
-            0..ne,
-        );
-    }
-    if config.advection_only {
-        // Williamson TC1: only the thickness flux is needed; the PV chain
-        // would divide by the (possibly zero) tracer thickness.
-        ops::h_edge(
-            mesh,
-            config,
-            h,
-            &diag.d2fdx2_cell1,
-            &diag.d2fdx2_cell2,
-            &mut diag.h_edge,
-            0..ne,
-        );
-        return;
-    }
-    ops::h_edge(
-        mesh,
-        config,
-        h,
-        &diag.d2fdx2_cell1,
-        &diag.d2fdx2_cell2,
-        &mut diag.h_edge,
-        0..ne,
-    );
-    ops::vorticity(mesh, u, &mut diag.vorticity, 0..nv);
-    ops::ke(mesh, u, &mut diag.ke, 0..nc);
-    ops::divergence(mesh, u, &mut diag.divergence, 0..nc);
-    ops::tangential_velocity(mesh, u, &mut diag.v, 0..ne);
-    if runs_vorticity_cell(phase) {
-        ops::vorticity_cell(mesh, &diag.vorticity, &mut diag.vorticity_cell, 0..nc);
-    }
-    ops::pv_vertex(
-        mesh,
-        h,
-        &diag.vorticity,
-        f_vertex,
-        &mut diag.pv_vertex,
-        0..nv,
-    );
-    ops::pv_cell(mesh, &diag.pv_vertex, &mut diag.pv_cell, 0..nc);
-    ops::pv_edge(
-        mesh,
-        config.apvm_factor,
-        dt,
-        &diag.pv_vertex,
-        &diag.pv_cell,
-        u,
-        &diag.v,
-        &mut diag.pv_edge,
-        0..ne,
-    );
-}
-
-/// `compute_tend`: thickness and momentum tendencies from the current
-/// provisional state and its diagnostics.
-pub fn compute_tend(
-    mesh: &Mesh,
-    config: &ModelConfig,
-    h: &[f64],
-    u: &[f64],
-    b: &[f64],
-    diag: &Diagnostics,
-    tend: &mut Tendencies,
-) {
-    let (nc, ne) = (mesh.n_cells(), mesh.n_edges());
-    ops::tend_h(mesh, u, &diag.h_edge, &mut tend.tend_h, 0..nc);
-    if config.advection_only {
-        tend.tend_u.fill(0.0);
-        return;
-    }
-    ops::tend_u(
-        mesh,
-        config.gravity,
-        &diag.pv_edge,
-        u,
-        &diag.h_edge,
-        &diag.ke,
-        h,
-        b,
-        &mut tend.tend_u,
-        0..ne,
-    );
-    if config.del2_viscosity != 0.0 {
-        ops::tend_u_del2(
-            mesh,
-            config.del2_viscosity,
-            &diag.divergence,
-            &diag.vorticity,
-            &mut tend.tend_u,
-            0..ne,
-        );
-    }
-    if config.del4_viscosity != 0.0 {
-        // Chained C1 application: lap(u) from the existing div/vorticity
-        // diagnostics, then the divergence/curl of that Laplacian.
-        let nv = mesh.n_vertices();
-        let mut lap = vec![0.0; ne];
-        ops::lap_u(mesh, &diag.divergence, &diag.vorticity, &mut lap, 0..ne);
-        let mut div_lap = vec![0.0; nc];
-        ops::divergence(mesh, &lap, &mut div_lap, 0..nc);
-        let mut vort_lap = vec![0.0; nv];
-        ops::vorticity(mesh, &lap, &mut vort_lap, 0..nv);
-        ops::tend_u_del4(
-            mesh,
-            config.del4_viscosity,
-            &div_lap,
-            &vort_lap,
-            &mut tend.tend_u,
-            0..ne,
-        );
-    }
-}
-
-/// `compute_tend_tracers`: flux-form advection tendency (pattern T1) for
-/// every tracer-mass field, from the same-stage `(h, u)` and its `h_edge`.
-pub fn compute_tend_tracers(
-    mesh: &Mesh,
-    h: &[f64],
-    u: &[f64],
-    diag: &Diagnostics,
-    tracers: &[Vec<f64>],
-    tend: &mut Tendencies,
-) {
-    let nc = mesh.n_cells();
-    for (hq, out) in tracers.iter().zip(tend.tend_tracers.iter_mut()) {
-        ops::tend_tracer(mesh, u, &diag.h_edge, h, hq, out, 0..nc);
-    }
-}
-
-/// [`compute_solve_diagnostics`] on the configured backend: the scalar
-/// seed path or the simd tier at one layer (DESIGN.md §14). Fills every
-/// field, as a final substep does.
 #[allow(clippy::too_many_arguments)]
 pub fn compute_solve_diagnostics_backend(
     backend: KernelBackend,
@@ -218,300 +42,80 @@ pub fn compute_solve_diagnostics_backend(
     dt: f64,
     diag: &mut Diagnostics,
 ) {
-    compute_substep_diagnostics(
-        backend,
+    let config = ModelConfig {
+        kernel_backend: backend,
+        ..*config
+    };
+    let p = Inputs {
         mesh,
-        config,
+        config: &config,
         kc,
-        h,
-        u,
-        f_vertex,
+        k: 1,
         dt,
-        RkPhase::Final,
-        diag,
-    );
-}
-
-/// The diagnostics one RK substep of `phase` computes: every field except
-/// that an intermediate substep leaves `vorticity_cell` as it was
-/// ([`runs_vorticity_cell`]). Each field it does write carries the bits of
-/// [`compute_solve_diagnostics_backend`].
-#[allow(clippy::too_many_arguments)]
-pub fn compute_substep_diagnostics(
-    backend: KernelBackend,
-    mesh: &Mesh,
-    config: &ModelConfig,
-    kc: &KernelCoeffs,
-    h: &[f64],
-    u: &[f64],
-    f_vertex: &[f64],
-    dt: f64,
-    phase: RkPhase,
-    diag: &mut Diagnostics,
-) {
-    match backend {
-        KernelBackend::Scalar => seed_diagnostics(mesh, config, h, u, f_vertex, dt, phase, diag),
-        KernelBackend::Simd => {
-            let (nc, ne, nv) = (mesh.n_cells(), mesh.n_edges(), mesh.n_vertices());
-            if config.high_order_h_edge {
-                simd::d2fdx2(
-                    mesh,
-                    kc,
-                    1,
-                    h,
-                    &mut diag.d2fdx2_cell1,
-                    &mut diag.d2fdx2_cell2,
-                    0..ne,
-                );
-            }
-            simd::h_edge(
-                mesh,
-                kc,
-                config,
-                1,
-                h,
-                &diag.d2fdx2_cell1,
-                &diag.d2fdx2_cell2,
-                &mut diag.h_edge,
-                0..ne,
-            );
-            if config.advection_only {
-                return;
-            }
-            // The fused sweeps (C2+E, A2+B2, H1+G) store exactly the bits
-            // of the standalone kernels while sharing their gathers.
-            simd::vorticity_pv(
-                mesh,
-                kc,
-                1,
-                u,
-                h,
-                f_vertex,
-                &mut diag.vorticity,
-                &mut diag.pv_vertex,
-                0..nv,
-            );
-            simd::ke_divergence(mesh, kc, 1, u, &mut diag.ke, &mut diag.divergence, 0..nc);
-            if runs_vorticity_cell(phase) {
-                simd::kite_average(
-                    mesh,
-                    kc,
-                    1,
-                    &diag.vorticity,
-                    &mut diag.vorticity_cell,
-                    0..nc,
-                );
-            }
-            simd::kite_average(mesh, kc, 1, &diag.pv_vertex, &mut diag.pv_cell, 0..nc);
-            simd::tangential_pv_edge(
-                mesh,
-                kc,
-                1,
-                config.apvm_factor,
-                dt,
-                &diag.pv_vertex,
-                &diag.pv_cell,
-                u,
-                &mut diag.v,
-                &mut diag.pv_edge,
-                0..ne,
-            );
-        }
-    }
-}
-
-/// [`compute_tend`] on the configured backend.
-#[allow(clippy::too_many_arguments)]
-pub fn compute_tend_backend(
-    backend: KernelBackend,
-    mesh: &Mesh,
-    config: &ModelConfig,
-    kc: &KernelCoeffs,
-    h: &[f64],
-    u: &[f64],
-    b: &[f64],
-    diag: &Diagnostics,
-    tend: &mut Tendencies,
-) {
-    match backend {
-        KernelBackend::Scalar => compute_tend(mesh, config, h, u, b, diag, tend),
-        KernelBackend::Simd => {
-            let (nc, ne) = (mesh.n_cells(), mesh.n_edges());
-            simd::tend_h(mesh, kc, 1, u, &diag.h_edge, &mut tend.tend_h, 0..nc);
-            if config.advection_only {
-                tend.tend_u.fill(0.0);
-                return;
-            }
-            simd::tend_u(
-                mesh,
-                kc,
-                1,
-                config.gravity,
-                &diag.pv_edge,
-                u,
-                &diag.h_edge,
-                &diag.ke,
-                h,
-                b,
-                &mut tend.tend_u,
-                0..ne,
-            );
-            if config.del2_viscosity != 0.0 {
-                simd::tend_u_del2(
-                    mesh,
-                    kc,
-                    1,
-                    config.del2_viscosity,
-                    &diag.divergence,
-                    &diag.vorticity,
-                    &mut tend.tend_u,
-                    0..ne,
-                );
-            }
-            if config.del4_viscosity != 0.0 {
-                let nv = mesh.n_vertices();
-                let mut lap = vec![0.0; ne];
-                simd::lap_u(
-                    mesh,
-                    kc,
-                    1,
-                    &diag.divergence,
-                    &diag.vorticity,
-                    &mut lap,
-                    0..ne,
-                );
-                let mut div_lap = vec![0.0; nc];
-                simd::divergence(mesh, kc, 1, &lap, &mut div_lap, 0..nc);
-                let mut vort_lap = vec![0.0; nv];
-                simd::vorticity(mesh, kc, 1, &lap, &mut vort_lap, 0..nv);
-                simd::tend_u_del4(
-                    mesh,
-                    kc,
-                    1,
-                    config.del4_viscosity,
-                    &div_lap,
-                    &vort_lap,
-                    &mut tend.tend_u,
-                    0..ne,
-                );
-            }
-        }
-    }
-}
-
-/// [`compute_tend_tracers`] on the configured backend.
-#[allow(clippy::too_many_arguments)]
-pub fn compute_tend_tracers_backend(
-    backend: KernelBackend,
-    mesh: &Mesh,
-    kc: &KernelCoeffs,
-    h: &[f64],
-    u: &[f64],
-    diag: &Diagnostics,
-    tracers: &[Vec<f64>],
-    tend: &mut Tendencies,
-) {
-    match backend {
-        KernelBackend::Scalar => compute_tend_tracers(mesh, h, u, diag, tracers, tend),
-        KernelBackend::Simd => {
-            let nc = mesh.n_cells();
-            for (hq, out) in tracers.iter().zip(tend.tend_tracers.iter_mut()) {
-                simd::tend_tracer(mesh, kc, 1, u, &diag.h_edge, h, hq, out, 0..nc);
-            }
-        }
-    }
-}
-
-/// `apply_forcing`: add a fixed forcing tendency to the stage tendencies
-/// (`tend += 1.0·f`, pattern F1). Element-wise with an exact weight, so any
-/// chunking of the output range reproduces the same bits.
-pub fn apply_forcing(mesh: &Mesh, forcing: &Tendencies, tend: &mut Tendencies) {
-    ops::accumulate(&forcing.tend_h, 1.0, &mut tend.tend_h, 0..mesh.n_cells());
-    ops::accumulate(&forcing.tend_u, 1.0, &mut tend.tend_u, 0..mesh.n_edges());
-}
-
-/// `enforce_boundary_edge`: zero the velocity tendency on boundary edges
-/// (a no-op on the full sphere, kept for kernel-set fidelity).
-pub fn enforce_boundary_edge(mesh: &Mesh, tend: &mut Tendencies) {
-    ops::enforce_boundary(mesh, &mut tend.tend_u, 0..mesh.n_edges());
-}
-
-/// `compute_next_substep_state` and `accumulative_update` of an
-/// intermediate substep in one pass over the tendencies (X2+X4, X3+X5):
-/// `provis = base + coef·tend` and `acc += weight·tend`. Each output keeps
-/// its standalone expression, so the fusion halves the tendency reads and
-/// keeps the bits.
-#[allow(clippy::too_many_arguments)]
-pub fn advance_substep(
-    mesh: &Mesh,
-    base: &State,
-    tend: &Tendencies,
-    coef: f64,
-    weight: f64,
-    provis: &mut State,
-    acc: &mut State,
-) {
-    let (nc, ne) = (mesh.n_cells(), mesh.n_edges());
-    let (b, t) = (&base.h, &tend.tend_h);
-    simd::axpy_accumulate(1, b, t, coef, weight, &mut provis.h, &mut acc.h, 0..nc);
-    let (b, t) = (&base.u, &tend.tend_u);
-    simd::axpy_accumulate(1, b, t, coef, weight, &mut provis.u, &mut acc.u, 0..ne);
-    for (((b, t), p), a) in base
-        .tracers
-        .iter()
-        .zip(&tend.tend_tracers)
-        .zip(provis.tracers.iter_mut())
-        .zip(acc.tracers.iter_mut())
-    {
-        simd::axpy_accumulate(1, b, t, coef, weight, p, a, 0..nc);
-    }
-}
-
-/// `accumulative_update`: `acc += weight * tend` (the RK quadrature).
-pub fn accumulative_update(mesh: &Mesh, tend: &Tendencies, weight: f64, acc: &mut State) {
-    ops::accumulate(&tend.tend_h, weight, &mut acc.h, 0..mesh.n_cells());
-    ops::accumulate(&tend.tend_u, weight, &mut acc.u, 0..mesh.n_edges());
-    let nc = mesh.n_cells();
-    for (t, a) in tend.tend_tracers.iter().zip(acc.tracers.iter_mut()) {
-        ops::accumulate(t, weight, a, 0..nc);
-    }
-}
-
-/// `mpas_reconstruct`: cell-center velocity vectors (A4) and their
-/// zonal/meridional decomposition (X6), from the tables in `kc`.
-pub fn mpas_reconstruct(mesh: &Mesh, kc: &KernelCoeffs, u: &[f64], recon: &mut Reconstruction) {
-    let nc = mesh.n_cells();
-    ops::reconstruct_xyz(
-        mesh,
-        kc,
-        u,
-        &mut recon.ux,
-        &mut recon.uy,
-        &mut recon.uz,
-        0..nc,
-    );
-    ops::zonal_meridional(
-        kc,
-        &recon.ux,
-        &recon.uy,
-        &recon.uz,
-        &mut recon.zonal,
-        &mut recon.meridional,
-        0..nc,
-    );
+        f_vertex,
+        b: &[],
+        forcing: None,
+    };
+    stage::diagnostics(&mut Exec::serial(), &p, h, u, RkPhase::Final, diag);
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::state::{State, Tendencies};
 
     fn setup() -> (Mesh, ModelConfig, Vec<f64>) {
         let mesh = mpas_mesh::generate(3, 0);
-        let config = ModelConfig::default();
+        let config = ModelConfig {
+            kernel_backend: KernelBackend::Scalar,
+            ..ModelConfig::default()
+        };
         let f_vertex: Vec<f64> = (0..mesh.n_vertices())
             .map(|v| 2.0 * mpas_geom::OMEGA * mesh.x_vertex[v].z)
             .collect();
         (mesh, config, f_vertex)
+    }
+
+    /// The seed diagnostics and tendencies of `(h, u)` over topography `b`.
+    fn seed_tend(
+        mesh: &Mesh,
+        config: &ModelConfig,
+        h: &[f64],
+        u: &[f64],
+        b: &[f64],
+        f: &[f64],
+    ) -> Tendencies {
+        let kc = KernelCoeffs::build(mesh, config);
+        let mut diag = Diagnostics::zeros(mesh);
+        compute_solve_diagnostics_backend(
+            config.kernel_backend,
+            mesh,
+            config,
+            &kc,
+            h,
+            u,
+            f,
+            100.0,
+            &mut diag,
+        );
+        let p = Inputs {
+            mesh,
+            config,
+            kc: &kc,
+            k: 1,
+            dt: 100.0,
+            f_vertex: f,
+            b,
+            forcing: None,
+        };
+        let s = State {
+            h: h.to_vec(),
+            u: u.to_vec(),
+            tracers: Vec::new(),
+        };
+        let mut tend = Tendencies::zeros(mesh);
+        stage::tendencies(&mut Exec::serial(), &p, &s, &diag, &mut tend);
+        tend
     }
 
     #[test]
@@ -525,10 +129,7 @@ mod tests {
             .map(|e| (e as f64 * 0.1).cos())
             .collect();
         let b = vec![0.0; mesh.n_cells()];
-        let mut diag = Diagnostics::zeros(&mesh);
-        compute_solve_diagnostics(&mesh, &config, &h, &u, &f_vertex, 100.0, &mut diag);
-        let mut tend = Tendencies::zeros(&mesh);
-        compute_tend(&mesh, &config, &h, &u, &b, &diag, &mut tend);
+        let tend = seed_tend(&mesh, &config, &h, &u, &b, &f_vertex);
         let total: f64 = (0..mesh.n_cells())
             .map(|i| tend.tend_h[i] * mesh.area_cell[i])
             .sum();
@@ -579,10 +180,7 @@ mod tests {
         let h = vec![1000.0; mesh.n_cells()];
         let u = vec![0.0; mesh.n_edges()];
         let b = vec![0.0; mesh.n_cells()];
-        let mut diag = Diagnostics::zeros(&mesh);
-        compute_solve_diagnostics(&mesh, &config, &h, &u, &f_vertex, 100.0, &mut diag);
-        let mut tend = Tendencies::zeros(&mesh);
-        compute_tend(&mesh, &config, &h, &u, &b, &diag, &mut tend);
+        let tend = seed_tend(&mesh, &config, &h, &u, &b, &f_vertex);
         let wh = tend.tend_h.iter().fold(0.0f64, |a, &b| a.max(b.abs()));
         let wu = tend.tend_u.iter().fold(0.0f64, |a, &b| a.max(b.abs()));
         assert!(wh == 0.0, "tend_h {wh}");
@@ -598,29 +196,32 @@ mod tests {
             .collect();
         let h: Vec<f64> = b.iter().map(|&bi| 1000.0 - bi).collect();
         let u = vec![0.0; mesh.n_edges()];
-        let mut diag = Diagnostics::zeros(&mesh);
-        compute_solve_diagnostics(&mesh, &config, &h, &u, &f_vertex, 100.0, &mut diag);
-        let mut tend = Tendencies::zeros(&mesh);
-        compute_tend(&mesh, &config, &h, &u, &b, &diag, &mut tend);
+        let tend = seed_tend(&mesh, &config, &h, &u, &b, &f_vertex);
         let wu = tend.tend_u.iter().fold(0.0f64, |a, &b| a.max(b.abs()));
         assert!(wu < 1e-9, "tend_u {wu}");
     }
 
     #[test]
     fn high_order_h_edge_close_to_midpoint_average_on_smooth_field() {
-        let (mesh, _c, _f) = setup();
-        let mut config = ModelConfig::default();
+        let (mesh, mut config, _f) = setup();
         let h: Vec<f64> = (0..mesh.n_cells())
             .map(|i| 5000.0 + 100.0 * mesh.x_cell[i].z)
             .collect();
         let u = vec![0.0; mesh.n_edges()];
         let f_vertex = vec![0.0; mesh.n_vertices()];
-        let mut d2 = Diagnostics::zeros(&mesh);
+        let diagnose = |config: &ModelConfig| {
+            let kc = KernelCoeffs::build(&mesh, config);
+            let mut d = Diagnostics::zeros(&mesh);
+            let b = config.kernel_backend;
+            compute_solve_diagnostics_backend(
+                b, &mesh, config, &kc, &h, &u, &f_vertex, 1.0, &mut d,
+            );
+            d
+        };
         config.high_order_h_edge = true;
-        compute_solve_diagnostics(&mesh, &config, &h, &u, &f_vertex, 1.0, &mut d2);
-        let mut d1 = Diagnostics::zeros(&mesh);
+        let d2 = diagnose(&config);
         config.high_order_h_edge = false;
-        compute_solve_diagnostics(&mesh, &config, &h, &u, &f_vertex, 1.0, &mut d1);
+        let d1 = diagnose(&config);
         for e in 0..mesh.n_edges() {
             let rel = (d2.h_edge[e] - d1.h_edge[e]).abs() / d1.h_edge[e];
             assert!(rel < 1e-3, "edge {e} rel {rel}");
@@ -636,7 +237,7 @@ mod tests {
         mesh.boundary_edge[17] = true;
         let mut tend = Tendencies::zeros(&mesh);
         tend.tend_u.fill(1.0);
-        enforce_boundary_edge(&mesh, &mut tend);
+        simd::enforce_boundary(&mesh, 1, &mut tend.tend_u, 0..mesh.n_edges());
         assert_eq!(tend.tend_u[3], 0.0);
         assert_eq!(tend.tend_u[17], 0.0);
         assert_eq!(tend.tend_u[4], 1.0);

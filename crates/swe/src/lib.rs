@@ -29,10 +29,13 @@
 //! * [`initial`] — [`InitialFields`], the one sampler of the fields a run
 //!   starts from (state, topography, Coriolis, `dt`, case-4 forcing),
 //!   shared read-only by every engine.
-//! * [`rk4`] — the RK-4 driver (Algorithm 1).
-//! * [`layers`] — the k-layer SoA state generalization and the serial
-//!   SIMD driver with cache-blocked sweeps (DESIGN.md §14).
-//! * [`model`] — a convenient single-address-space model facade.
+//! * [`stage`] — Algorithm 1 written once: the RK-4 step as Table-I
+//!   sweeps in Fig. 4 data-flow order, run by an executor that supplies
+//!   only how one sweep runs (serial cache-blocked, or pool-chunked with
+//!   the accelerator split).
+//! * [`layers`] — the k-lane layout of multi-layer runs (DESIGN.md §14).
+//! * [`model`] — [`ShallowWaterModel`], the one model: one state of `k`
+//!   lanes, the stage program and the executor it owns.
 //! * [`testcases`] — Williamson et al. (1992) test cases 1–6 plus the
 //!   Galewsky et al. (2004) barotropic-instability case and passive
 //!   tracer initial fields.
@@ -48,8 +51,10 @@ pub mod kernels;
 pub mod layers;
 pub mod model;
 pub mod norms;
+mod parallel;
+mod pool;
 mod reconstruct;
-pub mod rk4;
+pub mod stage;
 pub mod state;
 pub mod testcases;
 pub mod timeseries;
@@ -59,10 +64,10 @@ pub use checkpoint::{load_state, save_state};
 pub use coeffs::KernelCoeffs;
 pub use config::{KernelBackend, ModelConfig};
 pub use initial::InitialFields;
-pub use layers::{layer_h_scale, LayeredModel, LayeredState};
+pub use layers::layer_h_scale;
 pub use model::ShallowWaterModel;
 pub use norms::ErrorNorms;
-pub use rk4::Rk4Workspace;
+pub use stage::Exec;
 pub use state::{Diagnostics, Reconstruction, State, Tendencies};
 pub use testcases::TestCase;
 pub use timeseries::{run_with_history, History};

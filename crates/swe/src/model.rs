@@ -1,129 +1,213 @@
-//! Single-address-space model facade: the reference ("original CPU code")
-//! implementation the paper's hybrid versions are compared against.
+//! The shallow-water model: one state, one stage program, one executor.
+//!
+//! [`ShallowWaterModel`] is the only model. It owns a [`State`],
+//! [`Diagnostics`] and tendency workspace of `k = config.n_layers` lanes
+//! per entity ([`crate::layers`]; `k = 1` is the plain layout), the
+//! executor its sweeps run on ([`Exec`]: serial, threaded or hybrid), and
+//! advances through `stage::step`, Algorithm 1 written once. A
+//! distributed rank runs the same model on its local mesh
+//! ([`ShallowWaterModel::owning`], [`ShallowWaterModel::step_with`]).
 
 use crate::coeffs::KernelCoeffs;
-use crate::config::ModelConfig;
+use crate::config::{KernelBackend, ModelConfig};
 use crate::initial::{compute_equilibrium_forcing, InitialFields};
-use crate::kernels;
+use crate::layers::take_lane;
 use crate::norms::ErrorNorms;
-use crate::rk4::{rk4_step, Rk4Workspace};
+use crate::stage::{self, Exec, Inputs, Workspace};
 use crate::state::{Diagnostics, Reconstruction, State};
 use crate::testcases::TestCase;
 use mpas_mesh::Mesh;
+use mpas_patterns::dataflow::RkPhase;
 use mpas_telemetry::Recorder;
 use std::sync::Arc;
 
-/// A complete shallow-water simulation on one mesh.
+/// A shallow-water simulation on one mesh.
 pub struct ShallowWaterModel {
     /// The mesh being integrated.
     pub mesh: Arc<Mesh>,
-    /// Numerical options.
+    /// Numerical options (`config.n_layers` is this model's `k`).
     pub config: ModelConfig,
     /// The fields this run started from: the scenario, the topography,
     /// the Coriolis field and the fixed forcing of forced cases
-    /// (Williamson 4) are read from here, never copied. Shared so a
-    /// multi-tenant server samples them once per key.
+    /// (Williamson 4) are read from here, never copied, and broadcast
+    /// across the lanes. Shared so a multi-tenant server samples them once
+    /// per key.
     pub init: Arc<InitialFields>,
-    /// Prognostic state.
+    /// Prognostic state, `k` lanes per entity.
     pub state: State,
-    /// Current diagnostics (consistent with `state`).
+    /// Current diagnostics (consistent with `state`), `k` lanes per entity.
     pub diag: Diagnostics,
-    /// Reconstructed cell-center velocities.
-    pub recon: Reconstruction,
+    /// Reconstructed cell-center velocities of a single-layer run; `None`
+    /// at `k > 1`, where A4/X6 (one layer's output product) do not run.
+    pub recon: Option<Reconstruction>,
     /// Precomputed kernel coefficients: the simd backend's tables and the
     /// velocity-reconstruction tables every backend reads. Shared so
     /// multi-tenant servers can reuse one table across concurrent models
     /// on the same mesh/config.
     pub kernel_coeffs: Arc<KernelCoeffs>,
-    ws: Rk4Workspace,
     /// Model time in seconds.
     pub time: f64,
     /// Time-step size in seconds.
     pub dt: f64,
-    /// Telemetry sink (`swe.model.*` spans and timers); no-op by default.
+    ws: Workspace,
+    exec: Exec,
+    /// Cells and edges the RK update writes: all of them, or a rank's
+    /// owned prefix.
+    owned: [usize; 2],
+    /// Layer 0 as a single-layer state (`k > 1` only; refreshed after
+    /// every step).
+    layer0: Option<State>,
+    /// Telemetry sink (`swe.step_seconds`, the executor's sweep timers);
+    /// no-op by default.
     recorder: Recorder,
 }
 
 impl ShallowWaterModel {
-    /// Initialize a model from a test case. `dt = None` picks the
+    /// Initialize a serial model from a test case. `dt = None` picks the
     /// mesh-dependent stable default.
     pub fn new(mesh: Arc<Mesh>, config: ModelConfig, test_case: TestCase, dt: Option<f64>) -> Self {
-        let kc = Arc::new(KernelCoeffs::build(&mesh, &config));
-        let init = Arc::new(InitialFields::sample(&mesh, &config, test_case, &kc, dt));
-        Self::from_initial(mesh, config, init, kc)
+        Self::new_on(mesh, config, test_case, dt, Exec::serial())
     }
 
-    /// Start from already-sampled fields and an already-built coefficient
-    /// table, both for this exact mesh and config. Only the state is
-    /// copied out; everything else is read through the shared `Arc`s.
+    /// [`ShallowWaterModel::new`] on the executor `exec`.
+    pub fn new_on(
+        mesh: Arc<Mesh>,
+        config: ModelConfig,
+        test_case: TestCase,
+        dt: Option<f64>,
+        exec: Exec,
+    ) -> Self {
+        let kc = Arc::new(KernelCoeffs::build(&mesh, &config));
+        let init = Arc::new(InitialFields::sample(&mesh, &config, test_case, &kc, dt));
+        Self::from_initial_on(mesh, config, init, kc, exec)
+    }
+
+    /// A serial model started from already-sampled fields and an
+    /// already-built coefficient table, both for this exact mesh and
+    /// config ([`ShallowWaterModel::from_initial_on`]).
     pub fn from_initial(
         mesh: Arc<Mesh>,
         config: ModelConfig,
         init: Arc<InitialFields>,
         kernel_coeffs: Arc<KernelCoeffs>,
     ) -> Self {
-        init.check_fits(&mesh, &config);
-        let state = init.state.clone();
-        let dt = init.dt;
-        let mut diag = Diagnostics::zeros(&mesh);
-        kernels::compute_solve_diagnostics_backend(
-            config.kernel_backend,
-            &mesh,
-            &config,
-            &kernel_coeffs,
-            &state.h,
-            &state.u,
-            &init.f_vertex,
-            dt,
-            &mut diag,
-        );
-        let mut recon = Reconstruction::zeros(&mesh);
-        kernels::mpas_reconstruct(&mesh, &kernel_coeffs, &state.u, &mut recon);
-        ShallowWaterModel {
-            ws: Rk4Workspace::new(&mesh),
-            init,
-            state,
-            diag,
-            recon,
-            kernel_coeffs,
-            config,
-            time: 0.0,
-            dt,
-            mesh,
-            recorder: Recorder::noop(),
-        }
+        Self::from_initial_on(mesh, config, init, kernel_coeffs, Exec::serial())
     }
 
-    /// Route this model's `swe.model.*` telemetry into `rec`.
-    pub fn with_recorder(mut self, rec: Recorder) -> Self {
-        self.recorder = rec;
+    /// Start from already-sampled fields and an already-built coefficient
+    /// table, both for this exact mesh and config, on the executor `exec`.
+    /// Only the state is copied out (broadcast across the lanes);
+    /// everything else is read through the shared `Arc`s.
+    ///
+    /// This is the one place a configuration is checked against what runs
+    /// it: panics unless `n_layers >= 1`, and unless a run of more than one
+    /// layer has the simd backend and the serial executor.
+    pub fn from_initial_on(
+        mesh: Arc<Mesh>,
+        config: ModelConfig,
+        init: Arc<InitialFields>,
+        kernel_coeffs: Arc<KernelCoeffs>,
+        mut exec: Exec,
+    ) -> Self {
+        let k = config.n_layers;
+        assert!(k >= 1, "n_layers must be at least 1");
+        assert!(
+            k == 1 || config.kernel_backend == KernelBackend::Simd,
+            "n_layers > 1 requires the simd kernel backend"
+        );
+        exec.fit_lanes(k);
+        init.check_fits(&mesh, &config);
+        let state = init.state.broadcast(k);
+        let diag = Diagnostics::zeros_lanes(&mesh, k);
+        let recon = (k == 1).then(|| Reconstruction::zeros(&mesh));
+        let mut m = ShallowWaterModel {
+            ws: Workspace::zeros(&mesh, k, config.n_tracers),
+            diag,
+            recon,
+            layer0: None,
+            state,
+            dt: init.dt,
+            init,
+            kernel_coeffs,
+            exec,
+            owned: [mesh.n_cells(), mesh.n_edges()],
+            config,
+            time: 0.0,
+            mesh,
+            recorder: Recorder::noop(),
+        };
+        m.refresh_diagnostics();
+        m
+    }
+
+    /// Restrict the RK update to the first `cells` cells and `edges` edges:
+    /// a rank's owned prefix of its local mesh. The rest of the state is
+    /// the halo, which [`ShallowWaterModel::step_with`]'s hook fills.
+    pub fn owning(mut self, cells: usize, edges: usize) -> Self {
+        assert!(cells <= self.mesh.n_cells() && edges <= self.mesh.n_edges());
+        self.owned = [cells, edges];
         self
     }
 
-    /// Route this model's `swe.model.*` telemetry into `rec`.
+    /// Route this model's telemetry into `rec`: the `swe.step_seconds`
+    /// step timer, plus the sweep timers of the pool executor and of the
+    /// serial executor at `k > 1` (DESIGN.md §8).
+    pub fn with_recorder(mut self, rec: Recorder) -> Self {
+        self.set_recorder(rec);
+        self
+    }
+
+    /// Route this model's telemetry into `rec`.
     pub fn set_recorder(&mut self, rec: Recorder) {
+        self.exec.set_recorder(rec.clone());
         self.recorder = rec;
+    }
+
+    /// Number of vertical layers.
+    pub fn n_layers(&self) -> usize {
+        self.config.n_layers
+    }
+
+    /// Override the serial executor's cache-tile length (entities per
+    /// block). Any positive value produces bitwise-identical results; this
+    /// only moves the L2 working-set boundary.
+    pub fn set_cell_block(&mut self, block: usize) {
+        self.exec.set_cell_block(block);
     }
 
     /// Advance one RK-4 step.
     pub fn step(&mut self) {
-        let _t = self
-            .recorder
-            .span_timed("measured", "swe.step", "swe.model.step_seconds");
-        rk4_step(
-            &self.mesh,
-            &self.config,
-            &self.kernel_coeffs,
-            &self.init.f_vertex,
-            &self.init.b,
-            self.init.forcing.as_ref(),
-            self.dt,
-            &mut self.state,
-            &mut self.diag,
-            &mut self.recon,
-            &mut self.ws,
-        );
+        self.step_with(|_| {});
+    }
+
+    /// Advance one RK-4 step, calling `at_substep_end` on the state the
+    /// next diagnostics read, once a substep, after the RK update (a
+    /// distributed rank exchanges its halo there).
+    pub fn step_with(&mut self, at_substep_end: impl FnMut(&mut State)) {
+        {
+            let _t = self
+                .recorder
+                .span_timed("measured", "swe.step", "swe.step_seconds");
+            let p = Inputs::new(
+                &self.mesh,
+                &self.config,
+                &self.kernel_coeffs,
+                &self.init,
+                self.dt,
+            );
+            stage::step(
+                &mut self.exec,
+                &p,
+                self.owned,
+                &mut self.state,
+                &mut self.diag,
+                self.recon.as_mut(),
+                &mut self.ws,
+                at_substep_end,
+            );
+        }
         self.time += self.dt;
+        self.refresh_layer0();
     }
 
     /// Advance `n` steps.
@@ -160,20 +244,47 @@ impl ShallowWaterModel {
         }
     }
 
-    /// Recompute the diagnostics from the current prognostic state (needed
-    /// after externally mutating `state` or `dt`).
+    /// Recompute the diagnostics (every field, A3 included) and the
+    /// reconstruction from the current prognostic state (needed after
+    /// externally mutating `state` or `dt`).
     pub fn refresh_diagnostics(&mut self) {
-        kernels::compute_solve_diagnostics_backend(
-            self.config.kernel_backend,
+        let p = Inputs::new(
             &self.mesh,
             &self.config,
             &self.kernel_coeffs,
-            &self.state.h,
-            &self.state.u,
-            &self.init.f_vertex,
+            &self.init,
             self.dt,
-            &mut self.diag,
         );
+        let (h, u) = (&self.state.h, &self.state.u);
+        stage::diagnostics(&mut self.exec, &p, h, u, RkPhase::Final, &mut self.diag);
+        if let Some(recon) = &mut self.recon {
+            stage::reconstruct(&mut self.exec, &p, u, recon);
+        }
+        self.refresh_layer0();
+    }
+
+    fn refresh_layer0(&mut self) {
+        let k = self.config.n_layers;
+        if k == 1 {
+            return;
+        }
+        let s = &self.state;
+        let layer0 = self.layer0.get_or_insert_with(|| s.lane(k, 0));
+        take_lane(&s.h, k, 0, &mut layer0.h);
+        take_lane(&s.u, k, 0, &mut layer0.u);
+        for (dst, src) in layer0.tracers.iter_mut().zip(&s.tracers) {
+            take_lane(src, k, 0, dst);
+        }
+    }
+
+    /// Layer 0 as a single-layer state: the state itself at `k = 1`.
+    pub fn layer0(&self) -> &State {
+        self.layer0.as_ref().unwrap_or(&self.state)
+    }
+
+    /// Any layer as a single-layer state (a copy).
+    pub fn extract_layer(&self, l: usize) -> State {
+        self.state.lane(self.config.n_layers, l)
     }
 
     /// One CFL-monitored adaptive step: measure the Courant number of the
@@ -201,73 +312,79 @@ impl ShallowWaterModel {
         (days * mpas_geom::SECONDS_PER_DAY / self.dt).ceil() as usize
     }
 
-    /// Total fluid mass `∫ h dA` (exactly conserved by the scheme).
+    /// Total fluid mass `∫ h dA` of layer `l`.
+    pub fn total_mass_layer(&self, l: usize) -> f64 {
+        let k = self.config.n_layers;
+        let h = self.state.h.iter().skip(l).step_by(k);
+        h.zip(&self.mesh.area_cell).map(|(h, a)| h * a).sum()
+    }
+
+    /// Total fluid mass `∫ h dA` of layer 0 (exactly conserved by the
+    /// scheme).
     pub fn total_mass(&self) -> f64 {
-        (0..self.mesh.n_cells())
-            .map(|i| self.state.h[i] * self.mesh.area_cell[i])
-            .sum()
+        self.total_mass_layer(0)
     }
 
-    /// Total mass of tracer `k`: `∫ h·q dA` (conserved to rounding by the
-    /// flux-form T1 kernel).
-    pub fn total_tracer(&self, k: usize) -> f64 {
-        (0..self.mesh.n_cells())
-            .map(|i| self.state.tracers[k][i] * self.mesh.area_cell[i])
-            .sum()
+    /// Total mass of tracer `t` in layer 0: `∫ h·q dA` (conserved to
+    /// rounding by the flux-form T1 kernel).
+    pub fn total_tracer(&self, t: usize) -> f64 {
+        let hq = self.state.tracers[t].iter().step_by(self.config.n_layers);
+        hq.zip(&self.mesh.area_cell).map(|(q, a)| q * a).sum()
     }
 
-    /// Total energy `∫ [h·K + ½ g ((h+b)² − b²)] dA`.
+    /// Total energy of layer 0, `∫ [h·K + ½ g ((h+b)² − b²)] dA`.
     pub fn total_energy(&self) -> f64 {
-        let g = self.config.gravity;
+        let (g, k) = (self.config.gravity, self.config.n_layers);
         (0..self.mesh.n_cells())
             .map(|i| {
-                let h = self.state.h[i];
+                let h = self.state.h[i * k];
                 let b = self.init.b[i];
-                (h * self.diag.ke[i] + 0.5 * g * ((h + b).powi(2) - b * b)) * self.mesh.area_cell[i]
+                (h * self.diag.ke[i * k] + 0.5 * g * ((h + b).powi(2) - b * b))
+                    * self.mesh.area_cell[i]
             })
             .sum()
     }
 
-    /// Potential enstrophy `∫ ½ h_v q_v² dA_v`.
+    /// Potential enstrophy of layer 0, `∫ ½ h_v q_v² dA_v`.
     pub fn potential_enstrophy(&self) -> f64 {
-        let mesh = &self.mesh;
+        let (mesh, k) = (&self.mesh, self.config.n_layers);
         (0..mesh.n_vertices())
             .map(|v| {
                 let mut hv = 0.0;
-                for k in 0..3 {
-                    hv += mesh.kite_areas_on_vertex[v][k]
-                        * self.state.h[mesh.cells_on_vertex[v][k] as usize];
+                for c in 0..3 {
+                    hv += mesh.kite_areas_on_vertex[v][c]
+                        * self.state.h[mesh.cells_on_vertex[v][c] as usize * k];
                 }
                 hv /= mesh.area_triangle[v];
-                0.5 * hv * self.diag.pv_vertex[v].powi(2) * mesh.area_triangle[v]
+                0.5 * hv * self.diag.pv_vertex[v * k].powi(2) * mesh.area_triangle[v]
             })
             .sum()
     }
 
-    /// Thickness error norms against the test case's reference at the
-    /// current model time: the initial field the run started from, or
+    /// Layer-0 thickness error norms against the test case's reference at
+    /// the current model time: the initial field the run started from, or
     /// Case 1's rigidly advected bell ([`InitialFields::h_error_norms`]).
     pub fn h_error_norms(&self) -> ErrorNorms {
         self.init
-            .h_error_norms(&self.mesh, &self.state.h, self.time)
+            .h_error_norms(&self.mesh, &self.layer0().h, self.time)
     }
 
-    /// Maximum Courant number over edges, using the external gravity-wave
-    /// speed `|u| + sqrt(g h_edge)` — the stability monitor for the
-    /// explicit RK-4 stepping.
+    /// Layer-0 maximum Courant number over edges, using the external
+    /// gravity-wave speed `|u| + sqrt(g h_edge)` — the stability monitor
+    /// for the explicit RK-4 stepping.
     pub fn max_courant(&self) -> f64 {
-        let g = self.config.gravity;
-        (0..self.mesh.n_edges())
-            .map(|e| {
-                let c = self.state.u[e].abs() + (g * self.diag.h_edge[e].max(0.0)).sqrt();
-                c * self.dt / self.mesh.dc_edge[e]
-            })
+        let (g, k) = (self.config.gravity, self.config.n_layers);
+        let u = self.state.u.iter().step_by(k);
+        let h_edge = self.diag.h_edge.iter().step_by(k);
+        u.zip(h_edge)
+            .zip(&self.mesh.dc_edge)
+            .map(|((u, he), dc)| (u.abs() + (g * he.max(0.0)).sqrt()) * self.dt / dc)
             .fold(0.0f64, f64::max)
     }
 
-    /// Total height field `h + b` (what the paper's Fig. 5 plots).
+    /// Layer-0 total height field `h + b` (what the paper's Fig. 5 plots).
     pub fn total_height(&self) -> Vec<f64> {
-        self.state
+        self.layer0()
             .h
             .iter()
             .zip(&self.init.b)
@@ -472,5 +589,39 @@ mod tests {
         let m = small_model(TestCase::Case5);
         let steps = m.steps_for_days(1.0);
         assert!((steps as f64 * m.dt - 86400.0).abs() < m.dt);
+    }
+
+    #[test]
+    #[should_panic(expected = "n_layers must be at least 1")]
+    fn zero_layers_are_rejected() {
+        let mesh = Arc::new(mpas_mesh::generate(1, 0));
+        let config = ModelConfig {
+            n_layers: 0,
+            ..Default::default()
+        };
+        ShallowWaterModel::new(mesh, config, TestCase::Case5, None);
+    }
+
+    #[test]
+    #[should_panic(expected = "n_layers > 1 requires the simd kernel backend")]
+    fn layers_on_the_scalar_backend_are_rejected() {
+        let mesh = Arc::new(mpas_mesh::generate(1, 0));
+        let config = ModelConfig {
+            n_layers: 4,
+            kernel_backend: KernelBackend::Scalar,
+            ..Default::default()
+        };
+        ShallowWaterModel::new(mesh, config, TestCase::Case5, None);
+    }
+
+    #[test]
+    #[should_panic(expected = "n_layers > 1 requires the serial executor")]
+    fn layers_on_the_pool_executor_are_rejected() {
+        let mesh = Arc::new(mpas_mesh::generate(1, 0));
+        let config = ModelConfig {
+            n_layers: 4,
+            ..Default::default()
+        };
+        ShallowWaterModel::new_on(mesh, config, TestCase::Case5, None, Exec::threaded(2));
     }
 }

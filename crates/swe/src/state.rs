@@ -2,7 +2,10 @@
 //! reconstructed cell-center velocities.
 //!
 //! All fields are flat `Vec<f64>` (structure-of-arrays) indexed by the mesh
-//! entity id, the layout the kernels' hot loops expect.
+//! entity id, the layout the kernels' hot loops expect. A model of `k`
+//! vertical layers keeps `k` contiguous lanes per entity in the same
+//! containers (`h[cell * k + lane]`, [`crate::layers`]); `k = 1` is the
+//! plain layout.
 
 use mpas_mesh::Mesh;
 
@@ -22,29 +25,22 @@ pub struct State {
 impl State {
     /// Zero-initialized state sized for a mesh (no tracers).
     pub fn zeros(mesh: &Mesh) -> Self {
-        Self::zeros_with_tracers(mesh, 0)
+        Self::zeros_lanes(mesh, 1, 0)
     }
 
-    /// Zero-initialized state with `n_tracers` tracer-mass fields.
-    pub fn zeros_with_tracers(mesh: &Mesh, n_tracers: usize) -> Self {
+    /// Zero-initialized state of `k` lanes per entity with `n_tracers`
+    /// tracer-mass fields.
+    pub fn zeros_lanes(mesh: &Mesh, k: usize, n_tracers: usize) -> Self {
         State {
-            h: vec![0.0; mesh.n_cells()],
-            u: vec![0.0; mesh.n_edges()],
-            tracers: vec![vec![0.0; mesh.n_cells()]; n_tracers],
+            h: vec![0.0; mesh.n_cells() * k],
+            u: vec![0.0; mesh.n_edges() * k],
+            tracers: vec![vec![0.0; mesh.n_cells() * k]; n_tracers],
         }
     }
 
     /// Number of tracer fields carried.
     pub fn n_tracers(&self) -> usize {
         self.tracers.len()
-    }
-
-    /// Grow/shrink the tracer block to `n` zeroed fields of `n_cells`.
-    pub fn resize_tracers(&mut self, n_cells: usize, n: usize) {
-        self.tracers.resize_with(n, || vec![0.0; n_cells]);
-        for t in &mut self.tracers {
-            t.resize(n_cells, 0.0);
-        }
     }
 
     /// `self = a` (copy without reallocating when shapes already match).
@@ -105,7 +101,16 @@ pub struct Diagnostics {
 impl Diagnostics {
     /// Zero-initialized diagnostics sized for a mesh.
     pub fn zeros(mesh: &Mesh) -> Self {
-        let (nc, ne, nv) = (mesh.n_cells(), mesh.n_edges(), mesh.n_vertices());
+        Self::zeros_lanes(mesh, 1)
+    }
+
+    /// Zero-initialized diagnostics of `k` lanes per entity.
+    pub fn zeros_lanes(mesh: &Mesh, k: usize) -> Self {
+        let (nc, ne, nv) = (
+            mesh.n_cells() * k,
+            mesh.n_edges() * k,
+            mesh.n_vertices() * k,
+        );
         Diagnostics {
             h_edge: vec![0.0; ne],
             ke: vec![0.0; nc],
@@ -136,23 +141,15 @@ pub struct Tendencies {
 impl Tendencies {
     /// Zero-initialized tendencies sized for a mesh (no tracers).
     pub fn zeros(mesh: &Mesh) -> Self {
-        Self::zeros_with_tracers(mesh, 0)
+        Self::zeros_lanes(mesh, 1, 0)
     }
 
-    /// Zero-initialized tendencies with `n_tracers` tracer fields.
-    pub fn zeros_with_tracers(mesh: &Mesh, n_tracers: usize) -> Self {
+    /// Zero-initialized tendencies of `k` lanes per entity.
+    pub fn zeros_lanes(mesh: &Mesh, k: usize, n_tracers: usize) -> Self {
         Tendencies {
-            tend_h: vec![0.0; mesh.n_cells()],
-            tend_u: vec![0.0; mesh.n_edges()],
-            tend_tracers: vec![vec![0.0; mesh.n_cells()]; n_tracers],
-        }
-    }
-
-    /// Grow/shrink the tracer block to `n` zeroed fields of `n_cells`.
-    pub fn resize_tracers(&mut self, n_cells: usize, n: usize) {
-        self.tend_tracers.resize_with(n, || vec![0.0; n_cells]);
-        for t in &mut self.tend_tracers {
-            t.resize(n_cells, 0.0);
+            tend_h: vec![0.0; mesh.n_cells() * k],
+            tend_u: vec![0.0; mesh.n_edges() * k],
+            tend_tracers: vec![vec![0.0; mesh.n_cells() * k]; n_tracers],
         }
     }
 }

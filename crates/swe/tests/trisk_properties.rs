@@ -138,14 +138,22 @@ fn apvm_damps_pv_extremes() {
     let f_v: Vec<f64> = (0..m.n_vertices())
         .map(|v| 2.0 * mpas_geom::OMEGA * m.x_vertex[v].z)
         .collect();
-    let mut d_on = Diagnostics::zeros(&m);
-    mpas_swe::kernels::compute_solve_diagnostics(&m, &config, &h, &u, &f_v, 600.0, &mut d_on);
+    // The seed kernels (the scalar backend).
+    let diagnose = |config: &ModelConfig| {
+        let kc = mpas_swe::KernelCoeffs::build(&m, config);
+        let mut d = Diagnostics::zeros(&m);
+        let scalar = mpas_swe::KernelBackend::Scalar;
+        mpas_swe::kernels::compute_solve_diagnostics_backend(
+            scalar, &m, config, &kc, &h, &u, &f_v, 600.0, &mut d,
+        );
+        d
+    };
+    let d_on = diagnose(&config);
     let off = ModelConfig {
         apvm_factor: 0.0,
         ..config
     };
-    let mut d_off = Diagnostics::zeros(&m);
-    mpas_swe::kernels::compute_solve_diagnostics(&m, &off, &h, &u, &f_v, 600.0, &mut d_off);
+    let d_off = diagnose(&off);
     // Same centered part; the APVM correction is a small fraction of the
     // global PV magnitude (pointwise relative comparisons are meaningless
     // where f + ζ crosses zero near the equator).

@@ -35,7 +35,8 @@
 //!   (`kernel.simd_speedup_serial`); the top suspect when a build or
 //!   environment change silently disabled vectorisation;
 //! * **kernel** — one Table-I kernel span
-//!   (`swe.simd.kernel.<name>.seconds`, `hybrid.kernel.*`);
+//!   (`swe.kernel.<label>.seconds`, e.g. `swe.kernel.B1.seconds` or the
+//!   fused `swe.kernel.C2+E.seconds`);
 //! * **rank** / **blame** — the PR 5 decomposition
 //!   (`analysis.blame.rank<r>.<dim>_frac`): which rank, and which of
 //!   compute/wait/copy/barrier moved;
@@ -561,7 +562,7 @@ mod tests {
             (MetricKind::Gauge, vec![speedup]),
         );
         metrics.insert(
-            "swe.simd.kernel.tend_u.seconds".to_string(),
+            "swe.kernel.B1.seconds".to_string(),
             (
                 MetricKind::Histogram,
                 (0..10)
@@ -591,9 +592,10 @@ mod tests {
         assert_eq!(top.metric, names::KERNEL_SIMD_SPEEDUP_SERIAL);
         assert_eq!(top.entry.severity, Severity::Fail);
         // The slowed kernel span shows up too, as a ranked warn finding.
-        assert!(report.findings.iter().any(|f| {
-            f.dimension == Dimension::Kernel && f.kernel.as_deref() == Some("tend_u")
-        }));
+        assert!(report
+            .findings
+            .iter()
+            .any(|f| { f.dimension == Dimension::Kernel && f.kernel.as_deref() == Some("B1") }));
         // Unmoved metrics produce no findings.
         assert!(report
             .findings
@@ -672,9 +674,9 @@ mod tests {
         assert_eq!(k, None);
         assert_eq!(r, Some(2));
         assert_eq!(b.as_deref(), Some("wait"));
-        let (d, k, ..) = dimension_of("swe.simd.kernel.vorticity_pv.seconds");
+        let (d, k, ..) = dimension_of("swe.kernel.C2+E.seconds");
         assert_eq!(d, Dimension::Kernel);
-        assert_eq!(k.as_deref(), Some("vorticity_pv"));
+        assert_eq!(k.as_deref(), Some("C2+E"));
         let (d, ..) = dimension_of(names::KERNEL_SIMD_SPEEDUP_SERIAL);
         assert_eq!(d, Dimension::KernelBackend);
         let (d, ..) = dimension_of("serve.jobs_per_sec");

@@ -715,8 +715,8 @@ mod tests {
         let rec = Recorder::new();
         rec.add("msg.halo.bytes_sent", 4096);
         rec.set_gauge("core.sim.mass_drift", -3.5e-15);
-        rec.record("hybrid.kernel.A1.seconds", 0.001);
-        rec.record("hybrid.kernel.A1.seconds", 0.002);
+        rec.record("swe.kernel.A1.seconds", 0.001);
+        rec.record("swe.kernel.A1.seconds", 0.002);
         let snap = rec.snapshot();
         let json = snap.to_json();
         validate_json(&json).unwrap_or_else(|p| panic!("invalid JSON at byte {p}: {json}"));

@@ -30,7 +30,7 @@
 //!   namespaces.
 //!
 //! Metric names follow the `crate.subsystem.name` scheme documented in
-//! DESIGN.md §8 (e.g. `hybrid.kernel.B1.seconds`, `msg.halo.bytes_sent`,
+//! DESIGN.md §8 (e.g. `swe.kernel.B1.seconds`, `msg.halo.bytes_sent`,
 //! `core.sim.step_seconds`).
 //!
 //! The crate is dependency-free and thread-safe: a [`Recorder`] can be
@@ -927,12 +927,12 @@ mod tests {
         rec.set_gauge("core.sim.mass_drift", 1e-14);
         rec.set_gauge("core.sim.mass_drift", 2e-14);
         for v in [1.0, 2.0, 3.0, 4.0, 100.0] {
-            rec.record("hybrid.kernel.B1.seconds", v);
+            rec.record("swe.kernel.B1.seconds", v);
         }
         let snap = rec.snapshot();
         assert_eq!(snap.counters["msg.halo.bytes_sent"], 120);
         assert_eq!(snap.gauges["core.sim.mass_drift"], 2e-14);
-        let h = snap.histograms["hybrid.kernel.B1.seconds"];
+        let h = snap.histograms["swe.kernel.B1.seconds"];
         assert_eq!(h.count, 5);
         assert_eq!(h.sum, 110.0);
         assert_eq!(h.p50, 3.0);
@@ -945,10 +945,10 @@ mod tests {
     fn span_timed_feeds_the_histogram() {
         let rec = Recorder::new();
         {
-            let _g = rec.span_timed("cpu", "B1", "hybrid.kernel.B1.seconds");
+            let _g = rec.span_timed("cpu", "B1", "swe.kernel.B1.seconds");
         }
         let snap = rec.snapshot();
-        assert_eq!(snap.histograms["hybrid.kernel.B1.seconds"].count, 1);
+        assert_eq!(snap.histograms["swe.kernel.B1.seconds"].count, 1);
         assert_eq!(rec.spans().len(), 1);
         // `time` records the histogram but not a span.
         {

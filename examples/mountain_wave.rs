@@ -8,7 +8,7 @@
 //! cargo run --release --example mountain_wave -- [days] [level]
 //! ```
 
-use mpas_repro::hybrid::{ParallelModel, Platform};
+use mpas_repro::core::Executor;
 use mpas_repro::swe::{ModelConfig, ShallowWaterModel, TestCase};
 use std::sync::Arc;
 
@@ -23,8 +23,11 @@ fn main() {
     let tc = TestCase::Case5;
 
     let mut serial = ShallowWaterModel::new(mesh.clone(), cfg, tc, None);
-    let mut hybrid = ParallelModel::new(mesh.clone(), cfg, tc, None, 2)
-        .with_accelerator(2, &Platform::paper_node());
+    let executor = Executor::Hybrid {
+        cpu_threads: 2,
+        acc_threads: 2,
+    };
+    let mut hybrid = ShallowWaterModel::new_on(mesh.clone(), cfg, tc, None, executor.exec());
     let steps = serial.steps_for_days(days);
     println!(
         "running {steps} steps (dt = {:.0} s, {} cells) twice...",
@@ -38,14 +41,7 @@ fn main() {
     hybrid.run_steps(steps);
 
     let th = serial.total_height();
-    let b = tc.topography(&mesh);
-    let th_hybrid: Vec<f64> = hybrid
-        .state
-        .h
-        .iter()
-        .zip(&b)
-        .map(|(&h, &b)| h + b)
-        .collect();
+    let th_hybrid = hybrid.total_height();
 
     let min = th.iter().cloned().fold(f64::MAX, f64::min);
     let max = th.iter().cloned().fold(f64::MIN, f64::max);

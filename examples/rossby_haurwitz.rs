@@ -41,7 +41,8 @@ fn main() {
         }
     }
 
-    let zonal_max = m.recon.zonal.iter().cloned().fold(f64::MIN, f64::max);
+    let recon = m.recon.as_ref().expect("a single-layer model reconstructs");
+    let zonal_max = recon.zonal.iter().cloned().fold(f64::MIN, f64::max);
     println!("max reconstructed zonal wind: {zonal_max:.1} m/s");
     assert!(((m.total_mass() - mass0) / mass0).abs() < 1e-12);
     println!("OK: mass conserved to machine precision.");

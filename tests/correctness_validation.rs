@@ -5,9 +5,8 @@
 //! perturbs rounding; our executors preserve per-point arithmetic order, so
 //! exact equality is achievable and asserted.)
 
-use mpas_repro::core::{run_distributed, DistributedConfig};
-use mpas_repro::hybrid::{ParallelModel, Platform};
-use mpas_repro::swe::{ModelConfig, ShallowWaterModel, TestCase};
+use mpas_repro::core::{run_distributed, DistributedConfig, Executor};
+use mpas_repro::swe::{Exec, ModelConfig, ShallowWaterModel, TestCase};
 use std::sync::Arc;
 
 fn all_test_cases() -> Vec<TestCase> {
@@ -26,9 +25,14 @@ fn fig5_all_executors_agree_on_every_test_case() {
     let dt = ModelConfig::suggested_dt(&mesh);
     for tc in all_test_cases() {
         let mut serial = ShallowWaterModel::new(mesh.clone(), cfg, tc, Some(dt));
-        let mut threaded = ParallelModel::new(mesh.clone(), cfg, tc, Some(dt), 3);
-        let mut hybrid = ParallelModel::new(mesh.clone(), cfg, tc, Some(dt), 2)
-            .with_accelerator(2, &Platform::paper_node());
+        let mut threaded =
+            ShallowWaterModel::new_on(mesh.clone(), cfg, tc, Some(dt), Exec::threaded(3));
+        let hybrid_exec = Executor::Hybrid {
+            cpu_threads: 2,
+            acc_threads: 2,
+        }
+        .exec();
+        let mut hybrid = ShallowWaterModel::new_on(mesh.clone(), cfg, tc, Some(dt), hybrid_exec);
         serial.run_steps(3);
         threaded.run_steps(3);
         hybrid.run_steps(3);
@@ -84,7 +88,7 @@ fn high_order_h_edge_configuration_also_agrees_across_executors() {
     };
     let tc = TestCase::Case5;
     let mut serial = ShallowWaterModel::new(mesh.clone(), cfg, tc, None);
-    let mut threaded = ParallelModel::new(mesh.clone(), cfg, tc, None, 2);
+    let mut threaded = ShallowWaterModel::new_on(mesh.clone(), cfg, tc, None, Exec::threaded(2));
     serial.run_steps(2);
     threaded.run_steps(2);
     assert_eq!(serial.state.max_abs_diff(&threaded.state), 0.0);
@@ -100,7 +104,7 @@ fn del2_dissipation_configuration_agrees_and_damps() {
     let tc = TestCase::Case6;
     let mut with_nu = ShallowWaterModel::new(mesh.clone(), cfg, tc, None);
     let mut without = ShallowWaterModel::new(mesh.clone(), ModelConfig::default(), tc, None);
-    let mut threaded = ParallelModel::new(mesh.clone(), cfg, tc, None, 2);
+    let mut threaded = ShallowWaterModel::new_on(mesh.clone(), cfg, tc, None, Exec::threaded(2));
     with_nu.run_steps(10);
     without.run_steps(10);
     threaded.run_steps(10);

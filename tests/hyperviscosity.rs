@@ -1,9 +1,12 @@
 //! Biharmonic (del4) hyperviscosity: scale selectivity and executor
 //! equivalence.
 
-use mpas_repro::hybrid::ParallelModel;
-use mpas_repro::swe::kernels::{compute_solve_diagnostics, compute_tend, ops};
-use mpas_repro::swe::{Diagnostics, ModelConfig, ShallowWaterModel, Tendencies, TestCase};
+use mpas_repro::swe::kernels::{compute_solve_diagnostics_backend, ops};
+use mpas_repro::swe::stage::{self, Inputs};
+use mpas_repro::swe::{
+    Diagnostics, Exec, KernelBackend, KernelCoeffs, ModelConfig, ShallowWaterModel, State,
+    Tendencies, TestCase,
+};
 use std::sync::Arc;
 
 #[test]
@@ -59,8 +62,10 @@ fn del4_damps_grid_noise_more_selectively_than_del2() {
 #[test]
 fn del4_dissipates_noise_energy() {
     let mesh = mpas_mesh::generate(3, 0);
+    // The seed kernels (the scalar backend).
     let config = ModelConfig {
         del4_viscosity: 1.0e15,
+        kernel_backend: KernelBackend::Scalar,
         ..Default::default()
     };
     let h = vec![5000.0; mesh.n_cells()];
@@ -69,10 +74,27 @@ fn del4_dissipates_noise_energy() {
         .collect();
     let b = vec![0.0; mesh.n_cells()];
     let f_v = vec![0.0; mesh.n_vertices()];
+    let kc = KernelCoeffs::build(&mesh, &config);
     let mut diag = Diagnostics::zeros(&mesh);
-    compute_solve_diagnostics(&mesh, &config, &h, &u, &f_v, 60.0, &mut diag);
+    let scalar = KernelBackend::Scalar;
+    compute_solve_diagnostics_backend(scalar, &mesh, &config, &kc, &h, &u, &f_v, 60.0, &mut diag);
+    let p = Inputs {
+        mesh: &mesh,
+        config: &config,
+        kc: &kc,
+        k: 1,
+        dt: 60.0,
+        f_vertex: &f_v,
+        b: &b,
+        forcing: None,
+    };
+    let state = State {
+        h: h.clone(),
+        u: u.clone(),
+        tracers: Vec::new(),
+    };
     let mut tend = Tendencies::zeros(&mesh);
-    compute_tend(&mesh, &config, &h, &u, &b, &diag, &mut tend);
+    stage::tendencies(&mut Exec::serial(), &p, &state, &diag, &mut tend);
     // The del4 term must push u toward zero: u · tend_u < 0 overall.
     let power: f64 = (0..mesh.n_edges())
         .map(|e| u[e] * tend.tend_u[e] * mesh.dc_edge[e] * mesh.dv_edge[e])
@@ -89,7 +111,7 @@ fn del4_configuration_matches_across_executors() {
     };
     let tc = TestCase::Case6;
     let mut serial = ShallowWaterModel::new(mesh.clone(), cfg, tc, None);
-    let mut threaded = ParallelModel::new(mesh, cfg, tc, None, 3);
+    let mut threaded = ShallowWaterModel::new_on(mesh, cfg, tc, None, Exec::threaded(3));
     serial.run_steps(5);
     threaded.run_steps(5);
     assert_eq!(serial.state.max_abs_diff(&threaded.state), 0.0);
