@@ -7,8 +7,9 @@
 //!
 //! Reads the store recorded by `swe_run --history-dir` / `swe_serve
 //! --history-dir` / `swe_load --history-dir`, selects baseline runs
-//! whose manifest key matches the run under diagnosis (same case,
-//! level, backend, layers, policy, executor, ranks and step count),
+//! whose manifest key matches the run under diagnosis (every axis of
+//! `RunManifest::AXES`: case and rotation, mesh and numbering, backend,
+//! layers, policy, executor, ranks and step count),
 //! and prints the ranked [`mpas_telemetry::diagnose::DiagnosisReport`]:
 //! which metric regressed, attributed to which dimension
 //! (kernel-backend, a Table-I kernel span, a rank's blame fraction, the
@@ -20,7 +21,7 @@
 //! CI's history-smoke job asserts the `1`: a forced-scalar run at level
 //! 6, k=4 must produce a top-ranked kernel-backend finding.
 
-use mpas_telemetry::diagnose::{diagnose, DiagnoseConfig};
+use mpas_telemetry::diagnose::diagnose;
 use mpas_telemetry::store::HistoryStore;
 use std::path::PathBuf;
 
@@ -95,24 +96,12 @@ fn main() {
     let store = HistoryStore::open(&args.history_dir).unwrap_or_else(|e| fail(e));
 
     if args.list {
-        let runs = store.runs().unwrap_or_else(|e| fail(e));
-        println!(
-            "{:<9} {:<12} {:>5} {:<7} {:>2} {:<14} {:<10} {:>5} {:<20}",
-            "run", "case", "level", "backend", "k", "policy", "executor", "steps", "git"
-        );
-        for m in &runs {
-            println!(
-                "{:<9} {:<12} {:>5} {:<7} {:>2} {:<14} {:<10} {:>5} {:<20}",
-                m.run_id,
-                m.case,
-                m.level,
-                m.backend,
-                m.layers,
-                m.policy,
-                m.executor,
-                m.steps,
-                m.git
-            );
+        // One run a line: its id, the build it came from, and its baseline
+        // key (every identity axis: runs with equal keys baseline each
+        // other).
+        println!("{:<9} {:<20} key", "run", "git");
+        for m in store.runs().unwrap_or_else(|e| fail(e)) {
+            println!("{:<9} {:<20} {}", m.run_id, m.git, m.baseline_key());
         }
         return;
     }
@@ -127,11 +116,7 @@ fn main() {
         args.run.clone()
     };
 
-    let cfg = DiagnoseConfig {
-        last_n: args.against,
-        ..DiagnoseConfig::default()
-    };
-    let report = diagnose(&store, &run_id, &cfg).unwrap_or_else(|e| fail(e));
+    let report = diagnose(&store, &run_id, args.against).unwrap_or_else(|e| fail(e));
     if args.json {
         print!("{}", report.to_json());
     } else {

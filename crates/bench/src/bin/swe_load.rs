@@ -12,8 +12,10 @@
 //! every per-job `state_hash` is bitwise identical across tenants, prints
 //! and optionally writes (`--bench-json`) the throughput/latency summary —
 //! `serve.jobs_per_sec`, p50/p95 time-to-first-step and end-to-end job
-//! latency — and evaluates them against a committed baseline (`--gate`,
-//! exit 1 on fail-severity violations, `--gate-strict` promotes warnings).
+//! latency (nearest-rank, by `HistogramSummary::from_samples`) — and
+//! evaluates them against the committed baseline for this load's manifest
+//! key (`--gate`, exit 1 on fail-severity violations or when the file
+//! holds no baseline for the key; `--gate-strict` promotes warnings).
 //! `--shutdown` drains the server afterwards.
 //!
 //! The live observability plane is exercised too: every poll also samples
@@ -28,9 +30,10 @@
 //! or invalid live-endpoint output.
 
 use mpas_server::http::{request, stream_lines};
+use mpas_server::JobRequest;
 use mpas_telemetry::export::parse_json;
-use mpas_telemetry::gate::Baseline;
-use mpas_telemetry::{names, Recorder};
+use mpas_telemetry::store::{HistoryStore, RunManifest};
+use mpas_telemetry::{json_num, names, HistogramSummary, Recorder};
 use std::net::{SocketAddr, ToSocketAddrs};
 use std::path::PathBuf;
 use std::time::{Duration, Instant};
@@ -211,16 +214,6 @@ fn flight_fetch(addr: SocketAddr, samples: &[Sample]) -> Result<String, String> 
     Ok(payload)
 }
 
-/// Nearest-rank percentile of an unsorted sample set.
-fn percentile(samples: &mut [f64], p: f64) -> f64 {
-    if samples.is_empty() {
-        return 0.0;
-    }
-    samples.sort_by(f64::total_cmp);
-    let rank = ((p / 100.0) * samples.len() as f64).ceil().max(1.0) as usize;
-    samples[rank.min(samples.len()) - 1]
-}
-
 fn main() {
     let args = parse_args();
     let addr: SocketAddr = args
@@ -234,7 +227,14 @@ fn main() {
          \"progress_every\": 1}}",
         args.case, args.level, args.steps, args.executor
     );
-
+    let job = JobRequest::parse(&body).unwrap_or_else(|e| panic!("bad job request: {e}"));
+    // The load's identity, for `--history-dir` and `--gate` alike: a load
+    // run matches only load runs of the same jobs and client count.
+    let manifest = RunManifest {
+        backend: "serve".to_string(),
+        ranks: args.clients,
+        ..job.manifest()
+    };
     println!(
         "swe-load: {} clients x {} jobs (case {}, level {}, {} steps) against {addr}",
         args.clients, args.jobs, args.case, args.level, args.steps
@@ -318,19 +318,14 @@ fn main() {
     let completed = samples.len();
     let retries: usize = samples.iter().map(|s| s.retries_429).sum();
     let jobs_per_sec = completed as f64 / wall_secs.max(1e-9);
-    let mut ttfs: Vec<f64> = samples.iter().map(|s| s.ttfs_ms).collect();
-    let mut latency: Vec<f64> = samples.iter().map(|s| s.latency_ms).collect();
-    let mut live: Vec<f64> = samples
-        .iter()
-        .flat_map(|s| s.live_ms.iter().copied())
-        .collect();
-    let live_probes = live.len();
-    let (ttfs_p50, ttfs_p95) = (percentile(&mut ttfs, 50.0), percentile(&mut ttfs, 95.0));
-    let (lat_p50, lat_p95) = (
-        percentile(&mut latency, 50.0),
-        percentile(&mut latency, 95.0),
-    );
-    let (live_p50, live_p95) = (percentile(&mut live, 50.0), percentile(&mut live, 95.0));
+    let summary = |v: Vec<f64>| {
+        let h = HistogramSummary::from_samples(&v);
+        (h.p50, h.p95, h.count)
+    };
+    let (ttfs_p50, ttfs_p95, _) = summary(samples.iter().map(|s| s.ttfs_ms).collect());
+    let (lat_p50, lat_p95, _) = summary(samples.iter().map(|s| s.latency_ms).collect());
+    let live: Vec<f64> = samples.iter().flat_map(|s| s.live_ms.clone()).collect();
+    let (live_p50, live_p95, live_probes) = summary(live);
     println!(
         "completed {completed}/{} jobs in {wall_secs:.3} s ({jobs_per_sec:.2} jobs/s, \
          {retries} backpressure retries)",
@@ -340,17 +335,25 @@ fn main() {
     println!("latency p50 {lat_p50:.1} ms, p95 {lat_p95:.1} ms");
     println!("live    p50 {live_p50:.1} ms, p95 {live_p95:.1} ms ({live_probes} telemetry probes)");
 
+    // The load's summary under the shared serve.* names: what the bench
+    // record and the history store carry, and what the gate reads.
+    let serve = [
+        (names::SERVE_JOBS_PER_SEC, jobs_per_sec),
+        ("serve.ttfs_p50_ms", ttfs_p50),
+        (names::SERVE_TTFS_P95_MS, ttfs_p95),
+        ("serve.latency_p50_ms", lat_p50),
+        (names::SERVE_LATENCY_P95_MS, lat_p95),
+        (names::SERVE_LIVE_P50_MS, live_p50),
+        (names::SERVE_LIVE_P95_MS, live_p95),
+    ];
     if let Some(path) = &args.bench_json {
-        let json = format!(
+        let mut json = format!(
             "{{\n  \"clients\": {},\n  \"jobs_per_client\": {},\n  \"case\": \"{}\",\n  \
              \"level\": {},\n  \"steps\": {},\n  \"executor\": \"{}\",\n  \
              \"completed\": {completed},\n  \"failed\": {},\n  \
              \"retries_429\": {retries},\n  \"wall_seconds\": {wall_secs:.6},\n  \
              \"identical_results\": {identical},\n  \"state_hash\": \"{}\",\n  \
-             \"{}\": {jobs_per_sec:.4},\n  \"serve.ttfs_p50_ms\": {ttfs_p50:.3},\n  \
-             \"{}\": {ttfs_p95:.3},\n  \"serve.latency_p50_ms\": {lat_p50:.3},\n  \
-             \"{}\": {lat_p95:.3},\n  \"live_probes\": {live_probes},\n  \
-             \"serve.live_p50_ms\": {live_p50:.3},\n  \"{}\": {live_p95:.3}\n}}\n",
+             \"live_probes\": {live_probes}",
             args.clients,
             args.jobs,
             args.case,
@@ -359,47 +362,23 @@ fn main() {
             args.executor,
             failures.len(),
             hashes.first().copied().unwrap_or(""),
-            names::SERVE_JOBS_PER_SEC,
-            names::SERVE_TTFS_P95_MS,
-            names::SERVE_LATENCY_P95_MS,
-            names::SERVE_LIVE_P95_MS,
         );
+        for (name, v) in serve {
+            json.push_str(&format!(",\n  \"{name}\": {}", json_num(v)));
+        }
+        json.push_str("\n}\n");
         mpas_telemetry::export::validate_json(&json)
             .unwrap_or_else(|at| panic!("bench record is not valid JSON at byte {at}"));
         std::fs::write(path, &json).expect("write bench json");
         println!("wrote serve bench record to {}", path.display());
     }
 
-    // Persist the percentile summary into the shared history store, so
-    // serving metrics are queryable (and diagnosable) alongside solver
-    // metrics. The manifest's backend axis is "serve": load runs only
-    // baseline against other load runs of the same shape.
+    let rec = Recorder::new();
+    for (name, v) in serve {
+        rec.set_gauge(name, v);
+    }
     if let Some(dir) = &args.history_dir {
-        use mpas_telemetry::store::{HistoryStore, RunManifest};
-        let rec = Recorder::new();
-        rec.set_gauge(names::SERVE_JOBS_PER_SEC, jobs_per_sec);
-        rec.set_gauge("serve.ttfs_p50_ms", ttfs_p50);
-        rec.set_gauge(names::SERVE_TTFS_P95_MS, ttfs_p95);
-        rec.set_gauge("serve.latency_p50_ms", lat_p50);
-        rec.set_gauge(names::SERVE_LATENCY_P95_MS, lat_p95);
-        rec.set_gauge(names::SERVE_LIVE_P50_MS, live_p50);
-        rec.set_gauge(names::SERVE_LIVE_P95_MS, live_p95);
         let store = HistoryStore::open(dir).expect("open history store");
-        // The ranks axis carries the client count: two load runs are only
-        // comparable at equal concurrency.
-        let manifest = RunManifest::new(
-            &args.case,
-            args.level,
-            0,
-            "serve",
-            1,
-            // Jobs run no modeled scheduler; the paper's default policy
-            // name keeps stored run identities unchanged.
-            "pattern-driven",
-            &args.executor,
-            args.clients,
-            args.steps,
-        );
         let recorded = store
             .record_recorder(&manifest, &rec, "")
             .expect("record load run");
@@ -412,30 +391,8 @@ fn main() {
 
     let mut exit_code = 0;
     if let Some(path) = &args.gate {
-        // The gate machinery evaluates metric gauges, so land the summary
-        // in a recorder snapshot under the shared serve.* names.
-        let rec = Recorder::new();
-        rec.set_gauge(names::SERVE_JOBS_PER_SEC, jobs_per_sec);
-        rec.set_gauge(names::SERVE_TTFS_P95_MS, ttfs_p95);
-        rec.set_gauge(names::SERVE_LATENCY_P95_MS, lat_p95);
-        // Published for visibility; only gated once the committed baseline
-        // grows a serve.live_p95_ms entry.
-        rec.set_gauge(names::SERVE_LIVE_P95_MS, live_p95);
-        let text = std::fs::read_to_string(path)
-            .unwrap_or_else(|e| panic!("read baseline {}: {e}", path.display()));
-        let mut baseline = Baseline::parse(&text)
-            .unwrap_or_else(|e| panic!("parse baseline {}: {e}", path.display()));
-        // The committed baseline also carries swe_run's core.sim.* entries;
-        // only the serving metrics are this tool's to judge.
-        baseline.entries.retain(|e| e.metric.starts_with("serve."));
-        assert!(
-            !baseline.entries.is_empty(),
-            "baseline {} has no serve.* entries",
-            path.display()
-        );
-        let outcome = baseline.evaluate(&rec.snapshot());
-        print!("{}", outcome.render());
-        if outcome.failed() || (args.gate_strict && outcome.warned()) {
+        let key = manifest.baseline_key();
+        if !mpas_bench::gate(path, &key, &rec.snapshot(), args.gate_strict) {
             exit_code = 1;
         }
     }

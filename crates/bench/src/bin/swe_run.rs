@@ -24,16 +24,16 @@
 //! same as JSON.
 //!
 //! `--gate-write FILE` fits a statistical baseline (median/MAD per
-//! watched metric) from this run; `--gate FILE` compares the run against
-//! a committed baseline and exits 1 on a `fail`-severity violation
-//! (`--gate-strict` also fails on warnings). Invariant monitors (mass
+//! watched metric) from this run into FILE under the run's manifest key,
+//! keeping other keys' baselines; `--gate FILE` compares the run against
+//! FILE's baseline for its key and exits 1 on a `fail`-severity violation
+//! (`--gate-strict` also fails on warnings) or, printing the key, when
+//! there is none. Invariant monitors (mass
 //! drift, h-error bound) always run when telemetry is on; a tripped
 //! monitor records a structured `alert` event and exits 3.
 //! `--inject-mass-drift X` deliberately offsets the drift gauge so the
 //! alarm chain can be tested end to end; `--inject-courant X` does the
-//! same for the CFL monitor. `--gate-filter PREFIX[,...]` restricts the
-//! committed baseline to metrics starting with a listed prefix, so one
-//! baseline file serves CI jobs that exercise different pipeline slices.
+//! same for the CFL monitor.
 //!
 //! ## Kernel tiers and vertical layers
 //!
@@ -72,7 +72,9 @@ use mpas_telemetry::analysis::{
     check_invariants, default_invariants, diff_schedule, record_blame, CriticalPath, ModeledTask,
     Trace,
 };
-use mpas_telemetry::gate::{median_mad, Baseline, BaselineEntry, Direction, Severity};
+use mpas_telemetry::gate::{
+    median_mad, Baseline, BaselineEntry, BaselineFile, Direction, Severity,
+};
 use mpas_telemetry::store::{HistoryStore, Retention, RunManifest};
 use mpas_telemetry::{names, Recorder};
 use std::path::PathBuf;
@@ -102,7 +104,6 @@ struct Args {
     gate_write: Option<PathBuf>,
     history_dir: Option<PathBuf>,
     gate_strict: bool,
-    gate_filter: Vec<String>,
     inject_mass_drift: f64,
     inject_courant: f64,
     validate: bool,
@@ -134,7 +135,6 @@ fn parse_args() -> Args {
         gate_write: None,
         history_dir: None,
         gate_strict: false,
-        gate_filter: Vec::new(),
         inject_mass_drift: 0.0,
         inject_courant: 0.0,
         validate: false,
@@ -175,10 +175,6 @@ fn parse_args() -> Args {
             "--gate-write" => args.gate_write = Some(PathBuf::from(val())),
             "--history-dir" => args.history_dir = Some(PathBuf::from(val())),
             "--gate-strict" => args.gate_strict = true,
-            "--gate-filter" => {
-                args.gate_filter
-                    .extend(val().split(',').map(str::to_string));
-            }
             "--inject-mass-drift" => {
                 args.inject_mass_drift = val().parse().expect("inject-mass-drift")
             }
@@ -198,7 +194,7 @@ fn parse_args() -> Args {
                      [--flight-dump FILE.json] [--bench-json FILE.json] \
                      [--report] [--report-json FILE.json] \
                      [--gate BASELINE.json] [--gate-write BASELINE.json] \
-                     [--gate-strict] [--gate-filter PREFIX[,...]] \
+                     [--gate-strict] \
                      [--history-dir DIR] \
                      [--inject-mass-drift X] [--inject-courant X]\n\
                      cases: {}\n\
@@ -640,94 +636,64 @@ fn schedule_tasks(s: &mpas_hybrid::Schedule) -> Vec<ModeledTask> {
 /// are noisy; the invariant-adjacent metrics are fail-severity with
 /// absolute floors, because they are deterministic up to rounding.
 fn fit_baseline(name: String, rec: &Recorder) -> Baseline {
+    use Direction::{Above, Below};
+    use Severity::{Fail, Warn};
     let snap = rec.snapshot();
+    // One measured value, no spread: the floor alone is the band.
+    let single = |metric: &str, median: f64, floor: f64, direction, severity| BaselineEntry {
+        metric: metric.to_string(),
+        median,
+        mad: 0.0,
+        count: 1,
+        k: 0.0,
+        floor,
+        direction,
+        severity,
+        abs: false,
+    };
     let mut entries = Vec::new();
     let steps = rec.histogram_samples("core.sim.step_seconds");
     if !steps.is_empty() {
         let (median, mad) = median_mad(&steps);
         entries.push(BaselineEntry {
-            metric: "core.sim.step_seconds".to_string(),
-            median,
             mad,
             count: steps.len(),
             k: 5.0,
-            floor: 0.25 * median,
-            direction: Direction::Above,
-            severity: Severity::Warn,
-            abs: false,
+            ..single("core.sim.step_seconds", median, 0.25 * median, Above, Warn)
         });
     }
     entries.push(BaselineEntry {
-        metric: "core.sim.mass_drift".to_string(),
-        median: 0.0,
-        mad: 0.0,
-        count: 1,
-        k: 0.0,
-        floor: 1e-9,
-        direction: Direction::Above,
-        severity: Severity::Fail,
         abs: true,
+        ..single("core.sim.mass_drift", 0.0, 1e-9, Above, Fail)
     });
-    if let Some(l2) = snap.gauge("core.sim.h_err_l2") {
-        entries.push(BaselineEntry {
-            metric: "core.sim.h_err_l2".to_string(),
-            median: l2,
-            mad: 0.0,
-            count: 1,
-            k: 0.0,
-            floor: 0.5 * l2.abs().max(1e-12),
-            direction: Direction::Above,
-            severity: Severity::Fail,
-            abs: false,
-        });
-    }
-    // Scenario-validation norms (`--validate` runs): deterministic up to
-    // libm ulp differences, so fail-severity with a wide relative floor.
-    for (metric, &val) in snap.gauges.iter() {
-        if metric.starts_with("validate.") {
-            entries.push(BaselineEntry {
-                metric: metric.clone(),
-                median: val,
-                mad: 0.0,
-                count: 1,
-                k: 0.0,
-                floor: 0.5 * val.abs().max(1e-12),
-                direction: Direction::Above,
-                severity: Severity::Fail,
-                abs: false,
-            });
-        }
+    // The h error and the scenario-validation norms (`--validate` runs):
+    // deterministic up to libm ulp differences, so fail-severity with a
+    // wide relative floor.
+    let h_err = snap.gauges.get_key_value("core.sim.h_err_l2");
+    let validate = snap
+        .gauges
+        .iter()
+        .filter(|(m, _)| m.starts_with("validate."));
+    for (metric, &val) in h_err.into_iter().chain(validate) {
+        let floor = 0.5 * val.abs().max(1e-12);
+        entries.push(single(metric, val, floor, Above, Fail));
     }
     // Layered simd runs measure their flat-serial speedup in-invocation;
     // gate it from below (fail-severity) so the batched tier can never
     // silently regress to slower-than-k-flat-runs. The committed floor is
     // `median − 2.0`, i.e. an absolute 2.0× requirement under Below
     // semantics (`v < median − band` trips).
-    if let Some(s) = snap.gauge("kernel.simd_speedup_serial") {
-        entries.push(BaselineEntry {
-            metric: "kernel.simd_speedup_serial".to_string(),
-            median: s,
-            mad: 0.0,
-            count: 1,
-            k: 0.0,
-            floor: s - 2.0,
-            direction: Direction::Below,
-            severity: Severity::Fail,
-            abs: false,
-        });
+    if let Some(s) = snap.gauge(names::KERNEL_SIMD_SPEEDUP_SERIAL) {
+        entries.push(single(
+            names::KERNEL_SIMD_SPEEDUP_SERIAL,
+            s,
+            s - 2.0,
+            Below,
+            Fail,
+        ));
     }
     if let Some(w) = snap.gauge("analysis.blame.max_wait_frac") {
-        entries.push(BaselineEntry {
-            metric: "analysis.blame.max_wait_frac".to_string(),
-            median: w,
-            mad: 0.0,
-            count: 1,
-            k: 0.0,
-            floor: 0.2,
-            direction: Direction::Above,
-            severity: Severity::Warn,
-            abs: false,
-        });
+        entries.push(single("analysis.blame.max_wait_frac", w, 0.2, Above, Warn));
     }
     Baseline { name, entries }
 }
@@ -1039,14 +1005,12 @@ fn main() {
         );
     }
 
-    // -- history store ----------------------------------------------------
-    // Flushed after the analysis pass so the stored run carries the
-    // `analysis.blame.*` gauges alongside solver metrics, and entirely
-    // off the step hot path (the run is over). Default retention keeps
-    // the directory bounded without any extra flags.
-    if let Some(dir) = &args.history_dir {
-        let store = HistoryStore::open(dir).expect("open history store");
-        let manifest = RunManifest::new(
+    // The run's identity: what `--history-dir` records it under and the
+    // key `--gate-write` and `--gate` name its baseline by.
+    let manifest = RunManifest {
+        alpha: args.alpha,
+        reorder: args.reorder.name().to_string(),
+        ..RunManifest::new(
             &args.case,
             args.level,
             args.lloyd,
@@ -1056,7 +1020,16 @@ fn main() {
             &args.executor,
             args.ranks,
             stats.total_steps,
-        );
+        )
+    };
+
+    // -- history store ----------------------------------------------------
+    // Flushed after the analysis pass so the stored run carries the
+    // `analysis.blame.*` gauges alongside solver metrics, and entirely
+    // off the step hot path (the run is over). Default retention keeps
+    // the directory bounded without any extra flags.
+    if let Some(dir) = &args.history_dir {
+        let store = HistoryStore::open(dir).expect("open history store");
         let recorded = store
             .record_recorder(&manifest, &rec, "")
             .expect("record history run");
@@ -1073,22 +1046,19 @@ fn main() {
     }
 
     // -- regression gate --------------------------------------------------
+    let key = manifest.baseline_key();
     if let Some(path) = &args.gate_write {
-        let name = format!(
-            "case{}-level{}-{}",
-            args.case,
-            args.level,
-            if args.ranks >= 2 {
-                format!("ranks{}", args.ranks)
-            } else {
-                args.executor.clone()
-            }
-        );
-        let baseline = fit_baseline(name, &rec);
-        std::fs::write(path, baseline.to_json()).expect("write baseline");
+        let mut file = if path.exists() {
+            BaselineFile::read(path).unwrap_or_else(|e| panic!("{e}"))
+        } else {
+            BaselineFile::default()
+        };
+        let baseline = fit_baseline(key.clone(), &rec);
+        let entries = baseline.entries.len();
+        file.replace(baseline);
+        std::fs::write(path, file.to_json()).expect("write baseline");
         println!(
-            "wrote baseline ({} entries) to {}",
-            baseline.entries.len(),
+            "wrote baseline ({entries} entries) for {key} to {}",
             path.display()
         );
     }
@@ -1096,28 +1066,7 @@ fn main() {
     // statistical gate (1).
     let mut exit_code = 0;
     if let Some(path) = &args.gate {
-        let text = std::fs::read_to_string(path)
-            .unwrap_or_else(|e| panic!("read baseline {}: {e}", path.display()));
-        let mut baseline = Baseline::parse(&text)
-            .unwrap_or_else(|e| panic!("parse baseline {}: {e}", path.display()));
-        // `--gate-filter` restricts the committed baseline to the metric
-        // families this invocation actually produces (a missing watched
-        // metric is a fail), so one baseline file can serve CI jobs that
-        // each exercise a different slice of the pipeline.
-        if !args.gate_filter.is_empty() {
-            let before = baseline.entries.len();
-            baseline
-                .entries
-                .retain(|e| args.gate_filter.iter().any(|p| e.metric.starts_with(p)));
-            println!(
-                "gate: filtered baseline to {} of {before} entries ({})",
-                baseline.entries.len(),
-                args.gate_filter.join(",")
-            );
-        }
-        let outcome = baseline.evaluate(&rec.snapshot());
-        print!("{}", outcome.render());
-        if outcome.failed() || (args.gate_strict && outcome.warned()) {
+        if !mpas_bench::gate(path, &key, &rec.snapshot(), args.gate_strict) {
             exit_code = 1;
         }
     }

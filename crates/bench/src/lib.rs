@@ -5,7 +5,28 @@
 
 pub mod render;
 
+use mpas_telemetry::gate::BaselineFile;
+use mpas_telemetry::MetricsSnapshot;
+use std::path::Path;
 use std::time::Instant;
+
+/// `--gate FILE` of `swe_run` and `swe_load`: print `snap` evaluated
+/// against FILE's baseline for the run's manifest `key`. The run passes if
+/// there is one and no fail-severity entry (with `strict`, no entry) trips.
+pub fn gate(path: &Path, key: &str, snap: &MetricsSnapshot, strict: bool) -> bool {
+    let file = BaselineFile::read(path).unwrap_or_else(|e| panic!("{e}"));
+    match file.get(key) {
+        Ok(baseline) => {
+            let outcome = baseline.evaluate(snap);
+            print!("{}", outcome.render());
+            !(outcome.failed() || (strict && outcome.warned()))
+        }
+        Err(msg) => {
+            println!("gate: {}: {msg}\nverdict: no-baseline", path.display());
+            false
+        }
+    }
+}
 
 /// Print an aligned plain-text table.
 pub fn print_table(title: &str, headers: &[&str], rows: &[Vec<String>]) {

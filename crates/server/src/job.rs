@@ -7,6 +7,7 @@ use mpas_mesh::Reordering;
 use mpas_swe::KernelBackend;
 use mpas_telemetry::export::{parse_json, JsonValue};
 use mpas_telemetry::json_escape;
+use mpas_telemetry::store::RunManifest;
 
 /// A validated job submission. Every field has a default, so `{}` is a
 /// legal body (ten steps of case 5 on a level-4 mesh, serial, simd).
@@ -177,6 +178,26 @@ impl JobRequest {
         spec.n_tracers = cfg.n_tracers;
         spec.advection_only = cfg.advection_only;
         spec
+    }
+
+    /// The manifest the server records the job's telemetry under. Jobs run
+    /// no modeled scheduler; the paper's default policy name fills that axis.
+    pub fn manifest(&self) -> RunManifest {
+        RunManifest {
+            alpha: self.alpha,
+            reorder: self.reorder.name().to_string(),
+            ..RunManifest::new(
+                &self.case,
+                self.level,
+                self.lloyd,
+                self.backend.name(),
+                self.layers,
+                "pattern-driven",
+                &self.executor,
+                0,
+                self.steps,
+            )
+        }
     }
 
     /// The request echoed back as JSON (inside status documents). The

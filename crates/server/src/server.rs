@@ -8,7 +8,7 @@ use crate::job::JobRequest;
 use crate::registry::{JobState, Registry};
 use mpas_core::{JobError, JobProgress};
 use mpas_telemetry::analysis::LiveBlame;
-use mpas_telemetry::diagnose::{diagnose, DiagnoseConfig};
+use mpas_telemetry::diagnose::diagnose;
 use mpas_telemetry::store::{Agg, HistoryStore, MetricQuery, RunFilter, RunManifest};
 use mpas_telemetry::{flight, names, Recorder};
 use std::io::{self, Write};
@@ -237,7 +237,7 @@ fn stream_metrics(mut stream: TcpStream, req: &Request, inner: &Arc<Inner>) {
         .query_param("count")
         .and_then(|v| v.parse().ok())
         .unwrap_or(0);
-    let prefix = req.query_param("prefix").map(str::to_string);
+    let prefix = req.query_param("prefix").unwrap_or("").to_string();
     if write_stream_head(&mut stream).is_err() {
         return;
     }
@@ -248,10 +248,7 @@ fn stream_metrics(mut stream: TcpStream, req: &Request, inner: &Arc<Inner>) {
             if let Ok(mut live) = inner.live.lock() {
                 live.update(&inner.rec);
             }
-            let mut snap = inner.rec.snapshot();
-            if let Some(p) = &prefix {
-                snap = snap.filtered(p);
-            }
+            let snap = inner.rec.snapshot_prefix(&prefix);
             let draining = inner.draining.load(Ordering::SeqCst);
             format!(
                 "{{\"seq\": {seq}, \"ts_s\": {:.6}, \"active_jobs\": {}, \
@@ -289,11 +286,8 @@ fn route(req: &Request, inner: &Arc<Inner>, dispatcher: &Arc<Dispatcher>) -> (u1
             )
         }
         ("GET", ["metrics"]) => {
-            let snap = match req.query_param("prefix") {
-                Some(p) => inner.rec.snapshot().filtered(p),
-                None => inner.rec.snapshot(),
-            };
-            (200, snap.to_json())
+            let prefix = req.query_param("prefix").unwrap_or("");
+            (200, inner.rec.snapshot_prefix(prefix).to_json())
         }
         ("POST", ["jobs"]) => submit_job(&req.body, inner, dispatcher),
         ("GET", ["jobs", id, "telemetry"]) => with_id(id, |id| job_telemetry(id, inner)),
@@ -443,7 +437,7 @@ fn job_telemetry(id: u64, inner: &Arc<Inner>) -> (u16, String) {
     if let Ok(mut live) = inner.live.lock() {
         live.update(&inner.rec);
     }
-    let snap = inner.rec.snapshot().filtered(&format!("{scope}."));
+    let snap = inner.rec.snapshot_prefix(&format!("{scope}."));
     let step_field = step.map(|s| format!(", \"step\": {s}")).unwrap_or_default();
     (
         200,
@@ -487,9 +481,9 @@ fn history_runs(inner: &Arc<Inner>) -> (u16, String) {
 /// `GET /history/query`: the store's [`MetricQuery`] over HTTP.
 /// Parameters: `prefix` (metric-name prefix), `agg`
 /// (count/sum/mean/p50/p95/max/min, default p50), `run` (exact run id),
-/// `last` (most recent N runs), any manifest axis as `key=value`
-/// (case/level/lloyd/backend/layers/policy/executor/ranks/steps/git),
-/// and `start`+`end` for a raw-sample index range. Each answer row says
+/// `last` (most recent N runs), any manifest axis
+/// ([`RunManifest::AXES`]) or `git` as `key=value`, and `start`+`end` for
+/// a raw-sample index range. Each answer row says
 /// which ladder level produced it.
 fn history_query(req: &Request, inner: &Arc<Inner>) -> (u16, String) {
     let Some(store) = &inner.history else {
@@ -520,10 +514,7 @@ fn history_query(req: &Request, inner: &Arc<Inner>) -> (u16, String) {
             _ => return (400, error_body("last must be an integer >= 1")),
         }
     }
-    for key in [
-        "case", "level", "lloyd", "backend", "layers", "policy", "executor", "ranks", "steps",
-        "git",
-    ] {
+    for key in RunManifest::AXES.into_iter().chain(["git"]) {
         if let Some(v) = req.query_param(key) {
             run_filter.keys.push((key.to_string(), v.to_string()));
         }
@@ -553,11 +544,7 @@ fn history_query(req: &Request, inner: &Arc<Inner>) -> (u16, String) {
                         "{{\"run\": \"{}\", \"metric\": \"{}\", \"value\": {}, \"level\": \"{}\"}}",
                         mpas_telemetry::json_escape(&r.run_id),
                         mpas_telemetry::json_escape(&r.metric),
-                        if r.value.is_finite() {
-                            format!("{}", r.value)
-                        } else {
-                            "null".to_string()
-                        },
+                        mpas_telemetry::json_num(r.value),
                         r.level,
                     )
                 })
@@ -606,14 +593,7 @@ fn job_diagnosis(id: u64, req: &Request, inner: &Arc<Inner>) -> (u16, String) {
             }
         },
     };
-    match diagnose(
-        store,
-        &run_id,
-        &DiagnoseConfig {
-            last_n,
-            ..DiagnoseConfig::default()
-        },
-    ) {
+    match diagnose(store, &run_id, last_n) {
         Ok(report) => (200, report.to_json()),
         Err(e) => (503, error_body(&e.to_string())),
     }
@@ -723,20 +703,7 @@ fn flush_history(inner: &Arc<Inner>, id: u64, request: &JobRequest, scope: &str)
     let Some(store) = &inner.history else {
         return;
     };
-    let manifest = RunManifest::new(
-        &request.case,
-        request.level,
-        request.lloyd,
-        request.backend.name(),
-        request.layers,
-        // Jobs run no modeled scheduler; the paper's default policy name
-        // keeps stored run identities unchanged.
-        "pattern-driven",
-        &request.executor,
-        0,
-        request.steps,
-    );
-    match store.record_recorder(&manifest, &inner.rec, &format!("{scope}.")) {
+    match store.record_recorder(&request.manifest(), &inner.rec, &format!("{scope}.")) {
         Ok(m) => {
             inner.rec.add(names::SERVER_HISTORY_RECORDED, 1);
             inner

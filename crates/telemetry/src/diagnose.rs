@@ -2,8 +2,9 @@
 //!
 //! Given one *current* run and a baseline set selected from the store by
 //! matching manifest keys ([`crate::store::RunManifest::baseline_key`]:
-//! same case, mesh, backend, layers, policy, executor, ranks and step
-//! count — only the code or the environment differs), this module
+//! same case and rotation, mesh and numbering, backend, layers, policy,
+//! executor, ranks and step count — only the code or the environment
+//! differs), this module
 //! answers the question the gate cannot: not just *whether* something
 //! regressed, but *where*. Each finding names the metric, the
 //! attribution dimension (kernel-backend, a Table-I kernel span, a
@@ -15,11 +16,12 @@
 //! The statistical core is exactly the perf gate's
 //! ([`crate::gate`]): per metric, the baseline runs' values go through
 //! [`median_mad`], and a [`BaselineEntry`] with band
-//! `k · MAD_SIGMA · mad + floor` decides violation via
-//! [`BaselineEntry::violates`]. What diagnosis adds on top is a
-//! *classifier* (which direction/severity/floor a metric class gets —
-//! speedups regress downward, error norms upward, drifts by absolute
-//! value) and a *ranker*: fail-severity findings first, then by effect
+//! `BAND_K · MAD_SIGMA · mad + floor` decides violation via
+//! [`BaselineEntry::violates`], on each run's summary p50 (a counter or
+//! gauge stores one sample, so its p50 *is* the value). What diagnosis
+//! adds on top is a *classifier* (which direction/severity/floor a metric
+//! class gets — speedups regress downward, error norms upward, drifts by
+//! absolute value) and a *ranker*: fail-severity findings first, then by effect
 //! size `|current − median| / band`. With a single baseline run the MAD
 //! is zero and the relative floor carries the whole band — that is the
 //! CI smoke configuration (`--against last=1`), and it works because
@@ -44,27 +46,14 @@
 //! * **solver** — everything else (step time, drifts, error norms).
 
 use crate::gate::{median_mad, BaselineEntry, Direction, Severity};
-use crate::json_escape;
 use crate::names;
-use crate::store::{HistoryStore, MetricKind, RunFilter, RunManifest};
+use crate::store::{HistoryStore, RunFilter, RunManifest};
+use crate::{json_escape, json_num};
 use std::fmt::Write as _;
 use std::io;
 
-/// Knobs for [`diagnose`].
-#[derive(Debug, Clone)]
-pub struct DiagnoseConfig {
-    /// Baseline set: the most recent N matching runs before the
-    /// current one.
-    pub last_n: usize,
-    /// Band width in MAD-σ units (the gate's `k`).
-    pub k: f64,
-}
-
-impl Default for DiagnoseConfig {
-    fn default() -> DiagnoseConfig {
-        DiagnoseConfig { last_n: 5, k: 4.0 }
-    }
-}
+/// Band width of every diagnosis band, in MAD-σ units (the gate's `k`).
+pub const BAND_K: f64 = 4.0;
 
 /// Which part of the stack a finding points at.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -146,7 +135,7 @@ impl Finding {
                 format!(
                     "{{\"run\": \"{}\", \"value\": {}}}",
                     json_escape(&s.run_id),
-                    fmt_json_f64(s.value)
+                    json_num(s.value)
                 )
             })
             .collect();
@@ -166,12 +155,12 @@ impl Finding {
             opt_str(&self.blame_dim),
             self.entry.severity.as_str(),
             self.entry.direction.as_str(),
-            fmt_json_f64(self.current),
-            fmt_json_f64(self.entry.median),
-            fmt_json_f64(self.entry.mad),
-            fmt_json_f64(self.entry.band()),
-            fmt_json_f64(self.effect),
-            fmt_json_f64(self.delta_frac),
+            json_num(self.current),
+            json_num(self.entry.median),
+            json_num(self.entry.mad),
+            json_num(self.entry.band()),
+            json_num(self.effect),
+            json_num(self.delta_frac),
             support.join(", "),
         )
     }
@@ -392,32 +381,19 @@ fn dimension_of(metric: &str) -> (Dimension, Option<String>, Option<usize>, Opti
     (Dimension::Solver, None, None, None)
 }
 
-/// One run's comparable value for a stored metric: the per-run summary
-/// median, which matches the gate's resolution order (a gauge or
-/// counter stores a single sample, so its p50 *is* the value; a
-/// histogram compares by p50, exactly as [`crate::gate::Baseline`]
-/// does against a live snapshot).
-fn value_of(kind: MetricKind, p50: f64) -> f64 {
-    let _ = kind;
-    p50
-}
-
-/// Diagnose `run_id` against the most recent matching baseline runs.
+/// Diagnose `run_id` against the `last_n` most recent matching baseline
+/// runs.
 ///
 /// Metrics present in the current run but in no baseline (or vice
 /// versa) are skipped — new metrics are not regressions. Baselines are
 /// selected strictly *before* the current run, so diagnosing a
 /// mid-history run ignores its future.
-pub fn diagnose(
-    store: &HistoryStore,
-    run_id: &str,
-    cfg: &DiagnoseConfig,
-) -> io::Result<DiagnosisReport> {
+pub fn diagnose(store: &HistoryStore, run_id: &str, last_n: usize) -> io::Result<DiagnosisReport> {
     let current = store.manifest(run_id)?;
     let key = current.baseline_key();
     let mut baselines = store.select_runs(&RunFilter::default())?;
     baselines.retain(|m| m.baseline_key() == key && m.run_id.as_str() < run_id);
-    let skip = baselines.len().saturating_sub(cfg.last_n.max(1));
+    let skip = baselines.len().saturating_sub(last_n.max(1));
     baselines.drain(..skip);
 
     let mut report = DiagnosisReport {
@@ -441,7 +417,7 @@ pub fn diagnose(
                 .or_default()
                 .push(SupportRow {
                     run_id: m.run_id.clone(),
-                    value: value_of(row.kind, row.summary.p50),
+                    value: row.summary.p50,
                 });
         }
     }
@@ -459,13 +435,13 @@ pub fn diagnose(
             median,
             mad,
             count: values.len(),
-            k: cfg.k,
+            k: BAND_K,
             floor: class.rel_floor * median.abs() + class.abs_floor,
             direction: class.direction,
             severity: class.severity,
             abs: class.abs,
         };
-        let current_value = value_of(row.kind, row.summary.p50);
+        let current_value = row.summary.p50;
         if !entry.violates(current_value) {
             continue;
         }
@@ -530,18 +506,10 @@ fn fmt_val(v: f64) -> String {
     }
 }
 
-fn fmt_json_f64(v: f64) -> String {
-    if v.is_finite() {
-        format!("{v}")
-    } else {
-        "null".to_string()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::store::{LadderSummary, MetricQuery, RunFilter};
+    use crate::store::{MetricKind, MetricQuery, RunFilter};
     use std::collections::BTreeMap;
     use std::path::PathBuf;
 
@@ -584,7 +552,7 @@ mod tests {
             record(&store, 2.6, 0.05);
         }
         let cur = record(&store, 1.0, 0.18);
-        let report = diagnose(&store, &cur.run_id, &DiagnoseConfig::default()).unwrap();
+        let report = diagnose(&store, &cur.run_id, 5).unwrap();
         assert_eq!(report.baseline_runs.len(), 3);
         assert!(report.failed());
         let top = &report.findings[0];
@@ -612,15 +580,7 @@ mod tests {
         let store = HistoryStore::open(&tmp("single")).unwrap();
         record(&store, 2.6, 0.05);
         let cur = record(&store, 1.0, 0.05);
-        let report = diagnose(
-            &store,
-            &cur.run_id,
-            &DiagnoseConfig {
-                last_n: 1,
-                ..DiagnoseConfig::default()
-            },
-        )
-        .unwrap();
+        let report = diagnose(&store, &cur.run_id, 1).unwrap();
         assert!(report.failed());
         assert_eq!(report.findings[0].dimension, Dimension::KernelBackend);
     }
@@ -631,7 +591,7 @@ mod tests {
         record(&store, 2.6, 0.05);
         record(&store, 2.6, 0.05);
         let cur = record(&store, 2.6, 0.05);
-        let report = diagnose(&store, &cur.run_id, &DiagnoseConfig::default()).unwrap();
+        let report = diagnose(&store, &cur.run_id, 5).unwrap();
         assert!(!report.failed());
         assert!(report.findings.is_empty());
         assert!(report.checked_metrics >= 3);
@@ -651,7 +611,7 @@ mod tests {
         );
         store.record(&other, &metrics).unwrap();
         let cur = record(&store, 2.6, 0.05);
-        let report = diagnose(&store, &cur.run_id, &DiagnoseConfig::default()).unwrap();
+        let report = diagnose(&store, &cur.run_id, 5).unwrap();
         // Only the matching run is a baseline; the scalar run is ignored.
         assert_eq!(report.baseline_runs, vec!["r000001"]);
         assert!(!report.failed());
@@ -661,7 +621,7 @@ mod tests {
     fn no_baselines_yields_a_calm_report() {
         let store = HistoryStore::open(&tmp("nobase")).unwrap();
         let cur = record(&store, 2.6, 0.05);
-        let report = diagnose(&store, &cur.run_id, &DiagnoseConfig::default()).unwrap();
+        let report = diagnose(&store, &cur.run_id, 5).unwrap();
         assert!(!report.failed());
         assert!(report.findings.is_empty());
         assert!(report.render().contains("no-baseline"));
@@ -692,7 +652,7 @@ mod tests {
             record(&store, 2.6, 0.05);
         }
         let cur = record(&store, 1.0, 0.18);
-        let _ = diagnose(&store, &cur.run_id, &DiagnoseConfig::default()).unwrap();
+        let _ = diagnose(&store, &cur.run_id, 5).unwrap();
         assert_eq!(store.raw_shard_reads(), 0);
         assert_eq!(store.shard_reads().steps, 0);
         // And a summary-level query across all six runs is ladder-only.
@@ -709,9 +669,30 @@ mod tests {
     }
 
     #[test]
-    fn value_of_matches_gate_resolution() {
-        let s = LadderSummary::from_slice(&[5.0]);
-        assert_eq!(value_of(MetricKind::Gauge, s.p50), 5.0);
-        assert_eq!(value_of(MetricKind::Counter, s.p50), 5.0);
+    fn runs_differing_in_mesh_ordering_or_case_rotation_are_not_baselines() {
+        let store = HistoryStore::open(&tmp("axes")).unwrap();
+        record(&store, 2.6, 0.05);
+        let sfc = RunManifest {
+            reorder: "sfc".to_string(),
+            ..manifest()
+        };
+        let rotated = RunManifest {
+            alpha: 0.5,
+            ..manifest()
+        };
+        assert_ne!(sfc.baseline_key(), manifest().baseline_key());
+        assert_ne!(rotated.baseline_key(), manifest().baseline_key());
+        let mut metrics: BTreeMap<String, (MetricKind, Vec<f64>)> = BTreeMap::new();
+        metrics.insert("m".to_string(), (MetricKind::Gauge, vec![1.0]));
+        // Neither takes the unordered, unrotated run r000001 (or the
+        // other) as its baseline; each finds only its own earlier run.
+        let expect: [&[&str]; 4] = [&[], &[], &["r000002"], &["r000003"]];
+        for (m, want) in [&sfc, &rotated, &sfc, &rotated].into_iter().zip(expect) {
+            let run = store.record(m, &metrics).unwrap();
+            assert_eq!(
+                diagnose(&store, &run.run_id, 5).unwrap().baseline_runs,
+                want
+            );
+        }
     }
 }

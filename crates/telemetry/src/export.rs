@@ -8,8 +8,9 @@
 //! one file — the paper's Fig. 4 comparison, diffable in one viewer window.
 //!
 //! Everything here is hand-rolled JSON (the crate is dependency-free);
-//! [`json_escape`] is the single escaper every writer in the workspace
-//! shares, and [`validate_json`] is a strict syntax checker used by tests
+//! [`json_escape`] and [`json_num`] are the single string escaper and
+//! number formatter every writer in the workspace shares, and
+//! [`validate_json`] is a strict syntax checker used by tests
 //! and the CI smoke job to prove emitted artifacts parse.
 
 use crate::{EventRecord, MetricsSnapshot, SpanRecord};
@@ -264,8 +265,9 @@ impl MetricsSnapshot {
     }
 }
 
-/// Render a float as a JSON-legal number (JSON has no NaN/Infinity).
-fn json_num(v: f64) -> String {
+/// A float as JSON: the shortest digits that parse back to the same bits,
+/// or `null` when it is not finite (JSON has no NaN/Infinity).
+pub fn json_num(v: f64) -> String {
     if v.is_finite() {
         format!("{v}")
     } else {

@@ -1,13 +1,15 @@
 //! Statistical performance-regression gates.
 //!
-//! A **baseline** (`BENCH_baseline.json`) stores, per watched metric, a
-//! robust location/spread pair fitted from repeated samples: the median
-//! and the MAD (median absolute deviation). A later run is compared
-//! against `median ± (k · 1.4826 · MAD + floor)` — the 1.4826 factor makes
-//! the MAD a consistent σ estimator under Gaussian noise, `k` is the band
-//! width in σ, and `floor` is an absolute term that keeps near-zero-noise
-//! metrics (e.g. a deterministic mass drift) from producing a zero-width
-//! band that trips on harmless jitter.
+//! A **baseline** stores, per watched metric, a robust location/spread
+//! pair fitted from repeated samples: the median and the MAD (median
+//! absolute deviation), both by [`HistogramSummary::from_samples`], so a
+//! fitted median is the very p50 the gate reads from a snapshot. A later
+//! run is compared against `median ± (k · 1.4826 · MAD + floor)` — the
+//! 1.4826 factor makes the MAD a consistent σ estimator under Gaussian
+//! noise, `k` is the band width in σ, and `floor` is an absolute term
+//! that keeps near-zero-noise metrics (e.g. a deterministic mass drift)
+//! from producing a zero-width band that trips on harmless jitter. A
+//! [`BaselineFile`] holds one baseline per workload.
 //!
 //! Entries carry a [`Severity`]: step-time drift is `Warn` (CI machines
 //! are noisy; a warning is advisory), while invariant-adjacent metrics
@@ -18,9 +20,10 @@
 //! JSON ([`crate::export::parse_json`]), so the gate runs anywhere the
 //! binary does.
 
-use crate::export::{json_escape, parse_json, JsonValue};
-use crate::MetricsSnapshot;
+use crate::export::{json_escape, json_num, parse_json, JsonValue};
+use crate::{HistogramSummary, MetricsSnapshot};
 use std::fmt::Write as _;
+use std::path::Path;
 
 /// Consistency factor turning a MAD into a σ estimate (Gaussian).
 pub const MAD_SIGMA: f64 = 1.4826;
@@ -131,36 +134,26 @@ impl BaselineEntry {
     }
 }
 
-/// A named set of baseline entries (the `BENCH_baseline.json` document).
+/// The watched metrics of one workload.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct Baseline {
-    /// Free-form label (mesh level, executor, host...).
+    /// The baseline key of the workload it was fitted on (see
+    /// [`BaselineFile`]).
     pub name: String,
     /// The watched metrics.
     pub entries: Vec<BaselineEntry>,
 }
 
-/// Robust location/spread of a sample set: `(median, MAD)`.
-///
-/// Nearest-rank medians; empty input gives `(0, 0)`.
+/// Robust location/spread of the finite samples: `(median, MAD)`, each a
+/// [`HistogramSummary::from_samples`] p50. Empty input gives `(0, 0)`.
 pub fn median_mad(samples: &[f64]) -> (f64, f64) {
-    fn median(sorted: &[f64]) -> f64 {
-        let n = sorted.len();
-        if n == 0 {
-            return 0.0;
-        }
-        if n % 2 == 1 {
-            sorted[n / 2]
-        } else {
-            0.5 * (sorted[n / 2 - 1] + sorted[n / 2])
-        }
+    let finite: Vec<f64> = samples.iter().copied().filter(|v| v.is_finite()).collect();
+    if finite.is_empty() {
+        return (0.0, 0.0);
     }
-    let mut s: Vec<f64> = samples.iter().copied().filter(|v| v.is_finite()).collect();
-    s.sort_by(|a, b| a.total_cmp(b));
-    let med = median(&s);
-    let mut dev: Vec<f64> = s.iter().map(|v| (v - med).abs()).collect();
-    dev.sort_by(|a, b| a.total_cmp(b));
-    (med, median(&dev))
+    let med = HistogramSummary::from_samples(&finite).p50;
+    let dev: Vec<f64> = finite.iter().map(|v| (v - med).abs()).collect();
+    (med, HistogramSummary::from_samples(&dev).p50)
 }
 
 impl Baseline {
@@ -169,6 +162,10 @@ impl Baseline {
     /// entry index.
     pub fn parse(json: &str) -> Result<Baseline, String> {
         let v = parse_json(json).map_err(|off| format!("invalid JSON at byte {off}"))?;
+        Baseline::from_json(&v)
+    }
+
+    fn from_json(v: &JsonValue) -> Result<Baseline, String> {
         let name = v
             .get("name")
             .and_then(JsonValue::as_str)
@@ -217,10 +214,15 @@ impl Baseline {
         Ok(Baseline { name, entries })
     }
 
-    /// Serialize as the committed `BENCH_baseline.json` format.
+    /// Serialize as one JSON object (one element of a [`BaselineFile`]).
     pub fn to_json(&self) -> String {
+        self.json_at("") + "\n"
+    }
+
+    /// The JSON object with every line after the first indented by `pad`.
+    fn json_at(&self, pad: &str) -> String {
         let mut out = format!(
-            "{{\n  \"name\": \"{}\",\n  \"entries\": [",
+            "{{\n{pad}  \"name\": \"{}\",\n{pad}  \"entries\": [",
             json_escape(&self.name)
         );
         for (i, e) in self.entries.iter().enumerate() {
@@ -229,21 +231,21 @@ impl Baseline {
             }
             let _ = write!(
                 out,
-                "\n    {{\"metric\": \"{}\", \"median\": {}, \"mad\": {}, \"count\": {}, \
+                "\n{pad}    {{\"metric\": \"{}\", \"median\": {}, \"mad\": {}, \"count\": {}, \
                  \"k\": {}, \"floor\": {}, \"direction\": \"{}\", \"severity\": \"{}\", \
                  \"abs\": {}}}",
                 json_escape(&e.metric),
-                fmt_num(e.median),
-                fmt_num(e.mad),
+                json_num(e.median),
+                json_num(e.mad),
                 e.count,
-                fmt_num(e.k),
-                fmt_num(e.floor),
+                json_num(e.k),
+                json_num(e.floor),
                 e.direction.as_str(),
                 e.severity.as_str(),
                 e.abs,
             );
         }
-        out.push_str("\n  ]\n}\n");
+        let _ = write!(out, "\n{pad}  ]\n{pad}}}");
         out
     }
 
@@ -283,11 +285,72 @@ impl Baseline {
     }
 }
 
-fn fmt_num(v: f64) -> String {
-    if v.is_finite() {
-        format!("{v}")
-    } else {
-        "null".to_string()
+/// The `BENCH_baseline.json` document: one [`Baseline`] per workload,
+/// named by the [`RunManifest::baseline_key`] of the run it was fitted
+/// on. `swe_run --gate` and `swe_load --gate` evaluate the one named by
+/// their own run's key, so a workload is judged only by what was fitted
+/// on it.
+///
+/// [`RunManifest::baseline_key`]: crate::store::RunManifest::baseline_key
+#[derive(Debug, Clone, Default, PartialEq)]
+pub struct BaselineFile {
+    /// The baselines, one per key, in file order.
+    pub baselines: Vec<Baseline>,
+}
+
+impl BaselineFile {
+    /// Parse a `{"baselines": [...]}` document.
+    pub fn parse(json: &str) -> Result<BaselineFile, String> {
+        let v = parse_json(json).map_err(|off| format!("invalid JSON at byte {off}"))?;
+        let baselines = v
+            .get("baselines")
+            .and_then(JsonValue::as_arr)
+            .ok_or("baseline file has no \"baselines\" array")?;
+        let baselines = baselines.iter().map(Baseline::from_json);
+        Ok(BaselineFile {
+            baselines: baselines.collect::<Result<_, _>>()?,
+        })
+    }
+
+    /// Read and parse the file at `path`.
+    pub fn read(path: &Path) -> Result<BaselineFile, String> {
+        let text = std::fs::read_to_string(path)
+            .map_err(|e| format!("read baseline {}: {e}", path.display()))?;
+        BaselineFile::parse(&text).map_err(|e| format!("parse baseline {}: {e}", path.display()))
+    }
+
+    /// Serialize as the committed `BENCH_baseline.json` format.
+    pub fn to_json(&self) -> String {
+        let items: Vec<String> = self.baselines.iter().map(|b| b.json_at("    ")).collect();
+        format!(
+            "{{\n  \"baselines\": [\n    {}\n  ]\n}}\n",
+            items.join(",\n    ")
+        )
+    }
+
+    /// The baseline fitted on the workload `key`; the error names the key
+    /// and lists the keys the file holds.
+    pub fn get(&self, key: &str) -> Result<&Baseline, String> {
+        self.baselines
+            .iter()
+            .find(|b| b.name == key)
+            .ok_or_else(|| {
+                let held: String = self
+                    .baselines
+                    .iter()
+                    .map(|b| format!("\n  {}", b.name))
+                    .collect();
+                let n = self.baselines.len();
+                format!("no baseline for this run's key\n  {key}\nthe file holds {n}{held}")
+            })
+    }
+
+    /// Put `baseline` in place of the one with its name, or append it.
+    pub fn replace(&mut self, baseline: Baseline) {
+        match self.baselines.iter_mut().find(|b| b.name == baseline.name) {
+            Some(slot) => *slot = baseline,
+            None => self.baselines.push(baseline),
+        }
     }
 }
 
@@ -404,6 +467,43 @@ mod tests {
             severity: Severity::Fail,
             abs: false,
         }
+    }
+
+    #[test]
+    fn median_mad_fits_the_median_the_gate_reads() {
+        // An even count: the snapshot's nearest-rank p50 is the upper
+        // middle, and the fit takes the same sample, not a midpoint.
+        let samples = [4.0, 1.0, 3.0, 2.0];
+        let rec = Recorder::new();
+        samples.iter().for_each(|&v| rec.record("h", v));
+        assert_eq!(rec.snapshot().histogram("h").unwrap().p50, 3.0);
+        assert_eq!(median_mad(&samples), (3.0, 1.0));
+        // Non-finite samples are dropped before ranking.
+        assert_eq!(median_mad(&[f64::NAN, 2.0, f64::INFINITY]), (2.0, 0.0));
+    }
+
+    #[test]
+    fn baseline_file_selects_and_replaces_by_key() {
+        let b = |name: &str, median: f64| Baseline {
+            name: name.to_string(),
+            entries: vec![entry("m", median, 0.0)],
+        };
+        let mut file = BaselineFile {
+            baselines: vec![b("k=1", 1.0), b("k=2", 2.0)],
+        };
+        crate::export::validate_json(&file.to_json()).unwrap();
+        assert_eq!(BaselineFile::parse(&file.to_json()).unwrap(), file);
+        assert_eq!(file.get("k=2").unwrap().entries[0].median, 2.0);
+        let err = file.get("k=3").unwrap_err();
+        assert!(err.contains("k=3") && err.contains("k=1"), "{err}");
+        // Replacing keeps the other baselines and their order.
+        file.replace(b("k=1", 9.0));
+        file.replace(b("k=4", 3.0));
+        assert_eq!(
+            file.baselines,
+            [b("k=1", 9.0), b("k=2", 2.0), b("k=4", 3.0)]
+        );
+        assert!(BaselineFile::parse("{\"name\": \"x\", \"entries\": []}").is_err());
     }
 
     #[test]

@@ -47,7 +47,7 @@ pub mod names;
 pub mod store;
 pub mod window;
 
-pub use export::{json_escape, ChromeTrace};
+pub use export::{json_escape, json_num, ChromeTrace};
 pub use flight::{FlightEvent, DEFAULT_FLIGHT_CAPACITY};
 pub use window::{RollingWindow, WindowSummary};
 
@@ -86,14 +86,16 @@ pub struct EventRecord {
     pub args: Vec<(String, String)>,
 }
 
-/// Summary statistics of one histogram metric.
+/// Summary statistics of one sample set, by the one rule of
+/// [`HistogramSummary::from_samples`]. A field with no value is NaN,
+/// written `null`.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct HistogramSummary {
     /// Number of recorded samples (the gate sizes its noise bands by this).
     pub count: usize,
     /// Sum of all samples.
     pub sum: f64,
-    /// Arithmetic mean.
+    /// Arithmetic mean (`sum / count`).
     pub mean: f64,
     /// Median (nearest-rank).
     pub p50: f64,
@@ -137,38 +139,6 @@ impl MetricsSnapshot {
     /// Summary of a rolling window, if one is registered for `name`.
     pub fn window(&self, name: &str) -> Option<&WindowSummary> {
         self.windows.get(name)
-    }
-
-    /// The snapshot restricted to metrics whose name starts with `prefix`
-    /// (the `BTreeMap`s keep the keys stably sorted). With scoped
-    /// recorders this slices the global snapshot into one namespace.
-    pub fn filtered(&self, prefix: &str) -> MetricsSnapshot {
-        MetricsSnapshot {
-            counters: self
-                .counters
-                .iter()
-                .filter(|(k, _)| k.starts_with(prefix))
-                .map(|(k, v)| (k.clone(), *v))
-                .collect(),
-            gauges: self
-                .gauges
-                .iter()
-                .filter(|(k, _)| k.starts_with(prefix))
-                .map(|(k, v)| (k.clone(), *v))
-                .collect(),
-            histograms: self
-                .histograms
-                .iter()
-                .filter(|(k, _)| k.starts_with(prefix))
-                .map(|(k, v)| (k.clone(), *v))
-                .collect(),
-            windows: self
-                .windows
-                .iter()
-                .filter(|(k, _)| k.starts_with(prefix))
-                .map(|(k, v)| (k.clone(), *v))
-                .collect(),
-        }
     }
 }
 
@@ -360,7 +330,7 @@ impl Recorder {
 
     /// This view's namespace prefix (`""` on the root view), including the
     /// trailing `.` — the string to pass to
-    /// [`MetricsSnapshot::filtered`] / [`flight::filter_prefix`].
+    /// [`Recorder::snapshot_prefix`] / [`flight::filter_prefix`].
     pub fn scope(&self) -> &str {
         self.scope.as_deref().unwrap_or("")
     }
@@ -713,6 +683,14 @@ impl Recorder {
     /// Snapshot every metric (name-ordered; histograms summarized;
     /// rolling windows summarized as of now).
     pub fn snapshot(&self) -> MetricsSnapshot {
+        self.snapshot_prefix("")
+    }
+
+    /// Snapshot the metrics whose name starts with `prefix` (a scoped
+    /// view's [`Recorder::scope`], say). Only the matching slots are
+    /// summarized, so reading one server job's namespace sorts that job's
+    /// samples, not every job's.
+    pub fn snapshot_prefix(&self, prefix: &str) -> MetricsSnapshot {
         let Some(inner) = &self.inner else {
             return MetricsSnapshot::default();
         };
@@ -720,6 +698,9 @@ impl Recorder {
         let mut buf = inner.buf.lock().unwrap();
         let mut snap = MetricsSnapshot::default();
         for slot in buf.metrics.values_mut() {
+            if !slot.name.starts_with(prefix) {
+                continue;
+            }
             if let Some(c) = slot.counter {
                 snap.counters.insert(slot.name.to_string(), c);
             }
@@ -741,27 +722,49 @@ impl Recorder {
 }
 
 impl HistogramSummary {
-    /// Summarize a non-empty sample set (nearest-rank percentiles).
+    /// Summarize a sample set: the one rule every percentile in the
+    /// workspace comes from. Percentile `q` is the sorted sample at index
+    /// `round((n − 1) · q)` (nearest rank; NaN sorts last), and `sum`
+    /// folds in arrival order. An empty set has count 0, sum 0 and every
+    /// other field NaN.
     pub fn from_samples(samples: &[f64]) -> Self {
-        let mut sorted: Vec<f64> = samples.to_vec();
-        sorted.sort_by(|a, b| a.partial_cmp(b).unwrap_or(std::cmp::Ordering::Equal));
-        let n = sorted.len();
-        let pick = |q: f64| -> f64 {
-            if n == 0 {
-                return 0.0;
-            }
-            let idx = ((n as f64 - 1.0) * q).round() as usize;
-            sorted[idx.min(n - 1)]
+        let n = samples.len();
+        let mut sorted = samples.to_vec();
+        sorted.sort_by(|a, b| {
+            a.partial_cmp(b)
+                .unwrap_or_else(|| a.is_nan().cmp(&b.is_nan()))
+        });
+        let pick = |q: f64| match n {
+            0 => f64::NAN,
+            _ => sorted[((n - 1) as f64 * q).round() as usize],
         };
-        let sum: f64 = sorted.iter().sum();
+        let sum = samples.iter().fold(0.0, |a, b| a + b);
         HistogramSummary {
             count: n,
             sum,
-            mean: if n == 0 { 0.0 } else { sum / n as f64 },
+            mean: if n == 0 { f64::NAN } else { sum / n as f64 },
             p50: pick(0.50),
             p95: pick(0.95),
-            max: sorted.last().copied().unwrap_or(0.0),
-            min: sorted.first().copied().unwrap_or(0.0),
+            max: pick(1.0),
+            min: pick(0.0),
+        }
+    }
+
+    /// Combine the summaries of disjoint sample sets. `count`, `min`,
+    /// `max` and `sum` (a left fold of the part sums) are exact, and so
+    /// is `mean`; percentiles do not merge, so `p50` and `p95` are NaN.
+    pub fn merge(parts: &[HistogramSummary]) -> Self {
+        let parts = parts.iter().filter(|p| p.count > 0);
+        let n: usize = parts.clone().map(|p| p.count).sum();
+        let sum = parts.clone().fold(0.0, |a, p| a + p.sum);
+        HistogramSummary {
+            count: n,
+            sum,
+            mean: if n == 0 { f64::NAN } else { sum / n as f64 },
+            p50: f64::NAN,
+            p95: f64::NAN,
+            max: parts.clone().map(|p| p.max).fold(f64::NAN, f64::max),
+            min: parts.map(|p| p.min).fold(f64::NAN, f64::min),
         }
     }
 }
@@ -993,6 +996,26 @@ mod tests {
     }
 
     #[test]
+    fn histogram_summary_ranks_by_nearest_rank_and_sums_in_arrival_order() {
+        // Even count: index round((4 - 1) * 0.5) = 2, the upper middle.
+        let h = HistogramSummary::from_samples(&[4.0, 1.0, 3.0, 2.0]);
+        assert_eq!((h.p50, h.p95, h.min, h.max), (3.0, 4.0, 1.0, 4.0));
+        // Summed in arrival order (sorted first, the sum would be 0).
+        let h = HistogramSummary::from_samples(&[1e16, 1.0, -1e16, 1.0]);
+        assert_eq!((h.sum, h.mean), (1.0, 0.25));
+        // Empty: count and sum 0, everything else absent.
+        let e = HistogramSummary::from_samples(&[]);
+        assert_eq!((e.count, e.sum), (0, 0.0));
+        assert!([e.mean, e.min, e.p50, e.p95, e.max]
+            .iter()
+            .all(|v| v.is_nan()));
+        // A NaN sorts last instead of scrambling the order.
+        let h = HistogramSummary::from_samples(&[2.0, f64::NAN, 1.0]);
+        assert_eq!((h.min, h.p50), (1.0, 2.0));
+        assert!(h.max.is_nan());
+    }
+
+    #[test]
     fn histogram_summary_of_single_sample() {
         let h = HistogramSummary::from_samples(&[7.0]);
         assert_eq!(h.count, 1);
@@ -1011,19 +1034,35 @@ mod tests {
         a.add("core.sim.steps", 2);
         b.add("core.sim.steps", 5);
         a.set_gauge("drift", 1e-15);
+        a.rolling_window("core.sim.step_seconds", 60.0);
         {
             let _s = a.span_timed("measured", "core.step", "core.sim.step_seconds");
         }
+        rec.scoped("job12").record("h", 1.0);
         let snap = rec.snapshot();
         assert_eq!(snap.counters["job1.core.sim.steps"], 2);
         assert_eq!(snap.counters["job2.core.sim.steps"], 5);
         assert_eq!(snap.histograms["job1.core.sim.step_seconds"].count, 1);
         assert_eq!(rec.spans()[0].track, "job1.measured");
-        // Filtering slices one namespace out with stable-sorted keys.
-        let job1 = snap.filtered("job1.");
+        // A prefix snapshot slices one namespace out with stable-sorted keys.
+        let job1 = rec.snapshot_prefix("job1.");
         assert_eq!(job1.counters.len(), 1);
         assert!(job1.counters.keys().all(|k| k.starts_with("job1.")));
-        assert!(snap.filtered("job2.").gauges.is_empty());
+        assert!(rec.snapshot_prefix("job2.").gauges.is_empty());
+        // It is the full snapshot restricted to the prefix, in every section.
+        fn restrict<V: Clone>(m: &BTreeMap<String, V>, prefix: &str) -> BTreeMap<String, V> {
+            m.iter()
+                .filter(|(k, _)| k.starts_with(prefix))
+                .map(|(k, v)| (k.clone(), v.clone()))
+                .collect()
+        }
+        for p in ["job1.", "job12.", "job", "", "none."] {
+            let part = rec.snapshot_prefix(p);
+            assert_eq!(part.counters, restrict(&snap.counters, p), "{p}");
+            assert_eq!(part.gauges, restrict(&snap.gauges, p), "{p}");
+            assert_eq!(part.histograms, restrict(&snap.histograms, p), "{p}");
+            assert_eq!(part.windows, restrict(&snap.windows, p), "{p}");
+        }
     }
 
     #[test]

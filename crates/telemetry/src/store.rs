@@ -13,8 +13,8 @@
 //!
 //! ```text
 //! <history-dir>/runs/r000042/
-//!   manifest.json   run identity: case/level/backend/layers/policy/
-//!                   executor/ranks/steps + git describe + config digest
+//!   manifest.json   run identity (the RunManifest::AXES) + git
+//!                   describe + config digest
 //!   raw.ndjson      ladder level 0: one line per metric, full samples
 //!   steps.ndjson    ladder level 1: per-step chunk summaries
 //!   summary.json    ladder level 2: one summary per metric (always kept)
@@ -27,26 +27,25 @@
 //!
 //! # The ladder
 //!
-//! Each level summarises the one below with the same mergeable shape,
-//! [`LadderSummary`] (`count/sum/min/p50/p95/max`):
+//! Every level stores [`HistogramSummary`] rows (`count/sum/min/p50/p95/
+//! max`), each computed by [`HistogramSummary::from_samples`], the
+//! workspace's one summary rule:
 //!
 //! * **raw** — every finite sample, in arrival order;
 //! * **steps** — raw split into `ceil(count / manifest.steps)` chunks, so
 //!   a per-step histogram (`core.sim.step_seconds`) gets exactly one
-//!   chunk per simulated step;
+//!   chunk per simulated step; each row summarizes its chunk;
 //! * **summary** — one row per metric.
 //!
 //! `count`, `min`, `max`, `p50` and `p95` in the per-run summary are
-//! exact over raw (percentiles use the same nearest-rank rule as
-//! [`crate::HistogramSummary`]). `sum` is defined as the *chunk tree*:
+//! exact over raw (nearest rank). `sum` is defined as the *chunk tree*:
 //! samples fold left-to-right within a chunk, chunk sums fold
-//! left-to-right across the run. That makes the steps and summary levels
-//! bitwise-consistent with each other and reproducible from raw, which
-//! is what the ladder property tests assert. [`LadderSummary::merge`] keeps
-//! count/sum/min/max exact; merged percentiles are count-weighted
-//! estimates (clamped to `[min, max]`) and are therefore *never* used to
-//! answer a query that demands exactness — the query planner drops to a
-//! finer level instead.
+//! left-to-right across the run ([`HistogramSummary::merge`] of the step
+//! rows). That makes the steps and summary levels bitwise-consistent with
+//! each other and reproducible from raw, which is what the ladder
+//! property tests assert. Percentiles do not merge: a merged summary
+//! carries none, and a percentile over a sample range is always answered
+//! from raw.
 //!
 //! # Query resolution
 //!
@@ -56,8 +55,8 @@
 //! * no sample range → the per-run summary (every [`Agg`] is exact
 //!   there, including `Mean = sum/count`);
 //! * a range whose endpoints tile exactly onto step chunks, with an
-//!   aggregation the chunk shape preserves (`Count/Sum/Mean/Max/Min`) →
-//!   the steps shard;
+//!   aggregation that merges exactly (`Count/Sum/Mean/Max/Min`) → the
+//!   steps shard;
 //! * anything else (unaligned range, or `P50/P95` over a range) → raw.
 //!
 //! The store counts shard reads per level ([`HistoryStore::shard_reads`])
@@ -74,9 +73,9 @@
 //! silently.
 
 use crate::digest::Fnv1a;
-use crate::export::{parse_json, JsonValue};
+use crate::export::{json_num, parse_json, JsonValue};
 use crate::json_escape;
-use crate::Recorder;
+use crate::{HistogramSummary, Recorder};
 use std::collections::BTreeMap;
 use std::fs;
 use std::io::{self, Write as _};
@@ -136,18 +135,24 @@ impl MetricKind {
 
 /// Identity of one recorded run: the configuration axes a baseline set
 /// is matched on, plus provenance (git describe, config digest, wall
-/// time). `run_id`, `config_digest` and `recorded_unix_s` are filled in
-/// by [`HistoryStore::record`]; callers set the rest.
+/// time). The provenance fields and `run_id` are filled in by
+/// [`HistoryStore::record`]; callers set the rest.
 #[derive(Debug, Clone, PartialEq)]
 pub struct RunManifest {
     /// Store-assigned id (`r000042`), empty until recorded.
     pub run_id: String,
     /// Scenario label (`"5"`, `"galewsky"`, or `"serve"` for load runs).
     pub case: String,
+    /// The case's flow-rotation angle, radians (NaN in a manifest
+    /// recorded before the axis existed).
+    pub alpha: f64,
     /// Icosahedral subdivision level.
     pub level: u32,
     /// Lloyd relaxation sweeps.
     pub lloyd: u32,
+    /// Mesh numbering (`none`, `sfc`, `bfs`; empty in a manifest recorded
+    /// before the axis existed).
+    pub reorder: String,
     /// Kernel tier (`scalar`/`simd`, or `serve` for load runs).
     pub backend: String,
     /// Vertical layers.
@@ -160,7 +165,8 @@ pub struct RunManifest {
     pub ranks: usize,
     /// Steps the run executed; also the per-step ladder chunk target.
     pub steps: usize,
-    /// `git describe` of the producing build (provenance, not identity).
+    /// `git describe` of the producing build (provenance, not identity;
+    /// filled by the store).
     pub git: String,
     /// FNV-1a digest of the identity axes (filled by the store).
     pub config_digest: u64,
@@ -169,7 +175,17 @@ pub struct RunManifest {
 }
 
 impl RunManifest {
-    /// A manifest with the given identity axes and empty provenance.
+    /// The identity axes, in key order: what [`RunManifest::baseline_key`]
+    /// joins, what [`RunManifest::field`] looks up, and what
+    /// `/history/query` accepts as `key=value` filters.
+    pub const AXES: [&'static str; 11] = [
+        "case", "alpha", "level", "lloyd", "reorder", "backend", "layers", "policy", "executor",
+        "ranks", "steps",
+    ];
+
+    /// A manifest with the given identity axes and empty provenance; the
+    /// mesh is unordered and the case unrotated until the caller says
+    /// otherwise (`reorder`, `alpha`).
     #[allow(clippy::too_many_arguments)]
     pub fn new(
         case: &str,
@@ -185,15 +201,17 @@ impl RunManifest {
         RunManifest {
             run_id: String::new(),
             case: case.to_string(),
+            alpha: 0.0,
             level,
             lloyd,
+            reorder: "none".to_string(),
             backend: backend.to_string(),
             layers,
             policy: policy.to_string(),
             executor: executor.to_string(),
             ranks,
             steps,
-            git: git_describe(),
+            git: String::new(),
             config_digest: 0,
             recorded_unix_s: 0.0,
         }
@@ -201,22 +219,16 @@ impl RunManifest {
 
     /// The baseline-matching key: every identity axis, *excluding*
     /// provenance (`git`, digest, timestamp). Two runs with equal keys
-    /// are comparable — same case, mesh, backend, layers, policy,
-    /// executor, ranks and step count — and only the code or the
-    /// environment differs, which is exactly what diagnosis attributes.
+    /// are comparable — same case and rotation, mesh and numbering,
+    /// backend, layers, policy, executor, ranks and step count — and only
+    /// the code or the environment differs, which is exactly what
+    /// diagnosis attributes and what a gate baseline is fitted against.
     pub fn baseline_key(&self) -> String {
-        format!(
-            "case={}|level={}|lloyd={}|backend={}|layers={}|policy={}|executor={}|ranks={}|steps={}",
-            self.case,
-            self.level,
-            self.lloyd,
-            self.backend,
-            self.layers,
-            self.policy,
-            self.executor,
-            self.ranks,
-            self.steps,
-        )
+        let axes: Vec<String> = Self::AXES
+            .iter()
+            .map(|a| format!("{a}={}", self.field(a).expect("every axis has a field")))
+            .collect();
+        axes.join("|")
     }
 
     /// FNV-1a digest over the identity axes (what `config_digest` holds).
@@ -226,34 +238,39 @@ impl RunManifest {
         h.finish()
     }
 
-    /// Look an identity axis up by name (for `key=value` query filters).
+    /// Look an identity axis, or `git`, up by name (for `key=value`
+    /// query filters).
     pub fn field(&self, key: &str) -> Option<String> {
-        match key {
-            "case" => Some(self.case.clone()),
-            "level" => Some(self.level.to_string()),
-            "lloyd" => Some(self.lloyd.to_string()),
-            "backend" => Some(self.backend.clone()),
-            "layers" => Some(self.layers.to_string()),
-            "policy" => Some(self.policy.clone()),
-            "executor" => Some(self.executor.clone()),
-            "ranks" => Some(self.ranks.to_string()),
-            "steps" => Some(self.steps.to_string()),
-            "git" => Some(self.git.clone()),
-            _ => None,
-        }
+        Some(match key {
+            "case" => self.case.clone(),
+            "alpha" => self.alpha.to_string(),
+            "level" => self.level.to_string(),
+            "lloyd" => self.lloyd.to_string(),
+            "reorder" => self.reorder.clone(),
+            "backend" => self.backend.clone(),
+            "layers" => self.layers.to_string(),
+            "policy" => self.policy.clone(),
+            "executor" => self.executor.clone(),
+            "ranks" => self.ranks.to_string(),
+            "steps" => self.steps.to_string(),
+            "git" => self.git.clone(),
+            _ => return None,
+        })
     }
 
     /// Serialise as a JSON object.
     pub fn to_json(&self) -> String {
         format!(
-            "{{\"run_id\": \"{}\", \"case\": \"{}\", \"level\": {}, \"lloyd\": {}, \
-             \"backend\": \"{}\", \"layers\": {}, \"policy\": \"{}\", \
-             \"executor\": \"{}\", \"ranks\": {}, \"steps\": {}, \"git\": \"{}\", \
-             \"config_digest\": \"{:016x}\", \"recorded_unix_s\": {}}}",
+            "{{\"run_id\": \"{}\", \"case\": \"{}\", \"alpha\": {}, \"level\": {}, \
+             \"lloyd\": {}, \"reorder\": \"{}\", \"backend\": \"{}\", \"layers\": {}, \
+             \"policy\": \"{}\", \"executor\": \"{}\", \"ranks\": {}, \"steps\": {}, \
+             \"git\": \"{}\", \"config_digest\": \"{:016x}\", \"recorded_unix_s\": {}}}",
             json_escape(&self.run_id),
             json_escape(&self.case),
+            json_num(self.alpha),
             self.level,
             self.lloyd,
+            json_escape(&self.reorder),
             json_escape(&self.backend),
             self.layers,
             json_escape(&self.policy),
@@ -262,11 +279,13 @@ impl RunManifest {
             self.steps,
             json_escape(&self.git),
             self.config_digest,
-            fmt_f64(self.recorded_unix_s),
+            json_num(self.recorded_unix_s),
         )
     }
 
-    /// Parse a manifest back from JSON.
+    /// Parse a manifest back from JSON. A manifest recorded before the
+    /// `reorder` and `alpha` axes existed reads back with them unknown
+    /// (empty, NaN), so it matches only runs that also lack them.
     pub fn parse(text: &str) -> Result<RunManifest, String> {
         let v = parse_json(text).map_err(|at| format!("bad manifest JSON at byte {at}"))?;
         let s = |k: &str| -> Result<String, String> {
@@ -283,8 +302,10 @@ impl RunManifest {
         Ok(RunManifest {
             run_id: s("run_id")?,
             case: s("case")?,
+            alpha: n("alpha").unwrap_or(f64::NAN),
             level: n("level")? as u32,
             lloyd: n("lloyd")? as u32,
+            reorder: s("reorder").unwrap_or_default(),
             backend: s("backend")?,
             layers: n("layers")? as usize,
             policy: s("policy")?,
@@ -299,126 +320,35 @@ impl RunManifest {
     }
 }
 
-/// The mergeable summary shape every ladder level speaks.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct LadderSummary {
-    /// Number of samples covered.
-    pub count: usize,
-    /// Chunk-tree sum (see the module docs for the exact fold order).
-    pub sum: f64,
-    /// Smallest sample.
-    pub min: f64,
-    /// Nearest-rank median (exact at the level it was computed from).
-    pub p50: f64,
-    /// Nearest-rank 95th percentile.
-    pub p95: f64,
-    /// Largest sample.
-    pub max: f64,
+/// A stored row's fields, in shard order (`mean` is derived, not stored).
+fn summary_json_fields(s: &HistogramSummary) -> String {
+    format!(
+        "\"count\": {}, \"sum\": {}, \"min\": {}, \"p50\": {}, \"p95\": {}, \"max\": {}",
+        s.count,
+        json_num(s.sum),
+        json_num(s.min),
+        json_num(s.p50),
+        json_num(s.p95),
+        json_num(s.max),
+    )
 }
 
-/// Nearest-rank percentile over an already-sorted slice, matching
-/// [`crate::HistogramSummary`]'s rule (`idx = round((n-1) * q)`).
-fn pct_sorted(sorted: &[f64], q: f64) -> f64 {
-    if sorted.is_empty() {
-        return f64::NAN;
-    }
-    let idx = ((sorted.len() - 1) as f64 * q).round() as usize;
-    sorted[idx.min(sorted.len() - 1)]
-}
-
-impl LadderSummary {
-    /// Exact summary of one contiguous slice of samples: left-to-right
-    /// sum, nearest-rank percentiles on a sorted copy.
-    pub fn from_slice(samples: &[f64]) -> LadderSummary {
-        if samples.is_empty() {
-            return LadderSummary {
-                count: 0,
-                sum: 0.0,
-                min: f64::NAN,
-                p50: f64::NAN,
-                p95: f64::NAN,
-                max: f64::NAN,
-            };
-        }
-        let sum = samples.iter().fold(0.0_f64, |a, b| a + b);
-        let mut sorted = samples.to_vec();
-        sorted.sort_by(|a, b| a.partial_cmp(b).unwrap());
-        LadderSummary {
-            count: samples.len(),
-            sum,
-            min: sorted[0],
-            p50: pct_sorted(&sorted, 0.50),
-            p95: pct_sorted(&sorted, 0.95),
-            max: *sorted.last().unwrap(),
-        }
-    }
-
-    /// Merge summaries of disjoint sample sets. `count`, `sum` (left
-    /// fold over part sums, i.e. the chunk tree), `min` and `max` are
-    /// exact; `p50`/`p95` are count-weighted averages clamped to
-    /// `[min, max]` — estimates only, never used for exact answers.
-    pub fn merge(parts: &[LadderSummary]) -> LadderSummary {
-        let parts: Vec<&LadderSummary> = parts.iter().filter(|p| p.count > 0).collect();
-        if parts.is_empty() {
-            return LadderSummary::from_slice(&[]);
-        }
-        let count: usize = parts.iter().map(|p| p.count).sum();
-        let sum = parts.iter().fold(0.0_f64, |a, p| a + p.sum);
-        let min = parts.iter().map(|p| p.min).fold(f64::INFINITY, f64::min);
-        let max = parts
-            .iter()
-            .map(|p| p.max)
-            .fold(f64::NEG_INFINITY, f64::max);
-        let wavg = |f: fn(&LadderSummary) -> f64| -> f64 {
-            let s: f64 = parts.iter().map(|p| f(p) * p.count as f64).sum();
-            (s / count as f64).clamp(min, max)
-        };
-        LadderSummary {
-            count,
-            sum,
-            min,
-            p50: wavg(|p| p.p50),
-            p95: wavg(|p| p.p95),
-            max,
-        }
-    }
-
-    /// Arithmetic mean (`sum / count`), `NaN` when empty.
-    pub fn mean(&self) -> f64 {
-        if self.count == 0 {
-            f64::NAN
-        } else {
-            self.sum / self.count as f64
-        }
-    }
-
-    fn to_json_fields(self) -> String {
-        format!(
-            "\"count\": {}, \"sum\": {}, \"min\": {}, \"p50\": {}, \"p95\": {}, \"max\": {}",
-            self.count,
-            fmt_f64(self.sum),
-            fmt_f64(self.min),
-            fmt_f64(self.p50),
-            fmt_f64(self.p95),
-            fmt_f64(self.max),
-        )
-    }
-
-    fn from_json(v: &JsonValue) -> Result<LadderSummary, String> {
-        let n = |k: &str| -> Result<f64, String> {
-            v.get(k)
-                .and_then(|x| x.as_f64())
-                .ok_or_else(|| format!("summary row missing field {k}"))
-        };
-        Ok(LadderSummary {
-            count: n("count")? as usize,
-            sum: n("sum")?,
-            min: n("min")?,
-            p50: n("p50")?,
-            p95: n("p95")?,
-            max: n("max")?,
-        })
-    }
+fn summary_from_json(v: &JsonValue) -> Result<HistogramSummary, String> {
+    let n = |k: &str| -> Result<f64, String> {
+        v.get(k)
+            .and_then(|x| x.as_f64())
+            .ok_or_else(|| format!("summary row missing field {k}"))
+    };
+    let (count, sum) = (n("count")? as usize, n("sum")?);
+    Ok(HistogramSummary {
+        count,
+        sum,
+        mean: sum / count as f64,
+        p50: n("p50")?,
+        p95: n("p95")?,
+        max: n("max")?,
+        min: n("min")?,
+    })
 }
 
 /// One metric's per-run summary row (ladder level 2).
@@ -429,7 +359,7 @@ pub struct SummaryRow {
     /// Where the samples came from.
     pub kind: MetricKind,
     /// Exact per-run summary (chunk-tree sum, exact percentiles).
-    pub summary: LadderSummary,
+    pub summary: HistogramSummary,
 }
 
 /// One per-step chunk row (ladder level 1).
@@ -438,7 +368,7 @@ pub struct StepRow {
     /// Index of the chunk's first sample in the raw shard.
     pub start: usize,
     /// Exact summary of the chunk's samples.
-    pub summary: LadderSummary,
+    pub summary: HistogramSummary,
 }
 
 /// Aggregation a [`MetricQuery`] asks for.
@@ -488,11 +418,11 @@ impl Agg {
         }
     }
 
-    fn of(&self, s: &LadderSummary) -> f64 {
+    fn of(&self, s: &HistogramSummary) -> f64 {
         match self {
             Agg::Count => s.count as f64,
             Agg::Sum => s.sum,
-            Agg::Mean => s.mean(),
+            Agg::Mean => s.mean,
             Agg::P50 => s.p50,
             Agg::P95 => s.p95,
             Agg::Max => s.max,
@@ -500,8 +430,8 @@ impl Agg {
         }
     }
 
-    /// Aggregations the steps level preserves exactly when chunks tile
-    /// the requested range (percentiles need raw).
+    /// Aggregations [`HistogramSummary::merge`] keeps exact, which the
+    /// steps level answers when chunks tile the range (percentiles need raw).
     fn steps_exact(&self) -> bool {
         matches!(
             self,
@@ -704,7 +634,7 @@ impl HistoryStore {
                 .and_then(|k| k.as_str())
                 .and_then(MetricKind::parse)
                 .ok_or_else(|| invalid("summary row missing kind"))?;
-            let summary = LadderSummary::from_json(row).map_err(invalid)?;
+            let summary = summary_from_json(row).map_err(invalid)?;
             out.push(SummaryRow {
                 metric,
                 kind,
@@ -733,7 +663,7 @@ impl HistoryStore {
                     .ok_or_else(|| invalid("steps row missing start"))? as usize;
             out.push(StepRow {
                 start,
-                summary: LadderSummary::from_json(&v).map_err(invalid)?,
+                summary: summary_from_json(&v).map_err(invalid)?,
             });
         }
         Ok(if out.is_empty() { None } else { Some(out) })
@@ -767,8 +697,9 @@ impl HistoryStore {
     }
 
     /// Record one run from explicit metric samples. Assigns the run id,
-    /// fills provenance, writes all four shards (manifest last, as the
-    /// commit marker) and returns the completed manifest.
+    /// fills provenance (git describe, digest, time), writes all four
+    /// shards (manifest last, as the commit marker) and returns the
+    /// completed manifest.
     ///
     /// Non-finite samples are dropped before the ladder is built (JSON
     /// has no NaN, and band math filters them anyway); metrics left with
@@ -779,6 +710,7 @@ impl HistoryStore {
         metrics: &BTreeMap<String, (MetricKind, Vec<f64>)>,
     ) -> io::Result<RunManifest> {
         let mut m = manifest.clone();
+        m.git = git_describe();
         m.config_digest = m.digest();
         m.recorded_unix_s = std::time::SystemTime::now()
             .duration_since(std::time::UNIX_EPOCH)
@@ -796,44 +728,35 @@ impl HistoryStore {
                 continue;
             }
             // Level 0: the raw shard.
-            raw.push_str("{\"metric\": \"");
-            raw.push_str(&json_escape(name));
-            raw.push_str("\", \"kind\": \"");
-            raw.push_str(kind.as_str());
-            raw.push_str("\", \"samples\": [");
-            for (i, s) in samples.iter().enumerate() {
-                if i > 0 {
-                    raw.push_str(", ");
-                }
-                raw.push_str(&fmt_f64(*s));
-            }
-            raw.push_str("]}\n");
+            let list: Vec<String> = samples.iter().map(|s| json_num(*s)).collect();
+            raw.push_str(&format!(
+                "{{\"metric\": \"{}\", \"kind\": \"{}\", \"samples\": [{}]}}\n",
+                json_escape(name),
+                kind.as_str(),
+                list.join(", ")
+            ));
             // Level 1: per-step chunks (ceil(count / steps) wide, so a
             // per-step histogram gets exactly one chunk per step).
             let chunk_len = samples.len().div_ceil(chunk_target).max(1);
             let mut chunks = Vec::new();
             for (ci, chunk) in samples.chunks(chunk_len).enumerate() {
-                let s = LadderSummary::from_slice(chunk);
+                let s = HistogramSummary::from_samples(chunk);
                 steps.push_str(&format!(
                     "{{\"metric\": \"{}\", \"start\": {}, {}}}\n",
                     json_escape(name),
                     ci * chunk_len,
-                    s.to_json_fields(),
+                    summary_json_fields(&s),
                 ));
                 chunks.push(s);
             }
-            // Level 2: the per-run summary — chunk-tree sum, exact
-            // nearest-rank percentiles over the full raw slice.
-            let merged = LadderSummary::merge(&chunks);
-            let mut sorted = samples.clone();
-            sorted.sort_by(|a, b| a.partial_cmp(b).unwrap());
-            let run_summary = LadderSummary {
-                count: samples.len(),
-                sum: merged.sum,
-                min: sorted[0],
-                p50: pct_sorted(&sorted, 0.50),
-                p95: pct_sorted(&sorted, 0.95),
-                max: *sorted.last().unwrap(),
+            // Level 2: the per-run summary — exact nearest-rank
+            // percentiles over the full raw slice, and the chunk-tree sum
+            // (the merged step rows' sum).
+            let tree = HistogramSummary::merge(&chunks);
+            let run_summary = HistogramSummary {
+                sum: tree.sum,
+                mean: tree.mean,
+                ..HistogramSummary::from_samples(&samples)
             };
             if !summary_rows.is_empty() {
                 summary_rows.push_str(",\n    ");
@@ -842,7 +765,7 @@ impl HistoryStore {
                 "{{\"metric\": \"{}\", \"kind\": \"{}\", {}}}",
                 json_escape(name),
                 kind.as_str(),
-                run_summary.to_json_fields(),
+                summary_json_fields(&run_summary),
             ));
         }
 
@@ -875,12 +798,7 @@ impl HistoryStore {
         rec: &Recorder,
         strip_prefix: &str,
     ) -> io::Result<RunManifest> {
-        let snap = rec.snapshot();
-        let snap = if strip_prefix.is_empty() {
-            snap
-        } else {
-            snap.filtered(strip_prefix)
-        };
+        let snap = rec.snapshot_prefix(strip_prefix);
         let strip =
             |name: &str| -> String { name.strip_prefix(strip_prefix).unwrap_or(name).to_string() };
         let mut metrics: BTreeMap<String, (MetricKind, Vec<f64>)> = BTreeMap::new();
@@ -945,8 +863,8 @@ impl HistoryStore {
                 let aligned = covering.first().map(|r| r.start) == Some(start)
                     && covered == end.saturating_sub(start);
                 if aligned && !covering.is_empty() {
-                    let parts: Vec<LadderSummary> = covering.iter().map(|r| r.summary).collect();
-                    return Ok((agg.of(&LadderSummary::merge(&parts)), "steps"));
+                    let parts: Vec<HistogramSummary> = covering.iter().map(|r| r.summary).collect();
+                    return Ok((agg.of(&HistogramSummary::merge(&parts)), "steps"));
                 }
             }
         }
@@ -956,7 +874,7 @@ impl HistoryStore {
         let end = end.min(samples.len());
         let start = start.min(end);
         Ok((
-            agg.of(&LadderSummary::from_slice(&samples[start..end])),
+            agg.of(&HistogramSummary::from_samples(&samples[start..end])),
             "raw",
         ))
     }
@@ -1056,17 +974,6 @@ impl HistoryStore {
                 Err(e) => return Err(e),
             }
         }
-    }
-}
-
-/// Shortest-round-trip float formatting: Rust's `{}` prints the minimal
-/// digits that parse back to the identical bits, which is what makes
-/// "summaries survive compaction bitwise" literal.
-fn fmt_f64(v: f64) -> String {
-    if v.is_finite() {
-        format!("{v}")
-    } else {
-        "null".to_string()
     }
 }
 
@@ -1302,15 +1209,33 @@ mod tests {
 
     #[test]
     fn merge_is_exact_where_documented() {
-        let a = LadderSummary::from_slice(&[1.0, 2.0]);
-        let b = LadderSummary::from_slice(&[3.0, 10.0]);
-        let m = LadderSummary::merge(&[a, b]);
+        let a = HistogramSummary::from_samples(&[1.0, 2.0]);
+        let b = HistogramSummary::from_samples(&[3.0, 10.0]);
+        let m = HistogramSummary::merge(&[a, HistogramSummary::from_samples(&[]), b]);
         assert_eq!(m.count, 4);
         assert_eq!(m.sum, (1.0 + 2.0) + (3.0 + 10.0));
+        assert_eq!(m.mean, m.sum / 4.0);
         assert_eq!(m.min, 1.0);
         assert_eq!(m.max, 10.0);
-        // Percentile estimates stay inside [min, max].
-        assert!(m.p50 >= m.min && m.p50 <= m.max);
-        assert!(m.p95 >= m.min && m.p95 <= m.max);
+        // Percentiles do not merge: a merged summary carries none.
+        assert!(m.p50.is_nan() && m.p95.is_nan());
+    }
+
+    #[test]
+    fn manifests_recorded_before_the_reorder_and_alpha_axes_still_read() {
+        let m = RunManifest {
+            reorder: "sfc".to_string(),
+            alpha: 0.5,
+            ..manifest(10)
+        };
+        assert_eq!(RunManifest::parse(&m.to_json()).unwrap(), m);
+        assert!(RunManifest::AXES.iter().all(|a| m.field(a).is_some()));
+        // Without the two axes they read back unknown, so such a run never
+        // shares a key with a run that recorded them.
+        let old = m.to_json().replace("\"alpha\": 0.5, ", "");
+        let old = old.replace("\"reorder\": \"sfc\", ", "");
+        let back = RunManifest::parse(&old).unwrap();
+        assert!(back.alpha.is_nan() && back.reorder.is_empty());
+        assert_ne!(back.baseline_key(), manifest(10).baseline_key());
     }
 }

@@ -132,10 +132,9 @@ fn concurrent_scoped_recorders_do_not_leak_across_namespaces() {
             });
         }
     });
-    let snap = rec.snapshot();
     for name in jobs {
         // Each namespace sees exactly its own writes...
-        let mine = snap.filtered(&format!("{name}."));
+        let mine = rec.snapshot_prefix(&format!("{name}."));
         assert_eq!(mine.counter(&format!("{name}.core.sim.steps")), Some(500));
         assert_eq!(
             mine.histogram(&format!("{name}.core.sim.step_seconds"))

@@ -83,8 +83,8 @@ fn main() {
 
     // --- 5. Statistical regression gate ------------------------------
     // Publish the blame gauges, fit a baseline from this run, round-trip
-    // it through JSON exactly as `swe_run --gate-write` / `--gate` do,
-    // and evaluate the run against its own baseline (necessarily green).
+    // it through JSON (one workload's entry of `BENCH_baseline.json`) and
+    // evaluate the run against its own baseline (necessarily green).
     record_blame(&rec, &blame, Some(&cp));
     let baseline = Baseline {
         name: "trace-analysis-example".to_string(),
