@@ -1,14 +1,15 @@
-//! Property tests for the history store's downsampling ladder.
+//! Property tests for the history store's two levels, raw and summary.
 //!
 //! The contracts under test, for arbitrary sample sets and step counts:
 //!
-//! - every ladder level is *consistent with raw*: `count` and the
-//!   chunk-tree `sum` are exact (bitwise, including the JSON round
-//!   trip), `min`/`max` are exact, and the per-run `p50`/`p95` are the
-//!   exact nearest-rank values over the raw samples.
-//! - compaction (`max_bytes: 0` sheds every raw and steps shard)
-//!   preserves per-run summaries and manifests bitwise, while raw
-//!   reads report the shard as compacted.
+//! - the summary is *consistent with raw*: each row is
+//!   `HistogramSummary::from_samples` of the raw samples, bit for bit
+//!   (including the JSON round trip) — `count` exact, `sum` the
+//!   arrival-order fold, `min`/`max` exact, and `p50`/`p95` the exact
+//!   nearest-rank values over the raw samples.
+//! - compaction (`max_bytes: 0` sheds every file but a run's manifest
+//!   and summary) preserves per-run summaries and manifests bitwise,
+//!   while raw reads report the shard as compacted.
 //! - whole-run queries answer from the summary level with exact
 //!   agreement against a recompute from raw, for every aggregation.
 
@@ -68,7 +69,7 @@ fn ladder_levels_are_consistent_with_raw() {
         let store = HistoryStore::open(&dir).unwrap();
         let m = record_one(&store, steps, &samples).unwrap();
 
-        // Level 0 survives the JSON round trip bitwise (shortest
+        // Raw survives the JSON round trip bitwise (shortest
         // round-trip formatting).
         let raw = store
             .run_raw(&m.run_id, "swe.step.seconds")
@@ -79,50 +80,23 @@ fn ladder_levels_are_consistent_with_raw() {
             assert_eq!(a.to_bits(), b.to_bits());
         }
 
-        // Level 1: chunks tile the raw shard and each row is the exact
-        // summary of its slice.
-        let chunk_len = samples.len().div_ceil(steps).max(1);
-        let rows = store
-            .run_steps(&m.run_id, "swe.step.seconds")
-            .unwrap()
-            .unwrap();
-        assert_eq!(rows.len(), samples.chunks(chunk_len).count());
-        for (row, chunk) in rows.iter().zip(samples.chunks(chunk_len)) {
-            let mut sorted = chunk.to_vec();
-            sorted.sort_by(|a, b| a.partial_cmp(b).unwrap());
-            let sum = chunk.iter().fold(0.0_f64, |a, b| a + b);
-            assert_eq!(row.summary.count, chunk.len());
-            assert_eq!(row.summary.sum.to_bits(), sum.to_bits());
-            assert_eq!(row.summary.min.to_bits(), sorted[0].to_bits());
-            assert_eq!(row.summary.max.to_bits(), sorted.last().unwrap().to_bits());
-            assert_eq!(row.summary.p50.to_bits(), pct(&sorted, 0.50).to_bits());
-            assert_eq!(row.summary.p95.to_bits(), pct(&sorted, 0.95).to_bits());
-        }
-
-        // Level 2: count exact; sum is the chunk tree (left fold of the
-        // per-chunk left folds), bitwise; percentiles exact nearest-rank
-        // over the whole run.
+        // The summary: count exact; sum the left fold in arrival order,
+        // bitwise; percentiles exact nearest-rank over the whole run. That
+        // is the one rule, `from_samples` over raw, field for field.
         let summary = &store.run_summary(&m.run_id).unwrap()[0].summary;
         assert_eq!(summary.count, samples.len());
-        let chunk_tree_sum = samples
-            .chunks(chunk_len)
-            .map(|c| c.iter().fold(0.0_f64, |a, b| a + b))
-            .fold(0.0_f64, |a, b| a + b);
-        assert_eq!(summary.sum.to_bits(), chunk_tree_sum.to_bits());
+        let sum = samples.iter().fold(0.0_f64, |a, b| a + b);
+        assert_eq!(summary.sum.to_bits(), sum.to_bits());
         let mut sorted = samples.clone();
         sorted.sort_by(|a, b| a.partial_cmp(b).unwrap());
         assert_eq!(summary.min.to_bits(), sorted[0].to_bits());
         assert_eq!(summary.max.to_bits(), sorted.last().unwrap().to_bits());
         assert_eq!(summary.p50.to_bits(), pct(&sorted, 0.50).to_bits());
         assert_eq!(summary.p95.to_bits(), pct(&sorted, 0.95).to_bits());
-
-        // Merging the step rows reproduces count/sum/min/max exactly.
-        let parts: Vec<HistogramSummary> = rows.iter().map(|r| r.summary).collect();
-        let merged = HistogramSummary::merge(&parts);
-        assert_eq!(merged.count, summary.count);
-        assert_eq!(merged.sum.to_bits(), summary.sum.to_bits());
-        assert_eq!(merged.min.to_bits(), summary.min.to_bits());
-        assert_eq!(merged.max.to_bits(), summary.max.to_bits());
+        let bits = |s: &HistogramSummary| {
+            [s.count as f64, s.sum, s.mean, s.min, s.p50, s.p95, s.max].map(f64::to_bits)
+        };
+        assert_eq!(bits(summary), bits(&HistogramSummary::from_samples(&raw)));
 
         std::fs::remove_dir_all(&dir).ok();
     });
@@ -137,17 +111,13 @@ fn whole_run_queries_answer_every_agg_exactly_from_the_summary() {
         let store = HistoryStore::open(&dir).unwrap();
         record_one(&store, steps, &samples).unwrap();
 
-        let chunk_len = samples.len().div_ceil(steps).max(1);
-        let chunk_tree_sum = samples
-            .chunks(chunk_len)
-            .map(|c| c.iter().fold(0.0_f64, |a, b| a + b))
-            .fold(0.0_f64, |a, b| a + b);
+        let sum = samples.iter().fold(0.0_f64, |a, b| a + b);
         let mut sorted = samples.clone();
         sorted.sort_by(|a, b| a.partial_cmp(b).unwrap());
         let expect = [
             (Agg::Count, samples.len() as f64),
-            (Agg::Sum, chunk_tree_sum),
-            (Agg::Mean, chunk_tree_sum / samples.len() as f64),
+            (Agg::Sum, sum),
+            (Agg::Mean, sum / samples.len() as f64),
             (Agg::P50, pct(&sorted, 0.50)),
             (Agg::P95, pct(&sorted, 0.95)),
             (Agg::Max, *sorted.last().unwrap()),
@@ -166,9 +136,8 @@ fn whole_run_queries_answer_every_agg_exactly_from_the_summary() {
             assert_eq!(rows[0].level, "summary");
             assert_eq!(rows[0].value.to_bits(), want.to_bits(), "agg {:?}", agg);
         }
-        // None of those answers touched a finer shard.
+        // None of those answers touched the raw shard.
         assert_eq!(store.raw_shard_reads(), 0);
-        assert_eq!(store.shard_reads().steps, 0);
 
         std::fs::remove_dir_all(&dir).ok();
     });
@@ -189,8 +158,8 @@ fn compaction_round_trip_preserves_summaries_bitwise() {
             .map(|m| store.run_summary(&m.run_id).unwrap())
             .collect();
 
-        // max_bytes 0 sheds every raw + steps shard but must not touch
-        // a manifest or a summary.
+        // max_bytes 0 sheds every file but must not touch a manifest or
+        // a summary.
         let report = store
             .compact(&Retention {
                 max_runs: 256,

@@ -7,14 +7,13 @@ use crate::http::{error_body, read_request, write_response, write_stream_head, R
 use crate::job::JobRequest;
 use crate::registry::{JobState, Registry};
 use mpas_core::{JobError, JobProgress};
-use mpas_telemetry::analysis::LiveBlame;
 use mpas_telemetry::diagnose::diagnose;
 use mpas_telemetry::store::{Agg, HistoryStore, MetricQuery, RunFilter, RunManifest};
 use mpas_telemetry::{flight, names, Recorder};
 use std::io::{self, Write};
 use std::net::{Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -51,11 +50,6 @@ struct Inner {
     registry: Registry,
     rec: Recorder,
     draining: AtomicBool,
-    /// Incremental blame over the worker `rank{w}` spans: each live
-    /// endpoint hit advances the cursor and republishes the
-    /// `analysis.blame.*` gauges, so attribution is queryable mid-run
-    /// instead of only from a post-mortem trace.
-    live: Mutex<LiveBlame>,
     /// Cross-run telemetry persistence (None without `--history-dir`).
     history: Option<HistoryStore>,
 }
@@ -93,7 +87,6 @@ impl Server {
             registry: Registry::new(),
             rec: rec.clone(),
             draining: AtomicBool::new(false),
-            live: Mutex::new(LiveBlame::matching("server.job")),
             history,
         });
 
@@ -245,9 +238,6 @@ fn stream_metrics(mut stream: TcpStream, req: &Request, inner: &Arc<Inner>) {
     loop {
         let line = {
             let _t = inner.rec.time(names::SERVER_LIVE_SECONDS);
-            if let Ok(mut live) = inner.live.lock() {
-                live.update(&inner.rec);
-            }
             let snap = inner.rec.snapshot_prefix(&prefix);
             let draining = inner.draining.load(Ordering::SeqCst);
             format!(
@@ -434,9 +424,6 @@ fn job_telemetry(id: u64, inner: &Arc<Inner>) -> (u16, String) {
     }) else {
         return (404, error_body("unknown job id"));
     };
-    if let Ok(mut live) = inner.live.lock() {
-        live.update(&inner.rec);
-    }
     let snap = inner.rec.snapshot_prefix(&format!("{scope}."));
     let step_field = step.map(|s| format!(", \"step\": {s}")).unwrap_or_default();
     (
@@ -483,8 +470,9 @@ fn history_runs(inner: &Arc<Inner>) -> (u16, String) {
 /// (count/sum/mean/p50/p95/max/min, default p50), `run` (exact run id),
 /// `last` (most recent N runs), any manifest axis
 /// ([`RunManifest::AXES`]) or `git` as `key=value`, and `start`+`end` for
-/// a raw-sample index range. Each answer row says
-/// which ladder level produced it.
+/// a raw-sample index range. A whole-run row is answered from the run's
+/// summary and a range row from its raw samples; each row says which
+/// (`"level": "summary"` or `"raw"`).
 fn history_query(req: &Request, inner: &Arc<Inner>) -> (u16, String) {
     let Some(store) = &inner.history else {
         return (

@@ -138,6 +138,55 @@ fn live_endpoints_answer_while_a_level6_job_is_running() {
 }
 
 #[test]
+fn live_endpoints_publish_no_analysis_gauges() {
+    // A server job runs on no ranks, so no blame applies to it: serving
+    // the live endpoints must not publish `analysis.*` (DESIGN.md §8).
+    let rec = Recorder::new();
+    let mut server = Server::start(
+        ServerConfig {
+            workers: 2,
+            queue_capacity: 8,
+            ..Default::default()
+        },
+        rec,
+    )
+    .expect("start server");
+    let addr = server.addr();
+    let mut ids = Vec::new();
+    for _ in 0..3 {
+        let (status, doc) = http_json(addr, "POST", "/jobs", "{\"level\": 3, \"steps\": 4}");
+        assert_eq!(status, 202);
+        ids.push(doc.get("id").and_then(|v| v.as_f64()).expect("job id"));
+    }
+    for &id in &ids {
+        assert_eq!(wait_terminal(addr, id), "completed");
+        let (status, _) = http(addr, "GET", &format!("/jobs/{id}/telemetry"), "");
+        assert_eq!(status, 200);
+    }
+    let lines = stream_lines(addr, "/metrics/stream?interval_ms=10&count=2", 2).expect("stream");
+    assert_eq!(lines.len(), 2);
+
+    let (status, doc) = http_json(addr, "GET", "/metrics", "");
+    assert_eq!(status, 200);
+    let mut keys = 0;
+    let mut analysis = Vec::new();
+    for section in ["counters", "gauges", "histograms", "windows"] {
+        for (key, _) in doc.get(section).and_then(|s| s.as_obj()).unwrap_or(&[]) {
+            keys += 1;
+            if key.starts_with("analysis.") {
+                analysis.push(key.clone());
+            }
+        }
+    }
+    assert!(keys > 0, "empty /metrics snapshot");
+    assert!(
+        analysis.is_empty(),
+        "analysis.* keys without ranks: {analysis:?}"
+    );
+    server.shutdown();
+}
+
+#[test]
 fn unknown_job_telemetry_and_flight_answer_404() {
     let rec = Recorder::new();
     let mut server = Server::start(ServerConfig::default(), rec).expect("start server");

@@ -237,6 +237,7 @@ pub(crate) struct Workspace {
     provis: State,
     acc: State,
     tend: Tendencies,
+    del4: Del4Scratch,
 }
 
 impl Workspace {
@@ -246,8 +247,20 @@ impl Workspace {
             provis: State::zeros_lanes(mesh, k, n_tracers),
             tend: Tendencies::zeros_lanes(mesh, k, n_tracers),
             acc: State::zeros_lanes(mesh, k, n_tracers),
+            del4: Del4Scratch::default(),
         }
     }
+}
+
+/// The del4 chain's intermediate fields, `k` lanes each: the vector
+/// Laplacian of `u` (edges) and its divergence (cells) and curl
+/// (vertices). Empty until a stage first runs del4, then reused; every
+/// sweep overwrites what it writes, so stale values are never read.
+#[derive(Debug, Clone, Default)]
+struct Del4Scratch {
+    lap: Vec<f64>,
+    div_lap: Vec<f64>,
+    vort_lap: Vec<f64>,
 }
 
 /// Advance `state` by one RK-4 step.
@@ -269,7 +282,12 @@ pub(crate) fn step<E: Executor>(
     ws: &mut Workspace,
     mut at_substep_end: impl FnMut(&mut State),
 ) {
-    let Workspace { provis, acc, tend } = ws;
+    let Workspace {
+        provis,
+        acc,
+        tend,
+        del4,
+    } = ws;
     acc.copy_from(state);
     provis.copy_from(state);
     let (k, dt) = (p.k, p.dt);
@@ -277,7 +295,7 @@ pub(crate) fn step<E: Executor>(
     let mut recon = recon;
     for stage in 0..4 {
         x.substep(stage, |x| {
-            tendencies(x, p, provis, diag, tend);
+            tendencies_into(x, p, provis, diag, tend, del4);
             x.sweep("X1", |x| {
                 let mesh = p.mesh;
                 x.run(mesh.n_edges(), k, [&mut tend.tend_u], |r, [o]| {
@@ -463,6 +481,19 @@ pub fn tendencies<E: Executor>(
     d: &Diagnostics,
     t: &mut Tendencies,
 ) {
+    tendencies_into(x, p, s, d, t, &mut Del4Scratch::default());
+}
+
+/// [`tendencies`] with the del4 chain's fields in `del4` (a step reuses
+/// its workspace's).
+fn tendencies_into<E: Executor>(
+    x: &mut E,
+    p: &Inputs,
+    s: &State,
+    d: &Diagnostics,
+    t: &mut Tendencies,
+    del4: &mut Del4Scratch,
+) {
     let (mesh, config, kc, k) = (p.mesh, p.config, p.kc, p.k);
     let (nc, ne, nv) = (mesh.n_cells(), mesh.n_edges(), mesh.n_vertices());
     let backend = config.kernel_backend;
@@ -500,22 +531,28 @@ pub fn tendencies<E: Executor>(
             // existing divergence/vorticity, then the divergence and curl
             // of that Laplacian.
             x.sweep("del4", |x| {
-                let mut lap = vec![0.0; ne * k];
-                x.run(ne, k, [&mut lap], |r, [o]| match backend {
+                let Del4Scratch {
+                    lap,
+                    div_lap,
+                    vort_lap,
+                } = del4;
+                lap.resize(ne * k, 0.0);
+                div_lap.resize(nc * k, 0.0);
+                vort_lap.resize(nv * k, 0.0);
+                x.run(ne, k, [lap], |r, [o]| match backend {
                     KernelBackend::Scalar => ops::lap_u(mesh, div, vort, o, r),
                     KernelBackend::Simd => simd::lap_u(mesh, kc, k, div, vort, o, r),
                 });
-                let mut div_lap = vec![0.0; nc * k];
-                x.run(nc, k, [&mut div_lap], |r, [o]| match backend {
-                    KernelBackend::Scalar => ops::divergence(mesh, &lap, o, r),
-                    KernelBackend::Simd => simd::divergence(mesh, kc, k, &lap, o, r),
+                let lap = &lap[..];
+                x.run(nc, k, [div_lap], |r, [o]| match backend {
+                    KernelBackend::Scalar => ops::divergence(mesh, lap, o, r),
+                    KernelBackend::Simd => simd::divergence(mesh, kc, k, lap, o, r),
                 });
-                let mut vort_lap = vec![0.0; nv * k];
-                x.run(nv, k, [&mut vort_lap], |r, [o]| match backend {
-                    KernelBackend::Scalar => ops::vorticity(mesh, &lap, o, r),
-                    KernelBackend::Simd => simd::vorticity(mesh, kc, k, &lap, o, r),
+                x.run(nv, k, [vort_lap], |r, [o]| match backend {
+                    KernelBackend::Scalar => ops::vorticity(mesh, lap, o, r),
+                    KernelBackend::Simd => simd::vorticity(mesh, kc, k, lap, o, r),
                 });
-                let (dl, vl) = (&div_lap, &vort_lap);
+                let (dl, vl) = (&div_lap[..], &vort_lap[..]);
                 x.run(ne, k, [&mut t.tend_u], |r, [o]| match backend {
                     KernelBackend::Scalar => ops::tend_u_del4(mesh, nu4, dl, vl, o, r),
                     KernelBackend::Simd => simd::tend_u_del4(mesh, kc, k, nu4, dl, vl, o, r),

@@ -867,160 +867,6 @@ pub fn check_invariants(rec: &Recorder, monitors: &[InvariantMonitor]) -> Vec<Al
     alerts
 }
 
-/// Incremental blame: the streaming counterpart of [`Trace::blame`] +
-/// [`record_blame`], for consumers that need `analysis.*` signals *while
-/// the run is still going* (the server's live endpoints, an online
-/// rescheduler).
-///
-/// A `LiveBlame` keeps a cursor into the recorder's span buffer
-/// ([`Recorder::spans_since`]) and per-rank running totals; each
-/// [`update`](LiveBlame::update) ingests only the spans completed since
-/// the last call — O(new spans), not O(trace) — and republishes the same
-/// `analysis.blame.*` gauges [`record_blame`] writes, so downstream
-/// consumers (gates, dashboards) cannot tell mid-run blame from
-/// post-mortem blame by name.
-///
-/// Busy windows are [`STEP_SPAN`] spans by default; workloads whose
-/// per-rank unit of work is named differently (the server's
-/// `server.job{id}` worker spans) widen the match with
-/// [`LiveBlame::matching`]. Wait/copy/barrier attribution uses the same
-/// span names as the post-mortem path.
-#[derive(Debug, Clone, Default)]
-pub struct LiveBlame {
-    cursor: usize,
-    step_prefix: Option<String>,
-    ranks: std::collections::BTreeMap<usize, LiveRank>,
-}
-
-/// Running per-rank totals accumulated by [`LiveBlame`].
-#[derive(Debug, Clone, Copy, Default)]
-pub struct LiveRank {
-    /// Total busy-window (step) seconds.
-    pub busy_s: f64,
-    /// Blocked-wait seconds.
-    pub wait_s: f64,
-    /// Payload-copy seconds.
-    pub copy_s: f64,
-    /// Barrier seconds.
-    pub barrier_s: f64,
-    /// Busy windows ingested.
-    pub steps: usize,
-}
-
-impl LiveBlame {
-    /// Busy windows are exactly [`STEP_SPAN`] spans.
-    pub fn new() -> Self {
-        LiveBlame::default()
-    }
-
-    /// Busy windows are [`STEP_SPAN`] spans *or* spans whose name starts
-    /// with `step_prefix`.
-    pub fn matching(step_prefix: &str) -> Self {
-        LiveBlame {
-            step_prefix: Some(step_prefix.to_string()),
-            ..LiveBlame::default()
-        }
-    }
-
-    /// Spans ingested so far (the recorder-buffer cursor).
-    pub fn cursor(&self) -> usize {
-        self.cursor
-    }
-
-    /// Per-rank running totals, rank-ordered.
-    pub fn ranks(&self) -> impl Iterator<Item = (usize, &LiveRank)> {
-        self.ranks.iter().map(|(r, t)| (*r, t))
-    }
-
-    /// Ingest every span completed since the last update and republish
-    /// the `analysis.blame.*` gauges. Returns the number of new spans
-    /// seen (0 means the gauges were left as they were).
-    pub fn update(&mut self, rec: &Recorder) -> usize {
-        let (cursor, new) = rec.spans_since(self.cursor);
-        self.cursor = cursor;
-        let mut changed = false;
-        for s in &new {
-            let Some(r) = parse_rank_track(&s.track) else {
-                continue;
-            };
-            if r > 4096 {
-                continue;
-            }
-            let t = self.ranks.entry(r).or_default();
-            let is_busy = s.name == STEP_SPAN
-                || self
-                    .step_prefix
-                    .as_deref()
-                    .is_some_and(|p| s.name.starts_with(p));
-            if is_busy {
-                t.busy_s += s.dur_s.max(0.0);
-                t.steps += 1;
-                changed = true;
-            } else {
-                match s.name.as_str() {
-                    WAIT_SPAN => t.wait_s += s.dur_s.max(0.0),
-                    COPY_SPAN => t.copy_s += s.dur_s.max(0.0),
-                    BARRIER_SPAN => t.barrier_s += s.dur_s.max(0.0),
-                    _ => continue,
-                }
-                changed = true;
-            }
-        }
-        if changed {
-            self.publish(rec);
-        }
-        new.len()
-    }
-
-    fn publish(&self, rec: &Recorder) {
-        if !rec.is_enabled() {
-            return;
-        }
-        let mut max_busy = 0.0_f64;
-        let mut min_busy = f64::INFINITY;
-        let mut n = 0usize;
-        let mut max_wait_frac = 0.0_f64;
-        let mut sum_compute_frac = 0.0_f64;
-        for (r, t) in &self.ranks {
-            if t.busy_s <= 0.0 {
-                continue;
-            }
-            let wait = (t.wait_s / t.busy_s).min(1.0);
-            let copy = (t.copy_s / t.busy_s).min(1.0);
-            let barrier = (t.barrier_s / t.busy_s).min(1.0);
-            let compute = (1.0 - wait - copy - barrier).max(0.0);
-            rec.set_gauge(&format!("analysis.blame.rank{r}.compute_frac"), compute);
-            rec.set_gauge(&format!("analysis.blame.rank{r}.wait_frac"), wait);
-            rec.set_gauge(&format!("analysis.blame.rank{r}.copy_frac"), copy);
-            rec.set_gauge(&format!("analysis.blame.rank{r}.barrier_frac"), barrier);
-            max_busy = max_busy.max(t.busy_s);
-            min_busy = min_busy.min(t.busy_s);
-            n += 1;
-            max_wait_frac = max_wait_frac.max(wait);
-            sum_compute_frac += compute;
-        }
-        if n == 0 {
-            return;
-        }
-        rec.set_gauge("analysis.blame.makespan_s", max_busy);
-        // Same figure of merit as `BlameReport::imbalance`.
-        rec.set_gauge(
-            "analysis.blame.imbalance",
-            if max_busy > 0.0 {
-                (max_busy - min_busy) / max_busy
-            } else {
-                0.0
-            },
-        );
-        rec.set_gauge("analysis.blame.max_wait_frac", max_wait_frac);
-        rec.set_gauge(
-            "analysis.blame.mean_compute_frac",
-            sum_compute_frac / n as f64,
-        );
-        rec.set_gauge("analysis.live.spans_ingested", self.cursor as f64);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1232,51 +1078,6 @@ mod tests {
         assert!(snap.gauge("analysis.cp.path_s").is_some());
         // No-op recorder: no work, no panic.
         record_blame(&Recorder::noop(), &t.blame(), None);
-    }
-
-    #[test]
-    fn live_blame_ingests_incrementally_and_matches_names() {
-        let rec = Recorder::new();
-        let mut live = LiveBlame::new();
-        assert_eq!(live.update(&rec), 0);
-
-        {
-            let _s = rec.span(&rank_track(0), STEP_SPAN);
-        }
-        {
-            let _w = rec.span(&rank_track(0), WAIT_SPAN);
-        }
-        let n = live.update(&rec);
-        assert_eq!(n, 2);
-        assert_eq!(live.cursor(), 2);
-        let (_, r0) = live.ranks().next().unwrap();
-        assert_eq!(r0.steps, 1);
-        assert!(r0.wait_s >= 0.0);
-        // Second update sees nothing new and leaves gauges intact.
-        assert_eq!(live.update(&rec), 0);
-        let snap = rec.snapshot();
-        assert!(snap.gauge("analysis.blame.rank0.compute_frac").is_some());
-        assert!(snap.gauge("analysis.blame.makespan_s").is_some());
-        assert_eq!(
-            snap.gauge("analysis.live.spans_ingested"),
-            Some(live.cursor() as f64)
-        );
-    }
-
-    #[test]
-    fn live_blame_matching_widens_the_busy_window() {
-        let rec = Recorder::new();
-        {
-            let _j = rec.span(&rank_track(1), "server.job42");
-        }
-        let mut strict = LiveBlame::new();
-        strict.update(&rec);
-        assert!(strict.ranks().next().map(|(_, t)| t.steps).unwrap_or(0) == 0);
-
-        let mut wide = LiveBlame::matching("server.job");
-        wide.update(&rec);
-        let (r, t) = wide.ranks().next().unwrap();
-        assert_eq!((r, t.steps), (1, 1));
     }
 
     #[test]

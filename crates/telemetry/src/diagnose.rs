@@ -654,8 +654,7 @@ mod tests {
         let cur = record(&store, 1.0, 0.18);
         let _ = diagnose(&store, &cur.run_id, 5).unwrap();
         assert_eq!(store.raw_shard_reads(), 0);
-        assert_eq!(store.shard_reads().steps, 0);
-        // And a summary-level query across all six runs is ladder-only.
+        // And a whole-run query across all six runs reads summaries only.
         let rows = store
             .query(&MetricQuery {
                 name_prefix: "kernel.".to_string(),

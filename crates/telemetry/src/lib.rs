@@ -521,22 +521,6 @@ impl Recorder {
         }
     }
 
-    /// Spans completed since a previous cursor: `(new_cursor, spans)`
-    /// where `spans` are everything recorded at index `from` and beyond.
-    /// This is the incremental-ingest primitive behind
-    /// [`analysis::LiveBlame`]: poll with the returned cursor and you see
-    /// each span exactly once.
-    pub fn spans_since(&self, from: usize) -> (usize, Vec<SpanRecord>) {
-        match &self.inner {
-            Some(inner) => {
-                let buf = inner.buf.lock().unwrap();
-                let new = buf.spans.get(from..).map(<[_]>::to_vec).unwrap_or_default();
-                (buf.spans.len(), new)
-            }
-            None => (0, Vec::new()),
-        }
-    }
-
     /// Register a rolling window of `window_s` seconds on the metric
     /// `name` (scoped views register under their prefixed name). From
     /// then on every matching counter/gauge/histogram write also feeds
@@ -587,19 +571,6 @@ impl Recorder {
         match &self.inner {
             Some(inner) => inner.buf.lock().unwrap().flight.capacity(),
             None => 0,
-        }
-    }
-
-    /// Resize the flight ring at runtime (no-op on a no-op recorder).
-    ///
-    /// The ring is rebuilt around the newest `capacity` events already
-    /// held, so history survives a grow and a shrink keeps the most
-    /// recent tail. This is what lets a server job request a deeper
-    /// ring through its submission body instead of the capacity being
-    /// fixed process-wide at recorder construction.
-    pub fn set_flight_capacity(&self, capacity: usize) {
-        if let Some(inner) = &self.inner {
-            inner.buf.lock().unwrap().flight.set_capacity(capacity);
         }
     }
 
@@ -747,24 +718,6 @@ impl HistogramSummary {
             p95: pick(0.95),
             max: pick(1.0),
             min: pick(0.0),
-        }
-    }
-
-    /// Combine the summaries of disjoint sample sets. `count`, `min`,
-    /// `max` and `sum` (a left fold of the part sums) are exact, and so
-    /// is `mean`; percentiles do not merge, so `p50` and `p95` are NaN.
-    pub fn merge(parts: &[HistogramSummary]) -> Self {
-        let parts = parts.iter().filter(|p| p.count > 0);
-        let n: usize = parts.clone().map(|p| p.count).sum();
-        let sum = parts.clone().fold(0.0, |a, p| a + p.sum);
-        HistogramSummary {
-            count: n,
-            sum,
-            mean: if n == 0 { f64::NAN } else { sum / n as f64 },
-            p50: f64::NAN,
-            p95: f64::NAN,
-            max: parts.clone().map(|p| p.max).fold(f64::NAN, f64::max),
-            min: parts.map(|p| p.min).fold(f64::NAN, f64::min),
         }
     }
 }
@@ -1094,23 +1047,6 @@ mod tests {
         // Unregistered metrics carry no window.
         rec.record("other", 1.0);
         assert!(!rec.snapshot().windows.contains_key("other"));
-    }
-
-    #[test]
-    fn spans_since_is_an_exactly_once_cursor() {
-        let rec = Recorder::new();
-        {
-            let _a = rec.span("t", "one");
-        }
-        let (cur, new) = rec.spans_since(0);
-        assert_eq!((cur, new.len()), (1, 1));
-        {
-            let _b = rec.span("t", "two");
-        }
-        let (cur2, new2) = rec.spans_since(cur);
-        assert_eq!((cur2, new2.len()), (2, 1));
-        assert_eq!(new2[0].name, "two");
-        assert!(rec.spans_since(cur2).1.is_empty());
     }
 
     #[test]

@@ -1,5 +1,5 @@
-//! Embedded telemetry history store: per-run append-only shards with a
-//! downsampling ladder, retention, and a coarsest-exact-level query API.
+//! Embedded telemetry history store: per-run append-only shards,
+//! retention, and a query API.
 //!
 //! Every observability surface so far (metrics snapshots, blame reports,
 //! the flight recorder, live windows) describes a *single run in flight*.
@@ -15,62 +15,43 @@
 //! <history-dir>/runs/r000042/
 //!   manifest.json   run identity (the RunManifest::AXES) + git
 //!                   describe + config digest
-//!   raw.ndjson      ladder level 0: one line per metric, full samples
-//!   steps.ndjson    ladder level 1: per-step chunk summaries
-//!   summary.json    ladder level 2: one summary per metric (always kept)
+//!   raw.ndjson      one line per metric, every sample in arrival order
+//!   summary.json    one summary row per metric (always kept)
 //! ```
 //!
 //! Run ids are zero-padded sequence numbers, so lexicographic order is
 //! recording order. `manifest.json` is written last and acts as the
 //! commit marker: a directory without one is an aborted flush and is
-//! ignored by [`HistoryStore::runs`].
+//! ignored by [`HistoryStore::runs`]. A run recorded before the store
+//! dropped its per-step level may also hold `steps.ndjson`; nothing reads
+//! it, and compaction sheds it.
 //!
-//! # The ladder
+//! # One rule
 //!
-//! Every level stores [`HistogramSummary`] rows (`count/sum/min/p50/p95/
-//! max`), each computed by [`HistogramSummary::from_samples`], the
-//! workspace's one summary rule:
-//!
-//! * **raw** — every finite sample, in arrival order;
-//! * **steps** — raw split into `ceil(count / manifest.steps)` chunks, so
-//!   a per-step histogram (`core.sim.step_seconds`) gets exactly one
-//!   chunk per simulated step; each row summarizes its chunk;
-//! * **summary** — one row per metric.
-//!
-//! `count`, `min`, `max`, `p50` and `p95` in the per-run summary are
-//! exact over raw (nearest rank). `sum` is defined as the *chunk tree*:
-//! samples fold left-to-right within a chunk, chunk sums fold
-//! left-to-right across the run ([`HistogramSummary::merge`] of the step
-//! rows). That makes the steps and summary levels bitwise-consistent with
-//! each other and reproducible from raw, which is what the ladder
-//! property tests assert. Percentiles do not merge: a merged summary
-//! carries none, and a percentile over a sample range is always answered
-//! from raw.
+//! Each summary row is [`HistogramSummary::from_samples`] of the metric's
+//! raw samples, the workspace's one summary rule (`count/sum/min/p50/p95/
+//! max`: nearest-rank percentiles, the sum folded in arrival order), so a
+//! row reproduces from raw bit for bit, which is what the store's
+//! property tests assert.
 //!
 //! # Query resolution
 //!
-//! [`HistoryStore::query`] answers each [`MetricQuery`] from the
-//! *coarsest ladder level that is exact* for it:
-//!
-//! * no sample range → the per-run summary (every [`Agg`] is exact
-//!   there, including `Mean = sum/count`);
-//! * a range whose endpoints tile exactly onto step chunks, with an
-//!   aggregation that merges exactly (`Count/Sum/Mean/Max/Min`) → the
-//!   steps shard;
-//! * anything else (unaligned range, or `P50/P95` over a range) → raw.
-//!
-//! The store counts shard reads per level ([`HistoryStore::shard_reads`])
-//! so tests can prove that summary-answerable queries over dozens of
-//! runs never touch a raw shard.
+//! [`HistoryStore::query`] answers a [`MetricQuery`] without a sample
+//! range from the summary (every [`Agg`] is exact there, including
+//! `Mean = sum/count`) and one with a range from raw, by the same rule
+//! over the raw slice. The store counts raw-shard reads
+//! ([`HistoryStore::raw_shard_reads`]) so tests can prove that
+//! summary-answerable queries over dozens of runs never touch a raw
+//! shard.
 //!
 //! # Retention
 //!
 //! [`HistoryStore::compact`] enforces a run-count cap (oldest runs are
-//! deleted whole) and then a byte budget (oldest runs lose raw + steps
-//! shards first). Compaction never rewrites `manifest.json` or
-//! `summary.json`, so per-run summaries survive bitwise; a range query
-//! against a compacted run reports an error rather than degrading
-//! silently.
+//! deleted whole) and then a byte budget (oldest runs lose every file but
+//! their manifest and summary first). Compaction never rewrites
+//! `manifest.json` or `summary.json`, so per-run summaries survive
+//! bitwise; a range query against a compacted run reports an error rather
+//! than degrading silently.
 
 use crate::digest::Fnv1a;
 use crate::export::{json_num, parse_json, JsonValue};
@@ -81,22 +62,29 @@ use std::fs;
 use std::io::{self, Write as _};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::OnceLock;
 
-/// `git describe --always --dirty` of the working tree, or `"unknown"`.
+/// `git describe --always --dirty` of the working tree, or `"unknown"`,
+/// taken once per process.
 ///
 /// Recorded in every [`RunManifest`] so the diagnosis report can say
 /// *which code* the regressed run was built from. Shelling out keeps the
 /// crate dependency-free; failures (no git, no repo) degrade to
-/// `"unknown"` rather than erroring a flush.
-pub fn git_describe() -> String {
-    std::process::Command::new("git")
-        .args(["describe", "--always", "--dirty"])
-        .output()
-        .ok()
-        .filter(|o| o.status.success())
-        .map(|o| String::from_utf8_lossy(&o.stdout).trim().to_string())
-        .filter(|s| !s.is_empty())
-        .unwrap_or_else(|| "unknown".to_string())
+/// `"unknown"` rather than erroring a flush. Only the first call spawns
+/// git: a server flushes once per job, and its code does not change while
+/// it runs.
+pub fn git_describe() -> &'static str {
+    static DESCRIBE: OnceLock<String> = OnceLock::new();
+    DESCRIBE.get_or_init(|| {
+        std::process::Command::new("git")
+            .args(["describe", "--always", "--dirty"])
+            .output()
+            .ok()
+            .filter(|o| o.status.success())
+            .map(|o| String::from_utf8_lossy(&o.stdout).trim().to_string())
+            .filter(|s| !s.is_empty())
+            .unwrap_or_else(|| "unknown".to_string())
+    })
 }
 
 /// What kind of metric a stored row came from. Determines how
@@ -108,7 +96,7 @@ pub enum MetricKind {
     Counter,
     /// Last-write-wins gauge (stored as one sample).
     Gauge,
-    /// Sample distribution (stored raw, downsampled up the ladder).
+    /// Sample distribution (every sample stored raw).
     Histogram,
 }
 
@@ -163,7 +151,7 @@ pub struct RunManifest {
     pub executor: String,
     /// Simulated ranks (0 = single-process run).
     pub ranks: usize,
-    /// Steps the run executed; also the per-step ladder chunk target.
+    /// Steps the run executed.
     pub steps: usize,
     /// `git describe` of the producing build (provenance, not identity;
     /// filled by the store).
@@ -351,23 +339,14 @@ fn summary_from_json(v: &JsonValue) -> Result<HistogramSummary, String> {
     })
 }
 
-/// One metric's per-run summary row (ladder level 2).
+/// One metric's per-run summary row.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SummaryRow {
     /// Metric name (scope-stripped at flush time).
     pub metric: String,
     /// Where the samples came from.
     pub kind: MetricKind,
-    /// Exact per-run summary (chunk-tree sum, exact percentiles).
-    pub summary: HistogramSummary,
-}
-
-/// One per-step chunk row (ladder level 1).
-#[derive(Debug, Clone, PartialEq)]
-pub struct StepRow {
-    /// Index of the chunk's first sample in the raw shard.
-    pub start: usize,
-    /// Exact summary of the chunk's samples.
+    /// [`HistogramSummary::from_samples`] of the run's raw samples.
     pub summary: HistogramSummary,
 }
 
@@ -376,7 +355,7 @@ pub struct StepRow {
 pub enum Agg {
     /// Sample count.
     Count,
-    /// Chunk-tree sum.
+    /// Sum, folded in arrival order.
     Sum,
     /// `sum / count`.
     Mean,
@@ -429,15 +408,6 @@ impl Agg {
             Agg::Min => s.min,
         }
     }
-
-    /// Aggregations [`HistogramSummary::merge`] keeps exact, which the
-    /// steps level answers when chunks tile the range (percentiles need raw).
-    fn steps_exact(&self) -> bool {
-        matches!(
-            self,
-            Agg::Count | Agg::Sum | Agg::Mean | Agg::Max | Agg::Min
-        )
-    }
 }
 
 /// Which runs a query ranges over. Filters compose: explicit ids, then
@@ -468,7 +438,7 @@ pub struct MetricQuery {
     pub agg: Agg,
 }
 
-/// One query answer row, tagged with the ladder level that produced it.
+/// One query answer row, tagged with the shard that produced it.
 #[derive(Debug, Clone, PartialEq)]
 pub struct QueryRow {
     /// Run the value came from.
@@ -477,7 +447,7 @@ pub struct QueryRow {
     pub metric: String,
     /// Aggregated value.
     pub value: f64,
-    /// `"summary"`, `"steps"` or `"raw"` — which shard answered.
+    /// `"summary"` or `"raw"` — which shard answered.
     pub level: &'static str,
 }
 
@@ -486,8 +456,9 @@ pub struct QueryRow {
 pub struct Retention {
     /// Keep at most this many runs (oldest deleted whole).
     pub max_runs: usize,
-    /// Then shed raw + steps shards (oldest first) until total bytes
-    /// fit. Summaries and manifests are never deleted by the byte pass.
+    /// Then shed every file of a run but its manifest and summary
+    /// (oldest runs first) until total bytes fit. Summaries and manifests
+    /// are never deleted by the byte pass.
     pub max_bytes: u64,
 }
 
@@ -507,7 +478,7 @@ impl Default for Retention {
 pub struct CompactionReport {
     /// Runs deleted whole by the run-count cap.
     pub removed_runs: Vec<String>,
-    /// Runs whose raw + steps shards were shed by the byte budget.
+    /// Runs left with only their manifest and summary by the byte budget.
     pub compacted_runs: Vec<String>,
     /// Total store bytes before the pass.
     pub bytes_before: u64,
@@ -515,30 +486,15 @@ pub struct CompactionReport {
     pub bytes_after: u64,
 }
 
-/// Per-ladder-level shard read counts for one store handle (not
-/// persisted; a fresh handle starts at zero).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct ShardReads {
-    /// `summary.json` reads.
-    pub summary: u64,
-    /// `steps.ndjson` reads.
-    pub steps: u64,
-    /// `raw.ndjson` reads.
-    pub raw: u64,
-}
-
 /// Handle on a history directory. Cheap to open, safe to share across
-/// threads (`&self` everywhere; read counters are atomics).
+/// threads (`&self` everywhere; the read counter is an atomic).
 #[derive(Debug)]
 pub struct HistoryStore {
     root: PathBuf,
-    summary_reads: AtomicU64,
-    step_reads: AtomicU64,
     raw_reads: AtomicU64,
 }
 
 const RAW_SHARD: &str = "raw.ndjson";
-const STEPS_SHARD: &str = "steps.ndjson";
 const SUMMARY_SHARD: &str = "summary.json";
 const MANIFEST: &str = "manifest.json";
 
@@ -548,8 +504,6 @@ impl HistoryStore {
         fs::create_dir_all(dir.join("runs"))?;
         Ok(HistoryStore {
             root: dir.to_path_buf(),
-            summary_reads: AtomicU64::new(0),
-            step_reads: AtomicU64::new(0),
             raw_reads: AtomicU64::new(0),
         })
     }
@@ -567,16 +521,8 @@ impl HistoryStore {
         self.runs_dir().join(run_id)
     }
 
-    /// Shard reads performed through this handle so far.
-    pub fn shard_reads(&self) -> ShardReads {
-        ShardReads {
-            summary: self.summary_reads.load(Ordering::Relaxed),
-            steps: self.step_reads.load(Ordering::Relaxed),
-            raw: self.raw_reads.load(Ordering::Relaxed),
-        }
-    }
-
-    /// Raw-shard reads alone (the ladder tests' headline number).
+    /// Raw-shard reads performed through this handle so far (not
+    /// persisted; a fresh handle starts at zero).
     pub fn raw_shard_reads(&self) -> u64 {
         self.raw_reads.load(Ordering::Relaxed)
     }
@@ -613,9 +559,8 @@ impl HistoryStore {
         RunManifest::parse(&text).map_err(invalid)
     }
 
-    /// One run's per-metric summaries (ladder level 2), sorted by name.
+    /// One run's per-metric summaries, sorted by name.
     pub fn run_summary(&self, run_id: &str) -> io::Result<Vec<SummaryRow>> {
-        self.summary_reads.fetch_add(1, Ordering::Relaxed);
         let text = fs::read_to_string(self.run_dir(run_id).join(SUMMARY_SHARD))?;
         let v =
             parse_json(&text).map_err(|at| invalid(format!("bad summary JSON at byte {at}")))?;
@@ -644,33 +589,8 @@ impl HistoryStore {
         Ok(out)
     }
 
-    /// One metric's per-step chunk rows (ladder level 1), or `None` if
-    /// the metric was not recorded. Errors if the shard was compacted.
-    pub fn run_steps(&self, run_id: &str, metric: &str) -> io::Result<Option<Vec<StepRow>>> {
-        self.step_reads.fetch_add(1, Ordering::Relaxed);
-        let path = self.run_dir(run_id).join(STEPS_SHARD);
-        let text = fs::read_to_string(&path).map_err(|e| compacted(e, run_id, STEPS_SHARD))?;
-        let mut out = Vec::new();
-        for line in text.lines().filter(|l| !l.trim().is_empty()) {
-            let v =
-                parse_json(line).map_err(|at| invalid(format!("bad steps row at byte {at}")))?;
-            if v.get("metric").and_then(|m| m.as_str()) != Some(metric) {
-                continue;
-            }
-            let start =
-                v.get("start")
-                    .and_then(|s| s.as_f64())
-                    .ok_or_else(|| invalid("steps row missing start"))? as usize;
-            out.push(StepRow {
-                start,
-                summary: summary_from_json(&v).map_err(invalid)?,
-            });
-        }
-        Ok(if out.is_empty() { None } else { Some(out) })
-    }
-
-    /// One metric's raw samples (ladder level 0), or `None` if the
-    /// metric was not recorded. Errors if the shard was compacted.
+    /// One metric's raw samples, or `None` if the metric was not
+    /// recorded. Errors if the shard was compacted.
     pub fn run_raw(&self, run_id: &str, metric: &str) -> io::Result<Option<Vec<f64>>> {
         self.raw_reads.fetch_add(1, Ordering::Relaxed);
         let path = self.run_dir(run_id).join(RAW_SHARD);
@@ -697,11 +617,11 @@ impl HistoryStore {
     }
 
     /// Record one run from explicit metric samples. Assigns the run id,
-    /// fills provenance (git describe, digest, time), writes all four
-    /// shards (manifest last, as the commit marker) and returns the
-    /// completed manifest.
+    /// fills provenance (git describe, digest, time), writes the raw and
+    /// summary shards and then the manifest (the commit marker), and
+    /// returns the completed manifest.
     ///
-    /// Non-finite samples are dropped before the ladder is built (JSON
+    /// Non-finite samples are dropped before anything is written (JSON
     /// has no NaN, and band math filters them anyway); metrics left with
     /// no samples are skipped.
     pub fn record(
@@ -710,7 +630,7 @@ impl HistoryStore {
         metrics: &BTreeMap<String, (MetricKind, Vec<f64>)>,
     ) -> io::Result<RunManifest> {
         let mut m = manifest.clone();
-        m.git = git_describe();
+        m.git = git_describe().to_string();
         m.config_digest = m.digest();
         m.recorded_unix_s = std::time::SystemTime::now()
             .duration_since(std::time::UNIX_EPOCH)
@@ -718,16 +638,13 @@ impl HistoryStore {
             .unwrap_or(0.0);
         let dir = self.claim_run_dir(&mut m)?;
 
-        let chunk_target = m.steps.max(1);
         let mut raw = String::new();
-        let mut steps = String::new();
         let mut summary_rows = String::new();
         for (name, (kind, samples)) in metrics {
             let samples: Vec<f64> = samples.iter().copied().filter(|s| s.is_finite()).collect();
             if samples.is_empty() {
                 continue;
             }
-            // Level 0: the raw shard.
             let list: Vec<String> = samples.iter().map(|s| json_num(*s)).collect();
             raw.push_str(&format!(
                 "{{\"metric\": \"{}\", \"kind\": \"{}\", \"samples\": [{}]}}\n",
@@ -735,29 +652,6 @@ impl HistoryStore {
                 kind.as_str(),
                 list.join(", ")
             ));
-            // Level 1: per-step chunks (ceil(count / steps) wide, so a
-            // per-step histogram gets exactly one chunk per step).
-            let chunk_len = samples.len().div_ceil(chunk_target).max(1);
-            let mut chunks = Vec::new();
-            for (ci, chunk) in samples.chunks(chunk_len).enumerate() {
-                let s = HistogramSummary::from_samples(chunk);
-                steps.push_str(&format!(
-                    "{{\"metric\": \"{}\", \"start\": {}, {}}}\n",
-                    json_escape(name),
-                    ci * chunk_len,
-                    summary_json_fields(&s),
-                ));
-                chunks.push(s);
-            }
-            // Level 2: the per-run summary — exact nearest-rank
-            // percentiles over the full raw slice, and the chunk-tree sum
-            // (the merged step rows' sum).
-            let tree = HistogramSummary::merge(&chunks);
-            let run_summary = HistogramSummary {
-                sum: tree.sum,
-                mean: tree.mean,
-                ..HistogramSummary::from_samples(&samples)
-            };
             if !summary_rows.is_empty() {
                 summary_rows.push_str(",\n    ");
             }
@@ -765,12 +659,11 @@ impl HistoryStore {
                 "{{\"metric\": \"{}\", \"kind\": \"{}\", {}}}",
                 json_escape(name),
                 kind.as_str(),
-                summary_json_fields(&run_summary),
+                summary_json_fields(&HistogramSummary::from_samples(&samples)),
             ));
         }
 
         write_file(&dir.join(RAW_SHARD), raw.as_bytes())?;
-        write_file(&dir.join(STEPS_SHARD), steps.as_bytes())?;
         write_file(
             &dir.join(SUMMARY_SHARD),
             format!(
@@ -815,8 +708,8 @@ impl HistoryStore {
         self.record(manifest, &metrics)
     }
 
-    /// Answer a query from the coarsest exact ladder level (see the
-    /// module docs for the resolution rules).
+    /// Answer a query: a whole run from its summary, a sample range from
+    /// raw (see the module docs).
     pub fn query(&self, q: &MetricQuery) -> io::Result<Vec<QueryRow>> {
         let runs = self.select_runs(&q.run_filter)?;
         let mut out = Vec::new();
@@ -826,57 +719,26 @@ impl HistoryStore {
                 if !row.metric.starts_with(&q.name_prefix) {
                     continue;
                 }
-                let (value, level) = match q.range {
-                    None => (q.agg.of(&row.summary), "summary"),
+                let (summary, level) = match q.range {
+                    None => (row.summary, "summary"),
                     Some((start, end)) => {
-                        self.answer_range(&m.run_id, &row.metric, start, end, q.agg)?
+                        let samples = self.run_raw(&m.run_id, &row.metric)?.ok_or_else(|| {
+                            invalid(format!("metric {} not in run {}", row.metric, m.run_id))
+                        })?;
+                        let end = end.min(samples.len());
+                        let start = start.min(end);
+                        (HistogramSummary::from_samples(&samples[start..end]), "raw")
                     }
                 };
                 out.push(QueryRow {
                     run_id: m.run_id.clone(),
                     metric: row.metric,
-                    value,
+                    value: q.agg.of(&summary),
                     level,
                 });
             }
         }
         Ok(out)
-    }
-
-    /// Range answers: steps level when the chunks tile `[start, end)`
-    /// exactly and the aggregation survives merging; raw otherwise.
-    fn answer_range(
-        &self,
-        run_id: &str,
-        metric: &str,
-        start: usize,
-        end: usize,
-        agg: Agg,
-    ) -> io::Result<(f64, &'static str)> {
-        if agg.steps_exact() {
-            if let Some(rows) = self.run_steps(run_id, metric)? {
-                let covering: Vec<&StepRow> = rows
-                    .iter()
-                    .filter(|r| r.start >= start && r.start + r.summary.count <= end)
-                    .collect();
-                let covered: usize = covering.iter().map(|r| r.summary.count).sum();
-                let aligned = covering.first().map(|r| r.start) == Some(start)
-                    && covered == end.saturating_sub(start);
-                if aligned && !covering.is_empty() {
-                    let parts: Vec<HistogramSummary> = covering.iter().map(|r| r.summary).collect();
-                    return Ok((agg.of(&HistogramSummary::merge(&parts)), "steps"));
-                }
-            }
-        }
-        let samples = self
-            .run_raw(run_id, metric)?
-            .ok_or_else(|| invalid(format!("metric {metric} not in run {run_id}")))?;
-        let end = end.min(samples.len());
-        let start = start.min(end);
-        Ok((
-            agg.of(&HistogramSummary::from_samples(&samples[start..end])),
-            "raw",
-        ))
     }
 
     /// Resolve a run filter to manifests, oldest first.
@@ -898,9 +760,10 @@ impl HistoryStore {
     }
 
     /// Apply a retention policy: delete whole runs past `max_runs`
-    /// (oldest first), then shed raw + steps shards (oldest first) until
-    /// the byte budget fits. Manifests and summaries are never touched,
-    /// so per-run summaries survive compaction bitwise.
+    /// (oldest first), then shed every file but a run's manifest and
+    /// summary (oldest runs first) until the byte budget fits. Manifests
+    /// and summaries are never touched, so per-run summaries survive
+    /// compaction bitwise.
     pub fn compact(&self, r: &Retention) -> io::Result<CompactionReport> {
         let mut report = CompactionReport {
             bytes_before: self.total_bytes()?,
@@ -918,12 +781,14 @@ impl HistoryStore {
                 break;
             }
             let mut shed = 0u64;
-            for shard in [RAW_SHARD, STEPS_SHARD] {
-                let path = self.run_dir(&m.run_id).join(shard);
-                if let Ok(meta) = fs::metadata(&path) {
-                    shed += meta.len();
-                    fs::remove_file(&path)?;
+            for file in fs::read_dir(self.run_dir(&m.run_id))? {
+                let file = file?;
+                let name = file.file_name();
+                if name == MANIFEST || name == SUMMARY_SHARD {
+                    continue;
                 }
+                shed += file.metadata()?.len();
+                fs::remove_file(file.path())?;
             }
             if shed > 0 {
                 bytes -= shed.min(bytes);
@@ -1033,6 +898,21 @@ mod tests {
         assert_ne!(b.digest(), m.digest());
     }
 
+    /// Every field of a summary as bits, for bitwise comparison.
+    fn bits(s: &HistogramSummary) -> [u64; 7] {
+        [s.count as f64, s.sum, s.mean, s.min, s.p50, s.p95, s.max].map(f64::to_bits)
+    }
+
+    const AGGS: [Agg; 7] = [
+        Agg::Count,
+        Agg::Sum,
+        Agg::Mean,
+        Agg::P50,
+        Agg::P95,
+        Agg::Max,
+        Agg::Min,
+    ];
+
     #[test]
     fn ladder_levels_agree_with_raw() {
         let store = HistoryStore::open(&tmp("ladder")).unwrap();
@@ -1049,21 +929,15 @@ mod tests {
         for (a, b) in raw.iter().zip(&samples) {
             assert_eq!(a.to_bits(), b.to_bits());
         }
-
-        let steps = store
-            .run_steps(&m.run_id, "core.sim.step_seconds")
+        // The summary row is the one rule over raw, bit for bit.
+        let row = store.run_summary(&m.run_id).unwrap()[0].summary;
+        assert_eq!(bits(&row), bits(&HistogramSummary::from_samples(&raw)));
+        let mut files: Vec<String> = fs::read_dir(store.run_dir(&m.run_id))
             .unwrap()
-            .unwrap();
-        let total: usize = steps.iter().map(|s| s.summary.count).sum();
-        assert_eq!(total, samples.len());
-        // Chunk-tree sum reproduces from raw bitwise.
-        let chunk_len = samples.len().div_ceil(10);
-        let tree: f64 = samples
-            .chunks(chunk_len)
-            .map(|c| c.iter().fold(0.0, |a, b| a + b))
-            .fold(0.0, |a, b| a + b);
-        let sum = store.run_summary(&m.run_id).unwrap()[0].summary.sum;
-        assert_eq!(sum.to_bits(), tree.to_bits());
+            .map(|f| f.unwrap().file_name().to_string_lossy().into_owned())
+            .collect();
+        files.sort();
+        assert_eq!(files, [MANIFEST, RAW_SHARD, SUMMARY_SHARD]);
     }
 
     #[test]
@@ -1083,17 +957,15 @@ mod tests {
         assert_eq!(rows.len(), 1);
         assert_eq!(rows[0].level, "summary");
         assert_eq!(store.raw_shard_reads(), 0);
-        assert_eq!(store.shard_reads().steps, 0);
     }
 
     #[test]
-    fn aligned_ranges_answer_from_steps_and_percentile_ranges_from_raw() {
+    fn range_queries_answer_from_raw_with_the_bits_of_from_samples() {
         let store = HistoryStore::open(&tmp("range")).unwrap();
-        let samples: Vec<f64> = (0..8).map(|i| i as f64).collect();
+        let samples: Vec<f64> = (0..37).map(|i| (i as f64 * 0.7).sin() + 2.0).collect();
         let mut metrics = BTreeMap::new();
         metrics.insert("m".to_string(), hist(&samples));
         let m = store.record(&manifest(4), &metrics).unwrap();
-        // Chunks of 2: [0,4) tiles chunks 0 and 1 exactly.
         let q = |range, agg| MetricQuery {
             name_prefix: "m".to_string(),
             run_filter: RunFilter {
@@ -1103,17 +975,20 @@ mod tests {
             range,
             agg,
         };
-        let rows = store.query(&q(Some((0, 4)), Agg::Sum)).unwrap();
-        assert_eq!(rows[0].level, "steps");
-        assert_eq!(rows[0].value, 0.0 + 1.0 + 2.0 + 3.0);
-        assert_eq!(store.raw_shard_reads(), 0);
-        // Unaligned range falls to raw.
-        let rows = store.query(&q(Some((1, 4)), Agg::Sum)).unwrap();
-        assert_eq!(rows[0].level, "raw");
-        assert_eq!(rows[0].value, 1.0 + 2.0 + 3.0);
-        // Percentiles over a range always go to raw.
-        let rows = store.query(&q(Some((0, 4)), Agg::P50)).unwrap();
-        assert_eq!(rows[0].level, "raw");
+        // Ranges on and off the old per-step chunk bounds (10 samples
+        // wide), and one past the end, which clamps.
+        for (start, end) in [(0, 10), (1, 4), (10, 37), (30, 100)] {
+            let want = HistogramSummary::from_samples(&samples[start..end.min(samples.len())]);
+            for agg in AGGS {
+                let rows = store.query(&q(Some((start, end)), agg)).unwrap();
+                assert_eq!(rows[0].level, "raw");
+                assert_eq!(
+                    rows[0].value.to_bits(),
+                    agg.of(&want).to_bits(),
+                    "{agg:?} over [{start}, {end})"
+                );
+            }
+        }
     }
 
     #[test]
@@ -1207,18 +1082,129 @@ mod tests {
         assert!(rows.iter().all(|r| !r.metric.starts_with("job7.")));
     }
 
+    /// A run as the store wrote it while it kept a per-step level: a
+    /// `steps.ndjson` beside the other files, and a histogram row whose
+    /// `sum` is the chunk tree (2.8499999999999996), one ulp below the
+    /// arrival-order fold of its samples (2.85).
+    const OLD_RUN: [(&str, &str); 4] = [
+        (
+            "manifest.json",
+            "{\"run_id\": \"r000001\", \"case\": \"5\", \"alpha\": 0, \"level\": 3, \
+             \"lloyd\": 0, \"reorder\": \"sfc\", \"backend\": \"simd\", \"layers\": 4, \
+             \"policy\": \"pattern-driven\", \"executor\": \"serial\", \"ranks\": 0, \
+             \"steps\": 3, \"git\": \"unknown\", \"config_digest\": \"c81e8cc7b3a173ab\", \
+             \"recorded_unix_s\": 1792311789.2724273}",
+        ),
+        (
+            "raw.ndjson",
+            "{\"metric\": \"core.sim.step_seconds\", \"kind\": \"histogram\", \
+             \"samples\": [0.7, 0.1, 0.2, 0.6, 0.3, 0.9, 0.05]}\n\
+             {\"metric\": \"core.sim.steps\", \"kind\": \"counter\", \"samples\": [3]}\n",
+        ),
+        (
+            "steps.ndjson",
+            "{\"metric\": \"core.sim.step_seconds\", \"start\": 0, \"count\": 3, \"sum\": 1, \
+             \"min\": 0.1, \"p50\": 0.2, \"p95\": 0.7, \"max\": 0.7}\n\
+             {\"metric\": \"core.sim.step_seconds\", \"start\": 3, \"count\": 3, \
+             \"sum\": 1.7999999999999998, \"min\": 0.3, \"p50\": 0.6, \"p95\": 0.9, \"max\": 0.9}\n\
+             {\"metric\": \"core.sim.step_seconds\", \"start\": 6, \"count\": 1, \"sum\": 0.05, \
+             \"min\": 0.05, \"p50\": 0.05, \"p95\": 0.05, \"max\": 0.05}\n\
+             {\"metric\": \"core.sim.steps\", \"start\": 0, \"count\": 1, \"sum\": 3, \"min\": 3, \
+             \"p50\": 3, \"p95\": 3, \"max\": 3}\n",
+        ),
+        (
+            "summary.json",
+            "{\"run_id\": \"r000001\", \"metrics\": [\n    \
+             {\"metric\": \"core.sim.step_seconds\", \"kind\": \"histogram\", \"count\": 7, \
+             \"sum\": 2.8499999999999996, \"min\": 0.05, \"p50\": 0.3, \"p95\": 0.9, \"max\": 0.9},\n    \
+             {\"metric\": \"core.sim.steps\", \"kind\": \"counter\", \"count\": 1, \"sum\": 3, \
+             \"min\": 3, \"p50\": 3, \"p95\": 3, \"max\": 3}\n]}\n",
+        ),
+    ];
+
     #[test]
-    fn merge_is_exact_where_documented() {
-        let a = HistogramSummary::from_samples(&[1.0, 2.0]);
-        let b = HistogramSummary::from_samples(&[3.0, 10.0]);
-        let m = HistogramSummary::merge(&[a, HistogramSummary::from_samples(&[]), b]);
-        assert_eq!(m.count, 4);
-        assert_eq!(m.sum, (1.0 + 2.0) + (3.0 + 10.0));
-        assert_eq!(m.mean, m.sum / 4.0);
-        assert_eq!(m.min, 1.0);
-        assert_eq!(m.max, 10.0);
-        // Percentiles do not merge: a merged summary carries none.
-        assert!(m.p50.is_nan() && m.p95.is_nan());
+    fn runs_in_the_old_layout_read_back_and_compact_to_manifest_and_summary() {
+        let dir = tmp("old_layout");
+        let store = HistoryStore::open(&dir).unwrap();
+        let run = store.run_dir("r000001");
+        fs::create_dir(&run).unwrap();
+        for (name, text) in OLD_RUN {
+            write_file(&run.join(name), text.as_bytes()).unwrap();
+        }
+        assert_eq!(store.latest().unwrap().unwrap().run_id, "r000001");
+
+        // The rows read back as written (the values an older store read),
+        // and every whole-run answer comes from them.
+        let rows = store.run_summary("r000001").unwrap();
+        let want = [
+            (
+                "core.sim.step_seconds",
+                MetricKind::Histogram,
+                [7.0, 2.8499999999999996, 0.05, 0.3, 0.9, 0.9],
+            ),
+            (
+                "core.sim.steps",
+                MetricKind::Counter,
+                [1.0, 3.0, 3.0, 3.0, 3.0, 3.0],
+            ),
+        ];
+        assert_eq!(rows.len(), want.len());
+        for (row, (metric, kind, [count, sum, min, p50, p95, max])) in rows.iter().zip(want) {
+            assert_eq!((row.metric.as_str(), row.kind), (metric, kind));
+            let s = &row.summary;
+            let expect = [count, sum, sum / count, min, p50, p95, max];
+            let got = [s.count as f64, s.sum, s.mean, s.min, s.p50, s.p95, s.max];
+            assert_eq!(got.map(f64::to_bits), expect.map(f64::to_bits), "{metric}");
+        }
+        let query = |range, agg| {
+            store
+                .query(&MetricQuery {
+                    name_prefix: "core.sim.step".to_string(),
+                    run_filter: RunFilter::default(),
+                    range,
+                    agg,
+                })
+                .unwrap()
+        };
+        for agg in AGGS {
+            let answers = query(None, agg);
+            assert_eq!(answers.len(), 2);
+            for (a, row) in answers.iter().zip(&rows) {
+                assert_eq!(a.level, "summary");
+                assert_eq!(a.value.to_bits(), agg.of(&row.summary).to_bits());
+            }
+        }
+        assert_eq!(store.raw_shard_reads(), 0);
+        // A range answers from raw; the old steps file is never read.
+        let sum = query(Some((0, 7)), Agg::Sum);
+        assert_eq!((sum[0].level, sum[0].value), ("raw", 2.85));
+
+        // Compaction leaves the manifest and the summary, unchanged.
+        let report = store
+            .compact(&Retention {
+                max_runs: 256,
+                max_bytes: 0,
+            })
+            .unwrap();
+        assert_eq!(report.compacted_runs, ["r000001"]);
+        let mut files: Vec<String> = fs::read_dir(&run)
+            .unwrap()
+            .map(|f| f.unwrap().file_name().to_string_lossy().into_owned())
+            .collect();
+        files.sort();
+        assert_eq!(files, [MANIFEST, SUMMARY_SHARD]);
+        assert_eq!(
+            fs::read_to_string(run.join(SUMMARY_SHARD)).unwrap(),
+            OLD_RUN[3].1
+        );
+        let after = store.run_summary("r000001").unwrap();
+        let b = |rows: &[SummaryRow]| rows.iter().map(|r| bits(&r.summary)).collect::<Vec<_>>();
+        assert_eq!(b(&after), b(&rows));
+    }
+
+    #[test]
+    fn git_describe_is_taken_once_per_process() {
+        assert!(std::ptr::eq(git_describe(), git_describe()));
     }
 
     #[test]
