@@ -11,8 +11,8 @@
 //! Chrome-trace is written: track group "modeled" holds the scheduler's
 //! predicted substep timeline, "measured" the recorded execution. With
 //! `--metrics metrics.json` a metrics snapshot (per-kernel timing
-//! histograms, halo byte counters, per-step norms) is written as JSON
-//! (`.csv` extension switches to CSV).
+//! histograms, per-step norms, and halo byte counters on a run with
+//! `--ranks`) is written as JSON (`.csv` extension switches to CSV).
 //!
 //! ## Trace analysis and regression gating
 //!
@@ -375,11 +375,6 @@ fn run_single(args: &Args, tc: TestCase, rec: &Recorder) -> RunStats {
         );
     }
 
-    if rec.is_enabled() {
-        // One real halo-exchange round on a 4-way partition so the metrics
-        // carry measured halo byte counters next to the analytic estimate.
-        mpas_core::halo_probe(&sim.mesh, 4, rec);
-    }
     if let Some(path) = &args.trace {
         let json = mpas_hybrid::to_combined_trace(&schedule, rec);
         std::fs::write(path, &json).expect("write trace");
@@ -401,32 +396,34 @@ fn run_single(args: &Args, tc: TestCase, rec: &Recorder) -> RunStats {
     }
 }
 
-/// Adaptive-dt path: the model on the named executor with CFL-monitored
-/// step retuning. The run is judged by simulated time (`--days`), not a fixed
-/// step count, since `dt` floats inside the Courant band.
+/// Adaptive-dt path: a `Simulation` on the named executor with
+/// CFL-monitored step retuning, each step recorded like any other. The run
+/// is judged by simulated time (`--days`), not a fixed step count, since
+/// `dt` floats inside the Courant band.
 fn run_adaptive(args: &Args, tc: TestCase, rec: &Recorder) -> RunStats {
     const CFL_TARGET: f64 = 0.35;
     const CFL_BAND: f64 = 0.25;
-    let mesh = setup_mesh(args, rec);
     let mut config = ModelConfig {
         kernel_backend: args.backend,
         ..Default::default()
     };
     mpas_core::apply_case_config(&args.case, &mut config);
-    let executor = mpas_core::parse_executor(&args.executor).unwrap_or_else(|e| panic!("{e}"));
-    let mut model = ShallowWaterModel::new_on(mesh, config, tc, None, executor.exec())
-        .with_recorder(rec.clone());
-    let tracer_mass0: Vec<f64> = (0..config.n_tracers)
-        .map(|k| model.total_tracer(k))
-        .collect();
-    let mass0 = model.total_mass();
+    let mut sim = Simulation::builder()
+        .mesh(setup_mesh(args, rec))
+        // `setup_mesh` has renumbered it already.
+        .reorder(Reordering::None)
+        .test_case(tc)
+        .executor(mpas_core::parse_executor(&args.executor).unwrap_or_else(|e| panic!("{e}")))
+        .config(config)
+        .recorder(rec.clone())
+        .build();
     let horizon = args.days * 86_400.0;
     println!(
         "{}: {} cells, adaptive dt from {:.0} s (CFL target {CFL_TARGET} ±{:.0}%), \
          {} days, executor {}, reorder {}, backend {}",
         tc.name(),
-        model.mesh.n_cells(),
-        model.dt,
+        sim.mesh.n_cells(),
+        sim.dt(),
         CFL_BAND * 100.0,
         args.days,
         args.executor,
@@ -438,39 +435,28 @@ fn run_adaptive(args: &Args, tc: TestCase, rec: &Recorder) -> RunStats {
     let mut steps = 0usize;
     let mut max_c = 0.0f64;
     let mut next_report = horizon / 8.0;
-    while model.time < horizon {
-        let ts = std::time::Instant::now();
-        let c = model.step_adaptive(CFL_TARGET, CFL_BAND);
-        rec.record("core.sim.step_seconds", ts.elapsed().as_secs_f64());
+    while sim.time() < horizon {
+        let c = sim.step_adaptive(CFL_TARGET, CFL_BAND);
         max_c = max_c.max(c);
         steps += 1;
-        if model.time >= next_report {
+        if sim.time() >= next_report {
             println!(
                 "t = {:.2} days (step {steps}): dt {:.0} s, courant {:.3}, \
                  h error l2 {:.3e}",
-                model.time / 86_400.0,
-                model.dt,
+                sim.time() / 86_400.0,
+                sim.dt(),
                 c,
-                model.h_error_norms().l2
+                sim.h_error_norms().l2
             );
             next_report += horizon / 8.0;
         }
     }
     let run_secs = t0.elapsed().as_secs_f64();
-
-    let mass_drift = (model.total_mass() - mass0) / mass0;
-    let norms = model.h_error_norms();
-    let tracer_drift = (!tracer_mass0.is_empty()).then(|| {
-        (0..config.n_tracers)
-            .map(|k| ((model.total_tracer(k) - tracer_mass0[k]) / tracer_mass0[k]).abs())
-            .fold(0.0f64, f64::max)
-    });
-    rec.set_gauge("core.sim.mass_drift", mass_drift);
-    rec.set_gauge("core.sim.h_err_l2", norms.l2);
+    // The CFL monitor judges the largest Courant number any step was
+    // tuned against, not the one the last step left behind.
     rec.set_gauge("core.sim.max_courant", max_c);
-    if let Some(d) = tracer_drift {
-        rec.set_gauge("core.sim.tracer_mass_drift", d);
-    }
+
+    let (mass_drift, norms) = (sim.mass_drift(), sim.h_error_norms());
     println!(
         "finished {:.2?} ({:.1} ms/step, {} adaptive steps); mass drift {:+.2e}, \
          max courant {:.3}, h error l2 {:.3e}",
@@ -483,12 +469,12 @@ fn run_adaptive(args: &Args, tc: TestCase, rec: &Recorder) -> RunStats {
     );
 
     RunStats {
-        n_cells: model.mesh.n_cells(),
+        n_cells: sim.mesh.n_cells(),
         total_steps: steps,
         run_secs,
         mass_drift,
         norms,
-        tracer_drift,
+        tracer_drift: sim.tracer_mass_drift(),
         modeled_step_s: 0.0,
         modeled_tasks: Vec::new(),
     }

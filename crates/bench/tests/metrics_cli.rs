@@ -1,10 +1,11 @@
 //! `swe_run --metrics` records the `analysis.*` gauges (per-rank blame and
-//! the critical path) only for a run that has ranks to attribute, the mesh
-//! set-up time on every path, and the telemetry of the executor that ran.
+//! the critical path) and the `msg.*` metrics only for a run that has
+//! ranks, the mesh set-up time on every path, the telemetry of the
+//! executor that ran, and each step once, by the code that drives it.
 
 use mpas_telemetry::export::{parse_json, JsonValue};
 use mpas_telemetry::names::CORE_SETUP_MESH_SECONDS;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::process::Command;
 
 fn tmp(name: &str) -> PathBuf {
@@ -28,14 +29,48 @@ fn metrics(file: &str, days: &str, extra: &[&str]) -> JsonValue {
     parse_json(&text).expect("metrics are valid JSON")
 }
 
-/// Run `swe_run` at level 3 with `extra` arguments and return the metric
-/// names of every section of its `--metrics` JSON.
-fn metric_names(file: &str, extra: &[&str]) -> Vec<String> {
-    let doc = metrics(file, "0.02", extra);
+/// The metric names of every section of a `--metrics` JSON.
+fn names_of(doc: &JsonValue) -> Vec<String> {
     ["counters", "gauges", "histograms"]
         .iter()
         .filter_map(|s| doc.get(s).and_then(JsonValue::as_obj))
         .flat_map(|section| section.iter().map(|(k, _)| k.clone()))
+        .collect()
+}
+
+/// Run `swe_run` at level 3 with `extra` arguments and return the metric
+/// names of every section of its `--metrics` JSON.
+fn metric_names(file: &str, extra: &[&str]) -> Vec<String> {
+    names_of(&metrics(file, "0.02", extra))
+}
+
+/// The sample count of histogram `name`, if recorded.
+fn histogram_count(doc: &JsonValue, name: &str) -> Option<usize> {
+    let h = doc.get("histograms").and_then(|h| h.get(name))?;
+    h.get("count")
+        .and_then(JsonValue::as_f64)
+        .map(|c| c as usize)
+}
+
+/// The steps a run took, from its `--bench-json` record.
+fn steps_run(bench: &Path) -> usize {
+    let text = std::fs::read_to_string(bench).expect("bench record written");
+    let doc = parse_json(&text).expect("bench record is valid JSON");
+    doc.get("steps").and_then(JsonValue::as_f64).expect("steps") as usize
+}
+
+/// The `(phase, name)` of every event in a Chrome trace file.
+fn trace_events(path: &Path) -> Vec<(String, String)> {
+    let text = std::fs::read_to_string(path).expect("trace written");
+    let doc = parse_json(&text).expect("trace is valid JSON");
+    let events = doc.get("traceEvents").and_then(JsonValue::as_arr);
+    events
+        .expect("traceEvents")
+        .iter()
+        .filter_map(|e| {
+            let field = |k: &str| e.get(k).and_then(JsonValue::as_str).map(str::to_string);
+            Some((field("ph")?, field("name")?))
+        })
         .collect()
 }
 
@@ -52,6 +87,9 @@ fn serial_metrics_carry_no_analysis_gauges() {
         .filter(|k| k.starts_with("analysis."))
         .collect();
     assert!(analysis.is_empty(), "serial run recorded {analysis:?}");
+    // No ranks, no messages: a metric that does not apply is absent.
+    let msg: Vec<_> = names.iter().filter(|k| k.starts_with("msg.")).collect();
+    assert!(msg.is_empty(), "serial run recorded {msg:?}");
 }
 
 #[test]
@@ -70,13 +108,14 @@ fn two_rank_metrics_keep_the_blame_gauges() {
 #[test]
 fn adaptive_runs_record_the_executor_they_ran_on() {
     let run = |file: &str, executor: &str| {
+        let bench = tmp(&format!("bench_{file}"));
         let args = ["--case", "5", "--adaptive", "--executor", executor];
-        metrics(file, "0.05", &args)
+        let args = [&args[..], &["--bench-json", bench.to_str().unwrap()]].concat();
+        (metrics(file, "0.05", &args), steps_run(&bench))
     };
-    let serial = run("adaptive_serial.json", "serial");
-    let threaded = run("adaptive_threaded.json", "threaded:2");
-    let histogram =
-        |doc: &JsonValue, name: &str| doc.get("histograms").and_then(|h| h.get(name)).is_some();
+    let (serial, serial_steps) = run("adaptive_serial.json", "serial");
+    let (threaded, threaded_steps) = run("adaptive_threaded.json", "threaded:2");
+    let histogram = |doc: &JsonValue, name: &str| histogram_count(doc, name).is_some();
     // The pool executor times its sweeps; the serial one at one layer
     // times only the step.
     for name in [
@@ -87,7 +126,15 @@ fn adaptive_runs_record_the_executor_they_ran_on() {
         assert!(histogram(&threaded, name), "threaded run lacks {name}");
         assert!(!histogram(&serial, name), "serial run records {name}");
     }
-    assert!(histogram(&threaded, "swe.step_seconds"));
+    // Each ran its steps on a `Simulation`, which times every one once.
+    assert_eq!(
+        histogram_count(&serial, "core.sim.step_seconds"),
+        Some(serial_steps)
+    );
+    assert_eq!(
+        histogram_count(&threaded, "core.sim.step_seconds"),
+        Some(threaded_steps)
+    );
     // Both ran the same steps to the same bits.
     for gauge in ["core.sim.h_err_l2", "core.sim.mass_drift"] {
         let bits = |doc: &JsonValue| {
@@ -95,5 +142,61 @@ fn adaptive_runs_record_the_executor_they_ran_on() {
             v.and_then(JsonValue::as_f64).expect(gauge).to_bits()
         };
         assert_eq!(bits(&serial), bits(&threaded), "{gauge}");
+    }
+}
+
+#[test]
+fn every_step_is_recorded_once() {
+    let runs: [(&str, &[&str], usize); 5] = [
+        ("serial", &["--executor", "serial"], 0),
+        ("threaded", &["--executor", "threaded:2"], 0),
+        ("hybrid", &["--executor", "hybrid:2:2"], 0),
+        ("adaptive", &["--adaptive"], 0),
+        ("ranks", &["--ranks", "2"], 2),
+    ];
+    for (label, extra, ranks) in runs {
+        let path = |what: &str| tmp(&format!("once_{label}_{what}.json"));
+        let (trace, flight, bench) = (path("trace"), path("flight"), path("bench"));
+        let mut args = extra.to_vec();
+        args.extend([
+            "--trace",
+            trace.to_str().unwrap(),
+            "--flight-dump",
+            flight.to_str().unwrap(),
+            "--bench-json",
+            bench.to_str().unwrap(),
+        ]);
+        let doc = metrics(&format!("once_{label}.json"), "0.02", &args);
+        let steps = steps_run(&bench);
+        assert!(steps >= 2, "{label}: {steps} steps");
+
+        // One step timer for each loop that drives steps: the facade's (a
+        // rank run derives it from the rank step spans), and each rank's.
+        let count = |name: &str| histogram_count(&doc, name);
+        assert_eq!(count("core.sim.step_seconds"), Some(steps), "{label}");
+        let rank_steps = (ranks > 0).then_some(ranks * steps);
+        assert_eq!(count("core.rank.step_seconds"), rank_steps, "{label}");
+        let names = names_of(&doc);
+        for gone in ["swe.step_seconds", "core.sim.steps"] {
+            assert!(!names.iter().any(|k| k == gone), "{label} records {gone}");
+        }
+        let msg: Vec<_> = names.iter().filter(|k| k.starts_with("msg.")).collect();
+        assert_eq!(msg.is_empty(), ranks == 0, "{label}: {msg:?}");
+
+        // The adaptive path writes no combined trace; the flight ring of
+        // so short a run holds every span and instant it recorded.
+        let events = trace_events(if trace.exists() { &trace } else { &flight });
+        let count = |ph: &str, name: &str| {
+            let hits = events.iter().filter(|(p, n)| p == ph && n == name);
+            hits.count()
+        };
+        assert_eq!(count("X", "swe.step"), 0, "{label}");
+        assert_eq!(count("i", "core.step"), 0, "{label}");
+        let (step_span, per_step) = if ranks > 0 {
+            ("step", ranks)
+        } else {
+            ("core.step", 1)
+        };
+        assert_eq!(count("X", step_span), per_step * steps, "{label}");
     }
 }

@@ -114,22 +114,11 @@ fn rank_main(
     let mut hx = HaloExchanger::new(rl.clone()).with_recorder(rec.clone());
     let ncl = hx.local().n_cells();
 
-    for step in 0..cfg.n_steps {
+    for _ in 0..cfg.n_steps {
         // Rank-tagged per-step window: the unit the trace analyzer
-        // decomposes into compute/copy/wait/barrier blame. The begin/end
-        // events give downstream tools the step index without parsing
-        // span order.
+        // decomposes into compute/copy/wait/barrier blame, and the rank's
+        // one step timer.
         let _step_span = rec.span_timed(ctx.track(), STEP_SPAN, "core.rank.step_seconds");
-        if rec.is_enabled() {
-            rec.event(
-                "core.step",
-                &[
-                    ("rank", ctx.rank.to_string()),
-                    ("step", step.to_string()),
-                    ("phase", "begin".to_string()),
-                ],
-            );
-        }
         // Owned entries come from the update; halos from their owners.
         model.step_with(|s| {
             hx.exchange_state(ctx, &mut s.h[..ncl], &mut s.u);
@@ -137,16 +126,6 @@ fn rank_main(
                 hx.exchange(ctx, FieldKind::Cell, &mut tr[..ncl]);
             }
         });
-        if rec.is_enabled() {
-            rec.event(
-                "core.step",
-                &[
-                    ("rank", ctx.rank.to_string()),
-                    ("step", step.to_string()),
-                    ("phase", "end".to_string()),
-                ],
-            );
-        }
     }
 
     let s = &model.state;
@@ -281,15 +260,6 @@ mod tests {
         let cp = t.critical_path();
         assert!(cp.path_s() > 0.0);
         assert!(cp.path_s() <= cp.makespan_s + 1e-12);
-        // The begin/end step events carry rank/step indices.
-        let evs = rec.events();
-        assert_eq!(
-            evs.iter()
-                .filter(|e| e.name == "core.step"
-                    && e.args.iter().any(|(k, v)| k == "phase" && v == "begin"))
-                .count(),
-            3 * n_steps
-        );
     }
 
     #[test]

@@ -260,31 +260,47 @@ impl Simulation {
         SimulationBuilder::default()
     }
 
-    /// Advance `n` RK-4 steps. With a live recorder, each step is wrapped
-    /// in a `core.step` span and lands a `core.sim.step_seconds` sample
-    /// plus `core.sim.mass_drift` / `core.sim.h_err_l2` gauges.
+    /// Advance `n` RK-4 steps. With a live recorder each step is a
+    /// `core.step` span that lands one `core.sim.step_seconds` sample,
+    /// and the `core.sim.mass_drift` / `h_err_l2` / `max_courant` (and
+    /// `tracer_mass_drift`) gauges follow it.
     pub fn run_steps(&mut self, n: usize) {
-        if !self.recorder.is_enabled() {
-            return self.model.run_steps(n);
-        }
         for _ in 0..n {
-            {
-                let _span =
-                    self.recorder
-                        .span_timed("measured", "core.step", "core.sim.step_seconds");
-                self.model.step();
-            }
-            self.recorder.add("core.sim.steps", 1);
-            self.recorder
-                .set_gauge("core.sim.mass_drift", self.mass_drift());
-            self.recorder
-                .set_gauge("core.sim.h_err_l2", self.h_error_norms().l2);
-            self.recorder
-                .set_gauge("core.sim.max_courant", self.max_courant());
-            if let Some(d) = self.tracer_mass_drift() {
-                self.recorder.set_gauge("core.sim.tracer_mass_drift", d);
-            }
+            self.recorded(ShallowWaterModel::step);
         }
+    }
+
+    /// One CFL-monitored adaptive step
+    /// ([`ShallowWaterModel::step_adaptive`]), recorded exactly like a step
+    /// of [`Simulation::run_steps`]. Returns the Courant number measured
+    /// before the step, the one `dt` was tuned against.
+    pub fn step_adaptive(&mut self, cfl_target: f64, band: f64) -> f64 {
+        self.recorded(|m| m.step_adaptive(cfl_target, band))
+    }
+
+    /// Advance one step through `step`, recorded as
+    /// [`Simulation::run_steps`] describes: the one place a step of a
+    /// `Simulation` is recorded.
+    fn recorded<T>(&mut self, step: impl FnOnce(&mut ShallowWaterModel) -> T) -> T {
+        if !self.recorder.is_enabled() {
+            return step(&mut self.model);
+        }
+        let out = {
+            let _span = self
+                .recorder
+                .span_timed("measured", "core.step", "core.sim.step_seconds");
+            step(&mut self.model)
+        };
+        self.recorder
+            .set_gauge("core.sim.mass_drift", self.mass_drift());
+        self.recorder
+            .set_gauge("core.sim.h_err_l2", self.h_error_norms().l2);
+        self.recorder
+            .set_gauge("core.sim.max_courant", self.max_courant());
+        if let Some(d) = self.tracer_mass_drift() {
+            self.recorder.set_gauge("core.sim.tracer_mass_drift", d);
+        }
+        out
     }
 
     /// The telemetry sink configured at build time.
@@ -514,9 +530,12 @@ mod tests {
         sim.run_steps(3);
         let schedule = sim.modeled_schedule(&Platform::paper_node());
         let snap = rec.snapshot();
-        assert_eq!(snap.counter("core.sim.steps"), Some(3));
+        // One step timer, the facade's: the model times no step and no
+        // step counter duplicates the timer's count.
         let h = snap.histogram("core.sim.step_seconds").expect("step timer");
         assert_eq!(h.count, 3);
+        assert!(snap.histogram("swe.step_seconds").is_none());
+        assert_eq!(snap.counter("core.sim.steps"), None);
         assert!(snap.gauge("core.sim.mass_drift").unwrap().abs() < 1e-12);
         assert!(snap.gauge("sched.makespan_seconds").unwrap() > 0.0);
         // Sweep timers from the pool executor: 4 RK stages x 3 steps.
@@ -525,8 +544,6 @@ mod tests {
         // No kernel reads A3's output: it runs in the final substep only.
         let a3 = snap.histogram("swe.kernel.A3.seconds").expect("A3");
         assert_eq!(a3.count, 3);
-        let step = snap.histogram("swe.step_seconds").expect("step timer");
-        assert_eq!(step.count, 3);
         // One decision event per scheduled DAG node.
         let decisions = rec
             .events()

@@ -27,7 +27,6 @@
 
 pub mod density;
 pub mod icosahedron;
-pub mod io;
 pub mod lloyd;
 pub mod mesh;
 pub mod partition;
@@ -39,7 +38,6 @@ pub mod voronoi;
 
 pub use density::{bump_density, generate_variable};
 pub use icosahedron::{IcosaGrid, TABLE3_LEVELS};
-pub use io::{load_mesh, save_mesh};
 pub use mesh::{CellId, EdgeId, Mesh, VertexId};
 pub use partition::{MeshPartition, RankLocal};
 pub use quality::MeshQuality;
@@ -86,20 +84,90 @@ pub fn generate_ordered(level: u32, lloyd_iters: u32, reorder: Reordering) -> Me
 #[cfg(test)]
 mod bitwise_tests {
     use super::*;
-    use crate::io::mesh_digest;
     use crate::partition::rcb_partition;
+    use mpas_geom::Vec3;
+
+    /// Incremental FNV-1a over little-endian arrays, each prefixed by its
+    /// length as a `u64`.
+    struct Fnv(u64);
+
+    impl Fnv {
+        fn new() -> Self {
+            Fnv(0xcbf2_9ce4_8422_2325)
+        }
+
+        fn put(&mut self, bytes: &[u8]) {
+            self.0 = bytes.iter().fold(self.0, |h, &b| {
+                (h ^ b as u64).wrapping_mul(0x0000_0100_0000_01b3)
+            });
+        }
+
+        fn array<T: Copy, const N: usize>(&mut self, xs: &[T], le: fn(T) -> [u8; N]) {
+            self.put(&(xs.len() as u64).to_le_bytes());
+            xs.iter().for_each(|&x| self.put(&le(x)));
+        }
+
+        /// Points: the length counts points, each three floats.
+        fn points(&mut self, ps: &[Vec3]) {
+            self.put(&(ps.len() as u64).to_le_bytes());
+            let xyz = ps.iter().flat_map(|p| [p.x, p.y, p.z]);
+            xyz.for_each(|c| self.put(&c.to_le_bytes()));
+        }
+    }
 
     /// FNV-1a over id lists, each prefixed by its length.
     fn ids_digest<'a>(lists: impl IntoIterator<Item = &'a [u32]>) -> u64 {
-        let fold = |h: u64, bytes: &[u8]| {
-            bytes.iter().fold(h, |h, &b| {
-                (h ^ b as u64).wrapping_mul(0x0000_0100_0000_01b3)
-            })
-        };
-        lists.into_iter().fold(0xcbf2_9ce4_8422_2325, |h, ids| {
-            let h = fold(h, &(ids.len() as u64).to_le_bytes());
-            ids.iter().fold(h, |h, id| fold(h, &id.to_le_bytes()))
-        })
+        let mut h = Fnv::new();
+        for ids in lists {
+            h.array(ids, u32::to_le_bytes);
+        }
+        h.0
+    }
+
+    /// FNV-1a over every field of `mesh`, bit for bit: a tag, the radius,
+    /// then each array (fixed-width rows flattened). The digests below were
+    /// recorded over this byte stream, once the image of a mesh file.
+    fn mesh_digest(m: &Mesh) -> u64 {
+        let mut h = Fnv::new();
+        h.put(b"MPASMSH1");
+        h.put(&m.sphere_radius.to_le_bytes());
+        for ps in [&m.x_cell, &m.x_edge, &m.x_vertex] {
+            h.points(ps);
+        }
+        let ids: [&[u32]; 8] = [
+            m.cells_on_edge.as_flattened(),
+            m.vertices_on_edge.as_flattened(),
+            m.cells_on_vertex.as_flattened(),
+            m.edges_on_vertex.as_flattened(),
+            &m.cell_offsets,
+            &m.edges_on_cell,
+            &m.vertices_on_cell,
+            &m.cells_on_cell,
+        ];
+        for xs in ids {
+            h.array(xs, u32::to_le_bytes);
+        }
+        h.array(&m.edge_sign_on_cell, i8::to_le_bytes);
+        for xs in [&m.eoe_offsets, &m.edges_on_edge] {
+            h.array(xs, u32::to_le_bytes);
+        }
+        let floats: [&[f64]; 6] = [
+            &m.weights_on_edge,
+            &m.dc_edge,
+            &m.dv_edge,
+            &m.area_cell,
+            &m.area_triangle,
+            m.kite_areas_on_vertex.as_flattened(),
+        ];
+        for xs in floats {
+            h.array(xs, f64::to_le_bytes);
+        }
+        for ps in [&m.normal_edge, &m.tangent_edge] {
+            h.points(ps);
+        }
+        h.array(m.edge_sign_on_vertex.as_flattened(), i8::to_le_bytes);
+        h.array(&m.boundary_edge, |b| [b as u8]);
+        h.0
     }
 
     /// Per level 0..=5: no Lloyd; one Lloyd sweep; that in SFC order; in

@@ -34,13 +34,6 @@ pub struct JobRequest {
     pub layers: usize,
     /// Progress/cancellation cadence in steps (0 = end only).
     pub progress_every: usize,
-    /// Requested flight-recorder ring capacity (events). `None` leaves
-    /// the server's ring alone; a value grows the shared ring to at
-    /// least this size before the job runs (grow-only, since workers
-    /// share one ring). Deliberately absent from [`JobRequest::mesh_key`]
-    /// and [`JobRequest::spec`], so it can never leak into an artifact
-    /// cache digest.
-    pub flight_capacity: Option<usize>,
 }
 
 impl Default for JobRequest {
@@ -56,7 +49,6 @@ impl Default for JobRequest {
             backend: KernelBackend::Simd,
             layers: 1,
             progress_every: 1,
-            flight_capacity: None,
         }
     }
 }
@@ -115,15 +107,6 @@ impl JobRequest {
             },
             layers: get_u32(&v, "layers", d.layers as u32)? as usize,
             progress_every: get_u32(&v, "progress_every", d.progress_every as u32)? as usize,
-            flight_capacity: match v.get("flight_capacity") {
-                None => None,
-                Some(c) => Some(
-                    c.as_f64()
-                        .filter(|x| *x >= 1.0 && x.fract() == 0.0)
-                        .map(|x| x as usize)
-                        .ok_or_else(|| "flight_capacity must be an integer >= 1".to_string())?,
-                ),
-            },
         };
         // Fail fast at submission time, not on a worker.
         mpas_core::parse_case(&req.case, req.alpha)?;
@@ -200,19 +183,13 @@ impl JobRequest {
         }
     }
 
-    /// The request echoed back as JSON (inside status documents). The
-    /// optional `flight_capacity` appears only when set, so defaulted
-    /// requests echo byte-identically to before it existed.
+    /// The request echoed back as JSON (inside status documents).
     pub fn to_json(&self) -> String {
-        let flight = self
-            .flight_capacity
-            .map(|c| format!(", \"flight_capacity\": {c}"))
-            .unwrap_or_default();
         format!(
             "{{\"case\": \"{}\", \"alpha\": {}, \"level\": {}, \"lloyd\": {}, \
              \"steps\": {}, \"executor\": \"{}\", \"reorder\": \"{}\", \
              \"backend\": \"{}\", \"layers\": {}, \
-             \"progress_every\": {}{flight}}}",
+             \"progress_every\": {}}}",
             json_escape(&self.case),
             self.alpha,
             self.level,
@@ -272,6 +249,15 @@ mod tests {
     }
 
     #[test]
+    fn retired_flight_capacity_key_is_ignored() {
+        // The shared flight ring keeps one size for the server's life, so
+        // no job can lift its bound: `flight_capacity` is an unknown key.
+        let req = JobRequest::parse("{\"flight_capacity\": 1e12, \"steps\": 3}").unwrap();
+        assert_eq!(req.steps, 3);
+        assert!(!req.to_json().contains("flight_capacity"));
+    }
+
+    #[test]
     fn layered_jobs_are_validated_and_translate_to_the_spec() {
         let req =
             JobRequest::parse("{\"backend\": \"simd\", \"layers\": 4, \"steps\": 2}").unwrap();
@@ -287,27 +273,6 @@ mod tests {
         .is_err());
         assert!(JobRequest::parse("{\"layers\": 0}").is_err());
         assert!(JobRequest::parse("{\"backend\": \"avx\"}").is_err());
-    }
-
-    #[test]
-    fn flight_capacity_is_optional_validated_and_cache_inert() {
-        let req = JobRequest::parse("{}").unwrap();
-        assert_eq!(req.flight_capacity, None);
-        assert!(!req.to_json().contains("flight_capacity"));
-
-        let req = JobRequest::parse("{\"flight_capacity\": 16384}").unwrap();
-        assert_eq!(req.flight_capacity, Some(16384));
-        let echoed = JobRequest::parse(&req.to_json()).unwrap();
-        assert_eq!(echoed.flight_capacity, Some(16384));
-        assert_eq!(echoed.to_json(), req.to_json());
-
-        assert!(JobRequest::parse("{\"flight_capacity\": 0}").is_err());
-        assert!(JobRequest::parse("{\"flight_capacity\": 1.5}").is_err());
-        assert!(JobRequest::parse("{\"flight_capacity\": \"big\"}").is_err());
-
-        // The ring size must not perturb any cache identity.
-        let plain = JobRequest::parse("{}").unwrap();
-        assert_eq!(req.mesh_key(), plain.mesh_key());
     }
 
     #[test]

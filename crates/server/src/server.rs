@@ -637,11 +637,6 @@ fn execute_job(inner: &Arc<Inner>, w: usize, job: QueuedJob) {
     // the job's recent step-time p50/p95 queryable mid-run.
     let jrec = inner.rec.scoped(&scope);
     jrec.rolling_window("core.sim.step_seconds", 30.0);
-    // Per-job flight-ring sizing: grow-only, because every worker shares
-    // the one ring — a deep-ring job must not lose a neighbour's events.
-    if let Some(cap) = request.flight_capacity {
-        inner.rec.ensure_flight_capacity(cap);
-    }
 
     let registry = &inner.registry;
     let outcome = mpas_core::run_job(

@@ -1,14 +1,12 @@
 //! The server's cross-run history plane over real loopback HTTP: the
 //! post-completion flush into the telemetry history store, the
 //! `/history/*` query routes, the per-job `/jobs/{id}/diagnosis` report,
-//! the stream/snapshot `?prefix=` filter parity, and the job-schema
-//! flight-recorder capacity knob (which must grow the shared ring
-//! without perturbing the artifact cache).
+//! and the stream/snapshot `?prefix=` filter parity.
 
 use mpas_server::http::stream_lines;
 use mpas_server::{Server, ServerConfig};
 use mpas_telemetry::export::{parse_json, validate_json, JsonValue};
-use mpas_telemetry::{names, Recorder, DEFAULT_FLIGHT_CAPACITY};
+use mpas_telemetry::{names, Recorder};
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::path::PathBuf;
@@ -231,65 +229,5 @@ fn metrics_stream_honors_the_same_prefix_filter_as_the_snapshot() {
     // above subtracted it, not the recorder.
     let lines = stream_lines(addr, "/metrics/stream?interval_ms=20&count=1", 1).expect("stream");
     assert!(lines[0].contains(&format!("job{id}.")));
-    server.shutdown();
-}
-
-#[test]
-fn job_schema_flight_capacity_grows_the_ring_and_stays_cache_inert() {
-    let rec = Recorder::new();
-    let mut server = Server::start(
-        ServerConfig {
-            workers: 1,
-            queue_capacity: 8,
-            ..Default::default()
-        },
-        rec.clone(),
-    )
-    .expect("start server");
-    let addr = server.addr();
-    assert_eq!(rec.flight_capacity(), DEFAULT_FLIGHT_CAPACITY);
-
-    // Warm the artifact cache with a plain job.
-    let body = "{\"level\": 3, \"steps\": 2, \"progress_every\": 1}";
-    let id = submit(addr, body);
-    wait_completed(addr, id);
-    let misses = rec
-        .snapshot()
-        .counter(names::SERVER_CACHE_MISS)
-        .unwrap_or(0);
-    assert!(misses > 0, "first job must build its artifacts");
-
-    // Same shape plus a larger ring: the ring grows, and the artifacts
-    // are reused — flight_capacity is not part of the cache identity.
-    let want = DEFAULT_FLIGHT_CAPACITY + 2048;
-    let body = format!(
-        "{{\"level\": 3, \"steps\": 2, \"progress_every\": 1, \"flight_capacity\": {want}}}"
-    );
-    let id = submit(addr, &body);
-    wait_completed(addr, id);
-    assert_eq!(rec.flight_capacity(), want);
-    assert!(rec.snapshot().counter(names::SERVER_CACHE_HIT).unwrap_or(0) > 0);
-    assert_eq!(
-        rec.snapshot()
-            .counter(names::SERVER_CACHE_MISS)
-            .unwrap_or(0),
-        misses,
-        "flight_capacity changed the cache identity"
-    );
-
-    // A smaller request never shrinks the shared ring (grow-only).
-    let body = "{\"level\": 3, \"steps\": 2, \"progress_every\": 1, \"flight_capacity\": 8}";
-    let id = submit(addr, body);
-    wait_completed(addr, id);
-    assert_eq!(rec.flight_capacity(), want);
-
-    // Schema validation: a zero capacity is rejected up front.
-    let (status, payload) = http(
-        addr,
-        "POST",
-        "/jobs",
-        "{\"level\": 3, \"steps\": 2, \"flight_capacity\": 0}",
-    );
-    assert_eq!(status, 400, "{payload}");
     server.shutdown();
 }

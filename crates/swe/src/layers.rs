@@ -213,15 +213,18 @@ mod tests {
             let h = snap.histogram(&name).unwrap_or_else(|| panic!("{name}"));
             assert!(h.count > 0, "{name} empty");
         }
-        assert_eq!(snap.histogram("swe.step_seconds").map(|h| h.count), Some(1));
-        // A single-layer serial run times the step, not its sweeps.
+        // The model times its sweeps, never the step: the caller that
+        // drives the step times it.
+        assert!(snap.histogram("swe.step_seconds").is_none());
+        assert_eq!(snap.counter("core.sim.steps"), None);
+        // A single-layer serial run times no sweeps either.
         let flat_rec = Recorder::new();
         let mesh = Arc::new(mpas_mesh::generate(2, 0));
         let mut flat = ShallowWaterModel::new(mesh, simd_config(1, 1), TestCase::Case5, None)
             .with_recorder(flat_rec.clone());
         flat.run_steps(1);
         let snap = flat_rec.snapshot();
-        assert!(snap.histogram("swe.step_seconds").is_some());
+        assert!(snap.histogram("swe.step_seconds").is_none());
         assert!(snap
             .histograms
             .keys()

@@ -57,7 +57,6 @@ mod reconstruct;
 pub mod stage;
 pub mod state;
 pub mod testcases;
-pub mod timeseries;
 pub mod validation;
 
 pub use checkpoint::{load_state, save_state};
@@ -70,5 +69,4 @@ pub use norms::ErrorNorms;
 pub use stage::Exec;
 pub use state::{Diagnostics, Reconstruction, State, Tendencies};
 pub use testcases::TestCase;
-pub use timeseries::{run_with_history, History};
 pub use validation::{Scenario, ValidationReport};

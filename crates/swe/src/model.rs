@@ -57,9 +57,6 @@ pub struct ShallowWaterModel {
     /// Layer 0 as a single-layer state (`k > 1` only; refreshed after
     /// every step).
     layer0: Option<State>,
-    /// Telemetry sink (`swe.step_seconds`, the executor's sweep timers);
-    /// no-op by default.
-    recorder: Recorder,
 }
 
 impl ShallowWaterModel {
@@ -134,7 +131,6 @@ impl ShallowWaterModel {
             config,
             time: 0.0,
             mesh,
-            recorder: Recorder::noop(),
         };
         m.refresh_diagnostics();
         m
@@ -149,9 +145,10 @@ impl ShallowWaterModel {
         self
     }
 
-    /// Route this model's telemetry into `rec`: the `swe.step_seconds`
-    /// step timer, plus the sweep timers of the pool executor and of the
-    /// serial executor at `k > 1` (DESIGN.md §8).
+    /// Route this model's telemetry into `rec`: the sweep timers of the
+    /// pool executor and of the serial executor at `k > 1` (DESIGN.md §8).
+    /// The model does not time its steps; the code that drives them does
+    /// (`core.sim.step_seconds`, `core.rank.step_seconds`).
     pub fn with_recorder(mut self, rec: Recorder) -> Self {
         self.set_recorder(rec);
         self
@@ -159,8 +156,7 @@ impl ShallowWaterModel {
 
     /// Route this model's telemetry into `rec`.
     pub fn set_recorder(&mut self, rec: Recorder) {
-        self.exec.set_recorder(rec.clone());
-        self.recorder = rec;
+        self.exec.set_recorder(rec);
     }
 
     /// Number of vertical layers.
@@ -184,28 +180,23 @@ impl ShallowWaterModel {
     /// next diagnostics read, once a substep, after the RK update (a
     /// distributed rank exchanges its halo there).
     pub fn step_with(&mut self, at_substep_end: impl FnMut(&mut State)) {
-        {
-            let _t = self
-                .recorder
-                .span_timed("measured", "swe.step", "swe.step_seconds");
-            let p = Inputs::new(
-                &self.mesh,
-                &self.config,
-                &self.kernel_coeffs,
-                &self.init,
-                self.dt,
-            );
-            stage::step(
-                &mut self.exec,
-                &p,
-                self.owned,
-                &mut self.state,
-                &mut self.diag,
-                self.recon.as_mut(),
-                &mut self.ws,
-                at_substep_end,
-            );
-        }
+        let p = Inputs::new(
+            &self.mesh,
+            &self.config,
+            &self.kernel_coeffs,
+            &self.init,
+            self.dt,
+        );
+        stage::step(
+            &mut self.exec,
+            &p,
+            self.owned,
+            &mut self.state,
+            &mut self.diag,
+            self.recon.as_mut(),
+            &mut self.ws,
+            at_substep_end,
+        );
         self.time += self.dt;
         self.refresh_layer0();
     }

@@ -109,7 +109,7 @@ pub(crate) struct FlightRing {
     cap: usize,
     events: Vec<FlightEvent>,
     /// Index of the oldest event once the ring is full (0 while
-    /// filling, and immediately after a resize re-linearises it).
+    /// filling).
     head: usize,
     /// Events ever pushed (so `total - len` = events overwritten).
     total: u64,
@@ -138,23 +138,6 @@ impl FlightRing {
 
     pub(crate) fn capacity(&self) -> usize {
         self.cap
-    }
-
-    /// Resize in place, keeping the newest events (all of them on a
-    /// grow, the most recent `cap` on a shrink). `total` is preserved
-    /// so overwrite accounting stays monotonic.
-    pub(crate) fn set_capacity(&mut self, cap: usize) {
-        let cap = cap.max(1);
-        if cap == self.cap {
-            return;
-        }
-        let mut kept = self.chronological();
-        if kept.len() > cap {
-            kept.drain(..kept.len() - cap);
-        }
-        self.cap = cap;
-        self.events = kept;
-        self.head = 0;
     }
 
     pub(crate) fn total(&self) -> u64 {
@@ -269,27 +252,6 @@ mod tests {
         ring.push(counter("c", 2));
         assert_eq!(ring.chronological().len(), 1);
         assert_eq!(ring.chronological()[0].ts_s(), 2.0);
-    }
-
-    #[test]
-    fn resize_keeps_the_newest_events_and_total() {
-        let mut ring = FlightRing::new(4);
-        for i in 0..10 {
-            ring.push(counter("c", i));
-        }
-        // Grow: the 4 survivors stay, new pushes extend past them.
-        ring.set_capacity(8);
-        assert_eq!(ring.capacity(), 8);
-        assert_eq!(ring.total(), 10);
-        ring.push(counter("c", 10));
-        let seen: Vec<f64> = ring.chronological().iter().map(|e| e.ts_s()).collect();
-        assert_eq!(seen, vec![6.0, 7.0, 8.0, 9.0, 10.0]);
-        // Shrink: only the newest two remain, and wrap still works.
-        ring.set_capacity(2);
-        ring.push(counter("c", 11));
-        let seen: Vec<f64> = ring.chronological().iter().map(|e| e.ts_s()).collect();
-        assert_eq!(seen, vec![10.0, 11.0]);
-        assert_eq!(ring.total(), 12);
     }
 
     #[test]

@@ -574,20 +574,6 @@ impl Recorder {
         }
     }
 
-    /// Grow the flight ring to at least `capacity`, never shrinking.
-    ///
-    /// The server uses this form: its workers share one ring, so a job
-    /// asking for less than another job already got must not drop the
-    /// other job's history.
-    pub fn ensure_flight_capacity(&self, capacity: usize) {
-        if let Some(inner) = &self.inner {
-            let mut buf = inner.buf.lock().unwrap();
-            if capacity > buf.flight.capacity() {
-                buf.flight.set_capacity(capacity);
-            }
-        }
-    }
-
     /// Arm dump-on-anomaly: from now on, the first time each invariant
     /// metric trips in [`analysis::check_invariants`], the flight ring is
     /// written to `path` as a Chrome trace (see

@@ -42,7 +42,8 @@
 //! over the raw slice. The store counts raw-shard reads
 //! ([`HistoryStore::raw_shard_reads`]) so tests can prove that
 //! summary-answerable queries over dozens of runs never touch a raw
-//! shard.
+//! shard, and that a range query reads each run's raw shard once however
+//! many of its metrics it matches.
 //!
 //! # Retention
 //!
@@ -64,19 +65,22 @@ use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::OnceLock;
 
-/// `git describe --always --dirty` of the working tree, or `"unknown"`,
-/// taken once per process.
+/// `git describe --always --dirty` of the checkout this crate was built
+/// from, or `"unknown"`, taken once per process.
 ///
 /// Recorded in every [`RunManifest`] so the diagnosis report can say
-/// *which code* the regressed run was built from. Shelling out keeps the
-/// crate dependency-free; failures (no git, no repo) degrade to
-/// `"unknown"` rather than erroring a flush. Only the first call spawns
-/// git: a server flushes once per job, and its code does not change while
-/// it runs.
+/// *which code* the regressed run was built from. Git runs in the
+/// crate's own source directory, so a run started from any working
+/// directory names the same checkout. Shelling out keeps the crate
+/// dependency-free; failures (no git, a build moved off its checkout)
+/// degrade to `"unknown"` rather than erroring a flush. Only the first
+/// call spawns git: a server flushes once per job, and its code does not
+/// change while it runs.
 pub fn git_describe() -> &'static str {
     static DESCRIBE: OnceLock<String> = OnceLock::new();
     DESCRIBE.get_or_init(|| {
         std::process::Command::new("git")
+            .args(["-C", env!("CARGO_MANIFEST_DIR")])
             .args(["describe", "--always", "--dirty"])
             .output()
             .ok()
@@ -592,14 +596,21 @@ impl HistoryStore {
     /// One metric's raw samples, or `None` if the metric was not
     /// recorded. Errors if the shard was compacted.
     pub fn run_raw(&self, run_id: &str, metric: &str) -> io::Result<Option<Vec<f64>>> {
+        Ok(self.raw_rows(run_id)?.remove(metric))
+    }
+
+    /// Every metric's raw samples in one run: one read and parse of its
+    /// raw shard. Errors if the shard was compacted.
+    fn raw_rows(&self, run_id: &str) -> io::Result<BTreeMap<String, Vec<f64>>> {
         self.raw_reads.fetch_add(1, Ordering::Relaxed);
         let path = self.run_dir(run_id).join(RAW_SHARD);
         let text = fs::read_to_string(&path).map_err(|e| compacted(e, run_id, RAW_SHARD))?;
+        let mut rows = BTreeMap::new();
         for line in text.lines().filter(|l| !l.trim().is_empty()) {
             let v = parse_json(line).map_err(|at| invalid(format!("bad raw row at byte {at}")))?;
-            if v.get("metric").and_then(|m| m.as_str()) != Some(metric) {
+            let Some(metric) = v.get("metric").and_then(|m| m.as_str()) else {
                 continue;
-            }
+            };
             let arr = v
                 .get("samples")
                 .and_then(|s| s.as_arr())
@@ -611,9 +622,9 @@ impl HistoryStore {
                         .ok_or_else(|| invalid("raw sample not a number"))?,
                 );
             }
-            return Ok(Some(samples));
+            rows.entry(metric.to_string()).or_insert(samples);
         }
-        Ok(None)
+        Ok(rows)
     }
 
     /// Record one run from explicit metric samples. Assigns the run id,
@@ -709,12 +720,13 @@ impl HistoryStore {
     }
 
     /// Answer a query: a whole run from its summary, a sample range from
-    /// raw (see the module docs).
+    /// raw (see the module docs), read once per run it touches.
     pub fn query(&self, q: &MetricQuery) -> io::Result<Vec<QueryRow>> {
         let runs = self.select_runs(&q.run_filter)?;
         let mut out = Vec::new();
         for m in &runs {
             let rows = self.run_summary(&m.run_id)?;
+            let mut raw = None;
             for row in rows {
                 if !row.metric.starts_with(&q.name_prefix) {
                     continue;
@@ -722,7 +734,11 @@ impl HistoryStore {
                 let (summary, level) = match q.range {
                     None => (row.summary, "summary"),
                     Some((start, end)) => {
-                        let samples = self.run_raw(&m.run_id, &row.metric)?.ok_or_else(|| {
+                        if raw.is_none() {
+                            raw = Some(self.raw_rows(&m.run_id)?);
+                        }
+                        let samples = raw.as_mut().and_then(|r| r.remove(&row.metric));
+                        let samples = samples.ok_or_else(|| {
                             invalid(format!("metric {} not in run {}", row.metric, m.run_id))
                         })?;
                         let end = end.min(samples.len());
@@ -988,6 +1004,38 @@ mod tests {
                     "{agg:?} over [{start}, {end})"
                 );
             }
+        }
+    }
+
+    #[test]
+    fn a_range_query_reads_each_run_once() {
+        let store = HistoryStore::open(&tmp("range_reads")).unwrap();
+        let series = |run: usize, metric: usize| -> Vec<f64> {
+            (0..20)
+                .map(|i| ((run * 7 + metric * 3 + i) as f64 * 0.37).cos())
+                .collect()
+        };
+        let (n_runs, n_metrics) = (3, 5);
+        for run in 0..n_runs {
+            let metrics = (0..n_metrics)
+                .map(|k| (format!("m.{k}"), hist(&series(run, k))))
+                .collect();
+            store.record(&manifest(20), &metrics).unwrap();
+        }
+        let rows = store
+            .query(&MetricQuery {
+                name_prefix: "m.".to_string(),
+                run_filter: RunFilter::default(),
+                range: Some((2, 15)),
+                agg: Agg::P95,
+            })
+            .unwrap();
+        assert_eq!(rows.len(), n_runs * n_metrics);
+        assert_eq!(store.raw_shard_reads(), n_runs as u64);
+        for (i, row) in rows.iter().enumerate() {
+            let want = HistogramSummary::from_samples(&series(i / n_metrics, i % n_metrics)[2..15]);
+            assert_eq!(row.metric, format!("m.{}", i % n_metrics));
+            assert_eq!(row.value.to_bits(), Agg::P95.of(&want).to_bits());
         }
     }
 

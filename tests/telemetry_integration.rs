@@ -103,7 +103,6 @@ fn combined_trace_and_metrics_snapshot_round_trip() {
     for key in [
         "core.sim.step_seconds",
         "core.sim.mass_drift",
-        "swe.step_seconds",
         "swe.kernel.B1.seconds",
         "hybrid.split.B1.cpu.seconds",
         "hybrid.split.B1.acc.seconds",
