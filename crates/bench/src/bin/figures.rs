@@ -655,11 +655,7 @@ fn fig4x(opts: &Opts) {
         .build();
     sim.run_steps(2);
 
-    let mc = MeshCounts {
-        n_cells: mesh.n_cells() as f64,
-        n_edges: mesh.n_edges() as f64,
-        n_vertices: mesh.n_vertices() as f64,
-    };
+    let mc = MeshCounts::of(&mesh);
     let report = mpas_hybrid::calibration_from_metrics(&rec.snapshot(), &mc);
     let rows: Vec<Vec<String>> = report
         .entries
@@ -683,9 +679,13 @@ fn fig4x(opts: &Opts) {
         &rows,
     );
 
+    // The paper's pattern-driven schedule of one intermediate substep on
+    // this mesh, drawn beside what the run measured.
     let out_dir = std::path::Path::new("target/figures");
     std::fs::create_dir_all(out_dir).expect("create target/figures");
-    let schedule = sim.modeled_schedule(&Platform::paper_node());
+    let graph = DataflowGraph::for_substep(RkPhase::Intermediate);
+    let schedule = schedule_substep(&graph, &mc, &Platform::paper_node(), PatternDriven);
+    mpas_sched::record_schedule(&rec, "pattern-driven", &schedule);
     let json = mpas_hybrid::to_combined_trace(&schedule, &rec);
     let path = out_dir.join("fig4x_combined.json");
     std::fs::write(&path, &json).expect("write combined trace");

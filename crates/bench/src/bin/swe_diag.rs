@@ -7,9 +7,9 @@
 //!
 //! Reads the store recorded by `swe_run --history-dir` / `swe_serve
 //! --history-dir` / `swe_load --history-dir`, selects baseline runs
-//! whose manifest key matches the run under diagnosis (every axis of
+//! whose manifest key matches the run under diagnosis (all ten axes of
 //! `RunManifest::AXES`: case and rotation, mesh and numbering, backend,
-//! layers, policy, executor, ranks and step count),
+//! layers, executor, ranks and step count),
 //! and prints the ranked [`mpas_telemetry::diagnose::DiagnosisReport`]:
 //! which metric regressed, attributed to which dimension
 //! (kernel-backend, a Table-I kernel span, a rank's blame fraction, the

@@ -7,9 +7,9 @@
 //!         --frames 4 --out target/frames
 //! ```
 //!
-//! With `--trace trace.json` the run is recorded and a combined
-//! Chrome-trace is written: track group "modeled" holds the scheduler's
-//! predicted substep timeline, "measured" the recorded execution. With
+//! With `--trace trace.json` the run is recorded and its spans and events
+//! are written as a Chrome trace (track group "measured"; a run models no
+//! schedule, so the modeled track group belongs to `figures fig4x`). With
 //! `--metrics metrics.json` a metrics snapshot (per-kernel timing
 //! histograms, per-step norms, and halo byte counters on a run with
 //! `--ranks`) is written as JSON (`.csv` extension switches to CSV).
@@ -19,9 +19,9 @@
 //! `--ranks N` (N ≥ 2) runs the distributed engine instead of the
 //! single-address-space executors: N communicating ranks, rank-tagged
 //! step/wait/copy/barrier spans and send/recv edge events. `--report`
-//! then prints the per-rank blame table, the extracted critical path, and
-//! the measured-vs-modeled schedule diff; `--report-json FILE` writes the
-//! same as JSON.
+//! then prints the per-rank blame table and the extracted critical path;
+//! `--report-json FILE` writes the same as JSON. The ranks run the serial
+//! executor, so `--executor` other than `serial` is rejected there.
 //!
 //! `--gate-write FILE` fits a statistical baseline (median/MAD per
 //! watched metric) from this run into FILE under the run's manifest key,
@@ -55,7 +55,8 @@
 //! against the reference bands in `mpas_swe::validation::SPECS`, records
 //! `validate.<case>.l2`/`.linf` gauges for the regression gate, and exits
 //! 2 on a violation. `--adaptive` switches the single-address-space path
-//! (on any `--executor`) to CFL-monitored adaptive time stepping.
+//! (on any `--executor`) from a fixed step count to CFL-monitored adaptive
+//! steps up to the `--days` horizon.
 //!
 //! ## Set-up phases
 //!
@@ -66,17 +67,15 @@
 use mpas_bench::render::{sample_lonlat, write_ppm};
 use mpas_core::{DistributedConfig, Simulation};
 use mpas_mesh::{Mesh, Reordering};
-use mpas_patterns::dataflow::{DataflowGraph, MeshCounts, RkPhase};
 use mpas_swe::{ErrorNorms, KernelBackend, ModelConfig, ShallowWaterModel, TestCase};
 use mpas_telemetry::analysis::{
-    check_invariants, default_invariants, diff_schedule, record_blame, CriticalPath, ModeledTask,
-    Trace,
+    check_invariants, default_invariants, record_blame, CriticalPath, Trace,
 };
 use mpas_telemetry::gate::{
     median_mad, Baseline, BaselineEntry, BaselineFile, Direction, Severity,
 };
 use mpas_telemetry::store::{HistoryStore, Retention, RunManifest};
-use mpas_telemetry::{names, Recorder};
+use mpas_telemetry::{names, ChromeTrace, Recorder};
 use std::path::PathBuf;
 use std::sync::Arc;
 
@@ -87,7 +86,6 @@ struct Args {
     lloyd: u32,
     days: f64,
     executor: String,
-    policy: String,
     reorder: Reordering,
     backend: KernelBackend,
     layers: usize,
@@ -118,7 +116,6 @@ fn parse_args() -> Args {
         lloyd: 0,
         days: 1.0,
         executor: "serial".into(),
-        policy: "pattern-driven".into(),
         reorder: Reordering::None,
         backend: KernelBackend::Simd,
         layers: 1,
@@ -150,7 +147,6 @@ fn parse_args() -> Args {
             "--lloyd" => args.lloyd = val().parse().expect("lloyd"),
             "--days" => args.days = val().parse().expect("days"),
             "--executor" => args.executor = val(),
-            "--policy" => args.policy = val(),
             "--reorder" => {
                 let v = val();
                 args.reorder = Reordering::parse(&v)
@@ -186,7 +182,7 @@ fn parse_args() -> Args {
                     "usage: swe-run [--case 1..6|williamson-N|galewsky|tracer-case5] \
                      [--alpha RAD] [--level N] \
                      [--lloyd N] [--days X] [--executor serial|threaded:N|hybrid:N:M] \
-                     [--policy NAME] [--reorder none|sfc|bfs] \
+                     [--reorder none|sfc|bfs] \
                      [--backend scalar|simd] [--layers K] \
                      [--validate] [--adaptive] \
                      [--ranks N] [--frames K] [--out DIR] \
@@ -197,10 +193,8 @@ fn parse_args() -> Args {
                      [--gate-strict] \
                      [--history-dir DIR] \
                      [--inject-mass-drift X] [--inject-courant X]\n\
-                     cases: {}\n\
-                     policies: {}",
-                    mpas_swe::validation::catalog_names().join(", "),
-                    mpas_sched::registered_names().join(", ")
+                     cases: {}",
+                    mpas_swe::validation::catalog_names().join(", ")
                 );
                 std::process::exit(0);
             }
@@ -221,12 +215,6 @@ struct RunStats {
     /// Largest relative tracer-mass drift across tracers (`None` when the
     /// scenario carries no tracers).
     tracer_drift: Option<f64>,
-    /// Modeled seconds per RK-4 step for the unit the run executed
-    /// (calibrated per-rank serial model in distributed mode, the
-    /// configured policy's roofline otherwise). 0 when not computed.
-    modeled_step_s: f64,
-    /// Modeled intermediate-substep tasks, for the per-kernel slack diff.
-    modeled_tasks: Vec<ModeledTask>,
 }
 
 /// Generate, relax and renumber the run's mesh, print how long that took
@@ -246,9 +234,13 @@ fn setup_mesh(args: &Args, rec: &Recorder) -> Arc<Mesh> {
     mesh
 }
 
-/// Single-address-space path: the `Simulation` facade with the configured
-/// executor, frames, and modeled-trace support.
+/// Single-address-space path: one `Simulation` on the named executor,
+/// advanced either a fixed number of steps (dumping `--frames` on the way)
+/// or, with `--adaptive`, by CFL-monitored steps up to the `--days`
+/// horizon, each step recorded like any other.
 fn run_single(args: &Args, tc: TestCase, rec: &Recorder) -> RunStats {
+    const CFL_TARGET: f64 = 0.35;
+    const CFL_BAND: f64 = 0.25;
     let mut config = ModelConfig {
         kernel_backend: args.backend,
         n_layers: args.layers,
@@ -262,74 +254,102 @@ fn run_single(args: &Args, tc: TestCase, rec: &Recorder) -> RunStats {
         .test_case(tc)
         .executor(mpas_core::parse_executor(&args.executor).unwrap_or_else(|e| panic!("{e}")))
         .config(config)
-        .sched_policy(&args.policy)
         .recorder(rec.clone())
         .build();
 
-    let total_steps = ((args.days * 86_400.0) / sim.dt()).ceil().max(1.0) as usize;
+    // The adaptive run is judged by simulated time, not a step count,
+    // since `dt` floats inside the Courant band.
+    let horizon = args.days * 86_400.0;
+    let fixed_steps = (horizon / sim.dt()).ceil().max(1.0) as usize;
+    let stepping = if args.adaptive {
+        format!(
+            "adaptive steps to {} days (CFL target {CFL_TARGET} ±{:.0}%)",
+            args.days,
+            CFL_BAND * 100.0
+        )
+    } else {
+        format!("{fixed_steps} steps")
+    };
     println!(
-        "{}: {} cells, dt {:.0} s, {} steps, executor {}, reorder {}, backend {}, layers {}",
+        "{}: {} cells, dt {:.0} s, {stepping}, executor {}, reorder {}, backend {}, layers {}",
         tc.name(),
         sim.mesh.n_cells(),
         sim.dt(),
-        total_steps,
         args.executor,
         args.reorder.name(),
         args.backend.name(),
         args.layers
     );
-    let platform = mpas_hybrid::Platform::paper_node();
-    let modeled_step_s = sim.modeled_time_per_step(&platform);
-    println!(
-        "policy {}: modeled {:.1} ms/step on the Table-II node",
-        sim.sched_policy().name(),
-        modeled_step_s * 1e3
-    );
-    let schedule = sim.modeled_schedule(&platform);
-    let modeled_tasks = schedule_tasks(&schedule);
 
-    if args.frames > 0 {
-        std::fs::create_dir_all(&args.out).expect("create output dir");
-    }
-    let chunk = (total_steps / args.frames.max(1)).max(1);
-    let (w, h) = (480, 240);
-    let mut done = 0usize;
-    let mut frame = 0usize;
-    let mut run_secs = 0.0f64;
     let t0 = std::time::Instant::now();
-    while done < total_steps {
-        let n = chunk.min(total_steps - done);
-        let ts = std::time::Instant::now();
-        sim.run_steps(n);
-        run_secs += ts.elapsed().as_secs_f64();
-        done += n;
-        let norms = sim.h_error_norms();
-        println!(
-            "step {done}/{total_steps}: mass drift {:+.1e}, h error l2 {:.3e}",
-            sim.mass_drift(),
-            norms.l2
-        );
+    let mut run_secs = 0.0f64;
+    let mut total_steps = 0usize;
+    if args.adaptive {
+        let mut max_c = 0.0f64;
+        let mut next_report = horizon / 8.0;
+        while sim.time() < horizon {
+            let c = sim.step_adaptive(CFL_TARGET, CFL_BAND);
+            max_c = max_c.max(c);
+            total_steps += 1;
+            if sim.time() >= next_report {
+                println!(
+                    "t = {:.2} days (step {total_steps}): dt {:.0} s, courant {:.3}, \
+                     h error l2 {:.3e}",
+                    sim.time() / 86_400.0,
+                    sim.dt(),
+                    c,
+                    sim.h_error_norms().l2
+                );
+                next_report += horizon / 8.0;
+            }
+        }
+        run_secs = t0.elapsed().as_secs_f64();
+        // The CFL monitor judges the largest Courant number any step was
+        // tuned against, not the one the last step left behind.
+        rec.set_gauge("core.sim.max_courant", max_c);
+        println!("max courant {max_c:.3} over {total_steps} adaptive steps");
+    } else {
         if args.frames > 0 {
-            let th = sim.total_height();
-            let img = sample_lonlat(&sim.mesh, &th, w, h);
-            let min = th.iter().cloned().fold(f64::MAX, f64::min);
-            let max = th.iter().cloned().fold(f64::MIN, f64::max);
-            let path = args.out.join(format!("frame_{frame:04}.ppm"));
-            write_ppm(&path, &img, w, h, min, max).expect("write frame");
-            frame += 1;
+            std::fs::create_dir_all(&args.out).expect("create output dir");
+        }
+        let chunk = (fixed_steps / args.frames.max(1)).max(1);
+        let (w, h) = (480, 240);
+        let mut frame = 0usize;
+        while total_steps < fixed_steps {
+            let n = chunk.min(fixed_steps - total_steps);
+            let ts = std::time::Instant::now();
+            sim.run_steps(n);
+            run_secs += ts.elapsed().as_secs_f64();
+            total_steps += n;
+            println!(
+                "step {total_steps}/{fixed_steps}: mass drift {:+.1e}, h error l2 {:.3e}",
+                sim.mass_drift(),
+                sim.h_error_norms().l2
+            );
+            if args.frames > 0 {
+                let th = sim.total_height();
+                let img = sample_lonlat(&sim.mesh, &th, w, h);
+                let min = th.iter().cloned().fold(f64::MAX, f64::min);
+                let max = th.iter().cloned().fold(f64::MIN, f64::max);
+                let path = args.out.join(format!("frame_{frame:04}.ppm"));
+                write_ppm(&path, &img, w, h, min, max).expect("write frame");
+                frame += 1;
+            }
+        }
+        if args.frames > 0 {
+            println!("wrote {frame} frames to {}", args.out.display());
         }
     }
+    let norms = sim.h_error_norms();
     println!(
-        "finished {:.2?} ({:.1} ms/step); mass drift {:+.2e}",
+        "finished {:.2?} ({:.1} ms/step); mass drift {:+.2e}, h error l2 {:.3e}",
         t0.elapsed(),
-        t0.elapsed().as_secs_f64() * 1e3 / total_steps as f64,
-        sim.mass_drift()
+        t0.elapsed().as_secs_f64() * 1e3 / total_steps.max(1) as f64,
+        sim.mass_drift(),
+        norms.l2
     );
     if let Some(d) = sim.tracer_mass_drift() {
         println!("tracer mass drift {:+.2e}", d);
-    }
-    if args.frames > 0 {
-        println!("wrote {frame} frames to {}", args.out.display());
     }
 
     // Layered simd runs also time the flat (k = 1) simd serial model in
@@ -375,121 +395,24 @@ fn run_single(args: &Args, tc: TestCase, rec: &Recorder) -> RunStats {
         );
     }
 
-    if let Some(path) = &args.trace {
-        let json = mpas_hybrid::to_combined_trace(&schedule, rec);
-        std::fs::write(path, &json).expect("write trace");
-        println!(
-            "wrote combined modeled+measured trace ({} spans) to {}",
-            rec.spans().len(),
-            path.display()
-        );
-    }
     RunStats {
         n_cells: sim.mesh.n_cells(),
         total_steps,
         run_secs,
         mass_drift: sim.mass_drift(),
-        norms: sim.h_error_norms(),
-        tracer_drift: sim.tracer_mass_drift(),
-        modeled_step_s,
-        modeled_tasks,
-    }
-}
-
-/// Adaptive-dt path: a `Simulation` on the named executor with
-/// CFL-monitored step retuning, each step recorded like any other. The run
-/// is judged by simulated time (`--days`), not a fixed step count, since
-/// `dt` floats inside the Courant band.
-fn run_adaptive(args: &Args, tc: TestCase, rec: &Recorder) -> RunStats {
-    const CFL_TARGET: f64 = 0.35;
-    const CFL_BAND: f64 = 0.25;
-    let mut config = ModelConfig {
-        kernel_backend: args.backend,
-        ..Default::default()
-    };
-    mpas_core::apply_case_config(&args.case, &mut config);
-    let mut sim = Simulation::builder()
-        .mesh(setup_mesh(args, rec))
-        // `setup_mesh` has renumbered it already.
-        .reorder(Reordering::None)
-        .test_case(tc)
-        .executor(mpas_core::parse_executor(&args.executor).unwrap_or_else(|e| panic!("{e}")))
-        .config(config)
-        .recorder(rec.clone())
-        .build();
-    let horizon = args.days * 86_400.0;
-    println!(
-        "{}: {} cells, adaptive dt from {:.0} s (CFL target {CFL_TARGET} ±{:.0}%), \
-         {} days, executor {}, reorder {}, backend {}",
-        tc.name(),
-        sim.mesh.n_cells(),
-        sim.dt(),
-        CFL_BAND * 100.0,
-        args.days,
-        args.executor,
-        args.reorder.name(),
-        args.backend.name()
-    );
-
-    let t0 = std::time::Instant::now();
-    let mut steps = 0usize;
-    let mut max_c = 0.0f64;
-    let mut next_report = horizon / 8.0;
-    while sim.time() < horizon {
-        let c = sim.step_adaptive(CFL_TARGET, CFL_BAND);
-        max_c = max_c.max(c);
-        steps += 1;
-        if sim.time() >= next_report {
-            println!(
-                "t = {:.2} days (step {steps}): dt {:.0} s, courant {:.3}, \
-                 h error l2 {:.3e}",
-                sim.time() / 86_400.0,
-                sim.dt(),
-                c,
-                sim.h_error_norms().l2
-            );
-            next_report += horizon / 8.0;
-        }
-    }
-    let run_secs = t0.elapsed().as_secs_f64();
-    // The CFL monitor judges the largest Courant number any step was
-    // tuned against, not the one the last step left behind.
-    rec.set_gauge("core.sim.max_courant", max_c);
-
-    let (mass_drift, norms) = (sim.mass_drift(), sim.h_error_norms());
-    println!(
-        "finished {:.2?} ({:.1} ms/step, {} adaptive steps); mass drift {:+.2e}, \
-         max courant {:.3}, h error l2 {:.3e}",
-        t0.elapsed(),
-        run_secs * 1e3 / steps.max(1) as f64,
-        steps,
-        mass_drift,
-        max_c,
-        norms.l2
-    );
-
-    RunStats {
-        n_cells: sim.mesh.n_cells(),
-        total_steps: steps,
-        run_secs,
-        mass_drift,
         norms,
         tracer_drift: sim.tracer_mass_drift(),
-        modeled_step_s: 0.0,
-        modeled_tasks: Vec::new(),
     }
 }
 
 /// Distributed path: `--ranks N` communicating ranks running the serial
-/// kernel chain on RCB partitions, rank-tagged trace instrumentation, and
-/// a calibrated per-rank serial model as the comparison point.
+/// kernel chain on RCB partitions, with rank-tagged trace instrumentation.
 fn run_dist(args: &Args, tc: TestCase, rec: &Recorder) -> RunStats {
     let mesh = setup_mesh(args, rec);
     let dt = ModelConfig::suggested_dt(&mesh);
     let total_steps = ((args.days * 86_400.0) / dt).ceil().max(1.0) as usize;
     println!(
-        "{}: {} cells, dt {:.0} s, {} steps on {} ranks (reorder {}, backend {}; \
-         --executor is ignored in distributed mode)",
+        "{}: {} cells, dt {:.0} s, {} steps on {} ranks (reorder {}, backend {})",
         tc.name(),
         mesh.n_cells(),
         dt,
@@ -560,40 +483,6 @@ fn run_dist(args: &Args, tc: TestCase, rec: &Recorder) -> RunStats {
         norms.l2
     );
 
-    // Modeled comparison point: every rank runs the serial kernel chain on
-    // ~n_cells/ranks cells, so the right model is the *calibrated* serial
-    // schedule on per-rank mesh counts. Calibration coefficients are
-    // per-pattern and mesh-size-insensitive, so a small level-3 fit is
-    // enough (and cheap at CLI latency).
-    let want_model = args.report || args.report_json.is_some() || args.trace.is_some();
-    let (modeled_step_s, modeled_tasks, schedule) = if want_model {
-        let r = args.ranks as f64;
-        let mc_rank = MeshCounts {
-            n_cells: mesh.n_cells() as f64 / r,
-            n_edges: mesh.n_edges() as f64 / r,
-            n_vertices: mesh.n_vertices() as f64 / r,
-        };
-        let platform = mpas_hybrid::Platform::paper_node();
-        let policy = mpas_sched::resolve("serial").expect("serial policy");
-        let cal = mpas_hybrid::calibrate_host(args.level.min(3), 3);
-        let step = cal.modeled_time_per_step(&mc_rank, &platform, policy.as_ref());
-        let graph = DataflowGraph::for_substep(RkPhase::Intermediate);
-        let sched = mpas_hybrid::schedule_substep(&graph, &mc_rank, &platform, policy.as_ref());
-        let tasks = schedule_tasks(&sched);
-        (step, tasks, Some(sched))
-    } else {
-        (0.0, Vec::new(), None)
-    };
-    if let (Some(path), Some(sched)) = (&args.trace, &schedule) {
-        let json = mpas_hybrid::to_combined_trace(sched, rec);
-        std::fs::write(path, &json).expect("write trace");
-        println!(
-            "wrote combined modeled+measured trace ({} spans) to {}",
-            rec.spans().len(),
-            path.display()
-        );
-    }
-
     RunStats {
         n_cells: mesh.n_cells(),
         total_steps,
@@ -601,20 +490,7 @@ fn run_dist(args: &Args, tc: TestCase, rec: &Recorder) -> RunStats {
         mass_drift,
         norms,
         tracer_drift,
-        modeled_step_s,
-        modeled_tasks,
     }
-}
-
-fn schedule_tasks(s: &mpas_hybrid::Schedule) -> Vec<ModeledTask> {
-    s.nodes
-        .iter()
-        .map(|n| ModeledTask {
-            name: n.name.to_string(),
-            start_s: n.start,
-            finish_s: n.finish,
-        })
-        .collect()
 }
 
 /// Fit a gate baseline from what this run recorded. Step time is fitted
@@ -684,21 +560,15 @@ fn fit_baseline(name: String, rec: &Recorder) -> Baseline {
     Baseline { name, entries }
 }
 
-/// Blame + critical-path + schedule-diff report as a JSON document (the
-/// `--report-json` artifact CI uploads).
-fn report_json(
-    trace: &Trace,
-    cp: &CriticalPath,
-    measured_step_s: f64,
-    modeled_step_s: f64,
-) -> String {
+/// Blame + critical-path report as a JSON document (the `--report-json`
+/// artifact CI uploads).
+fn report_json(trace: &Trace, cp: &CriticalPath, measured_step_s: f64) -> String {
     use std::fmt::Write as _;
     let blame = trace.blame();
     let mut out = String::from("{\n");
     let _ = writeln!(out, "  \"makespan_s\": {:e},", blame.makespan_s);
     let _ = writeln!(out, "  \"imbalance\": {:e},", blame.imbalance);
     let _ = writeln!(out, "  \"measured_step_s\": {measured_step_s:e},");
-    let _ = writeln!(out, "  \"modeled_step_s\": {modeled_step_s:e},");
     out.push_str("  \"ranks\": [");
     for (i, r) in blame.ranks.iter().enumerate() {
         if i > 0 {
@@ -738,6 +608,12 @@ fn main() {
     let tc = mpas_core::parse_case(&args.case, args.alpha).unwrap_or_else(|e| panic!("{e}"));
     if args.adaptive && args.ranks >= 2 {
         panic!("--adaptive is a serial-path feature; drop --ranks");
+    }
+    if args.ranks >= 2 && args.executor != "serial" {
+        panic!(
+            "--ranks {} runs the serial executor on every rank; drop --executor {}",
+            args.ranks, args.executor
+        );
     }
     if args.layers == 0 {
         panic!("--layers must be >= 1");
@@ -803,8 +679,6 @@ fn main() {
 
     let stats = if args.ranks >= 2 {
         run_dist(&args, tc, &rec)
-    } else if args.adaptive {
-        run_adaptive(&args, tc, &rec)
     } else {
         run_single(&args, tc, &rec)
     };
@@ -898,41 +772,27 @@ fn main() {
         print!("{}", blame.render());
         println!("\n== critical path ==");
         println!("{}", cp.render());
-        if stats.modeled_step_s > 0.0 {
-            println!("== measured vs modeled ==");
-            println!(
-                "measured {:.3} ms/step vs modeled {:.3} ms/step (x{:.2})",
-                measured_step_s * 1e3,
-                stats.modeled_step_s * 1e3,
-                measured_step_s / stats.modeled_step_s
-            );
-            let diff = diff_schedule(&stats.modeled_tasks, measured_step_s / 4.0);
-            println!(
-                "intermediate substep: modeled {:.3} ms, measured (step/4) {:.3} ms; \
-                 tightest kernels:",
-                diff.modeled_s * 1e3,
-                diff.measured_s * 1e3
-            );
-            for k in diff.kernels.iter().take(5) {
-                println!(
-                    "  {:<4} start {:.3} ms  finish {:.3} ms  slack {:.3} ms",
-                    k.name,
-                    k.start_s * 1e3,
-                    k.finish_s * 1e3,
-                    k.slack_s * 1e3
-                );
-            }
-        } else if args.ranks < 2 {
+        if args.ranks < 2 {
             println!("(blame table needs rank-tagged traces: rerun with --ranks N >= 2)");
         }
     }
     if let Some(path) = &args.report_json {
-        let json = report_json(&trace, &cp, measured_step_s, stats.modeled_step_s);
+        let json = report_json(&trace, &cp, measured_step_s);
         std::fs::write(path, &json).expect("write report json");
         println!("wrote blame report to {}", path.display());
     }
 
     // -- artifacts --------------------------------------------------------
+    if let Some(path) = &args.trace {
+        let mut chrome = ChromeTrace::new();
+        chrome.add_measured(&rec);
+        std::fs::write(path, chrome.finish()).expect("write trace");
+        println!(
+            "wrote measured trace ({} spans) to {}",
+            rec.spans().len(),
+            path.display()
+        );
+    }
     if let Some(path) = &args.bench_json {
         // Machine-readable timing record (the BENCH_pr4.json shape): one
         // object per run so CI and `figures fig_layout` can diff configs.
@@ -1002,7 +862,6 @@ fn main() {
             args.lloyd,
             args.backend.name(),
             args.layers,
-            &args.policy,
             &args.executor,
             args.ranks,
             stats.total_steps,

@@ -1,7 +1,9 @@
 //! `swe_run --metrics` records the `analysis.*` gauges (per-rank blame and
 //! the critical path) and the `msg.*` metrics only for a run that has
 //! ranks, the mesh set-up time on every path, the telemetry of the
-//! executor that ran, and each step once, by the code that drives it.
+//! executor that ran, each step once, by the code that drives it, and no
+//! modeled schedule (`sched.*`) at all. A run takes only the flags of the
+//! path it runs.
 
 use mpas_telemetry::export::{parse_json, JsonValue};
 use mpas_telemetry::names::CORE_SETUP_MESH_SECONDS;
@@ -12,6 +14,15 @@ fn tmp(name: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("swe_metrics_cli_{}", std::process::id()));
     std::fs::create_dir_all(&dir).expect("create temp dir");
     dir.join(name)
+}
+
+/// Run `swe_run` at level 3 with `args` and return its output.
+fn swe_run(args: &[&str]) -> std::process::Output {
+    Command::new(env!("CARGO_BIN_EXE_swe_run"))
+        .args(["--level", "3", "--days", "0.02"])
+        .args(args)
+        .output()
+        .expect("run swe_run")
 }
 
 /// Run `swe_run` at level 3 over `days` with `extra` arguments and return
@@ -156,13 +167,11 @@ fn every_step_is_recorded_once() {
     ];
     for (label, extra, ranks) in runs {
         let path = |what: &str| tmp(&format!("once_{label}_{what}.json"));
-        let (trace, flight, bench) = (path("trace"), path("flight"), path("bench"));
+        let (trace, bench) = (path("trace"), path("bench"));
         let mut args = extra.to_vec();
         args.extend([
             "--trace",
             trace.to_str().unwrap(),
-            "--flight-dump",
-            flight.to_str().unwrap(),
             "--bench-json",
             bench.to_str().unwrap(),
         ]);
@@ -182,10 +191,12 @@ fn every_step_is_recorded_once() {
         }
         let msg: Vec<_> = names.iter().filter(|k| k.starts_with("msg.")).collect();
         assert_eq!(msg.is_empty(), ranks == 0, "{label}: {msg:?}");
+        // A run models no schedule.
+        let sched: Vec<_> = names.iter().filter(|k| k.starts_with("sched.")).collect();
+        assert!(sched.is_empty(), "{label} records {sched:?}");
 
-        // The adaptive path writes no combined trace; the flight ring of
-        // so short a run holds every span and instant it recorded.
-        let events = trace_events(if trace.exists() { &trace } else { &flight });
+        // Every path writes its measured spans and instants to `--trace`.
+        let events = trace_events(&trace);
         let count = |ph: &str, name: &str| {
             let hits = events.iter().filter(|(p, n)| p == ph && n == name);
             hits.count()
@@ -199,4 +210,25 @@ fn every_step_is_recorded_once() {
         };
         assert_eq!(count("X", step_span), per_step * steps, "{label}");
     }
+}
+
+#[test]
+fn a_distributed_run_rejects_a_non_serial_executor() {
+    // Every rank runs the serial executor: another executor would only
+    // rename the run's baseline key.
+    let out = swe_run(&["--ranks", "2", "--executor", "threaded:2"]);
+    assert!(!out.status.success(), "{}", out.status);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(
+        stderr.contains("--ranks") && stderr.contains("--executor"),
+        "{stderr}"
+    );
+}
+
+#[test]
+fn the_retired_policy_flag_is_unknown() {
+    let out = swe_run(&["--policy", "kernel-level"]);
+    assert!(!out.status.success(), "{}", out.status);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(stderr.contains("unknown flag --policy"), "{stderr}");
 }

@@ -192,17 +192,7 @@ fn history_flush_stays_off_the_hot_path() {
     let dir = std::env::temp_dir().join(format!("mpas-overhead-store-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     let store = mpas_telemetry::store::HistoryStore::open(&dir).expect("open store");
-    let manifest = mpas_telemetry::store::RunManifest::new(
-        "5",
-        3,
-        0,
-        "simd",
-        4,
-        "pattern-driven",
-        "serial",
-        0,
-        4,
-    );
+    let manifest = mpas_telemetry::store::RunManifest::new("5", 3, 0, "simd", 4, "serial", 0, 4);
 
     let (iters, reps) = (40_000, 5);
     let hot_mix = |rec: &Recorder| {

@@ -3,8 +3,10 @@
 //!
 //! Downstream users configure a [`Simulation`] (mesh resolution, Williamson
 //! test case, executor) and run it; the crate wires up mesh generation,
-//! the shallow-water core, the threaded/hybrid executors of `mpas-hybrid`,
-//! and the multi-rank distributed driver over `mpas-msg`.
+//! the shallow-water core with its serial, threaded and hybrid executors
+//! (all in `mpas-swe`), and multi-rank distributed runs over
+//! `mpas-msg`. A run measures; the modeled schedules of the paper's
+//! figures live in `mpas-hybrid` and `mpas-sched`.
 //!
 //! ```no_run
 //! use mpas_core::{Executor, Simulation};

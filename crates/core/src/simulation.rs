@@ -1,9 +1,7 @@
 //! The user-facing `Simulation` facade.
 
-use mpas_hybrid::{Platform, Schedule};
+use mpas_hybrid::Platform;
 use mpas_mesh::{Mesh, Reordering};
-use mpas_patterns::dataflow::{DataflowGraph, MeshCounts, RkPhase};
-use mpas_sched::SchedulerPolicy;
 use mpas_swe::coeffs::KernelCoeffs;
 use mpas_swe::config::ModelConfig;
 use mpas_swe::norms::ErrorNorms;
@@ -70,7 +68,6 @@ pub struct SimulationBuilder {
     dt: Option<f64>,
     executor: Executor,
     reorder: Reordering,
-    sched_policy: String,
     recorder: Recorder,
 }
 
@@ -87,7 +84,6 @@ impl Default for SimulationBuilder {
             dt: None,
             executor: Executor::Serial,
             reorder: Reordering::None,
-            sched_policy: "pattern-driven".to_string(),
             recorder: Recorder::noop(),
         }
     }
@@ -166,18 +162,9 @@ impl SimulationBuilder {
         self
     }
 
-    /// Scheduling policy for the modeled makespans
-    /// ([`Simulation::modeled_time_per_step`]), by registry name — one of
-    /// [`mpas_sched::registered_names`], e.g. `"kernel-level"`. Default:
-    /// `"pattern-driven"` (the paper's).
-    pub fn sched_policy(mut self, spec: &str) -> Self {
-        self.sched_policy = spec.to_string();
-        self
-    }
-
-    /// Route telemetry (per-step `core.sim.*` metrics, the engine's
-    /// kernel-level timers, scheduler decision events) into `rec`. The
-    /// default no-op recorder costs one branch per hook.
+    /// Route telemetry (per-step `core.sim.*` metrics and the engine's
+    /// kernel-level timers) into `rec`. The default no-op recorder costs
+    /// one branch per hook.
     pub fn recorder(mut self, rec: Recorder) -> Self {
         self.recorder = rec;
         self
@@ -219,8 +206,6 @@ impl SimulationBuilder {
             self.executor.exec(),
         )
         .with_recorder(self.recorder.clone());
-        let policy = mpas_sched::resolve(&self.sched_policy)
-            .unwrap_or_else(|e| panic!("invalid sched_policy {:?}: {e}", self.sched_policy));
         let mut sim = Simulation {
             mesh,
             model,
@@ -228,7 +213,6 @@ impl SimulationBuilder {
             config: self.config,
             initial_mass: 0.0,
             initial_tracer_mass: Vec::new(),
-            policy,
             recorder: self.recorder,
         };
         sim.initial_mass = sim.total_mass();
@@ -250,7 +234,6 @@ pub struct Simulation {
     pub config: ModelConfig,
     initial_mass: f64,
     initial_tracer_mass: Vec<f64>,
-    policy: Box<dyn SchedulerPolicy>,
     recorder: Recorder,
 }
 
@@ -382,37 +365,6 @@ impl Simulation {
         self.model.h_error_norms()
     }
 
-    /// The configured scheduling policy.
-    pub fn sched_policy(&self) -> &dyn SchedulerPolicy {
-        &*self.policy
-    }
-
-    /// Modeled wall-clock time of one RK-4 step on `platform` under the
-    /// configured scheduling policy (the Fig. 7 quantity, for this mesh).
-    pub fn modeled_time_per_step(&self, platform: &Platform) -> f64 {
-        let mc = MeshCounts {
-            n_cells: self.mesh.n_cells() as f64,
-            n_edges: self.mesh.n_edges() as f64,
-            n_vertices: self.mesh.n_vertices() as f64,
-        };
-        mpas_hybrid::time_per_step(&mc, platform, &self.policy)
-    }
-
-    /// The modeled schedule of one intermediate RK substep on `platform`
-    /// under the configured policy. With a live recorder, the decisions are
-    /// also recorded as `sched.decision` events and `sched.*` gauges.
-    pub fn modeled_schedule(&self, platform: &Platform) -> Schedule {
-        let mc = MeshCounts {
-            n_cells: self.mesh.n_cells() as f64,
-            n_edges: self.mesh.n_edges() as f64,
-            n_vertices: self.mesh.n_vertices() as f64,
-        };
-        let graph = DataflowGraph::for_substep(RkPhase::Intermediate);
-        let schedule = mpas_hybrid::schedule_substep(&graph, &mc, platform, &self.policy);
-        mpas_sched::record_schedule(&self.recorder, &self.policy.name(), &schedule);
-        schedule
-    }
-
     /// Total height field `h + b` (the paper's Fig. 5 quantity).
     pub fn total_height(&self) -> Vec<f64> {
         self.model.total_height()
@@ -474,36 +426,6 @@ mod tests {
     }
 
     #[test]
-    fn sched_policy_threads_through_the_facade() {
-        let mesh = Arc::new(mpas_mesh::generate(3, 0));
-        let mk = |spec: &str| {
-            Simulation::builder()
-                .mesh(mesh.clone())
-                .sched_policy(spec)
-                .build()
-        };
-        let platform = Platform::paper_node();
-        let default = Simulation::builder().mesh(mesh.clone()).build();
-        assert_eq!(default.sched_policy().name(), "pattern-driven");
-        let serial = mk("serial").modeled_time_per_step(&platform);
-        for spec in ["cpu-only", "acc-only", "kernel-level", "pattern-driven"] {
-            let sim = mk(spec);
-            assert_eq!(sim.sched_policy().name(), spec);
-            let t = sim.modeled_time_per_step(&platform);
-            assert!(t > 0.0 && t <= serial, "{spec}: {t} vs serial {serial}");
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "invalid sched_policy")]
-    fn bad_sched_policy_name_panics_with_context() {
-        let _ = Simulation::builder()
-            .mesh_level(1)
-            .sched_policy("fifo")
-            .build();
-    }
-
-    #[test]
     fn split_fraction_reflects_platform() {
         assert_eq!(
             Executor::Threaded { threads: 1 }.exec().acc_fraction(),
@@ -528,7 +450,6 @@ mod tests {
             .recorder(rec.clone())
             .build();
         sim.run_steps(3);
-        let schedule = sim.modeled_schedule(&Platform::paper_node());
         let snap = rec.snapshot();
         // One step timer, the facade's: the model times no step and no
         // step counter duplicates the timer's count.
@@ -537,20 +458,22 @@ mod tests {
         assert!(snap.histogram("swe.step_seconds").is_none());
         assert_eq!(snap.counter("core.sim.steps"), None);
         assert!(snap.gauge("core.sim.mass_drift").unwrap().abs() < 1e-12);
-        assert!(snap.gauge("sched.makespan_seconds").unwrap() > 0.0);
         // Sweep timers from the pool executor: 4 RK stages x 3 steps.
         let b1 = snap.histogram("swe.kernel.B1.seconds").expect("B1");
         assert_eq!(b1.count, 12);
         // No kernel reads A3's output: it runs in the final substep only.
         let a3 = snap.histogram("swe.kernel.A3.seconds").expect("A3");
         assert_eq!(a3.count, 3);
-        // One decision event per scheduled DAG node.
-        let decisions = rec
-            .events()
-            .iter()
-            .filter(|e| e.name == "sched.decision")
-            .count();
-        assert_eq!(decisions, schedule.nodes.len());
+        // A run models no schedule: no `sched.*` metric and no decision.
+        let sched: Vec<_> = snap
+            .counters
+            .keys()
+            .chain(snap.gauges.keys())
+            .chain(snap.histograms.keys())
+            .filter(|k| k.starts_with("sched."))
+            .collect();
+        assert!(sched.is_empty(), "{sched:?}");
+        assert!(!rec.events().iter().any(|e| e.name == "sched.decision"));
         // Telemetry must not perturb the numerics.
         let mut plain = Simulation::builder()
             .mesh_level(2)

@@ -1,7 +1,7 @@
 //! Measurement-driven cost calibration.
 //!
 //! The schedulers in `mpas-sched` price every Table-I pattern instance with
-//! the roofline model of [`crate::device`]. That model is deliberately
+//! the roofline model of [`mpas_sched::platform`]. That model is deliberately
 //! simple — `max(flops/peak, bytes/bw) + launch` — and systematic per-kernel
 //! deviations (gather-heavy stencils, short trip counts, transcendental-free
 //! streams) show up as a per-pattern multiplicative error. This module
@@ -133,14 +133,9 @@ pub fn calibrate_on(mesh: Arc<mpas_mesh::Mesh>, reps: usize) -> CalibrationRepor
     let rec = Recorder::new();
     m.set_recorder(rec.clone());
     m.run_steps(reps.max(1));
-    let mc = MeshCounts {
-        n_cells: mesh.n_cells() as f64,
-        n_edges: mesh.n_edges() as f64,
-        n_vertices: mesh.n_vertices() as f64,
-    };
     CalibrationReport {
         reps: reps.max(1),
-        ..calibration_from_metrics(&rec.snapshot(), &mc)
+        ..calibration_from_metrics(&rec.snapshot(), &MeshCounts::of(&mesh))
     }
 }
 

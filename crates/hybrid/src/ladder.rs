@@ -15,8 +15,8 @@
 //! scatter / gather / branch-free / fused loop forms on a real host core —
 //! lives in the bench crate (`bench_reduction_forms`).
 
-use crate::device::DeviceSpec;
 use mpas_patterns::dataflow::{DataflowGraph, MeshCounts, RkPhase};
+use mpas_sched::platform::DeviceSpec;
 
 /// Cumulative optimization stages of Fig. 6 (each includes its
 /// predecessors).

@@ -3,11 +3,11 @@
 //!
 //! Three layers, mirroring the paper's method:
 //!
-//! * [`device`] — descriptors of the Table-II node (Xeon E5-2680 v2 host,
-//!   Xeon Phi 5110P accelerator, PCIe link), with roofline execution-time
-//!   models, re-exported from the `mpas-sched` subsystem. The Phi is
-//!   simulated (DESIGN.md §1 documents the substitution); the scheduling
-//!   code is real.
+//! * [`Platform`] — descriptors of the Table-II node (Xeon E5-2680 v2
+//!   host, Xeon Phi 5110P accelerator, PCIe link), with roofline
+//!   execution-time models, re-exported from `mpas_sched::platform`. The
+//!   Phi is simulated (DESIGN.md §1 documents the substitution); the
+//!   scheduling code is real.
 //! * [`sched`] + [`sim`] — makespan scheduling of the data-flow diagram
 //!   under the paper's policies from `mpas-sched` (serial reference,
 //!   kernel-level hybrid of Fig. 2, pattern-driven hybrid of Fig. 4 (b)
@@ -26,15 +26,14 @@
 //! pool — run the one stage program of `mpas_swe::stage`.
 
 pub mod calibrate;
-pub mod device;
 pub mod ladder;
 pub mod sched;
 pub mod sim;
 pub mod trace;
 
 pub use calibrate::{calibrate_host, calibration_from_metrics, CalibrationReport};
-pub use device::{DeviceSpec, Platform, TransferLink};
 pub use ladder::{fig6_ladder, OptStage};
+pub use mpas_sched::platform::{DeviceSpec, Platform, TransferLink};
 pub use sched::{schedule_substep, Placement, Schedule, SchedulerPolicy};
 pub use sim::{time_per_step, time_per_step_multirank};
 pub use trace::{to_chrome_trace, to_combined_trace};

@@ -10,8 +10,8 @@
 //! link; variables made on one device become resident on both after the
 //! transfer, modeling the paper's keep-data-resident strategy (§IV.A).
 
-use crate::device::Platform;
 use mpas_patterns::dataflow::{DataflowGraph, MeshCounts};
+use mpas_sched::platform::Platform;
 use mpas_sched::TaskDag;
 
 pub use mpas_sched::schedule::{NodeSchedule, Placement, Schedule};
@@ -52,6 +52,20 @@ mod tests {
         assert!(cpu < serial, "10 cores beat 1 core");
         assert!(kernel < cpu, "hybrid beats CPU-only");
         assert!(pattern < kernel, "pattern-driven beats kernel-level");
+    }
+
+    #[test]
+    fn every_paper_policy_models_a_step_no_slower_than_serial() {
+        // The level-3 mesh's counts: 642 cells, 1 920 edges, 1 280 vertices.
+        let mc = MeshCounts::icosahedral(642);
+        let p = Platform::paper_node();
+        let serial = crate::sim::time_per_step(&mc, &p, Serial);
+        for name in ["cpu-only", "acc-only", "kernel-level", "pattern-driven"] {
+            let policy = mpas_sched::resolve(name).unwrap();
+            assert_eq!(policy.name(), name);
+            let t = crate::sim::time_per_step(&mc, &p, &policy);
+            assert!(t > 0.0 && t <= serial, "{name}: {t} vs serial {serial}");
+        }
     }
 
     #[test]

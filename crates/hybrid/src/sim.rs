@@ -11,10 +11,10 @@
 //! registry policy (`mpas_sched::resolve("pattern-driven")`) by
 //! reference.
 
-use crate::device::Platform;
 use crate::sched::{schedule_substep, SchedulerPolicy};
 use mpas_msg::CommCostModel;
 use mpas_patterns::dataflow::{DataflowGraph, MeshCounts, RkPhase};
+use mpas_sched::platform::Platform;
 
 /// Simulated execution time of one RK-4 step on a single process.
 pub fn time_per_step(mc: &MeshCounts, platform: &Platform, policy: impl SchedulerPolicy) -> f64 {

@@ -15,8 +15,6 @@ use mpas_telemetry::Recorder;
 
 /// Track-group id of the modeled schedule in emitted traces.
 pub const PID_MODELED: u32 = 1;
-/// Track-group id of measured telemetry spans in emitted traces.
-pub const PID_MEASURED: u32 = 2;
 
 fn push_schedule(trace: &mut ChromeTrace, schedule: &Schedule) {
     trace.process_name(PID_MODELED, "modeled");
@@ -45,14 +43,14 @@ pub fn to_chrome_trace(schedule: &Schedule) -> String {
 
 /// Serialize a modeled schedule and the measured spans/events of `rec`
 /// into one Chrome trace: track group "modeled" (pid 1) holds the
-/// scheduler's predicted timeline, track group "measured" (pid 2) the
-/// recorded execution, so the two line up side by side in a trace viewer.
+/// scheduler's predicted timeline, track group "measured" (pid 2,
+/// [`ChromeTrace::add_measured`], the group a run's own `--trace` holds)
+/// the recorded execution, so the two line up side by side in a trace
+/// viewer.
 pub fn to_combined_trace(schedule: &Schedule, rec: &Recorder) -> String {
     let mut trace = ChromeTrace::new();
     push_schedule(&mut trace, schedule);
-    trace.process_name(PID_MEASURED, "measured");
-    trace.add_spans(PID_MEASURED, &rec.spans());
-    trace.add_events(PID_MEASURED, "events", &rec.events());
+    trace.add_measured(rec);
     trace.finish()
 }
 

@@ -68,14 +68,6 @@ impl RankLocal {
     pub fn n_edges(&self) -> usize {
         self.edges.len()
     }
-
-    /// Bytes exchanged per halo update of one `f64` cell field plus one
-    /// `f64` edge field (used by the communication cost model).
-    pub fn halo_bytes(&self) -> usize {
-        let cells: usize = self.recv_cells.iter().map(|(_, v)| v.len()).sum();
-        let edges: usize = self.recv_edges.iter().map(|(_, v)| v.len()).sum();
-        (cells + edges) * std::mem::size_of::<f64>()
-    }
 }
 
 /// Recursive coordinate bisection of the cell centers into `n_parts`

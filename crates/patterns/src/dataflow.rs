@@ -13,6 +13,7 @@
 //! accelerator (Fig. 4 (b)).
 
 use crate::pattern::{MeshLocation, PatternClass, Variable};
+use mpas_mesh::Mesh;
 use std::collections::HashMap;
 
 /// The six kernels of Algorithm 1.
@@ -74,6 +75,15 @@ pub struct MeshCounts {
 }
 
 impl MeshCounts {
+    /// The counts of a built mesh.
+    pub fn of(mesh: &Mesh) -> Self {
+        MeshCounts {
+            n_cells: mesh.n_cells() as f64,
+            n_edges: mesh.n_edges() as f64,
+            n_vertices: mesh.n_vertices() as f64,
+        }
+    }
+
     /// Counts for a quasi-uniform icosahedral mesh with `n_cells` cells
     /// (edges ~3x, vertices ~2x by Euler's formula).
     pub fn icosahedral(n_cells: usize) -> Self {

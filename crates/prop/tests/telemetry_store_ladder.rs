@@ -35,7 +35,7 @@ fn tmp(name: &str) -> PathBuf {
 }
 
 fn manifest(steps: usize) -> RunManifest {
-    RunManifest::new("5", 3, 0, "simd", 4, "pattern-driven", "serial", 0, steps)
+    RunManifest::new("5", 3, 0, "simd", 4, "serial", 0, steps)
 }
 
 fn record_one(store: &HistoryStore, steps: usize, samples: &[f64]) -> std::io::Result<RunManifest> {

@@ -163,8 +163,7 @@ impl JobRequest {
         spec
     }
 
-    /// The manifest the server records the job's telemetry under. Jobs run
-    /// no modeled scheduler; the paper's default policy name fills that axis.
+    /// The manifest the server records the job's telemetry under.
     pub fn manifest(&self) -> RunManifest {
         RunManifest {
             alpha: self.alpha,
@@ -175,7 +174,6 @@ impl JobRequest {
                 self.lloyd,
                 self.backend.name(),
                 self.layers,
-                "pattern-driven",
                 &self.executor,
                 0,
                 self.steps,

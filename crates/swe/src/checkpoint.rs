@@ -7,7 +7,7 @@
 //! save; load; run(5)` equals `run(10)` exactly, since RK4 carries no
 //! other state between steps).
 //!
-//! Three on-disk formats are understood:
+//! Two on-disk formats are understood:
 //!
 //! * `MPASSTA3` (written for layered runs) — `time, n_layers, n_h, n_u,
 //!   n_tracers`, then the lane-interleaved layered f64 payloads of `h`
@@ -15,14 +15,14 @@
 //! * `MPASSTA2` (written for single-layer runs) — `time, n_h, n_u,
 //!   n_tracers`, then the raw little-endian f64 payload of `h`, `u` and
 //!   each tracer-mass field.
-//! * `MPASSTA1` (read-only, pre-tracer) — same layout without the tracer
-//!   count/payload; loads as a zero-tracer state.
+//!
+//! Any other file, the pre-tracer `MPASSTA1` included, is rejected with
+//! [`io::ErrorKind::InvalidData`].
 
 use crate::state::State;
 use std::io::{self, BufReader, BufWriter, Read, Write};
 use std::path::Path;
 
-const MAGIC_V1: &[u8; 8] = b"MPASSTA1";
 const MAGIC_V2: &[u8; 8] = b"MPASSTA2";
 const MAGIC_V3: &[u8; 8] = b"MPASSTA3";
 
@@ -65,32 +65,23 @@ pub fn save_state(state: &State, time: f64, path: impl AsRef<Path>) -> io::Resul
     w.flush()
 }
 
-/// Read a snapshot written by [`save_state`] (either format generation).
-/// Returns `(state, time)`; v1 files come back with no tracers.
+/// Read a snapshot written by [`save_state`]. Returns `(state, time)`.
 pub fn load_state(path: impl AsRef<Path>) -> io::Result<(State, f64)> {
     let mut r = BufReader::new(std::fs::File::open(path)?);
     let mut magic = [0u8; 8];
     r.read_exact(&mut magic)?;
-    let has_tracers = match &magic {
-        m if m == MAGIC_V2 => true,
-        m if m == MAGIC_V1 => false,
-        _ => {
-            return Err(io::Error::new(
-                io::ErrorKind::InvalidData,
-                "not an MPASSTA1/MPASSTA2 state file",
-            ))
-        }
-    };
+    if &magic != MAGIC_V2 {
+        return Err(io::Error::new(
+            io::ErrorKind::InvalidData,
+            "not an MPASSTA2 state file",
+        ));
+    }
     let mut b = [0u8; 8];
     r.read_exact(&mut b)?;
     let time = f64::from_le_bytes(b);
     let nh = read_u64(&mut r)? as usize;
     let nu = read_u64(&mut r)? as usize;
-    let nt = if has_tracers {
-        read_u64(&mut r)? as usize
-    } else {
-        0
-    };
+    let nt = read_u64(&mut r)? as usize;
     let h = read_f64s(&mut r, nh)?;
     let u = read_f64s(&mut r, nu)?;
     let mut tracers = Vec::with_capacity(nt);
@@ -240,11 +231,11 @@ mod tests {
     }
 
     #[test]
-    fn v1_files_still_load_without_tracers() {
-        // Hand-write the legacy layout: magic, time, n_h, n_u, payload.
+    fn v1_files_are_rejected_as_invalid_data() {
+        // Hand-write the pre-tracer layout: magic, time, n_h, n_u, payload.
         let path = std::env::temp_dir().join("mpas_state_v1.bin");
         let mut w = BufWriter::new(std::fs::File::create(&path).unwrap());
-        w.write_all(MAGIC_V1).unwrap();
+        w.write_all(b"MPASSTA1").unwrap();
         w.write_all(&42.0f64.to_le_bytes()).unwrap();
         w.write_all(&2u64.to_le_bytes()).unwrap();
         w.write_all(&1u64.to_le_bytes()).unwrap();
@@ -252,12 +243,9 @@ mod tests {
         write_f64s(&mut w, &[9.0]).unwrap();
         w.flush().unwrap();
         drop(w);
-        let (back, t) = load_state(&path).unwrap();
+        let err = load_state(&path).unwrap_err();
         std::fs::remove_file(&path).ok();
-        assert_eq!(t, 42.0);
-        assert_eq!(back.h, vec![7.0, 8.0]);
-        assert_eq!(back.u, vec![9.0]);
-        assert!(back.tracers.is_empty());
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
     }
 
     #[test]

@@ -114,11 +114,6 @@ pub fn active_mode() -> SimdMode {
     }
 }
 
-/// True iff the explicit-intrinsics path is active (telemetry label).
-pub fn simd_active() -> bool {
-    active_mode() == SimdMode::Avx2
-}
-
 /// Tile `0..n` into consecutive blocks of at most `block` entities
 /// (`block` is clamped to ≥ 1; the last block may be short). Every index
 /// appears in exactly one block, in order — so a blocked sweep visits the

@@ -154,11 +154,6 @@ impl TestCase {
         }
     }
 
-    /// True when the analytic solution is time-independent.
-    pub fn is_steady(&self) -> bool {
-        matches!(self, TestCase::Case2 { .. } | TestCase::Case3)
-    }
-
     /// True when the case carries a fixed forcing term that the model must
     /// compute at init (the discrete negation of the background tendency).
     pub fn needs_forcing(&self) -> bool {

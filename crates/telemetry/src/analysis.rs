@@ -701,72 +701,6 @@ pub fn record_blame(rec: &Recorder, blame: &BlameReport, cp: Option<&CriticalPat
     }
 }
 
-/// One task of a modeled schedule (`mpas-sched`'s `Schedule::nodes`,
-/// flattened to plain data so this crate stays dependency-free).
-#[derive(Debug, Clone, PartialEq)]
-pub struct ModeledTask {
-    /// Kernel / pattern name.
-    pub name: String,
-    /// Modeled start, seconds from substep start.
-    pub start_s: f64,
-    /// Modeled finish.
-    pub finish_s: f64,
-}
-
-/// Per-kernel slack of a modeled schedule against its own makespan.
-#[derive(Debug, Clone, PartialEq)]
-pub struct KernelSlack {
-    /// Kernel name.
-    pub name: String,
-    /// Modeled start.
-    pub start_s: f64,
-    /// Modeled finish.
-    pub finish_s: f64,
-    /// `modeled makespan − finish`: how much later this kernel could end
-    /// without extending the modeled schedule.
-    pub slack_s: f64,
-}
-
-/// Measured-vs-modeled comparison for one step (or substep).
-#[derive(Debug, Clone, Default)]
-pub struct ScheduleDiff {
-    /// Modeled makespan (max task finish).
-    pub modeled_s: f64,
-    /// Measured time for the same unit of work.
-    pub measured_s: f64,
-    /// `measured / modeled` (0 when the model is degenerate).
-    pub ratio: f64,
-    /// Per-kernel slack, sorted tightest-first (slack 0 = on the modeled
-    /// critical path).
-    pub kernels: Vec<KernelSlack>,
-}
-
-/// Diff a measured duration against a modeled schedule: the headline
-/// measured/modeled ratio plus per-kernel slack within the model.
-pub fn diff_schedule(modeled: &[ModeledTask], measured_s: f64) -> ScheduleDiff {
-    let modeled_span = modeled.iter().map(|t| t.finish_s).fold(0.0, f64::max);
-    let mut kernels: Vec<KernelSlack> = modeled
-        .iter()
-        .map(|t| KernelSlack {
-            name: t.name.clone(),
-            start_s: t.start_s,
-            finish_s: t.finish_s,
-            slack_s: (modeled_span - t.finish_s).max(0.0),
-        })
-        .collect();
-    kernels.sort_by(|a, b| a.slack_s.total_cmp(&b.slack_s));
-    ScheduleDiff {
-        modeled_s: modeled_span,
-        measured_s,
-        ratio: if modeled_span > 0.0 {
-            measured_s / modeled_span
-        } else {
-            0.0
-        },
-        kernels,
-    }
-}
-
 /// A threshold watcher over one gauge (e.g. `core.sim.mass_drift`).
 #[derive(Debug, Clone, PartialEq)]
 pub struct InvariantMonitor {
@@ -1022,28 +956,6 @@ mod tests {
         assert_eq!(ms.len(), 2);
         assert!((ms[0] - 1.5).abs() < 1e-12); // [0, 1.5]
         assert!((ms[1] - 2.0).abs() < 1e-12); // [1, 3]
-    }
-
-    #[test]
-    fn schedule_diff_orders_by_slack() {
-        let modeled = vec![
-            ModeledTask {
-                name: "A1".into(),
-                start_s: 0.0,
-                finish_s: 1.0,
-            },
-            ModeledTask {
-                name: "B1".into(),
-                start_s: 1.0,
-                finish_s: 4.0,
-            },
-        ];
-        let d = diff_schedule(&modeled, 6.0);
-        assert_eq!(d.modeled_s, 4.0);
-        assert!((d.ratio - 1.5).abs() < 1e-12);
-        assert_eq!(d.kernels[0].name, "B1"); // slack 0: on modeled CP
-        assert_eq!(d.kernels[0].slack_s, 0.0);
-        assert_eq!(d.kernels[1].slack_s, 3.0);
     }
 
     #[test]

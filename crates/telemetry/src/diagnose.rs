@@ -2,8 +2,9 @@
 //!
 //! Given one *current* run and a baseline set selected from the store by
 //! matching manifest keys ([`crate::store::RunManifest::baseline_key`]:
-//! same case and rotation, mesh and numbering, backend, layers, policy,
-//! executor, ranks and step count — only the code or the environment
+//! the ten axes of [`crate::store::RunManifest::AXES`] — same case and
+//! rotation, mesh and numbering, backend, layers, executor, ranks and
+//! step count — only the code or the environment
 //! differs), this module
 //! answers the question the gate cannot: not just *whether* something
 //! regressed, but *where*. Each finding names the metric, the
@@ -520,7 +521,7 @@ mod tests {
     }
 
     fn manifest() -> RunManifest {
-        RunManifest::new("5", 6, 0, "simd", 4, "pattern-driven", "serial", 0, 10)
+        RunManifest::new("5", 6, 0, "simd", 4, "serial", 0, 10)
     }
 
     fn record(store: &HistoryStore, speedup: f64, kernel_s: f64) -> RunManifest {

@@ -13,7 +13,7 @@
 //! [`validate_json`] is a strict syntax checker used by tests
 //! and the CI smoke job to prove emitted artifacts parse.
 
-use crate::{EventRecord, MetricsSnapshot, SpanRecord};
+use crate::{EventRecord, MetricsSnapshot, Recorder, SpanRecord};
 use std::fmt::Write as _;
 
 /// Escape a string for embedding inside a JSON string literal
@@ -35,6 +35,10 @@ pub fn json_escape(s: &str) -> String {
     }
     out
 }
+
+/// Track-group id of the measured execution in emitted traces (a modeled
+/// schedule, where one is drawn beside it, takes pid 1).
+const PID_MEASURED: u32 = 2;
 
 /// Builder for a Chrome trace-event JSON document with named track groups.
 #[derive(Debug, Default)]
@@ -134,6 +138,15 @@ impl ChromeTrace {
                 .collect();
             self.instant(pid, tid, &e.name, e.ts_s * 1e6, &args);
         }
+    }
+
+    /// Add what `rec` measured as track group "measured" (pid 2): every
+    /// span on its own track's row, every event as an instant on the
+    /// `events` row.
+    pub fn add_measured(&mut self, rec: &Recorder) {
+        self.process_name(PID_MEASURED, "measured");
+        self.add_spans(PID_MEASURED, &rec.spans());
+        self.add_events(PID_MEASURED, "events", &rec.events());
     }
 
     /// Serialize as `{"traceEvents":[...]}`.

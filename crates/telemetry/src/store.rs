@@ -149,8 +149,6 @@ pub struct RunManifest {
     pub backend: String,
     /// Vertical layers.
     pub layers: usize,
-    /// Scheduler policy name.
-    pub policy: String,
     /// Executor spec (`serial`, `threaded:N`, ...).
     pub executor: String,
     /// Simulated ranks (0 = single-process run).
@@ -170,9 +168,9 @@ impl RunManifest {
     /// The identity axes, in key order: what [`RunManifest::baseline_key`]
     /// joins, what [`RunManifest::field`] looks up, and what
     /// `/history/query` accepts as `key=value` filters.
-    pub const AXES: [&'static str; 11] = [
-        "case", "alpha", "level", "lloyd", "reorder", "backend", "layers", "policy", "executor",
-        "ranks", "steps",
+    pub const AXES: [&'static str; 10] = [
+        "case", "alpha", "level", "lloyd", "reorder", "backend", "layers", "executor", "ranks",
+        "steps",
     ];
 
     /// A manifest with the given identity axes and empty provenance; the
@@ -185,7 +183,6 @@ impl RunManifest {
         lloyd: u32,
         backend: &str,
         layers: usize,
-        policy: &str,
         executor: &str,
         ranks: usize,
         steps: usize,
@@ -199,7 +196,6 @@ impl RunManifest {
             reorder: "none".to_string(),
             backend: backend.to_string(),
             layers,
-            policy: policy.to_string(),
             executor: executor.to_string(),
             ranks,
             steps,
@@ -212,7 +208,7 @@ impl RunManifest {
     /// The baseline-matching key: every identity axis, *excluding*
     /// provenance (`git`, digest, timestamp). Two runs with equal keys
     /// are comparable — same case and rotation, mesh and numbering,
-    /// backend, layers, policy, executor, ranks and step count — and only
+    /// backend, layers, executor, ranks and step count — and only
     /// the code or the environment differs, which is exactly what
     /// diagnosis attributes and what a gate baseline is fitted against.
     pub fn baseline_key(&self) -> String {
@@ -241,7 +237,6 @@ impl RunManifest {
             "reorder" => self.reorder.clone(),
             "backend" => self.backend.clone(),
             "layers" => self.layers.to_string(),
-            "policy" => self.policy.clone(),
             "executor" => self.executor.clone(),
             "ranks" => self.ranks.to_string(),
             "steps" => self.steps.to_string(),
@@ -255,7 +250,7 @@ impl RunManifest {
         format!(
             "{{\"run_id\": \"{}\", \"case\": \"{}\", \"alpha\": {}, \"level\": {}, \
              \"lloyd\": {}, \"reorder\": \"{}\", \"backend\": \"{}\", \"layers\": {}, \
-             \"policy\": \"{}\", \"executor\": \"{}\", \"ranks\": {}, \"steps\": {}, \
+             \"executor\": \"{}\", \"ranks\": {}, \"steps\": {}, \
              \"git\": \"{}\", \"config_digest\": \"{:016x}\", \"recorded_unix_s\": {}}}",
             json_escape(&self.run_id),
             json_escape(&self.case),
@@ -265,7 +260,6 @@ impl RunManifest {
             json_escape(&self.reorder),
             json_escape(&self.backend),
             self.layers,
-            json_escape(&self.policy),
             json_escape(&self.executor),
             self.ranks,
             self.steps,
@@ -277,7 +271,10 @@ impl RunManifest {
 
     /// Parse a manifest back from JSON. A manifest recorded before the
     /// `reorder` and `alpha` axes existed reads back with them unknown
-    /// (empty, NaN), so it matches only runs that also lack them.
+    /// (empty, NaN), so it matches only runs that also lack them. The
+    /// `policy` field of a manifest recorded while runs still named a
+    /// modeled scheduling policy is read past: it was never a measured
+    /// axis, so such a run keys like a run recorded without it.
     pub fn parse(text: &str) -> Result<RunManifest, String> {
         let v = parse_json(text).map_err(|at| format!("bad manifest JSON at byte {at}"))?;
         let s = |k: &str| -> Result<String, String> {
@@ -300,7 +297,6 @@ impl RunManifest {
             reorder: s("reorder").unwrap_or_default(),
             backend: s("backend")?,
             layers: n("layers")? as usize,
-            policy: s("policy")?,
             executor: s("executor")?,
             ranks: n("ranks")? as usize,
             steps: n("steps")? as usize,
@@ -890,7 +886,7 @@ mod tests {
     }
 
     fn manifest(steps: usize) -> RunManifest {
-        RunManifest::new("5", 3, 0, "simd", 4, "pattern-driven", "serial", 0, steps)
+        RunManifest::new("5", 3, 0, "simd", 4, "serial", 0, steps)
     }
 
     fn hist(samples: &[f64]) -> (MetricKind, Vec<f64>) {

@@ -6,19 +6,21 @@
 //! ```
 //!
 //! Open the emitted `target/telemetry_tour.json` at `ui.perfetto.dev` (or
-//! `chrome://tracing`): track group "modeled" holds the scheduler's
-//! predicted substep timeline on its cpu/mic rows, "measured" the spans
-//! actually recorded while the step ran.
+//! `chrome://tracing`): track group "modeled" holds the paper's
+//! pattern-driven schedule of one substep on this mesh (cpu/mic rows),
+//! "measured" the spans actually recorded while the step ran.
 
 use mpas_repro::core::{halo_probe, Executor, Simulation};
-use mpas_repro::hybrid::Platform;
+use mpas_repro::hybrid::{schedule_substep, Platform};
+use mpas_repro::patterns::dataflow::{DataflowGraph, MeshCounts, RkPhase};
+use mpas_repro::sched::{record_schedule, PatternDriven};
 use mpas_repro::swe::TestCase;
 use mpas_repro::telemetry::Recorder;
 
 fn main() {
     // A live recorder shared by every layer of the stack: the simulation
-    // driver, the hybrid executor's kernels, the scheduler, and the halo
-    // exchanger all clone this handle.
+    // facade, the hybrid executor's kernels, the halo exchanger and the
+    // modeled scheduler all clone this handle.
     let rec = Recorder::new();
 
     let mut sim = Simulation::builder()
@@ -61,9 +63,14 @@ fn main() {
     }
 
     // --- Combined trace ----------------------------------------------
-    // The modeled schedule comes from the active scheduling policy on the
-    // paper's Table-II node; the measured side from the recorder's spans.
-    let schedule = sim.modeled_schedule(&Platform::paper_node());
+    // The modeled side is the paper's pattern-driven schedule of one
+    // intermediate substep on this mesh and the Table-II node (its
+    // decisions land in the recorder as `sched.*`); the measured side is
+    // the recorder's spans.
+    let graph = DataflowGraph::for_substep(RkPhase::Intermediate);
+    let mc = MeshCounts::of(&sim.mesh);
+    let schedule = schedule_substep(&graph, &mc, &Platform::paper_node(), PatternDriven);
+    record_schedule(&rec, "pattern-driven", &schedule);
     let json = mpas_repro::hybrid::to_combined_trace(&schedule, &rec);
     let path = "target/telemetry_tour.json";
     std::fs::create_dir_all("target").expect("create target dir");

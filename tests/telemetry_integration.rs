@@ -9,6 +9,8 @@
 use mpas_repro::core::{halo_probe, Executor, Simulation};
 use mpas_repro::hybrid::{self, Platform};
 use mpas_repro::mesh::MeshPartition;
+use mpas_repro::patterns::dataflow::{DataflowGraph, MeshCounts, RkPhase};
+use mpas_repro::sched::{record_schedule, PatternDriven};
 use mpas_repro::telemetry::export::validate_json;
 use mpas_repro::telemetry::Recorder;
 
@@ -66,9 +68,9 @@ fn halo_bytes_counters_match_partition_lists_on_table_iii_mesh() {
     );
 }
 
-/// A traced run produces one Chrome trace carrying both the modeled
-/// schedule (track group 1) and the measured execution (track group 2),
-/// and a metrics snapshot whose JSON serialization is valid.
+/// A traced run and the paper's modeled schedule on its mesh share one
+/// Chrome trace: the model in track group 1, the measured execution in
+/// track group 2; the metrics snapshot's JSON serialization is valid.
 #[test]
 fn combined_trace_and_metrics_snapshot_round_trip() {
     let rec = Recorder::new();
@@ -82,7 +84,10 @@ fn combined_trace_and_metrics_snapshot_round_trip() {
         .build();
     sim.run_steps(2);
     halo_probe(&sim.mesh, 4, &rec);
-    let schedule = sim.modeled_schedule(&Platform::paper_node());
+    let graph = DataflowGraph::for_substep(RkPhase::Intermediate);
+    let mc = MeshCounts::of(&sim.mesh);
+    let schedule = hybrid::schedule_substep(&graph, &mc, &Platform::paper_node(), PatternDriven);
+    record_schedule(&rec, "pattern-driven", &schedule);
 
     let trace = hybrid::to_combined_trace(&schedule, &rec);
     validate_json(&trace).expect("combined trace must be valid JSON");
