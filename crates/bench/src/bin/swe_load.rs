@@ -24,14 +24,15 @@
 //! FILE` runs a concurrent observer that captures `--stream-lines` lines
 //! of `GET /metrics/stream` during the load (validated with
 //! `export::validate_ndjson`, first offending line reported); `--flight-out
-//! FILE` saves one job's `GET /jobs/{id}/flight` Chrome trace.
+//! FILE` saves one job's `GET /jobs/{id}/flight` Chrome trace, which must
+//! hold at least one of the job's `core.step` slices.
 //!
 //! Exit codes: 0 ok, 1 gate violation, 2 job failure, divergent results,
 //! or invalid live-endpoint output.
 
 use mpas_server::http::{request, stream_lines};
 use mpas_server::JobRequest;
-use mpas_telemetry::export::parse_json;
+use mpas_telemetry::export::{parse_json, JsonValue};
 use mpas_telemetry::store::{HistoryStore, RunManifest};
 use mpas_telemetry::{json_num, names, HistogramSummary, Recorder};
 use std::net::{SocketAddr, ToSocketAddrs};
@@ -122,7 +123,7 @@ struct Sample {
     live_ms: Vec<f64>,
 }
 
-fn json_str(doc: &mpas_telemetry::export::JsonValue, key: &str) -> Option<String> {
+fn json_str(doc: &JsonValue, key: &str) -> Option<String> {
     doc.get(key).and_then(|v| v.as_str()).map(str::to_string)
 }
 
@@ -195,7 +196,9 @@ fn run_one_job(addr: SocketAddr, body: &str) -> Result<Sample, String> {
     })
 }
 
-/// Fetch one completed job's flight trace and check it is a Chrome trace.
+/// Fetch one completed job's flight trace and check it is a Chrome trace
+/// that holds the job's steps: a trace with no `core.step` slice shows
+/// nothing of the job.
 fn flight_fetch(addr: SocketAddr, samples: &[Sample]) -> Result<String, String> {
     let id = samples
         .first()
@@ -206,10 +209,18 @@ fn flight_fetch(addr: SocketAddr, samples: &[Sample]) -> Result<String, String> 
     if status != 200 {
         return Err(format!("flight {id}: {status}"));
     }
-    mpas_telemetry::export::validate_json(&payload)
-        .map_err(|at| format!("flight {id}: invalid JSON at byte {at}"))?;
-    if !payload.contains("traceEvents") {
-        return Err(format!("flight {id}: not a Chrome trace"));
+    let doc =
+        parse_json(&payload).map_err(|at| format!("flight {id}: invalid JSON at byte {at}"))?;
+    let events = doc
+        .get("traceEvents")
+        .and_then(JsonValue::as_arr)
+        .ok_or_else(|| format!("flight {id}: not a Chrome trace"))?;
+    let is_step = |e: &JsonValue| {
+        let field = |k: &str| e.get(k).and_then(JsonValue::as_str);
+        field("ph") == Some("X") && field("name") == Some("core.step")
+    };
+    if !events.iter().any(is_step) {
+        return Err(format!("flight {id}: no core.step slice"));
     }
     Ok(payload)
 }
@@ -291,8 +302,8 @@ fn main() {
             live_failures.push(e);
         }
     }
-    // One job's flight-recorder dump: the ring outlives job completion,
-    // so any observed id yields its namespace's Chrome trace.
+    // One job's flight-recorder dump: a job's recorder lives as long as
+    // its registry entry, so any observed id yields its Chrome trace.
     if let Some(path) = &args.flight_out {
         match flight_fetch(addr, &samples) {
             Ok(trace) => {
@@ -380,7 +391,7 @@ fn main() {
     if let Some(dir) = &args.history_dir {
         let store = HistoryStore::open(dir).expect("open history store");
         let recorded = store
-            .record_recorder(&manifest, &rec, "")
+            .record_recorder(&manifest, &rec)
             .expect("record load run");
         println!(
             "history: recorded load run {} into {}",

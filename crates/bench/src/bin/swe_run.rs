@@ -16,12 +16,15 @@
 //!
 //! ## Trace analysis and regression gating
 //!
-//! `--ranks N` (N ≥ 2) runs the distributed engine instead of the
+//! `--ranks N` (N ≥ 1) runs the distributed engine instead of the
 //! single-address-space executors: N communicating ranks, rank-tagged
 //! step/wait/copy/barrier spans and send/recv edge events. `--report`
 //! then prints the per-rank blame table and the extracted critical path;
-//! `--report-json FILE` writes the same as JSON. The ranks run the serial
-//! executor, so `--executor` other than `serial` is rejected there.
+//! `--report-json FILE` writes the same as JSON. Both need `--ranks`: a
+//! run without ranks has no rank time to attribute. The ranks run the
+//! serial executor, so `--executor` other than `serial` is rejected
+//! there, and they gather the state only at the end, so `--frames` is
+//! too.
 //!
 //! `--gate-write FILE` fits a statistical baseline (median/MAD per
 //! watched metric) from this run into FILE under the run's manifest key,
@@ -56,7 +59,11 @@
 //! `validate.<case>.l2`/`.linf` gauges for the regression gate, and exits
 //! 2 on a violation. `--adaptive` switches the single-address-space path
 //! (on any `--executor`) from a fixed step count to CFL-monitored adaptive
-//! steps up to the `--days` horizon.
+//! steps up to the `--days` horizon; `--frames` dumps only the fixed-step
+//! loop, so it is rejected there.
+//!
+//! A flag the chosen path would ignore is an error, raised before the
+//! mesh is built, and the message names both flags.
 //!
 //! ## Set-up phases
 //!
@@ -184,11 +191,11 @@ fn parse_args() -> Args {
                      [--lloyd N] [--days X] [--executor serial|threaded:N|hybrid:N:M] \
                      [--reorder none|sfc|bfs] \
                      [--backend scalar|simd] [--layers K] \
-                     [--validate] [--adaptive] \
-                     [--ranks N] [--frames K] [--out DIR] \
+                     [--validate] \
+                     [--adaptive | --frames K [--out DIR] \
+                     | --ranks N>=1 [--report] [--report-json FILE.json]] \
                      [--trace FILE.json] [--metrics FILE.json|FILE.csv] \
                      [--flight-dump FILE.json] [--bench-json FILE.json] \
-                     [--report] [--report-json FILE.json] \
                      [--gate BASELINE.json] [--gate-write BASELINE.json] \
                      [--gate-strict] \
                      [--history-dir DIR] \
@@ -421,9 +428,6 @@ fn run_dist(args: &Args, tc: TestCase, rec: &Recorder) -> RunStats {
         args.reorder.name(),
         args.backend.name()
     );
-    if args.frames > 0 {
-        eprintln!("warning: --frames is not supported with --ranks; skipping frame dumps");
-    }
 
     let mut model = ModelConfig {
         kernel_backend: args.backend,
@@ -606,10 +610,27 @@ fn report_json(trace: &Trace, cp: &CriticalPath, measured_step_s: f64) -> String
 fn main() {
     let mut args = parse_args();
     let tc = mpas_core::parse_case(&args.case, args.alpha).unwrap_or_else(|e| panic!("{e}"));
-    if args.adaptive && args.ranks >= 2 {
+    if args.adaptive && args.ranks > 0 {
         panic!("--adaptive is a serial-path feature; drop --ranks");
     }
-    if args.ranks >= 2 && args.executor != "serial" {
+    if args.frames > 0 && args.adaptive {
+        panic!("--frames dumps the fixed-step loop only; drop --adaptive or --frames");
+    }
+    if args.frames > 0 && args.ranks > 0 {
+        panic!(
+            "--ranks {} gathers the state only at the end; drop --frames",
+            args.ranks
+        );
+    }
+    if args.ranks == 0 {
+        if args.report {
+            panic!("--report attributes rank time; add --ranks N");
+        }
+        if args.report_json.is_some() {
+            panic!("--report-json attributes rank time; add --ranks N");
+        }
+    }
+    if args.ranks > 0 && args.executor != "serial" {
         panic!(
             "--ranks {} runs the serial executor on every rank; drop --executor {}",
             args.ranks, args.executor
@@ -622,7 +643,7 @@ fn main() {
         if args.backend != KernelBackend::Simd {
             panic!("--layers {} requires --backend simd", args.layers);
         }
-        if args.adaptive || args.ranks >= 2 {
+        if args.adaptive || args.ranks > 0 {
             panic!("--layers > 1 runs on the single-address-space serial path");
         }
         if args.executor != "serial" {
@@ -677,7 +698,7 @@ fn main() {
         rec.set_flight_dump(path.clone());
     }
 
-    let stats = if args.ranks >= 2 {
+    let stats = if args.ranks > 0 {
         run_dist(&args, tc, &rec)
     } else {
         run_single(&args, tc, &rec)
@@ -746,7 +767,7 @@ fn main() {
 
     // -- trace analysis ---------------------------------------------------
     let trace = Trace::from_recorder(&rec);
-    let measured_step_s = if args.ranks >= 2 {
+    let measured_step_s = if args.ranks > 0 {
         // Distributed mode records no facade-level step timer; derive it
         // from the per-step trace makespans and feed the same histogram
         // the gate watches.
@@ -762,7 +783,7 @@ fn main() {
     let cp = trace.critical_path();
     // Blame and critical path attribute rank time: a run without ranks
     // has none to attribute, so its metrics carry no `analysis.*` gauges.
-    if args.ranks >= 2 {
+    if args.ranks > 0 {
         record_blame(&rec, &blame, Some(&cp));
     }
     let alerts = check_invariants(&rec, &default_invariants());
@@ -772,9 +793,6 @@ fn main() {
         print!("{}", blame.render());
         println!("\n== critical path ==");
         println!("{}", cp.render());
-        if args.ranks < 2 {
-            println!("(blame table needs rank-tagged traces: rerun with --ranks N >= 2)");
-        }
     }
     if let Some(path) = &args.report_json {
         let json = report_json(&trace, &cp, measured_step_s);
@@ -876,7 +894,7 @@ fn main() {
     if let Some(dir) = &args.history_dir {
         let store = HistoryStore::open(dir).expect("open history store");
         let recorded = store
-            .record_recorder(&manifest, &rec, "")
+            .record_recorder(&manifest, &rec)
             .expect("record history run");
         let compaction = store
             .compact(&Retention::default())

@@ -2,8 +2,9 @@
 //! the critical path) and the `msg.*` metrics only for a run that has
 //! ranks, the mesh set-up time on every path, the telemetry of the
 //! executor that ran, each step once, by the code that drives it, and no
-//! modeled schedule (`sched.*`) at all. A run takes only the flags of the
-//! path it runs.
+//! modeled schedule (`sched.*`) at all. `--ranks N` runs N ranks for
+//! every N ≥ 1. A run takes only the flags of the path it runs, and a
+//! flag it would ignore is refused before the mesh is built.
 
 use mpas_telemetry::export::{parse_json, JsonValue};
 use mpas_telemetry::names::CORE_SETUP_MESH_SECONDS;
@@ -223,6 +224,65 @@ fn a_distributed_run_rejects_a_non_serial_executor() {
         stderr.contains("--ranks") && stderr.contains("--executor"),
         "{stderr}"
     );
+}
+
+#[test]
+fn a_one_rank_run_runs_one_rank() {
+    let bench = tmp("one_rank_bench.json");
+    let args = ["--ranks", "1", "--bench-json", bench.to_str().unwrap()];
+    let one_rank = metrics("one_rank.json", "0.02", &args);
+    let steps = steps_run(&bench);
+    assert_eq!(
+        histogram_count(&one_rank, "core.rank.step_seconds"),
+        Some(steps)
+    );
+    // One rank owns every cell: it ends in the serial run's bits.
+    let serial = metrics("one_rank_serial.json", "0.02", &[]);
+    for gauge in ["core.sim.h_err_l2", "core.sim.mass_drift"] {
+        let bits = |doc: &JsonValue| {
+            let v = doc.get("gauges").and_then(|g| g.get(gauge));
+            v.and_then(JsonValue::as_f64).expect(gauge).to_bits()
+        };
+        assert_eq!(bits(&one_rank), bits(&serial), "{gauge}");
+    }
+}
+
+/// Run `swe_run` with `args` and check that it refuses them before it
+/// builds its mesh, naming every flag in `flags`.
+fn assert_rejected(args: &[&str], flags: &[&str]) {
+    let out = swe_run(args);
+    assert!(!out.status.success(), "{args:?}: {}", out.status);
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert!(!stdout.contains("mesh set-up"), "{args:?}: {stdout}");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    for flag in flags {
+        assert!(stderr.contains(flag), "{args:?} lacks {flag}: {stderr}");
+    }
+}
+
+#[test]
+fn an_adaptive_run_rejects_frames() {
+    // The adaptive loop dumps no frames: the flag would write nothing.
+    let dir = tmp("adaptive_frames");
+    let out = dir.to_str().unwrap();
+    let args = ["--adaptive", "--frames", "2", "--out", out];
+    assert_rejected(&args, &["--adaptive", "--frames"]);
+    assert!(!dir.exists(), "{} created", dir.display());
+}
+
+#[test]
+fn a_distributed_run_rejects_frames() {
+    assert_rejected(&["--ranks", "2", "--frames", "2"], &["--ranks", "--frames"]);
+}
+
+#[test]
+fn a_report_needs_ranks() {
+    // Without ranks there is no rank time to attribute.
+    assert_rejected(&["--report"], &["--report", "--ranks"]);
+    let json = tmp("report_without_ranks.json");
+    let args = ["--report-json", json.to_str().unwrap()];
+    assert_rejected(&args, &["--report-json", "--ranks"]);
+    assert!(!json.exists(), "{} written", json.display());
 }
 
 #[test]

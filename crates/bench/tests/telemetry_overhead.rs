@@ -224,7 +224,7 @@ fn history_flush_stays_off_the_hot_path() {
 
     let before_flush = hot_mix(&rec);
     let snap_before = rec.snapshot();
-    let m = store.record_recorder(&manifest, &rec, "").expect("flush");
+    let m = store.record_recorder(&manifest, &rec).expect("flush");
     let snap_after = rec.snapshot();
     let after_flush = hot_mix(&rec);
 

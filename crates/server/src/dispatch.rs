@@ -65,9 +65,7 @@ pub enum SubmitError {
 
 impl Dispatcher {
     /// Start `n_workers` workers, admitting at most `capacity` queued jobs.
-    /// Each worker runs `work(worker_index, job)` for every job it takes,
-    /// inside a `rank{w}`-tracked span so the trace-analysis blame engine
-    /// ingests server traces unchanged.
+    /// Each worker runs `work(worker_index, job)` for every job it takes.
     pub fn start(
         n_workers: usize,
         capacity: usize,
@@ -146,7 +144,6 @@ impl Dispatcher {
 }
 
 fn worker_loop(w: usize, shared: &Shared, work: &(impl Fn(usize, QueuedJob) + ?Sized)) {
-    let track = format!("rank{w}");
     loop {
         let job = {
             let mut st = shared.state.lock().expect("pool poisoned");
@@ -168,7 +165,6 @@ fn worker_loop(w: usize, shared: &Shared, work: &(impl Fn(usize, QueuedJob) + ?S
             names::SERVER_QUEUE_WAIT_SECONDS,
             (shared.rec.now_s() - job.submitted_s).max(0.0),
         );
-        let _span = shared.rec.span(&track, &format!("server.job{}", job.id));
         work(w, job);
     }
 }

@@ -34,18 +34,21 @@
 //! | `/jobs/{id}`           | GET  | lifecycle status + progress             |
 //! | `/jobs/{id}/result`    | GET  | result document (409 until finished)    |
 //! | `/jobs/{id}/cancel`    | POST | cooperative cancellation                |
-//! | `/jobs/{id}/telemetry` | GET  | live windowed snapshot, valid mid-run   |
-//! | `/jobs/{id}/flight`    | GET  | flight-recorder slice as a Chrome trace |
+//! | `/jobs/{id}/telemetry` | GET  | the job's recorder, valid mid-run       |
+//! | `/jobs/{id}/flight`    | GET  | the job's flight ring as a Chrome trace |
 //! | `/healthz`             | GET  | liveness + drain state                  |
-//! | `/metrics`             | GET  | snapshot as JSON (`?prefix=` filters)   |
+//! | `/metrics`             | GET  | server's own metrics (`?prefix=`)       |
 //! | `/metrics/stream`      | GET  | chunked NDJSON snapshot stream          |
 //! | `/shutdown`            | POST | request graceful drain                  |
 //!
 //! The three live routes (telemetry/flight/stream) are the server half of
-//! the DESIGN.md §13 observability plane: each executing job records
-//! through a scoped recorder (`job{id}.` namespace) with a rolling window
-//! on its step time, so mid-run queries see per-job windowed summaries
-//! and per-job flight traces with no cross-tenant leakage.
+//! the DESIGN.md §13 observability plane. Each job records into its own
+//! [`mpas_telemetry::Recorder`], held by its registry entry, with a
+//! rolling window on its step time: mid-run queries see the job's
+//! windowed summaries and flight trace, and no other job's. The shared
+//! recorder handed to [`Server::start`] holds only the server's own
+//! metrics, so `/metrics` does not grow with the number of jobs served,
+//! and a job's telemetry lives exactly as long as its registry entry.
 
 pub mod cache;
 pub mod dispatch;

@@ -16,6 +16,7 @@
 
 use crate::job::JobRequest;
 use mpas_core::JobResult;
+use mpas_telemetry::Recorder;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
@@ -81,11 +82,10 @@ pub struct JobEntry {
     /// step (the SLO'd time-to-first-step); `None` until the first
     /// progress report.
     pub ttfs_ms: Option<f64>,
-    /// Telemetry namespace for this job (`job{id}`) — the prefix its
-    /// scoped recorder puts on every metric/span it emits, and the filter
-    /// the live `/jobs/{id}/telemetry` and `/jobs/{id}/flight` endpoints
-    /// select by.
-    pub scope: String,
+    /// The job's own recorder: everything its run records, what the live
+    /// `/jobs/{id}/telemetry` and `/jobs/{id}/flight` endpoints read and
+    /// the history flush stores. It lives exactly as long as this entry.
+    pub telemetry: Recorder,
     /// History-store run id assigned when the job's telemetry was
     /// flushed post-completion (`None` until then, or when the server
     /// runs without `--history-dir`); what `GET /jobs/{id}/diagnosis`
@@ -117,7 +117,7 @@ impl Registry {
             submitted: Instant::now(),
             worker: None,
             ttfs_ms: None,
-            scope: format!("job{id}"),
+            telemetry: Recorder::new(),
             history_run: None,
         };
         self.jobs

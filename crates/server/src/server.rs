@@ -28,7 +28,7 @@ pub struct ServerConfig {
     /// Maximum jobs waiting in the queue before submissions get 429.
     pub queue_capacity: usize,
     /// Telemetry history directory. When set, every completed job's
-    /// scoped metrics are flushed into a [`HistoryStore`] there and the
+    /// recorder is flushed into a [`HistoryStore`] there and the
     /// `/history/*` + `/jobs/{id}/diagnosis` routes come alive; `None`
     /// disables persistence (the routes 404).
     pub history_dir: Option<std::path::PathBuf>,
@@ -149,7 +149,9 @@ impl Server {
         self.inner.draining.load(Ordering::SeqCst)
     }
 
-    /// The telemetry sink (same one handed to [`Server::start`]).
+    /// The server's own telemetry sink (the one handed to
+    /// [`Server::start`]); each job records into its registry entry's
+    /// recorder instead.
     pub fn recorder(&self) -> &Recorder {
         &self.inner.rec
     }
@@ -411,41 +413,38 @@ fn job_result(id: u64, inner: &Arc<Inner>) -> (u16, String) {
 }
 
 /// `GET /jobs/{id}/telemetry`: live windowed snapshot of the job's own
-/// namespace (`job{id}.*`), served while the job is still running — no
-/// waiting for the post-mortem export.
+/// recorder, served while the job is still running — no waiting for the
+/// post-mortem export.
 fn job_telemetry(id: u64, inner: &Arc<Inner>) -> (u16, String) {
     let _t = inner.rec.time(names::SERVER_LIVE_SECONDS);
-    let Some((label, step, scope)) = inner.registry.with(id, |e| {
+    let Some((label, step, telemetry)) = inner.registry.with(id, |e| {
         let step = match &e.state {
             JobState::Running { step, .. } => Some(*step),
             _ => None,
         };
-        (e.state.label(), step, e.scope.clone())
+        (e.state.label(), step, e.telemetry.clone())
     }) else {
         return (404, error_body("unknown job id"));
     };
-    let snap = inner.rec.snapshot_prefix(&format!("{scope}."));
     let step_field = step.map(|s| format!(", \"step\": {s}")).unwrap_or_default();
     (
         200,
         format!(
-            "{{\"id\": {id}, \"status\": \"{label}\", \"scope\": \"{scope}\"{step_field}, \
-             \"metrics\": {}}}\n",
-            snap.to_json().trim_end(),
+            "{{\"id\": {id}, \"status\": \"{label}\"{step_field}, \"metrics\": {}}}\n",
+            telemetry.snapshot().to_json().trim_end(),
         ),
     )
 }
 
-/// `GET /jobs/{id}/flight`: the flight-recorder events in the job's
-/// namespace, exported as a self-contained Chrome trace — openable in
-/// `chrome://tracing` / Perfetto even while the job is still running.
+/// `GET /jobs/{id}/flight`: the job's own flight ring, exported as a
+/// self-contained Chrome trace — openable in `chrome://tracing` /
+/// Perfetto even while the job is still running.
 fn job_flight(id: u64, inner: &Arc<Inner>) -> (u16, String) {
     let _t = inner.rec.time(names::SERVER_LIVE_SECONDS);
-    let Some(scope) = inner.registry.with(id, |e| e.scope.clone()) else {
+    let Some(telemetry) = inner.registry.with(id, |e| e.telemetry.clone()) else {
         return (404, error_body("unknown job id"));
     };
-    let events = flight::filter_prefix(&inner.rec.flight_events(), &format!("{scope}."));
-    (200, flight::to_chrome_trace(&events))
+    (200, flight::to_chrome_trace(&telemetry.flight_events()))
 }
 
 /// `GET /history/runs`: manifests of every recorded run, oldest first.
@@ -604,9 +603,9 @@ fn cancel_job(id: u64, inner: &Arc<Inner>) -> (u16, String) {
 /// through the cache, run, and advance the registry state machine.
 fn execute_job(inner: &Arc<Inner>, w: usize, job: QueuedJob) {
     let id = job.id;
-    let Some((request, cancel, scope)) = inner.registry.with(id, |e| {
+    let Some((request, cancel, jrec)) = inner.registry.with(id, |e| {
         e.worker = Some(w);
-        (e.request.clone(), e.cancel.clone(), e.scope.clone())
+        (e.request.clone(), e.cancel.clone(), e.telemetry.clone())
     }) else {
         return;
     };
@@ -629,13 +628,11 @@ fn execute_job(inner: &Arc<Inner>, w: usize, job: QueuedJob) {
     let art = inner.cache.job_artifacts(request.mesh_key(), &spec);
     let lookup_secs = lookup.elapsed().as_secs_f64();
 
-    // Run the simulation under a scoped view of the shared recorder:
-    // every metric, span track, and flight event it emits lands in the
-    // job's own `job{id}.` namespace (what `/jobs/{id}/telemetry` and
-    // `/jobs/{id}/flight` filter by) while still aggregating into the
-    // global snapshot. A rolling window on the per-step histogram makes
-    // the job's recent step-time p50/p95 queryable mid-run.
-    let jrec = inner.rec.scoped(&scope);
+    // Run the simulation on the job's own recorder: every metric, span
+    // and flight event it emits stays with the job's registry entry,
+    // where `/jobs/{id}/telemetry` and `/jobs/{id}/flight` read it. A
+    // rolling window on the per-step histogram makes the job's recent
+    // step-time p50/p95 queryable mid-run.
     jrec.rolling_window("core.sim.step_seconds", 30.0);
 
     let registry = &inner.registry;
@@ -662,7 +659,7 @@ fn execute_job(inner: &Arc<Inner>, w: usize, job: QueuedJob) {
             result.build_secs += lookup_secs;
             inner.rec.add(names::SERVER_JOBS_COMPLETED, 1);
             inner.registry.set_state(id, JobState::Completed(result));
-            flush_history(inner, id, &request, &scope);
+            flush_history(inner, id, &request, &jrec);
         }
         Err(JobError::Cancelled { steps_done }) => {
             inner
@@ -676,17 +673,16 @@ fn execute_job(inner: &Arc<Inner>, w: usize, job: QueuedJob) {
     }
 }
 
-/// Post-completion history flush: persist the job's scoped telemetry
-/// slice under scope-stripped names, so a server job's run rows are
-/// directly comparable with `swe_run --history-dir` rows. Runs on the
-/// worker thread *after* the job finished — nothing here touches the
-/// solver hot path — and a store failure is logged, never fatal to the
-/// already-completed job.
-fn flush_history(inner: &Arc<Inner>, id: u64, request: &JobRequest, scope: &str) {
+/// Post-completion history flush: persist the job's recorder as it is,
+/// so a server job's run rows are directly comparable with `swe_run
+/// --history-dir` rows. Runs on the worker thread *after* the job
+/// finished — nothing here touches the solver hot path — and a store
+/// failure is logged, never fatal to the already-completed job.
+fn flush_history(inner: &Arc<Inner>, id: u64, request: &JobRequest, jrec: &Recorder) {
     let Some(store) = &inner.history else {
         return;
     };
-    match store.record_recorder(&request.manifest(), &inner.rec, &format!("{scope}.")) {
+    match store.record_recorder(&request.manifest(), jrec) {
         Ok(m) => {
             inner.rec.add(names::SERVER_HISTORY_RECORDED, 1);
             inner

@@ -134,8 +134,8 @@ fn history_routes_flush_query_and_diagnose_completed_jobs() {
         Some(2)
     );
 
-    // ...and queryable under scope-stripped names, answered from the
-    // summary ladder level.
+    // ...and queryable under the names the job recorded, answered from
+    // the run's summary.
     let (status, payload) = http(
         addr,
         "GET",
@@ -195,20 +195,21 @@ fn metrics_stream_honors_the_same_prefix_filter_as_the_snapshot() {
     .expect("start server");
     let addr = server.addr();
 
-    // Run one job so both server.* and job-scoped metrics exist.
+    // Run one job so the server's queue, cache and job metrics exist.
     let id = submit(addr, "{\"level\": 3, \"steps\": 2, \"progress_every\": 1}");
     wait_completed(addr, id);
 
-    // The filtered snapshot is the reference behavior...
-    let (status, snapshot) = http(addr, "GET", "/metrics?prefix=server.", "");
+    // The filtered snapshot is the reference behavior: a strict subset of
+    // the server's own keys...
+    let (status, snapshot) = http(addr, "GET", "/metrics?prefix=server.jobs.", "");
     assert_eq!(status, 200);
     assert!(snapshot.contains("server.jobs.submitted"));
-    assert!(!snapshot.contains(&format!("job{id}.")));
+    assert!(!snapshot.contains("server.queue."));
 
     // ...and the stream must apply the identical filter per line.
     let lines = stream_lines(
         addr,
-        "/metrics/stream?interval_ms=20&count=2&prefix=server.",
+        "/metrics/stream?interval_ms=20&count=2&prefix=server.jobs.",
         2,
     )
     .expect("stream");
@@ -220,14 +221,21 @@ fn metrics_stream_honors_the_same_prefix_filter_as_the_snapshot() {
             "filtered stream line lost server metrics: {line}"
         );
         assert!(
-            !line.contains(&format!("job{id}.")),
-            "prefix=server. leaked job scope into the stream: {line}"
+            !line.contains("server.queue."),
+            "prefix=server.jobs. leaked other server metrics into the stream: {line}"
         );
     }
 
-    // An unfiltered stream line does carry the job scope — the filter
-    // above subtracted it, not the recorder.
+    // An unfiltered stream line carries the server's own metrics and no
+    // job's: a job records into its own recorder.
     let lines = stream_lines(addr, "/metrics/stream?interval_ms=20&count=1", 1).expect("stream");
-    assert!(lines[0].contains(&format!("job{id}.")));
+    assert!(lines[0].contains("server.queue."), "{}", lines[0]);
+    let doc = parse_json(&lines[0]).expect("stream line JSON");
+    let metrics = doc.get("metrics").expect("metrics");
+    for section in ["counters", "gauges", "histograms", "windows"] {
+        for (key, _) in metrics.get(section).and_then(|s| s.as_obj()).unwrap_or(&[]) {
+            assert!(!key.starts_with("job"), "job {id} key {key} in the stream");
+        }
+    }
     server.shutdown();
 }

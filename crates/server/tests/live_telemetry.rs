@@ -1,12 +1,14 @@
 //! Live observability plane over real loopback HTTP (DESIGN.md §13): the
 //! telemetry/flight/stream endpoints must answer with valid documents
-//! *while a job is still running*, and scoped per-job namespaces must not
-//! leak into each other.
+//! *while a job is still running*, each job's telemetry must hold that
+//! job's steps and no other job's, and the server's shared recorder must
+//! not grow with the number of jobs served.
 
 use mpas_server::http::stream_lines;
 use mpas_server::{Server, ServerConfig};
 use mpas_telemetry::export::{parse_json, validate_json, validate_ndjson, JsonValue};
 use mpas_telemetry::{names, Recorder};
+use std::collections::BTreeSet;
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::time::{Duration, Instant};
@@ -46,6 +48,29 @@ fn wait_running(addr: SocketAddr, id: f64) {
         assert!(Instant::now() < deadline, "job {id} never started running");
         std::thread::sleep(Duration::from_millis(10));
     }
+}
+
+/// The `core.step` slices of a job's `/jobs/{id}/flight` trace.
+fn flight_steps(addr: SocketAddr, id: f64) -> usize {
+    let (status, trace) = http(addr, "GET", &format!("/jobs/{id}/flight"), "");
+    assert_eq!(status, 200);
+    let doc = parse_json(&trace).expect("flight trace JSON");
+    let events = doc.get("traceEvents").and_then(JsonValue::as_arr);
+    let is_step = |e: &&JsonValue| {
+        let field = |k: &str| e.get(k).and_then(JsonValue::as_str);
+        field("ph") == Some("X") && field("name") == Some("core.step")
+    };
+    events.expect("traceEvents").iter().filter(is_step).count()
+}
+
+/// The `core.sim.step_seconds` sample count of a job's
+/// `/jobs/{id}/telemetry` document.
+fn telemetry_steps(addr: SocketAddr, id: f64) -> Option<usize> {
+    let (status, doc) = http_json(addr, "GET", &format!("/jobs/{id}/telemetry"), "");
+    assert_eq!(status, 200);
+    let h = doc.get("metrics")?.get("histograms")?;
+    let count = h.get("core.sim.step_seconds")?.get("count")?.as_f64()?;
+    Some(count as usize)
 }
 
 fn wait_terminal(addr: SocketAddr, id: f64) -> String {
@@ -88,17 +113,13 @@ fn live_endpoints_answer_while_a_level6_job_is_running() {
     let id = doc.get("id").and_then(|v| v.as_f64()).expect("job id");
     wait_running(addr, id);
 
-    // 1. Live windowed snapshot for the running job: valid JSON, correct
-    //    scope, restricted to the job's namespace.
+    // 1. Live windowed snapshot of the running job's recorder: valid
+    //    JSON with the job's status and step.
     let (status, payload) = http(addr, "GET", &format!("/jobs/{id}/telemetry"), "");
     assert_eq!(status, 200, "telemetry while running: {payload}");
     validate_json(&payload).unwrap_or_else(|at| panic!("telemetry invalid at byte {at}"));
     let doc = parse_json(&payload).expect("telemetry JSON");
     assert_eq!(doc.get("status").and_then(|s| s.as_str()), Some("running"));
-    assert_eq!(
-        doc.get("scope").and_then(|s| s.as_str()),
-        Some(format!("job{id}").as_str())
-    );
     assert!(doc.get("step").is_some(), "running job reports its step");
     assert!(doc.get("metrics").is_some());
 
@@ -212,41 +233,86 @@ fn concurrent_jobs_keep_isolated_telemetry_namespaces() {
     .expect("start server");
     let addr = server.addr();
 
-    // Two jobs running at once on separate workers.
-    let body = "{\"level\": 4, \"steps\": 60, \"progress_every\": 1}";
-    let mut ids = Vec::new();
-    for _ in 0..2 {
-        let (status, doc) = http_json(addr, "POST", "/jobs", body);
+    // Two jobs of different lengths running at once on separate workers.
+    let mut jobs = Vec::new();
+    for steps in [60, 40] {
+        let body = format!("{{\"level\": 4, \"steps\": {steps}, \"progress_every\": 1}}");
+        let (status, doc) = http_json(addr, "POST", "/jobs", &body);
         assert_eq!(status, 202);
-        ids.push(doc.get("id").and_then(|v| v.as_f64()).expect("job id"));
+        let id = doc.get("id").and_then(|v| v.as_f64()).expect("job id");
+        jobs.push((id, steps));
     }
-    for &id in &ids {
+    for &(id, _) in &jobs {
         assert_eq!(wait_terminal(addr, id), "completed");
     }
 
-    // Each job's namespace holds its own metrics and nothing of the
-    // other's — checked through the public prefix filter.
-    for &id in &ids {
-        let other: f64 = ids.iter().copied().find(|&o| o != id).unwrap();
-        let (status, payload) = http(addr, "GET", &format!("/metrics?prefix=job{id}."), "");
-        assert_eq!(status, 200);
-        validate_json(&payload).unwrap_or_else(|at| panic!("metrics invalid at byte {at}"));
-        assert!(
-            payload.contains(&format!("job{id}.core.sim.step_seconds")),
-            "job{id} namespace missing its own step histogram"
-        );
-        assert!(
-            !payload.contains(&format!("job{other}.")),
-            "job{id} view leaked job{other} metrics"
-        );
+    // Each job's telemetry and flight trace hold its own steps, and none
+    // of the other job's.
+    for &(id, steps) in &jobs {
+        assert_eq!(telemetry_steps(addr, id), Some(steps), "job {id}");
+        assert_eq!(flight_steps(addr, id), steps, "job {id}");
     }
-    // And each job's flight dump only carries its own events.
-    for &id in &ids {
-        let other: f64 = ids.iter().copied().find(|&o| o != id).unwrap();
-        let (status, trace) = http(addr, "GET", &format!("/jobs/{id}/flight"), "");
-        assert_eq!(status, 200);
-        assert!(trace.contains(&format!("job{id}.")));
-        assert!(!trace.contains(&format!("job{other}.")));
+    server.shutdown();
+}
+
+/// Every key of a metrics snapshot, over all sections.
+fn keys_of(rec: &Recorder) -> BTreeSet<String> {
+    let snap = rec.snapshot();
+    snap.counters
+        .keys()
+        .chain(snap.gauges.keys())
+        .chain(snap.histograms.keys())
+        .chain(snap.windows.keys())
+        .cloned()
+        .collect()
+}
+
+#[test]
+fn a_job_records_into_its_own_recorder_and_the_shared_one_stays_flat() {
+    // A small shared ring: any job events that reached it would wash job
+    // 1's out within a few jobs.
+    let rec = Recorder::with_flight_capacity(64);
+    let mut server = Server::start(
+        ServerConfig {
+            workers: 1,
+            queue_capacity: 8,
+            ..Default::default()
+        },
+        rec.clone(),
+    )
+    .expect("start server");
+    let addr = server.addr();
+    let body = "{\"level\": 2, \"steps\": 2, \"progress_every\": 1}";
+    let run = || {
+        let (status, doc) = http_json(addr, "POST", "/jobs", body);
+        assert_eq!(status, 202);
+        let id = doc.get("id").and_then(|v| v.as_f64()).expect("job id");
+        assert_eq!(wait_terminal(addr, id), "completed");
+        (keys_of(&rec), rec.spans().len())
+    };
+
+    // Job 1 misses every cache slot; the first hit counter appears with
+    // job 2. From then on the shared key set stays put.
+    let (after_first, spans_first) = run();
+    let (after_second, _) = run();
+    let first_hit: Vec<_> = after_second.difference(&after_first).collect();
+    assert_eq!(first_hit, [names::SERVER_CACHE_HIT]);
+    for _ in 0..10 {
+        let (keys, spans) = run();
+        assert_eq!(keys, after_second);
+        assert_eq!(spans, spans_first, "the shared recorder gained spans");
     }
+    let job_keys: Vec<_> = after_second
+        .iter()
+        .filter(|k| k.starts_with("job"))
+        .collect();
+    assert!(
+        job_keys.is_empty(),
+        "job keys in the shared recorder: {job_keys:?}"
+    );
+
+    // Job 1's own recorder still holds its two steps.
+    assert_eq!(flight_steps(addr, 1.0), 2);
+    assert_eq!(telemetry_steps(addr, 1.0), Some(2));
     server.shutdown();
 }

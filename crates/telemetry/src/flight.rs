@@ -3,14 +3,15 @@
 //! Post-mortem traces answer "what happened over the whole run"; the
 //! flight recorder answers "what happened *just now*" — the last few
 //! thousand spans, counter increments, gauge writes and instants, kept in
-//! a fixed-capacity ring so memory stays bounded no matter how long the
-//! process lives. It is **always on** for a live [`crate::Recorder`]
-//! (a no-op recorder still costs one branch per hook): every span,
-//! counter, gauge, histogram and instant write also pushes one
-//! [`FlightEvent`] into the ring, under the same mutex acquisition the
-//! main buffers already take, so the marginal cost is one bounded vector
-//! write — the `crates/bench` overhead guard holds the whole live path
-//! under 5 % of a step. The one exception is pure timers
+//! a bounded ring so memory stays bounded no matter how long the process
+//! lives. The ring grows on demand up to its capacity, so a recorder that
+//! records little (a short server job) holds little. It is **always on**
+//! for a live [`crate::Recorder`] (a no-op recorder still costs one
+//! branch per hook): every span, counter, gauge, histogram and instant
+//! write also pushes one [`FlightEvent`] into the ring, under the same
+//! mutex acquisition the main buffers already take, so the marginal cost
+//! is one bounded vector write — the `crates/bench` overhead guard holds
+//! the whole live path under 5 % of a step. The one exception is pure timers
 //! ([`crate::Recorder::time`]): at one per kernel per RK stage they
 //! would wash everything else out of the ring within a few dozen steps,
 //! so their samples feed histograms and windows but not the ring.
@@ -25,10 +26,6 @@
 //!   that path the first time each monitored metric trips (exactly once
 //!   per alerted metric, so a repeatedly-polled invariant cannot spam the
 //!   disk). Each dump increments [`crate::names::FLIGHT_DUMPS`].
-//!
-//! Scoped recorders (see [`crate::Recorder::scoped`]) prefix the names
-//! and tracks they record, so [`filter_prefix`] can slice one shared ring
-//! into per-job dumps (`mpas-server`'s `GET /jobs/{id}/flight`).
 
 use crate::export::ChromeTrace;
 use crate::{EventRecord, SpanRecord};
@@ -79,17 +76,6 @@ pub enum FlightEvent {
 }
 
 impl FlightEvent {
-    /// The metric/span/event name this entry carries.
-    pub fn name(&self) -> &str {
-        match self {
-            FlightEvent::Span(s) => &s.name,
-            FlightEvent::Counter { name, .. }
-            | FlightEvent::Gauge { name, .. }
-            | FlightEvent::Sample { name, .. } => name,
-            FlightEvent::Instant(e) => &e.name,
-        }
-    }
-
     /// Timestamp (span start for spans), seconds since the recorder epoch.
     pub fn ts_s(&self) -> f64 {
         match self {
@@ -102,8 +88,8 @@ impl FlightEvent {
     }
 }
 
-/// Fixed-capacity overwrite-oldest ring. Lives inside the recorder's
-/// buffer mutex, so pushes ride the lock the main buffers already hold.
+/// Bounded overwrite-oldest ring. Lives inside the recorder's buffer
+/// mutex, so pushes ride the lock the main buffers already hold.
 #[derive(Debug)]
 pub(crate) struct FlightRing {
     cap: usize,
@@ -120,7 +106,7 @@ impl FlightRing {
         let cap = cap.max(1);
         FlightRing {
             cap,
-            events: Vec::with_capacity(cap),
+            events: Vec::new(),
             head: 0,
             total: 0,
         }
@@ -128,6 +114,11 @@ impl FlightRing {
 
     pub(crate) fn push(&mut self, ev: FlightEvent) {
         if self.events.len() < self.cap {
+            // Grow by doubling, but never past the cap.
+            if self.events.len() == self.events.capacity() {
+                let grow = self.events.len().max(4).min(self.cap - self.events.len());
+                self.events.reserve_exact(grow);
+            }
             self.events.push(ev);
         } else {
             self.events[self.head] = ev;
@@ -154,20 +145,6 @@ impl FlightRing {
         out.extend_from_slice(&self.events[..self.head]);
         out
     }
-}
-
-/// Keep only events whose name — or, for spans, whose track — starts with
-/// `prefix`. With scoped recorders prefixing both, this slices a shared
-/// ring into one job's view.
-pub fn filter_prefix(events: &[FlightEvent], prefix: &str) -> Vec<FlightEvent> {
-    events
-        .iter()
-        .filter(|e| {
-            e.name().starts_with(prefix)
-                || matches!(e, FlightEvent::Span(s) if s.track.starts_with(prefix))
-        })
-        .cloned()
-        .collect()
 }
 
 /// Render flight events as a Chrome trace-event document: spans become
@@ -246,31 +223,23 @@ mod tests {
     }
 
     #[test]
+    fn ring_grows_on_demand_and_never_past_its_cap() {
+        let mut ring = FlightRing::new(6);
+        assert_eq!(ring.events.capacity(), 0);
+        for i in 0..20 {
+            ring.push(counter("c", i));
+            assert!(ring.events.capacity() <= 6);
+        }
+        assert_eq!(ring.chronological().len(), 6);
+    }
+
+    #[test]
     fn zero_capacity_is_clamped_to_one() {
         let mut ring = FlightRing::new(0);
         ring.push(counter("c", 1));
         ring.push(counter("c", 2));
         assert_eq!(ring.chronological().len(), 1);
         assert_eq!(ring.chronological()[0].ts_s(), 2.0);
-    }
-
-    #[test]
-    fn prefix_filter_slices_by_name_or_track() {
-        let events = vec![
-            counter("job1.core.sim.steps", 1),
-            counter("job2.core.sim.steps", 2),
-            FlightEvent::Span(SpanRecord {
-                name: "core.step".to_string(),
-                track: "job1.measured".to_string(),
-                start_s: 0.0,
-                dur_s: 1.0,
-                depth: 0,
-            }),
-        ];
-        let job1 = filter_prefix(&events, "job1.");
-        assert_eq!(job1.len(), 2);
-        assert!(filter_prefix(&events, "job2.").len() == 1);
-        assert!(filter_prefix(&events, "job3.").is_empty());
     }
 
     #[test]

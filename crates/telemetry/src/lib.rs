@@ -24,10 +24,9 @@
 //! * the **live observability plane** (DESIGN.md §13): an always-on
 //!   bounded [flight recorder](flight) dumped on demand or on an
 //!   invariant alert, [rolling-window](window) aggregation registered
-//!   per metric with [`Recorder::rolling_window`], and
-//!   [scoped](Recorder::scoped) recorder views that prefix every name
-//!   they record so one shared buffer can serve isolated per-job
-//!   namespaces.
+//!   per metric with [`Recorder::rolling_window`]. A server job records
+//!   into a recorder of its own, so its telemetry lives exactly as long
+//!   as the job's registry entry.
 //!
 //! Metric names follow the `crate.subsystem.name` scheme documented in
 //! DESIGN.md §8 (e.g. `swe.kernel.B1.seconds`, `msg.halo.bytes_sent`,
@@ -261,23 +260,16 @@ thread_local! {
 /// Cloning is an `Arc` clone; all clones record into the same buffers. The
 /// [no-op recorder](Recorder::noop) (also the `Default`) carries no buffer
 /// at all, so every recording call reduces to one branch.
-///
-/// A [scoped view](Recorder::scoped) shares the same buffers but prefixes
-/// every metric, event and span-track name it records, so namespaces stay
-/// isolated while aggregating globally.
 #[derive(Clone, Default)]
 pub struct Recorder {
     inner: Option<Arc<Inner>>,
-    /// Namespace prefix (ends with `.`), `None` on the root view.
-    scope: Option<Arc<str>>,
 }
 
 impl std::fmt::Debug for Recorder {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match (&self.inner, &self.scope) {
-            (None, _) => write!(f, "Recorder(noop)"),
-            (Some(_), None) => write!(f, "Recorder(recording)"),
-            (Some(_), Some(s)) => write!(f, "Recorder(recording, scope={s})"),
+        match &self.inner {
+            None => write!(f, "Recorder(noop)"),
+            Some(_) => write!(f, "Recorder(recording)"),
         }
     }
 }
@@ -298,48 +290,12 @@ impl Recorder {
                 buf: Mutex::new(Buffers::new(flight_capacity)),
                 dump: Mutex::new(DumpState::default()),
             })),
-            scope: None,
         }
     }
 
     /// The disabled recorder: records nothing, costs one branch per call.
     pub fn noop() -> Self {
-        Recorder {
-            inner: None,
-            scope: None,
-        }
-    }
-
-    /// A view onto the same buffers that records under the namespace
-    /// `prefix` — every metric, event and span-track name gets `prefix.`
-    /// prepended. Scopes nest (`scoped("job3").scoped("rk")` records
-    /// under `job3.rk.`); a scoped view of a no-op recorder is a no-op.
-    pub fn scoped(&self, prefix: &str) -> Recorder {
-        if self.inner.is_none() {
-            return Recorder::noop();
-        }
-        let scope: Arc<str> = match &self.scope {
-            Some(s) => format!("{s}{prefix}.").into(),
-            None => format!("{prefix}.").into(),
-        };
-        Recorder {
-            inner: self.inner.clone(),
-            scope: Some(scope),
-        }
-    }
-
-    /// This view's namespace prefix (`""` on the root view), including the
-    /// trailing `.` — the string to pass to
-    /// [`Recorder::snapshot_prefix`] / [`flight::filter_prefix`].
-    pub fn scope(&self) -> &str {
-        self.scope.as_deref().unwrap_or("")
-    }
-
-    fn apply_scope(&self, name: &str) -> String {
-        match &self.scope {
-            Some(s) => format!("{s}{name}"),
-            None => name.to_string(),
-        }
+        Recorder { inner: None }
     }
 
     /// Whether this recorder actually records. Use this to guard any
@@ -391,15 +347,10 @@ impl Recorder {
                 } else {
                     0
                 };
-                let metric = match (metric, &self.scope) {
-                    (None, _) => GuardName::None,
-                    (Some(m), Some(s)) => GuardName::Heap(format!("{s}{m}")),
-                    (Some(m), None) => GuardName::new(m),
-                };
                 SpanGuard {
                     inner: Some(inner.clone()),
                     track: if emit {
-                        self.apply_scope(track)
+                        track.to_string()
                     } else {
                         String::new()
                     },
@@ -408,7 +359,7 @@ impl Recorder {
                     } else {
                         String::new()
                     },
-                    metric,
+                    metric: metric.map_or(GuardName::None, GuardName::new),
                     emit_span: emit,
                     depth,
                     start: Some(Instant::now()),
@@ -422,7 +373,7 @@ impl Recorder {
         if let Some(inner) = &self.inner {
             let ts_s = inner.epoch.elapsed().as_secs_f64();
             let record = EventRecord {
-                name: self.apply_scope(name),
+                name: name.to_string(),
                 ts_s,
                 args: args
                     .iter()
@@ -438,14 +389,6 @@ impl Recorder {
     /// Add `delta` to the counter `name`.
     pub fn add(&self, name: &str, delta: u64) {
         if let Some(inner) = &self.inner {
-            let scoped;
-            let name = match &self.scope {
-                Some(s) => {
-                    scoped = format!("{s}{name}");
-                    scoped.as_str()
-                }
-                None => name,
-            };
             let ts_s = inner.epoch.elapsed().as_secs_f64();
             let mut buf = inner.buf.lock().unwrap();
             buf.with_slot(name, |slot, ring| {
@@ -464,14 +407,6 @@ impl Recorder {
     /// Set the gauge `name` to `value` (last write wins).
     pub fn set_gauge(&self, name: &str, value: f64) {
         if let Some(inner) = &self.inner {
-            let scoped;
-            let name = match &self.scope {
-                Some(s) => {
-                    scoped = format!("{s}{name}");
-                    scoped.as_str()
-                }
-                None => name,
-            };
             let ts_s = inner.epoch.elapsed().as_secs_f64();
             let mut buf = inner.buf.lock().unwrap();
             buf.with_slot(name, |slot, ring| {
@@ -488,14 +423,6 @@ impl Recorder {
     /// Record one sample into the histogram `name`.
     pub fn record(&self, name: &str, sample: f64) {
         if let Some(inner) = &self.inner {
-            let scoped;
-            let name = match &self.scope {
-                Some(s) => {
-                    scoped = format!("{s}{name}");
-                    scoped.as_str()
-                }
-                None => name,
-            };
             let ts_s = inner.epoch.elapsed().as_secs_f64();
             let mut buf = inner.buf.lock().unwrap();
             buf.with_slot(name, |slot, ring| {
@@ -522,14 +449,13 @@ impl Recorder {
     }
 
     /// Register a rolling window of `window_s` seconds on the metric
-    /// `name` (scoped views register under their prefixed name). From
-    /// then on every matching counter/gauge/histogram write also feeds
-    /// the window; re-registering an existing window is a no-op.
+    /// `name`. From then on every matching counter/gauge/histogram write
+    /// also feeds the window; re-registering an existing window is a
+    /// no-op.
     pub fn rolling_window(&self, name: &str, window_s: f64) {
         if let Some(inner) = &self.inner {
-            let name = self.apply_scope(name);
             let mut buf = inner.buf.lock().unwrap();
-            buf.with_slot(&name, |slot, _ring| {
+            buf.with_slot(name, |slot, _ring| {
                 if slot.window.is_none() {
                     slot.window = Some(RollingWindow::new(window_s));
                 }
@@ -540,11 +466,10 @@ impl Recorder {
     /// Windowed summary of `name` as of now, if a window is registered.
     pub fn windowed(&self, name: &str) -> Option<WindowSummary> {
         let inner = self.inner.as_ref()?;
-        let name = self.apply_scope(name);
         let now_s = inner.epoch.elapsed().as_secs_f64();
         let mut buf = inner.buf.lock().unwrap();
         buf.metrics
-            .get_mut(name.as_str())
+            .get_mut(name)
             .and_then(|s| s.window.as_mut())
             .map(|w| w.summary(now_s))
     }
@@ -643,10 +568,8 @@ impl Recorder {
         self.snapshot_prefix("")
     }
 
-    /// Snapshot the metrics whose name starts with `prefix` (a scoped
-    /// view's [`Recorder::scope`], say). Only the matching slots are
-    /// summarized, so reading one server job's namespace sorts that job's
-    /// samples, not every job's.
+    /// Snapshot the metrics whose name starts with `prefix` (what
+    /// `/metrics?prefix=` serves). Only the matching slots are summarized.
     pub fn snapshot_prefix(&self, prefix: &str) -> MetricsSnapshot {
         let Some(inner) = &self.inner else {
             return MetricsSnapshot::default();
@@ -713,9 +636,9 @@ const INLINE_NAME_LEN: usize = 46;
 
 /// Metric name carried by a [`SpanGuard`]. Timer guards are the hottest
 /// telemetry hook (one per kernel per RK stage), so the common case — a
-/// short, unscoped metric name — is copied into an inline buffer instead
-/// of allocating on every guard creation; scoped or unusually long names
-/// fall back to the heap.
+/// short metric name — is copied into an inline buffer instead of
+/// allocating on every guard creation; unusually long names fall back to
+/// the heap.
 enum GuardName {
     None,
     Inline { len: u8, buf: [u8; INLINE_NAME_LEN] },
@@ -966,50 +889,30 @@ mod tests {
     #[test]
     fn scoped_views_prefix_names_and_share_buffers() {
         let rec = Recorder::new();
-        let a = rec.scoped("job1");
-        let b = rec.scoped("job2");
-        assert_eq!(a.scope(), "job1.");
-        assert_eq!(a.scoped("rk").scope(), "job1.rk.");
-        a.add("core.sim.steps", 2);
-        b.add("core.sim.steps", 5);
-        a.set_gauge("drift", 1e-15);
-        a.rolling_window("core.sim.step_seconds", 60.0);
+        rec.add("core.sim.steps", 2);
+        rec.add("server.jobs.submitted", 5);
+        rec.set_gauge("core.sim.mass_drift", 1e-15);
+        rec.rolling_window("core.sim.step_seconds", 60.0);
         {
-            let _s = a.span_timed("measured", "core.step", "core.sim.step_seconds");
+            let _s = rec.span_timed("measured", "core.step", "core.sim.step_seconds");
         }
-        rec.scoped("job12").record("h", 1.0);
+        rec.record("core.simd", 1.0);
         let snap = rec.snapshot();
-        assert_eq!(snap.counters["job1.core.sim.steps"], 2);
-        assert_eq!(snap.counters["job2.core.sim.steps"], 5);
-        assert_eq!(snap.histograms["job1.core.sim.step_seconds"].count, 1);
-        assert_eq!(rec.spans()[0].track, "job1.measured");
-        // A prefix snapshot slices one namespace out with stable-sorted keys.
-        let job1 = rec.snapshot_prefix("job1.");
-        assert_eq!(job1.counters.len(), 1);
-        assert!(job1.counters.keys().all(|k| k.starts_with("job1.")));
-        assert!(rec.snapshot_prefix("job2.").gauges.is_empty());
-        // It is the full snapshot restricted to the prefix, in every section.
+        // A prefix snapshot is the full snapshot restricted to the prefix,
+        // in every section.
         fn restrict<V: Clone>(m: &BTreeMap<String, V>, prefix: &str) -> BTreeMap<String, V> {
             m.iter()
                 .filter(|(k, _)| k.starts_with(prefix))
                 .map(|(k, v)| (k.clone(), v.clone()))
                 .collect()
         }
-        for p in ["job1.", "job12.", "job", "", "none."] {
+        for p in ["core.sim.", "core.sim", "server.", "", "none."] {
             let part = rec.snapshot_prefix(p);
             assert_eq!(part.counters, restrict(&snap.counters, p), "{p}");
             assert_eq!(part.gauges, restrict(&snap.gauges, p), "{p}");
             assert_eq!(part.histograms, restrict(&snap.histograms, p), "{p}");
             assert_eq!(part.windows, restrict(&snap.windows, p), "{p}");
         }
-    }
-
-    #[test]
-    fn scoped_view_of_noop_is_noop() {
-        let rec = Recorder::noop().scoped("job1");
-        assert!(!rec.is_enabled());
-        rec.add("c", 1);
-        assert!(rec.snapshot().counters.is_empty());
     }
 
     #[test]

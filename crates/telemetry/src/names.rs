@@ -105,7 +105,7 @@ pub const KERNEL_SIMD_SPEEDUP_SERIAL: &str = "kernel.simd_speedup_serial";
 /// latency is queryable alongside solver metrics.
 pub const SERVE_LIVE_P50_MS: &str = "serve.live_p50_ms";
 
-/// Counter: completed jobs whose scoped telemetry was flushed into the
+/// Counter: completed jobs whose own recorder was flushed into the
 /// server's history store (`--history-dir`); the history-route tests
 /// poll it to know a flush landed.
 pub const SERVER_HISTORY_RECORDED: &str = "server.history.recorded";

@@ -342,7 +342,7 @@ fn summary_from_json(v: &JsonValue) -> Result<HistogramSummary, String> {
 /// One metric's per-run summary row.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SummaryRow {
-    /// Metric name (scope-stripped at flush time).
+    /// Metric name, as recorded.
     pub metric: String,
     /// Where the samples came from.
     pub kind: MetricKind,
@@ -685,32 +685,28 @@ impl HistoryStore {
         Ok(m)
     }
 
-    /// Flush a [`Recorder`]'s current snapshot into the store. When
-    /// `strip_prefix` is non-empty only metrics under it are taken and
-    /// the prefix is removed from stored names, so one server job's
-    /// scoped slice (`job42.core.sim...`) lands under the same names a
-    /// `swe_run` flush uses — cross-source comparability is the point.
-    /// Counters and gauges store one sample; histograms store all raw
-    /// samples (rolling windows are derived views and are skipped).
+    /// Flush a [`Recorder`]'s current snapshot into the store under the
+    /// names it recorded. A server job records into a recorder of its own,
+    /// so its rows carry the same names a `swe_run` flush does —
+    /// cross-source comparability is the point. Counters and gauges store
+    /// one sample; histograms store all raw samples (rolling windows are
+    /// derived views and are skipped).
     pub fn record_recorder(
         &self,
         manifest: &RunManifest,
         rec: &Recorder,
-        strip_prefix: &str,
     ) -> io::Result<RunManifest> {
-        let snap = rec.snapshot_prefix(strip_prefix);
-        let strip =
-            |name: &str| -> String { name.strip_prefix(strip_prefix).unwrap_or(name).to_string() };
+        let snap = rec.snapshot();
         let mut metrics: BTreeMap<String, (MetricKind, Vec<f64>)> = BTreeMap::new();
-        for (name, v) in &snap.counters {
-            metrics.insert(strip(name), (MetricKind::Counter, vec![*v as f64]));
+        for (name, v) in snap.counters {
+            metrics.insert(name, (MetricKind::Counter, vec![v as f64]));
         }
-        for (name, v) in &snap.gauges {
-            metrics.insert(strip(name), (MetricKind::Gauge, vec![*v]));
+        for (name, v) in snap.gauges {
+            metrics.insert(name, (MetricKind::Gauge, vec![v]));
         }
-        for name in snap.histograms.keys() {
-            let samples = rec.histogram_samples(name);
-            metrics.insert(strip(name), (MetricKind::Histogram, samples));
+        for name in snap.histograms.into_keys() {
+            let samples = rec.histogram_samples(&name);
+            metrics.insert(name, (MetricKind::Histogram, samples));
         }
         self.record(manifest, &metrics)
     }
@@ -1105,25 +1101,27 @@ mod tests {
 
     #[test]
     fn recorder_flush_strips_scope_prefixes() {
+        // A flush stores every metric under the name it was recorded by.
         let rec = Recorder::new();
-        let job = rec.scoped("job7");
-        job.add("core.sim.steps", 5);
-        job.set_gauge("core.sim.mass_drift", 1e-14);
-        job.record("core.sim.step_seconds", 0.25);
-        rec.add("other.counter", 1);
-        let store = HistoryStore::open(&tmp("scoped")).unwrap();
-        let m = store.record_recorder(&manifest(1), &rec, "job7.").unwrap();
+        rec.add("core.sim.steps", 5);
+        rec.set_gauge("core.sim.mass_drift", 1e-14);
+        rec.record("core.sim.step_seconds", 0.25);
+        rec.record("core.sim.step_seconds", 0.5);
+        let store = HistoryStore::open(&tmp("plain")).unwrap();
+        let m = store.record_recorder(&manifest(1), &rec).unwrap();
         let rows = store.run_summary(&m.run_id).unwrap();
-        let names: Vec<&str> = rows.iter().map(|r| r.metric.as_str()).collect();
+        let kinds: Vec<(&str, MetricKind, usize)> = rows
+            .iter()
+            .map(|r| (r.metric.as_str(), r.kind, r.summary.count))
+            .collect();
         assert_eq!(
-            names,
+            kinds,
             vec![
-                "core.sim.mass_drift",
-                "core.sim.step_seconds",
-                "core.sim.steps"
+                ("core.sim.mass_drift", MetricKind::Gauge, 1),
+                ("core.sim.step_seconds", MetricKind::Histogram, 2),
+                ("core.sim.steps", MetricKind::Counter, 1)
             ]
         );
-        assert!(rows.iter().all(|r| !r.metric.starts_with("job7.")));
     }
 
     /// A run as the store wrote it while it kept a per-step level: a
