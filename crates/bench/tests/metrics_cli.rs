@@ -1,10 +1,11 @@
 //! `swe_run --metrics` records the `analysis.*` gauges (per-rank blame and
 //! the critical path) and the `msg.*` metrics only for a run that has
 //! ranks, the mesh set-up time on every path, the telemetry of the
-//! executor that ran, each step once, by the code that drives it, and no
-//! modeled schedule (`sched.*`) at all. `--ranks N` runs N ranks for
-//! every N ≥ 1. A run takes only the flags of the path it runs, and a
-//! flag it would ignore is refused before the mesh is built.
+//! executor that ran, each step once, by the code that drives it, no
+//! output diagnostic a step does not run, and no modeled schedule
+//! (`sched.*`) at all. `--ranks N` runs N ranks for every N ≥ 1. A run
+//! takes only the flags of the path it runs, and a flag it would ignore
+//! is refused before the mesh is built.
 
 use mpas_telemetry::export::{parse_json, JsonValue};
 use mpas_telemetry::names::CORE_SETUP_MESH_SECONDS;
@@ -210,6 +211,21 @@ fn every_step_is_recorded_once() {
             ("core.step", 1)
         };
         assert_eq!(count("X", step_span), per_step * steps, "{label}");
+    }
+}
+
+#[test]
+fn a_threaded_run_times_no_output_diagnostics() {
+    // No step reads A3, A4 or X6, and `swe_run` requests no outputs: the
+    // pool executor times every sweep a step runs, and none of those.
+    let names = metric_names("threaded_outputs.json", &["--executor", "threaded:2"]);
+    assert!(
+        names.iter().any(|k| k == "swe.kernel.B1.seconds"),
+        "{names:?}"
+    );
+    for label in ["A3", "A4", "X6"] {
+        let name = format!("swe.kernel.{label}.seconds");
+        assert!(!names.contains(&name), "{name} in {names:?}");
     }
 }
 

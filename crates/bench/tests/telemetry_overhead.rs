@@ -24,13 +24,13 @@ fn one_at_a_time() -> MutexGuard<'static, ()> {
 }
 
 /// Upper bound on telemetry hook invocations per RK-4 step: 4 stages x
-/// (~11 sweep timers + 1 stage span) + step spans + facade
-/// gauges/counter, about 54 on the threaded executor, with a 2x cushion.
+/// (~10 sweep timers + 1 stage span) + step spans + facade
+/// gauges/counter, about 51 on the threaded executor, with a 2x cushion.
 const CALLS_PER_STEP: f64 = 112.0;
 
-/// Of that bound, at most this many are timed guards — the 43 sweep timers
-/// of a step (A3, A4 and X6 in the last stage only) plus the stage and
-/// step spans, 49 on the threaded executor; the remainder are plain
+/// Of that bound, at most this many are timed guards — the 40 sweep timers
+/// of a step (no stage runs A3, A4 or X6) plus the stage and step spans,
+/// 46 on the threaded executor; the remainder are plain
 /// counter/gauge/histogram writes.
 const TIMED_PER_STEP: f64 = 52.0;
 

@@ -12,14 +12,15 @@
 //! so a single flipped mantissa bit anywhere fails the matrix. One extra
 //! row covers the terms the catalog leaves off: del2 and del4 viscosity
 //! and the high-order thickness flux. A last row checks what a step leaves
-//! besides the state: each engine's diagnostics and reconstruction.
+//! besides the state, each engine's diagnostics, and the output
+//! diagnostics each engine computes on request.
 
 use mpas_core::{build_mesh, run_distributed, state_hash, DistributedConfig, Executor, Simulation};
 use mpas_mesh::{Mesh, Reordering};
 use mpas_swe::kernels::{self, ops};
 use mpas_swe::validation::CATALOG;
 use mpas_swe::{
-    Diagnostics, InitialFields, KernelBackend, KernelCoeffs, ModelConfig, Reconstruction,
+    CellOutputs, Diagnostics, InitialFields, KernelBackend, KernelCoeffs, ModelConfig,
     ShallowWaterModel, TestCase,
 };
 use std::sync::Arc;
@@ -156,10 +157,10 @@ fn assert_same_bits(tag: &str, field: &str, got: &[f64], want: &[f64]) {
     }
 }
 
-/// Each step computes only what its data flow reads (A3 in the final
-/// substep only, X6 from the frames in `KernelCoeffs`), yet every engine
-/// ends a step with diagnostics — `vorticity_cell` included — and a
-/// reconstruction bit for bit equal to a full refresh on its final state.
+/// Each step computes only what its data flow reads (no A3, A4 or X6),
+/// yet every engine ends a step with diagnostics bit for bit equal to a
+/// full refresh on its final state, and computes the output diagnostics on
+/// request bit for bit as the seed kernels do on that state.
 #[test]
 fn end_of_step_diagnostics_and_reconstruction_match_a_full_refresh() {
     let mesh = build_mesh(3, 0, Reordering::None);
@@ -194,11 +195,10 @@ fn end_of_step_diagnostics_and_reconstruction_match_a_full_refresh() {
                     exec,
                 );
                 model.run_steps(3);
+                let outputs = model
+                    .cell_outputs()
+                    .expect("a single-layer model computes its outputs");
                 let (state, diag) = (&model.state, &model.diag);
-                let recon = model
-                    .recon
-                    .as_ref()
-                    .expect("a single-layer model reconstructs");
                 let tag = format!("{} ({}) {engine}", tc.name(), backend.name());
                 let mut d = Diagnostics::zeros(&mesh);
                 kernels::compute_solve_diagnostics_backend(
@@ -216,7 +216,6 @@ fn end_of_step_diagnostics_and_reconstruction_match_a_full_refresh() {
                     ("h_edge", &diag.h_edge, &d.h_edge),
                     ("ke", &diag.ke, &d.ke),
                     ("vorticity", &diag.vorticity, &d.vorticity),
-                    ("vorticity_cell", &diag.vorticity_cell, &d.vorticity_cell),
                     ("divergence", &diag.divergence, &d.divergence),
                     ("pv_vertex", &diag.pv_vertex, &d.pv_vertex),
                     ("pv_cell", &diag.pv_cell, &d.pv_cell),
@@ -227,16 +226,19 @@ fn end_of_step_diagnostics_and_reconstruction_match_a_full_refresh() {
                 ] {
                     assert_same_bits(&tag, field, got, want);
                 }
-                let (nc, mut r) = (mesh.n_cells(), Reconstruction::zeros(&mesh));
-                ops::reconstruct_xyz(&mesh, &kc, &state.u, &mut r.ux, &mut r.uy, &mut r.uz, 0..nc);
-                let (rx, ry, rz) = (&r.ux, &r.uy, &r.uz);
-                ops::zonal_meridional(&kc, rx, ry, rz, &mut r.zonal, &mut r.meridional, 0..nc);
+                let (nc, mut o) = (mesh.n_cells(), CellOutputs::zeros(&mesh));
+                ops::vorticity_cell(&mesh, &d.vorticity, &mut o.vorticity_cell, 0..nc);
+                ops::reconstruct_xyz(&mesh, &kc, &state.u, &mut o.ux, &mut o.uy, &mut o.uz, 0..nc);
+                let (ox, oy, oz) = (&o.ux, &o.uy, &o.uz);
+                let (zonal, meridional) = (&mut o.zonal, &mut o.meridional);
+                ops::zonal_meridional(&mesh, &kc, ox, oy, oz, zonal, meridional, 0..nc);
                 for (field, got, want) in [
-                    ("ux", &recon.ux, &r.ux),
-                    ("uy", &recon.uy, &r.uy),
-                    ("uz", &recon.uz, &r.uz),
-                    ("zonal", &recon.zonal, &r.zonal),
-                    ("meridional", &recon.meridional, &r.meridional),
+                    ("vorticity_cell", &outputs.vorticity_cell, &o.vorticity_cell),
+                    ("ux", &outputs.ux, &o.ux),
+                    ("uy", &outputs.uy, &o.uy),
+                    ("uz", &outputs.uz, &o.uz),
+                    ("zonal", &outputs.zonal, &o.zonal),
+                    ("meridional", &outputs.meridional, &o.meridional),
                 ] {
                     assert_same_bits(&tag, field, got, want);
                 }

@@ -118,9 +118,10 @@ pub fn calibrate_host(level: u32, reps: usize) -> CalibrationReport {
 
 /// Calibrate every Table-I pattern on `mesh`: run Williamson test case 5
 /// (the paper's benchmark case) on a one-thread pool executor, one warm-up
-/// step and then `reps` steps under a recorder, and fit its sweep timers
-/// ([`calibration_from_metrics`]). The high-order thickness blend and a
-/// del2 term are on, so D1, D2 and C1 run too.
+/// step and then `reps` steps under a recorder, request the output
+/// diagnostics no step computes (A3, A4, X6) once, and fit its sweep
+/// timers ([`calibration_from_metrics`]). The high-order thickness blend
+/// and a del2 term are on, so D1, D2 and C1 run too.
 pub fn calibrate_on(mesh: Arc<mpas_mesh::Mesh>, reps: usize) -> CalibrationReport {
     let config = ModelConfig {
         high_order_h_edge: true,
@@ -133,6 +134,7 @@ pub fn calibrate_on(mesh: Arc<mpas_mesh::Mesh>, reps: usize) -> CalibrationRepor
     let rec = Recorder::new();
     m.set_recorder(rec.clone());
     m.run_steps(reps.max(1));
+    m.cell_outputs();
     CalibrationReport {
         reps: reps.max(1),
         ..calibration_from_metrics(&rec.snapshot(), &MeshCounts::of(&mesh))
@@ -247,6 +249,7 @@ mod tests {
         let mut m = ShallowWaterModel::new_on(mesh.clone(), config, TestCase::Case5, None, exec)
             .with_recorder(rec.clone());
         m.step();
+        m.cell_outputs();
         let mc = MeshCounts {
             n_cells: mesh.n_cells() as f64,
             n_edges: mesh.n_edges() as f64,
@@ -254,8 +257,9 @@ mod tests {
         };
         let report = calibration_from_metrics(&rec.snapshot(), &mc);
         // Everything the executor timed must be fitted: the step runs
-        // D1/D2+H2 (high-order), the full diagnostics chain, tendencies
-        // (del2 off by default, so no C1), updates, and reconstruction.
+        // D1/D2+H2 (high-order), the diagnostics chain, tendencies (del2
+        // off by default, so no C1) and updates, and the output request
+        // runs A3 and the reconstruction.
         let names: Vec<&str> = report.entries.iter().map(|e| e.name.as_str()).collect();
         for expected in [
             "D1", "D2", "H2", "C2", "A2", "B2", "H1", "A3", "E", "F", "G", "A1", "B1", "X1", "X2",

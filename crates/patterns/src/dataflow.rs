@@ -449,8 +449,9 @@ mod tests {
 
     #[test]
     fn no_instance_reads_cell_vorticity_or_zonal_meridional_velocity() {
-        // A3's and X6's outputs leave the data flow: the executors run A3
-        // only in the final substep and X6 once a step on that fact.
+        // A3's and X6's outputs leave the data flow (and with X6, A4's):
+        // on that fact no step runs A3, A4 or X6, which a model computes
+        // only on an output request.
         for p in &table_i() {
             for v in [VorticityCell, URecZonal, URecMeridional] {
                 assert!(!p.inputs.contains(&v), "{} reads {v:?}", p.name);

@@ -41,7 +41,7 @@ pub enum JobState {
         /// Steps completed before the flag was observed.
         steps_done: usize,
     },
-    /// Refused at submission (full queue) or rejected by the runner.
+    /// Rejected by the runner.
     Failed(String),
 }
 
@@ -125,6 +125,12 @@ impl Registry {
             .expect("registry poisoned")
             .insert(id, entry);
         (id, cancel)
+    }
+
+    /// Drop the entry for `id` (a submission the queue refused), with its
+    /// recorder.
+    pub fn remove(&self, id: u64) {
+        self.jobs.lock().expect("registry poisoned").remove(&id);
     }
 
     /// Run `f` on the entry for `id`, if it exists.

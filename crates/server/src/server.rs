@@ -329,10 +329,9 @@ fn submit_job(body: &str, inner: &Arc<Inner>, dispatcher: &Arc<Dispatcher>) -> (
     }) {
         Ok(()) => (202, format!("{{\"id\": {id}, \"status\": \"queued\"}}\n")),
         Err(refusal) => {
-            // Withdraw the registration: the job never entered a queue.
-            inner
-                .registry
-                .set_state(id, JobState::Failed("rejected".to_string()));
+            // Withdraw the registration: the job never entered a queue,
+            // and a refused id answers 404 like an unknown one.
+            inner.registry.remove(id);
             match refusal {
                 SubmitError::Full => (429, error_body("queue full, retry later")),
                 SubmitError::Draining => (503, error_body("server is draining")),

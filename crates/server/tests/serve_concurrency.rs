@@ -1,6 +1,7 @@
 //! End-to-end service tests over real loopback HTTP: N concurrent tenants
 //! submitting identical jobs share one mesh build and get bitwise-identical
-//! results; a full queue answers 429; a drain loses no job.
+//! results; a full queue answers 429 and keeps no trace of the refused
+//! job; a drain loses no job.
 
 use mpas_server::{Server, ServerConfig};
 use mpas_telemetry::export::{parse_json, JsonValue};
@@ -222,11 +223,10 @@ fn full_queue_answers_429_and_drain_completes_accepted_jobs() {
     let snap = rec.snapshot();
     assert_eq!(snap.gauge(names::SERVER_QUEUE_DEPTH), Some(2.0));
     assert_eq!(snap.counter(names::SERVER_JOBS_REJECTED), Some(1));
-    // The refused job keeps the next id, reads `failed`, names no worker.
+    // The refused job took the next id and left no entry behind.
     let refused = queued_ids[1] + 1.0;
-    let (_, d) = http(addr, "GET", &format!("/jobs/{refused}"), "");
-    assert_eq!(d.get("status").and_then(|s| s.as_str()), Some("failed"));
-    assert!(d.get("worker").is_none());
+    let (status, _) = http(addr, "GET", &format!("/jobs/{refused}"), "");
+    assert_eq!(status, 404);
 
     // Cancel the slow job; the queued quick jobs then run and complete.
     let (status, _) = http(addr, "POST", &format!("/jobs/{slow_id}/cancel"), "");
@@ -252,4 +252,61 @@ fn full_queue_answers_429_and_drain_completes_accepted_jobs() {
     assert!(server.draining());
     server.shutdown();
     assert_eq!(server.registry().active(), 0);
+}
+
+#[test]
+fn a_refused_submission_leaves_no_registry_entry() {
+    let rec = Recorder::new();
+    let mut server = Server::start(
+        ServerConfig {
+            workers: 1,
+            queue_capacity: 1,
+            ..Default::default()
+        },
+        rec.clone(),
+    )
+    .expect("start server");
+    let addr = server.addr();
+    let submit = |body: &str| {
+        let (status, doc) = http(addr, "POST", "/jobs", body);
+        (status, doc.get("id").and_then(|v| v.as_f64()))
+    };
+
+    // A long job on the one worker, then one queued behind it.
+    let (status, long) = submit("{\"level\": 4, \"steps\": 400, \"progress_every\": 1}");
+    assert_eq!(status, 202);
+    let long = long.expect("job id");
+    let deadline = Instant::now() + Duration::from_secs(30);
+    while status_of(addr, long) != "running" {
+        assert!(Instant::now() < deadline, "long job never started");
+        std::thread::sleep(Duration::from_millis(10));
+    }
+    let (status, queued) = submit("{\"level\": 3, \"steps\": 2}");
+    assert_eq!(status, 202);
+    let queued = queued.expect("job id");
+
+    // Refused three times: no id answers, and the registry holds the two
+    // accepted jobs alone.
+    for n in 1..=3 {
+        let (status, id) = submit("{\"level\": 3, \"steps\": 2}");
+        assert_eq!((status, id), (429, None), "submission {n}");
+        let refused = queued + n as f64;
+        let (status, _) = http(addr, "GET", &format!("/jobs/{refused}"), "");
+        assert_eq!(status, 404, "refused id {refused}");
+    }
+    assert_eq!(server.registry().len(), 2);
+    assert_eq!(rec.snapshot().counter(names::SERVER_JOBS_REJECTED), Some(3));
+
+    let (status, _) = http(addr, "POST", &format!("/jobs/{long}/cancel"), "");
+    assert_eq!(status, 200);
+    assert_eq!(
+        wait_terminal(addr, long, Duration::from_secs(60)),
+        "cancelled"
+    );
+    assert_eq!(
+        wait_terminal(addr, queued, Duration::from_secs(60)),
+        "completed"
+    );
+    server.shutdown();
+    assert_eq!(server.registry().len(), 2);
 }

@@ -14,7 +14,9 @@
 //! `mpas_reconstruct` reads two more mesh-only tables from here (built
 //! in `reconstruct.rs`): A4's least-squares weight per cell slot and
 //! X6's east/north frame per cell (48 B a cell), so neither a model nor
-//! a server job builds its own, and X6 is two dot products a cell.
+//! a server job builds its own, and X6 is two dot products a cell. No
+//! step reads them: `KernelCoeffs::output_tables` builds them on the
+//! first output request, once per table however many models share it.
 //!
 //! The TRiSK stencil of H1 and B1 is the one table not in CSR order: a
 //! private `TriskTable` pads `edges_on_edge` and `½·weights_on_edge` to
@@ -43,6 +45,7 @@ use crate::config::ModelConfig;
 use crate::reconstruct;
 use mpas_geom::Vec3;
 use mpas_mesh::Mesh;
+use std::sync::OnceLock;
 
 /// Fused per-slot/per-edge coefficient tables for the Table-I kernels.
 ///
@@ -80,14 +83,22 @@ pub struct KernelCoeffs {
     /// Per edge: `dc_edge² / 12` — the H2 high-order blend factor. Empty
     /// unless `high_order_h_edge` is set.
     pub dc2_12: Vec<f64>,
-    /// Per cell slot: the A4 least-squares weight `M⁻¹ n̂_e` of the
-    /// edge-to-cell velocity reconstruction (zero on phantom cells).
-    pub recon_weights: Vec<Vec3>,
-    /// Per cell: the local `[east, north]` unit vectors X6 projects the
-    /// reconstructed velocity onto.
-    pub frames: Vec<[Vec3; 2]>,
+    /// The A4/X6 tables, built on the first output request.
+    outputs: OnceLock<OutputTables>,
     /// The padded TRiSK stencil of the four-edge H1/B1 sweeps.
     trisk: TriskTable,
+}
+
+/// The mesh-only tables of `mpas_reconstruct`, which only an output
+/// request reads ([`KernelCoeffs::output_tables`]).
+#[derive(Debug, Clone)]
+pub(crate) struct OutputTables {
+    /// Per cell slot: the A4 least-squares weight `M⁻¹ n̂_e` of the
+    /// edge-to-cell velocity reconstruction (zero on phantom cells).
+    pub(crate) recon_weights: Vec<Vec3>,
+    /// Per cell: the local `[east, north]` unit vectors X6 projects the
+    /// reconstructed velocity onto.
+    pub(crate) frames: Vec<[Vec3; 2]>,
 }
 
 /// The TRiSK stencil padded to blocks of four edges: block `q` covers
@@ -166,9 +177,10 @@ impl TriskTable {
 }
 
 impl KernelCoeffs {
-    /// Precompute every fused coefficient table for `mesh` under `config`
-    /// (the D1/D2/H2 tables are built only when the config's high-order
-    /// thickness blend can reach them).
+    /// Precompute every fused coefficient table a step reads for `mesh`
+    /// under `config` (the D1/D2/H2 tables are built only when the config's
+    /// high-order thickness blend can reach them; the A4/X6 tables wait for
+    /// the first output request).
     pub fn build(mesh: &Mesh, config: &ModelConfig) -> Self {
         let n_slots = mesh.edges_on_cell.len();
         let ne = mesh.n_edges();
@@ -232,14 +244,24 @@ impl KernelCoeffs {
             inv_dv,
             grad_ratio,
             dc2_12,
+            outputs: OnceLock::new(),
+            trisk: TriskTable::build(mesh),
+        }
+    }
+
+    /// The A4/X6 tables of `mesh`, the mesh this table was built for:
+    /// built on the first call, then shared by every later one.
+    pub(crate) fn output_tables(&self, mesh: &Mesh) -> &OutputTables {
+        let tables = self.outputs.get_or_init(|| OutputTables {
             recon_weights: reconstruct::least_squares_weights(mesh),
             frames: mesh
                 .x_cell
                 .iter()
                 .map(|&p| reconstruct::cell_frame(p))
                 .collect(),
-            trisk: TriskTable::build(mesh),
-        }
+        });
+        assert_eq!(tables.frames.len(), mesh.n_cells(), "another mesh");
+        tables
     }
 
     /// The padded TRiSK stencil of the four-edge H1/B1 sweeps.
@@ -342,6 +364,29 @@ mod tests {
         assert!(kc.dc2_12.is_empty());
         assert!(kc.half_flux_div.is_empty());
         assert_eq!(kc.flux_div.len(), mesh.edges_on_cell.len());
+    }
+
+    #[test]
+    fn output_tables_are_built_once_on_request() {
+        let (mesh, kc) = setup();
+        assert!(kc.outputs.get().is_none(), "built before a request");
+        // Two requests at once, as two server jobs sharing the table make
+        // them: both get the one table.
+        let start = std::sync::Barrier::new(2);
+        let built: Vec<usize> = std::thread::scope(|s| {
+            let request = || {
+                start.wait();
+                kc.output_tables(&mesh) as *const OutputTables as usize
+            };
+            let requests = [s.spawn(request), s.spawn(request)];
+            requests
+                .map(|r| r.join().expect("request panicked"))
+                .to_vec()
+        });
+        assert_eq!(built[0], built[1], "two tables for one mesh");
+        let t = kc.output_tables(&mesh);
+        assert_eq!(t.recon_weights.len(), mesh.edges_on_cell.len());
+        assert_eq!(t.frames.len(), mesh.n_cells());
     }
 
     #[test]

@@ -17,7 +17,6 @@ use crate::stage::{self, Exec, Inputs};
 use crate::state::{Diagnostics, State, Tendencies};
 use crate::testcases::TestCase;
 use mpas_mesh::Mesh;
-use mpas_patterns::dataflow::RkPhase;
 
 /// The fixed forcing that holds a test case's background state in discrete
 /// equilibrium: `F = −N(background)` where `N` is the model's own tendency
@@ -50,7 +49,7 @@ pub fn compute_equilibrium_forcing(
     };
     let x = &mut Exec::serial();
     let mut diag = Diagnostics::zeros(mesh);
-    stage::diagnostics(x, &p, &bg.h, &bg.u, RkPhase::Final, &mut diag);
+    stage::diagnostics(x, &p, &bg.h, &bg.u, &mut diag);
     let mut tend = Tendencies::zeros(mesh);
     stage::tendencies(x, &p, &bg, &diag, &mut tend);
     for x in tend.tend_h.iter_mut().chain(tend.tend_u.iter_mut()) {

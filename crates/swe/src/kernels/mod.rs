@@ -24,7 +24,6 @@ use crate::config::{KernelBackend, ModelConfig};
 use crate::stage::{self, Exec, Inputs};
 use crate::state::Diagnostics;
 use mpas_mesh::Mesh;
-use mpas_patterns::dataflow::RkPhase;
 
 /// `compute_solve_diagnostics` on `backend`: every diagnostic field of one
 /// layer's `(h, u)`, as the stage program's full refresh computes it on the
@@ -56,7 +55,7 @@ pub fn compute_solve_diagnostics_backend(
         b: &[],
         forcing: None,
     };
-    stage::diagnostics(&mut Exec::serial(), &p, h, u, RkPhase::Final, diag);
+    stage::diagnostics(&mut Exec::serial(), &p, h, u, diag);
 }
 
 #[cfg(test)]

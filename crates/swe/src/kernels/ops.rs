@@ -366,8 +366,7 @@ pub fn pv_edge(
 }
 
 /// A4 — least-squares velocity reconstruction at cell centers, with the
-/// weights of [`KernelCoeffs::recon_weights`].
-#[allow(clippy::too_many_arguments)]
+/// weights `kc` builds on the first output request.
 pub fn reconstruct_xyz(
     mesh: &Mesh,
     kc: &KernelCoeffs,
@@ -377,11 +376,11 @@ pub fn reconstruct_xyz(
     uz: &mut [f64],
     cells: Range<usize>,
 ) {
-    let off = cells.start;
+    let (off, weights) = (cells.start, &kc.output_tables(mesh).recon_weights);
     for i in cells {
         let mut v = mpas_geom::Vec3::ZERO;
         for slot in mesh.cell_range(i) {
-            v += kc.recon_weights[slot] * u[mesh.edges_on_cell[slot] as usize];
+            v += weights[slot] * u[mesh.edges_on_cell[slot] as usize];
         }
         ux[i - off] = v.x;
         uy[i - off] = v.y;
@@ -390,9 +389,12 @@ pub fn reconstruct_xyz(
 }
 
 /// X6 — rotate the Cartesian reconstruction into zonal/meridional
-/// components: two dot products a cell with the precomputed
-/// [`KernelCoeffs::frames`], bit for bit [`mpas_geom::to_zonal_meridional`].
+/// components: two dot products a cell with the east/north frames `kc`
+/// builds on the first output request, bit for bit
+/// [`mpas_geom::to_zonal_meridional`].
+#[allow(clippy::too_many_arguments)]
 pub fn zonal_meridional(
+    mesh: &Mesh,
     kc: &KernelCoeffs,
     ux: &[f64],
     uy: &[f64],
@@ -401,10 +403,10 @@ pub fn zonal_meridional(
     meridional: &mut [f64],
     cells: Range<usize>,
 ) {
-    let off = cells.start;
+    let (off, frames) = (cells.start, &kc.output_tables(mesh).frames);
     for i in cells {
         let v = mpas_geom::Vec3::new(ux[i], uy[i], uz[i]);
-        let (z, m) = zonal_meridional_in(&kc.frames[i], v);
+        let (z, m) = zonal_meridional_in(&frames[i], v);
         zonal[i - off] = z;
         meridional[i - off] = m;
     }

@@ -207,7 +207,7 @@ mod tests {
         m.run_steps(1);
         let snap = rec.snapshot();
         for label in [
-            "A1", "B1", "H2", "C2+E", "A2+B2", "A3", "F", "H1+G", "T1", "X2+X4",
+            "A1", "B1", "H2", "C2+E", "A2+B2", "F", "H1+G", "T1", "X2+X4",
         ] {
             let name = format!("swe.kernel.{label}.seconds");
             let h = snap.histogram(&name).unwrap_or_else(|| panic!("{name}"));

@@ -19,9 +19,9 @@
 //!   thickness-advection order).
 //! * [`coeffs`] — precomputed kernel coefficients: the per-slot
 //!   geometric factors every substep would otherwise re-derive, laid out
-//!   flat in CSR order for the [`kernels::simd`] fast path, and the
-//!   velocity-reconstruction weights and east/north frames of
-//!   `mpas_reconstruct`.
+//!   flat in CSR order for the [`kernels::simd`] fast path, and, built on
+//!   the first output request, the velocity-reconstruction weights and
+//!   east/north frames of `mpas_reconstruct`.
 //! * [`kernels`] — the six kernels of Algorithm 1 as free functions over
 //!   explicit output ranges, one per Table-I pattern instance, so executors
 //!   can slice them across devices. Includes the original scatter
@@ -67,6 +67,6 @@ pub use layers::layer_h_scale;
 pub use model::ShallowWaterModel;
 pub use norms::ErrorNorms;
 pub use stage::Exec;
-pub use state::{Diagnostics, Reconstruction, State, Tendencies};
+pub use state::{CellOutputs, Diagnostics, State, Tendencies};
 pub use testcases::TestCase;
 pub use validation::{Scenario, ValidationReport};

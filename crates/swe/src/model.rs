@@ -4,9 +4,11 @@
 //! [`Diagnostics`] and tendency workspace of `k = config.n_layers` lanes
 //! per entity ([`crate::layers`]; `k = 1` is the plain layout), the
 //! executor its sweeps run on ([`Exec`]: serial, threaded or hybrid), and
-//! advances through `stage::step`, Algorithm 1 written once. A
-//! distributed rank runs the same model on its local mesh
-//! ([`ShallowWaterModel::owning`], [`ShallowWaterModel::step_with`]).
+//! advances through `stage::step`, Algorithm 1 written once. The output
+//! diagnostics no step reads (A3, A4, X6) are computed on request
+//! ([`ShallowWaterModel::cell_outputs`]). A distributed rank runs the same
+//! model on its local mesh ([`ShallowWaterModel::owning`],
+//! [`ShallowWaterModel::step_with`]).
 
 use crate::coeffs::KernelCoeffs;
 use crate::config::{KernelBackend, ModelConfig};
@@ -14,10 +16,9 @@ use crate::initial::{compute_equilibrium_forcing, InitialFields};
 use crate::layers::take_lane;
 use crate::norms::ErrorNorms;
 use crate::stage::{self, Exec, Inputs, Workspace};
-use crate::state::{Diagnostics, Reconstruction, State};
+use crate::state::{CellOutputs, Diagnostics, State};
 use crate::testcases::TestCase;
 use mpas_mesh::Mesh;
-use mpas_patterns::dataflow::RkPhase;
 use mpas_telemetry::Recorder;
 use std::sync::Arc;
 
@@ -37,13 +38,10 @@ pub struct ShallowWaterModel {
     pub state: State,
     /// Current diagnostics (consistent with `state`), `k` lanes per entity.
     pub diag: Diagnostics,
-    /// Reconstructed cell-center velocities of a single-layer run; `None`
-    /// at `k > 1`, where A4/X6 (one layer's output product) do not run.
-    pub recon: Option<Reconstruction>,
-    /// Precomputed kernel coefficients: the simd backend's tables and the
-    /// velocity-reconstruction tables every backend reads. Shared so
-    /// multi-tenant servers can reuse one table across concurrent models
-    /// on the same mesh/config.
+    /// Precomputed kernel coefficients: the simd backend's tables and,
+    /// once outputs are requested, the velocity-reconstruction tables
+    /// every backend reads. Shared so multi-tenant servers can reuse one
+    /// table across concurrent models on the same mesh/config.
     pub kernel_coeffs: Arc<KernelCoeffs>,
     /// Model time in seconds.
     pub time: f64,
@@ -116,11 +114,9 @@ impl ShallowWaterModel {
         init.check_fits(&mesh, &config);
         let state = init.state.broadcast(k);
         let diag = Diagnostics::zeros_lanes(&mesh, k);
-        let recon = (k == 1).then(|| Reconstruction::zeros(&mesh));
         let mut m = ShallowWaterModel {
             ws: Workspace::zeros(&mesh, k, config.n_tracers),
             diag,
-            recon,
             layer0: None,
             state,
             dt: init.dt,
@@ -193,7 +189,6 @@ impl ShallowWaterModel {
             self.owned,
             &mut self.state,
             &mut self.diag,
-            self.recon.as_mut(),
             &mut self.ws,
             at_substep_end,
         );
@@ -235,9 +230,8 @@ impl ShallowWaterModel {
         }
     }
 
-    /// Recompute the diagnostics (every field, A3 included) and the
-    /// reconstruction from the current prognostic state (needed after
-    /// externally mutating `state` or `dt`).
+    /// Recompute the diagnostics from the current prognostic state (needed
+    /// after externally mutating `state` or `dt`).
     pub fn refresh_diagnostics(&mut self) {
         let p = Inputs::new(
             &self.mesh,
@@ -247,11 +241,29 @@ impl ShallowWaterModel {
             self.dt,
         );
         let (h, u) = (&self.state.h, &self.state.u);
-        stage::diagnostics(&mut self.exec, &p, h, u, RkPhase::Final, &mut self.diag);
-        if let Some(recon) = &mut self.recon {
-            stage::reconstruct(&mut self.exec, &p, u, recon);
-        }
+        stage::diagnostics(&mut self.exec, &p, h, u, &mut self.diag);
         self.refresh_layer0();
+    }
+
+    /// The output diagnostics of the current state, on this model's
+    /// executor: the cell vorticity (A3) and the reconstructed cell-center
+    /// velocity (A4, X6). `None` at `k > 1`: they are one layer's output
+    /// product.
+    pub fn cell_outputs(&mut self) -> Option<CellOutputs> {
+        if self.config.n_layers > 1 {
+            return None;
+        }
+        let p = Inputs::new(
+            &self.mesh,
+            &self.config,
+            &self.kernel_coeffs,
+            &self.init,
+            self.dt,
+        );
+        let mut out = CellOutputs::zeros(&self.mesh);
+        let (u, vorticity) = (&self.state.u, &self.diag.vorticity);
+        stage::cell_outputs(&mut self.exec, &p, u, vorticity, &mut out);
+        Some(out)
     }
 
     fn refresh_layer0(&mut self) {
@@ -573,6 +585,27 @@ mod tests {
         switched.run_steps(2);
         fresh.run_steps(2);
         assert_eq!(switched.state.max_abs_diff(&fresh.state), 0.0);
+    }
+
+    #[test]
+    fn cell_outputs_are_one_layers_and_leave_the_run_alone() {
+        let mesh = Arc::new(mpas_mesh::generate(2, 0));
+        let mut asked = small_model(TestCase::Case6);
+        let mut plain = small_model(TestCase::Case6);
+        asked.run_steps(2);
+        let diag = asked.diag.clone();
+        let outputs = asked.cell_outputs().expect("one layer");
+        assert!(outputs.zonal.iter().any(|&z| z != 0.0));
+        assert_eq!(asked.diag.pv_edge, diag.pv_edge);
+        asked.run_steps(2);
+        plain.run_steps(4);
+        assert_eq!(asked.state, plain.state);
+        let config = ModelConfig {
+            n_layers: 2,
+            ..Default::default()
+        };
+        let mut layered = ShallowWaterModel::new(mesh, config, TestCase::Case6, None);
+        assert!(layered.cell_outputs().is_none());
     }
 
     #[test]

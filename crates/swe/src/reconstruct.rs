@@ -14,8 +14,8 @@
 //! unit vectors depend on the cell position only, so [`cell_frame`] builds
 //! them once (five square roots and nine divisions a cell) and X6 is two
 //! dot products a cell. Both tables live in
-//! [`crate::coeffs::KernelCoeffs`], built once per mesh and shared by
-//! every model on it.
+//! [`crate::coeffs::KernelCoeffs`], built on the first output request and
+//! shared by every model on the mesh.
 //!
 //! The fit reproduces any uniform tangent flow exactly (unit-tested), which
 //! is all the O(h) accuracy the diagnostic output needs.
@@ -194,7 +194,16 @@ mod tests {
             v.iter().map(|v| v.z).collect(),
         );
         let (mut zonal, mut meridional) = (vec![0.0; nc], vec![0.0; nc]);
-        ops::zonal_meridional(&kc, &ux, &uy, &uz, &mut zonal, &mut meridional, 0..nc);
+        ops::zonal_meridional(
+            &mesh,
+            &kc,
+            &ux,
+            &uy,
+            &uz,
+            &mut zonal,
+            &mut meridional,
+            0..nc,
+        );
         for i in 0..nc {
             let (z, m) = to_zonal_meridional(mesh.x_cell[i], v[i]);
             assert_eq!(zonal[i].to_bits(), z.to_bits(), "cell {i} zonal");

@@ -3,7 +3,7 @@
 //!
 //! `step` is the paper's Algorithm 1, and it is the only copy of it.
 //! It issues a sequence of labelled *sweeps* in the order of the Fig. 4
-//! data-flow diagram ([`mpas_patterns::dataflow`], checked by this
+//! data-flow diagram (`mpas_patterns::dataflow`, checked by this
 //! module's tests). A sweep computes one Table-I instance (`A1`, `H2`,
 //! …), a fused pair whose second half reads the first entity by entity
 //! (`C2+E`, `A2+B2`, `H1+G`, `X2+X4`, `X3+X5`, `D1+D2`), or a term outside
@@ -22,24 +22,23 @@
 //! The step keeps Algorithm 1's bits and departs from its literal order in
 //! three ways, each dropping only work or copies nobody reads:
 //!
-//! * A3 (`vorticity_cell`) runs in the final substep only: no Table-I
-//!   instance reads its output, and the final substep's diagnostics are
-//!   the ones a step leaves behind;
+//! * the output diagnostics — A3 (`vorticity_cell`), and A4 and X6, the
+//!   velocity `mpas_reconstruct` rebuilds at cell centers — run in no
+//!   substep: no Table-I instance reads their outputs, so [`cell_outputs`]
+//!   computes them on request, from the state and vertex vorticity a step
+//!   leaves behind;
 //! * an intermediate substep writes the next provisional state and the RK
 //!   accumulation in one pass over the tendencies (X2+X4, X3+X5);
 //! * the final substep swaps the accumulated state in instead of copying
-//!   it, then runs the diagnostics on the new state and the velocity
-//!   reconstruction (A4, X6), as Algorithm 1's branch at the fourth
-//!   substep has them.
+//!   it, then runs the diagnostics on the new state.
 
 use crate::coeffs::KernelCoeffs;
 use crate::config::{KernelBackend, ModelConfig};
 use crate::initial::InitialFields;
 use crate::kernels::{ops, simd};
 use crate::parallel::Team;
-use crate::state::{Diagnostics, Reconstruction, State, Tendencies};
+use crate::state::{CellOutputs, Diagnostics, State, Tendencies};
 use mpas_mesh::Mesh;
-use mpas_patterns::dataflow::RkPhase;
 use mpas_telemetry::Recorder;
 use std::ops::Range;
 
@@ -265,12 +264,11 @@ struct Del4Scratch {
 
 /// Advance `state` by one RK-4 step.
 ///
-/// On entry `diag` holds the diagnostics of `state`; on exit `state`,
-/// `diag` and `recon` (when present) describe the new time level. The RK
-/// update writes the first `owned = [cells, edges]` entities only; the
-/// rest is left to `at_substep_end`, which runs once a substep on the
-/// state the diagnostics then read (a distributed rank exchanges its halo
-/// there).
+/// On entry `diag` holds the diagnostics of `state`; on exit `state` and
+/// `diag` describe the new time level. The RK update writes the first
+/// `owned = [cells, edges]` entities only; the rest is left to
+/// `at_substep_end`, which runs once a substep on the state the
+/// diagnostics then read (a distributed rank exchanges its halo there).
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn step<E: Executor>(
     x: &mut E,
@@ -278,7 +276,6 @@ pub(crate) fn step<E: Executor>(
     owned: [usize; 2],
     state: &mut State,
     diag: &mut Diagnostics,
-    recon: Option<&mut Reconstruction>,
     ws: &mut Workspace,
     mut at_substep_end: impl FnMut(&mut State),
 ) {
@@ -292,7 +289,6 @@ pub(crate) fn step<E: Executor>(
     provis.copy_from(state);
     let (k, dt) = (p.k, p.dt);
     let [nc, ne] = owned.map(|n| n * k);
-    let mut recon = recon;
     for stage in 0..4 {
         x.substep(stage, |x| {
             tendencies_into(x, p, provis, diag, tend, del4);
@@ -338,7 +334,7 @@ pub(crate) fn step<E: Executor>(
                     )
                 });
                 at_substep_end(provis);
-                diagnostics(x, p, &provis.h, &provis.u, RkPhase::Intermediate, diag);
+                diagnostics(x, p, &provis.h, &provis.u, diag);
             } else {
                 let weight = RK_WEIGHTS[stage] * dt;
                 let accumulate = |x: &mut E, t: &[f64], a: &mut [f64]| {
@@ -357,27 +353,16 @@ pub(crate) fn step<E: Executor>(
                 // refills it from `state`).
                 std::mem::swap(state, acc);
                 at_substep_end(state);
-                diagnostics(x, p, &state.h, &state.u, RkPhase::Final, diag);
-                if let Some(recon) = recon.as_deref_mut() {
-                    reconstruct(x, p, &state.u, recon);
-                }
+                diagnostics(x, p, &state.h, &state.u, diag);
             }
         });
     }
 }
 
-/// `compute_solve_diagnostics` for one RK substep of `phase` on `(h, u)`.
-/// A3 is the one instance whose output no Table-I instance reads: it runs
-/// when the diagnostics describe a time level (`RkPhase::Final`, which
-/// every full refresh uses too) and is skipped in intermediate substeps.
-pub fn diagnostics<E: Executor>(
-    x: &mut E,
-    p: &Inputs,
-    h: &[f64],
-    u: &[f64],
-    phase: RkPhase,
-    d: &mut Diagnostics,
-) {
+/// `compute_solve_diagnostics` on `(h, u)`: every field the tendencies
+/// and the next diagnostics read. A3, whose output no Table-I instance
+/// reads, is left to [`cell_outputs`].
+pub fn diagnostics<E: Executor>(x: &mut E, p: &Inputs, h: &[f64], u: &[f64], d: &mut Diagnostics) {
     let (mesh, config, kc, k) = (p.mesh, p.config, p.kc, p.k);
     let (nc, ne, nv) = (mesh.n_cells(), mesh.n_edges(), mesh.n_vertices());
     let backend = config.kernel_backend;
@@ -431,15 +416,6 @@ pub fn diagnostics<E: Executor>(
             KernelBackend::Simd => simd::ke_divergence(mesh, kc, k, u, ke, div, r),
         })
     });
-    if phase == RkPhase::Final {
-        x.sweep("A3", |x| {
-            let vort = &d.vorticity;
-            x.run(nc, k, [&mut d.vorticity_cell], |r, [o]| match backend {
-                KernelBackend::Scalar => ops::vorticity_cell(mesh, vort, o, r),
-                KernelBackend::Simd => simd::kite_average(mesh, kc, k, vort, o, r),
-            })
-        });
-    }
     x.sweep("F", |x| {
         let pvv = &d.pv_vertex;
         x.run(nc, k, [&mut d.pv_cell], |r, [o]| match backend {
@@ -593,22 +569,40 @@ fn add_forcing(k: usize, f: &[f64], out: &mut [f64], range: Range<usize>) {
     }
 }
 
-/// `mpas_reconstruct`: cell-centre velocity vectors (A4) and their
-/// zonal/meridional components (X6) from one layer's `u`.
-pub fn reconstruct<E: Executor>(x: &mut E, p: &Inputs, u: &[f64], recon: &mut Reconstruction) {
-    let (mesh, kc) = (p.mesh, p.kc);
+/// The output diagnostics of one layer, on request: the cell vorticity
+/// (A3) from the vertex `vorticity` C2 computed on `u`, and
+/// `mpas_reconstruct`, the cell-centre velocity vectors (A4) and their
+/// zonal/meridional components (X6), from `u`. No Table-I instance reads
+/// any of them, so no step runs these sweeps.
+pub fn cell_outputs<E: Executor>(
+    x: &mut E,
+    p: &Inputs,
+    u: &[f64],
+    vorticity: &[f64],
+    out: &mut CellOutputs,
+) {
+    assert_eq!(p.k, 1, "cell outputs are one layer's");
+    let (mesh, kc, backend) = (p.mesh, p.kc, p.config.kernel_backend);
     let nc = mesh.n_cells();
+    // The first request builds the A4/X6 tables; no sweep times that.
+    kc.output_tables(mesh);
+    x.sweep("A3", |x| {
+        x.run(nc, 1, [&mut out.vorticity_cell], |r, [o]| match backend {
+            KernelBackend::Scalar => ops::vorticity_cell(mesh, vorticity, o, r),
+            KernelBackend::Simd => simd::kite_average(mesh, kc, 1, vorticity, o, r),
+        })
+    });
     x.sweep("A4", |x| {
-        let outs = [&mut recon.ux[..], &mut recon.uy[..], &mut recon.uz[..]];
+        let outs = [&mut out.ux[..], &mut out.uy[..], &mut out.uz[..]];
         x.run(nc, 1, outs, |r, [cx, cy, cz]| {
             ops::reconstruct_xyz(mesh, kc, u, cx, cy, cz, r)
         })
     });
     x.sweep("X6", |x| {
-        let (ux, uy, uz) = (&recon.ux, &recon.uy, &recon.uz);
-        let outs = [&mut recon.zonal[..], &mut recon.meridional[..]];
+        let (ux, uy, uz) = (&out.ux, &out.uy, &out.uz);
+        let outs = [&mut out.zonal[..], &mut out.meridional[..]];
         x.run(nc, 1, outs, |r, [z, m]| {
-            ops::zonal_meridional(kc, ux, uy, uz, z, m, r)
+            ops::zonal_meridional(mesh, kc, ux, uy, uz, z, m, r)
         })
     });
 }
@@ -617,7 +611,7 @@ pub fn reconstruct<E: Executor>(x: &mut E, p: &Inputs, u: &[f64], recon: &mut Re
 mod tests {
     use super::*;
     use crate::testcases::TestCase;
-    use mpas_patterns::dataflow::{table_i, DataflowGraph};
+    use mpas_patterns::dataflow::{table_i, DataflowGraph, RkPhase};
     use std::collections::HashSet;
 
     #[test]
@@ -688,37 +682,27 @@ mod tests {
         }
     }
 
+    /// Williamson 4 (forced) under `config` on a level-2 mesh: the mesh,
+    /// its coefficients and the sampled fields.
+    fn case4(config: &ModelConfig) -> (Mesh, KernelCoeffs, InitialFields) {
+        let mesh = mpas_mesh::generate(2, 0);
+        let kc = KernelCoeffs::build(&mesh, config);
+        let init = InitialFields::sample(&mesh, config, TestCase::Case4, &kc, None);
+        (mesh, kc, init)
+    }
+
     /// One step of `config` on Williamson 4 (forced) through the
     /// recording executor; the log of each substep.
     fn record_step(config: ModelConfig) -> Vec<Vec<&'static str>> {
-        let mesh = mpas_mesh::generate(2, 0);
-        let kc = KernelCoeffs::build(&mesh, &config);
-        let init = InitialFields::sample(&mesh, &config, TestCase::Case4, &kc, None);
+        let (mesh, kc, init) = case4(&config);
         let p = Inputs::new(&mesh, &config, &kc, &init, init.dt);
         let mut state = init.state.clone();
         let mut diag = Diagnostics::zeros(&mesh);
-        diagnostics(
-            &mut Exec::serial(),
-            &p,
-            &state.h,
-            &state.u,
-            RkPhase::Final,
-            &mut diag,
-        );
-        let mut recon = Reconstruction::zeros(&mesh);
+        diagnostics(&mut Exec::serial(), &p, &state.h, &state.u, &mut diag);
         let mut ws = Workspace::zeros(&mesh, 1, config.n_tracers);
         let owned = [mesh.n_cells(), mesh.n_edges()];
         let mut x = Recording::default();
-        step(
-            &mut x,
-            &p,
-            owned,
-            &mut state,
-            &mut diag,
-            Some(&mut recon),
-            &mut ws,
-            |_| {},
-        );
+        step(&mut x, &p, owned, &mut state, &mut diag, &mut ws, |_| {});
         assert!(state.h.iter().all(|h| h.is_finite()));
         x.substeps
     }
@@ -750,15 +734,15 @@ mod tests {
     const OUTSIDE: [&str; 3] = ["T1", "F1", "del4"];
 
     /// Check one substep's log against the Fig. 4 graph of its phase.
-    /// `unread` holds the instances whose outputs no instance reads.
+    /// `unread` holds the output diagnostics: the instances whose outputs
+    /// only other output diagnostics read.
     fn check_substep(config: &ModelConfig, phase: RkPhase, unread: &[&str], log: &[&str]) {
         let tag = format!("{phase:?} {config:?}");
         let full = DataflowGraph::for_substep(phase);
         let enabled = |name: &str| match name {
             "D1" | "D2" => config.high_order_h_edge,
             "C1" => config.del2_viscosity != 0.0,
-            n if unread.contains(&n) => phase == RkPhase::Final,
-            _ => true,
+            n => !unread.contains(&n),
         };
         // Each label names instances of this phase's graph, or is one of
         // the sweeps outside Table I.
@@ -818,20 +802,33 @@ mod tests {
         assert_eq!(log.contains(&"del4"), del4, "{tag}: del4");
     }
 
+    /// The output diagnostics, derived from Table I: grown from the
+    /// instances whose outputs no instance reads by every instance whose
+    /// outputs only the set's members read.
+    fn output_diagnostics() -> Vec<&'static str> {
+        let table = table_i();
+        let mut unread: Vec<&str> = Vec::new();
+        loop {
+            let grown = table.iter().find(|n| {
+                !unread.contains(&n.name)
+                    && n.outputs.iter().all(|v| {
+                        let mut readers = table.iter().filter(|m| m.inputs.contains(v));
+                        readers.all(|m| unread.contains(&m.name))
+                    })
+            });
+            match grown {
+                Some(n) => unread.push(n.name),
+                None => return unread,
+            }
+        }
+    }
+
     #[test]
     fn the_stage_program_is_the_fig4_data_flow() {
-        // The instances whose outputs no instance reads, from Table I.
-        let table = table_i();
-        let unread: Vec<&str> = table
-            .iter()
-            .filter(|n| {
-                n.outputs
-                    .iter()
-                    .all(|v| table.iter().all(|m| !m.inputs.contains(v)))
-            })
-            .map(|n| n.name)
-            .collect();
-        assert!(unread.contains(&"A3"), "{unread:?}");
+        let unread = output_diagnostics();
+        let mut sorted = unread.clone();
+        sorted.sort_unstable();
+        assert_eq!(sorted, ["A3", "A4", "X6"]);
         for config in configs() {
             let substeps = record_step(config);
             assert_eq!(substeps.len(), 4);
@@ -843,6 +840,32 @@ mod tests {
                 };
                 check_substep(&config, phase, &unread, log);
             }
+        }
+    }
+
+    #[test]
+    fn cell_outputs_run_exactly_the_output_diagnostics() {
+        for kernel_backend in KernelBackend::ALL {
+            let config = ModelConfig {
+                kernel_backend,
+                ..ModelConfig::default()
+            };
+            let (mesh, kc, init) = case4(&config);
+            let p = Inputs::new(&mesh, &config, &kc, &init, init.dt);
+            let mut diag = Diagnostics::zeros(&mesh);
+            let (h, u) = (&init.state.h, &init.state.u);
+            diagnostics(&mut Exec::serial(), &p, h, u, &mut diag);
+            let mut out = CellOutputs::zeros(&mesh);
+            // One open log: the requests run outside any substep.
+            let mut x = Recording {
+                substeps: vec![Vec::new()],
+            };
+            cell_outputs(&mut x, &p, u, &diag.vorticity, &mut out);
+            // Exactly the output diagnostics, in Fig. 4 order: X6 reads
+            // A4's output.
+            assert_eq!(x.substeps, [["A3", "A4", "X6"]], "{config:?}");
+            assert!(out.zonal.iter().any(|&z| z != 0.0), "{config:?}");
+            assert!(out.vorticity_cell.iter().any(|&z| z != 0.0), "{config:?}");
         }
     }
 }

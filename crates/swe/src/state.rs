@@ -1,5 +1,5 @@
 //! Field containers: prognostic state, diagnostics, tendencies, and the
-//! reconstructed cell-center velocities.
+//! cell outputs (cell vorticity and reconstructed cell-center velocities).
 //!
 //! All fields are flat `Vec<f64>` (structure-of-arrays) indexed by the mesh
 //! entity id, the layout the kernels' hot loops expect. A model of `k`
@@ -80,8 +80,6 @@ pub struct Diagnostics {
     pub ke: Vec<f64>,
     /// Relative vorticity at vertices.
     pub vorticity: Vec<f64>,
-    /// Relative vorticity interpolated to cells.
-    pub vorticity_cell: Vec<f64>,
     /// Velocity divergence at cells.
     pub divergence: Vec<f64>,
     /// Potential vorticity at vertices.
@@ -115,7 +113,6 @@ impl Diagnostics {
             h_edge: vec![0.0; ne],
             ke: vec![0.0; nc],
             vorticity: vec![0.0; nv],
-            vorticity_cell: vec![0.0; nc],
             divergence: vec![0.0; nc],
             pv_vertex: vec![0.0; nv],
             pv_cell: vec![0.0; nc],
@@ -154,10 +151,14 @@ impl Tendencies {
     }
 }
 
-/// Output of `mpas_reconstruct`: Cartesian and zonal/meridional velocity at
-/// cell centers.
+/// The output diagnostics of one layer, which no Table-I instance reads:
+/// the cell vorticity (A3) and the velocity `mpas_reconstruct` rebuilds at
+/// cell centers (A4, X6). A step computes none of them; a model computes
+/// them on request ([`crate::ShallowWaterModel::cell_outputs`]).
 #[derive(Debug, Clone)]
-pub struct Reconstruction {
+pub struct CellOutputs {
+    /// Relative vorticity interpolated to cells (A3).
+    pub vorticity_cell: Vec<f64>,
     /// Cartesian x component at cells.
     pub ux: Vec<f64>,
     /// Cartesian y component at cells.
@@ -170,11 +171,12 @@ pub struct Reconstruction {
     pub meridional: Vec<f64>,
 }
 
-impl Reconstruction {
-    /// Zero-initialized reconstruction sized for a mesh.
+impl CellOutputs {
+    /// Zero-initialized outputs sized for a mesh.
     pub fn zeros(mesh: &Mesh) -> Self {
         let nc = mesh.n_cells();
-        Reconstruction {
+        CellOutputs {
+            vorticity_cell: vec![0.0; nc],
             ux: vec![0.0; nc],
             uy: vec![0.0; nc],
             uz: vec![0.0; nc],
@@ -197,8 +199,9 @@ mod tests {
         let d = Diagnostics::zeros(&mesh);
         assert_eq!(d.vorticity.len(), mesh.n_vertices());
         assert_eq!(d.pv_edge.len(), mesh.n_edges());
-        let r = Reconstruction::zeros(&mesh);
-        assert_eq!(r.zonal.len(), mesh.n_cells());
+        let o = CellOutputs::zeros(&mesh);
+        assert_eq!(o.vorticity_cell.len(), mesh.n_cells());
+        assert_eq!(o.zonal.len(), mesh.n_cells());
     }
 
     #[test]

@@ -41,8 +41,8 @@ fn main() {
         }
     }
 
-    let recon = m.recon.as_ref().expect("a single-layer model reconstructs");
-    let zonal_max = recon.zonal.iter().cloned().fold(f64::MIN, f64::max);
+    let outputs = m.cell_outputs().expect("a single-layer model has outputs");
+    let zonal_max = outputs.zonal.iter().cloned().fold(f64::MIN, f64::max);
     println!("max reconstructed zonal wind: {zonal_max:.1} m/s");
     assert!(((m.total_mass() - mass0) / mass0).abs() < 1e-12);
     println!("OK: mass conserved to machine precision.");
